@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Execution-mode parity: every bundled model's default properties must get
+# the same `hvc check --json` verdicts whether one thread, four threads or
+# two forked worker processes settle the schemas; and two one-thread
+# certifying runs of the simplified consensus must emit byte-identical
+# certificates.
+# Usage: scripts/mode_parity.sh [build-dir]
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+build="${1:-build}"
+hvc="$build/hvc"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
+# One "property verdict" line per property of a --json report.
+verdicts() {
+  grep -oE '"(property|verdict)": "[^"]*"' "$1" | sed -E 's/.*: "(.*)"/\1/' | paste -d' ' - -
+}
+
+for model in models/*.ta; do
+  name="$(basename "$model" .ta)"
+  cap=()
+  # The composite automaton exhausts any budget (the paper's negative
+  # result): cap it as the certify step does; "unknown" must still agree.
+  if [ "$name" = naive_consensus ]; then cap=(--max-schemas 500 --timeout 60); fi
+  reference=""
+  for mode in "--threads 1" "--threads 4" "--workers 2"; do
+    tag="$name.${mode// /}"
+    code=0
+    # shellcheck disable=SC2086
+    "$hvc" check "$model" $mode --json ${cap[@]+"${cap[@]}"} > "$work/$tag.json" \
+      2> "$work/$tag.err" || code=$?
+    if [ "$code" -eq 2 ] && grep -q "no bundled properties" "$work/$tag.err"; then
+      echo "== $name: no bundled properties, skipped"
+      continue 2
+    fi
+    if [ "$code" -ne 0 ] && [ "$code" -ne 1 ] && [ "$code" -ne 3 ]; then
+      echo "FAIL: $name $mode exited $code" >&2
+      cat "$work/$tag.err" >&2
+      exit 1
+    fi
+    verdicts "$work/$tag.json" > "$work/$tag.verdicts"
+    echo "== $name $mode: $(paste -sd, "$work/$tag.verdicts")"
+    if [ -z "$reference" ]; then
+      reference="$work/$tag.verdicts"
+    elif ! diff "$reference" "$work/$tag.verdicts"; then
+      echo "FAIL: $name verdicts under $mode differ from --threads 1" >&2
+      exit 1
+    fi
+  done
+done
+
+echo "== certificate byte-stability (simplified consensus, --threads 1 --certify)"
+for run in a b; do
+  "$hvc" check models/simplified_consensus.ta --threads 1 --certify \
+    --cert-out "$work/cert.$run.json" > /dev/null
+done
+cmp "$work/cert.a.json" "$work/cert.b.json"
+echo "mode parity: OK"

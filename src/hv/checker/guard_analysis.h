@@ -68,7 +68,7 @@ class GuardAnalysis {
   std::vector<std::vector<bool>> implies_;
   std::vector<bool> holds_at_zero_;
   std::vector<std::vector<ta::RuleId>> incrementers_;
-  // The schema-enumerating producer and pool workers memoize concurrently;
+  // Pool workers memoize concurrently;
   // node-based map references stay valid across other threads' inserts.
   mutable std::mutex reachability_mutex_;
   mutable std::map<GuardSet, std::vector<bool>> reachability_cache_;

@@ -315,6 +315,12 @@ ProgressJournal::~ProgressJournal() {
   }
 }
 
+void journal_append(ProgressJournal* journal, const std::string& property,
+                    const std::string& cursor, const std::string& verdict, std::int64_t length,
+                    std::int64_t pivots, const std::string& note, std::int64_t cut) {
+  if (journal != nullptr) journal->append({property, cursor, verdict, length, pivots, cut, note});
+}
+
 void ProgressJournal::append(const JournalRecord& record) {
   std::string line = "{\"p\":\"" + escape(record.property) + "\",\"c\":\"" +
                      escape(record.cursor) + "\",\"v\":\"" + escape(record.verdict) + "\"";

@@ -117,6 +117,12 @@ class ProgressJournal {
   std::int64_t records_ = 0;
 };
 
+/// Appends one record to `journal`; a no-op when journaling is off (null).
+void journal_append(ProgressJournal* journal, const std::string& property,
+                    const std::string& cursor, const std::string& verdict,
+                    std::int64_t length = 0, std::int64_t pivots = 0,
+                    const std::string& note = {}, std::int64_t cut = -1);
+
 /// Parsed journal contents: settled verdicts keyed by (property, cursor).
 /// Later records for the same key win (a schema re-solved after a degraded
 /// attempt supersedes the earlier record).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <limits>
@@ -23,56 +21,35 @@
 #include "hv/util/error.h"
 #include "hv/util/rational.h"
 #include "hv/util/stopwatch.h"
+#include "hv/util/text.h"
 
 namespace hv::checker {
 
 namespace {
 
-// Shared state of one property run; workers and the enumerating producer
-// communicate through it.
+// Cross-worker state of one property run. Workers keep their counters in a
+// local PropertyTally and fold it into `total` when they retire.
 struct RunState {
-  std::mutex mutex;
-  std::condition_variable work_available;
-  std::condition_variable space_available;
-  std::deque<std::pair<std::size_t, SubtreeTask>> queue;  // (query index, task)
-  bool done_producing = false;
-  // Pool workers still running; a producer must not wait for queue space
-  // once every worker has aborted.
-  int workers_alive = 0;
-
+  /// Set once the run must end (verdict found, cancel, timeout, budget);
+  /// every worker stops at its next schema and claims no further work.
   std::atomic<bool> stop{false};
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> budget_exhausted{false};
-  std::atomic<bool> interrupted{false};
-  std::atomic<std::int64_t> schemas_enumerated{0};
-  std::atomic<std::int64_t> schemas_checked{0};
-  std::atomic<std::int64_t> schemas_pruned{0};
-  std::atomic<std::int64_t> schemas_cut{0};
-  std::atomic<std::int64_t> lemma_hits{0};
-  std::atomic<std::int64_t> lemmas_learned{0};
-  std::atomic<std::int64_t> schemas_unknown{0};
-  std::atomic<std::int64_t> schemas_resumed{0};
-  std::atomic<std::int64_t> retries{0};
-  std::atomic<std::int64_t> workers_aborted{0};
-  std::atomic<std::int64_t> total_length{0};
-  std::atomic<std::int64_t> simplex_pivots{0};
-  std::atomic<std::int64_t> rational_fast_ops{0};
-  std::atomic<std::int64_t> rational_big_ops{0};
+  /// Schemas visited so far, across queries and workers: the schema budget.
+  std::atomic<std::int64_t> enumerated{0};
   // Counts incremental attempts so the soft memory budget can poll RSS on a
   // stride (reading /proc per attempt is measurable on schema-heavy runs).
   std::atomic<std::int64_t> memory_polls{0};
 
-  // First failure wins; guarded by mutex.
-  std::optional<Counterexample> counterexample;
-  std::string error_note;    // fatal (stops the run): replay validation only
-  std::string degrade_note;  // first schema degraded to unknown
-  // Aggregated when workers retire their encoders; guarded by mutex.
-  IncrementalStats incremental;
-  // Certificate raw material (certify mode); guarded by mutex. Order is
-  // worker-interleaved — the auditor's coverage check is set-based.
-  std::vector<SchemaEvidence> evidence;
-  std::vector<PrunedSchema> pruned_schemas;
+  std::mutex mutex;
+  RunEnd end;           // guarded by mutex; first counterexample/error wins
+  PropertyTally total;  // guarded by mutex
 };
+
+// Records why the run ends and stops every worker.
+void halt(RunState& state, bool RunEnd::* reason) {
+  std::lock_guard<std::mutex> lock(state.mutex);
+  state.end.*reason = true;
+  state.stop.store(true);
+}
 
 // Run-wide fault-tolerance plumbing, shared read-only across workers
 // (the journal is internally synchronized).
@@ -91,79 +68,38 @@ void bump(std::atomic<std::int64_t> ProgressCounters::* counter, const RunContex
   if (ctx.progress != nullptr) (ctx.progress->*counter).fetch_add(1, std::memory_order_relaxed);
 }
 
-void accumulate(IncrementalStats& into, const IncrementalStats& from) {
-  into.segments_pushed += from.segments_pushed;
-  into.segments_popped += from.segments_popped;
-  into.segments_reused += from.segments_reused;
-  into.schemas_encoded += from.schemas_encoded;
-}
-
-void journal_append(const RunContext& ctx, const std::string& property,
-                    const std::string& cursor, const char* verdict, std::int64_t length = 0,
-                    std::int64_t pivots = 0, const std::string& note = {},
-                    std::int64_t cut = -1) {
-  if (ctx.journal == nullptr) return;
-  JournalRecord record;
-  record.property = property;
-  record.cursor = cursor;
-  record.verdict = verdict;
-  record.length = length;
-  record.pivots = pivots;
-  record.cut = cut;
-  record.note = note;
-  ctx.journal->append(record);
-}
-
-std::string format_seconds(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2f", seconds);
-  return buffer;
-}
-
 // Settles one schema through the shared SchemaSolver retry ladder
-// (schema_solver.h) and applies its outcome to the run: statistics, journal,
-// certificate evidence, counterexample selection. Throws WorkerAbortFault on
-// an injected worker death so the caller's containment (pool: retire the
-// worker; single-thread: end the run) keeps working.
+// (schema_solver.h) and applies its outcome to the worker's tally and the
+// run: journal, certificate evidence, counterexample selection. Throws
+// WorkerAbortFault on an injected worker death; the worker then retires.
 void settle_unit(SchemaSolver& solver, const spec::Property& property,
                  std::size_t query_index, const Schema& schema, const std::string& cursor,
                  const CheckOptions& options, const QueryCone* cone, double remaining_seconds,
-                 RunState& state, const RunContext& ctx, PropertyLearning* learning) {
+                 RunState& state, PropertyTally& tally, const RunContext& ctx,
+                 PropertyLearning* learning) {
   UnitOutcome outcome = solver.solve(query_index, schema, cone, remaining_seconds);
-  if (outcome.retries > 0) state.retries.fetch_add(outcome.retries);
-  state.lemma_hits.fetch_add(outcome.lemma_hits);
-  state.lemmas_learned.fetch_add(outcome.lemmas_learned);
+  tally.retries += outcome.retries;
+  tally.lemma_hits += outcome.lemma_hits;
+  tally.lemmas_learned += outcome.lemmas_learned;
   switch (outcome.kind) {
     case UnitOutcome::Kind::kAborted: {
-      state.schemas_unknown.fetch_add(1);
+      ++tally.unknown;
       bump(&ProgressCounters::unknown, ctx);
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.degrade_note.empty()) state.degrade_note = outcome.note;
-      }
-      journal_append(ctx, property.name, cursor, "unknown", 0, 0, outcome.note);
+      if (tally.degrade_note.empty()) tally.degrade_note = outcome.note;
+      journal_append(ctx.journal, property.name, cursor, "unknown", 0, 0, outcome.note);
       throw WorkerAbortFault{};
     }
-    case UnitOutcome::Kind::kInterrupted: {
-      if (outcome.note == "cancelled") {
-        state.interrupted.store(true);
-        state.stop.store(true);
-      } else {
-        state.timed_out.store(true);
-      }
+    case UnitOutcome::Kind::kInterrupted:
+      halt(state, outcome.note == "cancelled" ? &RunEnd::interrupted : &RunEnd::timed_out);
       return;
-    }
     case UnitOutcome::Kind::kUnknown: {
       // Retry ladder exhausted: record the schema as unknown and keep going.
-      state.schemas_unknown.fetch_add(1);
+      ++tally.unknown;
       bump(&ProgressCounters::unknown, ctx);
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.degrade_note.empty()) {
-          state.degrade_note = "schema degraded to unknown: " + outcome.note;
-        }
+      if (tally.degrade_note.empty()) {
+        tally.degrade_note = "schema degraded to unknown: " + outcome.note;
       }
-      journal_append(ctx, property.name, cursor, "unknown", 0, 0, outcome.note);
+      journal_append(ctx.journal, property.name, cursor, "unknown", 0, 0, outcome.note);
       return;
     }
     case UnitOutcome::Kind::kUnsat:
@@ -172,12 +108,12 @@ void settle_unit(SchemaSolver& solver, const spec::Property& property,
   }
 
   const bool sat = outcome.kind == UnitOutcome::Kind::kSat;
-  state.schemas_checked.fetch_add(1);
+  ++tally.checked;
   bump(&ProgressCounters::solved, ctx);
-  state.total_length.fetch_add(outcome.length);
-  state.simplex_pivots.fetch_add(outcome.pivots);
-  state.rational_fast_ops.fetch_add(outcome.rational_fast_ops);
-  state.rational_big_ops.fetch_add(outcome.rational_big_ops);
+  tally.total_length += outcome.length;
+  tally.pivots += outcome.pivots;
+  tally.rational_fast_ops += outcome.rational_fast_ops;
+  tally.rational_big_ops += outcome.rational_big_ops;
   // Core-based subtree cut: the refutation only referenced constraints of
   // the first cut_prefix chain elements, so every schema whose unlock order
   // extends that prefix (any cut placement) is unsat too. The cut rides on
@@ -190,80 +126,52 @@ void settle_unit(SchemaSolver& solver, const spec::Property& property,
                             schema.unlock_order.begin() + outcome.cut_prefix);
     if (learning->queries[query_index].cuts.add(prefix)) cut_field = outcome.cut_prefix;
   }
-  journal_append(ctx, property.name, cursor, sat ? "sat" : "unsat", outcome.length,
+  journal_append(ctx.journal, property.name, cursor, sat ? "sat" : "unsat", outcome.length,
                  outcome.pivots, {}, cut_field);
   if (options.certify) {
-    SchemaEvidence item;
-    item.query_index = query_index;
-    item.schema = schema;
-    item.sat = sat;
-    item.proof = outcome.proof;
-    item.model = outcome.model;
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.evidence.push_back(std::move(item));
+    tally.evidence.push_back({query_index, schema, sat, outcome.proof, outcome.model});
   }
   if (!sat) return;
+  std::lock_guard<std::mutex> lock(state.mutex);
   if (!outcome.validation_error.empty()) {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (state.error_note.empty()) {
-      state.error_note =
+    if (state.end.error_note.empty()) {
+      state.end.error_note =
           "internal: counterexample failed replay validation: " + outcome.validation_error;
     }
-    state.stop.store(true);
-    return;
+  } else if (!state.end.counterexample) {
+    state.end.counterexample = std::move(*outcome.counterexample);
   }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (!state.counterexample) state.counterexample = std::move(*outcome.counterexample);
   state.stop.store(true);
 }
 
 // Resume fast path: when the journal settled this (property, schema), replay
-// its verdict into the statistics and skip the solve. Sat records are
-// re-solved (the counterexample itself is not journaled). Returns true iff
-// the schema was settled here.
-bool try_resume(const spec::Property& property, std::size_t query_index,
-                const std::string& cursor, RunState& state, const RunContext& ctx) {
+// its verdict into the tally and skip the solve. Sat records are re-solved
+// (the counterexample itself is not journaled). Returns true iff the schema
+// was settled here.
+bool try_resume(const spec::Property& property, const std::string& cursor, PropertyTally& tally,
+                const RunContext& ctx) {
   if (ctx.resume == nullptr) return false;
   const JournalRecord* record = ctx.resume->find(property.name, cursor);
   if (record == nullptr || record->verdict == "sat") return false;
-  state.schemas_resumed.fetch_add(1);
+  ++tally.resumed;
   bump(&ProgressCounters::resumed, ctx);
   if (record->verdict == "unsat") {
-    state.schemas_checked.fetch_add(1);
-    state.total_length.fetch_add(record->length);
-    state.simplex_pivots.fetch_add(record->pivots);
+    ++tally.checked;
+    tally.total_length += record->length;
+    tally.pivots += record->pivots;
     bump(&ProgressCounters::solved, ctx);
   } else if (record->verdict == "pruned") {
-    state.schemas_pruned.fetch_add(1);
+    ++tally.pruned;
     bump(&ProgressCounters::pruned, ctx);
   } else {  // "unknown"
-    state.schemas_unknown.fetch_add(1);
+    ++tally.unknown;
     bump(&ProgressCounters::unknown, ctx);
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (state.degrade_note.empty()) {
-      state.degrade_note = "schema degraded to unknown (resumed): " + record->note;
+    if (tally.degrade_note.empty()) {
+      tally.degrade_note = "schema degraded to unknown (resumed): " + record->note;
     }
   }
-  if (ctx.copy_resumed) {
-    journal_append(ctx, property.name, cursor, record->verdict.c_str(), record->length,
-                   record->pivots, record->note, record->cut);
-  }
-  (void)query_index;
+  if (ctx.copy_resumed) ctx.journal->append(*record);
   return true;
-}
-
-// Work units for the pool: DFS subtrees of the chain tree, deep enough to
-// give every worker several tasks, shallow enough that one task spans many
-// schemas sharing a chain prefix (what the incremental encoder feeds on).
-std::vector<SubtreeTask> plan_tasks(const GuardAnalysis& analysis, const CheckOptions& options) {
-  std::vector<SubtreeTask> tasks;
-  for (int depth = 1;; ++depth) {
-    tasks = partition_subtrees(analysis, depth, options.enumeration);
-    if (static_cast<int>(tasks.size()) >= options.workers * 4 ||
-        depth >= analysis.guard_count()) {
-      return tasks;
-    }
-  }
 }
 
 }  // namespace
@@ -272,6 +180,75 @@ bool lemmas_enabled(const CheckOptions& options) {
   if (!options.lemmas || !options.incremental || options.certify) return false;
   const char* value = std::getenv("HV_NO_LEMMAS");
   return value == nullptr || value[0] == '\0' || std::string_view(value) == "0";
+}
+
+PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd end,
+                             double seconds, const CheckOptions& options) {
+  PropertyResult result;
+  result.property = std::move(property);
+  result.schemas_checked = tally.checked;
+  result.schemas_pruned = tally.pruned;
+  result.schemas_cut = tally.cut;
+  result.lemma_hits = tally.lemma_hits;
+  result.lemmas_learned = tally.lemmas_learned;
+  result.schemas_unknown = tally.unknown;
+  result.schemas_resumed = tally.resumed;
+  result.retries = tally.retries;
+  result.interrupted = end.interrupted;
+  result.avg_schema_length =
+      tally.checked == 0
+          ? 0.0
+          : static_cast<double>(tally.total_length) / static_cast<double>(tally.checked);
+  result.seconds = seconds;
+  result.simplex_pivots = tally.pivots;
+  result.rational_fast_ops = tally.rational_fast_ops;
+  result.rational_big_ops = tally.rational_big_ops;
+  if (options.incremental) result.incremental = tally.incremental;
+
+  // Every kUnknown note carries the actual elapsed time and how far the run
+  // got, so a stalled campaign is diagnosable from the Table-2 row alone.
+  const std::string progress = " after " + format_seconds(seconds) + "s; solved " +
+                               std::to_string(tally.checked) + "/" +
+                               std::to_string(tally.enumerated) + " enumerated schemas, " +
+                               std::to_string(tally.pruned) + " pruned";
+  result.verdict = Verdict::kUnknown;
+  if (end.counterexample) {
+    result.verdict = Verdict::kViolated;
+    result.counterexample = std::move(end.counterexample);
+  } else if (!end.error_note.empty()) {
+    result.note = end.error_note + progress;
+  } else if (end.interrupted) {
+    result.note = "interrupted" + progress;
+  } else if (end.timed_out) {
+    result.note = "timeout (limit " + format_seconds(options.timeout_seconds) + "s)" + progress;
+  } else if (end.budget_exhausted) {
+    result.note = "schema budget exhausted (" +
+                  std::to_string(options.enumeration.max_schemas) + ")" + progress;
+  } else if (end.workers_aborted > 0) {
+    result.note = std::to_string(end.workers_aborted) + " worker(s) aborted" + progress;
+  } else if (tally.unknown > 0) {
+    result.note = tally.degrade_note + " (" + std::to_string(tally.unknown) +
+                  " schemas unknown)" + progress;
+  } else if (!end.covered) {
+    result.note = "run stopped before full coverage" + progress;
+  } else {
+    result.verdict = Verdict::kHolds;
+  }
+  if (!end.disagreement.empty()) {
+    result.note = result.note.empty() ? end.disagreement : result.note + "; " + end.disagreement;
+  }
+  if (options.certify) {
+    auto evidence = std::make_shared<PropertyEvidence>();
+    evidence->schemas = std::move(tally.evidence);
+    evidence->pruned = std::move(tally.pruned_schemas);
+    evidence->enumeration = options.enumeration;
+    evidence->property_directed_pruning = options.property_directed_pruning;
+    // Only a holds verdict claims exhaustive coverage; violated stops at the
+    // first witness and unknown certifies nothing.
+    evidence->complete = result.verdict == Verdict::kHolds;
+    result.evidence = std::move(evidence);
+  }
+  return result;
 }
 
 PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Property& property,
@@ -287,8 +264,6 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
         "checker: resume is incompatible with certify (resumed schemas carry no proofs)");
   }
   const Stopwatch stopwatch;
-  PropertyResult result;
-  result.property = property.name;
 
   FaultInjector injector(options.fault);
   const bool need_identity = !options.resume_path.empty() || !options.journal_path.empty();
@@ -321,7 +296,6 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
     return options.property_directed_pruning ? &cones[query] : nullptr;
   };
   RunState state;
-  bool budget_exhausted = false;
 
   const auto out_of_time = [&] {
     return options.timeout_seconds > 0.0 && stopwatch.seconds() > options.timeout_seconds;
@@ -365,263 +339,95 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
     }
   }
 
-  if (options.workers <= 1) {
-    // Single-threaded: enumerate and solve inline, one persistent encoder
-    // per query (the enumeration order itself is DFS, so consecutive
-    // schemas share maximal chain prefixes).
-    SchemaSolver solver(analysis, property, options, hooks);
-    for (std::size_t q = 0; q < property.queries.size() && !state.stop.load(); ++q) {
-      const int cut_count = static_cast<int>(property.queries[q].cuts.size());
-      EnumerationOptions enumeration = options.enumeration;
-      enumeration.max_schemas =
-          options.enumeration.max_schemas - state.schemas_checked.load();
-      try {
-        const EnumerationOutcome outcome =
-            enumerate_schemas(analysis, cut_count, enumeration, [&](const Schema& schema) {
-              if (cancelled()) {
-                state.interrupted.store(true);
-                return false;
-              }
-              if (out_of_time()) {
-                state.timed_out.store(true);
-                return false;
-              }
-              state.schemas_enumerated.fetch_add(1);
-              bump(&ProgressCounters::enumerated, ctx);
-              const std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
-              if (try_resume(property, q, cursor, state, ctx)) return true;
-              if (learn != nullptr && learn->queries[q].cuts.covers(schema.unlock_order)) {
-                state.schemas_cut.fetch_add(1);
-                bump(&ProgressCounters::cut, ctx);
-                return true;
-              }
-              if (options.property_directed_pruning && !cones[q].schema_feasible(schema)) {
-                state.schemas_pruned.fetch_add(1);
-                bump(&ProgressCounters::pruned, ctx);
-                journal_append(ctx, property.name, cursor, "pruned");
-                if (options.certify) {
-                  std::lock_guard<std::mutex> lock(state.mutex);
-                  state.pruned_schemas.push_back({q, schema});
-                }
-                return true;
-              }
-              settle_unit(solver, property, q, schema, cursor, options, cone_for(q),
-                          remaining_time(), state, ctx, learn);
-              return !state.stop.load();
-            });
-        budget_exhausted = budget_exhausted || outcome.budget_exhausted;
-      } catch (const WorkerAbortFault&) {
-        // Single-threaded: the aborting "worker" is the run itself.
-        state.workers_aborted.fetch_add(1);
-        break;
-      }
+  // The resume -> cut -> cone -> settle path of one schema, shared by every
+  // worker. Returns false to stop the worker's current subtree.
+  const auto visit_schema = [&](SchemaSolver& solver, PropertyTally& tally, std::size_t q,
+                                const Schema& schema) {
+    if (state.stop.load()) return false;
+    if (cancelled()) {
+      halt(state, &RunEnd::interrupted);
+      return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      accumulate(state.incremental, solver.stats());
+    if (out_of_time()) {
+      halt(state, &RunEnd::timed_out);
+      return false;
     }
-  } else {
-    // Producer enumerates chain subtrees into a bounded queue; workers
-    // expand each subtree locally. Handing out subtrees (not single
-    // schemas) keeps a worker's consecutive schemas prefix-related, so its
-    // persistent encoders mostly pop and re-push only the deepest scopes.
-    constexpr std::size_t kQueueLimit = 256;
-    const std::vector<SubtreeTask> tasks = plan_tasks(analysis, options);
-    EnumerationOptions per_task = options.enumeration;
-    // The schema budget is enforced globally (schemas_enumerated below),
-    // not per subtree.
-    per_task.max_schemas = std::numeric_limits<std::int64_t>::max();
+    // The budget counts visited schemas per property, across queries and
+    // workers; the schema that would exceed it is not visited or counted.
+    if (state.enumerated.fetch_add(1) >= options.enumeration.max_schemas) {
+      state.enumerated.fetch_sub(1);
+      halt(state, &RunEnd::budget_exhausted);
+      return false;
+    }
+    bump(&ProgressCounters::enumerated, ctx);
+    const std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
+    if (try_resume(property, cursor, tally, ctx)) return true;
+    if (learn != nullptr && learn->queries[q].cuts.covers(schema.unlock_order)) {
+      ++tally.cut;
+      bump(&ProgressCounters::cut, ctx);
+      return true;
+    }
+    if (options.property_directed_pruning && !cones[q].schema_feasible(schema)) {
+      ++tally.pruned;
+      bump(&ProgressCounters::pruned, ctx);
+      journal_append(ctx.journal, property.name, cursor, "pruned");
+      if (options.certify) tally.pruned_schemas.push_back({q, schema});
+      return true;
+    }
+    settle_unit(solver, property, q, schema, cursor, options, cone_for(q), remaining_time(),
+                state, tally, ctx, learn);
+    return !state.stop.load();
+  };
 
-    state.workers_alive = options.workers;
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<std::size_t>(options.workers));
-    for (int w = 0; w < options.workers; ++w) {
-      workers.emplace_back([&] {
-        SchemaSolver solver(analysis, property, options, hooks);
-        bool aborted = false;
-        while (!aborted) {
-          std::pair<std::size_t, SubtreeTask> item;
-          {
-            std::unique_lock<std::mutex> lock(state.mutex);
-            state.work_available.wait(lock, [&] {
-              return !state.queue.empty() || state.done_producing || state.stop.load();
-            });
-            if (state.stop.load() || (state.queue.empty() && state.done_producing)) break;
-            item = std::move(state.queue.front());
-            state.queue.pop_front();
-          }
-          state.space_available.notify_one();
-          const std::size_t q = item.first;
-          try {
-            enumerate_schemas_under(
-                analysis, item.second, static_cast<int>(property.queries[q].cuts.size()),
-                per_task, [&](const Schema& schema) {
-                  if (state.stop.load()) return false;
-                  if (cancelled()) {
-                    state.interrupted.store(true);
-                    state.stop.store(true);
-                    return false;
-                  }
-                  if (out_of_time()) {
-                    state.timed_out.store(true);
-                    return false;
-                  }
-                  if (state.schemas_enumerated.fetch_add(1) + 1 >
-                      options.enumeration.max_schemas) {
-                    state.budget_exhausted.store(true);
-                    return false;
-                  }
-                  bump(&ProgressCounters::enumerated, ctx);
-                  const std::string cursor =
-                      need_cursor ? schema_cursor(q, schema) : std::string();
-                  if (try_resume(property, q, cursor, state, ctx)) return true;
-                  if (learn != nullptr &&
-                      learn->queries[q].cuts.covers(schema.unlock_order)) {
-                    state.schemas_cut.fetch_add(1);
-                    bump(&ProgressCounters::cut, ctx);
-                    return true;
-                  }
-                  if (options.property_directed_pruning &&
-                      !cones[q].schema_feasible(schema)) {
-                    state.schemas_pruned.fetch_add(1);
-                    bump(&ProgressCounters::pruned, ctx);
-                    journal_append(ctx, property.name, cursor, "pruned");
-                    if (options.certify) {
-                      std::lock_guard<std::mutex> lock(state.mutex);
-                      state.pruned_schemas.push_back({q, schema});
-                    }
-                    return true;
-                  }
-                  settle_unit(solver, property, q, schema, cursor, options, cone_for(q),
-                              remaining_time(), state, ctx, learn);
-                  return !state.stop.load();
-                });
-          } catch (const WorkerAbortFault&) {
-            // Contained: this worker retires; the rest of the pool (and the
-            // producer) keep the run going.
-            state.workers_aborted.fetch_add(1);
-            aborted = true;
-          }
-          if (state.stop.load()) {
-            state.work_available.notify_all();
-            break;
-          }
-        }
-        {
-          std::lock_guard<std::mutex> lock(state.mutex);
-          accumulate(state.incremental, solver.stats());
-          --state.workers_alive;
-        }
-        // A dead pool must never strand the producer on space_available.
-        state.space_available.notify_all();
-        state.work_available.notify_all();
-      });
-    }
-    bool stop_producing = false;
-    for (std::size_t q = 0; q < property.queries.size() && !stop_producing; ++q) {
-      for (const SubtreeTask& task : tasks) {
-        if (state.stop.load() || state.timed_out.load() || state.budget_exhausted.load() ||
-            cancelled() || out_of_time()) {
-          stop_producing = true;
-          break;
-        }
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.space_available.wait(lock, [&] {
-          return state.queue.size() < kQueueLimit || state.stop.load() ||
-                 state.workers_alive == 0;
-        });
-        if (state.stop.load() || state.workers_alive == 0) {
-          stop_producing = true;
-          break;
-        }
-        state.queue.emplace_back(q, task);
-        lock.unlock();
-        state.work_available.notify_one();
+  // Work list: every (query, chain subtree) pair, queries in order and each
+  // query's subtrees in DFS order, so a lone worker visits exactly the
+  // schema sequence of enumerate_schemas. Handing out subtrees (not single
+  // schemas) keeps a worker's consecutive schemas prefix-related, so its
+  // persistent encoders mostly pop and re-push only the deepest scopes.
+  const int workers = std::max(1, options.workers);
+  const std::vector<SubtreeTask> tasks = plan_tasks(analysis, workers, options.enumeration);
+  const std::size_t item_count = property.queries.size() * tasks.size();
+  std::atomic<std::size_t> next_item{0};
+  EnumerationOptions per_task = options.enumeration;
+  per_task.max_schemas = std::numeric_limits<std::int64_t>::max();  // visit_schema budgets
+  const auto work = [&] {
+    SchemaSolver solver(analysis, property, options, hooks);
+    PropertyTally tally;
+    try {
+      for (std::size_t i = next_item++; i < item_count && !state.stop.load(); i = next_item++) {
+        const std::size_t q = i / tasks.size();
+        enumerate_schemas_under(analysis, tasks[i % tasks.size()],
+                                static_cast<int>(property.queries[q].cuts.size()), per_task,
+                                [&](const Schema& schema) {
+                                  return visit_schema(solver, tally, q, schema);
+                                });
       }
-    }
-    {
+    } catch (const WorkerAbortFault&) {
+      // Contained: this worker stops claiming work; the rest keep going.
       std::lock_guard<std::mutex> lock(state.mutex);
-      state.done_producing = true;
+      ++state.end.workers_aborted;
     }
-    state.work_available.notify_all();
-    workers.clear();  // join
-    budget_exhausted = budget_exhausted || state.budget_exhausted.load();
+    tally.incremental = solver.stats();
+    std::lock_guard<std::mutex> lock(state.mutex);
+    state.total += std::move(tally);
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) helpers.emplace_back(work);
+    try {
+      work();  // the calling thread is worker 0
+    } catch (...) {
+      state.stop.store(true);  // so the join during unwinding returns promptly
+      throw;
+    }
   }
-  if (cancelled()) state.interrupted.store(true);
+  if (cancelled()) state.end.interrupted = true;
   if (journal) journal->flush();
 
-  result.schemas_checked = state.schemas_checked.load();
-  result.schemas_pruned = state.schemas_pruned.load();
-  result.schemas_cut = state.schemas_cut.load();
-  result.lemma_hits = state.lemma_hits.load();
-  result.lemmas_learned = state.lemmas_learned.load();
-  result.schemas_unknown = state.schemas_unknown.load();
-  result.schemas_resumed = state.schemas_resumed.load();
-  result.retries = state.retries.load();
-  result.interrupted = state.interrupted.load();
-  result.avg_schema_length =
-      result.schemas_checked == 0
-          ? 0.0
-          : static_cast<double>(state.total_length.load()) /
-                static_cast<double>(result.schemas_checked);
-  result.seconds = stopwatch.seconds();
-  result.simplex_pivots = state.simplex_pivots.load();
-  result.rational_fast_ops = state.rational_fast_ops.load();
-  result.rational_big_ops = state.rational_big_ops.load();
-  if (options.incremental) result.incremental = state.incremental;
-
-  // Every kUnknown note carries the actual elapsed time and how far the run
-  // got, so a stalled campaign is diagnosable from the Table-2 row alone.
-  const auto progress = [&] {
-    return " after " + format_seconds(result.seconds) + "s; solved " +
-           std::to_string(result.schemas_checked) + "/" +
-           std::to_string(state.schemas_enumerated.load()) + " enumerated schemas, " +
-           std::to_string(result.schemas_pruned) + " pruned";
-  };
-  if (state.counterexample) {
-    result.verdict = Verdict::kViolated;
-    result.counterexample = std::move(state.counterexample);
-  } else if (!state.error_note.empty()) {
-    result.verdict = Verdict::kUnknown;
-    result.note = state.error_note + progress();
-  } else if (result.interrupted) {
-    result.verdict = Verdict::kUnknown;
-    result.note = "interrupted" + progress();
-  } else if (state.timed_out.load()) {
-    result.verdict = Verdict::kUnknown;
-    result.note = "timeout (limit " + format_seconds(options.timeout_seconds) + "s)" + progress();
-  } else if (budget_exhausted) {
-    result.verdict = Verdict::kUnknown;
-    result.note = "schema budget exhausted (" +
-                  std::to_string(options.enumeration.max_schemas) + ")" + progress();
-  } else if (state.workers_aborted.load() > 0) {
-    result.verdict = Verdict::kUnknown;
-    result.note = std::to_string(state.workers_aborted.load()) + " worker(s) aborted" +
-                  progress();
-  } else if (result.schemas_unknown > 0) {
-    result.verdict = Verdict::kUnknown;
-    std::string degrade;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      degrade = state.degrade_note;
-    }
-    result.note = degrade + " (" + std::to_string(result.schemas_unknown) +
-                  " schemas unknown)" + progress();
-  } else {
-    result.verdict = Verdict::kHolds;
-  }
-  if (options.certify) {
-    auto evidence = std::make_shared<PropertyEvidence>();
-    evidence->schemas = std::move(state.evidence);
-    evidence->pruned = std::move(state.pruned_schemas);
-    evidence->enumeration = options.enumeration;
-    evidence->property_directed_pruning = options.property_directed_pruning;
-    // Only a holds verdict claims exhaustive coverage; violated stops at the
-    // first witness and unknown certifies nothing.
-    evidence->complete = result.verdict == Verdict::kHolds;
-    result.evidence = std::move(evidence);
-  }
-  return result;
+  state.total.enumerated = state.enumerated.load();
+  return settle_result(property.name, std::move(state.total), std::move(state.end),
+                       stopwatch.seconds(), options);
 }
 
 PropertyResult check_property(const ta::MultiRoundTa& ta, const spec::Property& property,

@@ -120,6 +120,13 @@ bool lemmas_enabled(const CheckOptions& options);
 /// a cache entry iff their fingerprints (and model and properties) agree.
 std::string options_fingerprint(const CheckOptions& options);
 
+/// Assembles a finished run's PropertyResult: counters from `tally`, the
+/// verdict and note from the RunEnd precedence ladder (result.h), and the
+/// certificate evidence in certify mode. Shared by check_property and the
+/// distributed coordinator so both report identically.
+PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd end,
+                             double seconds, const CheckOptions& options);
+
 /// Checks one property; never throws on budget/timeout (returns kUnknown
 /// with a note instead).
 PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Property& property,

@@ -77,6 +77,8 @@ struct IncrementalStats {
   /// Fraction of segment encodings served from the assertion stack instead
   /// of being re-encoded; 0 when nothing was encoded.
   double prefix_reuse_ratio() const noexcept;
+
+  IncrementalStats& operator+=(const IncrementalStats& other) noexcept;
 };
 
 /// Certificate raw material for one (query, schema) SMT verdict, collected
@@ -129,6 +131,54 @@ struct ProgressCounters {
   std::atomic<std::int64_t> properties_done{0};
   /// Distributed runs only: workers currently connected to the coordinator.
   std::atomic<std::int64_t> workers{0};
+};
+
+/// Per-property schema accounting, kept by every engine that settles
+/// schemas: each in-process worker owns one and merges it when it retires,
+/// the distributed coordinator keeps one per property, and settle_result()
+/// (parameterized.h) folds it into the PropertyResult.
+struct PropertyTally {
+  std::int64_t enumerated = 0;
+  std::int64_t checked = 0;
+  std::int64_t pruned = 0;
+  std::int64_t cut = 0;
+  std::int64_t lemma_hits = 0;
+  std::int64_t lemmas_learned = 0;
+  std::int64_t unknown = 0;
+  std::int64_t resumed = 0;
+  std::int64_t retries = 0;
+  std::int64_t total_length = 0;
+  std::int64_t pivots = 0;
+  std::int64_t rational_fast_ops = 0;
+  std::int64_t rational_big_ops = 0;
+  IncrementalStats incremental;
+  /// Diagnostic of the first schema degraded to unknown.
+  std::string degrade_note;
+  /// Certify mode: per-schema evidence and cone-pruned schemas.
+  std::vector<SchemaEvidence> evidence;
+  std::vector<PrunedSchema> pruned_schemas;
+
+  /// Folds a retired worker's tally in; the first degrade note is kept.
+  PropertyTally& operator+=(PropertyTally&& other);
+};
+
+/// Why a property run stopped: the inputs of the verdict precedence ladder
+/// (settle_result in parameterized.h), which ranks them counterexample >
+/// error > interrupted > timeout > budget > aborted workers > unknown
+/// schemas > incomplete coverage > holds.
+struct RunEnd {
+  std::optional<Counterexample> counterexample;
+  /// Fatal run error: a counterexample that failed replay validation.
+  std::string error_note;
+  bool interrupted = false;
+  bool timed_out = false;
+  bool budget_exhausted = false;
+  std::int64_t workers_aborted = 0;
+  /// False when coverage is known to be incomplete (a distributed run
+  /// with unsettled leases); ranked below every reason above.
+  bool covered = true;
+  /// Appended to the note whatever the verdict (distributed spot checks).
+  std::string disagreement;
 };
 
 struct PropertyResult {

@@ -1,5 +1,6 @@
 #include "hv/checker/schema.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "hv/util/error.h"
@@ -144,6 +145,15 @@ std::vector<SubtreeTask> partition_subtrees(const GuardAnalysis& analysis, int d
   };
   collect(collect, 0);
   return tasks;
+}
+
+std::vector<SubtreeTask> plan_tasks(const GuardAnalysis& analysis, int workers,
+                                    const EnumerationOptions& options) {
+  const std::size_t want = static_cast<std::size_t>(std::max(1, workers)) * 4;
+  for (int depth = 1;; ++depth) {
+    std::vector<SubtreeTask> tasks = partition_subtrees(analysis, depth, options);
+    if (tasks.size() >= want || depth >= analysis.guard_count()) return tasks;
+  }
 }
 
 EnumerationOutcome enumerate_schemas_under(const GuardAnalysis& analysis,

@@ -84,6 +84,14 @@ struct SubtreeTask {
 std::vector<SubtreeTask> partition_subtrees(const GuardAnalysis& analysis, int depth,
                                             const EnumerationOptions& options);
 
+/// Work units for `workers` concurrent consumers: the shallowest
+/// partition_subtrees depth giving every consumer at least four tasks (or
+/// the deepest there is). Deep enough to load-balance, shallow enough that
+/// one task spans many schemas sharing a chain prefix, which is what the
+/// incremental encoder feeds on.
+std::vector<SubtreeTask> plan_tasks(const GuardAnalysis& analysis, int workers,
+                                    const EnumerationOptions& options);
+
 /// Enumerates the schemas of one task, mirroring enumerate_schemas' DFS
 /// order within the subtree. The prefix must be an admissible chain (as
 /// produced by partition_subtrees).

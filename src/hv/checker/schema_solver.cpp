@@ -6,17 +6,6 @@
 
 namespace hv::checker {
 
-namespace {
-
-void accumulate(IncrementalStats& into, const IncrementalStats& from) {
-  into.segments_pushed += from.segments_pushed;
-  into.segments_popped += from.segments_popped;
-  into.segments_reused += from.segments_reused;
-  into.schemas_encoded += from.schemas_encoded;
-}
-
-}  // namespace
-
 SchemaSolver::SchemaSolver(const GuardAnalysis& analysis, const spec::Property& property,
                            const CheckOptions& options, SolveHooks hooks)
     : analysis_(analysis),
@@ -81,7 +70,7 @@ EncodeResult SchemaSolver::attempt(std::size_t query_index, const Schema& schema
 void SchemaSolver::retire(std::size_t query_index) {
   auto& slot = encoders_[query_index];
   if (!slot) return;
-  accumulate(retired_, slot->stats());
+  retired_ += slot->stats();
   slot.reset();
 }
 
@@ -193,7 +182,7 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
 IncrementalStats SchemaSolver::stats() const {
   IncrementalStats total = retired_;
   for (const auto& encoder : encoders_) {
-    if (encoder) accumulate(total, encoder->stats());
+    if (encoder) total += encoder->stats();
   }
   return total;
 }

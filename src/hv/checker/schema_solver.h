@@ -1,6 +1,6 @@
 // Per-thread schema solving with the fault-tolerant retry ladder, factored
 // out of the in-process worker pool so that every execution engine — the
-// single-threaded loop, the thread pool, and the distributed worker process
+// in-process pool at any thread count, and the distributed worker process
 // (hv/dist) — settles a (query, schema) unit through exactly the same path:
 //
 //   1. first attempt on the persistent incremental encoder (when enabled),

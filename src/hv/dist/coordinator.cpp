@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,6 +24,7 @@
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
 #include "hv/util/stopwatch.h"
+#include "hv/util/text.h"
 #include "hv/util/version.h"
 
 namespace hv::dist {
@@ -42,40 +42,23 @@ struct Lease {
   LeaseState state = LeaseState::kPending;
 };
 
-// Merge state of one property; mirrors the in-process RunState counters so
-// the final PropertyResult is assembled identically.
+// Merge state of one property: the tally and RunEnd the in-process checker
+// keeps, so checker::settle_result assembles both results identically.
 struct PropMerge {
-  std::int64_t checked = 0;
-  std::int64_t pruned = 0;
-  std::int64_t cut = 0;
-  std::int64_t lemma_hits = 0;
-  std::int64_t lemmas_learned = 0;
-  std::int64_t unknown = 0;
-  std::int64_t resumed = 0;
-  std::int64_t retries = 0;
-  std::int64_t enumerated = 0;
-  std::int64_t total_length = 0;
-  std::int64_t pivots = 0;
-  std::int64_t rational_fast_ops = 0;
-  std::int64_t rational_big_ops = 0;
-  bool stopped = false;           // counterexample or validation failure
-  bool budget_exhausted = false;  // per-property schema budget, as in-process
-  std::optional<checker::Counterexample> counterexample;
-  std::string error_note;
-  std::string degrade_note;
-  checker::IncrementalStats incremental;
-  std::vector<checker::SchemaEvidence> evidence;
-  std::vector<checker::PrunedSchema> pruned_schemas;
+  checker::PropertyTally tally;
+  /// Counterexample, error, per-property budget and spot-check disagreement;
+  /// the run-wide interrupt/timeout flags are filled in at assembly.
+  checker::RunEnd end;
+  bool stopped = false;  // counterexample or validation failure
   double seconds = 0.0;
   bool finished = false;
   /// Origin (connection serial) of the sat record that stopped this
   /// property, so a revocation knows whether the witness came from the
   /// revoked worker (-1: in-process / resume).
   int sat_origin = -1;
-  /// Spot-check accounting and the first disagreement diagnostic.
+  /// Spot-check accounting.
   std::int64_t spot_checks = 0;
   std::int64_t spot_failures = 0;
-  std::string disagreement;
 };
 
 // --- worker health ----------------------------------------------------------
@@ -243,34 +226,6 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   }
 }
 
-void journal_append(Coord& c, const std::string& property, const std::string& cursor,
-                    const char* verdict, std::int64_t length = 0, std::int64_t pivots = 0,
-                    const std::string& note = {}, std::int64_t cut = -1) {
-  if (c.journal == nullptr) return;
-  checker::JournalRecord record;
-  record.property = property;
-  record.cursor = cursor;
-  record.verdict = verdict;
-  record.length = length;
-  record.pivots = pivots;
-  record.cut = cut;
-  record.note = note;
-  c.journal->append(record);
-}
-
-std::string format_seconds(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2f", seconds);
-  return buffer;
-}
-
-void accumulate(checker::IncrementalStats& into, const checker::IncrementalStats& from) {
-  into.segments_pushed += from.segments_pushed;
-  into.segments_popped += from.segments_popped;
-  into.segments_reused += from.segments_reused;
-  into.schemas_encoded += from.schemas_encoded;
-}
-
 // Marks a property's remaining pending leases dropped (its verdict is
 // settled — counterexample, validation failure or exhausted budget — so the
 // unvisited subtrees are moot). Active leases drain on their own.
@@ -358,11 +313,11 @@ bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema&
                   std::int64_t big_ops, std::int64_t retries, const std::string& note,
                   bool resumed, bool journal_this, int origin = -1) {
   const std::vector<spec::Property>& properties = *c.properties;
-  PropMerge& settled_prop = c.props[p];
+  PropMerge& prop = c.props[p];
   // A settled property wants no more verdicts: in-flight records from a
   // worker that has not yet seen its abandon frame are dropped, keeping the
   // counters identical to an in-process run that stopped enumerating there.
-  if (settled_prop.stopped || settled_prop.budget_exhausted) return false;
+  if (prop.stopped || prop.end.budget_exhausted) return false;
   const std::string key = checker::ResumeState::key(properties[p].name, cursor);
   if (!c.settled.emplace(key, verdict).second) return false;
   c.settled_by_pq[{p, q}].emplace_back(schema.unlock_order, cursor);
@@ -370,40 +325,40 @@ bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema&
     c.applied_by_origin[origin].push_back(
         {p, q, key, cursor, verdict, length, pivots, fast_ops, big_ops, retries});
   }
-  PropMerge& prop = c.props[p];
-  ++prop.enumerated;
+  ++prop.tally.enumerated;
   bump(c, &checker::ProgressCounters::enumerated);
-  prop.retries += retries;
+  prop.tally.retries += retries;
   if (resumed) {
-    ++prop.resumed;
+    ++prop.tally.resumed;
     bump(c, &checker::ProgressCounters::resumed);
   }
   if (verdict == "pruned") {
-    ++prop.pruned;
+    ++prop.tally.pruned;
     bump(c, &checker::ProgressCounters::pruned);
-    if (c.check.certify) prop.pruned_schemas.push_back({q, schema});
+    if (c.check.certify) prop.tally.pruned_schemas.push_back({q, schema});
   } else if (verdict == "unsat" || verdict == "sat") {
-    ++prop.checked;
+    ++prop.tally.checked;
     bump(c, &checker::ProgressCounters::solved);
-    prop.total_length += length;
-    prop.pivots += pivots;
-    prop.rational_fast_ops += fast_ops;
-    prop.rational_big_ops += big_ops;
+    prop.tally.total_length += length;
+    prop.tally.pivots += pivots;
+    prop.tally.rational_fast_ops += fast_ops;
+    prop.tally.rational_big_ops += big_ops;
   } else {  // "unknown"
-    ++prop.unknown;
+    ++prop.tally.unknown;
     bump(c, &checker::ProgressCounters::unknown);
-    if (prop.degrade_note.empty()) {
-      prop.degrade_note = resumed ? "schema degraded to unknown (resumed): " + note
-                                  : "schema degraded to unknown: " + note;
+    if (prop.tally.degrade_note.empty()) {
+      prop.tally.degrade_note = resumed ? "schema degraded to unknown (resumed): " + note
+                                        : "schema degraded to unknown: " + note;
     }
   }
   if (journal_this) {
-    journal_append(c, properties[p].name, cursor, verdict.c_str(), length, pivots, note, cut);
+    checker::journal_append(c.journal, properties[p].name, cursor, verdict, length, pivots, note,
+                            cut);
   }
   // The schema budget is per property, exactly like an in-process run.
-  if (!prop.budget_exhausted && !prop.stopped &&
-      prop.enumerated >= c.check.enumeration.max_schemas) {
-    prop.budget_exhausted = true;
+  if (!prop.end.budget_exhausted && !prop.stopped &&
+      prop.tally.enumerated >= c.check.enumeration.max_schemas) {
+    prop.end.budget_exhausted = true;
     drop_pending_leases(c, p);
     check_property_finished(c, p);
   }
@@ -473,10 +428,10 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
   ++c.stats.spot_check_failures;
   ++c.props[p_hint].spot_failures;
   penalize(c, label, kSpotFailPenalty);
-  if (c.props[p_hint].disagreement.empty()) {
-    c.props[p_hint].disagreement = "worker_disagreement: worker '" + label + "' " + why +
-                                   " at cursor " + cursor +
-                                   "; its records were revoked and re-solved";
+  if (c.props[p_hint].end.disagreement.empty()) {
+    c.props[p_hint].end.disagreement = "worker_disagreement: worker '" + label + "' " + why +
+                                       " at cursor " + cursor +
+                                       "; its records were revoked and re-solved";
   }
   const std::vector<spec::Property>& properties = *c.properties;
   std::unordered_set<std::size_t> touched;
@@ -492,32 +447,32 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
         }
       }
       PropMerge& prop = c.props[rec.p];
-      --prop.enumerated;
+      --prop.tally.enumerated;
       bump(c, &checker::ProgressCounters::enumerated, -1);
-      prop.retries -= rec.retries;
+      prop.tally.retries -= rec.retries;
       if (rec.verdict == "pruned") {
-        --prop.pruned;
+        --prop.tally.pruned;
         bump(c, &checker::ProgressCounters::pruned, -1);
       } else if (rec.verdict == "unsat" || rec.verdict == "sat") {
-        --prop.checked;
+        --prop.tally.checked;
         bump(c, &checker::ProgressCounters::solved, -1);
-        prop.total_length -= rec.length;
-        prop.pivots -= rec.pivots;
-        prop.rational_fast_ops -= rec.fast_ops;
-        prop.rational_big_ops -= rec.big_ops;
+        prop.tally.total_length -= rec.length;
+        prop.tally.pivots -= rec.pivots;
+        prop.tally.rational_fast_ops -= rec.fast_ops;
+        prop.tally.rational_big_ops -= rec.big_ops;
       } else {
-        --prop.unknown;
+        --prop.tally.unknown;
         bump(c, &checker::ProgressCounters::unknown, -1);
       }
       if (rec.verdict == "sat" && prop.sat_origin == origin) {
         // The revoked worker's witness was what stopped this property;
         // un-stop it so coverage completes honestly.
         prop.stopped = false;
-        prop.counterexample.reset();
-        prop.error_note.clear();
+        prop.end.counterexample.reset();
+        prop.end.error_note.clear();
         prop.sat_origin = -1;
       }
-      journal_append(c, properties[rec.p].name, rec.cursor, "revoked");
+      checker::journal_append(c.journal, properties[rec.p].name, rec.cursor, "revoked");
       touched.insert(rec.p);
     }
     c.applied_by_origin.erase(it);
@@ -532,11 +487,11 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
   }
   for (const std::size_t p : touched) {
     PropMerge& prop = c.props[p];
-    if (prop.budget_exhausted && !prop.stopped &&
-        prop.enumerated < c.check.enumeration.max_schemas) {
-      prop.budget_exhausted = false;
+    if (prop.end.budget_exhausted && !prop.stopped &&
+        prop.tally.enumerated < c.check.enumeration.max_schemas) {
+      prop.end.budget_exhausted = false;
     }
-    if (!prop.stopped && !prop.budget_exhausted) {
+    if (!prop.stopped && !prop.end.budget_exhausted) {
       for (Lease& lease : c.leases) {
         if (lease.property == p && lease.state == LeaseState::kDropped) {
           lease.state = LeaseState::kPending;
@@ -744,7 +699,7 @@ void handle_connection(Coord& c, int fd) {
               if (lease.state != LeaseState::kPending) continue;
               work_left = true;
               const PropMerge& prop = c.props[lease.property];
-              if (prop.stopped || prop.budget_exhausted) continue;
+              if (prop.stopped || prop.end.budget_exhausted) continue;
               // A lease returned to pending (expropriation) may have been
               // covered by a subtree cut since: settle it here instead of
               // granting doomed work.
@@ -901,7 +856,7 @@ void handle_connection(Coord& c, int fd) {
                 item.proof = std::shared_ptr<const smt::proof::Node>(
                     cert::proof_from_json(*proof).release());
               }
-              c.props[p].evidence.push_back(std::move(item));
+              c.props[p].tally.evidence.push_back(std::move(item));
             }
             // A record carrying a subtree cut proves every schema extending
             // the chain prefix unsat: fold it (settling covered pending
@@ -929,7 +884,7 @@ void handle_connection(Coord& c, int fd) {
             // Tell the worker to stop solving a subtree nobody wants: its
             // lease was expropriated, or the property is already settled
             // (first witness, exhausted budget).
-            abandon = cited != current || c.props[p].stopped || c.props[p].budget_exhausted;
+            abandon = cited != current || c.props[p].stopped || c.props[p].end.budget_exhausted;
           }
         }
         if (hostile) break;
@@ -1017,17 +972,17 @@ void handle_connection(Coord& c, int fd) {
                       std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
                           model_values_from_json(*model));
                 }
-                prop.evidence.push_back(std::move(item));
+                prop.tally.evidence.push_back(std::move(item));
               }
               const std::string& validation_error = msg.at("validation_error").as_string();
               if (!validation_error.empty()) {
-                if (prop.error_note.empty()) {
-                  prop.error_note =
+                if (prop.end.error_note.empty()) {
+                  prop.end.error_note =
                       "internal: counterexample failed replay validation: " + validation_error;
                 }
               } else if (const cert::Json* cex = msg.find("counterexample");
-                         cex != nullptr && !prop.counterexample) {
-                prop.counterexample = counterexample_from_json(*cex);
+                         cex != nullptr && !prop.end.counterexample) {
+                prop.end.counterexample = counterexample_from_json(*cex);
               }
               prop.stopped = true;  // first witness wins; stop leasing this property
               drop_pending_leases(c, p);
@@ -1122,7 +1077,7 @@ void handle_connection(Coord& c, int fd) {
             delta.segments_popped = stats->at("segments_popped").as_int();
             delta.segments_reused = stats->at("segments_reused").as_int();
             delta.schemas_encoded = stats->at("schemas_encoded").as_int();
-            accumulate(c.props[lease.property].incremental, delta);
+            c.props[lease.property].tally.incremental += delta;
           }
           // Learning counters, read tolerantly (pre-upgrade workers omit
           // them). Cut counts only cover subtrees a worker enumerated past —
@@ -1130,12 +1085,12 @@ void handle_connection(Coord& c, int fd) {
           // all, so the distributed count is a documented undercount.
           PropMerge& prop = c.props[lease.property];
           if (const cert::Json* cut = msg.find("cut")) {
-            prop.cut += cut->as_int();
+            prop.tally.cut += cut->as_int();
             bump(c, &checker::ProgressCounters::cut, cut->as_int());
           }
-          if (const cert::Json* hits = msg.find("hits")) prop.lemma_hits += hits->as_int();
+          if (const cert::Json* hits = msg.find("hits")) prop.tally.lemma_hits += hits->as_int();
           if (const cert::Json* learned = msg.find("learned")) {
-            prop.lemmas_learned += learned->as_int();
+            prop.tally.lemmas_learned += learned->as_int();
           }
           current = -1;
           check_property_finished(c, lease.property);
@@ -1184,7 +1139,7 @@ bool self_solve_one_lease(Coord& c) {
       Lease& lease = c.leases[i];
       if (lease.state != LeaseState::kPending) continue;
       const PropMerge& prop = c.props[lease.property];
-      if (prop.stopped || prop.budget_exhausted) continue;
+      if (prop.stopped || prop.end.budget_exhausted) continue;
       if (c.learn) {
         const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
         if (cit != c.cuts_by_pq.end()) {
@@ -1227,7 +1182,7 @@ bool self_solve_one_lease(Coord& c) {
         *c.analysis, task, cut_count, enumeration, [&](const checker::Schema& schema) {
           {
             std::lock_guard<std::mutex> lock(c.mutex);
-            if (c.props[p].stopped || c.props[p].budget_exhausted) return false;
+            if (c.props[p].stopped || c.props[p].end.budget_exhausted) return false;
           }
           if (c.check.cancel != nullptr && c.check.cancel->load(std::memory_order_relaxed)) {
             bail = true;
@@ -1240,11 +1195,8 @@ bool self_solve_one_lease(Coord& c) {
           const std::string cursor = checker::schema_cursor(q, schema);
           if (cone != nullptr && !cone->schema_feasible(schema)) {
             std::lock_guard<std::mutex> lock(c.mutex);
-            if (apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
-                             std::string(), /*resumed=*/false, /*journal_this=*/true) &&
-                c.check.certify) {
-              // apply_record already filed the pruned schema for certify.
-            }
+            apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
+                         std::string(), /*resumed=*/false, /*journal_this=*/true);
             return true;
           }
           {
@@ -1277,7 +1229,7 @@ bool self_solve_one_lease(Coord& c) {
                 item.schema = schema;
                 item.sat = false;
                 item.proof = outcome.proof;
-                c.props[p].evidence.push_back(std::move(item));
+                c.props[p].tally.evidence.push_back(std::move(item));
               }
               return true;
             case checker::UnitOutcome::Kind::kSat:
@@ -1293,15 +1245,15 @@ bool self_solve_one_lease(Coord& c) {
                   item.schema = schema;
                   item.sat = true;
                   item.model = outcome.model;
-                  prop.evidence.push_back(std::move(item));
+                  prop.tally.evidence.push_back(std::move(item));
                 }
                 if (!outcome.validation_error.empty()) {
-                  if (prop.error_note.empty()) {
-                    prop.error_note = "internal: counterexample failed replay validation: " +
-                                      outcome.validation_error;
+                  if (prop.end.error_note.empty()) {
+                    prop.end.error_note = "internal: counterexample failed replay validation: " +
+                                          outcome.validation_error;
                   }
-                } else if (outcome.counterexample && !prop.counterexample) {
-                  prop.counterexample = std::move(outcome.counterexample);
+                } else if (outcome.counterexample && !prop.end.counterexample) {
+                  prop.end.counterexample = std::move(outcome.counterexample);
                 }
                 prop.stopped = true;
                 drop_pending_leases(c, p);
@@ -1388,12 +1340,8 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   // pool uses, deep enough that the expected fleet load-balances.
   const checker::GuardAnalysis analysis(ta);
   c.analysis = &analysis;
-  std::vector<checker::SubtreeTask> tasks;
-  const int want = std::max(1, options.expected_workers) * 4;
-  for (int depth = 1;; ++depth) {
-    tasks = checker::partition_subtrees(analysis, depth, c.check.enumeration);
-    if (static_cast<int>(tasks.size()) >= want || depth >= analysis.guard_count()) break;
-  }
+  const std::vector<checker::SubtreeTask> tasks =
+      checker::plan_tasks(analysis, options.expected_workers, c.check.enumeration);
   c.props.resize(properties.size());
   for (std::size_t p = 0; p < properties.size(); ++p) {
     for (std::size_t q = 0; q < properties[p].queries.size(); ++q) {
@@ -1406,8 +1354,8 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     // A budget of zero (or below) is exhausted before any schema settles.
     std::lock_guard<std::mutex> lock(c.mutex);
     for (std::size_t p = 0; p < properties.size(); ++p) {
-      if (c.props[p].enumerated >= c.check.enumeration.max_schemas) {
-        c.props[p].budget_exhausted = true;
+      if (c.props[p].tally.enumerated >= c.check.enumeration.max_schemas) {
+        c.props[p].end.budget_exhausted = true;
         drop_pending_leases(c, p);
         check_property_finished(c, p);
       }
@@ -1525,81 +1473,17 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   results.reserve(properties.size());
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropMerge& prop = c.props[p];
-    checker::PropertyResult result;
-    result.property = properties[p].name;
-    result.schemas_checked = prop.checked;
-    result.schemas_pruned = prop.pruned;
-    result.schemas_cut = prop.cut;
-    result.lemma_hits = prop.lemma_hits;
-    result.lemmas_learned = prop.lemmas_learned;
-    result.schemas_unknown = prop.unknown;
-    result.schemas_resumed = prop.resumed;
-    result.retries = prop.retries;
-    result.interrupted = c.interrupted;
-    result.avg_schema_length =
-        prop.checked == 0 ? 0.0
-                          : static_cast<double>(prop.total_length) /
-                                static_cast<double>(prop.checked);
-    result.seconds = prop.finished ? prop.seconds : watch.seconds();
-    result.simplex_pivots = prop.pivots;
-    result.rational_fast_ops = prop.rational_fast_ops;
-    result.rational_big_ops = prop.rational_big_ops;
-    result.schemas_spot_checked = prop.spot_checks;
-    result.spot_check_disagreements = prop.spot_failures;
-    if (c.check.incremental) result.incremental = prop.incremental;
-
-    const auto progress = [&] {
-      return " after " + format_seconds(result.seconds) + "s; solved " +
-             std::to_string(result.schemas_checked) + "/" + std::to_string(prop.enumerated) +
-             " enumerated schemas, " + std::to_string(result.schemas_pruned) + " pruned";
-    };
-    const bool complete_leases = [&] {
-      for (const Lease& lease : c.leases) {
-        if (lease.property == p && lease.state != LeaseState::kDone) return false;
-      }
-      return true;
-    }();
-    if (prop.counterexample) {
-      result.verdict = checker::Verdict::kViolated;
-      result.counterexample = std::move(prop.counterexample);
-    } else if (!prop.error_note.empty()) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = prop.error_note + progress();
-    } else if (c.interrupted) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "interrupted" + progress();
-    } else if (c.timed_out) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note =
-          "timeout (limit " + format_seconds(options.check.timeout_seconds) + "s)" + progress();
-    } else if (prop.budget_exhausted) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "schema budget exhausted (" +
-                    std::to_string(c.check.enumeration.max_schemas) + ")" + progress();
-    } else if (prop.unknown > 0) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = prop.degrade_note + " (" + std::to_string(prop.unknown) +
-                    " schemas unknown)" + progress();
-    } else if (!complete_leases) {
-      result.verdict = checker::Verdict::kUnknown;
-      result.note = "run stopped before full coverage" + progress();
-    } else {
-      result.verdict = checker::Verdict::kHolds;
-    }
-    if (!prop.disagreement.empty()) {
-      result.note =
-          result.note.empty() ? prop.disagreement : result.note + "; " + prop.disagreement;
-    }
-    if (c.check.certify) {
-      auto evidence = std::make_shared<checker::PropertyEvidence>();
-      evidence->schemas = std::move(prop.evidence);
-      evidence->pruned = std::move(prop.pruned_schemas);
-      evidence->enumeration = c.check.enumeration;
-      evidence->property_directed_pruning = c.check.property_directed_pruning;
-      evidence->complete = result.verdict == checker::Verdict::kHolds;
-      result.evidence = std::move(evidence);
-    }
-    results.push_back(std::move(result));
+    prop.end.interrupted = c.interrupted;
+    prop.end.timed_out = c.timed_out;
+    prop.end.covered = std::all_of(c.leases.begin(), c.leases.end(), [&](const Lease& lease) {
+      return lease.property != p || lease.state == LeaseState::kDone;
+    });
+    results.push_back(checker::settle_result(properties[p].name, std::move(prop.tally),
+                                             std::move(prop.end),
+                                             prop.finished ? prop.seconds : watch.seconds(),
+                                             c.check));
+    results.back().schemas_spot_checked = prop.spot_checks;
+    results.back().spot_check_disagreements = prop.spot_failures;
   }
   if (stats != nullptr) {
     std::lock_guard<std::mutex> lock(c.mutex);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -170,7 +169,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   const ta::ThresholdAutomaton& ta = *parsed;
 
   const checker::GuardAnalysis analysis(ta);
-  // deque: QueryCone owns a mutex and must not move.
   std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<checker::QueryCone>> cones;
   const auto cone_for = [&](std::size_t p, std::size_t q) -> const checker::QueryCone* {
     if (!check.property_directed_pruning) return nullptr;

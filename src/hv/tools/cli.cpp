@@ -44,9 +44,9 @@ constexpr const char* kUsage = R"(usage:
                        [--journal run.jsonl] [--resume run.jsonl]
                        [--schema-timeout S] [--pivot-budget K]
                        [--memory-budget MB] [--no-retry]
-       (--certify emits a proof-carrying certificate; without --prop it
-        checks the model's bundled default properties, e.g. the five
-        Table-2 properties of the simplified consensus automaton.
+       (without --prop it checks the model's bundled default properties,
+        e.g. the five Table-2 properties of the simplified consensus
+        automaton; --certify emits a proof-carrying certificate.
         --workers N (N >= 2) forks N local worker *processes* sharding the
         schema space over a private socket — a crashed worker costs one
         lease, not the run; --threads W instead uses W in-process threads.
@@ -433,15 +433,13 @@ int command_check(Args& args, std::ostream& out) {
     for (const dist::PropertySpec& spec : ltl) {
       properties.push_back(spec::compile(ta, spec.name, spec.formula));
     }
-  } else if (certify && cert::has_bundled_properties(ta.name())) {
-    // Certify the model's bundled default set (the Table-2 properties for
-    // the simplified consensus automaton).
+  } else if (cert::has_bundled_properties(ta.name())) {
+    // The model's bundled default set (the Table-2 properties for the
+    // simplified consensus automaton), as serve and submit use.
     properties = cert::bundled_properties(ta, /*table2_defaults=*/true);
   } else {
-    throw InvalidArgument(
-        "check: --prop is required" +
-        std::string(certify ? " (no bundled properties for automaton '" + ta.name() + "')"
-                            : ""));
+    throw InvalidArgument("check: --prop is required (no bundled properties for automaton '" +
+                          ta.name() + "')");
   }
 
   std::vector<checker::PropertyResult> results;

@@ -1,6 +1,7 @@
 #include "hv/util/text.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace hv {
 
@@ -49,6 +50,12 @@ std::string pad_right(std::string_view text, std::size_t width) {
   std::string out(text);
   if (out.size() < width) out.append(width - out.size(), ' ');
   return out;
+}
+
+std::string format_seconds(double seconds) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.2f", seconds);
+  return buffer;
 }
 
 }  // namespace hv

@@ -24,6 +24,9 @@ std::string join(const std::vector<std::string>& items, std::string_view separat
 std::string pad_left(std::string_view text, std::size_t width);
 std::string pad_right(std::string_view text, std::size_t width);
 
+/// Fixed-point with two decimals ("%.2f"), as verdict notes print times.
+std::string format_seconds(double seconds);
+
 }  // namespace hv
 
 #endif  // HV_UTIL_TEXT_H

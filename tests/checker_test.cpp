@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "hv/checker/explicit_checker.h"
 #include "hv/checker/journal.h"
@@ -169,6 +173,29 @@ TEST(ParameterizedTest, BudgetExhaustionIsUnknown) {
   const PropertyResult result = check_property(ta, property, options);
   EXPECT_EQ(result.verdict, Verdict::kUnknown);
   EXPECT_NE(result.note.find("budget"), std::string::npos);
+}
+
+TEST(ParameterizedTest, BudgetIsPerPropertyAtEveryThreadCount) {
+  // Two violation queries share one schema budget; schemas turned away by
+  // the budget are neither visited nor counted, whatever the thread count.
+  const ta::ThresholdAutomaton ta = hv::models::simplified_consensus_one_round();
+  const spec::Property property =
+      spec::compile(ta, "p", "<>(locE0 > 0) -> [](locD1 == 0)");
+  ASSERT_EQ(property.queries.size(), 2U);
+  for (const int workers : {1, 4}) {
+    CheckOptions options;
+    options.workers = workers;
+    options.enumeration.max_schemas = 300;
+    const PropertyResult result = check_property(ta, property, options);
+    EXPECT_EQ(result.verdict, Verdict::kUnknown) << workers;
+    EXPECT_LE(result.schemas_checked + result.schemas_pruned + result.schemas_cut +
+                  result.schemas_unknown,
+              300)
+        << workers;
+    EXPECT_NE(result.note.find("schema budget exhausted (300)"), std::string::npos)
+        << result.note;
+    EXPECT_NE(result.note.find("/300 enumerated"), std::string::npos) << result.note;
+  }
 }
 
 TEST(ParameterizedTest, WorkerPoolAgreesWithInline) {
@@ -417,6 +444,128 @@ TEST(IncrementalTest, SubtreePartitionCoversChainTreeExactlyOnce) {
   }
 }
 
+// Certificates are byte-stable only if a one-thread run settles schemas in
+// enumerate_schemas' DFS order (queries in order) even though it walks the
+// chain tree as a list of subtree tasks.
+void expect_evidence_in_enumeration_order(const ta::ThresholdAutomaton& ta,
+                                          const spec::Property& property) {
+  CheckOptions options;
+  options.certify = true;
+  const PropertyResult result = check_property(ta, property, options);
+  ASSERT_TRUE(result.evidence != nullptr) << property.name;
+  const GuardAnalysis analysis(ta);
+  std::map<std::tuple<std::size_t, std::vector<int>, std::vector<int>>, std::size_t> rank;
+  for (std::size_t q = 0; q < property.queries.size(); ++q) {
+    enumerate_schemas(analysis, static_cast<int>(property.queries[q].cuts.size()),
+                      options.enumeration, [&](const Schema& schema) {
+                        rank.emplace(std::make_tuple(q, schema.unlock_order,
+                                                     schema.cut_positions),
+                                     rank.size());
+                        return true;
+                      });
+  }
+  const auto expect_dfs_order = [&](const auto& items, const char* what) {
+    std::size_t last = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const auto it = rank.find(std::make_tuple(items[i].query_index, items[i].schema.unlock_order,
+                                                items[i].schema.cut_positions));
+      ASSERT_NE(it, rank.end()) << property.name << " " << what << " #" << i;
+      if (i > 0) {
+        EXPECT_GT(it->second, last) << property.name << " " << what << " #" << i;
+      }
+      last = it->second;
+    }
+  };
+  EXPECT_FALSE(result.evidence->schemas.empty() && result.evidence->pruned.empty())
+      << property.name;
+  expect_dfs_order(result.evidence->schemas, "evidence");
+  expect_dfs_order(result.evidence->pruned, "pruned");
+}
+
+TEST(IncrementalTest, CertifiedEvidenceFollowsEnumerationOrder) {
+  const auto& echo_ta = echo().body();
+  for (const char* text : {"locA != 0 -> [](locD == 0)", "[](locB == 0) -> [](locD == 0)",
+                           "<>(locA == 0)"}) {
+    expect_evidence_in_enumeration_order(echo_ta, spec::compile(echo_ta, "p", text));
+  }
+  const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
+  for (const spec::Property& property : hv::models::bv_properties(bv)) {
+    expect_evidence_in_enumeration_order(bv, property);
+  }
+}
+
+// --- verdict precedence ------------------------------------------------------
+//
+// settle_result ranks the reasons a run ended; check_property and the
+// distributed coordinator both report through it, so its notes are the
+// ones users see from either.
+
+TEST(SettleResultTest, HighestRungWins) {
+  struct Rung {
+    const char* name;
+    void (*set)(PropertyTally&, RunEnd&);
+    Verdict verdict;
+    std::string note;  // prefix before the progress suffix
+  };
+  const std::vector<Rung> ladder = {
+      {"counterexample", [](PropertyTally&, RunEnd& e) { e.counterexample = Counterexample{}; },
+       Verdict::kViolated, ""},
+      {"error", [](PropertyTally&, RunEnd& e) { e.error_note = "internal: replay failed"; },
+       Verdict::kUnknown, "internal: replay failed"},
+      {"interrupted", [](PropertyTally&, RunEnd& e) { e.interrupted = true; },
+       Verdict::kUnknown, "interrupted"},
+      {"timeout", [](PropertyTally&, RunEnd& e) { e.timed_out = true; }, Verdict::kUnknown,
+       "timeout (limit 2.50s)"},
+      {"budget", [](PropertyTally&, RunEnd& e) { e.budget_exhausted = true; },
+       Verdict::kUnknown, "schema budget exhausted (9)"},
+      {"aborted", [](PropertyTally&, RunEnd& e) { e.workers_aborted = 2; }, Verdict::kUnknown,
+       "2 worker(s) aborted"},
+      {"unknown schemas",
+       [](PropertyTally& t, RunEnd&) {
+         t.unknown = 3;
+         t.degrade_note = "schema degraded to unknown: boom";
+       },
+       Verdict::kUnknown, "schema degraded to unknown: boom (3 schemas unknown)"},
+      {"incomplete", [](PropertyTally&, RunEnd& e) { e.covered = false; }, Verdict::kUnknown,
+       "run stopped before full coverage"},
+      {"holds", [](PropertyTally&, RunEnd&) {}, Verdict::kHolds, ""},
+  };
+  const std::size_t kInterruptedRung = 2;
+  CheckOptions options;
+  options.timeout_seconds = 2.5;
+  options.enumeration.max_schemas = 9;
+  const std::string progress = " after 1.25s; solved 4/9 enumerated schemas, 2 pruned";
+  const auto settle = [&](std::size_t from, std::size_t to, const std::string& disagreement) {
+    PropertyTally tally;
+    tally.enumerated = 9;
+    tally.checked = 4;
+    tally.pruned = 2;
+    RunEnd end;
+    end.disagreement = disagreement;
+    for (std::size_t k = from; k < to; ++k) ladder[k].set(tally, end);
+    return settle_result("p", std::move(tally), std::move(end), 1.25, options);
+  };
+  const auto expected_note = [&](const Rung& rung) {
+    return rung.verdict == Verdict::kUnknown ? rung.note + progress : std::string();
+  };
+  for (std::size_t k = 0; k < ladder.size(); ++k) {
+    const Rung& rung = ladder[k];
+    // The rung alone, and the rung with every lower rung also set.
+    for (const std::size_t to : {k + 1, ladder.size()}) {
+      const PropertyResult result = settle(k, to, "");
+      EXPECT_EQ(result.verdict, rung.verdict) << rung.name;
+      EXPECT_EQ(result.note, expected_note(rung)) << rung.name;
+      EXPECT_EQ(result.interrupted, k <= kInterruptedRung && kInterruptedRung < to) << rung.name;
+    }
+    // A spot-check disagreement is appended to whatever the ladder says.
+    const std::string disagreement = "worker_disagreement: worker 'w' lied";
+    const std::string note = expected_note(rung);
+    EXPECT_EQ(settle(k, ladder.size(), disagreement).note,
+              note.empty() ? disagreement : note + "; " + disagreement)
+        << rung.name;
+  }
+}
+
 // --- fault-tolerant runtime -------------------------------------------------
 //
 // Every degradation path is exercised deterministically: watchdogs, fault
@@ -494,8 +643,8 @@ TEST(RobustnessTest, EveryFaultClassDegradesAndCompletes) {
 }
 
 TEST(RobustnessTest, WorkerAbortIsContainedByThePool) {
-  // Every worker dies on its first solve attempt; the producer must notice
-  // the dead pool instead of waiting forever, and the run must return.
+  // Every worker dies on its first solve attempt; a dead pool stops claiming
+  // work, and the run must return with the aborts reported.
   const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
   const spec::Property property = hv::models::bv_properties(bv).front();
   CheckOptions options;

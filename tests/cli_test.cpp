@@ -8,6 +8,9 @@
 #include <sstream>
 #include <string>
 
+#include "hv/models/simplified_consensus.h"
+#include "hv/ta/parser.h"
+
 namespace hv::tools {
 namespace {
 
@@ -32,7 +35,11 @@ ta Echo {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = ::testing::TempDir() + "echo_model.ta";
+    // Per-test file: ctest runs the cases of this fixture as concurrent
+    // processes, and one case's TearDown must not delete another's model.
+    model_path_ = ::testing::TempDir() +
+                  ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                  "_echo_model.ta";
     std::ofstream file(model_path_);
     file << kEchoModel;
   }
@@ -87,6 +94,19 @@ TEST_F(CliTest, CheckFlagValidation) {
   EXPECT_EQ(run({"check", model_path_, "--prop"}), 2);  // flag without value
   EXPECT_EQ(run({"check", model_path_, "--prop", "locA == 0", "--bogus", "1"}), 2);
   EXPECT_EQ(run({"check", "/nonexistent.ta", "--prop", "x >= 1"}), 2);
+}
+
+TEST_F(CliTest, CheckWithoutPropUsesBundledDefaults) {
+  const std::string path = ::testing::TempDir() + "simplified_consensus.ta";
+  {
+    std::ofstream file(path);
+    file << ta::to_text(models::simplified_consensus());
+  }
+  EXPECT_EQ(run({"check", path}), 0) << err_.str();
+  for (const char* name : {"Inv1_0", "Inv2_0", "SRoundTerm", "Good_0", "Dec_0"}) {
+    EXPECT_NE(out_.str().find(name), std::string::npos) << name << "\n" << out_.str();
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(CliTest, CheckRejectsMalformedProperty) {
