@@ -1,11 +1,13 @@
 #include "hv/dist/coordinator.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <map>
 #include <memory>
@@ -33,6 +35,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Longest a `next` parks in the long poll before answering "wait 0"; well
+// under any peer's recv timeout.
+constexpr std::chrono::milliseconds kParkBound{1000};
+// Longest a self-hosted fleet waits for all its forked workers to join
+// before the first grant (see fleet_forming).
+constexpr std::chrono::milliseconds kFleetFormationBound{1000};
+
 enum class LeaseState { kPending, kActive, kDone, kDropped };
 
 struct Lease {
@@ -40,7 +49,18 @@ struct Lease {
   std::size_t query = 0;
   checker::SubtreeTask task;
   LeaseState state = LeaseState::kPending;
+  /// Cursors settled inside this subtree (resume replay, partial work of a
+  /// previous holder), shipped as the skip list of the next grant. Dropped
+  /// when the lease completes, so the coordinator holds cursors only for
+  /// subtrees still in play; revoke_origin rebuilds it if a completed lease
+  /// returns to the pool.
+  std::vector<std::string> settled;
 };
+
+void complete_lease(Lease& lease) {
+  lease.state = LeaseState::kDone;
+  lease.settled = {};
+}
 
 // Merge state of one property: the tally and RunEnd the in-process checker
 // keeps, so checker::settle_result assembles both results identically.
@@ -93,7 +113,6 @@ struct WorkerHealth {
 struct AppliedRecord {
   std::size_t p = 0;
   std::size_t q = 0;
-  std::string key;
   std::string cursor;
   std::string verdict;
   std::int64_t length = 0;
@@ -103,9 +122,38 @@ struct AppliedRecord {
   std::int64_t retries = 0;
 };
 
-bool definitive_verdict(const std::string& verdict) {
-  return verdict == "pruned" || verdict == "unsat" || verdict == "sat";
+// A settled verdict in one byte: 'p'runed, 'u'nsat, 's'at, or '?' for
+// anything inconclusive.
+char verdict_code(const std::string& verdict) {
+  if (verdict == "pruned" || verdict == "unsat" || verdict == "sat") return verdict[0];
+  return '?';
 }
+
+// Wakes a poll(2) loop from another thread: an eventfd counter, read and
+// written without blocking. If eventfd(2) fails the fd stays -1, which poll
+// ignores, and the loop falls back to its timeout step.
+class WakeFd {
+ public:
+  WakeFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~WakeFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  int fd() const { return fd_; }
+  void notify() const {
+    const std::uint64_t one = 1;
+    if (fd_ >= 0) (void)!::write(fd_, &one, sizeof one);
+  }
+  void drain() const {
+    std::uint64_t count = 0;
+    (void)!::read(fd_, &count, sizeof count);
+  }
+
+ private:
+  int fd_;
+};
 
 // A connection the coordinator can push frames to; `learn` records whether
 // both sides advertised the "learn" feature.
@@ -135,18 +183,22 @@ struct Coord {
   std::map<std::pair<std::size_t, std::size_t>, std::vector<std::vector<std::string>>>
       lemmas_by_pq;
   std::unordered_set<std::string> lemma_keys;
-  /// Verdict dedup and conflict detection: ResumeState::key(property name,
-  /// cursor) -> verdict of everything settled (by resume replay, a worker
-  /// record or an in-process solve). Makes reassignment replays idempotent
-  /// and lets the handlers reject a definitive verdict that contradicts an
+  /// Verdict dedup and conflict detection, per property: cursor ->
+  /// verdict_code of everything settled (by resume replay, a worker record
+  /// or an in-process solve). Makes reassignment replays idempotent and lets
+  /// the handlers reject a definitive verdict that contradicts an
   /// already-settled one.
-  std::unordered_map<std::string, std::string> settled;
-  /// Settled cursors organized for per-lease skip lists:
-  /// (property, query) -> [(unlock_order, cursor)].
-  std::map<std::pair<std::size_t, std::size_t>,
-           std::vector<std::pair<std::vector<int>, std::string>>>
-      settled_by_pq;
+  std::vector<std::unordered_map<std::string, char>> settled;
   checker::ProgressJournal* journal = nullptr;
+  /// Lease-state events (see lease_state_changed) bump the epoch and wake
+  /// both kinds of waiter: `next` handlers parked on lease_cv and the
+  /// accept loop, whose poll set holds accept_wake.
+  std::uint64_t lease_epoch = 0;
+  std::condition_variable lease_cv;
+  WakeFd accept_wake;
+  /// Self-hosted fleets only: grants wait until every forked worker joined
+  /// or this time passes. Left at the epoch otherwise.
+  Clock::time_point fleet_formed_by{};
   bool closing = false;
   bool timed_out = false;
   bool interrupted = false;
@@ -226,6 +278,16 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   }
 }
 
+// The lease-state events a waiter can act on (caller holds the mutex): a
+// lease went pending or settled, a property settled, the run is closing,
+// or a spot check finished. Wakes parked `next` handlers and the accept
+// loop.
+void lease_state_changed(Coord& c) {
+  ++c.lease_epoch;
+  c.lease_cv.notify_all();
+  c.accept_wake.notify();
+}
+
 // Marks a property's remaining pending leases dropped (its verdict is
 // settled — counterexample, validation failure or exhausted budget — so the
 // unvisited subtrees are moot). Active leases drain on their own.
@@ -235,6 +297,7 @@ void drop_pending_leases(Coord& c, std::size_t property) {
       lease.state = LeaseState::kDropped;
     }
   }
+  lease_state_changed(c);
 }
 
 // Stamps the property's wall-clock when its last lease settles (caller
@@ -295,9 +358,10 @@ bool fold_cut(Coord& c, std::size_t p, std::size_t q, std::vector<int> prefix) {
     if (lease.property != p || lease.query != q) continue;
     if (lease.state != LeaseState::kPending) continue;
     if (!cut_covers_task(prefix, lease.task)) continue;
-    lease.state = LeaseState::kDone;
+    complete_lease(lease);
   }
   check_property_finished(c, p);
+  lease_state_changed(c);
   cuts.push_back(std::move(prefix));
   return true;
 }
@@ -318,12 +382,16 @@ bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema&
   // worker that has not yet seen its abandon frame are dropped, keeping the
   // counters identical to an in-process run that stopped enumerating there.
   if (prop.stopped || prop.end.budget_exhausted) return false;
-  const std::string key = checker::ResumeState::key(properties[p].name, cursor);
-  if (!c.settled.emplace(key, verdict).second) return false;
-  c.settled_by_pq[{p, q}].emplace_back(schema.unlock_order, cursor);
+  if (!c.settled[p].emplace(cursor, verdict_code(verdict)).second) return false;
+  for (Lease& lease : c.leases) {
+    if (lease.property == p && lease.query == q && task_covers(lease.task, schema.unlock_order)) {
+      if (lease.state != LeaseState::kDone) lease.settled.push_back(cursor);
+      break;  // subtrees are disjoint
+    }
+  }
   if (origin >= 0 && c.options->spot_check_rate > 0.0) {
     c.applied_by_origin[origin].push_back(
-        {p, q, key, cursor, verdict, length, pivots, fast_ops, big_ops, retries});
+        {p, q, cursor, verdict, length, pivots, fast_ops, big_ops, retries});
   }
   ++prop.tally.enumerated;
   bump(c, &checker::ProgressCounters::enumerated);
@@ -416,6 +484,20 @@ std::string spot_disagreement(Coord& c, std::size_t p, std::size_t q,
   return std::string();
 }
 
+/// Recomputes a lease's skip list from the settled set. Scans every settled
+/// cursor, so only the rare revocation path calls it.
+void rebuild_skip_list(Coord& c, Lease& lease) {
+  lease.settled.clear();
+  for (const auto& entry : c.settled[lease.property]) {
+    std::size_t q = 0;
+    checker::Schema schema;
+    if (checker::parse_schema_cursor(entry.first, &q, &schema) && q == lease.query &&
+        task_covers(lease.task, schema.unlock_order)) {
+      lease.settled.push_back(entry.first);
+    }
+  }
+}
+
 /// A spot check disagreed: nothing `origin` ever reported can be trusted.
 /// Bans the label, reverses every merge contribution of that origin
 /// (journaling compensating "revoked" records so --resume re-solves them),
@@ -438,14 +520,7 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
   const auto it = c.applied_by_origin.find(origin);
   if (it != c.applied_by_origin.end()) {
     for (const AppliedRecord& rec : it->second) {
-      if (c.settled.erase(rec.key) == 0) continue;
-      auto& cursors = c.settled_by_pq[{rec.p, rec.q}];
-      for (auto cit = cursors.begin(); cit != cursors.end(); ++cit) {
-        if (cit->second == rec.cursor) {
-          cursors.erase(cit);
-          break;
-        }
-      }
+      if (c.settled[rec.p].erase(rec.cursor) == 0) continue;
       PropMerge& prop = c.props[rec.p];
       --prop.tally.enumerated;
       bump(c, &checker::ProgressCounters::enumerated, -1);
@@ -500,7 +575,71 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
     }
     prop.finished = false;
     check_property_finished(c, p);
+    // The revoked cursors leave the skip lists, and a completed lease that
+    // returned to the pool gets its list back.
+    for (Lease& lease : c.leases) {
+      if (lease.property == p && lease.state == LeaseState::kPending) rebuild_skip_list(c, lease);
+    }
   }
+  lease_state_changed(c);
+}
+
+// True while a self-hosted fleet is still forming (caller holds the mutex).
+// The first worker to join then parks instead of draining a small run
+// alone while its siblings connect to a finished run and are reaped as
+// stragglers.
+bool fleet_forming(const Coord& c) {
+  return c.stats.workers_joined < c.options->expected_workers &&
+         Clock::now() < c.fleet_formed_by;
+}
+
+// Picks the pending lease to grant next, or -1 (caller holds the mutex).
+// Fair share: with several live properties queued (a DAG pipeline
+// multiplexing property-queries onto one fleet), first-fit would drain
+// property 0's leases before touching property 1, serializing what the
+// scheduler meant to interleave. The pick is the pending lease whose
+// property has the fewest active leases; ties fall to the lowest lease
+// index, which is exactly first-fit order within one property. A pending
+// lease a recorded subtree cut covers settles here instead of being
+// granted. `*work_left` is set when a lease is still pending or active.
+std::int64_t pick_lease(Coord& c, bool* work_left) {
+  std::vector<std::size_t> active_by_prop(c.props.size(), 0);
+  for (const Lease& lease : c.leases) {
+    if (lease.state == LeaseState::kActive) ++active_by_prop[lease.property];
+  }
+  std::int64_t grant = -1;
+  std::size_t grant_active = 0;
+  for (std::size_t i = 0; i < c.leases.size(); ++i) {
+    Lease& lease = c.leases[i];
+    if (lease.state == LeaseState::kActive) *work_left = true;
+    if (lease.state != LeaseState::kPending) continue;
+    const PropMerge& prop = c.props[lease.property];
+    if (prop.stopped || prop.end.budget_exhausted) {
+      *work_left = true;
+      continue;
+    }
+    // A lease returned to pending (expropriation) may have been covered by a
+    // subtree cut since: settle it instead of granting doomed work.
+    if (c.learn) {
+      const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
+      if (cit != c.cuts_by_pq.end() &&
+          std::any_of(cit->second.begin(), cit->second.end(), [&](const std::vector<int>& cut) {
+            return cut_covers_task(cut, lease.task);
+          })) {
+        complete_lease(lease);
+        check_property_finished(c, lease.property);
+        lease_state_changed(c);
+        continue;
+      }
+    }
+    *work_left = true;
+    if (grant < 0 || active_by_prop[lease.property] < grant_active) {
+      grant = static_cast<std::int64_t>(i);
+      grant_active = active_by_prop[lease.property];
+      if (grant_active == 0) break;  // an idle property: can't do better
+    }
+  }
+  return grant;
 }
 
 // One connection's server side; runs on its own thread. `Coord` outlives
@@ -590,6 +729,7 @@ void handle_connection(Coord& c, int fd) {
     ++c.stats.workers_joined;
     c.open_conns.push_back({&conn, learn});
     bump(c, &checker::ProgressCounters::workers);
+    lease_state_changed(c);  // a parked sibling may be waiting for the fleet
   }
   const std::vector<spec::Property>& properties = *c.properties;
 
@@ -611,6 +751,7 @@ void handle_connection(Coord& c, int fd) {
     if (lease.state == LeaseState::kActive) {
       lease.state = LeaseState::kPending;
       ++c.stats.leases_reassigned;
+      lease_state_changed(c);
     }
     current = -1;
   };
@@ -676,57 +817,32 @@ void handle_connection(Coord& c, int fd) {
       if (type == "next") {
         cert::Json reply;
         {
-          std::lock_guard<std::mutex> lock(c.mutex);
+          std::unique_lock<std::mutex> lock(c.mutex);
           release_current();  // a worker asking again abandoned any holdover
+          // Long poll: with work left but nothing grantable, park until a
+          // lease-state event or the bound, then answer "wait 0" so the
+          // worker re-asks at once. The bound stays well under every peer's
+          // recv timeout.
+          const auto park_until = Clock::now() + kParkBound;
           std::int64_t grant = -1;
           bool work_left = false;
-          if (!c.closing) {
-            // Fair-share grant: with several live properties queued (a DAG
-            // pipeline multiplexing property-queries onto one fleet), first-fit
-            // would drain property 0's leases before touching property 1,
-            // serializing what the scheduler meant to interleave. Grant the
-            // pending lease whose property has the fewest workers on it; ties
-            // fall to the lowest lease index, which is exactly the old
-            // first-fit order within one property.
-            std::vector<std::size_t> active_by_prop(c.props.size(), 0);
-            for (const Lease& lease : c.leases) {
-              if (lease.state == LeaseState::kActive) ++active_by_prop[lease.property];
-            }
-            std::size_t grant_active = 0;
-            for (std::size_t i = 0; i < c.leases.size(); ++i) {
-              Lease& lease = c.leases[i];
-              if (lease.state == LeaseState::kActive) work_left = true;
-              if (lease.state != LeaseState::kPending) continue;
-              work_left = true;
-              const PropMerge& prop = c.props[lease.property];
-              if (prop.stopped || prop.end.budget_exhausted) continue;
-              // A lease returned to pending (expropriation) may have been
-              // covered by a subtree cut since: settle it here instead of
-              // granting doomed work.
-              if (c.learn) {
-                const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
-                if (cit != c.cuts_by_pq.end()) {
-                  bool covered = false;
-                  for (const std::vector<int>& cut : cit->second) {
-                    if (cut_covers_task(cut, lease.task)) {
-                      covered = true;
-                      break;
-                    }
-                  }
-                  if (covered) {
-                    lease.state = LeaseState::kDone;
-                    check_property_finished(c, lease.property);
-                    continue;
-                  }
-                }
-              }
-              if (grant < 0 || active_by_prop[lease.property] < grant_active) {
-                grant = static_cast<std::int64_t>(i);
-                grant_active = active_by_prop[lease.property];
-                if (grant_active == 0) break;  // an idle property: can't do better
-              }
+          for (;;) {
+            work_left = false;
+            grant = c.closing ? -1 : pick_lease(c, &work_left);
+            const bool forming = grant >= 0 && fleet_forming(c);
+            if (forming) grant = -1;
+            if (grant >= 0 || !work_left) break;
+            const std::uint64_t seen = c.lease_epoch;
+            if (!c.lease_cv.wait_until(lock,
+                                       forming ? std::min(park_until, c.fleet_formed_by)
+                                               : park_until,
+                                       [&] { return c.lease_epoch != seen; }) &&
+                Clock::now() >= park_until) {
+              break;
             }
           }
+          // The worker could not speak while parked; silence counts from now.
+          last_activity = Clock::now();
           if (grant >= 0) {
             Lease& lease = c.leases[static_cast<std::size_t>(grant)];
             lease.state = LeaseState::kActive;
@@ -738,13 +854,7 @@ void handle_connection(Coord& c, int fd) {
             for (const int g : lease.task.prefix) prefix.push_back(g);
             // Skip list: every settled cursor inside this subtree (resume
             // replay and partial work of a previous holder).
-            cert::Json::Array skip;
-            const auto it = c.settled_by_pq.find({lease.property, lease.query});
-            if (it != c.settled_by_pq.end()) {
-              for (const auto& [unlock_order, cursor] : it->second) {
-                if (task_covers(lease.task, unlock_order)) skip.push_back(cursor);
-              }
-            }
+            cert::Json::Array skip(lease.settled.begin(), lease.settled.end());
             reply = cert::Json::Object{{"type", "lease"},
                                        {"lease", grant},
                                        {"property", static_cast<std::int64_t>(lease.property)},
@@ -781,7 +891,7 @@ void handle_connection(Coord& c, int fd) {
               if (!lemmas.empty()) reply.set("lemmas", std::move(lemmas));
             }
           } else if (work_left) {
-            reply = cert::Json::Object{{"type", "wait"}, {"ms", 300}};
+            reply = cert::Json::Object{{"type", "wait"}, {"ms", 0}};
           } else {
             reply = cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
             clean = true;
@@ -825,10 +935,9 @@ void handle_connection(Coord& c, int fd) {
                      cited_lease->query != q ||
                      !task_covers(cited_lease->task, schema.unlock_order)) {
             hostile = true;
-          } else if (const auto settled_it =
-                         c.settled.find(checker::ResumeState::key(properties[p].name, cursor));
-                     settled_it != c.settled.end() && settled_it->second != verdict &&
-                     definitive_verdict(settled_it->second) && definitive_verdict(verdict)) {
+          } else if (const auto settled_it = c.settled[p].find(cursor);
+                     settled_it != c.settled[p].end() && verdict_code(verdict) != '?' &&
+                     settled_it->second != '?' && settled_it->second != verdict_code(verdict)) {
             hostile = true;  // conflicting duplicate: someone is lying
           }
           if (hostile) {
@@ -902,6 +1011,7 @@ void handle_connection(Coord& c, int fd) {
           {
             std::lock_guard<std::mutex> lock(c.mutex);
             --c.spot_inflight;
+            lease_state_changed(c);  // run_complete waits for spot checks
             lying = !why.empty();
             if (lying) revoke_origin(c, origin, label, lease_history, p, cursor, why);
           }
@@ -942,10 +1052,9 @@ void handle_connection(Coord& c, int fd) {
               cited_lease->query != q ||
               !task_covers(cited_lease->task, schema.unlock_order)) {
             hostile = true;
-          } else if (const auto settled_it =
-                         c.settled.find(checker::ResumeState::key(properties[p].name, cursor));
-                     settled_it != c.settled.end() && settled_it->second != "sat" &&
-                     definitive_verdict(settled_it->second)) {
+          } else if (const auto settled_it = c.settled[p].find(cursor);
+                     settled_it != c.settled[p].end() && settled_it->second != 's' &&
+                     settled_it->second != '?') {
             hostile = true;  // this cursor already settled definitively non-sat
           }
           if (hostile) {
@@ -1003,6 +1112,7 @@ void handle_connection(Coord& c, int fd) {
           {
             std::lock_guard<std::mutex> lock(c.mutex);
             --c.spot_inflight;
+            lease_state_changed(c);  // run_complete waits for spot checks
             lying = !why.empty();
             if (lying) revoke_origin(c, origin, label, lease_history, p, cursor, why);
           }
@@ -1070,7 +1180,7 @@ void handle_connection(Coord& c, int fd) {
         std::lock_guard<std::mutex> lock(c.mutex);
         if (id == current && id >= 0) {
           Lease& lease = c.leases[static_cast<std::size_t>(id)];
-          if (lease.state == LeaseState::kActive) lease.state = LeaseState::kDone;
+          if (lease.state == LeaseState::kActive) complete_lease(lease);
           if (const cert::Json* stats = msg.find("stats")) {
             checker::IncrementalStats delta;
             delta.segments_pushed = stats->at("segments_pushed").as_int();
@@ -1094,6 +1204,7 @@ void handle_connection(Coord& c, int fd) {
           }
           current = -1;
           check_property_finished(c, lease.property);
+          lease_state_changed(c);
         }
         continue;
       }
@@ -1134,40 +1245,20 @@ bool self_solve_one_lease(Coord& c) {
   std::size_t q = 0;
   checker::SubtreeTask task;
   {
+    // With no connection open no lease is active, so the fair-share pick is
+    // plain first-fit here.
     std::lock_guard<std::mutex> lock(c.mutex);
-    for (std::size_t i = 0; i < c.leases.size(); ++i) {
-      Lease& lease = c.leases[i];
-      if (lease.state != LeaseState::kPending) continue;
-      const PropMerge& prop = c.props[lease.property];
-      if (prop.stopped || prop.end.budget_exhausted) continue;
-      if (c.learn) {
-        const auto cit = c.cuts_by_pq.find({lease.property, lease.query});
-        if (cit != c.cuts_by_pq.end()) {
-          bool covered = false;
-          for (const std::vector<int>& cut : cit->second) {
-            if (cut_covers_task(cut, lease.task)) {
-              covered = true;
-              break;
-            }
-          }
-          if (covered) {
-            lease.state = LeaseState::kDone;
-            check_property_finished(c, lease.property);
-            continue;
-          }
-        }
-      }
-      grant = static_cast<std::int64_t>(i);
-      lease.state = LeaseState::kActive;
-      ++c.stats.leases_granted;
-      ++c.stats.leases_self_solved;
-      p = lease.property;
-      q = lease.query;
-      task = lease.task;
-      break;
-    }
+    bool work_left = false;
+    grant = pick_lease(c, &work_left);
+    if (grant < 0) return false;
+    Lease& lease = c.leases[static_cast<std::size_t>(grant)];
+    lease.state = LeaseState::kActive;
+    ++c.stats.leases_granted;
+    ++c.stats.leases_self_solved;
+    p = lease.property;
+    q = lease.query;
+    task = lease.task;
   }
-  if (grant < 0) return false;
   const std::vector<spec::Property>& properties = *c.properties;
   bool bail = false;  // cancel/timeout/abort: the lease goes back to pending
   {
@@ -1202,7 +1293,7 @@ bool self_solve_one_lease(Coord& c) {
           {
             // Skip without counting anything a worker already settled.
             std::lock_guard<std::mutex> lock(c.mutex);
-            if (c.settled.count(checker::ResumeState::key(properties[p].name, cursor)) > 0) {
+            if (c.settled[p].count(cursor) > 0) {
               return true;
             }
           }
@@ -1268,9 +1359,14 @@ bool self_solve_one_lease(Coord& c) {
     std::lock_guard<std::mutex> lock(c.mutex);
     Lease& lease = c.leases[static_cast<std::size_t>(grant)];
     if (lease.state == LeaseState::kActive) {
-      lease.state = bail ? LeaseState::kPending : LeaseState::kDone;
+      if (bail) {
+        lease.state = LeaseState::kPending;
+      } else {
+        complete_lease(lease);
+      }
     }
     check_property_finished(c, lease.property);
+    lease_state_changed(c);
   }
   return true;
 }
@@ -1343,10 +1439,12 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   const std::vector<checker::SubtreeTask> tasks =
       checker::plan_tasks(analysis, options.expected_workers, c.check.enumeration);
   c.props.resize(properties.size());
+  c.settled.resize(properties.size());
+  if (options.self_hosted_fleet) c.fleet_formed_by = Clock::now() + kFleetFormationBound;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     for (std::size_t q = 0; q < properties[p].queries.size(); ++q) {
       for (const checker::SubtreeTask& task : tasks) {
-        c.leases.push_back({p, q, task, LeaseState::kPending});
+        c.leases.push_back({p, q, task, LeaseState::kPending, {}});
       }
     }
   }
@@ -1406,22 +1504,18 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     bool degrade = false;
     {
       std::lock_guard<std::mutex> lock(c.mutex);
-      if (run_complete(c)) {
-        c.closing = true;
-        break;
-      }
-      if (options.check.cancel != nullptr &&
+      const bool complete = run_complete(c);
+      if (!complete && options.check.cancel != nullptr &&
           options.check.cancel->load(std::memory_order_relaxed)) {
         c.interrupted = true;
-        c.closing = true;
-        force_close = true;
-        break;
-      }
-      if (options.check.timeout_seconds > 0.0 &&
-          watch.seconds() > options.check.timeout_seconds) {
+      } else if (!complete && options.check.timeout_seconds > 0.0 &&
+                 watch.seconds() > options.check.timeout_seconds) {
         c.timed_out = true;
+      }
+      if (complete || c.interrupted || c.timed_out) {
         c.closing = true;
-        force_close = true;
+        force_close = !complete;
+        lease_state_changed(c);  // parked `next` handlers answer shutdown
         break;
       }
       // Graceful degradation: once the fleet has existed and then vanished
@@ -1444,10 +1538,15 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
       }
     }
     if (degrade && self_solve_one_lease(c)) continue;
-    struct pollfd pfd = {listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
+    // Lease-state events wake the poll through the eventfd, so completion
+    // is seen at once; the 100-ms step only paces external cancellation,
+    // the global timeout and the degradation clock.
+    struct pollfd pfds[2] = {{listen_fd, POLLIN, 0}, {c.accept_wake.fd(), POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, 100);
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0) continue;
+    if (pfds[1].revents != 0) c.accept_wake.drain();
+    if ((pfds[0].revents & POLLIN) == 0) continue;
     const int cfd = ::accept(listen_fd, nullptr, nullptr);
     if (cfd < 0) continue;
     handlers.emplace_back([&c, cfd] { handle_connection(c, cfd); });

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 namespace hv::dist {
 
@@ -26,14 +27,11 @@ int remaining_ms(int timeout_ms, Clock::time_point start) {
 
 enum class ReadStatus { kOk, kEof, kTimeout, kError };
 
-// Reads exactly `size` bytes under the shared deadline. EOF before the
-// first byte is a clean close; the caller distinguishes it from a torn
-// frame by what it had already read.
-ReadStatus read_exact(int fd, void* buffer, std::size_t size, int timeout_ms,
-                      Clock::time_point start) {
-  auto* out = static_cast<char*>(buffer);
-  std::size_t got = 0;
-  while (got < size) {
+// Reads between 1 and `size` bytes under the shared deadline into `buffer`,
+// adding the count to `*got`.
+ReadStatus read_some(int fd, char* buffer, std::size_t size, std::size_t* got, int timeout_ms,
+                     Clock::time_point start) {
+  for (;;) {
     struct pollfd pfd = {fd, POLLIN, 0};
     const int left = remaining_ms(timeout_ms, start);
     if (left == 0) return ReadStatus::kTimeout;
@@ -43,15 +41,15 @@ ReadStatus read_exact(int fd, void* buffer, std::size_t size, int timeout_ms,
       return ReadStatus::kError;
     }
     if (ready == 0) return ReadStatus::kTimeout;
-    const ssize_t n = ::read(fd, out + got, size - got);
+    const ssize_t n = ::read(fd, buffer, size);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       return ReadStatus::kError;
     }
     if (n == 0) return ReadStatus::kEof;
-    got += static_cast<std::size_t>(n);
+    *got += static_cast<std::size_t>(n);
+    return ReadStatus::kOk;
   }
-  return ReadStatus::kOk;
 }
 
 bool write_exact(int fd, const void* buffer, std::size_t size) {
@@ -107,56 +105,57 @@ bool write_frame(int fd, std::string_view payload) {
   return write_exact(fd, payload.data(), payload.size());
 }
 
-FrameStatus read_frame(int fd, std::string* payload, int timeout_ms, std::size_t max_bytes) {
+void FrameReader::reset() {
+  header_got_ = 0;
+  body_.clear();
+  body_got_ = 0;
+}
+
+FrameStatus FrameReader::read(int fd, std::string* payload, int timeout_ms,
+                              std::size_t max_bytes) {
   payload->clear();
   const Clock::time_point start = Clock::now();
-  char header[8];
-  switch (read_exact(fd, header, 1, timeout_ms, start)) {
-    case ReadStatus::kOk:
-      break;
-    case ReadStatus::kEof:
-      return FrameStatus::kClosed;  // boundary EOF: clean departure
-    case ReadStatus::kTimeout:
-      return FrameStatus::kTimeout;
-    case ReadStatus::kError:
-      return FrameStatus::kError;
+  // Maps a failed read to its frame status. EOF before the first byte of a
+  // frame is a clean close, after it a torn frame. Only a timeout keeps the
+  // partial frame; every other failure ends the stream.
+  const auto fail = [&](ReadStatus status) {
+    if (status == ReadStatus::kTimeout) return FrameStatus::kTimeout;
+    const bool boundary = header_got_ == 0;
+    reset();
+    if (status == ReadStatus::kError) return FrameStatus::kError;
+    return boundary ? FrameStatus::kClosed : FrameStatus::kTorn;
+  };
+  while (header_got_ < sizeof header_) {
+    const ReadStatus status = read_some(fd, header_ + header_got_, sizeof header_ - header_got_,
+                                        &header_got_, timeout_ms, start);
+    if (status != ReadStatus::kOk) return fail(status);
   }
-  switch (read_exact(fd, header + 1, sizeof(header) - 1, timeout_ms, start)) {
-    case ReadStatus::kOk:
-      break;
-    case ReadStatus::kEof:
-      return FrameStatus::kTorn;
-    case ReadStatus::kTimeout:
-      return FrameStatus::kTimeout;
-    case ReadStatus::kError:
-      return FrameStatus::kError;
+  if (std::memcmp(header_, kFrameMagic, 4) != 0) {
+    reset();
+    return FrameStatus::kBadMagic;
   }
-  if (std::memcmp(header, kFrameMagic, 4) != 0) return FrameStatus::kBadMagic;
-  const std::uint32_t size = (static_cast<std::uint32_t>(static_cast<unsigned char>(header[4]))
-                              << 24) |
-                             (static_cast<std::uint32_t>(static_cast<unsigned char>(header[5]))
-                              << 16) |
-                             (static_cast<std::uint32_t>(static_cast<unsigned char>(header[6]))
-                              << 8) |
-                             static_cast<std::uint32_t>(static_cast<unsigned char>(header[7]));
-  if (size > max_bytes) return FrameStatus::kOversized;
-  payload->resize(size);
-  if (size == 0) return FrameStatus::kOk;
-  switch (read_exact(fd, payload->data(), size, timeout_ms, start)) {
-    case ReadStatus::kOk:
-      return FrameStatus::kOk;
-    case ReadStatus::kEof:
-      payload->clear();
-      return FrameStatus::kTorn;
-    case ReadStatus::kTimeout:
-      payload->clear();
-      return FrameStatus::kTimeout;
-    case ReadStatus::kError:
-      payload->clear();
-      return FrameStatus::kError;
+  const auto byte = [&](int i) {
+    return static_cast<std::uint32_t>(static_cast<unsigned char>(header_[i]));
+  };
+  const std::uint32_t size = (byte(4) << 24) | (byte(5) << 16) | (byte(6) << 8) | byte(7);
+  if (size > max_bytes) {
+    reset();
+    return FrameStatus::kOversized;
   }
-  payload->clear();
-  return FrameStatus::kError;
+  if (body_got_ == 0) body_.resize(size);
+  while (body_got_ < size) {
+    const ReadStatus status =
+        read_some(fd, body_.data() + body_got_, size - body_got_, &body_got_, timeout_ms, start);
+    if (status != ReadStatus::kOk) return fail(status);
+  }
+  *payload = std::move(body_);
+  reset();
+  return FrameStatus::kOk;
+}
+
+FrameStatus read_frame(int fd, std::string* payload, int timeout_ms, std::size_t max_bytes) {
+  FrameReader reader;
+  return reader.read(fd, payload, timeout_ms, max_bytes);
 }
 
 }  // namespace hv::dist

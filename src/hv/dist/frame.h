@@ -46,9 +46,34 @@ const char* to_string(FrameStatus status);
 /// MSG_NOSIGNAL on sockets and is the only writer the protocol uses).
 bool write_frame(int fd, std::string_view payload);
 
-/// Reads one frame into `*payload`. `timeout_ms` < 0 blocks indefinitely;
-/// otherwise the deadline covers the whole frame, not each byte. On any
-/// status other than kOk the payload is left empty.
+/// Incremental reader of one fd's frame stream. It never reads past the end
+/// of the frame it is decoding, and a kTimeout keeps the bytes of a partial
+/// frame for the next call: a timeout never loses bytes, so a deadline that
+/// expires while a large frame arrives in pieces leaves the stream intact.
+class FrameReader {
+ public:
+  /// Reads one frame into `*payload`. `timeout_ms` < 0 blocks indefinitely;
+  /// otherwise the deadline covers this call, not each byte. On any status
+  /// other than kOk the payload is left empty. Every status but kOk and
+  /// kTimeout ends the stream; the reader then starts afresh.
+  FrameStatus read(int fd, std::string* payload, int timeout_ms,
+                   std::size_t max_bytes = kMaxFrameBytes);
+
+  /// True while part of a frame has been read but not yet returned.
+  bool mid_frame() const noexcept { return header_got_ > 0; }
+
+ private:
+  void reset();
+
+  char header_[8] = {};
+  std::size_t header_got_ = 0;
+  std::string body_;
+  std::size_t body_got_ = 0;
+};
+
+/// One-shot read_frame on a fresh FrameReader: a kTimeout after part of a
+/// frame arrived drops that part, leaving the fd mid-frame. Long-lived
+/// connections read through a FrameReader (Conn does).
 FrameStatus read_frame(int fd, std::string* payload, int timeout_ms,
                        std::size_t max_bytes = kMaxFrameBytes);
 

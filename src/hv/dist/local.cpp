@@ -5,15 +5,75 @@
 #include <unistd.h>
 
 #include <sys/un.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "hv/dist/worker.h"
 #include "hv/util/error.h"
 
 namespace hv::dist {
+
+namespace {
+
+// Workers exit on the shutdown frame. The whole wave shares one grace
+// deadline, after which every straggler (a stuck child would hang the
+// command) gets a SIGTERM. One waiter thread per child blocks in
+// waitid(WNOWAIT): it sees the exit without reaping, so a straggler's pid
+// cannot be recycled before the SIGTERM reaches it.
+void reap(const std::vector<pid_t>& children) {
+  constexpr std::chrono::seconds kGrace{2};
+  std::mutex mutex;
+  std::condition_variable exited_cv;
+  std::vector<bool> exited(children.size(), false);
+  std::size_t running = 0;
+  std::vector<std::thread> waiters;
+  waiters.reserve(children.size());
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const auto wait_for_exit = [&, i] {
+      siginfo_t info{};
+      while (::waitid(P_PID, static_cast<id_t>(children[i]), &info, WEXITED | WNOWAIT) != 0 &&
+             errno == EINTR) {
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      exited[i] = true;
+      --running;
+      exited_cv.notify_all();
+    };
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++running;
+    }
+    try {
+      waiters.emplace_back(wait_for_exit);
+    } catch (const std::system_error&) {
+      // No thread to spare: this child counts as a straggler.
+      std::lock_guard<std::mutex> lock(mutex);
+      --running;
+    }
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    exited_cv.wait_for(lock, kGrace, [&] { return running == 0; });
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      if (!exited[i]) ::kill(children[i], SIGTERM);
+    }
+  }
+  for (std::thread& waiter : waiters) waiter.join();
+  for (const pid_t child : children) ::waitpid(child, nullptr, 0);
+}
+
+}  // namespace
 
 std::vector<checker::PropertyResult> check_distributed_local(
     const std::string& model_text, const std::vector<PropertySpec>& specs, int worker_count,
@@ -112,21 +172,15 @@ std::vector<checker::PropertyResult> check_distributed_local(
     cleanup_socket();
     throw;
   }
-  // Workers exit on the shutdown frame; reap them all (a stuck child would
-  // hang the command, so give stragglers a SIGTERM after the clean wave).
-  for (const pid_t child : children) {
-    int status = 0;
-    bool reaped = false;
-    for (int spins = 0; spins < 100 && !reaped; ++spins) {
-      reaped = ::waitpid(child, &status, WNOHANG) == child;
-      if (!reaped) ::usleep(20'000);
-    }
-    if (!reaped) {
-      ::kill(child, SIGTERM);
-      ::waitpid(child, &status, 0);
-    }
-  }
+  reap(children);
   cleanup_socket();
+#ifdef __GLIBC__
+  // The run's merge state was allocated on the handler threads' malloc
+  // arenas, which glibc does not trim by itself; hand the freed pages back
+  // so a long-lived caller (the daemon, a pipeline) running many fleet jobs
+  // does not keep every job's peak resident.
+  ::malloc_trim(0);
+#endif
   return results;
 }
 

@@ -168,7 +168,7 @@ FrameStatus Conn::recv(cert::Json* message, int timeout_ms) {
     chaos_->flush(fd_);
   }
   std::string payload;
-  const FrameStatus status = read_frame(fd_, &payload, timeout_ms);
+  const FrameStatus status = reader_.read(fd_, &payload, timeout_ms);
   if (status != FrameStatus::kOk) return status;
   try {
     *message = cert::Json::parse(payload);
@@ -181,7 +181,7 @@ FrameStatus Conn::recv(cert::Json* message, int timeout_ms) {
 }
 
 bool Conn::readable() const {
-  if (fd_ < 0) return true;  // recv() will report kClosed immediately
+  if (fd_ < 0 || reader_.mid_frame()) return true;  // recv() has something to report
   struct pollfd pfd = {fd_, POLLIN, 0};
   return ::poll(&pfd, 1, 0) > 0;
 }

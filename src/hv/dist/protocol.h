@@ -8,7 +8,9 @@
 //
 //   worker -> coordinator
 //     hello      {protocol, label, features[]?}
-//     next       {}                     request a lease (pull model)
+//     next       {}                     request a lease (pull model); the
+//                                      coordinator may hold the reply until
+//                                      a lease frees up (long poll)
 //     record     {lease, property, cursor, verdict, length, pivots,
 //                 retries, note, cut?, proof?, model?} one settled schema;
 //                 cut = subtree-cut prefix length of an unsat refutation
@@ -24,7 +26,9 @@
 //                 lease_timeout?, features[]?}
 //     lease      {lease, property, query, prefix[], extensions, skip[],
 //                 cuts[]?, lemmas[]?}
-//     wait       {ms}                   nothing grantable right now
+//     wait       {ms}                   nothing grantable right now; sleep
+//                                      ms, or ask again at once on ms 0 (a
+//                                      long poll that ran out its bound)
 //     abandon    {lease}               stop that lease: the property is
 //                                      settled or the lease reassigned; the
 //                                      worker closes it with lease_done
@@ -126,11 +130,13 @@ class Conn {
   /// Receives one message. Returns the frame status; on kOk `*message` is
   /// the parsed object. A frame that is not valid JSON returns kBadMagic's
   /// cousin: status kOk is only returned for parseable payloads, anything
-  /// else comes back as kError with the message left null.
+  /// else comes back as kError with the message left null. A kTimeout loses
+  /// no bytes: a frame cut by the deadline completes on the next call.
   FrameStatus recv(cert::Json* message, int timeout_ms);
 
-  /// True when at least one byte is waiting, i.e. a frame is in flight (or
-  /// the peer closed). Never consumes data — safe to poll mid-lease.
+  /// True when a frame is in flight: part of one is already read, or at
+  /// least one byte is waiting (or the peer closed). Never consumes data —
+  /// safe to poll mid-lease.
   bool readable() const;
 
   /// Closes the fd (idempotent).
@@ -141,6 +147,7 @@ class Conn {
 
  private:
   int fd_ = -1;
+  FrameReader reader_;
   std::mutex write_mutex_;
   std::unique_ptr<ChaosLink> chaos_;  // armed only via the env fault plan
 };

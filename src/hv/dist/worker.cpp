@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -258,16 +260,27 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
 
   // Liveness heartbeats: the coordinator renews the lease deadline on any
   // frame, so a long single-schema solve must not look like a dead worker.
-  std::atomic<bool> heartbeat_stop{false};
+  // The beat waits on a condition variable, so stopping it is immediate
+  // instead of costing up to a full period at every exit.
+  std::mutex heartbeat_mutex;
+  std::condition_variable heartbeat_wake;
+  bool heartbeat_stop = false;
   std::thread heartbeat([&] {
-    while (!heartbeat_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.heartbeat_ms));
-      if (heartbeat_stop.load(std::memory_order_relaxed)) break;
-      if (!conn.send(cert::Json::Object{{"type", "heartbeat"}})) break;
+    std::unique_lock<std::mutex> lock(heartbeat_mutex);
+    while (!heartbeat_wake.wait_for(lock, std::chrono::milliseconds(options.heartbeat_ms),
+                                    [&] { return heartbeat_stop; })) {
+      lock.unlock();
+      const bool sent = conn.send(cert::Json::Object{{"type", "heartbeat"}});
+      lock.lock();
+      if (!sent) break;
     }
   });
   const auto stop_heartbeat = [&] {
-    heartbeat_stop.store(true);
+    {
+      std::lock_guard<std::mutex> lock(heartbeat_mutex);
+      heartbeat_stop = true;
+    }
+    heartbeat_wake.notify_all();
     if (heartbeat.joinable()) heartbeat.join();
   };
 
@@ -285,9 +298,11 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     }
     if (!conn.send(cert::Json::Object{{"type", "next"}})) {
       // The coordinator may have sent shutdown and closed its end while we
-      // slept in a wait backoff; the frame is still in our receive buffer.
+      // slept in a wait backoff; the frame is still in our receive buffer,
+      // possibly behind learn or abandon frames. Missing it would turn a
+      // clean end into a reconnect loop.
       cert::Json last;
-      if (conn.recv(&last, 100) == FrameStatus::kOk) {
+      while (!report.completed && conn.recv(&last, 100) == FrameStatus::kOk) {
         const cert::Json* last_type = last.find("type");
         report.completed = last_type != nullptr &&
                            last_type->kind() == cert::Json::Kind::kString &&
@@ -331,8 +346,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         break;
       }
       if (type == "wait") {
+        // A long-polling coordinator answers "wait 0" when its park bound
+        // runs out: ask again at once. Any other wait is slept off.
         const auto ms = std::min<std::int64_t>(reply.at("ms").as_int(), 2000);
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms > 0 ? ms : 100));
+        if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
         wait = true;
       } else if (type != "lease") {
         report.note = "unexpected message '" + type + "'";

@@ -173,6 +173,38 @@ TEST_F(FramePair, FuzzedGarbageNeverReadsAsAFrame) {
   }
 }
 
+TEST(DistProtocol, RecvTimeoutKeepsAPartialFrame) {
+  // A deadline that expires mid-frame must lose no bytes: the next recv
+  // completes the same frame instead of starting mid-stream on bad magic.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Conn writer(fds[0]);
+  Conn reader(fds[1]);
+  const std::string payload =
+      cert::Json(cert::Json::Object{{"type", "record"}, {"note", std::string(4000, 'n')}})
+          .to_string();
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  std::string frame(kFrameMagic, 4);
+  for (const int shift : {24, 16, 8, 0}) frame += static_cast<char>((size >> shift) & 0xff);
+  frame += payload;
+  const std::size_t cut = 8 + payload.size() / 2;  // header plus half the payload
+  ASSERT_EQ(::write(fds[0], frame.data(), cut), static_cast<ssize_t>(cut));
+
+  cert::Json message;
+  EXPECT_EQ(reader.recv(&message, 50), FrameStatus::kTimeout);
+  EXPECT_TRUE(reader.readable());  // the partial frame is still in flight
+  ASSERT_EQ(::write(fds[0], frame.data() + cut, frame.size() - cut),
+            static_cast<ssize_t>(frame.size() - cut));
+  ASSERT_EQ(reader.recv(&message, 1000), FrameStatus::kOk);
+  EXPECT_EQ(message.to_string(), payload);
+
+  // The stream stays aligned for the frame after it.
+  ASSERT_TRUE(writer.send(cert::Json::Object{{"type", "heartbeat"}}));
+  ASSERT_EQ(reader.recv(&message, 1000), FrameStatus::kOk);
+  EXPECT_EQ(message.at("type").as_string(), "heartbeat");
+  EXPECT_FALSE(reader.readable());
+}
+
 // --- addresses and wire conversions ----------------------------------------
 
 TEST(DistProtocol, ParsesAddresses) {
@@ -578,6 +610,73 @@ TEST(DistEndToEnd, LegacyPeerWithoutFeaturesDegrades) {
   EXPECT_EQ(run.stats.workers_lost, 1);
 }
 
+TEST(DistEndToEnd, ShutdownDoesNotWaitForTheHeartbeat) {
+  // The heartbeat thread must stop at once when the run is over, not sleep
+  // out its period: with a 60-s beat, a sleeping heartbeat would hold the
+  // worker's exit for a full minute.
+  const std::string address = "unix:" + temp_path("dist_heartbeat_exit.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 300.0;  // admits a 60-s heartbeat period
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+
+  WorkerOptions worker;
+  worker.connect = address;
+  worker.label = "slow-beat";
+  worker.heartbeat_ms = 60'000;
+  const auto before = std::chrono::steady_clock::now();
+  const WorkerReport report = run_worker(worker);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - before).count();
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(report.completed) << report.note;
+  EXPECT_LT(elapsed, 10.0) << "worker exit waited on its heartbeat period";
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
+}
+
+TEST(DistEndToEnd, ParkedWorkerIsWokenByReassignment) {
+  // A scripted peer takes a lease and holds it; a real worker drains the
+  // rest and parks on `next` (long poll, crossing the park bound at least
+  // once). When the peer drops, its lease goes pending and must reach the
+  // parked worker at once, not after the lease timeout.
+  const std::string address = "unix:" + temp_path("dist_parked.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 120.0;  // reassignment must come from the EOF
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  Conn holder(fd);
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(holder, "holder"));
+  LeaseGrant grant;
+  ASSERT_TRUE(acquire_lease(holder, &grant));
+
+  WorkerReport report;
+  std::thread worker([&] { report = run_one_worker(address, "parked"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  const auto dropped = std::chrono::steady_clock::now();
+  holder.close();
+  worker.join();
+  const double after_drop =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - dropped).count();
+  run.join();
+
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(report.completed) << report.note;
+  EXPECT_LT(after_drop, 30.0) << "the re-pended lease waited for a timeout";
+  EXPECT_GE(run.stats.leases_reassigned, 1);
+  EXPECT_EQ(run.stats.workers_lost, 1);
+  EXPECT_EQ(run.stats.lease_timeouts, 0);
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, reference[0].verdict);
+  EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+  EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
+}
+
 TEST(DistEndToEnd, ResumesFromAJournal) {
   const std::string journal = temp_path("dist_resume.jsonl");
   const std::string address1 = "unix:" + temp_path("dist_resume1.sock");
@@ -652,6 +751,48 @@ TEST(DistEndToEnd, WorkerReportsAMalformedWelcome) {
   std::remove(path.c_str());
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.note.find("malformed welcome"), std::string::npos) << report.note;
+}
+
+TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
+  // A coordinator that closes while the worker sleeps off a "wait" leaves
+  // the shutdown in the worker's receive buffer, here behind a learn
+  // broadcast. The worker's next `next` fails to send; it must read past
+  // the learn frame to the shutdown and end cleanly, not take the closed
+  // connection for a lost one (which, with a reconnect budget, spins until
+  // the budget runs out).
+  const std::string path = temp_path("dist_queued_shutdown.sock");
+  Address addr;
+  addr.unix_domain = true;
+  addr.path = path;
+  const int listen_fd = listen_on(addr);
+  std::thread fake([&] {
+    const int cfd = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(cfd, 0);
+    Conn conn(cfd);
+    cert::Json msg;
+    ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // hello
+    const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
+    ASSERT_TRUE(conn.send(cert::Json::Object{
+        {"type", "welcome"},
+        {"protocol", kDistProtocolVersion},
+        {"model_hash", checker::model_content_hash(ta)},
+        {"model_text", kEchoModel},
+        {"properties", specs_to_json({{"safe", kHoldsFormula, false}})},
+        {"options", options_to_json(checker::CheckOptions{})},
+        {"features", cert::Json::Array{"learn"}}}));
+    ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // next
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "wait"}, {"ms", std::int64_t{300}}}));
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "learn"}, {"p", std::int64_t{0}}}));
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}}));
+    conn.close();
+  });
+  WorkerOptions options;
+  options.connect = "unix:" + path;
+  const WorkerReport report = run_worker(options);
+  fake.join();
+  ::close(listen_fd);
+  std::remove(path.c_str());
+  EXPECT_TRUE(report.completed) << report.note;
 }
 
 TEST(DistReconnect, WorkerStartedBeforeTheCoordinatorEventuallyCompletes) {
