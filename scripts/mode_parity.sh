@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Execution-mode parity: every bundled model's default properties must get
 # the same `hvc check --json` verdicts whether one thread, four threads or
-# two forked worker processes settle the schemas; and two one-thread
-# certifying runs of the simplified consensus must emit byte-identical
-# certificates.
+# two forked worker processes settle the schemas, with cross-schema learning
+# off (one thread and the fleet) and with one-shot instead of incremental
+# solving; and two one-thread certifying runs of the simplified consensus
+# must emit byte-identical certificates.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +26,8 @@ for model in models/*.ta; do
   # result): cap it as the certify step does; "unknown" must still agree.
   if [ "$name" = naive_consensus ]; then cap=(--max-schemas 500 --timeout 60); fi
   reference=""
-  for mode in "--threads 1" "--threads 4" "--workers 2"; do
+  for mode in "--threads 1" "--threads 4" "--workers 2" "--threads 1 --no-lemmas" \
+              "--threads 1 --no-incremental" "--workers 2 --no-lemmas"; do
     tag="$name.${mode// /}"
     code=0
     # shellcheck disable=SC2086

@@ -316,13 +316,12 @@ ProgressJournal::~ProgressJournal() {
 }
 
 void journal_append(ProgressJournal* journal, const std::string& property,
-                    const std::string& cursor, const std::string& verdict, std::int64_t length,
-                    std::int64_t pivots, const std::string& note, std::int64_t cut) {
-  if (journal != nullptr) journal->append({property, cursor, verdict, length, pivots, cut, note});
+                    const SchemaRecord& record) {
+  if (journal != nullptr) journal->append(property, record);
 }
 
-void ProgressJournal::append(const JournalRecord& record) {
-  std::string line = "{\"p\":\"" + escape(record.property) + "\",\"c\":\"" +
+void ProgressJournal::append(const std::string& property, const SchemaRecord& record) {
+  std::string line = "{\"p\":\"" + escape(property) + "\",\"c\":\"" +
                      escape(record.cursor) + "\",\"v\":\"" + escape(record.verdict) + "\"";
   if (record.length != 0) line += ",\"len\":" + std::to_string(record.length);
   if (record.pivots != 0) line += ",\"piv\":" + std::to_string(record.pivots);

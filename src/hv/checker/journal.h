@@ -65,11 +65,13 @@ struct JournalHeader {
   JournalHeader(std::string automaton_name, std::string hash);
 };
 
-/// One journal line. `verdict` is one of "unsat", "sat", "pruned",
-/// "unknown" or "revoked"; sat records exist for completeness but are
-/// re-solved on resume (the counterexample itself is not journaled). A
-/// "revoked" record is a compensating entry appended by the distributed
-/// coordinator when a spot check catches a worker lying: on load it
+/// One journal line: a SchemaRecord (schema.h) of `property` whose fast,
+/// big and retries counters are not journaled. `verdict` is one of "unsat",
+/// "sat", "pruned", "unknown" or "revoked"; sat records exist for
+/// completeness but are re-solved on resume (the counterexample itself is
+/// not journaled). A "revoked" record is a compensating entry appended by
+/// the distributed coordinator when a spot check catches a worker lying: on
+/// load it
 /// *erases* any earlier record for the same cursor, so a resumed run
 /// re-solves the schema instead of trusting the forged verdict. An unsat record
 /// whose refutation only referenced the first `cut` elements of the
@@ -78,14 +80,8 @@ struct JournalHeader {
 /// the field instead of re-deriving it. Riding on the unsat record (rather
 /// than a separate line) keeps the verdict and the cut atomic — a kill
 /// can lose both, never one without the other.
-struct JournalRecord {
+struct JournalRecord : SchemaRecord {
   std::string property;
-  std::string cursor;
-  std::string verdict;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  std::int64_t cut = -1;
-  std::string note;
 };
 
 /// Append-only JSONL writer shared by all workers of a run. Thread-safe;
@@ -101,7 +97,8 @@ class ProgressJournal {
   ProgressJournal(const ProgressJournal&) = delete;
   ProgressJournal& operator=(const ProgressJournal&) = delete;
 
-  void append(const JournalRecord& record);
+  void append(const std::string& property, const SchemaRecord& record);
+  void append(const JournalRecord& record) { append(record.property, record); }
   /// Durability point: fflush + fsync.
   void flush();
 
@@ -119,9 +116,7 @@ class ProgressJournal {
 
 /// Appends one record to `journal`; a no-op when journaling is off (null).
 void journal_append(ProgressJournal* journal, const std::string& property,
-                    const std::string& cursor, const std::string& verdict,
-                    std::int64_t length = 0, std::int64_t pivots = 0,
-                    const std::string& note = {}, std::int64_t cut = -1);
+                    const SchemaRecord& record);
 
 /// Parsed journal contents: settled verdicts keyed by (property, cursor).
 /// Later records for the same key win (a schema re-solved after a degraded

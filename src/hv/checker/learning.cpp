@@ -32,6 +32,12 @@ bool CutIndex::covers(const std::vector<int>& chain) const {
   return false;
 }
 
+std::optional<std::vector<int>> cut_prefix(const std::vector<int>& unlock_order,
+                                           std::int64_t cut) {
+  if (cut < 0 || cut > static_cast<std::int64_t>(unlock_order.size())) return std::nullopt;
+  return std::vector<int>(unlock_order.begin(), unlock_order.begin() + cut);
+}
+
 std::vector<std::vector<int>> CutIndex::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cuts_;

@@ -28,8 +28,10 @@
 #define HV_CHECKER_LEARNING_H
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "hv/smt/lemma.h"
@@ -56,6 +58,12 @@ class CutIndex {
   mutable std::mutex mutex_;
   std::vector<std::vector<int>> cuts_;
 };
+
+/// The chain prefix an unsat refutation of depth `cut` proves infeasible:
+/// the first `cut` elements of `unlock_order`, or nullopt when `cut` is out
+/// of range (-1 means the refutation cut nothing).
+std::optional<std::vector<int>> cut_prefix(const std::vector<int>& unlock_order,
+                                           std::int64_t cut);
 
 /// Learning state of one (property, query) pair.
 struct QueryLearning {

@@ -68,112 +68,6 @@ void bump(std::atomic<std::int64_t> ProgressCounters::* counter, const RunContex
   if (ctx.progress != nullptr) (ctx.progress->*counter).fetch_add(1, std::memory_order_relaxed);
 }
 
-// Settles one schema through the shared SchemaSolver retry ladder
-// (schema_solver.h) and applies its outcome to the worker's tally and the
-// run: journal, certificate evidence, counterexample selection. Throws
-// WorkerAbortFault on an injected worker death; the worker then retires.
-void settle_unit(SchemaSolver& solver, const spec::Property& property,
-                 std::size_t query_index, const Schema& schema, const std::string& cursor,
-                 const CheckOptions& options, const QueryCone* cone, double remaining_seconds,
-                 RunState& state, PropertyTally& tally, const RunContext& ctx,
-                 PropertyLearning* learning) {
-  UnitOutcome outcome = solver.solve(query_index, schema, cone, remaining_seconds);
-  tally.retries += outcome.retries;
-  tally.lemma_hits += outcome.lemma_hits;
-  tally.lemmas_learned += outcome.lemmas_learned;
-  switch (outcome.kind) {
-    case UnitOutcome::Kind::kAborted: {
-      ++tally.unknown;
-      bump(&ProgressCounters::unknown, ctx);
-      if (tally.degrade_note.empty()) tally.degrade_note = outcome.note;
-      journal_append(ctx.journal, property.name, cursor, "unknown", 0, 0, outcome.note);
-      throw WorkerAbortFault{};
-    }
-    case UnitOutcome::Kind::kInterrupted:
-      halt(state, outcome.note == "cancelled" ? &RunEnd::interrupted : &RunEnd::timed_out);
-      return;
-    case UnitOutcome::Kind::kUnknown: {
-      // Retry ladder exhausted: record the schema as unknown and keep going.
-      ++tally.unknown;
-      bump(&ProgressCounters::unknown, ctx);
-      if (tally.degrade_note.empty()) {
-        tally.degrade_note = "schema degraded to unknown: " + outcome.note;
-      }
-      journal_append(ctx.journal, property.name, cursor, "unknown", 0, 0, outcome.note);
-      return;
-    }
-    case UnitOutcome::Kind::kUnsat:
-    case UnitOutcome::Kind::kSat:
-      break;
-  }
-
-  const bool sat = outcome.kind == UnitOutcome::Kind::kSat;
-  ++tally.checked;
-  bump(&ProgressCounters::solved, ctx);
-  tally.total_length += outcome.length;
-  tally.pivots += outcome.pivots;
-  tally.rational_fast_ops += outcome.rational_fast_ops;
-  tally.rational_big_ops += outcome.rational_big_ops;
-  // Core-based subtree cut: the refutation only referenced constraints of
-  // the first cut_prefix chain elements, so every schema whose unlock order
-  // extends that prefix (any cut placement) is unsat too. The cut rides on
-  // the unsat journal record itself so a kill can never persist the verdict
-  // without the cut (or vice versa) and a resumed run replays the skip.
-  std::int64_t cut_field = -1;
-  if (!sat && learning != nullptr && outcome.cut_prefix >= 0 &&
-      outcome.cut_prefix <= static_cast<int>(schema.unlock_order.size())) {
-    std::vector<int> prefix(schema.unlock_order.begin(),
-                            schema.unlock_order.begin() + outcome.cut_prefix);
-    if (learning->queries[query_index].cuts.add(prefix)) cut_field = outcome.cut_prefix;
-  }
-  journal_append(ctx.journal, property.name, cursor, sat ? "sat" : "unsat", outcome.length,
-                 outcome.pivots, {}, cut_field);
-  if (options.certify) {
-    tally.evidence.push_back({query_index, schema, sat, outcome.proof, outcome.model});
-  }
-  if (!sat) return;
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (!outcome.validation_error.empty()) {
-    if (state.end.error_note.empty()) {
-      state.end.error_note =
-          "internal: counterexample failed replay validation: " + outcome.validation_error;
-    }
-  } else if (!state.end.counterexample) {
-    state.end.counterexample = std::move(*outcome.counterexample);
-  }
-  state.stop.store(true);
-}
-
-// Resume fast path: when the journal settled this (property, schema), replay
-// its verdict into the tally and skip the solve. Sat records are re-solved
-// (the counterexample itself is not journaled). Returns true iff the schema
-// was settled here.
-bool try_resume(const spec::Property& property, const std::string& cursor, PropertyTally& tally,
-                const RunContext& ctx) {
-  if (ctx.resume == nullptr) return false;
-  const JournalRecord* record = ctx.resume->find(property.name, cursor);
-  if (record == nullptr || record->verdict == "sat") return false;
-  ++tally.resumed;
-  bump(&ProgressCounters::resumed, ctx);
-  if (record->verdict == "unsat") {
-    ++tally.checked;
-    tally.total_length += record->length;
-    tally.pivots += record->pivots;
-    bump(&ProgressCounters::solved, ctx);
-  } else if (record->verdict == "pruned") {
-    ++tally.pruned;
-    bump(&ProgressCounters::pruned, ctx);
-  } else {  // "unknown"
-    ++tally.unknown;
-    bump(&ProgressCounters::unknown, ctx);
-    if (tally.degrade_note.empty()) {
-      tally.degrade_note = "schema degraded to unknown (resumed): " + record->note;
-    }
-  }
-  if (ctx.copy_resumed) ctx.journal->append(*record);
-  return true;
-}
-
 }  // namespace
 
 bool lemmas_enabled(const CheckOptions& options) {
@@ -324,23 +218,21 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
   // re-deriving the refutations.
   if (learn != nullptr && ctx.resume != nullptr) {
     for (const auto& [key, record] : ctx.resume->settled) {
-      if (record.verdict != "unsat" || record.cut < 0 || record.property != property.name) {
-        continue;
-      }
       std::size_t q = 0;
       Schema schema;
-      if (!parse_schema_cursor(record.cursor, &q, &schema) ||
-          q >= property.queries.size() ||
-          record.cut > static_cast<std::int64_t>(schema.unlock_order.size())) {
+      if (record.verdict != "unsat" || record.property != property.name ||
+          !parse_schema_cursor(record.cursor, &q, &schema) || q >= property.queries.size()) {
         continue;
       }
-      schema.unlock_order.resize(static_cast<std::size_t>(record.cut));
-      learn->queries[q].cuts.add(schema.unlock_order);
+      if (const auto prefix = cut_prefix(schema.unlock_order, record.cut)) {
+        learn->queries[q].cuts.add(*prefix);
+      }
     }
   }
 
-  // The resume -> cut -> cone -> settle path of one schema, shared by every
-  // worker. Returns false to stop the worker's current subtree.
+  // The resume -> step_schema -> count path of one schema, shared by every
+  // worker. Returns false to stop the worker's current subtree; throws
+  // WorkerAbortFault on an injected worker death, and the worker retires.
   const auto visit_schema = [&](SchemaSolver& solver, PropertyTally& tally, std::size_t q,
                                 const Schema& schema) {
     if (state.stop.load()) return false;
@@ -359,23 +251,48 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
       halt(state, &RunEnd::budget_exhausted);
       return false;
     }
-    bump(&ProgressCounters::enumerated, ctx);
-    const std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
-    if (try_resume(property, cursor, tally, ctx)) return true;
-    if (learn != nullptr && learn->queries[q].cuts.covers(schema.unlock_order)) {
-      ++tally.cut;
-      bump(&ProgressCounters::cut, ctx);
-      return true;
+    std::string cursor = need_cursor ? schema_cursor(q, schema) : std::string();
+    // Resume fast path: replay the journaled verdict instead of solving. Sat
+    // records are re-solved (the counterexample itself is not journaled).
+    if (ctx.resume != nullptr) {
+      const JournalRecord* record = ctx.resume->find(property.name, cursor);
+      if (record != nullptr && record->verdict != "sat") {
+        tally.count(*record, ctx.progress, /*resumed=*/true);
+        if (ctx.copy_resumed) ctx.journal->append(*record);
+        return true;
+      }
     }
-    if (options.property_directed_pruning && !cones[q].schema_feasible(schema)) {
-      ++tally.pruned;
-      bump(&ProgressCounters::pruned, ctx);
-      journal_append(ctx.journal, property.name, cursor, "pruned");
-      if (options.certify) tally.pruned_schemas.push_back({q, schema});
-      return true;
+    SchemaStep step = step_schema(solver, learn, cone_for(q), q, schema, remaining_time());
+    tally.lemma_hits += step.outcome.lemma_hits;
+    tally.lemmas_learned += step.outcome.lemmas_learned;
+    switch (step.kind) {
+      case SchemaStep::Kind::kCut:
+        ++tally.cut;
+        bump(&ProgressCounters::enumerated, ctx);
+        bump(&ProgressCounters::cut, ctx);
+        return true;
+      case SchemaStep::Kind::kInterrupted:
+        halt(state, step.outcome.note == "cancelled" ? &RunEnd::interrupted : &RunEnd::timed_out);
+        return false;
+      case SchemaStep::Kind::kSettled:
+      case SchemaStep::Kind::kAborted:
+        break;
     }
-    settle_unit(solver, property, q, schema, cursor, options, cone_for(q), remaining_time(),
-                state, tally, ctx, learn);
+    SchemaRecord& record = step.record;
+    record.cursor = std::move(cursor);
+    tally.count(record, ctx.progress, /*resumed=*/false);
+    journal_append(ctx.journal, property.name, record);
+    const bool sat = record.verdict == "sat";
+    if (options.certify && record.verdict == "pruned") tally.pruned_schemas.push_back({q, schema});
+    if (options.certify && (sat || record.verdict == "unsat")) {
+      tally.evidence.push_back({q, schema, sat, step.outcome.proof, step.outcome.model});
+    }
+    if (step.kind == SchemaStep::Kind::kAborted) throw WorkerAbortFault{};
+    if (sat) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.end.witness(std::move(step.outcome.counterexample), step.outcome.validation_error);
+      state.stop.store(true);
+    }
     return !state.stop.load();
   };
 

@@ -58,6 +58,43 @@ PropertyTally& PropertyTally::operator+=(PropertyTally&& other) {
   return *this;
 }
 
+void PropertyTally::count(const SchemaRecord& record, ProgressCounters* progress, bool resumed,
+                          int sign) {
+  const auto add = [&](std::int64_t& field, std::atomic<std::int64_t> ProgressCounters::* live) {
+    field += sign;
+    if (progress != nullptr) (progress->*live).fetch_add(sign, std::memory_order_relaxed);
+  };
+  add(enumerated, &ProgressCounters::enumerated);
+  retries += sign * record.retries;
+  if (resumed) add(this->resumed, &ProgressCounters::resumed);
+  if (record.verdict == "pruned") {
+    add(pruned, &ProgressCounters::pruned);
+  } else if (record.verdict == "unsat" || record.verdict == "sat") {
+    add(checked, &ProgressCounters::solved);
+    total_length += sign * record.length;
+    pivots += sign * record.pivots;
+    rational_fast_ops += sign * record.fast;
+    rational_big_ops += sign * record.big;
+  } else {
+    add(unknown, &ProgressCounters::unknown);
+    if (sign > 0 && degrade_note.empty()) {
+      degrade_note = (resumed ? "schema degraded to unknown (resumed): "
+                              : "schema degraded to unknown: ") +
+                     record.note;
+    }
+  }
+}
+
+void RunEnd::witness(std::optional<Counterexample> cex, const std::string& validation_error) {
+  if (!validation_error.empty()) {
+    if (error_note.empty()) {
+      error_note = "internal: counterexample failed replay validation: " + validation_error;
+    }
+  } else if (cex && !counterexample) {
+    counterexample = std::move(cex);
+  }
+}
+
 std::string Counterexample::to_string(const ta::ThresholdAutomaton& ta) const {
   std::ostringstream os;
   os << "counterexample to " << property << " (" << query_description << ")\n";

@@ -160,6 +160,13 @@ struct PropertyTally {
 
   /// Folds a retired worker's tally in; the first degrade note is kept.
   PropertyTally& operator+=(PropertyTally&& other);
+
+  /// Counts one settled schema (sign +1) or takes it back (sign -1, a
+  /// revoked worker record): enumerated, retries, resumed and the counter
+  /// its verdict lands in, mirrored into the live `progress` counters (null:
+  /// nobody watching). The first unknown schema sets the degrade note.
+  void count(const SchemaRecord& record, ProgressCounters* progress, bool resumed,
+             int sign = 1);
 };
 
 /// Why a property run stopped: the inputs of the verdict precedence ladder
@@ -179,6 +186,10 @@ struct RunEnd {
   bool covered = true;
   /// Appended to the note whatever the verdict (distributed spot checks).
   std::string disagreement;
+
+  /// Folds in a sat schema's witness: a counterexample that failed replay
+  /// validation becomes the error note, else the first counterexample wins.
+  void witness(std::optional<Counterexample> cex, const std::string& validation_error);
 };
 
 struct PropertyResult {

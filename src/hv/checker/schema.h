@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "hv/checker/guard_analysis.h"
@@ -43,6 +44,30 @@ struct Schema {
   std::vector<int> cut_positions;
 
   int segment_count() const noexcept { return static_cast<int>(unlock_order.size()) + 1; }
+};
+
+/// One settled (query, schema) unit, whichever executor settled it: the
+/// in-process pool, a fleet worker, the coordinator's own solver, or a
+/// journal replay. PropertyTally::count (result.h) is the only place a
+/// record turns into counters; the journal (journal.h) and the worker's
+/// record frames (dist/protocol.h) serialize it.
+struct SchemaRecord {
+  /// schema_cursor (journal.h); empty when no journal or resume is open.
+  std::string cursor;
+  /// "pruned", "unsat", "sat" or "unknown".
+  std::string verdict;
+  std::int64_t length = 0;
+  std::int64_t pivots = 0;
+  /// Rational fast-path / BigInt op split (never journaled).
+  std::int64_t fast = 0;
+  std::int64_t big = 0;
+  /// Fresh-solver retries taken (never journaled).
+  std::int64_t retries = 0;
+  /// Why an unknown schema degraded.
+  std::string note;
+  /// Unsat only: the refutation used just the first `cut` chain elements,
+  /// so every schema extending that prefix is unsat too (-1: no cut).
+  std::int64_t cut = -1;
 };
 
 struct EnumerationOptions {

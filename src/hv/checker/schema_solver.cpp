@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hv/checker/cone.h"
 #include "hv/util/error.h"
 
 namespace hv::checker {
@@ -177,6 +178,52 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
   }
   outcome.counterexample = std::move(*result.counterexample);
   return outcome;
+}
+
+SchemaStep step_schema(SchemaSolver& solver, PropertyLearning* learning, const QueryCone* cone,
+                       std::size_t q, const Schema& schema, double remaining_seconds) {
+  SchemaStep step;
+  SchemaRecord& record = step.record;
+  if (learning != nullptr && learning->queries[q].cuts.covers(schema.unlock_order)) {
+    step.kind = SchemaStep::Kind::kCut;
+    return step;
+  }
+  if (cone != nullptr && !cone->schema_feasible(schema)) {
+    record.verdict = "pruned";
+    return step;
+  }
+  UnitOutcome& outcome = step.outcome;
+  outcome = solver.solve(q, schema, cone, remaining_seconds);
+  record.retries = outcome.retries;
+  switch (outcome.kind) {
+    case UnitOutcome::Kind::kInterrupted:
+      step.kind = SchemaStep::Kind::kInterrupted;
+      return step;
+    case UnitOutcome::Kind::kAborted:
+      step.kind = SchemaStep::Kind::kAborted;
+      [[fallthrough]];
+    case UnitOutcome::Kind::kUnknown:
+      record.verdict = "unknown";
+      record.note = std::move(outcome.note);
+      return step;
+    case UnitOutcome::Kind::kUnsat:
+    case UnitOutcome::Kind::kSat:
+      break;
+  }
+  const bool sat = outcome.kind == UnitOutcome::Kind::kSat;
+  record.verdict = sat ? "sat" : "unsat";
+  record.length = outcome.length;
+  record.pivots = outcome.pivots;
+  record.fast = outcome.rational_fast_ops;
+  record.big = outcome.rational_big_ops;
+  // Core-based subtree cut: every schema whose unlock order extends the
+  // refuted prefix (any cut placement) is unsat too. It rides on the unsat
+  // record so a journal or a frame never carries the verdict without it.
+  if (!sat && learning != nullptr) {
+    const auto prefix = cut_prefix(schema.unlock_order, outcome.cut_prefix);
+    if (prefix && learning->queries[q].cuts.add(*prefix)) record.cut = outcome.cut_prefix;
+  }
+  return step;
 }
 
 IncrementalStats SchemaSolver::stats() const {

@@ -9,11 +9,14 @@
 //      retried once on a fresh non-incremental solver;
 //   3. only then is the unit reported as unknown — the run continues.
 //
-// The solver reports outcomes; journaling, statistics and run-level verdict
-// aggregation stay with the caller (parameterized.cpp in-process, the lease
-// protocol in hv/dist). Run-level interrupts (external cancellation, global
-// timeout) are reported as kInterrupted, never retried and never charged
-// against the schema.
+// step_schema wraps the ladder in the full per-schema path every executor
+// shares — cut cover, cone, solve, cut derivation — and reports a
+// SchemaRecord (schema.h). Executors differ only in where the record goes:
+// the in-process pool counts and journals it (parameterized.cpp), a fleet
+// worker ships it as a frame, the coordinator's self-solve merges it like a
+// worker frame (hv/dist). Run-level interrupts (external cancellation,
+// global timeout) are reported as kInterrupted, never retried and never
+// charged against the schema.
 #ifndef HV_CHECKER_SCHEMA_SOLVER_H
 #define HV_CHECKER_SCHEMA_SOLVER_H
 
@@ -124,6 +127,28 @@ class SchemaSolver {
   std::vector<std::unique_ptr<IncrementalSchemaEncoder>> encoders_;
   IncrementalStats retired_;
 };
+
+/// What step_schema did with one schema.
+struct SchemaStep {
+  enum class Kind {
+    kCut,          // covered by a recorded subtree cut: no record, no solve
+    kSettled,      // `record` holds a pruned, unsat, sat or unknown verdict
+    kInterrupted,  // run-level cancel or global timeout (outcome.note says which)
+    kAborted,      // WorkerAbortFault; `record` is the unknown the worker leaves
+  };
+  Kind kind = Kind::kSettled;
+  /// Everything but the cursor, which the caller fills in when it needs one.
+  SchemaRecord record;
+  /// The solve, when one ran: witness, proof, model and lemma activity.
+  UnitOutcome outcome;
+};
+
+/// Settles one schema: a cut in `learning` (null: no learning) covers it,
+/// or the cone (null: pruning off) prunes it, or `solver` solves it. An
+/// unsat refutation's new subtree cut goes into `learning` and, when it is
+/// new there, into record.cut.
+SchemaStep step_schema(SchemaSolver& solver, PropertyLearning* learning, const QueryCone* cone,
+                       std::size_t q, const Schema& schema, double remaining_seconds);
 
 }  // namespace hv::checker
 

@@ -18,7 +18,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "hv/cert/certificate.h"
 #include "hv/checker/fault.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
@@ -107,21 +106,6 @@ struct WorkerHealth {
   bool banned = false;
 };
 
-/// One applied record of an untrusted origin, remembered (only while
-/// spot-checking is armed) so a later disagreement can revoke everything
-/// that origin contributed.
-struct AppliedRecord {
-  std::size_t p = 0;
-  std::size_t q = 0;
-  std::string cursor;
-  std::string verdict;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  std::int64_t fast_ops = 0;
-  std::int64_t big_ops = 0;
-  std::int64_t retries = 0;
-};
-
 // A settled verdict in one byte: 'p'runed, 'u'nsat, 's'at, or '?' for
 // anything inconclusive.
 char verdict_code(const std::string& verdict) {
@@ -190,6 +174,8 @@ struct Coord {
   /// already-settled one.
   std::vector<std::unordered_map<std::string, char>> settled;
   checker::ProgressJournal* journal = nullptr;
+  /// Re-journal resumed records (the resume file is not the one written).
+  bool copy_resumed = false;
   /// Lease-state events (see lease_state_changed) bump the epoch and wake
   /// both kinds of waiter: `next` handlers parked on lease_cv and the
   /// accept loop, whose poll set holds accept_wake.
@@ -209,7 +195,8 @@ struct Coord {
   /// Byzantine defense: per-label health, per-origin applied-record logs
   /// (spot-check mode only) and the next connection serial.
   std::unordered_map<std::string, WorkerHealth> health;
-  std::unordered_map<int, std::vector<AppliedRecord>> applied_by_origin;
+  std::unordered_map<int, std::vector<std::pair<std::size_t, checker::SchemaRecord>>>
+      applied_by_origin;
   int next_origin = 0;
   /// Spot checks currently running outside the mutex; run_complete waits
   /// for zero so a pending revocation can never race the run's completion.
@@ -366,69 +353,78 @@ bool fold_cut(Coord& c, std::size_t p, std::size_t q, std::vector<int> prefix) {
   return true;
 }
 
-// Applies one settled verdict to the merge state (caller holds the mutex).
-// `resumed` distinguishes journal replay from live records; `origin` is the
-// reporting connection's serial (-1: resume replay or in-process solve) and
-// feeds the revocation log while spot-checking is armed. Returns false iff
-// the cursor was already settled (duplicate after a reassignment).
-bool apply_record(Coord& c, std::size_t p, std::size_t q, const checker::Schema& schema,
-                  const std::string& cursor, const std::string& verdict, std::int64_t length,
-                  std::int64_t pivots, std::int64_t cut, std::int64_t fast_ops,
-                  std::int64_t big_ops, std::int64_t retries, const std::string& note,
-                  bool resumed, bool journal_this, int origin = -1) {
-  const std::vector<spec::Property>& properties = *c.properties;
+// Where a settled schema comes from: a worker connection (`origin` is its
+// serial, `conn` its socket), the coordinator's own solver (origin -1), or
+// the resume journal.
+struct Source {
+  int origin = -1;
+  const Conn* conn = nullptr;
+  bool resumed = false;
+};
+
+// Merges one settled schema (caller holds the mutex), whoever settled it:
+// dedup, tally, journal, certificate evidence, the sat witness and a subtree
+// cut riding on an unsat record. `solve` carries the witness, proof and
+// model. Returns false iff the schema was dropped: a duplicate after a
+// reassignment, or a property that is already settled.
+bool merge_schema(Coord& c, std::size_t p, std::size_t q, const checker::Schema& schema,
+                  const checker::SchemaRecord& record, checker::UnitOutcome solve,
+                  const Source& from) {
   PropMerge& prop = c.props[p];
   // A settled property wants no more verdicts: in-flight records from a
   // worker that has not yet seen its abandon frame are dropped, keeping the
   // counters identical to an in-process run that stopped enumerating there.
   if (prop.stopped || prop.end.budget_exhausted) return false;
-  if (!c.settled[p].emplace(cursor, verdict_code(verdict)).second) return false;
+  if (!c.settled[p].emplace(record.cursor, verdict_code(record.verdict)).second) return false;
   for (Lease& lease : c.leases) {
     if (lease.property == p && lease.query == q && task_covers(lease.task, schema.unlock_order)) {
-      if (lease.state != LeaseState::kDone) lease.settled.push_back(cursor);
+      if (lease.state != LeaseState::kDone) lease.settled.push_back(record.cursor);
       break;  // subtrees are disjoint
     }
   }
-  if (origin >= 0 && c.options->spot_check_rate > 0.0) {
-    c.applied_by_origin[origin].push_back(
-        {p, q, cursor, verdict, length, pivots, fast_ops, big_ops, retries});
+  prop.tally.count(record, c.check.progress, from.resumed);
+  if (!from.resumed || c.copy_resumed) {
+    checker::journal_append(c.journal, (*c.properties)[p].name, record);
   }
-  ++prop.tally.enumerated;
-  bump(c, &checker::ProgressCounters::enumerated);
-  prop.tally.retries += retries;
-  if (resumed) {
-    ++prop.tally.resumed;
-    bump(c, &checker::ProgressCounters::resumed);
+  const bool sat = record.verdict == "sat";
+  if (c.check.certify && record.verdict == "pruned") {
+    prop.tally.pruned_schemas.push_back({q, schema});
   }
-  if (verdict == "pruned") {
-    ++prop.tally.pruned;
-    bump(c, &checker::ProgressCounters::pruned);
-    if (c.check.certify) prop.tally.pruned_schemas.push_back({q, schema});
-  } else if (verdict == "unsat" || verdict == "sat") {
-    ++prop.tally.checked;
-    bump(c, &checker::ProgressCounters::solved);
-    prop.tally.total_length += length;
-    prop.tally.pivots += pivots;
-    prop.tally.rational_fast_ops += fast_ops;
-    prop.tally.rational_big_ops += big_ops;
-  } else {  // "unknown"
-    ++prop.tally.unknown;
-    bump(c, &checker::ProgressCounters::unknown);
-    if (prop.tally.degrade_note.empty()) {
-      prop.tally.degrade_note = resumed ? "schema degraded to unknown (resumed): " + note
-                                        : "schema degraded to unknown: " + note;
-    }
-  }
-  if (journal_this) {
-    checker::journal_append(c.journal, properties[p].name, cursor, verdict, length, pivots, note,
-                            cut);
+  if (c.check.certify && (sat || record.verdict == "unsat")) {
+    prop.tally.evidence.push_back({q, schema, sat, solve.proof, solve.model});
   }
   // The schema budget is per property, exactly like an in-process run.
-  if (!prop.end.budget_exhausted && !prop.stopped &&
-      prop.tally.enumerated >= c.check.enumeration.max_schemas) {
+  if (!prop.end.budget_exhausted && prop.tally.enumerated >= c.check.enumeration.max_schemas) {
     prop.end.budget_exhausted = true;
     drop_pending_leases(c, p);
     check_property_finished(c, p);
+  }
+  if (sat) {
+    prop.sat_origin = from.origin;
+    prop.end.witness(std::move(solve.counterexample), solve.validation_error);
+    prop.stopped = true;  // first witness wins; stop leasing this property
+    drop_pending_leases(c, p);
+    check_property_finished(c, p);
+  }
+  // A cut proves every schema extending the chain prefix unsat: fold it
+  // (settling covered pending leases) and broadcast it to the other
+  // learn-capable workers so they skip the doomed subtrees too.
+  if (c.learn && record.verdict == "unsat") {
+    const auto prefix = checker::cut_prefix(schema.unlock_order, record.cut);
+    if (prefix && fold_cut(c, p, q, *prefix)) {
+      cert::Json::Array prefix_json(prefix->begin(), prefix->end());
+      const cert::Json frame = cert::Json::Object{
+          {"type", "learn"},
+          {"p", static_cast<std::int64_t>(p)},
+          {"cuts", cert::Json::Array{cert::Json::Object{{"q", static_cast<std::int64_t>(q)},
+                                                        {"prefix", std::move(prefix_json)}}}}};
+      for (const ConnInfo& info : c.open_conns) {
+        if (info.learn && info.conn != from.conn) info.conn->send(frame);
+      }
+    }
+  }
+  if (from.origin >= 0 && c.options->spot_check_rate > 0.0) {
+    c.applied_by_origin[from.origin].emplace_back(p, record);
   }
   return true;
 }
@@ -457,31 +453,22 @@ bool spot_sampled(const Coord& c, const std::string& cursor, const std::string& 
   return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
 }
 
-/// Re-solves one reported schema in-process and compares. Returns an empty
-/// string on agreement (or an inconclusive re-solve — honest watchdog
-/// nondeterminism must not cost anyone a connection), else a description of
-/// the disagreement. Call WITHOUT the coordinator mutex: the solve can take
-/// as long as any schema takes.
+/// Re-settles one reported schema in-process (step_schema, no learning) and
+/// compares. Returns an empty string on agreement (or an inconclusive
+/// re-solve — honest watchdog nondeterminism must not cost anyone a
+/// connection), else a description of the disagreement. Call WITHOUT the
+/// coordinator mutex: the solve can take as long as any schema takes.
 std::string spot_disagreement(Coord& c, std::size_t p, std::size_t q,
                               const checker::Schema& schema, const std::string& verdict) {
   std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
-  const checker::QueryCone* cone = inline_cone_for(c, p, q);
-  if (verdict == "pruned") {
-    if (cone == nullptr) return "pruned a schema with property-directed pruning disabled";
-    return cone->schema_feasible(schema) ? "pruned a cone-feasible schema" : std::string();
+  const checker::SchemaStep step =
+      checker::step_schema(inline_solver_for(c, p), /*learning=*/nullptr,
+                           inline_cone_for(c, p, q), q, schema, inline_remaining(c));
+  const std::string& own = step.record.verdict;
+  if (step.kind != checker::SchemaStep::Kind::kSettled || own == "unknown" || own == verdict) {
+    return std::string();
   }
-  if (cone != nullptr && !cone->schema_feasible(schema)) {
-    return "solved ('" + verdict + "') a schema the coordinator's cone statically prunes";
-  }
-  const checker::UnitOutcome outcome =
-      inline_solver_for(c, p).solve(q, schema, cone, inline_remaining(c));
-  if (outcome.kind == checker::UnitOutcome::Kind::kUnsat && verdict == "sat") {
-    return "reported sat where the coordinator re-solves unsat";
-  }
-  if (outcome.kind == checker::UnitOutcome::Kind::kSat && verdict == "unsat") {
-    return "reported unsat where the coordinator re-solves sat";
-  }
-  return std::string();
+  return "reported '" + verdict + "' where the coordinator settles '" + own + "'";
 }
 
 /// Recomputes a lease's skip list from the settled set. Scans every settled
@@ -519,27 +506,11 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
   std::unordered_set<std::size_t> touched;
   const auto it = c.applied_by_origin.find(origin);
   if (it != c.applied_by_origin.end()) {
-    for (const AppliedRecord& rec : it->second) {
-      if (c.settled[rec.p].erase(rec.cursor) == 0) continue;
-      PropMerge& prop = c.props[rec.p];
-      --prop.tally.enumerated;
-      bump(c, &checker::ProgressCounters::enumerated, -1);
-      prop.tally.retries -= rec.retries;
-      if (rec.verdict == "pruned") {
-        --prop.tally.pruned;
-        bump(c, &checker::ProgressCounters::pruned, -1);
-      } else if (rec.verdict == "unsat" || rec.verdict == "sat") {
-        --prop.tally.checked;
-        bump(c, &checker::ProgressCounters::solved, -1);
-        prop.tally.total_length -= rec.length;
-        prop.tally.pivots -= rec.pivots;
-        prop.tally.rational_fast_ops -= rec.fast_ops;
-        prop.tally.rational_big_ops -= rec.big_ops;
-      } else {
-        --prop.tally.unknown;
-        bump(c, &checker::ProgressCounters::unknown, -1);
-      }
-      if (rec.verdict == "sat" && prop.sat_origin == origin) {
+    for (const auto& [p, record] : it->second) {
+      if (c.settled[p].erase(record.cursor) == 0) continue;
+      PropMerge& prop = c.props[p];
+      prop.tally.count(record, c.check.progress, /*resumed=*/false, /*sign=*/-1);
+      if (record.verdict == "sat" && prop.sat_origin == origin) {
         // The revoked worker's witness was what stopped this property;
         // un-stop it so coverage completes honestly.
         prop.stopped = false;
@@ -547,8 +518,11 @@ void revoke_origin(Coord& c, int origin, const std::string& label,
         prop.end.error_note.clear();
         prop.sat_origin = -1;
       }
-      checker::journal_append(c.journal, properties[rec.p].name, rec.cursor, "revoked");
-      touched.insert(rec.p);
+      checker::SchemaRecord revoked;
+      revoked.cursor = record.cursor;
+      revoked.verdict = "revoked";
+      checker::journal_append(c.journal, properties[p].name, revoked);
+      touched.insert(p);
     }
     c.applied_by_origin.erase(it);
   }
@@ -642,23 +616,123 @@ std::int64_t pick_lease(Coord& c, bool* work_left) {
   return grant;
 }
 
-// One connection's server side; runs on its own thread. `Coord` outlives
-// every handler (they are joined before serve_fd returns).
-void handle_connection(Coord& c, int fd) {
-  Conn conn(fd, /*subject_to_chaos=*/true);
-  cert::Json hello;
-  if (conn.recv(&hello, 10'000) != FrameStatus::kOk) return;
-  bool peer_learn = false;
+// Server side of one worker connection; runs on its own thread. `Coord`
+// outlives every session (handlers are joined before serve_fd returns).
+// serve() reads frames and hands each to the handler of its type; a handler
+// returns false to drop the connection.
+struct Session {
+  Session(Coord& coord, int fd) : c(coord), conn(fd, /*subject_to_chaos=*/true) {}
+
+  void serve();
+  bool admit();
+  bool on_silence();
+  bool on_next();
+  bool on_verdict(const cert::Json& msg);
+  bool on_learn(const cert::Json& msg);
+  void on_lease_done(const cert::Json& msg);
+  void release_current();
+  void mark_hostile_locked();
+  void punish_violation();
+
+  Coord& c;
+  Conn conn;
   std::string label = "worker";
+  bool learn = false;  // both sides advertised "learn"
+  int origin = -1;     // connection serial: the key of revoke_origin
+  std::int64_t current = -1;  // lease index held by this worker
+  /// Every lease ever granted on THIS connection: the trust set a record or
+  /// sat frame must cite from. A late record for an expropriated lease of
+  /// our own is honest (and deduplicated); a record citing anyone else's
+  /// lease is hostile.
+  std::unordered_set<std::int64_t> lease_history;
+  // Lease id the last "abandon" frame named (one per lease is enough — the
+  // worker reacts after its next streamed record).
+  std::int64_t abandon_sent_for = -2;
+  Clock::time_point last_activity = Clock::now();
+  bool clean = false;
+};
+
+void Session::serve() {
+  if (!admit()) return;
+  // The frame codec rejects garbage bytes, but a syntactically valid JSON
+  // frame can still carry missing or mistyped fields (worker bug, version
+  // skew, hostile peer); the throwing Json accessors in the handlers must
+  // never escape this thread — that would std::terminate the whole
+  // coordinator. A throw is a protocol violation: drop the connection,
+  // release the lease, exactly like a handler returning false.
   try {
-    if (hello.at("type").as_string() != "hello") return;
+    for (;;) {
+      cert::Json msg;
+      const FrameStatus status = conn.recv(&msg, 250);
+      if (status == FrameStatus::kTimeout) {
+        if (on_silence()) continue;
+        break;
+      }
+      if (status == FrameStatus::kBadMagic || status == FrameStatus::kOversized ||
+          status == FrameStatus::kError) {
+        punish_violation();  // malformed frame, not a death
+        break;
+      }
+      if (status != FrameStatus::kOk) break;  // EOF or torn frame
+      last_activity = Clock::now();
+      const cert::Json* type_field = msg.find("type");
+      if (type_field == nullptr) {
+        punish_violation();
+        break;
+      }
+      const std::string& type = type_field->as_string();
+      bool keep = true;
+      if (type == "next") {
+        keep = on_next();
+      } else if (type == "record" || type == "sat") {
+        keep = on_verdict(msg);
+      } else if (type == "learn") {
+        keep = on_learn(msg);
+      } else if (type == "lease_done") {
+        on_lease_done(msg);
+      } else if (type != "heartbeat") {
+        punish_violation();  // unknown message: protocol violation
+        keep = false;
+      }
+      if (!keep) break;
+    }
+  } catch (const std::exception&) {
+    // Malformed message from a peer that passed the handshake: this worker
+    // costs only its lease (plus health points: malformed frames feed the
+    // quarantine ladder).
+    punish_violation();
+  }
+
+  {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    release_current();
+    if (!clean) ++c.stats.workers_lost;
+    const auto it = std::find_if(c.open_conns.begin(), c.open_conns.end(),
+                                 [&](const ConnInfo& info) { return info.conn == &conn; });
+    if (it != c.open_conns.end()) {
+      c.open_conns.erase(it);
+      bump(c, &checker::ProgressCounters::workers, -1);
+    }
+  }
+  conn.close();
+}
+
+// The hello frame: protocol check, feature negotiation and the health gate.
+// On success sends the welcome and joins the fleet; false means not a
+// worker, or refused.
+bool Session::admit() {
+  cert::Json hello;
+  if (conn.recv(&hello, 10'000) != FrameStatus::kOk) return false;
+  bool peer_learn = false;
+  try {
+    if (hello.at("type").as_string() != "hello") return false;
     const cert::Json* protocol = hello.find("protocol");
     if (protocol == nullptr || protocol->as_int() != kDistProtocolVersion) {
       conn.send(cert::Json::Object{
           {"type", "shutdown"},
           {"reason", "protocol mismatch (coordinator speaks " +
                          std::to_string(kDistProtocolVersion) + ")"}});
-      return;
+      return false;
     }
     if (const cert::Json* label_field = hello.find("label")) {
       if (label_field->kind() == cert::Json::Kind::kString &&
@@ -677,7 +751,7 @@ void handle_connection(Coord& c, int fd) {
       }
     }
   } catch (const std::exception&) {
-    return;  // mistyped hello fields: not a worker
+    return false;  // mistyped hello fields: not a worker
   }
   {
     // Health gate: a banned or cooling-down label is refused before any
@@ -717,528 +791,302 @@ void handle_connection(Coord& c, int fd) {
     }
     if (!reason.empty()) {
       conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", reason}});
-      return;
+      return false;
     }
   }
-  if (!conn.send(c.welcome)) return;
-  const bool learn = c.learn && peer_learn;
-  int origin = -1;
+  if (!conn.send(c.welcome)) return false;
+  learn = c.learn && peer_learn;
+  std::lock_guard<std::mutex> lock(c.mutex);
+  origin = c.next_origin++;
+  ++c.stats.workers_joined;
+  c.open_conns.push_back({&conn, learn});
+  bump(c, &checker::ProgressCounters::workers);
+  lease_state_changed(c);  // a parked sibling may be waiting for the fleet
+  return true;
+}
+
+// A recv timed out. False once the worker counts as dead or wedged, or the
+// run is over and it holds no lease.
+bool Session::on_silence() {
+  const double silent = std::chrono::duration<double>(Clock::now() - last_activity).count();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  if (silent > c.options->lease_timeout_seconds) {
+    // Expropriating a lease feeds the label's health: a chronically
+    // timing-out worker ends up quarantined.
+    if (current >= 0) {
+      ++c.stats.lease_timeouts;
+      penalize(c, label, kTimeoutPenalty);
+    }
+    return false;
+  }
+  if (c.closing && current < 0) {
+    conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
+    clean = true;
+    return false;
+  }
+  return true;
+}
+
+// The `next` frame: grant a lease, or answer wait / shutdown.
+bool Session::on_next() {
+  cert::Json reply;
   {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    origin = c.next_origin++;
-    ++c.stats.workers_joined;
-    c.open_conns.push_back({&conn, learn});
-    bump(c, &checker::ProgressCounters::workers);
-    lease_state_changed(c);  // a parked sibling may be waiting for the fleet
-  }
-  const std::vector<spec::Property>& properties = *c.properties;
-
-  std::int64_t current = -1;  // lease index held by this worker
-  /// Every lease ever granted on THIS connection: the trust set a record or
-  /// sat frame must cite from. A late record for an expropriated lease of
-  /// our own is honest (and deduplicated); a record citing anyone else's
-  /// lease is hostile.
-  std::unordered_set<std::int64_t> lease_history;
-  // Lease id the last "abandon" frame named (one per lease is enough — the
-  // worker reacts after its next streamed record).
-  std::int64_t abandon_sent_for = -2;
-  auto last_activity = Clock::now();
-  bool clean = false;
-
-  const auto release_current = [&] {
-    if (current < 0) return;
-    Lease& lease = c.leases[static_cast<std::size_t>(current)];
-    if (lease.state == LeaseState::kActive) {
-      lease.state = LeaseState::kPending;
-      ++c.stats.leases_reassigned;
-      lease_state_changed(c);
-    }
-    current = -1;
-  };
-
-  // A protocol violation (hostile or malformed frame) costs health points on
-  // top of the connection; EOFs, torn frames and timeouts are deaths, not
-  // hostility. Inline under the mutex, wrapped for the unlocked break paths.
-  const auto mark_hostile_locked = [&] {
-    ++c.stats.hostile_frames;
-    penalize(c, label, kHostilePenalty);
-  };
-  const auto punish_violation = [&] {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    mark_hostile_locked();
-  };
-
-  // The frame codec rejects garbage bytes, but a syntactically valid JSON
-  // frame can still carry missing or mistyped fields (worker bug, version
-  // skew, hostile peer); the throwing Json accessors below must never
-  // escape this thread — that would std::terminate the whole coordinator.
-  // A throw is a protocol violation: drop the connection, release the
-  // lease, exactly like the explicit `break` paths.
-  try {
+    std::unique_lock<std::mutex> lock(c.mutex);
+    release_current();  // a worker asking again abandoned any holdover
+    // Long poll: with work left but nothing grantable, park until a
+    // lease-state event or the bound, then answer "wait 0" so the worker
+    // re-asks at once. The bound stays well under every peer's recv
+    // timeout.
+    const auto park_until = Clock::now() + kParkBound;
+    std::int64_t grant = -1;
+    bool work_left = false;
     for (;;) {
-      cert::Json msg;
-      const FrameStatus status = conn.recv(&msg, 250);
-      if (status == FrameStatus::kTimeout) {
-        const double silent =
-            std::chrono::duration<double>(Clock::now() - last_activity).count();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        if (silent > c.options->lease_timeout_seconds) {
-          // Dead or wedged worker. Expropriating a lease feeds the label's
-          // health: a chronically timing-out worker ends up quarantined.
-          if (current >= 0) {
-            ++c.stats.lease_timeouts;
-            penalize(c, label, kTimeoutPenalty);
-          }
-          break;
-        }
-        if (c.closing && current < 0) {
-          conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
-          clean = true;
-          break;
-        }
-        continue;
-      }
-      if (status == FrameStatus::kBadMagic || status == FrameStatus::kOversized ||
-          status == FrameStatus::kError) {
-        punish_violation();  // malformed frame, not a death
+      work_left = false;
+      grant = c.closing ? -1 : pick_lease(c, &work_left);
+      const bool forming = grant >= 0 && fleet_forming(c);
+      if (forming) grant = -1;
+      if (grant >= 0 || !work_left) break;
+      const std::uint64_t seen = c.lease_epoch;
+      if (!c.lease_cv.wait_until(lock,
+                                 forming ? std::min(park_until, c.fleet_formed_by) : park_until,
+                                 [&] { return c.lease_epoch != seen; }) &&
+          Clock::now() >= park_until) {
         break;
       }
-      if (status != FrameStatus::kOk) break;  // EOF or torn frame
-      last_activity = Clock::now();
-      const cert::Json* type_field = msg.find("type");
-      if (type_field == nullptr) {
-        punish_violation();
-        break;
-      }
-      const std::string& type = type_field->as_string();
-
-      if (type == "heartbeat") continue;
-
-      if (type == "next") {
-        cert::Json reply;
-        {
-          std::unique_lock<std::mutex> lock(c.mutex);
-          release_current();  // a worker asking again abandoned any holdover
-          // Long poll: with work left but nothing grantable, park until a
-          // lease-state event or the bound, then answer "wait 0" so the
-          // worker re-asks at once. The bound stays well under every peer's
-          // recv timeout.
-          const auto park_until = Clock::now() + kParkBound;
-          std::int64_t grant = -1;
-          bool work_left = false;
-          for (;;) {
-            work_left = false;
-            grant = c.closing ? -1 : pick_lease(c, &work_left);
-            const bool forming = grant >= 0 && fleet_forming(c);
-            if (forming) grant = -1;
-            if (grant >= 0 || !work_left) break;
-            const std::uint64_t seen = c.lease_epoch;
-            if (!c.lease_cv.wait_until(lock,
-                                       forming ? std::min(park_until, c.fleet_formed_by)
-                                               : park_until,
-                                       [&] { return c.lease_epoch != seen; }) &&
-                Clock::now() >= park_until) {
-              break;
-            }
-          }
-          // The worker could not speak while parked; silence counts from now.
-          last_activity = Clock::now();
-          if (grant >= 0) {
-            Lease& lease = c.leases[static_cast<std::size_t>(grant)];
-            lease.state = LeaseState::kActive;
-            ++c.stats.leases_granted;
-            current = grant;
-            lease_history.insert(grant);
-            abandon_sent_for = -2;  // a regranted lease may need its own abandon
-            cert::Json::Array prefix;
-            for (const int g : lease.task.prefix) prefix.push_back(g);
-            // Skip list: every settled cursor inside this subtree (resume
-            // replay and partial work of a previous holder).
-            cert::Json::Array skip(lease.settled.begin(), lease.settled.end());
-            reply = cert::Json::Object{{"type", "lease"},
-                                       {"lease", grant},
-                                       {"property", static_cast<std::int64_t>(lease.property)},
-                                       {"query", static_cast<std::int64_t>(lease.query)},
-                                       {"prefix", std::move(prefix)},
-                                       {"extensions", lease.task.include_extensions},
-                                       {"skip", std::move(skip)}};
-            // Learning payload: everything known about this (property, query)
-            // rides along so a late-joining worker starts with the fleet's
-            // accumulated cuts and lemmas.
-            if (learn) {
-              const std::pair<std::size_t, std::size_t> pq{lease.property, lease.query};
-              cert::Json::Array cuts;
-              if (const auto cit = c.cuts_by_pq.find(pq); cit != c.cuts_by_pq.end()) {
-                for (const std::vector<int>& cut : cit->second) {
-                  cert::Json::Array cut_prefix;
-                  for (const int g : cut) cut_prefix.push_back(g);
-                  cuts.push_back(cert::Json::Object{
-                      {"q", static_cast<std::int64_t>(lease.query)},
-                      {"prefix", std::move(cut_prefix)}});
-                }
-              }
-              cert::Json::Array lemmas;
-              if (const auto lit = c.lemmas_by_pq.find(pq); lit != c.lemmas_by_pq.end()) {
-                for (const std::vector<std::string>& premises : lit->second) {
-                  cert::Json::Array strings;
-                  for (const std::string& premise : premises) strings.push_back(premise);
-                  lemmas.push_back(cert::Json::Object{
-                      {"q", static_cast<std::int64_t>(lease.query)},
-                      {"premises", std::move(strings)}});
-                }
-              }
-              if (!cuts.empty()) reply.set("cuts", std::move(cuts));
-              if (!lemmas.empty()) reply.set("lemmas", std::move(lemmas));
-            }
-          } else if (work_left) {
-            reply = cert::Json::Object{{"type", "wait"}, {"ms", 0}};
-          } else {
-            reply = cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
-            clean = true;
-          }
-        }
-        if (!conn.send(reply)) break;
-        if (clean) break;
-        continue;
-      }
-
-      if (type == "record") {
-        std::size_t q = 0;
-        checker::Schema schema;
-        const std::string& cursor = msg.at("cursor").as_string();
-        const auto p = static_cast<std::size_t>(msg.at("property").as_int());
-        if (p >= c.props.size() || !checker::parse_schema_cursor(cursor, &q, &schema) ||
-            q >= properties[p].queries.size()) {
-          punish_violation();
-          break;
-        }
-        const std::int64_t cited = msg.at("lease").as_int();
-        const std::string verdict = msg.at("verdict").as_string();
-        bool abandon = false;
-        bool hostile = false;
-        bool applied = false;
-        {
-          std::lock_guard<std::mutex> lock(c.mutex);
-          // Trust gate: the frame must carry a known verdict, cite a lease
-          // granted on THIS connection whose (property, query) match and
-          // whose subtree covers the cursor, and must not contradict an
-          // already-settled definitive verdict. (A late record for our own
-          // expropriated lease is honest — dedup absorbs it.)
-          const Lease* cited_lease =
-              cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
-                      lease_history.count(cited) > 0
-                  ? &c.leases[static_cast<std::size_t>(cited)]
-                  : nullptr;
-          if (verdict != "pruned" && verdict != "unsat" && verdict != "unknown") {
-            hostile = true;
-          } else if (cited_lease == nullptr || cited_lease->property != p ||
-                     cited_lease->query != q ||
-                     !task_covers(cited_lease->task, schema.unlock_order)) {
-            hostile = true;
-          } else if (const auto settled_it = c.settled[p].find(cursor);
-                     settled_it != c.settled[p].end() && verdict_code(verdict) != '?' &&
-                     settled_it->second != '?' && settled_it->second != verdict_code(verdict)) {
-            hostile = true;  // conflicting duplicate: someone is lying
-          }
-          if (hostile) {
-            mark_hostile_locked();
-          } else {
-            // "fast"/"big" are read tolerantly: pruned/unknown records (and
-            // records from pre-upgrade workers) simply omit them.
-            const cert::Json* fast_field = msg.find("fast");
-            const cert::Json* big_field = msg.find("big");
-            const cert::Json* cut_field = msg.find("cut");
-            const std::int64_t cut = cut_field != nullptr ? cut_field->as_int() : -1;
-            applied = apply_record(c, p, q, schema, cursor, verdict, msg.at("length").as_int(),
-                                   msg.at("pivots").as_int(), cut,
-                                   fast_field != nullptr ? fast_field->as_int() : 0,
-                                   big_field != nullptr ? big_field->as_int() : 0,
-                                   msg.at("retries").as_int(), msg.at("note").as_string(),
-                                   /*resumed=*/false,
-                                   /*journal_this=*/true, origin);
-            if (applied && c.check.certify && verdict == "unsat") {
-              checker::SchemaEvidence item;
-              item.query_index = q;
-              item.schema = schema;
-              item.sat = false;
-              if (const cert::Json* proof = msg.find("proof")) {
-                item.proof = std::shared_ptr<const smt::proof::Node>(
-                    cert::proof_from_json(*proof).release());
-              }
-              c.props[p].tally.evidence.push_back(std::move(item));
-            }
-            // A record carrying a subtree cut proves every schema extending
-            // the chain prefix unsat: fold it (settling covered pending
-            // leases) and broadcast a fresh cut to the other learn-capable
-            // workers so they skip the doomed subtrees too.
-            if (learn && verdict == "unsat" && cut >= 0 &&
-                cut <= static_cast<std::int64_t>(schema.unlock_order.size())) {
-              std::vector<int> prefix(schema.unlock_order.begin(),
-                                      schema.unlock_order.begin() + cut);
-              if (fold_cut(c, p, q, prefix)) {
-                cert::Json::Array prefix_json;
-                for (int g : prefix) prefix_json.push_back(static_cast<std::int64_t>(g));
-                const cert::Json frame = cert::Json::Object{
-                    {"type", "learn"},
-                    {"p", static_cast<std::int64_t>(p)},
-                    {"cuts",
-                     cert::Json::Array{cert::Json::Object{
-                         {"q", static_cast<std::int64_t>(q)},
-                         {"prefix", std::move(prefix_json)}}}}};
-                for (const ConnInfo& info : c.open_conns) {
-                  if (info.learn && info.conn != &conn) info.conn->send(frame);
-                }
-              }
-            }
-            // Tell the worker to stop solving a subtree nobody wants: its
-            // lease was expropriated, or the property is already settled
-            // (first witness, exhausted budget).
-            abandon = cited != current || c.props[p].stopped || c.props[p].end.budget_exhausted;
-          }
-        }
-        if (hostile) break;
-        if (applied && spot_sampled(c, cursor, verdict)) {
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            ++c.stats.spot_checks;
-            ++c.props[p].spot_checks;
-            ++c.spot_inflight;  // holds run_complete open until the verdict
-          }
-          // Re-solve WITHOUT the coordinator mutex — the run keeps merging
-          // other workers' records while this one is audited.
-          const std::string why = spot_disagreement(c, p, q, schema, verdict);
-          bool lying = false;
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            --c.spot_inflight;
-            lease_state_changed(c);  // run_complete waits for spot checks
-            lying = !why.empty();
-            if (lying) revoke_origin(c, origin, label, lease_history, p, cursor, why);
-          }
-          if (lying) break;  // the lying connection dies with its records
-        }
-        if (abandon && abandon_sent_for != cited) {
-          abandon_sent_for = cited;
-          if (!conn.send(cert::Json::Object{{"type", "abandon"}, {"lease", cited}})) break;
-        }
-        continue;
-      }
-
-      if (type == "sat") {
-        std::size_t q = 0;
-        checker::Schema schema;
-        const std::string& cursor = msg.at("cursor").as_string();
-        const auto p = static_cast<std::size_t>(msg.at("property").as_int());
-        if (p >= c.props.size() || !checker::parse_schema_cursor(cursor, &q, &schema) ||
-            q >= properties[p].queries.size()) {
-          punish_violation();
-          break;
-        }
-        const std::int64_t cited = msg.at("lease").as_int();
-        bool hostile = false;
-        bool applied = false;
-        {
-          std::lock_guard<std::mutex> lock(c.mutex);
-          // Same trust gate as record frames. A sat frame is the single
-          // highest-leverage lie a worker can tell — it used to be applied
-          // unconditionally; now a forged witness for a never-granted or
-          // foreign lease costs the connection instead of the verdict.
-          const Lease* cited_lease =
-              cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
-                      lease_history.count(cited) > 0
-                  ? &c.leases[static_cast<std::size_t>(cited)]
-                  : nullptr;
-          if (cited_lease == nullptr || cited_lease->property != p ||
-              cited_lease->query != q ||
-              !task_covers(cited_lease->task, schema.unlock_order)) {
-            hostile = true;
-          } else if (const auto settled_it = c.settled[p].find(cursor);
-                     settled_it != c.settled[p].end() && settled_it->second != 's' &&
-                     settled_it->second != '?') {
-            hostile = true;  // this cursor already settled definitively non-sat
-          }
-          if (hostile) {
-            mark_hostile_locked();
-          } else {
-            const cert::Json* sat_fast = msg.find("fast");
-            const cert::Json* sat_big = msg.find("big");
-            applied = apply_record(c, p, q, schema, cursor, "sat", msg.at("length").as_int(),
-                                   msg.at("pivots").as_int(), /*cut=*/-1,
-                                   sat_fast != nullptr ? sat_fast->as_int() : 0,
-                                   sat_big != nullptr ? sat_big->as_int() : 0,
-                                   msg.at("retries").as_int(), std::string(),
-                                   /*resumed=*/false, /*journal_this=*/true, origin);
-            if (applied) {
-              PropMerge& prop = c.props[p];
-              prop.sat_origin = origin;
-              if (c.check.certify) {
-                checker::SchemaEvidence item;
-                item.query_index = q;
-                item.schema = schema;
-                item.sat = true;
-                if (const cert::Json* model = msg.find("model")) {
-                  item.model =
-                      std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
-                          model_values_from_json(*model));
-                }
-                prop.tally.evidence.push_back(std::move(item));
-              }
-              const std::string& validation_error = msg.at("validation_error").as_string();
-              if (!validation_error.empty()) {
-                if (prop.end.error_note.empty()) {
-                  prop.end.error_note =
-                      "internal: counterexample failed replay validation: " + validation_error;
-                }
-              } else if (const cert::Json* cex = msg.find("counterexample");
-                         cex != nullptr && !prop.end.counterexample) {
-                prop.end.counterexample = counterexample_from_json(*cex);
-              }
-              prop.stopped = true;  // first witness wins; stop leasing this property
-              drop_pending_leases(c, p);
-              check_property_finished(c, p);
-            }
-          }
-        }
-        if (hostile) break;
-        if (applied && spot_sampled(c, cursor, "sat")) {
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            ++c.stats.spot_checks;
-            ++c.props[p].spot_checks;
-            ++c.spot_inflight;  // a forged sat must not win the completion race
-          }
-          const std::string why = spot_disagreement(c, p, q, schema, "sat");
-          bool lying = false;
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            --c.spot_inflight;
-            lease_state_changed(c);  // run_complete waits for spot checks
-            lying = !why.empty();
-            if (lying) revoke_origin(c, origin, label, lease_history, p, cursor, why);
-          }
-          if (lying) break;
-        }
-        continue;
-      }
-
-      if (type == "learn") {
-        // Cross-schema learning facts from this worker. Fold them (deduped)
-        // into the coordinator's pools, journal new cuts, settle pending
-        // leases a cut fully covers, and broadcast fresh facts to every
-        // other learn-capable worker so the whole fleet abandons doomed
-        // subtrees. Silently ignored when this run does not learn.
-        if (!learn) continue;
-        const auto p = static_cast<std::size_t>(msg.at("p").as_int());
-        if (p >= c.props.size()) {
-          punish_violation();
-          break;
-        }
-        cert::Json::Array fresh_cuts;
-        cert::Json::Array fresh_lemmas;
-        std::lock_guard<std::mutex> lock(c.mutex);
-        if (const cert::Json* cuts = msg.find("cuts")) {
-          for (const cert::Json& entry : cuts->as_array()) {
-            const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-            if (q >= properties[p].queries.size()) continue;
-            std::vector<int> prefix;
-            for (const cert::Json& g : entry.at("prefix").as_array()) {
-              prefix.push_back(static_cast<int>(g.as_int()));
-            }
-            if (fold_cut(c, p, q, prefix)) fresh_cuts.push_back(entry);
-          }
-        }
-        if (const cert::Json* lemmas = msg.find("lemmas")) {
-          for (const cert::Json& entry : lemmas->as_array()) {
-            const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-            if (q >= properties[p].queries.size()) continue;
-            std::vector<std::string> premises;
-            std::string key = std::to_string(p) + '|' + std::to_string(q);
-            for (const cert::Json& premise : entry.at("premises").as_array()) {
-              premises.push_back(premise.as_string());
-              key += '\x1f';
-              key += premises.back();
-            }
-            if (premises.empty() || !c.lemma_keys.insert(key).second) continue;
-            c.lemmas_by_pq[{p, q}].push_back(std::move(premises));
-            fresh_lemmas.push_back(entry);
-          }
-        }
-        if (!fresh_cuts.empty() || !fresh_lemmas.empty()) {
-          cert::Json frame = cert::Json::Object{
-              {"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
-          if (!fresh_cuts.empty()) frame.set("cuts", std::move(fresh_cuts));
-          if (!fresh_lemmas.empty()) frame.set("lemmas", std::move(fresh_lemmas));
-          for (const ConnInfo& info : c.open_conns) {
-            if (info.learn && info.conn != &conn) info.conn->send(frame);
-          }
-        }
-        continue;
-      }
-
-      if (type == "lease_done") {
-        const std::int64_t id = msg.at("lease").as_int();
-        std::lock_guard<std::mutex> lock(c.mutex);
-        if (id == current && id >= 0) {
-          Lease& lease = c.leases[static_cast<std::size_t>(id)];
-          if (lease.state == LeaseState::kActive) complete_lease(lease);
-          if (const cert::Json* stats = msg.find("stats")) {
-            checker::IncrementalStats delta;
-            delta.segments_pushed = stats->at("segments_pushed").as_int();
-            delta.segments_popped = stats->at("segments_popped").as_int();
-            delta.segments_reused = stats->at("segments_reused").as_int();
-            delta.schemas_encoded = stats->at("schemas_encoded").as_int();
-            c.props[lease.property].tally.incremental += delta;
-          }
-          // Learning counters, read tolerantly (pre-upgrade workers omit
-          // them). Cut counts only cover subtrees a worker enumerated past —
-          // subtrees never granted thanks to a cut are not enumerated at
-          // all, so the distributed count is a documented undercount.
-          PropMerge& prop = c.props[lease.property];
-          if (const cert::Json* cut = msg.find("cut")) {
-            prop.tally.cut += cut->as_int();
-            bump(c, &checker::ProgressCounters::cut, cut->as_int());
-          }
-          if (const cert::Json* hits = msg.find("hits")) prop.tally.lemma_hits += hits->as_int();
-          if (const cert::Json* learned = msg.find("learned")) {
-            prop.tally.lemmas_learned += learned->as_int();
-          }
-          current = -1;
-          check_property_finished(c, lease.property);
-          lease_state_changed(c);
-        }
-        continue;
-      }
-
-      punish_violation();
-      break;  // unknown message: protocol violation, drop the connection
     }
-  } catch (const std::exception&) {
-    // Malformed message from a peer that passed the handshake; fall through
-    // to the cleanup below — this worker costs only its lease (plus health
-    // points: malformed frames feed the quarantine ladder).
-    punish_violation();
+    // The worker could not speak while parked; silence counts from now.
+    last_activity = Clock::now();
+    if (grant >= 0) {
+      Lease& lease = c.leases[static_cast<std::size_t>(grant)];
+      lease.state = LeaseState::kActive;
+      ++c.stats.leases_granted;
+      current = grant;
+      lease_history.insert(grant);
+      abandon_sent_for = -2;  // a regranted lease may need its own abandon
+      // Skip list: every settled cursor inside this subtree (resume replay
+      // and partial work of a previous holder).
+      reply = cert::Json::Object{
+          {"type", "lease"},
+          {"lease", grant},
+          {"property", static_cast<std::int64_t>(lease.property)},
+          {"query", static_cast<std::int64_t>(lease.query)},
+          {"prefix", cert::Json::Array(lease.task.prefix.begin(), lease.task.prefix.end())},
+          {"extensions", lease.task.include_extensions},
+          {"skip", cert::Json::Array(lease.settled.begin(), lease.settled.end())}};
+      // Learning payload: everything known about this (property, query)
+      // rides along so a late-joining worker starts with the fleet's
+      // accumulated cuts and lemmas.
+      if (learn) {
+        const std::pair<std::size_t, std::size_t> pq{lease.property, lease.query};
+        cert::Json::Array cuts;
+        if (const auto cit = c.cuts_by_pq.find(pq); cit != c.cuts_by_pq.end()) {
+          for (const std::vector<int>& cut : cit->second) {
+            cuts.push_back(
+                cert::Json::Object{{"q", static_cast<std::int64_t>(lease.query)},
+                                   {"prefix", cert::Json::Array(cut.begin(), cut.end())}});
+          }
+        }
+        cert::Json::Array lemmas;
+        if (const auto lit = c.lemmas_by_pq.find(pq); lit != c.lemmas_by_pq.end()) {
+          for (const std::vector<std::string>& premises : lit->second) {
+            lemmas.push_back(cert::Json::Object{
+                {"q", static_cast<std::int64_t>(lease.query)},
+                {"premises", cert::Json::Array(premises.begin(), premises.end())}});
+          }
+        }
+        if (!cuts.empty()) reply.set("cuts", std::move(cuts));
+        if (!lemmas.empty()) reply.set("lemmas", std::move(lemmas));
+      }
+    } else if (work_left) {
+      reply = cert::Json::Object{{"type", "wait"}, {"ms", 0}};
+    } else {
+      reply = cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
+      clean = true;
+    }
   }
+  return conn.send(reply) && !clean;
+}
 
+// A `record` or `sat` frame: one schema this worker settled. It passes the
+// trust gate, merges like any other settled schema, and may be spot-checked.
+bool Session::on_verdict(const cert::Json& msg) {
+  const bool sat = msg.at("type").as_string() == "sat";
+  checker::UnitOutcome solve;
+  checker::SchemaRecord record = record_from_json(msg, &solve);
+  std::size_t q = 0;
+  checker::Schema schema;
+  const auto p = static_cast<std::size_t>(msg.at("property").as_int());
+  if (p >= c.props.size() || !checker::parse_schema_cursor(record.cursor, &q, &schema) ||
+      q >= (*c.properties)[p].queries.size()) {
+    punish_violation();
+    return false;
+  }
+  const std::int64_t cited = msg.at("lease").as_int();
+  // Cuts count only from peers that negotiated learning.
+  if (!learn) record.cut = -1;
+  bool abandon = false;
+  bool applied = false;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    release_current();
-    if (!clean) ++c.stats.workers_lost;
-    const auto it = std::find_if(c.open_conns.begin(), c.open_conns.end(),
-                                 [&](const ConnInfo& info) { return info.conn == &conn; });
-    if (it != c.open_conns.end()) {
-      c.open_conns.erase(it);
-      bump(c, &checker::ProgressCounters::workers, -1);
+    // Trust gate: the frame must carry a known verdict, cite a lease granted
+    // on THIS connection whose (property, query) match and whose subtree
+    // covers the cursor, and must not contradict an already-settled
+    // definitive verdict. (A late record for our own expropriated lease is
+    // honest — dedup absorbs it.) A forged sat for a never-granted or
+    // foreign lease thus costs the connection instead of the verdict.
+    const Lease* cited_lease = cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
+                                       lease_history.count(cited) > 0
+                                   ? &c.leases[static_cast<std::size_t>(cited)]
+                                   : nullptr;
+    const char code = verdict_code(record.verdict);
+    const auto settled_it = c.settled[p].find(record.cursor);
+    const bool hostile =
+        (!sat && record.verdict != "pruned" && record.verdict != "unsat" &&
+         record.verdict != "unknown") ||
+        cited_lease == nullptr || cited_lease->property != p || cited_lease->query != q ||
+        !task_covers(cited_lease->task, schema.unlock_order) ||
+        // conflicting duplicate: someone is lying
+        (settled_it != c.settled[p].end() && code != '?' && settled_it->second != '?' &&
+         settled_it->second != code);
+    if (hostile) {
+      mark_hostile_locked();
+      return false;
+    }
+    applied = merge_schema(c, p, q, schema, record, std::move(solve), {origin, &conn});
+    // Tell the worker to stop solving a subtree nobody wants: its lease was
+    // expropriated, or the property is already settled (first witness,
+    // exhausted budget). A worker stops a lease on its own after a sat.
+    abandon = !sat && (cited != current || c.props[p].stopped || c.props[p].end.budget_exhausted);
+  }
+  if (applied && spot_sampled(c, record.cursor, record.verdict)) {
+    {
+      std::lock_guard<std::mutex> lock(c.mutex);
+      ++c.stats.spot_checks;
+      ++c.props[p].spot_checks;
+      ++c.spot_inflight;  // holds run_complete open until the verdict
+    }
+    // Re-solve WITHOUT the coordinator mutex — the run keeps merging other
+    // workers' records while this one is audited.
+    const std::string why = spot_disagreement(c, p, q, schema, record.verdict);
+    std::lock_guard<std::mutex> lock(c.mutex);
+    --c.spot_inflight;
+    lease_state_changed(c);  // run_complete waits for spot checks
+    if (!why.empty()) {
+      revoke_origin(c, origin, label, lease_history, p, record.cursor, why);
+      return false;  // the lying connection dies with its records
     }
   }
-  conn.close();
+  if (abandon && abandon_sent_for != cited) {
+    abandon_sent_for = cited;
+    return conn.send(cert::Json::Object{{"type", "abandon"}, {"lease", cited}});
+  }
+  return true;
+}
+
+// A `learn` frame: freshly pooled Farkas lemmas from this worker. Folds them
+// (deduped) into the pools shipped with grants and broadcasts the new ones
+// to every other learn-capable worker. Cuts are taken only from unsat
+// records, which cite a granted lease; a cuts[] field here is ignored.
+// Silently ignored when this run does not learn.
+bool Session::on_learn(const cert::Json& msg) {
+  if (!learn) return true;
+  const auto p = static_cast<std::size_t>(msg.at("p").as_int());
+  if (p >= c.props.size()) {
+    punish_violation();
+    return false;
+  }
+  const cert::Json* lemmas = msg.find("lemmas");
+  if (lemmas == nullptr) return true;
+  cert::Json::Array fresh;
+  std::lock_guard<std::mutex> lock(c.mutex);
+  for (const cert::Json& entry : lemmas->as_array()) {
+    const auto q = static_cast<std::size_t>(entry.at("q").as_int());
+    if (q >= (*c.properties)[p].queries.size()) continue;
+    std::vector<std::string> premises;
+    std::string key = std::to_string(p) + '|' + std::to_string(q);
+    for (const cert::Json& premise : entry.at("premises").as_array()) {
+      premises.push_back(premise.as_string());
+      key += '\x1f';
+      key += premises.back();
+    }
+    if (premises.empty() || !c.lemma_keys.insert(key).second) continue;
+    c.lemmas_by_pq[{p, q}].push_back(std::move(premises));
+    fresh.push_back(entry);
+  }
+  if (!fresh.empty()) {
+    const cert::Json frame = cert::Json::Object{
+        {"type", "learn"}, {"p", static_cast<std::int64_t>(p)}, {"lemmas", std::move(fresh)}};
+    for (const ConnInfo& info : c.open_conns) {
+      if (info.learn && info.conn != &conn) info.conn->send(frame);
+    }
+  }
+  return true;
+}
+
+// A `lease_done` frame: the worker finished (or abandoned) its lease.
+void Session::on_lease_done(const cert::Json& msg) {
+  const std::int64_t id = msg.at("lease").as_int();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  if (id != current || id < 0) return;
+  Lease& lease = c.leases[static_cast<std::size_t>(id)];
+  if (lease.state == LeaseState::kActive) complete_lease(lease);
+  PropMerge& prop = c.props[lease.property];
+  if (const cert::Json* stats = msg.find("stats")) {
+    checker::IncrementalStats delta;
+    delta.segments_pushed = stats->at("segments_pushed").as_int();
+    delta.segments_popped = stats->at("segments_popped").as_int();
+    delta.segments_reused = stats->at("segments_reused").as_int();
+    delta.schemas_encoded = stats->at("schemas_encoded").as_int();
+    prop.tally.incremental += delta;
+  }
+  // Learning counters, read tolerantly (pre-upgrade workers omit them). Cut
+  // counts only cover subtrees a worker enumerated past — subtrees never
+  // granted thanks to a cut are not enumerated at all, so the distributed
+  // count is a documented undercount.
+  if (const cert::Json* cut = msg.find("cut")) {
+    prop.tally.cut += cut->as_int();
+    bump(c, &checker::ProgressCounters::cut, cut->as_int());
+  }
+  if (const cert::Json* hits = msg.find("hits")) prop.tally.lemma_hits += hits->as_int();
+  if (const cert::Json* learned = msg.find("learned")) {
+    prop.tally.lemmas_learned += learned->as_int();
+  }
+  current = -1;
+  check_property_finished(c, lease.property);
+  lease_state_changed(c);
+}
+
+// Caller holds the mutex.
+void Session::release_current() {
+  if (current < 0) return;
+  Lease& lease = c.leases[static_cast<std::size_t>(current)];
+  if (lease.state == LeaseState::kActive) {
+    lease.state = LeaseState::kPending;
+    ++c.stats.leases_reassigned;
+    lease_state_changed(c);
+  }
+  current = -1;
+}
+
+// A protocol violation (hostile or malformed frame) costs health points on
+// top of the connection; EOFs, torn frames and timeouts are deaths, not
+// hostility.
+void Session::mark_hostile_locked() {
+  ++c.stats.hostile_frames;
+  penalize(c, label, kHostilePenalty);
+}
+
+void Session::punish_violation() {
+  std::lock_guard<std::mutex> lock(c.mutex);
+  mark_hostile_locked();
 }
 
 // Graceful degradation: claims ONE pending lease and solves it on the
-// accept-loop thread, exactly like a worker would (same enumeration, cone
-// pruning, solver and budget merging — apply_record dedups against anything
-// already settled). Called only when the fleet is exhausted; one lease at a
-// time so the loop re-checks for fresh connections, cancellation and the
-// global timeout between subtrees. Returns false when nothing is grantable.
+// accept-loop thread through the workers' step_schema and the merge a worker
+// frame takes, minus the trust gate and the spot check; its solver never
+// learns. Called only when the fleet is exhausted; one lease at a time so
+// the loop re-checks for fresh connections, cancellation and the global
+// timeout between subtrees. Returns false when nothing is grantable.
 bool self_solve_one_lease(Coord& c) {
   std::int64_t grant = -1;
   std::size_t p = 0;
@@ -1259,100 +1107,39 @@ bool self_solve_one_lease(Coord& c) {
     q = lease.query;
     task = lease.task;
   }
-  const std::vector<spec::Property>& properties = *c.properties;
   bool bail = false;  // cancel/timeout/abort: the lease goes back to pending
   {
     std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
     const checker::QueryCone* cone = inline_cone_for(c, p, q);
     checker::SchemaSolver& solver = inline_solver_for(c, p);
-    const int cut_count = static_cast<int>(properties[p].queries[q].cuts.size());
+    const int cut_count = static_cast<int>((*c.properties)[p].queries[q].cuts.size());
     // The global schema budget is enforced as records merge, like workers.
     checker::EnumerationOptions enumeration = c.check.enumeration;
     enumeration.max_schemas = std::numeric_limits<std::int64_t>::max();
     enumerate_schemas_under(
         *c.analysis, task, cut_count, enumeration, [&](const checker::Schema& schema) {
-          {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            if (c.props[p].stopped || c.props[p].end.budget_exhausted) return false;
-          }
-          if (c.check.cancel != nullptr && c.check.cancel->load(std::memory_order_relaxed)) {
-            bail = true;
-            return false;
-          }
-          if (c.check.timeout_seconds > 0.0 && c.watch->seconds() > c.check.timeout_seconds) {
-            bail = true;
-            return false;
-          }
-          const std::string cursor = checker::schema_cursor(q, schema);
-          if (cone != nullptr && !cone->schema_feasible(schema)) {
-            std::lock_guard<std::mutex> lock(c.mutex);
-            apply_record(c, p, q, schema, cursor, "pruned", 0, 0, /*cut=*/-1, 0, 0, 0,
-                         std::string(), /*resumed=*/false, /*journal_this=*/true);
-            return true;
-          }
+          std::string cursor = checker::schema_cursor(q, schema);
           {
             // Skip without counting anything a worker already settled.
             std::lock_guard<std::mutex> lock(c.mutex);
-            if (c.settled[p].count(cursor) > 0) {
-              return true;
-            }
+            if (c.props[p].stopped || c.props[p].end.budget_exhausted) return false;
+            if (c.settled[p].count(cursor) > 0) return true;
           }
-          checker::UnitOutcome outcome = solver.solve(q, schema, cone, inline_remaining(c));
+          if ((c.check.cancel != nullptr && c.check.cancel->load(std::memory_order_relaxed)) ||
+              (c.check.timeout_seconds > 0.0 && c.watch->seconds() > c.check.timeout_seconds)) {
+            bail = true;
+            return false;
+          }
+          checker::SchemaStep step = checker::step_schema(solver, /*learning=*/nullptr, cone, q,
+                                                          schema, inline_remaining(c));
+          if (step.kind != checker::SchemaStep::Kind::kSettled) {
+            bail = true;  // interrupted or aborted
+            return false;
+          }
+          step.record.cursor = std::move(cursor);
           std::lock_guard<std::mutex> lock(c.mutex);
-          switch (outcome.kind) {
-            case checker::UnitOutcome::Kind::kAborted:
-            case checker::UnitOutcome::Kind::kInterrupted:
-              bail = true;
-              return false;
-            case checker::UnitOutcome::Kind::kUnknown:
-              apply_record(c, p, q, schema, cursor, "unknown", 0, 0, /*cut=*/-1, 0, 0,
-                           outcome.retries, outcome.note, /*resumed=*/false,
-                           /*journal_this=*/true);
-              return true;
-            case checker::UnitOutcome::Kind::kUnsat:
-              if (apply_record(c, p, q, schema, cursor, "unsat", outcome.length,
-                               outcome.pivots, /*cut=*/-1, outcome.rational_fast_ops,
-                               outcome.rational_big_ops, outcome.retries, std::string(),
-                               /*resumed=*/false, /*journal_this=*/true) &&
-                  c.check.certify) {
-                checker::SchemaEvidence item;
-                item.query_index = q;
-                item.schema = schema;
-                item.sat = false;
-                item.proof = outcome.proof;
-                c.props[p].tally.evidence.push_back(std::move(item));
-              }
-              return true;
-            case checker::UnitOutcome::Kind::kSat:
-              if (apply_record(c, p, q, schema, cursor, "sat", outcome.length, outcome.pivots,
-                               /*cut=*/-1, outcome.rational_fast_ops, outcome.rational_big_ops,
-                               outcome.retries, std::string(), /*resumed=*/false,
-                               /*journal_this=*/true)) {
-                PropMerge& prop = c.props[p];
-                prop.sat_origin = -1;
-                if (c.check.certify) {
-                  checker::SchemaEvidence item;
-                  item.query_index = q;
-                  item.schema = schema;
-                  item.sat = true;
-                  item.model = outcome.model;
-                  prop.tally.evidence.push_back(std::move(item));
-                }
-                if (!outcome.validation_error.empty()) {
-                  if (prop.end.error_note.empty()) {
-                    prop.end.error_note = "internal: counterexample failed replay validation: " +
-                                          outcome.validation_error;
-                  }
-                } else if (outcome.counterexample && !prop.end.counterexample) {
-                  prop.end.counterexample = std::move(outcome.counterexample);
-                }
-                prop.stopped = true;
-                drop_pending_leases(c, p);
-                check_property_finished(c, p);
-              }
-              return false;  // the property is settled (or a dup raced us)
-          }
-          return true;
+          merge_schema(c, p, q, schema, step.record, std::move(step.outcome), {});
+          return step.record.verdict != "sat";  // a witness settles the property
         });
   }
   {
@@ -1411,8 +1198,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
                                                          c.check.journal_flush_batch);
   }
   c.journal = journal.get();
-  const bool copy_resumed =
-      journal != nullptr && c.check.journal_path != c.check.resume_path;
+  c.copy_resumed = journal != nullptr && c.check.journal_path != c.check.resume_path;
 
   // Workers enumerate their subtrees without a schema cap — the budget is
   // global, enforced here as records merge (exactly like the in-process
@@ -1477,19 +1263,10 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
       if (!checker::parse_schema_cursor(record.cursor, &q, &schema)) continue;
       if (q >= properties[it->second].queries.size()) continue;
       // Journal records carry no arithmetic counters; resumed schemas
-      // contribute zero to the fast/big split (documented in result.h).
-      apply_record(c, it->second, q, schema, record.cursor, record.verdict, record.length,
-                   record.pivots, record.cut, /*fast_ops=*/0, /*big_ops=*/0, /*retries=*/0,
-                   record.note, /*resumed=*/true, /*journal_this=*/copy_resumed);
-      // A cut riding on a replayed unsat record re-enters the coordinator's
-      // pool: covered leases settle before ever being granted, and the cut
-      // ships inside lease grants like a live one.
-      if (c.learn && record.verdict == "unsat" && record.cut >= 0 &&
-          record.cut <= static_cast<std::int64_t>(schema.unlock_order.size())) {
-        std::vector<int> prefix(schema.unlock_order.begin(),
-                                schema.unlock_order.begin() + record.cut);
-        fold_cut(c, it->second, q, std::move(prefix));
-      }
+      // contribute zero to the fast/big split (documented in result.h). A
+      // cut riding on a replayed unsat record re-enters the coordinator's
+      // pool like a live one.
+      merge_schema(c, it->second, q, schema, record, {}, {.resumed = true});
     }
     for (std::size_t p = 0; p < properties.size(); ++p) check_property_finished(c, p);
   }
@@ -1549,7 +1326,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     if ((pfds[0].revents & POLLIN) == 0) continue;
     const int cfd = ::accept(listen_fd, nullptr, nullptr);
     if (cfd < 0) continue;
-    handlers.emplace_back([&c, cfd] { handle_connection(c, cfd); });
+    handlers.emplace_back([&c, cfd] { Session(c, cfd).serve(); });
   }
   if (force_close) {
     // Cancellation/timeout: cut every worker loose; their reads fail, the

@@ -360,4 +360,69 @@ std::vector<std::pair<std::string, BigInt>> model_values_from_json(const cert::J
   return values;
 }
 
+cert::Json record_to_json(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
+                          std::int64_t lease, std::size_t property) {
+  const bool sat = record.verdict == "sat";
+  cert::Json::Object frame;
+  frame.reserve(13);
+  const auto field = [&](const char* key, cert::Json value) {
+    frame.emplace_back(key, std::move(value));
+  };
+  field("type", sat ? "sat" : "record");
+  field("lease", lease);
+  field("property", static_cast<std::int64_t>(property));
+  field("cursor", record.cursor);
+  if (!sat) field("verdict", record.verdict);
+  field("length", record.length);
+  field("pivots", record.pivots);
+  if (sat || record.verdict == "unsat") {
+    field("fast", record.fast);
+    field("big", record.big);
+  }
+  field("retries", record.retries);
+  if (sat) {
+    field("validation_error", solve.validation_error);
+    if (solve.counterexample) {
+      field("counterexample", counterexample_to_json(*solve.counterexample));
+    }
+    if (solve.model) field("model", model_values_to_json(*solve.model));
+  } else {
+    field("note", record.note);
+    if (record.cut >= 0) field("cut", record.cut);
+    if (solve.proof) field("proof", cert::proof_to_json(*solve.proof));
+  }
+  return frame;
+}
+
+checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOutcome* solve) {
+  checker::SchemaRecord record;
+  const bool sat = frame.at("type").as_string() == "sat";
+  record.cursor = frame.at("cursor").as_string();
+  record.verdict = sat ? "sat" : frame.at("verdict").as_string();
+  record.length = frame.at("length").as_int();
+  record.pivots = frame.at("pivots").as_int();
+  record.retries = frame.at("retries").as_int();
+  // Tolerant reads: pruned and unknown records (and older workers) omit
+  // fast/big.
+  if (const cert::Json* fast = frame.find("fast")) record.fast = fast->as_int();
+  if (const cert::Json* big = frame.find("big")) record.big = big->as_int();
+  if (sat) {
+    solve->validation_error = frame.at("validation_error").as_string();
+    if (const cert::Json* cex = frame.find("counterexample")) {
+      solve->counterexample = counterexample_from_json(*cex);
+    }
+    if (const cert::Json* model = frame.find("model")) {
+      solve->model = std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
+          model_values_from_json(*model));
+    }
+  } else {
+    record.note = frame.at("note").as_string();
+    if (const cert::Json* cut = frame.find("cut")) record.cut = cut->as_int();
+    if (const cert::Json* proof = frame.find("proof")) {
+      solve->proof = std::shared_ptr<const smt::proof::Node>(cert::proof_from_json(*proof));
+    }
+  }
+  return record;
+}
+
 }  // namespace hv::dist

@@ -17,7 +17,8 @@
 //     sat        {lease, property, cursor, length, pivots, retries,
 //                 validation_error, counterexample?, model?}
 //     learn      {p, lemmas[]?}           freshly pooled Farkas lemmas
-//                                         (cuts ride on record frames)
+//                                         (cuts ride on record frames; the
+//                                         coordinator ignores cuts[] here)
 //     lease_done {lease, stats{...}, cut?, hits?, learned?}
 //     heartbeat  {}                     liveness only; renews the deadline
 //
@@ -79,6 +80,7 @@
 #include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
 #include "hv/checker/result.h"
+#include "hv/checker/schema_solver.h"
 #include "hv/dist/frame.h"
 #include "hv/spec/query.h"
 #include "hv/ta/automaton.h"
@@ -189,6 +191,16 @@ checker::Counterexample counterexample_from_json(const cert::Json& json);
 /// Certify-mode model values ([name, integer-string] pairs).
 cert::Json model_values_to_json(const std::vector<std::pair<std::string, BigInt>>& values);
 std::vector<std::pair<std::string, BigInt>> model_values_from_json(const cert::Json& json);
+
+/// A settled schema as a worker frame: "sat" (the witness or its
+/// replay-validation error, and the model in certify mode) or "record"
+/// (pruned, unsat or unknown, with the subtree cut and the proof in certify
+/// mode). `solve` supplies what only a solve carries.
+cert::Json record_to_json(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
+                          std::int64_t lease, std::size_t property);
+/// Inverse of record_to_json; the witness, model and proof land in
+/// `*solve`. Throws on a missing or mistyped field.
+checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOutcome* solve);
 
 }  // namespace hv::dist
 

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "hv/cert/certificate.h"
 #include "hv/checker/cone.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
@@ -44,7 +43,6 @@ cert::Json stats_delta(const checker::IncrementalStats& before,
 // or lease reassigned); closed with a normal lease_done like kComplete.
 enum class LeaseExit {
   kComplete,
-  kSatFound,
   kAbandoned,
   kDropped,
   kAborted,
@@ -430,125 +428,43 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       return !abandoned();
     };
 
+    checker::PropertyLearning* learning = learn_mode ? &learning_for(p) : nullptr;
     enumerate_schemas_under(
         analysis, task, cut_count, check.enumeration, [&](const checker::Schema& schema) {
           if (cancelled()) {
             exit = LeaseExit::kInterrupted;
             return false;
           }
-          const std::string cursor = checker::schema_cursor(q, schema);
+          std::string cursor = checker::schema_cursor(q, schema);
           if (skip.count(cursor) > 0) return true;  // settled before this lease
-          if (learn_mode && learning_for(p).queries[q].cuts.covers(schema.unlock_order)) {
-            // A recorded subtree cut refutes this schema without a solve (and
-            // without a record frame — the count travels in lease_done).
-            ++lease_cut;
-            return true;
-          }
-          if (cone != nullptr && !cone->schema_feasible(schema)) {
-            return stream(cert::Json::Object{{"type", "record"},
-                                             {"lease", lease_id},
-                                             {"property", static_cast<std::int64_t>(p)},
-                                             {"cursor", cursor},
-                                             {"verdict", "pruned"},
-                                             {"length", 0},
-                                             {"pivots", 0},
-                                             {"retries", 0},
-                                             {"note", ""}});
-          }
-          checker::UnitOutcome outcome = solver.solve(q, schema, cone, remaining());
-          lease_hits += outcome.lemma_hits;
-          lease_learned += outcome.lemmas_learned;
-          std::int64_t record_cut = -1;
-          if (learn_mode && outcome.kind == checker::UnitOutcome::Kind::kUnsat &&
-              outcome.cut_prefix >= 0 &&
-              outcome.cut_prefix <= static_cast<int>(schema.unlock_order.size())) {
-            std::vector<int> prefix(schema.unlock_order.begin(),
-                                    schema.unlock_order.begin() + outcome.cut_prefix);
-            if (learning_for(p).queries[q].cuts.add(prefix)) {
-              record_cut = outcome.cut_prefix;
-            }
-          }
-          switch (outcome.kind) {
-            case checker::UnitOutcome::Kind::kAborted:
+          checker::SchemaStep step =
+              checker::step_schema(solver, learning, cone, q, schema, remaining());
+          lease_hits += step.outcome.lemma_hits;
+          lease_learned += step.outcome.lemmas_learned;
+          switch (step.kind) {
+            case checker::SchemaStep::Kind::kCut:
+              // No record frame: the count travels in lease_done.
+              ++lease_cut;
+              return true;
+            case checker::SchemaStep::Kind::kAborted:
               exit = LeaseExit::kAborted;
               return false;
-            case checker::UnitOutcome::Kind::kInterrupted:
+            case checker::SchemaStep::Kind::kInterrupted:
               exit = LeaseExit::kInterrupted;
-              report.note = outcome.note;
+              report.note = step.outcome.note;
               return false;
-            case checker::UnitOutcome::Kind::kUnknown:
-              return stream(cert::Json::Object{{"type", "record"},
-                                               {"lease", lease_id},
-                                               {"property", static_cast<std::int64_t>(p)},
-                                               {"cursor", cursor},
-                                               {"verdict", "unknown"},
-                                               {"length", 0},
-                                               {"pivots", 0},
-                                               {"retries", outcome.retries},
-                                               {"note", outcome.note}});
-            case checker::UnitOutcome::Kind::kUnsat: {
-              if (options.lie_about_verdicts) {
-                // Byzantine test hook: forge a counterexample-free "sat" for
-                // a schema the solver just refuted, then stop the lease like
-                // an honest witness-finder would. Spot-checking must catch
-                // this; --certify would catch it offline.
-                cert::Json forged = cert::Json::Object{{"type", "sat"},
-                                                       {"lease", lease_id},
-                                                       {"property", static_cast<std::int64_t>(p)},
-                                                       {"cursor", cursor},
-                                                       {"length", outcome.length},
-                                                       {"pivots", outcome.pivots},
-                                                       {"fast", outcome.rational_fast_ops},
-                                                       {"big", outcome.rational_big_ops},
-                                                       {"retries", outcome.retries},
-                                                       {"validation_error", ""}};
-                if (stream(std::move(forged))) exit = LeaseExit::kSatFound;
-                return false;
-              }
-              cert::Json record = cert::Json::Object{{"type", "record"},
-                                                     {"lease", lease_id},
-                                                     {"property", static_cast<std::int64_t>(p)},
-                                                     {"cursor", cursor},
-                                                     {"verdict", "unsat"},
-                                                     {"length", outcome.length},
-                                                     {"pivots", outcome.pivots},
-                                                     {"fast", outcome.rational_fast_ops},
-                                                     {"big", outcome.rational_big_ops},
-                                                     {"retries", outcome.retries},
-                                                     {"note", ""}};
-              // The cut rides on the record so the coordinator journals the
-              // verdict and the subtree cut in one atomic line.
-              if (record_cut >= 0) record.set("cut", record_cut);
-              if (check.certify && outcome.proof) {
-                record.set("proof", cert::proof_to_json(*outcome.proof));
-              }
-              return stream(std::move(record));
-            }
-            case checker::UnitOutcome::Kind::kSat: {
-              cert::Json message = cert::Json::Object{{"type", "sat"},
-                                                      {"lease", lease_id},
-                                                      {"property", static_cast<std::int64_t>(p)},
-                                                      {"cursor", cursor},
-                                                      {"length", outcome.length},
-                                                      {"pivots", outcome.pivots},
-                                                      {"fast", outcome.rational_fast_ops},
-                                                      {"big", outcome.rational_big_ops},
-                                                      {"retries", outcome.retries},
-                                                      {"validation_error",
-                                                       outcome.validation_error}};
-              if (outcome.counterexample) {
-                message.set("counterexample", counterexample_to_json(*outcome.counterexample));
-              }
-              if (check.certify && outcome.model) {
-                message.set("model", model_values_to_json(*outcome.model));
-              }
-              if (stream(std::move(message))) exit = LeaseExit::kSatFound;
-              // Either way stop this lease: the property is settled (or the
-              // connection is gone).
-              return false;
-            }
+            case checker::SchemaStep::Kind::kSettled:
+              break;
           }
-          return true;
+          step.record.cursor = std::move(cursor);
+          // Byzantine test hook: forge a counterexample-free "sat" for a
+          // schema the solver just refuted. Spot-checking must catch this;
+          // --certify would catch it offline.
+          if (options.lie_about_verdicts && step.record.verdict == "unsat") {
+            step.record.verdict = "sat";
+          }
+          if (!stream(record_to_json(step.record, step.outcome, lease_id, p))) return false;
+          return step.record.verdict != "sat";  // a witness settles the property
         });
 
     if (exit == LeaseExit::kDropped) {

@@ -566,6 +566,70 @@ TEST(SettleResultTest, HighestRungWins) {
   }
 }
 
+// The coordinator revokes a lying worker's records by counting them again
+// with sign -1; that is only sound if uncounting exactly undoes counting.
+TEST(PropertyTallyTest, CountThenUncountRestoresEveryCounter) {
+  const auto make = [](const char* verdict, std::int64_t length, std::int64_t pivots,
+                       std::int64_t fast, std::int64_t big, std::int64_t retries) {
+    SchemaRecord record;
+    record.cursor = "q0|0|";
+    record.verdict = verdict;
+    record.length = length;
+    record.pivots = pivots;
+    record.fast = fast;
+    record.big = big;
+    record.retries = retries;
+    record.note = "boom";
+    return record;
+  };
+  const std::vector<SchemaRecord> records = {
+      make("pruned", 0, 0, 0, 0, 0), make("unsat", 3, 17, 120, 2, 0),
+      make("sat", 4, 9, 80, 0, 1),   make("unknown", 0, 0, 0, 0, 1),
+      make("unsat", 2, 5, 40, 1, 0),
+  };
+  PropertyTally tally;
+  tally.enumerated = 7;
+  tally.checked = 3;
+  tally.pruned = 2;
+  tally.unknown = 1;
+  tally.retries = 4;
+  tally.total_length = 11;
+  tally.pivots = 50;
+  tally.rational_fast_ops = 900;
+  tally.rational_big_ops = 6;
+  const PropertyTally before = tally;
+  ProgressCounters progress;
+  for (const SchemaRecord& record : records) tally.count(record, &progress, false);
+  EXPECT_EQ(tally.enumerated, before.enumerated + 5);
+  EXPECT_EQ(tally.checked, before.checked + 3);
+  EXPECT_EQ(tally.pruned, before.pruned + 1);
+  EXPECT_EQ(tally.unknown, before.unknown + 1);
+  EXPECT_EQ(tally.retries, before.retries + 2);
+  EXPECT_EQ(tally.total_length, before.total_length + 9);
+  EXPECT_EQ(tally.pivots, before.pivots + 31);
+  EXPECT_EQ(tally.rational_fast_ops, before.rational_fast_ops + 240);
+  EXPECT_EQ(tally.rational_big_ops, before.rational_big_ops + 3);
+  EXPECT_EQ(tally.degrade_note, "schema degraded to unknown: boom");
+  EXPECT_EQ(progress.solved.load(), 3);
+
+  for (const SchemaRecord& record : records) tally.count(record, &progress, false, -1);
+  EXPECT_EQ(tally.enumerated, before.enumerated);
+  EXPECT_EQ(tally.checked, before.checked);
+  EXPECT_EQ(tally.pruned, before.pruned);
+  EXPECT_EQ(tally.cut, before.cut);
+  EXPECT_EQ(tally.unknown, before.unknown);
+  EXPECT_EQ(tally.resumed, before.resumed);
+  EXPECT_EQ(tally.retries, before.retries);
+  EXPECT_EQ(tally.total_length, before.total_length);
+  EXPECT_EQ(tally.pivots, before.pivots);
+  EXPECT_EQ(tally.rational_fast_ops, before.rational_fast_ops);
+  EXPECT_EQ(tally.rational_big_ops, before.rational_big_ops);
+  for (const auto* counter : {&progress.enumerated, &progress.solved, &progress.pruned,
+                              &progress.unknown, &progress.resumed}) {
+    EXPECT_EQ(counter->load(), 0);
+  }
+}
+
 // --- fault-tolerant runtime -------------------------------------------------
 //
 // Every degradation path is exercised deterministically: watchdogs, fault

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hv/checker/journal.h"
@@ -610,6 +611,43 @@ TEST(DistEndToEnd, LegacyPeerWithoutFeaturesDegrades) {
   EXPECT_EQ(run.stats.workers_lost, 1);
 }
 
+TEST(DistEndToEnd, SelfSolveMatchesInProcess) {
+  // A self-hosted fleet that never joins: once a lease timeout passes with
+  // nobody connected, the coordinator settles every lease itself through
+  // step_schema and the merge a worker frame takes. Its solver never
+  // learns, so it must land on the learning-free in-process coverage, and a
+  // violation must carry its witness.
+  for (const bool pruning : {true, false}) {
+    for (const auto& [name, formula] : {std::pair{"safe", kHoldsFormula},
+                                        std::pair{"everyone_proceeds", kViolatedFormula}}) {
+      SCOPED_TRACE(std::string(name) + (pruning ? " with pruning" : " without pruning"));
+      const std::string address = "unix:" + temp_path("dist_self_solve.sock");
+      ServeRun run;
+      DistOptions options;
+      options.self_hosted_fleet = true;
+      options.lease_timeout_seconds = 0.1;
+      options.check.property_directed_pruning = pruning;
+      run.start(address, {{name, formula, false}}, options);
+      run.join();
+      ASSERT_TRUE(run.error.empty()) << run.error;
+
+      checker::CheckOptions ref = options.check;
+      ref.lemmas = false;
+      const auto reference = reference_check(name, formula, ref);
+      ASSERT_EQ(run.results.size(), 1u);
+      EXPECT_EQ(run.results[0].verdict, reference[0].verdict);
+      EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+      EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
+      EXPECT_EQ(run.results[0].schemas_unknown, reference[0].schemas_unknown);
+      EXPECT_EQ(run.results[0].counterexample.has_value(),
+                reference[0].verdict == checker::Verdict::kViolated);
+      EXPECT_EQ(run.stats.workers_joined, 0);
+      EXPECT_GE(run.stats.leases_self_solved, 1);
+      EXPECT_EQ(run.stats.leases_self_solved, run.stats.leases_granted);
+    }
+  }
+}
+
 TEST(DistEndToEnd, ShutdownDoesNotWaitForTheHeartbeat) {
   // The heartbeat thread must stop at once when the run is over, not sleep
   // out its period: with a 60-s beat, a sleeping heartbeat would hold the
@@ -988,6 +1026,54 @@ TEST(DistByzantine, CursorOutsideTheGrantedSubtreeIsHostile) {
   EXPECT_EQ(run.stats.hostile_frames, 1);
   const auto reference = reference_check("safe", kHoldsFormula, options.check);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+}
+
+TEST(DistByzantine, LearnFrameCutsAreIgnored) {
+  // Subtree cuts enter the coordinator only on unsat record frames, which
+  // cite a granted lease. A learn frame cites nothing: folding its cuts[]
+  // would let any learn-capable peer settle a whole property (an empty
+  // prefix covers every schema of the query) without one schema solved.
+  const std::string address = "unix:" + temp_path("dist_learn_cuts.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 30.0;  // reassignment must come from the EOF
+  if (!checker::lemmas_enabled(options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  run.start(address, {{"everyone_proceeds", kViolatedFormula, false}}, options);
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  {
+    Conn conn(fd);
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "hello"},
+                                             {"protocol", kDistProtocolVersion},
+                                             {"label", "forger"},
+                                             {"features", cert::Json::Array{"learn"}}}));
+    cert::Json welcome;
+    ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
+    ASSERT_EQ(welcome.at("type").as_string(), "welcome");
+    ASSERT_TRUE(conn.send(cert::Json::Object{
+        {"type", "learn"},
+        {"p", 0},
+        {"cuts",
+         cert::Json::Array{cert::Json::Object{{"q", 0}, {"prefix", cert::Json::Array{}}}}}}));
+    // Frames are handled in order: once `next` is answered, the learn frame
+    // has been processed.
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "next"}}));
+    cert::Json reply;
+    ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
+    conn.close();
+  }
+
+  const WorkerReport report = run_one_worker(address, "honest");
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(report.completed) << report.note;
+  const auto reference = reference_check("everyone_proceeds", kViolatedFormula, options.check);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kViolated);
+  EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+  EXPECT_TRUE(run.results[0].counterexample.has_value());
 }
 
 TEST(DistByzantine, RepeatOffendersAreQuarantinedOnRejoin) {
