@@ -20,15 +20,11 @@
 //   --naive-timeout S  per-property timeout for the naive TA (default 60)
 //   --no-certify       skip the certify-overhead re-runs
 //   --out FILE         also write the results as machine-readable JSON
-//   --baseline FILE    compare against a previous --out JSON: prints a
-//                      speedup column and embeds baseline_seconds/speedup
-//                      per row in the --out payload
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -68,9 +64,6 @@ struct Row {
   /// Wall-clock of the same check with certificate emission; < 0 when the
   /// certify re-run was skipped.
   double certify_seconds = -1.0;
-  /// Seconds for the same (ta, property) row in the --baseline file; < 0
-  /// when no baseline was given or the row is new.
-  double baseline_seconds = -1.0;
 };
 
 double pivots_per_second(const Row& row) {
@@ -78,34 +71,15 @@ double pivots_per_second(const Row& row) {
 }
 
 void print_header() {
-  std::printf("  %-22s %-12s %10s %8s %10s %8s %8s %10s   %s\n", "TA", "Property", "#schemas",
-              "avg.len", "time", "certify", "speedup", "verdict", "paper: #schemas/len/time");
-}
-
-/// Seconds of the matching (ta, property) row in a previous --out payload,
-/// or -1 when absent.
-double baseline_seconds_for(const hv::cert::Json* baseline, const Row& row) {
-  if (baseline == nullptr) return -1.0;
-  const hv::cert::Json* rows = baseline->find("rows");
-  if (rows == nullptr) return -1.0;
-  for (const hv::cert::Json& item : rows->as_array()) {
-    const hv::cert::Json* ta = item.find("ta");
-    const hv::cert::Json* property = item.find("property");
-    const hv::cert::Json* seconds = item.find("seconds");
-    if (ta == nullptr || property == nullptr || seconds == nullptr) continue;
-    if (ta->as_string() == row.ta && property->as_string() == row.property) {
-      return seconds->as_double();
-    }
-  }
-  return -1.0;
+  std::printf("  %-22s %-12s %10s %8s %10s %8s %10s   %s\n", "TA", "Property", "#schemas",
+              "avg.len", "time", "certify", "verdict", "paper: #schemas/len/time");
 }
 
 void print_section(const char* ta_name, const char* size_line,
                    const hv::ta::ThresholdAutomaton& ta,
                    const std::vector<hv::spec::Property>& properties,
                    const hv::checker::CheckOptions& options, bool certify,
-                   const std::vector<PaperRow>& paper, const hv::cert::Json* baseline,
-                   std::vector<Row>& rows) {
+                   const std::vector<PaperRow>& paper, std::vector<Row>& rows) {
   std::printf("%s  (%s)\n", ta_name, size_line);
   bool first = true;
   for (const hv::spec::Property& property : properties) {
@@ -125,7 +99,6 @@ void print_section(const char* ta_name, const char* size_line,
     row.pivots = static_cast<long long>(result.simplex_pivots);
     row.fast_ops = static_cast<long long>(result.rational_fast_ops);
     row.big_ops = static_cast<long long>(result.rational_big_ops);
-    row.baseline_seconds = baseline_seconds_for(baseline, row);
     if (certify) {
       hv::checker::CheckOptions certify_options = options;
       certify_options.certify = true;
@@ -146,15 +119,8 @@ void print_section(const char* ta_name, const char* size_line,
     } else {
       std::snprintf(overhead, sizeof overhead, "-");
     }
-    char speedup[32];
-    if (row.baseline_seconds > 0.0 && row.seconds > 0.0) {
-      std::snprintf(speedup, sizeof speedup, "%.2fx", row.baseline_seconds / row.seconds);
-    } else {
-      std::snprintf(speedup, sizeof speedup, "-");
-    }
-    std::printf("  %-22s %-12s %10lld %8s %10s %8s %8s %10s   %s\n", first ? ta_name : "",
-                row.property.c_str(), row.schemas, avg, time, overhead, speedup,
-                row.verdict.c_str(),
+    std::printf("  %-22s %-12s %10lld %8s %10s %8s %10s   %s\n", first ? ta_name : "",
+                row.property.c_str(), row.schemas, avg, time, overhead, row.verdict.c_str(),
                 reference ? (std::string(reference->schemas) + " / " + reference->avg_length +
                              " / " + reference->time)
                                 .c_str()
@@ -193,10 +159,6 @@ int write_json(const std::string& path, const std::vector<Row>& rows) {
     item.set("pivots_per_second", pivots_per_second(row));
     item.set("rational_fast_ops", static_cast<std::int64_t>(row.fast_ops));
     item.set("rational_big_ops", static_cast<std::int64_t>(row.big_ops));
-    if (row.baseline_seconds > 0.0) {
-      item.set("baseline_seconds", row.baseline_seconds);
-      if (row.seconds > 0.0) item.set("speedup", row.baseline_seconds / row.seconds);
-    }
     if (row.certify_seconds >= 0.0) {
       item.set("certify_seconds", row.certify_seconds);
       if (row.seconds > 0.0) item.set("certify_overhead", row.certify_seconds / row.seconds);
@@ -223,7 +185,6 @@ int main(int argc, char** argv) {
   bool certify = true;
   double naive_timeout = 60.0;
   std::string out_path;
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       fast = true;
@@ -233,28 +194,12 @@ int main(int argc, char** argv) {
       naive_timeout = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--fast] [--naive-timeout seconds] [--no-certify] [--out FILE] "
-                   "[--baseline FILE]\n",
+                   "usage: %s [--fast] [--naive-timeout seconds] [--no-certify] [--out FILE]\n",
                    argv[0]);
       return 2;
     }
-  }
-
-  hv::cert::Json baseline_json;
-  const hv::cert::Json* baseline = nullptr;
-  if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path, std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 2;
-    }
-    std::string text((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-    baseline_json = hv::cert::Json::parse(text);
-    baseline = &baseline_json;
   }
 
   std::puts("Table 2: parameterized verification results (any n > 3t, any f <= t)\n");
@@ -271,7 +216,7 @@ int main(int argc, char** argv) {
                  {"BV-Obl0", "90", "79", "6.87s"},
                  {"BV-Unif0", "760", "97", "27.64s"},
                  {"BV-Term", "90", "79", "6.75s"}},
-                baseline, rows);
+                rows);
 
   // --- naive composite consensus ----------------------------------------------
   if (!fast) {
@@ -284,7 +229,7 @@ int main(int argc, char** argv) {
                   {{"Inv1_0", ">100000", "-", ">24h"},
                    {"Inv2_0", ">100000", "-", ">24h"},
                    {"SRoundTerm", ">100000", "-", ">24h"}},
-                  baseline, rows);
+                  rows);
   } else {
     std::puts("  Naive consensus (Fig.3): skipped (--fast); expected outcome: timeouts\n");
   }
@@ -298,7 +243,7 @@ int main(int argc, char** argv) {
                  {"SRoundTerm", "2", "109", "4.13s"},
                  {"Good_0", "2", "67", "4.55s"},
                  {"Dec_0", "2", "73", "4.62s"}},
-                baseline, rows);
+                rows);
 
   std::puts("Expected shape: bv-broadcast and the simplified consensus verify in seconds");
   std::puts("per property; the naive composite automaton exhausts its budget (paper: >24h).");

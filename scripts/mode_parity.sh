@@ -2,9 +2,11 @@
 # Execution-mode parity: every bundled model's default properties must get
 # the same `hvc check --json` verdicts whether one thread, four threads or
 # two forked worker processes settle the schemas, with cross-schema learning
-# off (one thread and the fleet) and with one-shot instead of incremental
-# solving; and two one-thread certifying runs of the simplified consensus
-# must emit byte-identical certificates.
+# off (one thread and the fleet), with one-shot instead of incremental
+# solving, with the fault-tolerant runtime armed (journal, per-schema
+# watchdogs and memory budget, all with limits that never fire) and with a
+# fleet whose verdicts are spot-checked; and two one-thread certifying runs
+# of the simplified consensus must emit byte-identical certificates.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,9 +28,13 @@ for model in models/*.ta; do
   # result): cap it as the certify step does; "unknown" must still agree.
   if [ "$name" = naive_consensus ]; then cap=(--max-schemas 500 --timeout 60); fi
   reference=""
+  leg=0
   for mode in "--threads 1" "--threads 4" "--workers 2" "--threads 1 --no-lemmas" \
-              "--threads 1 --no-incremental" "--workers 2 --no-lemmas"; do
-    tag="$name.${mode// /}"
+              "--threads 1 --no-incremental" "--workers 2 --no-lemmas" \
+              "--threads 1 --journal $work/$name.journal --schema-timeout 3600 --pivot-budget 1000000000 --memory-budget 1000000" \
+              "--workers 2 --spot-check-rate 0.05"; do
+    leg=$((leg + 1))
+    tag="$name.$leg"
     code=0
     # shellcheck disable=SC2086
     "$hvc" check "$model" $mode --json ${cap[@]+"${cap[@]}"} > "$work/$tag.json" \

@@ -154,7 +154,7 @@ HolisticReport verify_dag(const HolisticOptions& options) {
 
   dag::Graph graph;
   std::vector<dag::NodeId> all_nodes;
-  const auto property_node = [&](const char* stage, const ta::ThresholdAutomaton& automaton,
+  const auto property_node = [&](const ta::ThresholdAutomaton& automaton,
                                  const spec::Property& property,
                                  std::optional<PropertyResult>& slot,
                                  checker::CheckOptions check, std::vector<dag::NodeId> deps,
@@ -181,7 +181,7 @@ HolisticReport verify_dag(const HolisticOptions& options) {
     // Re-stamp the identity: the budget tightened the timeout, and the node
     // key must fingerprint the options the node actually runs under.
     check.journal_node = node_key("naive", naive_props[i].name, check);
-    property_node("naive", *naive, naive_props[i], naive_slots[i], std::move(check), {},
+    property_node(*naive, naive_props[i], naive_slots[i], std::move(check), {},
                   /*ok_needs_holds=*/false);
   }
 
@@ -190,12 +190,12 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   // cancels the entire consensus stage before it starts.
   std::vector<dag::NodeId> gadget;
   for (std::size_t i = 0; i < bv_props.size(); ++i) {
-    gadget.push_back(property_node("bv", bv, bv_props[i], bv_slots[i],
+    gadget.push_back(property_node(bv, bv_props[i], bv_slots[i],
                                    dag_node_options(options, "bv", bv_props[i].name), {},
                                    /*ok_needs_holds=*/true));
   }
   for (std::size_t i = 0; i < consensus_props.size(); ++i) {
-    property_node("consensus", consensus, consensus_props[i], consensus_slots[i],
+    property_node(consensus, consensus_props[i], consensus_slots[i],
                   dag_node_options(options, "consensus", consensus_props[i].name), gadget,
                   /*ok_needs_holds=*/true);
   }

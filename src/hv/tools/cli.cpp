@@ -1,6 +1,7 @@
 #include "hv/tools/cli.h"
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -157,8 +158,24 @@ std::atomic<bool> g_interrupted{false};
 
 void handle_interrupt(int) { g_interrupted.store(true); }
 
+/// `text` as a T. The whole text must be one number that fits in T, or
+/// the InvalidArgument names `what` (a flag such as "--threads").
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) {
+    throw InvalidArgument(what + ": value '" + text + "' is out of range");
+  }
+  if (error != std::errc() || stop != end) {
+    throw InvalidArgument(what + ": invalid number '" + text + "'");
+  }
+  return value;
+}
+
 double parse_spot_check_rate(const std::string& command, const std::string& value) {
-  const double rate = std::stod(value);
+  const double rate = parse_number<double>("--spot-check-rate", value);
   if (rate < 0.0 || rate > 1.0) {
     throw InvalidArgument(command + ": --spot-check-rate must be in [0, 1], got " + value);
   }
@@ -224,6 +241,14 @@ class Args {
     ++position_;
     if (empty()) throw InvalidArgument(flag + " requires a value");
     return args_[position_++];
+  }
+
+  /// Consumes "--flag value" where the value must be a T (parse_number).
+  template <typename T>
+  std::optional<T> number(const std::string& flag) {
+    const auto value = option(flag);
+    if (!value) return std::nullopt;
+    return parse_number<T>(flag, *value);
   }
 
   bool boolean(const std::string& flag) {
@@ -351,72 +376,83 @@ void print_result_text(const ta::ThresholdAutomaton& ta, const checker::Property
   if (result.counterexample) out << result.counterexample->to_string(ta);
 }
 
+/// Consumes one of the checking flags hvc check, serve and submit share;
+/// false when the next argument is none of them.
+bool check_option(Args& args, checker::CheckOptions& options) {
+  if (const auto value = args.number<double>("--timeout")) {
+    options.timeout_seconds = *value;
+  } else if (const auto value = args.number<std::int64_t>("--max-schemas")) {
+    options.enumeration.max_schemas = *value;
+  } else if (args.boolean("--no-pruning")) {
+    options.property_directed_pruning = false;
+  } else if (args.boolean("--no-incremental")) {
+    options.incremental = false;
+  } else if (args.boolean("--no-lemmas")) {
+    options.lemmas = false;
+  } else if (const auto value = args.number<double>("--schema-timeout")) {
+    options.schema_timeout_seconds = *value;
+  } else if (const auto value = args.number<std::int64_t>("--pivot-budget")) {
+    options.pivot_budget = *value;
+  } else if (const auto value = args.number<std::int64_t>("--memory-budget")) {
+    options.memory_budget_mb = *value;
+  } else if (args.boolean("--no-retry")) {
+    options.retry_fresh = false;
+  } else if (args.boolean("--certify")) {
+    options.certify = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// --resume keeps extending the same journal, so a later resume sees the
+/// whole run; a fresh --journal starts empty (append is for resume only).
+void normalize_journal_paths(checker::CheckOptions& options) {
+  if (!options.resume_path.empty() && options.journal_path.empty()) {
+    options.journal_path = options.resume_path;
+  } else if (!options.journal_path.empty() && options.journal_path != options.resume_path) {
+    std::remove(options.journal_path.c_str());
+  }
+}
+
 int command_check(Args& args, std::ostream& out) {
   const auto model_path = args.next_positional();
   if (!model_path) throw InvalidArgument("check: missing model file");
   std::vector<std::string> props;
   std::vector<std::string> names;
   bool json = false;
-  bool certify = false;
   int fork_workers = 0;
   double spot_check_rate = 0.0;
   std::uint64_t spot_check_seed = 0;
   std::optional<std::string> cert_out;
   checker::CheckOptions options;
   while (!args.empty()) {
+    if (check_option(args, options)) continue;
     if (const auto value = args.option("--prop")) {
       props.push_back(*value);
     } else if (const auto value = args.option("--name")) {
       names.push_back(*value);
-    } else if (const auto value = args.option("--timeout")) {
-      options.timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--max-schemas")) {
-      options.enumeration.max_schemas = std::stoll(*value);
-    } else if (const auto value = args.option("--workers")) {
-      fork_workers = std::stoi(*value);
-    } else if (const auto value = args.option("--threads")) {
-      options.workers = std::stoi(*value);
+    } else if (const auto value = args.number<int>("--workers")) {
+      fork_workers = *value;
+    } else if (const auto value = args.number<int>("--threads")) {
+      options.workers = *value;
     } else if (const auto value = args.option("--spot-check-rate")) {
       spot_check_rate = parse_spot_check_rate("check", *value);
-    } else if (const auto value = args.option("--spot-check-seed")) {
-      spot_check_seed = std::stoull(*value);
-    } else if (args.boolean("--no-pruning")) {
-      options.property_directed_pruning = false;
-    } else if (args.boolean("--no-incremental")) {
-      options.incremental = false;
-    } else if (args.boolean("--no-lemmas")) {
-      options.lemmas = false;
+    } else if (const auto value = args.number<std::uint64_t>("--spot-check-seed")) {
+      spot_check_seed = *value;
     } else if (args.boolean("--json")) {
       json = true;
-    } else if (args.boolean("--certify")) {
-      certify = true;
     } else if (const auto value = args.option("--cert-out")) {
       cert_out = *value;
     } else if (const auto value = args.option("--journal")) {
       options.journal_path = *value;
     } else if (const auto value = args.option("--resume")) {
       options.resume_path = *value;
-    } else if (const auto value = args.option("--schema-timeout")) {
-      options.schema_timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--pivot-budget")) {
-      options.pivot_budget = std::stoll(*value);
-    } else if (const auto value = args.option("--memory-budget")) {
-      options.memory_budget_mb = std::stoll(*value);
-    } else if (args.boolean("--no-retry")) {
-      options.retry_fresh = false;
     } else {
       throw InvalidArgument("check: unexpected argument '" + args.peek() + "'");
     }
   }
-  options.certify = certify;
-  if (!options.resume_path.empty() && options.journal_path.empty()) {
-    // Resuming keeps extending the same journal, so a later resume sees the
-    // whole run.
-    options.journal_path = options.resume_path;
-  } else if (!options.journal_path.empty() && options.journal_path != options.resume_path) {
-    // A fresh journal starts empty; append semantics are for resume only.
-    std::remove(options.journal_path.c_str());
-  }
+  normalize_journal_paths(options);
   options.cancel = &g_interrupted;
   options.fault = checker::fault_plan_from_env();
   if (spot_check_rate > 0.0 && fork_workers < 2) {
@@ -465,7 +501,7 @@ int command_check(Args& args, std::ostream& out) {
   }
 
   std::string cert_path;
-  if (certify) {
+  if (options.certify) {
     cert::Certificate certificate;
     certificate.components.push_back(
         cert::make_component_cert(cert::text_model_source(model_text), properties, results,
@@ -484,7 +520,7 @@ int command_check(Args& args, std::ostream& out) {
           << " leases granted, " << dist_stats.leases_reassigned << " reassigned\n";
       print_byzantine_stats(dist_stats, out);
     }
-    if (certify) out << "certificate: " << cert_path << "\n";
+    if (options.certify) out << "certificate: " << cert_path << "\n";
   }
   return exit_code(results);
 }
@@ -496,64 +532,39 @@ int command_serve(Args& args, std::ostream& out) {
   std::vector<std::string> props;
   std::vector<std::string> names;
   bool json = false;
-  bool certify = false;
   std::optional<std::string> cert_out;
   dist::DistOptions dist_options;
   checker::CheckOptions& options = dist_options.check;
   while (!args.empty()) {
+    if (check_option(args, options)) continue;
     if (const auto value = args.option("--listen")) {
       listen = *value;
     } else if (const auto value = args.option("--prop")) {
       props.push_back(*value);
     } else if (const auto value = args.option("--name")) {
       names.push_back(*value);
-    } else if (const auto value = args.option("--timeout")) {
-      options.timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--max-schemas")) {
-      options.enumeration.max_schemas = std::stoll(*value);
-    } else if (const auto value = args.option("--expected-workers")) {
-      dist_options.expected_workers = std::stoi(*value);
-    } else if (const auto value = args.option("--lease-timeout")) {
-      dist_options.lease_timeout_seconds = std::stod(*value);
+    } else if (const auto value = args.number<int>("--expected-workers")) {
+      dist_options.expected_workers = *value;
+    } else if (const auto value = args.number<double>("--lease-timeout")) {
+      dist_options.lease_timeout_seconds = *value;
     } else if (const auto value = args.option("--spot-check-rate")) {
       dist_options.spot_check_rate = parse_spot_check_rate("serve", *value);
-    } else if (const auto value = args.option("--spot-check-seed")) {
-      dist_options.spot_check_seed = std::stoull(*value);
-    } else if (args.boolean("--no-pruning")) {
-      options.property_directed_pruning = false;
-    } else if (args.boolean("--no-incremental")) {
-      options.incremental = false;
-    } else if (args.boolean("--no-lemmas")) {
-      options.lemmas = false;
+    } else if (const auto value = args.number<std::uint64_t>("--spot-check-seed")) {
+      dist_options.spot_check_seed = *value;
     } else if (args.boolean("--json")) {
       json = true;
-    } else if (args.boolean("--certify")) {
-      certify = true;
     } else if (const auto value = args.option("--cert-out")) {
       cert_out = *value;
     } else if (const auto value = args.option("--journal")) {
       options.journal_path = *value;
     } else if (const auto value = args.option("--resume")) {
       options.resume_path = *value;
-    } else if (const auto value = args.option("--schema-timeout")) {
-      options.schema_timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--pivot-budget")) {
-      options.pivot_budget = std::stoll(*value);
-    } else if (const auto value = args.option("--memory-budget")) {
-      options.memory_budget_mb = std::stoll(*value);
-    } else if (args.boolean("--no-retry")) {
-      options.retry_fresh = false;
     } else {
       throw InvalidArgument("serve: unexpected argument '" + args.peek() + "'");
     }
   }
   if (listen.empty()) throw InvalidArgument("serve: --listen is required");
-  options.certify = certify;
-  if (!options.resume_path.empty() && options.journal_path.empty()) {
-    options.journal_path = options.resume_path;
-  } else if (!options.journal_path.empty() && options.journal_path != options.resume_path) {
-    std::remove(options.journal_path.c_str());
-  }
+  normalize_journal_paths(options);
   options.cancel = &g_interrupted;
 
   const std::string model_text = read_file(*model_path);
@@ -576,7 +587,7 @@ int command_serve(Args& args, std::ostream& out) {
       dist::serve(model_text, specs, listen, dist_options, &stats);
 
   std::string cert_path;
-  if (certify) {
+  if (options.certify) {
     const std::vector<spec::Property> properties = dist::resolve_properties(ta, specs);
     cert::Certificate certificate;
     certificate.components.push_back(
@@ -594,7 +605,7 @@ int command_serve(Args& args, std::ostream& out) {
         << stats.workers_lost << " lost, " << stats.leases_granted << " leases granted, "
         << stats.leases_reassigned << " reassigned\n";
     print_byzantine_stats(stats, out);
-    if (certify) out << "certificate: " << cert_path << "\n";
+    if (options.certify) out << "certificate: " << cert_path << "\n";
   }
   return exit_code(results);
 }
@@ -606,12 +617,12 @@ int command_work(Args& args, std::ostream& out) {
       options.connect = *value;
     } else if (const auto value = args.option("--label")) {
       options.label = *value;
-    } else if (const auto value = args.option("--retry")) {
-      options.connect_retry_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--reconnect")) {
-      options.reconnect_seconds = std::stod(*value);
+    } else if (const auto value = args.number<double>("--retry")) {
+      options.connect_retry_seconds = *value;
+    } else if (const auto value = args.number<double>("--reconnect")) {
+      options.reconnect_seconds = *value;
     } else if (const auto value = args.option("--heartbeat-ms")) {
-      options.heartbeat_ms = std::stoi(*value);
+      options.heartbeat_ms = parse_number<int>("--heartbeat-ms", *value);
       if (options.heartbeat_ms <= 0) {
         throw InvalidArgument("work: --heartbeat-ms must be a positive period, got " + *value);
       }
@@ -646,18 +657,18 @@ int command_daemon(Args& args, std::ostream& out) {
       listen = *value;
     } else if (const auto value = args.option("--state")) {
       options.state_dir = *value;
-    } else if (const auto value = args.option("--cache-mb")) {
-      options.cache_bytes = std::stoll(*value) * 1024 * 1024;
-    } else if (const auto value = args.option("--job-workers")) {
-      options.job_workers = std::stoi(*value);
-    } else if (const auto value = args.option("--max-running")) {
-      options.limits.max_running = std::stoi(*value);
-    } else if (const auto value = args.option("--tenant-max-queued")) {
-      options.limits.tenant_max_queued = std::stoi(*value);
-    } else if (const auto value = args.option("--tenant-max-running")) {
-      options.limits.tenant_max_running = std::stoi(*value);
-    } else if (const auto value = args.option("--tenant-schema-budget")) {
-      options.limits.tenant_schema_budget = std::stoll(*value);
+    } else if (const auto value = args.number<int>("--cache-mb")) {
+      options.cache_bytes = static_cast<std::int64_t>(*value) * 1024 * 1024;
+    } else if (const auto value = args.number<int>("--job-workers")) {
+      options.job_workers = *value;
+    } else if (const auto value = args.number<int>("--max-running")) {
+      options.limits.max_running = *value;
+    } else if (const auto value = args.number<int>("--tenant-max-queued")) {
+      options.limits.tenant_max_queued = *value;
+    } else if (const auto value = args.number<int>("--tenant-max-running")) {
+      options.limits.tenant_max_running = *value;
+    } else if (const auto value = args.number<std::int64_t>("--tenant-schema-budget")) {
+      options.limits.tenant_schema_budget = *value;
     } else if (const auto value = args.option("--spot-check-rate")) {
       options.spot_check_rate = parse_spot_check_rate("daemon", *value);
     } else {
@@ -693,42 +704,23 @@ int command_submit(Args& args, std::ostream& out) {
   service::SubmitRequest request;
   checker::CheckOptions& options = request.options;
   while (!args.empty()) {
+    if (check_option(args, options)) continue;
     if (const auto value = args.option("--connect")) {
       connect = *value;
     } else if (const auto value = args.option("--tenant")) {
       request.tenant = *value;
-    } else if (const auto value = args.option("--priority")) {
-      request.priority = std::stoi(*value);
+    } else if (const auto value = args.number<int>("--priority")) {
+      request.priority = *value;
     } else if (args.boolean("--wait")) {
       wait = true;
     } else if (const auto value = args.option("--prop")) {
       props.push_back(*value);
     } else if (const auto value = args.option("--name")) {
       names.push_back(*value);
-    } else if (const auto value = args.option("--timeout")) {
-      options.timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--max-schemas")) {
-      options.enumeration.max_schemas = std::stoll(*value);
-    } else if (const auto value = args.option("--threads")) {
-      options.workers = std::stoi(*value);
-    } else if (args.boolean("--no-pruning")) {
-      options.property_directed_pruning = false;
-    } else if (args.boolean("--no-incremental")) {
-      options.incremental = false;
-    } else if (args.boolean("--no-lemmas")) {
-      options.lemmas = false;
+    } else if (const auto value = args.number<int>("--threads")) {
+      options.workers = *value;
     } else if (args.boolean("--json")) {
       json = true;
-    } else if (args.boolean("--certify")) {
-      options.certify = true;
-    } else if (const auto value = args.option("--schema-timeout")) {
-      options.schema_timeout_seconds = std::stod(*value);
-    } else if (const auto value = args.option("--pivot-budget")) {
-      options.pivot_budget = std::stoll(*value);
-    } else if (const auto value = args.option("--memory-budget")) {
-      options.memory_budget_mb = std::stoll(*value);
-    } else if (args.boolean("--no-retry")) {
-      options.retry_fresh = false;
     } else {
       throw InvalidArgument("submit: unexpected argument '" + args.peek() + "'");
     }
@@ -791,8 +783,8 @@ int command_status(Args& args, std::ostream& out) {
   while (!args.empty()) {
     if (const auto value = args.option("--connect")) {
       connect = *value;
-    } else if (const auto value = args.option("--job")) {
-      job = std::stoll(*value);
+    } else if (const auto value = args.number<std::int64_t>("--job")) {
+      job = *value;
     } else if (args.boolean("--json")) {
       json = true;
     } else {
@@ -850,7 +842,8 @@ int command_result(Args& args, std::ostream& out) {
   }
   if (connect.empty()) throw InvalidArgument("result: --connect is required");
   service::Client client(connect);
-  const cert::Json frame = client.result(std::stoll(*job_text), wait);
+  const cert::Json frame =
+      client.result(parse_number<std::int64_t>("result: job id", *job_text), wait);
   const cert::Json* type = frame.find("type");
   if (type == nullptr) throw Error("result: malformed reply");
   if (type->as_string() == "error") throw Error("result: " + frame.at("message").as_string());
@@ -881,7 +874,7 @@ int command_cancel(Args& args, std::ostream& out) {
   }
   if (connect.empty()) throw InvalidArgument("cancel: --connect is required");
   service::Client client(connect);
-  const cert::Json reply = client.cancel(std::stoll(*job_text));
+  const cert::Json reply = client.cancel(parse_number<std::int64_t>("cancel: job id", *job_text));
   const cert::Json* type = reply.find("type");
   if (type == nullptr || type->as_string() != "ok") {
     throw Error("cancel: " + reply.at("message").as_string());
@@ -898,10 +891,10 @@ int command_audit(Args& args, std::ostream& out) {
   while (!args.empty()) {
     if (args.boolean("--json")) {
       json = true;
-    } else if (const auto value = args.option("--jobs")) {
-      audit_options.jobs = std::stoi(*value);
-    } else if (const auto value = args.option("--workers")) {
-      audit_options.jobs = std::stoi(*value);  // alias, mirrors hvc check
+    } else if (const auto value = args.number<int>("--jobs")) {
+      audit_options.jobs = *value;
+    } else if (const auto value = args.number<int>("--workers")) {
+      audit_options.jobs = *value;  // alias, mirrors hvc check
     } else {
       throw InvalidArgument("audit: unexpected argument '" + args.peek() + "'");
     }
@@ -945,8 +938,8 @@ int command_explicit(Args& args, std::ostream& out) {
       prop = *value;
     } else if (const auto value = args.option("--params")) {
       params_text = *value;
-    } else if (const auto value = args.option("--max-states")) {
-      options.max_states = std::stoll(*value);
+    } else if (const auto value = args.number<std::int64_t>("--max-states")) {
+      options.max_states = *value;
     } else if (args.boolean("--json")) {
       json = true;
     } else {
@@ -999,24 +992,24 @@ int command_simulate(Args& args, std::ostream& out) {
   int lemma7_rounds = 10;
   std::int64_t max_steps = 1'000'000;
   while (!args.empty()) {
-    if (const auto value = args.option("--n")) {
-      config.n = std::stoi(*value);
-    } else if (const auto value = args.option("--t")) {
-      config.t = std::stoi(*value);
+    if (const auto value = args.number<int>("--n")) {
+      config.n = *value;
+    } else if (const auto value = args.number<int>("--t")) {
+      config.t = *value;
     } else if (const auto value = args.option("--inputs")) {
       inputs_text = *value;
     } else if (const auto value = args.option("--byzantine")) {
       byzantine_text = *value;
     } else if (const auto value = args.option("--scheduler")) {
       scheduler_name = *value;
-    } else if (const auto value = args.option("--seed")) {
-      config.seed = std::stoull(*value);
-    } else if (const auto value = args.option("--max-steps")) {
-      max_steps = std::stoll(*value);
+    } else if (const auto value = args.number<std::uint64_t>("--seed")) {
+      config.seed = *value;
+    } else if (const auto value = args.number<std::int64_t>("--max-steps")) {
+      max_steps = *value;
     } else if (args.boolean("--lemma7")) {
       lemma7 = true;
-    } else if (const auto value = args.option("--rounds")) {
-      lemma7_rounds = std::stoi(*value);
+    } else if (const auto value = args.number<int>("--rounds")) {
+      lemma7_rounds = *value;
     } else {
       throw InvalidArgument("simulate: unexpected argument '" + args.peek() + "'");
     }
@@ -1097,21 +1090,20 @@ int command_simulate(Args& args, std::ostream& out) {
 
 int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
   pipeline::HolisticOptions options;
-  bool certify = false;
   std::optional<std::string> cert_out;
   while (!args.empty()) {
     if (args.boolean("--naive")) {
       options.include_naive_attempt = true;
     } else if (args.boolean("--certify")) {
-      certify = true;
+      options.check.certify = true;
     } else if (const auto value = args.option("--cert-out")) {
       cert_out = *value;
     } else if (const auto value = args.option("--journal")) {
       options.journal_prefix = *value;
     } else if (args.boolean("--resume")) {
       options.resume = true;
-    } else if (const auto value = args.option("--dag-workers")) {
-      options.dag_workers = std::stoi(*value);
+    } else if (const auto value = args.number<int>("--dag-workers")) {
+      options.dag_workers = *value;
       if (options.dag_workers < 1) {
         throw InvalidArgument("redbelly: --dag-workers must be >= 1");
       }
@@ -1122,7 +1114,6 @@ int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
   if (options.resume && options.journal_prefix.empty()) {
     throw InvalidArgument("redbelly: --resume requires --journal <prefix>");
   }
-  options.check.certify = certify;
   options.check.cancel = &g_interrupted;
   options.check.fault = checker::fault_plan_from_env();
   if (options.dag_workers >= 1) {
@@ -1132,7 +1123,7 @@ int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
   }
   const pipeline::HolisticReport report = pipeline::verify_red_belly_consensus(options);
   out << report.to_string();
-  if (certify) {
+  if (options.check.certify) {
     const std::string path = cert_out.value_or("redbelly.cert.json");
     write_file(path, cert::to_json_text(pipeline::certify_report(report)));
     out << "certificate: " << path << "\n";

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "hv/checker/explicit_checker.h"
@@ -340,7 +341,64 @@ TEST(ParameterizedTest, WorkerPoolOnPaperModel) {
     // varies with worker interleaving), but every one of the row's 2116
     // schemas must be accounted for.
     EXPECT_EQ(result.schemas_checked + result.schemas_cut, 2116);
-    if (lemmas_enabled(options)) EXPECT_GT(result.schemas_cut, 0);
+    if (lemmas_enabled(options)) {
+      EXPECT_GT(result.schemas_cut, 0);
+    }
+  }
+}
+
+// --- pruning ablation -------------------------------------------------------
+//
+// Every pruning is sound: switching one off changes how many schemas reach
+// the solver, never the verdict. Without dead-unlock pruning the schema
+// space can outgrow the enumeration budget, so "-dead" may end unknown, but
+// it must never report a violation.
+
+TEST(PruningAblationTest, SoundConfigurationsAgree) {
+  struct Configuration {
+    const char* name;
+    bool cones;
+    bool dead;
+    bool implications;
+    bool lemmas;
+  };
+  constexpr Configuration kConfigurations[] = {
+      {"full", true, true, true, true},
+      {"-lemma", true, true, true, false},
+      {"-cone", false, true, true, true},
+      {"-dead", false, false, true, true},
+      {"-impl", false, true, false, true},
+  };
+  const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
+  const ta::ThresholdAutomaton simplified = hv::models::simplified_consensus_one_round();
+  std::vector<std::pair<const ta::ThresholdAutomaton*, spec::Property>> rows;
+  for (spec::Property& property : hv::models::bv_properties(bv)) {
+    if (property.name == "BV-Just0" || property.name == "BV-Unif0") {
+      rows.emplace_back(&bv, std::move(property));
+    }
+  }
+  for (spec::Property& property : hv::models::simplified_properties(simplified)) {
+    if (property.name == "Inv2_0" || property.name == "Dec_0") {
+      rows.emplace_back(&simplified, std::move(property));
+    }
+  }
+  ASSERT_EQ(rows.size(), 4u);
+  for (const auto& [ta, property] : rows) {
+    for (const Configuration& configuration : kConfigurations) {
+      CheckOptions options;
+      options.property_directed_pruning = configuration.cones;
+      options.enumeration.prune_dead_unlocks = configuration.dead;
+      options.enumeration.prune_implications = configuration.implications;
+      options.lemmas = configuration.lemmas;
+      options.timeout_seconds = 60.0;
+      const PropertyResult result = check_property(*ta, property, options);
+      const std::string context = property.name + " " + configuration.name + ": " + result.note;
+      if (configuration.dead) {
+        EXPECT_EQ(result.verdict, Verdict::kHolds) << context;
+      } else {
+        EXPECT_NE(result.verdict, Verdict::kViolated) << context;
+      }
+    }
   }
 }
 

@@ -96,6 +96,28 @@ TEST_F(CliTest, CheckFlagValidation) {
   EXPECT_EQ(run({"check", "/nonexistent.ta", "--prop", "x >= 1"}), 2);
 }
 
+TEST_F(CliTest, NonNumericFlagValueIsAUsageError) {
+  // A malformed number is a usage error that names its flag, never an
+  // uncaught exception that aborts the process.
+  const std::string prop = "[](locB == 0) -> [](locD == 0)";
+  EXPECT_EQ(run({"check", model_path_, "--prop", prop, "--threads", "abc"}), 2);
+  EXPECT_NE(err_.str().find("--threads"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"check", model_path_, "--prop", prop, "--timeout", "x"}), 2);
+  EXPECT_NE(err_.str().find("--timeout"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"check", model_path_, "--prop", prop, "--threads", "4x"}), 2);
+  EXPECT_NE(err_.str().find("--threads"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"work", "--connect", "unix:/tmp/hv-nowhere.sock", "--heartbeat-ms", "zz"}), 2);
+  EXPECT_NE(err_.str().find("--heartbeat-ms"), std::string::npos) << err_.str();
+}
+
+TEST_F(CliTest, OutOfRangeFlagValueIsAUsageError) {
+  EXPECT_EQ(run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
+                 "--max-schemas", "99999999999999999999"}),
+            2);
+  EXPECT_NE(err_.str().find("--max-schemas"), std::string::npos) << err_.str();
+  EXPECT_NE(err_.str().find("out of range"), std::string::npos) << err_.str();
+}
+
 TEST_F(CliTest, CheckWithoutPropUsesBundledDefaults) {
   const std::string path = ::testing::TempDir() + "simplified_consensus.ta";
   {

@@ -17,16 +17,6 @@ namespace dag = hv::pipeline::dag;
 
 namespace {
 
-dag::Node make_node(std::string key, std::function<bool()> run,
-                    std::vector<dag::NodeId> deps = {}, bool gated = true) {
-  dag::Node node;
-  node.key = std::move(key);
-  node.run = std::move(run);
-  node.deps = std::move(deps);
-  node.gated = gated;
-  return node;
-}
-
 TEST(DagGraphTest, RejectsMalformedNodes) {
   dag::Graph graph;
   const auto ok = [] { return true; };
