@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # DAG pipeline smoke test:
 #   1. `hvc redbelly --dag-workers N` must print the same stable report as
-#      the sequential pipeline (timing and DAG-accounting lines stripped),
+#      the default one-lane run (timing and DAG-accounting lines stripped),
 #      and the --certify certificates must be byte-identical;
 #   2. a DAG run with per-node journals is SIGKILLed mid-flight and
 #      restarted with --resume: the resumed report must still match the
-#      sequential reference, with part of the work replayed from journals;
+#      one-lane reference, with part of the work replayed from journals;
 #   3. several live properties are multiplexed onto one coordinator/worker
 #      fleet (`hvc serve` fair-share leases), the coordinator is SIGKILLed
 #      mid-run and restarted with --resume; the merged verdicts must match
@@ -26,7 +26,7 @@ normalize_report() {
   sed -E -e '/^total time:/d' -e '/^dag:/d' -e 's/, [0-9.eE+-]+s\)$/)/' "$1"
 }
 
-echo "== sequential reference"
+echo "== one-lane reference"
 "$hvc" redbelly > "$work/seq.txt"
 normalize_report "$work/seq.txt" > "$work/seq.norm"
 
@@ -35,18 +35,18 @@ for lanes in 2 4; do
   "$hvc" redbelly --dag-workers "$lanes" > "$work/dag$lanes.txt" 2> "$work/dag$lanes.err"
   normalize_report "$work/dag$lanes.txt" > "$work/dag$lanes.norm"
   if ! diff -u "$work/seq.norm" "$work/dag$lanes.norm"; then
-    echo "FAIL: $lanes-lane DAG report differs from the sequential report" >&2
+    echo "FAIL: $lanes-lane DAG report differs from the one-lane report" >&2
     exit 1
   fi
   grep -q '^\[dag ' "$work/dag$lanes.err" ||
     { echo "FAIL: no DAG progress on stderr ($lanes lanes)" >&2; exit 1; }
 done
-echo "OK: DAG reports match the sequential report"
+echo "OK: DAG reports match the one-lane report"
 
 "$hvc" redbelly --certify --cert-out "$work/seq.cert.json" > /dev/null
 "$hvc" redbelly --dag-workers 2 --certify --cert-out "$work/dag.cert.json" > /dev/null 2>&1
 if ! cmp -s "$work/seq.cert.json" "$work/dag.cert.json"; then
-  echo "FAIL: DAG certificate is not byte-identical to the sequential one" >&2
+  echo "FAIL: DAG certificate is not byte-identical to the one-lane one" >&2
   exit 1
 fi
 echo "OK: certificates are byte-identical" \
@@ -78,10 +78,10 @@ wait "$victim" 2>/dev/null || true
   > "$work/resumed.txt" 2> /dev/null
 normalize_report "$work/resumed.txt" > "$work/resumed.norm"
 if ! diff -u "$work/nolemmas_ref.norm" "$work/resumed.norm"; then
-  echo "FAIL: resumed DAG run differs from the sequential reference" >&2
+  echo "FAIL: resumed DAG run differs from the one-lane reference" >&2
   exit 1
 fi
-echo "OK: resumed DAG run matches the sequential reference"
+echo "OK: resumed DAG run matches the one-lane reference"
 
 echo "== fair-share lease multiplexing: two live properties, one fleet"
 model="models/simplified_consensus.ta"

@@ -53,8 +53,8 @@ void add_issue(AuditReport& report, const std::string& context, const std::strin
 /// Merge-time twin of add_issue: the issue string already carries its
 /// context (it came out of a shard's own report), but the suppression cap
 /// must behave as if the issue had been added to the merged report
-/// directly — that is what keeps a merged shard audit byte-equivalent to
-/// the single-process one even past the cap.
+/// directly — that is what keeps the merged report byte-identical at every
+/// job count even past the cap.
 void merge_issue(AuditReport& report, const std::string& issue) {
   if (report.issues.size() > kMaxIssues) return;
   if (report.issues.size() == kMaxIssues) {
@@ -476,10 +476,9 @@ class SchemaAuditor {
 
 // ---------------------------------------------------------------------------
 // Certificate-level driver: model/property reconstruction, re-encoding,
-// coverage, verdict composition. Split into phases so the sharded audit
-// (AuditOptions::jobs > 1) schedules the *same* code the single-process
-// audit runs inline — a shard boundary is just a fresh trace encoder, which
-// the error-recovery path below always allowed mid-list anyway.
+// coverage, verdict composition. Split into phases that the audit schedules
+// as DAG nodes — a shard boundary is just a fresh trace encoder, which the
+// error-recovery path below always allowed mid-list anyway.
 // ---------------------------------------------------------------------------
 
 std::string schema_key(std::int64_t query_index, const Schema& schema) {
@@ -828,9 +827,8 @@ void audit_coverage(const GuardAnalysis& analysis, PropertyAuditState& state,
 }
 
 /// The audited verdict of one property after all its phases settled. The
-/// `green` flag must reflect the *merged, capped* report — the sequential
-/// audit derives it the same way, so both schedules agree even past the
-/// issue cap.
+/// `green` flag must reflect the *merged, capped* report, so every job count
+/// agrees even past the issue cap.
 std::string audited_verdict(const PropertyAuditState& state, bool green) {
   if (!state.audited || state.hard_failed) return "failed";
   return green ? state.cert->verdict : "failed";
@@ -907,61 +905,26 @@ void merge_report(AuditReport& report, const AuditReport& part) {
   report.farkas_nodes += part.farkas_nodes;
 }
 
-/// The single-process audit: every phase runs inline, in canonical order.
-AuditReport audit_sequential(const Certificate& certificate) {
-  AuditReport report;
-  std::vector<ComponentOutcome> outcomes;
+}  // namespace
 
-  for (std::size_t ci = 0; ci < certificate.components.size(); ++ci) {
-    const ComponentCert& component = certificate.components[ci];
-    outcomes.emplace_back();
-    ComponentOutcome& outcome = outcomes.back();
-    for (const PropertyCert& property : component.properties) {
-      outcome.verdicts[property.name] = "failed";
-    }
-
-    ComponentState comp;
-    comp.cert = &component;
-    comp.context = describe_component(component, ci);
-    const bool model_ok = reconstruct_component(comp, report);
-    if (comp.ta) outcome.automaton_name = comp.ta->name();
-    if (!model_ok) continue;
-
-    for (const PropertyCert& property_cert : component.properties) {
-      PropertyAuditState state;
-      state.cert = &property_cert;
-      state.context = comp.context + ", property '" + property_cert.name + "'";
-      const std::size_t issues_before = report.issues.size();
-      if (prepare_property(*comp.analysis, *comp.ta, state, report)) {
-        for (std::size_t q = 0; q < state.query_count; ++q) {
-          audit_entry_range(*comp.analysis, state, q, 0, state.by_query[q].size(), report);
-        }
-        audit_coverage(*comp.analysis, state, report);
-      }
-      const bool green = report.issues.size() == issues_before;
-      outcome.verdicts[property_cert.name] = audited_verdict(state, green);
-    }
-  }
-
-  recompose_theorem6(certificate, outcomes, report);
-  report.ok = report.issues.empty();
-  return report;
-}
-
-/// The sharded audit: the same phases, scheduled as a DAG and merged back
-/// in canonical (component, property, shard) order.
-AuditReport audit_sharded(const Certificate& certificate, int jobs) {
+/// The audit's phases, scheduled as a DAG and merged back in canonical
+/// (component, property, shard) order.
+AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options) {
   namespace dag = hv::pipeline::dag;
+  // Zero shards would leave every evidence list unaudited.
+  const int jobs = std::max(1, options.jobs);
 
   struct PropTask {
     PropertyAuditState state;
     AuditReport prep;
     std::vector<AuditReport> shards;
     AuditReport coverage;
+    std::vector<dag::NodeId> nodes;  // prepare, shards, coverage
   };
   struct CompTask {
     ComponentState state;
     AuditReport sink;
+    dag::NodeId node = 0;
     std::deque<PropTask> props;  // deque: PropTask is move-only, never relocated
   };
 
@@ -976,9 +939,8 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
     comp.state.cert = &component;
     comp.state.context = describe_component(component, ci);
     for (std::size_t pi = 0; pi < component.properties.size(); ++pi) comp.props.emplace_back();
-    const dag::NodeId comp_node =
-        graph.add("component#" + std::to_string(ci),
-                  [&comp] { return reconstruct_component(comp.state, comp.sink); });
+    comp.node = graph.add("component#" + std::to_string(ci),
+                          [&comp] { return reconstruct_component(comp.state, comp.sink); });
     for (std::size_t pi = 0; pi < component.properties.size(); ++pi) {
       const PropertyCert& property_cert = component.properties[pi];
       PropTask& prop = comp.props[pi];
@@ -992,7 +954,7 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
             return prepare_property(*comp.state.analysis, *comp.state.ta, prop.state,
                                     prop.prep);
           },
-          {comp_node});
+          {comp.node});
       std::vector<dag::NodeId> shard_nodes;
       for (int k = 0; k < jobs; ++k) {
         shard_nodes.push_back(graph.add(
@@ -1021,13 +983,15 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
             },
             {prep_node}));
       }
-      graph.add(
+      prop.nodes.push_back(prep_node);
+      prop.nodes.insert(prop.nodes.end(), shard_nodes.begin(), shard_nodes.end());
+      prop.nodes.push_back(graph.add(
           "coverage#" + id,
           [&comp, &prop] {
             audit_coverage(*comp.state.analysis, prop.state, prop.coverage);
             return true;
           },
-          shard_nodes);
+          shard_nodes));
     }
   }
 
@@ -1036,6 +1000,14 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
   dag::run(graph, run_options);
 
   AuditReport report;
+  // Fail closed: a phase that threw (std::bad_alloc on a large certificate,
+  // say) never leaves its property green.
+  const auto merge_node_error = [&](dag::NodeId id, const std::string& context) {
+    const dag::Node& node = graph.node(id);
+    if (!node.error.empty()) {
+      add_issue(report, context, "audit phase " + node.key + " threw: " + node.error);
+    }
+  };
   std::vector<ComponentOutcome> outcomes;
   for (std::size_t ci = 0; ci < comps.size(); ++ci) {
     CompTask& comp = comps[ci];
@@ -1046,11 +1018,13 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
     }
     if (comp.state.ta) outcome.automaton_name = comp.state.ta->name();
     merge_report(report, comp.sink);
+    merge_node_error(comp.node, comp.state.context);
     for (PropTask& prop : comp.props) {
       const std::size_t issues_before = report.issues.size();
       merge_report(report, prop.prep);
       for (const AuditReport& shard : prop.shards) merge_report(report, shard);
       merge_report(report, prop.coverage);
+      for (const dag::NodeId id : prop.nodes) merge_node_error(id, prop.state.context);
       const bool green = report.issues.size() == issues_before;
       outcome.verdicts[prop.state.cert->name] = audited_verdict(prop.state, green);
     }
@@ -1059,17 +1033,6 @@ AuditReport audit_sharded(const Certificate& certificate, int jobs) {
   recompose_theorem6(certificate, outcomes, report);
   report.ok = report.issues.empty();
   return report;
-}
-
-}  // namespace
-
-AuditReport audit_certificate(const Certificate& certificate) {
-  return audit_sequential(certificate);
-}
-
-AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options) {
-  if (options.jobs <= 1) return audit_sequential(certificate);
-  return audit_sharded(certificate, options.jobs);
 }
 
 std::string AuditReport::to_string() const {

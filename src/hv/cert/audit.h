@@ -54,25 +54,24 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  /// Concurrent audit lanes. 1 is the classic single-process walk. N >= 2
-  /// schedules the audit as a DAG (hv/pipeline/dag): per-component model
-  /// reconstruction gates per-property shape validation, which gates N
-  /// contiguous shards of that property's (query-grouped, prefix-sorted)
-  /// evidence list — each shard re-encodes with its own trace encoder —
-  /// which gate the property's coverage re-enumeration. Shard reports are
-  /// merged back in canonical (component, property, shard) order, so the
-  /// merged report is byte-equivalent to the single-process one: same
-  /// issues in the same order (including the suppression cap), same
-  /// warnings, same counters, same ok. The trust boundary is unchanged —
-  /// every leaf is still checked by the same pure-arithmetic core, only
-  /// scheduled differently.
+  /// Concurrent audit lanes, clamped to >= 1. The audit always runs as a
+  /// DAG (hv/pipeline/dag): per-component model reconstruction gates
+  /// per-property shape validation, which gates `jobs` contiguous shards of
+  /// that property's (query-grouped, prefix-sorted) evidence list — each
+  /// shard re-encodes with its own trace encoder — which gate the
+  /// property's coverage re-enumeration. Shard reports are merged back in
+  /// canonical (component, property, shard) order, so the merged report is
+  /// byte-identical at every job count: same issues in the same order
+  /// (including the suppression cap), same warnings, same counters, same
+  /// ok. The trust boundary does not depend on the schedule — every leaf is
+  /// checked by the same pure-arithmetic core.
   int jobs = 1;
 };
 
 /// Audits a certificate end to end. Never throws on malformed content —
-/// every defect becomes an issue in the report.
-AuditReport audit_certificate(const Certificate& certificate);
-AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options);
+/// every defect becomes an issue in the report, and so does an audit phase
+/// that throws (it fails closed).
+AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options = {});
 
 }  // namespace hv::cert
 

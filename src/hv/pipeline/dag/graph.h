@@ -19,9 +19,9 @@
 // whatever the outcome — this is the composition step, which must report
 // verdicts (unknown included) even for a partially failed pipeline.
 //
-// The same graph shape carries the sharded certificate audit: component
-// nodes (model reconstruction) gate per-property shard nodes, which gate
-// the per-property coverage walk.
+// The same graph shape carries the certificate audit: component nodes
+// (model reconstruction) gate per-property shard nodes, which gate the
+// per-property coverage walk.
 #ifndef HV_PIPELINE_DAG_GRAPH_H
 #define HV_PIPELINE_DAG_GRAPH_H
 
@@ -38,7 +38,7 @@ enum class NodeStatus {
   kPending,    // not dispatched yet
   kRunning,    // a lane is executing run()
   kDone,       // run() returned true
-  kFailed,     // run() returned false (or threw)
+  kFailed,     // run() returned false or threw (see Node::error)
   kCancelled,  // never ran: a gating dependency failed, or the run aborted
 };
 
@@ -49,8 +49,8 @@ struct Node {
   /// property-query nodes. Unique within a graph; journal headers record it
   /// so a per-node journal is never resumed into a different node.
   std::string key;
-  /// The work item; returns success. A false return (or a thrown hv::Error)
-  /// fails the node and cancels every gated transitive dependent.
+  /// The work item; returns success. A false return or any exception fails
+  /// the node and cancels every gated transitive dependent.
   std::function<bool()> run;
   /// Nodes that must settle before this one is dispatched. Must reference
   /// already-added nodes, so a Graph is acyclic by construction.
@@ -64,6 +64,10 @@ struct Node {
   /// Wall-clock spent inside run(); the node's contribution to the DAG's
   /// aggregate CPU seconds.
   double seconds = 0.0;
+  /// What run() threw (its what(), or "unknown exception"); empty when it
+  /// returned. Callers turn it into a verdict or an issue, so a thrown
+  /// node never passes for a quiet failure.
+  std::string error;
 };
 
 struct RunOptions;

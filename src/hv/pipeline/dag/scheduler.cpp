@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hv/util/stopwatch.h"
@@ -144,15 +147,19 @@ RunStats run(Graph& graph, const RunOptions& options) {
 
       const Stopwatch node_watch;
       bool ok = false;
+      std::string error;
       try {
         ok = node.run();
+      } catch (const std::exception& e) {
+        error = e.what();
       } catch (...) {
-        ok = false;
+        error = "unknown exception";
       }
       const double seconds = node_watch.seconds();
 
       lock.lock();
       node.seconds = seconds;
+      node.error = std::move(error);
       stats.cpu_seconds += seconds;
       --state.running;
       settle(id, ok ? NodeStatus::kDone : NodeStatus::kFailed);

@@ -1,17 +1,17 @@
 // Runs a dag::Graph on a fixed number of concurrent lanes.
 //
 // Dispatch is deterministic: among ready nodes the lowest NodeId goes
-// first, so a single-lane run executes nodes exactly in insertion order —
-// the sequential pipeline is the lanes=1 special case of the scheduler,
-// not a separate code path to keep in sync.
+// first, so a single-lane run executes nodes exactly in insertion order.
+// One lane is the default schedule of the holistic pipeline and of the
+// certificate audit, which have no other code path.
 //
 // Cancellation has two sources and one meaning. A *failed* node (run()
-// returned false or threw) cancels its gated transitive dependents without
-// running them; an *external* cancel flag (SIGINT/SIGTERM) stops dispatch
-// and cancels everything still pending. Running nodes are never killed —
-// they are expected to watch the same flag through their own options (the
-// checker's CheckOptions::cancel), so both layers of cancellation compose
-// through one mechanism.
+// returned false or threw; Node::error keeps the message) cancels its gated
+// transitive dependents without running them; an *external* cancel flag
+// (SIGINT/SIGTERM) stops dispatch and cancels everything still pending.
+// Running nodes are never killed — they are expected to watch the same flag
+// through their own options (the checker's CheckOptions::cancel), so both
+// layers of cancellation compose through one mechanism.
 #ifndef HV_PIPELINE_DAG_SCHEDULER_H
 #define HV_PIPELINE_DAG_SCHEDULER_H
 

@@ -39,17 +39,6 @@ const PropertyResult* find(const std::vector<PropertyResult>& results, const cha
   return it == results.end() ? nullptr : &*it;
 }
 
-// Per-stage checker options: each stage checks a different automaton, so it
-// journals (and resumes) its own "<prefix>.<stage>.jsonl" file.
-checker::CheckOptions stage_options(const HolisticOptions& options, const char* stage) {
-  checker::CheckOptions check = options.check;
-  if (options.journal_prefix.empty()) return check;
-  const std::string path = options.journal_prefix + "." + stage + ".jsonl";
-  check.journal_path = path;
-  if (options.resume && std::ifstream(path).good()) check.resume_path = path;
-  return check;
-}
-
 // The naive attempt's budget used to replace the run timeout wholesale — a
 // second watchdog layered over the one the schema solver's retry ladder
 // already owns. Instead it *tightens* the shared CheckOptions deadline:
@@ -64,11 +53,6 @@ void apply_naive_budget(checker::CheckOptions& check, double budget_seconds) {
   }
 }
 
-bool any_interrupted(const std::vector<PropertyResult>& results) {
-  return std::any_of(results.begin(), results.end(),
-                     [](const PropertyResult& r) { return r.interrupted; });
-}
-
 double sum_seconds(const HolisticReport& report) {
   double total = 0.0;
   for (const auto* results :
@@ -77,10 +61,6 @@ double sum_seconds(const HolisticReport& report) {
   }
   return total;
 }
-
-// ---------------------------------------------------------------------------
-// DAG scheduling (dag_workers >= 1).
-// ---------------------------------------------------------------------------
 
 /// 16-hex-digit FNV-1a of the options fingerprint: the node identity stays
 /// readable in journal headers while still pinning every verdict-relevant
@@ -127,7 +107,9 @@ std::string format_eta(const dag::Progress& progress) {
   return os.str();
 }
 
-HolisticReport verify_dag(const HolisticOptions& options) {
+}  // namespace
+
+HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
   const Stopwatch stopwatch;
   HolisticReport report;
   report.dag_lanes = std::max(1, options.dag_workers);
@@ -144,16 +126,20 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   }
 
   // Results land in pre-allocated slots indexed like the property lists, so
-  // the report (and any certificate emitted from it) is ordered exactly as
-  // the sequential pipeline orders it, whatever the completion order was.
-  // Unfilled slots (cancelled nodes) are compacted away — the sequential
-  // pipeline would not have started those properties either.
+  // the report (and any certificate emitted from it) is ordered like the
+  // property lists at any lane count, whatever the completion order was.
+  // Unfilled slots (cancelled nodes never started) are compacted away.
   std::vector<std::optional<PropertyResult>> naive_slots(naive_props.size());
   std::vector<std::optional<PropertyResult>> bv_slots(bv_props.size());
   std::vector<std::optional<PropertyResult>> consensus_slots(consensus_props.size());
 
+  struct PropertyNode {
+    dag::NodeId id;
+    const spec::Property* property;
+    std::optional<PropertyResult>* slot;
+  };
   dag::Graph graph;
-  std::vector<dag::NodeId> all_nodes;
+  std::vector<PropertyNode> property_nodes;
   const auto property_node = [&](const ta::ThresholdAutomaton& automaton,
                                  const spec::Property& property,
                                  std::optional<PropertyResult>& slot,
@@ -169,7 +155,7 @@ HolisticReport verify_dag(const HolisticOptions& options) {
           return ok;
         },
         std::move(deps));
-    all_nodes.push_back(id);
+    property_nodes.push_back({id, &property, &slot});
     return id;
   };
 
@@ -210,6 +196,18 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   };
   bool composed = false;
   const auto finalize = [&] {
+    // A node that threw (a journal resumed into the wrong node, an
+    // allocation failure) left no result; it reports as unknown with the
+    // message as its note instead of vanishing from the report.
+    for (const PropertyNode& node : property_nodes) {
+      const dag::Node& settled = graph.node(node.id);
+      if (*node.slot || settled.error.empty()) continue;
+      PropertyResult thrown;
+      thrown.property = node.property->name;
+      thrown.note = settled.error;
+      thrown.seconds = settled.seconds;
+      *node.slot = std::move(thrown);
+    }
     report.naive_results = compact(naive_slots);
     report.bv_results = compact(bv_slots);
     report.consensus_results = compact(consensus_slots);
@@ -218,7 +216,9 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   };
   // Theorem-6 recomposition is ordering-only: it waits for every node but
   // runs whatever the outcomes were — a partially failed pipeline still
-  // reports its composed (unknown) verdicts, like the sequential one.
+  // reports its composed (unknown) verdicts.
+  std::vector<dag::NodeId> all_nodes;
+  for (const PropertyNode& node : property_nodes) all_nodes.push_back(node.id);
   graph.add(node_key("compose", "theorem6", options.check),
             [&finalize] {
               finalize();
@@ -255,8 +255,6 @@ HolisticReport verify_dag(const HolisticOptions& options) {
   return report;
 }
 
-}  // namespace
-
 bool HolisticReport::fully_verified() const {
   const auto all_hold = [](const std::vector<PropertyResult>& results) {
     return std::all_of(results.begin(), results.end(), [](const PropertyResult& r) {
@@ -264,7 +262,8 @@ bool HolisticReport::fully_verified() const {
     });
   };
   return !bv_results.empty() && !consensus_results.empty() && all_hold(bv_results) &&
-         all_hold(consensus_results);
+         all_hold(consensus_results) && agreement == Verdict::kHolds &&
+         validity == Verdict::kHolds && termination == Verdict::kHolds;
 }
 
 void compose_verdicts(HolisticReport& report) {
@@ -294,41 +293,6 @@ void compose_verdicts(HolisticReport& report) {
                                             find(report.consensus_results, "Dec_1"),
                                             find(report.consensus_results, "Good_0"),
                                             find(report.consensus_results, "Good_1")}));
-}
-
-HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
-  if (options.dag_workers >= 1) return verify_dag(options);
-
-  const Stopwatch stopwatch;
-  HolisticReport report;
-
-  if (options.include_naive_attempt) {
-    const ta::ThresholdAutomaton naive = models::naive_consensus_one_round();
-    checker::CheckOptions naive_options = stage_options(options, "naive");
-    apply_naive_budget(naive_options, options.naive_timeout_seconds);
-    report.naive_results =
-        checker::check_properties(naive, models::naive_table2_properties(naive), naive_options);
-  }
-
-  const ta::ThresholdAutomaton bv = models::bv_broadcast();
-  report.bv_results = checker::check_properties(bv, models::bv_properties(bv),
-                                                stage_options(options, "bv"));
-
-  const bool gadget_justified =
-      std::all_of(report.bv_results.begin(), report.bv_results.end(),
-                  [](const PropertyResult& r) { return r.verdict == Verdict::kHolds; });
-  // An interrupted stage already flushed its journal; don't start the next.
-  if (gadget_justified && !any_interrupted(report.naive_results) &&
-      !any_interrupted(report.bv_results)) {
-    const ta::ThresholdAutomaton consensus = models::simplified_consensus_one_round();
-    report.consensus_results = checker::check_properties(
-        consensus, models::simplified_properties(consensus), stage_options(options, "consensus"));
-  }
-
-  compose_verdicts(report);
-  report.total_seconds = stopwatch.seconds();
-  report.cpu_seconds = sum_seconds(report);
-  return report;
 }
 
 std::string HolisticReport::to_string() const {

@@ -17,11 +17,12 @@
 //
 // The property-queries inside each stage are logically independent, and the
 // stages relate only through the gating edges above — so the pipeline is
-// really a DAG, not a sequence. With dag_workers >= 1 it is scheduled as
-// one (hv/pipeline/dag): every property becomes its own node with its own
-// journal, ready nodes run concurrently, a refuted bv property cancels the
-// whole consensus stage without starting it, and the composition step is an
-// ordering-only node that reports whatever verdicts survived.
+// really a DAG, not a sequence, and it always runs as one (hv/pipeline/dag):
+// every property becomes its own node with its own journal, ready nodes run
+// concurrently on dag_workers lanes (one lane by default, which visits the
+// nodes in stage order), a refuted bv property cancels the whole consensus
+// stage without starting it, and the composition step is an ordering-only
+// node that reports whatever verdicts survived.
 #ifndef HV_PIPELINE_HOLISTIC_H
 #define HV_PIPELINE_HOLISTIC_H
 
@@ -43,20 +44,16 @@ struct HolisticOptions {
   /// composes with DAG cancellation instead of stacking a second watchdog.
   bool include_naive_attempt = false;
   double naive_timeout_seconds = 60.0;
-  /// Crash-safe progress journaling (empty disables). The sequential
-  /// pipeline writes one file per stage — "<prefix>.naive.jsonl",
-  /// "<prefix>.bv.jsonl", "<prefix>.consensus.jsonl" — because a journal is
-  /// bound to one automaton. A DAG run (dag_workers >= 1) journals per
-  /// *node* instead: "<prefix>.<stage>.<property>.jsonl", each header
-  /// stamped with the node identity so files cannot be cross-resumed.
+  /// Crash-safe progress journaling (empty disables): one file per DAG
+  /// node, "<prefix>.<stage>.<property>.jsonl", each header stamped with
+  /// the node identity so a journal resumed into another node is refused.
   std::string journal_prefix;
-  /// Resume from whatever the stage (or node) journals already settled
-  /// (requires journal_prefix; files that do not exist yet start fresh).
+  /// Resume from whatever the node journals already settled (requires
+  /// journal_prefix; files that do not exist yet start fresh).
   bool resume = false;
-  /// DAG scheduling: >= 1 runs the property DAG on that many concurrent
-  /// lanes (1 lane executes the exact sequential order, with per-node
-  /// journals). 0 keeps the classic sequential per-stage pipeline.
-  int dag_workers = 0;
+  /// Concurrent DAG lanes, clamped to >= 1. One lane runs the nodes one at
+  /// a time in stage order (naive, bv, consensus, compose).
+  int dag_workers = 1;
   /// DAG progress sink: one line per node start/settle, with aggregate
   /// counts and a whole-DAG ETA. May be called from any scheduler lane
   /// (serialized by the scheduler lock); null disables.
@@ -75,23 +72,27 @@ struct HolisticReport {
 
   /// End-to-end wall-clock of the run.
   double total_seconds = 0.0;
-  /// Sum of per-property solve times. Equal to wall-clock (minus glue) for
-  /// a sequential run; a concurrent DAG run's wall-clock under-reports the
-  /// work actually spent, so both are reported.
+  /// Sum of per-property solve times. Equal to wall-clock (minus glue) on
+  /// one lane; a concurrent run's wall-clock under-reports the work
+  /// actually spent, so both are reported.
   double cpu_seconds = 0.0;
-  /// Lanes the DAG was scheduled on; 0 for the sequential pipeline.
+  /// Lanes the DAG was scheduled on; 0 for a report assembled by hand.
   int dag_lanes = 0;
   /// DAG nodes cancelled before running (an upstream property failed, or
   /// the run was interrupted).
   int nodes_cancelled = 0;
 
-  /// True iff every checked property of both automata holds.
+  /// True iff every checked property of both automata holds and Agreement,
+  /// Validity and Termination compose to holds (so a property missing from
+  /// the report is never a silent success).
   bool fully_verified() const;
   /// Multi-line human-readable account of the run.
   std::string to_string() const;
 };
 
-/// Runs the whole pipeline on the paper's models.
+/// Runs the whole pipeline on the paper's models. A property node that
+/// threw (e.g. its journal belongs to another node) reports as unknown with
+/// the exception's message as its note.
 HolisticReport verify_red_belly_consensus(const HolisticOptions& options = {});
 
 /// The composition step alone (exposed for tests): derives the consensus

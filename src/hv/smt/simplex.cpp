@@ -174,7 +174,6 @@ void Simplex::remove_last_variable() {
       if (!coeff_at(rows_[r], var).is_zero()) {
         const int evicted = rows_[r].basic_var;
         pivot(r, var);
-        ++stats_.pop_pivots;
         // The evicted variable is nonbasic now and must sit within its
         // bounds again (check() only ever repairs *basic* violations).
         if (!within_lower(evicted)) {

@@ -74,9 +74,6 @@ class Simplex {
   struct Stats {
     /// Feasibility-restoring pivots performed by check().
     std::int64_t pivots = 0;
-    /// Extra pivots spent by pop() evicting to-be-deleted variables from
-    /// the basis (the price of structural backtracking).
-    std::int64_t pop_pivots = 0;
     /// Rational arithmetic performed inside this tableau, split by
     /// representation: machine-word fast-path ops vs BigInt fallbacks.
     /// Captured as deltas of the thread-local Rational counters around

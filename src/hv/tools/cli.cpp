@@ -125,25 +125,23 @@ constexpr const char* kUsage = R"(usage:
        (cancels a queued or running job; idempotent)
   hvc audit <cert.json> [--json] [--jobs N]
        (re-validates a certificate with exact arithmetic only; exit 0 iff
-        every verdict is substantiated. --jobs N (alias --workers) shards
-        the evidence lists across N concurrent audit lanes on the pipeline
-        DAG scheduler; the merged report is byte-identical to --jobs 1.)
+        every verdict is substantiated. The audit runs on the pipeline DAG
+        scheduler; --jobs N (alias --workers, default 1) shards the
+        evidence lists across N concurrent lanes, and the merged report is
+        byte-identical at every N.)
   hvc explicit <model.ta> --prop "<ltl>" --params n=4,t=1,f=1 [--max-states K]
                        [--json]
   hvc dot <model.ta>
   hvc print <model.ta>
   hvc redbelly [--naive] [--certify] [--cert-out cert.json]
                [--journal prefix] [--resume] [--dag-workers N]
-       (--journal writes one crash-safe journal per stage: <prefix>.naive
-        .jsonl, <prefix>.bv.jsonl, <prefix>.consensus.jsonl; --resume
-        continues from whatever those files already settled.
-        --dag-workers N schedules the pipeline as a property DAG on N
-        concurrent lanes: a refuted bv property cancels the consensus
-        stage before it starts, node progress and a whole-DAG ETA stream
-        to stderr, and --journal switches to one journal per *node*
-        (<prefix>.<stage>.<property>.jsonl) so --resume is per-node.
-        Verdicts, accounting and certificates are identical to the
-        sequential pipeline.)
+       (runs the pipeline as a property DAG: a refuted bv property cancels
+        the consensus stage before it starts. --journal writes one
+        crash-safe journal per node, <prefix>.<stage>.<property>.jsonl;
+        --resume continues from whatever those files already settled.
+        --dag-workers N (default 1) runs ready nodes on N concurrent lanes
+        and streams node progress and a whole-DAG ETA to stderr.
+        Verdicts, accounting and certificates are identical at every N.)
   hvc simulate [--n N] [--t T] [--inputs 0,1,1,0] [--byzantine 3]
                [--scheduler fair|random|fifo] [--seed S] [--max-steps K]
   hvc simulate --lemma7 [--rounds R]
@@ -1107,6 +1105,9 @@ int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
       if (options.dag_workers < 1) {
         throw InvalidArgument("redbelly: --dag-workers must be >= 1");
       }
+      // Node progress goes to stderr so stdout stays the stable report
+      // that scripts diff across lane counts.
+      options.on_progress = [&err](const std::string& line) { err << line << "\n"; };
     } else {
       throw InvalidArgument("redbelly: unexpected argument '" + args.peek() + "'");
     }
@@ -1116,11 +1117,6 @@ int command_redbelly(Args& args, std::ostream& out, std::ostream& err) {
   }
   options.check.cancel = &g_interrupted;
   options.check.fault = checker::fault_plan_from_env();
-  if (options.dag_workers >= 1) {
-    // Node progress goes to stderr so stdout stays the stable report that
-    // scripts diff against the sequential pipeline.
-    options.on_progress = [&err](const std::string& line) { err << line << "\n"; };
-  }
   const pipeline::HolisticReport report = pipeline::verify_red_belly_consensus(options);
   out << report.to_string();
   if (options.check.certify) {

@@ -359,7 +359,8 @@ TEST(CertShardedAuditTest, ViolatedAndMalformedCertificatesMatchToo) {
 TEST(CertShardedAuditTest, TamperedLeafIsCaughtWhicheverShardItLandsIn) {
   // Corrupt the FIRST, a MIDDLE and the LAST unsat proof in turn: across
   // jobs = 2..5 the bad leaf falls into different shards of the partition,
-  // and every schedule must reject with the exact single-process report.
+  // and every schedule must reject with the exact one-lane report. Jobs 0
+  // and -1 clamp to one lane: zero shards would pass the proof unaudited.
   std::vector<std::pair<std::size_t, std::size_t>> unsat_positions;  // (property, schema)
   {
     const Certificate scan = parse_certificate(bv_certificate_text());
@@ -386,7 +387,7 @@ TEST(CertShardedAuditTest, TamperedLeafIsCaughtWhicheverShardItLandsIn) {
     const Certificate parsed = parse_certificate(to_json_text(certificate));
     const AuditReport single = audit_certificate(parsed);
     EXPECT_FALSE(single.ok);
-    for (const int jobs : {2, 3, 5}) {
+    for (const int jobs : {-1, 0, 2, 3, 5}) {
       expect_identical_reports(single, audit_with_jobs(parsed, jobs));
     }
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -371,13 +372,46 @@ TEST_F(CliTest, RedbellyDagMatchesSequentialStdout) {
     }
     return out;
   };
+  // The default is one lane, and it prints no progress.
   ASSERT_EQ(run({"redbelly"}), 0);
-  const std::string sequential = normalize(out_.str());
+  const std::string one_lane = normalize(out_.str());
+  EXPECT_NE(out_.str().find("dag: 1 lane(s)"), std::string::npos);
   EXPECT_TRUE(err_.str().empty());
   ASSERT_EQ(run({"redbelly", "--dag-workers", "2"}), 0);
-  EXPECT_EQ(normalize(out_.str()), sequential);
+  EXPECT_EQ(normalize(out_.str()), one_lane);
   EXPECT_NE(err_.str().find("[dag "), std::string::npos);  // progress on stderr
   EXPECT_NE(err_.str().find("eta"), std::string::npos);
+}
+
+TEST_F(CliTest, RedbellyJournalResumedIntoAnotherNodeIsNotASuccess) {
+  // A node journal copied over another node's is refused by the journal
+  // header check; the refused node must surface as unknown with that error,
+  // and the run must not report full verification.
+  const std::string prefix = ::testing::TempDir() + "swapped_node_journal";
+  const auto journal = [&prefix](const char* property) {
+    return prefix + ".consensus." + property + ".jsonl";
+  };
+  const auto remove_journals = [] {
+    for (const auto& entry : std::filesystem::directory_iterator(::testing::TempDir())) {
+      if (entry.path().filename().string().rfind("swapped_node_journal.", 0) == 0) {
+        std::filesystem::remove(entry.path());
+      }
+    }
+  };
+  remove_journals();
+  ASSERT_EQ(run({"redbelly", "--dag-workers", "1", "--journal", prefix}), 0);
+  {
+    std::ifstream from(journal("Inv1_1"), std::ios::binary);
+    std::ofstream to(journal("Inv1_0"), std::ios::binary | std::ios::trunc);
+    to << from.rdbuf();
+  }
+  EXPECT_EQ(run({"redbelly", "--dag-workers", "1", "--journal", prefix, "--resume"}), 3);
+  const std::string report = out_.str();
+  EXPECT_NE(report.find("Inv1_0: unknown ("), std::string::npos) << report;
+  EXPECT_NE(report.find("resume journal belongs to pipeline node"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("Agreement:  unknown"), std::string::npos) << report;
+  remove_journals();
 }
 
 TEST_F(CliTest, SimulateFairDecides) {

@@ -82,6 +82,10 @@ TEST(DagSchedulerTest, ThrowingNodeFails) {
   EXPECT_EQ(graph.node(0).status, dag::NodeStatus::kFailed);
   EXPECT_EQ(graph.node(1).status, dag::NodeStatus::kCancelled);
   EXPECT_EQ(stats.nodes_failed, 1);
+  // The message is kept, so callers can report the failure instead of
+  // mistaking it for a quiet one.
+  EXPECT_NE(graph.node(0).error.find("exploded"), std::string::npos);
+  EXPECT_TRUE(graph.node(1).error.empty());
 }
 
 TEST(DagSchedulerTest, OrderingOnlyDependentRunsAfterFailure) {

@@ -1,6 +1,8 @@
 #include "hv/pipeline/holistic.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <random>
 #include <vector>
 
@@ -152,7 +154,7 @@ TEST(ComposeVerdictsTest, RacedConsensusArrivalsCannotOutrunGadgetFailure) {
   // cancels the consensus nodes — but a consensus node that settled *before*
   // the refutation arrived legitimately left its result behind. Either way
   // (results raced in, or cancelled and absent) the composition must match
-  // the sequential pipeline, which never starts the consensus stage at all.
+  // a run in which no consensus node started at all.
   HolisticReport cancelled =
       synthetic_report(Verdict::kViolated, Verdict::kHolds, Verdict::kHolds);
   cancelled.consensus_results.clear();  // nothing ran
@@ -174,15 +176,18 @@ TEST(ComposeVerdictsTest, RacedConsensusArrivalsCannotOutrunGadgetFailure) {
 // --- DAG pipeline end-to-end parity -------------------------------------------
 
 TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
-  HolisticOptions sequential;
-  sequential.include_naive_attempt = true;
-  sequential.naive_timeout_seconds = 0.3;  // Table 2's negative result, shrunk
-  const HolisticReport seq = verify_red_belly_consensus(sequential);
+  // The default schedule is one lane, which visits the nodes in stage order;
+  // two lanes must reach the same verdicts and accounting.
+  HolisticOptions one_lane;
+  one_lane.include_naive_attempt = true;
+  one_lane.naive_timeout_seconds = 0.3;  // Table 2's negative result, shrunk
+  const HolisticReport seq = verify_red_belly_consensus(one_lane);
 
-  HolisticOptions dag = sequential;
+  HolisticOptions dag = one_lane;
   dag.dag_workers = 2;
   const HolisticReport par = verify_red_belly_consensus(dag);
 
+  EXPECT_EQ(seq.dag_lanes, 1);
   EXPECT_EQ(par.dag_lanes, 2);
   EXPECT_EQ(seq.agreement, par.agreement);
   EXPECT_EQ(seq.validity, par.validity);
@@ -202,12 +207,62 @@ TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
   match(seq.consensus_results, par.consensus_results);
   ASSERT_EQ(seq.naive_results.size(), par.naive_results.size());
   for (std::size_t i = 0; i < seq.naive_results.size(); ++i) {
-    // The naive attempt's budget now flows through the shared timeout path
-    // in both pipelines; a budget that small is exhausted in both.
+    // The naive attempt's budget flows through the shared timeout path at
+    // every lane count; a budget that small is exhausted in both runs.
     EXPECT_EQ(seq.naive_results[i].verdict, par.naive_results[i].verdict);
   }
   EXPECT_GT(par.cpu_seconds, 0.0);
   EXPECT_GT(seq.cpu_seconds, 0.0);
+}
+
+TEST(HolisticDagTest, DefaultPipelineJournalsPerNodeAndResumes) {
+  // The default one-lane pipeline writes one journal per node, and a second
+  // run resumes every node from its own file. Learning is off so that the
+  // accounting does not depend on the order schemas settle in.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "holistic_node_journals";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  HolisticOptions options;
+  options.check.lemmas = false;
+  options.journal_prefix = (dir / "run").string();
+
+  const HolisticReport first = verify_red_belly_consensus(options);
+  EXPECT_EQ(first.dag_lanes, 1);
+  ASSERT_TRUE(first.fully_verified());
+  for (const PropertyResult& result : first.bv_results) {
+    EXPECT_TRUE(fs::exists(dir / ("run.bv." + result.property + ".jsonl"))) << result.property;
+  }
+  for (const PropertyResult& result : first.consensus_results) {
+    EXPECT_TRUE(fs::exists(dir / ("run.consensus." + result.property + ".jsonl")))
+        << result.property;
+  }
+
+  options.resume = true;
+  const HolisticReport second = verify_red_belly_consensus(options);
+  EXPECT_TRUE(second.fully_verified());
+  std::int64_t resumed = 0;
+  const auto match = [&resumed](const std::vector<PropertyResult>& fresh,
+                                const std::vector<PropertyResult>& replayed) {
+    ASSERT_EQ(fresh.size(), replayed.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(fresh[i].property, replayed[i].property);
+      EXPECT_EQ(fresh[i].verdict, replayed[i].verdict) << fresh[i].property;
+      EXPECT_EQ(fresh[i].schemas_resumed, 0) << fresh[i].property;
+      // A replayed schema counts where it settled (checked, pruned) and
+      // into schemas_resumed as well.
+      EXPECT_EQ(fresh[i].schemas_checked, replayed[i].schemas_checked) << fresh[i].property;
+      EXPECT_EQ(fresh[i].schemas_pruned, replayed[i].schemas_pruned) << fresh[i].property;
+      EXPECT_LE(replayed[i].schemas_resumed,
+                replayed[i].schemas_checked + replayed[i].schemas_pruned)
+          << fresh[i].property;
+      resumed += replayed[i].schemas_resumed;
+    }
+  };
+  match(first.bv_results, second.bv_results);
+  match(first.consensus_results, second.consensus_results);
+  EXPECT_GT(resumed, 0);
+  fs::remove_all(dir);
 }
 
 // --- model-level regression checks (fast subsets of Table 2) ------------------
