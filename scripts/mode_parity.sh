@@ -5,8 +5,10 @@
 # off (one thread and the fleet), with one-shot instead of incremental
 # solving, with the fault-tolerant runtime armed (journal, per-schema
 # watchdogs and memory budget, all with limits that never fire) and with a
-# fleet whose verdicts are spot-checked; and two one-thread certifying runs
-# of the simplified consensus must emit byte-identical certificates.
+# fleet whose verdicts are spot-checked. A schema budget of exactly 2116
+# must settle the simplified consensus alike at one thread, four threads and
+# two workers; and two one-thread certifying runs of the simplified
+# consensus must emit byte-identical certificates.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +59,33 @@ for model in models/*.ta; do
       exit 1
     fi
   done
+done
+
+# One budget rule: a schema is charged when it is visited, and the budget is
+# exhausted only when a schema beyond it would be charged. Inv2_0, Good_0,
+# Dec_0 and SRoundTerm have exactly 2116 schemas each, so they hold under
+# --max-schemas 2116 in every mode; Inv1_0 has more and exhausts it.
+echo "== exact schema budget (simplified consensus, --max-schemas 2116)"
+reference=""
+for mode in "--threads 1" "--threads 4" "--workers 2"; do
+  tag="budget.${mode// /}"
+  code=0
+  # shellcheck disable=SC2086
+  "$hvc" check models/simplified_consensus.ta $mode --max-schemas 2116 --json \
+    > "$work/$tag.json" 2> "$work/$tag.err" || code=$?
+  if [ "$code" -ne 0 ] && [ "$code" -ne 1 ] && [ "$code" -ne 3 ]; then
+    echo "FAIL: exact budget $mode exited $code" >&2
+    cat "$work/$tag.err" >&2
+    exit 1
+  fi
+  verdicts "$work/$tag.json" > "$work/$tag.verdicts"
+  echo "== exact budget $mode: $(paste -sd, "$work/$tag.verdicts")"
+  if [ -z "$reference" ]; then
+    reference="$work/$tag.verdicts"
+  elif ! diff "$reference" "$work/$tag.verdicts"; then
+    echo "FAIL: exact-budget verdicts under $mode differ from --threads 1" >&2
+    exit 1
+  fi
 done
 
 echo "== certificate byte-stability (simplified consensus, --threads 1 --certify)"

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::cert {
 
@@ -244,33 +245,7 @@ class Parser {
 
 void write_escaped(std::string& out, const std::string& text) {
   out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, text);
   out += '"';
 }
 

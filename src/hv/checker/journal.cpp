@@ -2,63 +2,22 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 #include "hv/util/version.h"
 
 namespace hv::checker {
 
 namespace {
-
-// For an append-only journal fdatasync gives the same durability as fsync
-// (it flushes the size metadata needed to read the appended data back) at a
-// fraction of the cost on journaling filesystems.
-void sync_to_disk(std::FILE* file) {
-#if defined(__linux__)
-  ::fdatasync(fileno(file));
-#else
-  ::fsync(fileno(file));
-#endif
-}
-
-// The journal only ever quotes identifiers, cursors and error notes, but
-// notes can carry arbitrary text from exception messages.
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Minimal scanner for the flat one-line objects this file writes. Returns
 // false on malformed input (the torn-tail case) instead of throwing.
@@ -135,15 +94,22 @@ class LineScanner {
         case 'n':
           *out += '\n';
           break;
+        case 'r':
+          *out += '\r';
+          break;
         case 't':
           *out += '\t';
           break;
         case 'u': {
-          if (at_ + 4 > line_.size()) return false;
           // Only \u00XX controls are ever written.
-          const std::string hex = line_.substr(at_, 4);
+          unsigned code = 0;
+          const char* first = line_.data() + at_;
+          if (at_ + 4 > line_.size() ||
+              std::from_chars(first, first + 4, code, 16).ptr != first + 4 || code > 0xff) {
+            return false;
+          }
           at_ += 4;
-          *out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
+          *out += static_cast<char>(code);
           break;
         }
         default:
@@ -153,13 +119,16 @@ class LineScanner {
     return false;  // unterminated: torn line
   }
 
+  // The whole token must be an integer that fits int64: a bare "-" or an
+  // overlong digit run is a malformed line, not an exception.
   bool parse_number(std::int64_t* out) {
     const std::size_t start = at_;
     if (at_ < line_.size() && line_[at_] == '-') ++at_;
     while (at_ < line_.size() && line_[at_] >= '0' && line_[at_] <= '9') ++at_;
-    if (at_ == start) return false;
-    *out = std::stoll(line_.substr(start, at_ - start));
-    return true;
+    const char* first = line_.data() + start;
+    const char* last = line_.data() + at_;
+    const auto [end, error] = std::from_chars(first, last, *out);
+    return error == std::errc() && end == last;
   }
 
   const std::string& line_;
@@ -167,6 +136,14 @@ class LineScanner {
 };
 
 }  // namespace
+
+void sync_to_disk(std::FILE* file) {
+#if defined(__linux__)
+  ::fdatasync(fileno(file));
+#else
+  ::fsync(fileno(file));
+#endif
+}
 
 bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Schema* schema) {
   if (cursor.size() < 2 || cursor[0] != 'q') return false;
@@ -293,15 +270,15 @@ ProgressJournal::ProgressJournal(std::string path, const JournalHeader& header,
     : path_(std::move(path)), flush_batch_(flush_batch < 1 ? 1 : flush_batch) {
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) throw Error("journal: cannot open " + path_ + " for append");
-  std::string line = "{\"hv_journal\":2,\"automaton\":\"" + escape(header.automaton) + "\"";
+  std::string line = "{\"hv_journal\":2,\"automaton\":\"" + json_escape(header.automaton) + "\"";
   if (!header.model_hash.empty()) {
-    line += ",\"model_hash\":\"" + escape(header.model_hash) + "\"";
+    line += ",\"model_hash\":\"" + json_escape(header.model_hash) + "\"";
   }
   if (!header.hvc_version.empty()) {
-    line += ",\"hvc_version\":\"" + escape(header.hvc_version) + "\"";
+    line += ",\"hvc_version\":\"" + json_escape(header.hvc_version) + "\"";
   }
   if (!header.node.empty()) {
-    line += ",\"node\":\"" + escape(header.node) + "\"";
+    line += ",\"node\":\"" + json_escape(header.node) + "\"";
   }
   line += "}\n";
   std::fputs(line.c_str(), file_);
@@ -321,12 +298,13 @@ void journal_append(ProgressJournal* journal, const std::string& property,
 }
 
 void ProgressJournal::append(const std::string& property, const SchemaRecord& record) {
-  std::string line = "{\"p\":\"" + escape(property) + "\",\"c\":\"" +
-                     escape(record.cursor) + "\",\"v\":\"" + escape(record.verdict) + "\"";
+  std::string line = "{\"p\":\"" + json_escape(property) + "\",\"c\":\"" +
+                     json_escape(record.cursor) + "\",\"v\":\"" + json_escape(record.verdict) +
+                     "\"";
   if (record.length != 0) line += ",\"len\":" + std::to_string(record.length);
   if (record.pivots != 0) line += ",\"piv\":" + std::to_string(record.pivots);
   if (record.cut >= 0) line += ",\"cut\":" + std::to_string(record.cut);
-  if (!record.note.empty()) line += ",\"note\":\"" + escape(record.note) + "\"";
+  if (!record.note.empty()) line += ",\"note\":\"" + json_escape(record.note) + "\"";
   line += "}\n";
   std::lock_guard<std::mutex> lock(mutex_);
   std::fputs(line.c_str(), file_);

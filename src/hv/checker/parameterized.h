@@ -24,10 +24,10 @@ struct CheckOptions {
   EnumerationOptions enumeration;
   /// 0 disables the timeout.
   double timeout_seconds = 0.0;
-  /// Worker threads solving schemas concurrently (ByMC's MPI counterpart).
+  /// Threads consuming the run's leases concurrently (ByMC's MPI
+  /// counterpart): each claims chain subtrees from the run's LeaseBook
+  /// (run.h) first-fit, and the calling thread is one of them.
   int workers = 1;
-  /// SMT branch-and-bound node budget per schema.
-  std::int64_t branch_budget = 1'000'000;
   /// Incremental (push/pop) SMT solving: every worker keeps one persistent
   /// solver per query and re-encodes only the schema segments not shared
   /// with the previous schema's chain prefix. Answer-preserving by
@@ -36,12 +36,6 @@ struct CheckOptions {
   /// Property-directed cone pruning (static schema feasibility + encoding
   /// slicing). Sound; disabling it is only useful for ablation studies.
   bool property_directed_pruning = true;
-  /// Replay every counterexample against concrete semantics before
-  /// reporting it (cheap, and guards against encoder bugs).
-  bool validate_counterexamples = true;
-  /// Greedily shrink reported counterexamples (drop steps, reduce
-  /// acceleration factors) while they still replay.
-  bool minimize_counterexamples = true;
   /// Proof-carrying mode: every schema verdict is accompanied by a Farkas
   /// proof tree (unsat) or a named integer model (sat), collected into
   /// PropertyResult::evidence together with the enumeration manifest, for
@@ -111,7 +105,7 @@ bool lemmas_enabled(const CheckOptions& options);
 
 /// Canonical fingerprint of every option that can change a run's verdicts
 /// or its reported accounting: a deterministic "key=value;" concatenation
-/// covering budgets, pruning/validation/certify switches, watchdogs, the
+/// covering budgets, pruning/certify switches, watchdogs, the
 /// fault plan, and the *effective* state of environment-gated modes
 /// (lemmas_enabled() folds HV_NO_LEMMAS; the rational fast path folds
 /// HV_NO_FAST_RATIONAL). Excludes pure plumbing — journal/resume paths,
@@ -122,8 +116,8 @@ std::string options_fingerprint(const CheckOptions& options);
 
 /// Assembles a finished run's PropertyResult: counters from `tally`, the
 /// verdict and note from the RunEnd precedence ladder (result.h), and the
-/// certificate evidence in certify mode. Shared by check_property and the
-/// distributed coordinator so both report identically.
+/// certificate evidence in certify mode. The lease book (run.h) reports
+/// every property through it, in-process and distributed alike.
 PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd end,
                              double seconds, const CheckOptions& options);
 

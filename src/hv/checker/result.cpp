@@ -1,6 +1,5 @@
 #include "hv/checker/result.h"
 
-#include <iterator>
 #include <sstream>
 
 #include "hv/spec/state.h"
@@ -31,30 +30,6 @@ IncrementalStats& IncrementalStats::operator+=(const IncrementalStats& other) no
   segments_popped += other.segments_popped;
   segments_reused += other.segments_reused;
   schemas_encoded += other.schemas_encoded;
-  return *this;
-}
-
-PropertyTally& PropertyTally::operator+=(PropertyTally&& other) {
-  enumerated += other.enumerated;
-  checked += other.checked;
-  pruned += other.pruned;
-  cut += other.cut;
-  lemma_hits += other.lemma_hits;
-  lemmas_learned += other.lemmas_learned;
-  unknown += other.unknown;
-  resumed += other.resumed;
-  retries += other.retries;
-  total_length += other.total_length;
-  pivots += other.pivots;
-  rational_fast_ops += other.rational_fast_ops;
-  rational_big_ops += other.rational_big_ops;
-  incremental += other.incremental;
-  if (degrade_note.empty()) degrade_note = std::move(other.degrade_note);
-  evidence.insert(evidence.end(), std::make_move_iterator(other.evidence.begin()),
-                  std::make_move_iterator(other.evidence.end()));
-  pruned_schemas.insert(pruned_schemas.end(),
-                        std::make_move_iterator(other.pruned_schemas.begin()),
-                        std::make_move_iterator(other.pruned_schemas.end()));
   return *this;
 }
 

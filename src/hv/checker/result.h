@@ -133,9 +133,9 @@ struct ProgressCounters {
   std::atomic<std::int64_t> workers{0};
 };
 
-/// Per-property schema accounting, kept by every engine that settles
-/// schemas: each in-process worker owns one and merges it when it retires,
-/// the distributed coordinator keeps one per property, and settle_result()
+/// Per-property schema accounting: the run's lease book (run.h) keeps one
+/// per property and every executor's settled schemas merge into it under
+/// the book's mutex, in-process and distributed alike; settle_result()
 /// (parameterized.h) folds it into the PropertyResult.
 struct PropertyTally {
   std::int64_t enumerated = 0;
@@ -157,9 +157,6 @@ struct PropertyTally {
   /// Certify mode: per-schema evidence and cone-pruned schemas.
   std::vector<SchemaEvidence> evidence;
   std::vector<PrunedSchema> pruned_schemas;
-
-  /// Folds a retired worker's tally in; the first degrade note is kept.
-  PropertyTally& operator+=(PropertyTally&& other);
 
   /// Counts one settled schema (sign +1) or takes it back (sign -1, a
   /// revoked worker record): enumerated, retries, resumed and the counter

@@ -1,0 +1,465 @@
+#include "hv/checker/run.h"
+
+#include <algorithm>
+#include <limits>
+#include <thread>
+#include <utility>
+
+#include "hv/util/error.h"
+#include "hv/util/text.h"
+
+namespace hv::checker {
+
+namespace {
+
+CheckOptions normalized(const CheckOptions& options) {
+  CheckOptions out = options;
+  // Proofs cite atoms/clauses by index in the incremental encoding; the
+  // one-shot path asserts the same set in a different order, so certifying
+  // runs always ride the incremental encoders (verdict-identical either
+  // way, and the auditor re-encodes incrementally).
+  if (out.certify) out.incremental = true;
+  if (out.certify && !out.resume_path.empty()) {
+    throw InvalidArgument(
+        "checker: resume is incompatible with certify (resumed schemas carry no proofs)");
+  }
+  return out;
+}
+
+void bump(ProgressCounters* progress, std::atomic<std::int64_t> ProgressCounters::* counter) {
+  if (progress != nullptr) (progress->*counter).fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd end,
+                             double seconds, const CheckOptions& options) {
+  PropertyResult result;
+  result.property = std::move(property);
+  result.schemas_checked = tally.checked;
+  result.schemas_pruned = tally.pruned;
+  result.schemas_cut = tally.cut;
+  result.lemma_hits = tally.lemma_hits;
+  result.lemmas_learned = tally.lemmas_learned;
+  result.schemas_unknown = tally.unknown;
+  result.schemas_resumed = tally.resumed;
+  result.retries = tally.retries;
+  result.interrupted = end.interrupted;
+  result.avg_schema_length =
+      tally.checked == 0
+          ? 0.0
+          : static_cast<double>(tally.total_length) / static_cast<double>(tally.checked);
+  result.seconds = seconds;
+  result.simplex_pivots = tally.pivots;
+  result.rational_fast_ops = tally.rational_fast_ops;
+  result.rational_big_ops = tally.rational_big_ops;
+  if (options.incremental) result.incremental = tally.incremental;
+
+  // Every kUnknown note carries the actual elapsed time and how far the run
+  // got, so a stalled campaign is diagnosable from the Table-2 row alone.
+  const std::string progress = " after " + format_seconds(seconds) + "s; solved " +
+                               std::to_string(tally.checked) + "/" +
+                               std::to_string(tally.enumerated) + " enumerated schemas, " +
+                               std::to_string(tally.pruned) + " pruned";
+  result.verdict = Verdict::kUnknown;
+  if (end.counterexample) {
+    result.verdict = Verdict::kViolated;
+    result.counterexample = std::move(end.counterexample);
+  } else if (!end.error_note.empty()) {
+    result.note = end.error_note + progress;
+  } else if (end.interrupted) {
+    result.note = "interrupted" + progress;
+  } else if (end.timed_out) {
+    result.note = "timeout (limit " + format_seconds(options.timeout_seconds) + "s)" + progress;
+  } else if (end.budget_exhausted) {
+    result.note = "schema budget exhausted (" +
+                  std::to_string(options.enumeration.max_schemas) + ")" + progress;
+  } else if (end.workers_aborted > 0) {
+    result.note = std::to_string(end.workers_aborted) + " worker(s) aborted" + progress;
+  } else if (tally.unknown > 0) {
+    result.note = tally.degrade_note + " (" + std::to_string(tally.unknown) +
+                  " schemas unknown)" + progress;
+  } else if (!end.covered) {
+    result.note = "run stopped before full coverage" + progress;
+  } else {
+    result.verdict = Verdict::kHolds;
+  }
+  if (!end.disagreement.empty()) {
+    result.note = result.note.empty() ? end.disagreement : result.note + "; " + end.disagreement;
+  }
+  if (options.certify) {
+    auto evidence = std::make_shared<PropertyEvidence>();
+    evidence->schemas = std::move(tally.evidence);
+    evidence->pruned = std::move(tally.pruned_schemas);
+    evidence->enumeration = options.enumeration;
+    evidence->property_directed_pruning = options.property_directed_pruning;
+    // Only a holds verdict claims exhaustive coverage; violated stops at the
+    // first witness and unknown certifies nothing.
+    evidence->complete = result.verdict == Verdict::kHolds;
+    result.evidence = std::move(evidence);
+  }
+  return result;
+}
+
+LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
+                     const CheckOptions& options, int consumers)
+    : properties_(properties), options_(normalized(options)), analysis_(ta) {
+  const bool need_identity = !options_.resume_path.empty() || !options_.journal_path.empty();
+  const std::string model_hash = need_identity ? model_content_hash(ta) : std::string();
+  if (!options_.resume_path.empty()) {
+    resume_ = load_journal(options_.resume_path);
+    require_resume_compatible(*resume_, ta.name(), model_hash, options_.journal_node);
+  }
+  if (!options_.journal_path.empty()) {
+    JournalHeader header(ta.name(), model_hash);
+    header.node = options_.journal_node;
+    journal_ = std::make_unique<ProgressJournal>(options_.journal_path, header,
+                                                 options_.journal_flush_batch);
+  }
+  copy_resumed_ = journal_ != nullptr && options_.journal_path != options_.resume_path;
+  keep_cursors = need_identity;
+
+  // Leases in (property, query, DFS task) order, so a lone consumer visits
+  // exactly the schema sequence of enumerate_schemas. A lease is a subtree,
+  // not a single schema, so a consumer's consecutive schemas share chain
+  // prefixes and its persistent encoders mostly pop and re-push only the
+  // deepest scopes.
+  const std::vector<SubtreeTask> tasks =
+      plan_tasks(analysis_, std::max(1, consumers), options_.enumeration);
+  props = std::vector<PropertyRun>(properties_.size());
+  cones_.resize(properties_.size());
+  for (std::size_t p = 0; p < properties_.size(); ++p) {
+    cones_[p].resize(properties_[p].queries.size());
+    for (std::size_t q = 0; q < properties_[p].queries.size(); ++q) {
+      for (const SubtreeTask& task : tasks) leases.push_back({p, q, task, LeaseState::kPending});
+    }
+  }
+}
+
+LeaseBook::~LeaseBook() = default;
+
+void LeaseBook::replay_resume(PropertyLearning* learning) {
+  if (!resume_) return;
+  std::lock_guard<std::mutex> lock(mutex);
+  for (const auto& [key, record] : resume_->settled) {
+    if (record.verdict == "sat") continue;
+    const auto named =
+        std::find_if(properties_.begin(), properties_.end(),
+                     [&](const spec::Property& p) { return p.name == record.property; });
+    if (named == properties_.end()) continue;
+    const auto p = static_cast<std::size_t>(named - properties_.begin());
+    std::size_t q = 0;
+    Schema schema;
+    if (!parse_schema_cursor(record.cursor, &q, &schema) || q >= named->queries.size()) continue;
+    // Journal records carry no arithmetic counters; resumed schemas
+    // contribute zero to the fast/big split (documented in result.h).
+    if (!merge_locked(p, q, schema, record, {}, /*charged=*/false, /*resumed=*/true)) continue;
+    // A resumed run skips the subtrees the interrupted run proved
+    // infeasible instead of re-deriving the refutations.
+    if (learning != nullptr && record.verdict == "unsat") {
+      if (const auto prefix = cut_prefix(schema.unlock_order, record.cut)) {
+        learning->queries[q].cuts.add(*prefix);
+      }
+    }
+  }
+}
+
+void LeaseBook::consume(int threads, FaultInjector* injector, PropertyLearning* learning) {
+  const auto run = [&] {
+    LeaseConsumer consumer(*this, injector, learning);
+    try {
+      while (consumer.settle_one_lease()) {
+      }
+    } catch (const WorkerAbortFault&) {
+      // Contained: this consumer retires; the rest keep going.
+    }
+    consumer.fold_stats();
+  };
+  std::vector<std::jthread> helpers;
+  for (int i = 1; i < threads; ++i) helpers.emplace_back(run);
+  try {
+    run();
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex);
+    closing = true;  // so the join during unwinding returns promptly
+    throw;
+  }
+}
+
+double LeaseBook::remaining_seconds() const {
+  return options_.timeout_seconds > 0.0 ? options_.timeout_seconds - watch_.seconds() : 0.0;
+}
+
+const QueryCone* LeaseBook::cone(std::size_t p, std::size_t q) {
+  if (!options_.property_directed_pruning) return nullptr;
+  std::lock_guard<std::mutex> lock(mutex);
+  std::unique_ptr<QueryCone>& slot = cones_[p][q];
+  if (!slot) slot = std::make_unique<QueryCone>(analysis_, properties_[p].queries[q]);
+  return slot.get();
+}
+
+std::int64_t LeaseBook::pick_locked(bool* work_left) {
+  if (halted_locked()) return -1;
+  std::vector<std::size_t> active(props.size(), 0);
+  for (const Lease& lease : leases) {
+    if (lease.state == LeaseState::kActive) ++active[lease.property];
+  }
+  std::int64_t grant = -1;
+  for (std::size_t i = 0; i < leases.size(); ++i) {
+    const Lease& lease = leases[i];
+    if (lease.state == LeaseState::kActive) *work_left = true;
+    if (lease.state != LeaseState::kPending) continue;
+    if (moot_locked(lease)) {
+      set_state_locked(i, LeaseState::kDone);
+      continue;
+    }
+    *work_left = true;
+    if (grant < 0 ||
+        active[lease.property] < active[leases[static_cast<std::size_t>(grant)].property]) {
+      grant = static_cast<std::int64_t>(i);
+      if (active[lease.property] == 0) break;  // an idle property: can't do better
+    }
+  }
+  return grant;
+}
+
+void LeaseBook::set_state_locked(std::size_t id, LeaseState state) {
+  Lease& lease = leases[id];
+  if (state == LeaseState::kPending && !props[lease.property].live()) state = LeaseState::kDropped;
+  lease.state = state;
+  if (state == LeaseState::kPending || state == LeaseState::kActive) {
+    props[lease.property].finished = false;
+  }
+  finish_locked(lease.property);
+  changed_locked(static_cast<std::int64_t>(id));
+}
+
+void LeaseBook::drop_pending_locked(std::size_t p) {
+  for (std::size_t i = 0; i < leases.size(); ++i) {
+    if (leases[i].property == p && leases[i].state == LeaseState::kPending) {
+      set_state_locked(i, LeaseState::kDropped);
+    }
+  }
+  changed_locked(-1);
+}
+
+bool LeaseBook::charge_locked(std::size_t p) {
+  PropertyRun& prop = props[p];
+  if (!prop.live()) return false;
+  if (prop.tally.enumerated + prop.in_flight >= options_.enumeration.max_schemas) {
+    prop.end.budget_exhausted = true;
+    drop_pending_locked(p);
+    return false;
+  }
+  ++prop.in_flight;
+  return true;
+}
+
+bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
+                             const SchemaRecord& record, UnitOutcome outcome, bool charged,
+                             bool resumed, int origin) {
+  PropertyRun& prop = props[p];
+  // A charged schema was visited within the budget and is counted whatever
+  // happened since. An uncharged record (fleet, resume) is charged as it
+  // merges; once the property is settled it is dropped, as in-flight records
+  // from a worker that has not yet seen its abandon frame must be, keeping
+  // the counters identical to a single consumer that stopped there.
+  if (charged) --prop.in_flight;
+  if (!resumed && known_locked(p, record.cursor)) return false;
+  if (!charged) {
+    if (!charge_locked(p)) return false;
+    --prop.in_flight;  // counted right below
+  }
+  prop.tally.count(record, options_.progress, resumed);
+  if (!resumed || copy_resumed_) journal_append(journal_.get(), properties_[p].name, record);
+  const bool sat = record.verdict == "sat";
+  if (options_.certify && record.verdict == "pruned") {
+    prop.tally.pruned_schemas.push_back({q, schema});
+  }
+  if (options_.certify && (sat || record.verdict == "unsat")) {
+    prop.tally.evidence.push_back({q, schema, sat, outcome.proof, outcome.model});
+  }
+  if (sat) {
+    // The first witness wins and settles the property.
+    prop.end.witness(std::move(outcome.counterexample), outcome.validation_error);
+    prop.stopped = true;
+    drop_pending_locked(p);
+  }
+  merged_locked(p, q, schema, record, origin);
+  return true;
+}
+
+bool LeaseBook::complete_locked() const {
+  for (std::size_t p = 0; p < props.size(); ++p) {
+    if (open_locked(p)) return false;
+  }
+  return true;
+}
+
+bool LeaseBook::open_locked(std::size_t p) const {
+  return std::any_of(leases.begin(), leases.end(), [&](const Lease& lease) {
+    return lease.property == p &&
+           (lease.state == LeaseState::kPending || lease.state == LeaseState::kActive);
+  });
+}
+
+void LeaseBook::finish_locked(std::size_t p) {
+  PropertyRun& prop = props[p];
+  if (prop.finished || open_locked(p)) return;
+  prop.finished = true;
+  prop.seconds = watch_.seconds();
+  bump(options_.progress, &ProgressCounters::properties_done);
+}
+
+std::vector<PropertyResult> LeaseBook::results() {
+  if (journal_) journal_->flush();
+  std::lock_guard<std::mutex> lock(mutex);
+  if (options_.cancel != nullptr && options_.cancel->load(std::memory_order_relaxed)) {
+    interrupted = true;
+  }
+  std::vector<PropertyResult> out;
+  out.reserve(props.size());
+  for (std::size_t p = 0; p < props.size(); ++p) {
+    PropertyRun& prop = props[p];
+    prop.end.interrupted = interrupted;
+    prop.end.timed_out = timed_out;
+    prop.end.covered = std::all_of(leases.begin(), leases.end(), [&](const Lease& lease) {
+      return lease.property != p || lease.state == LeaseState::kDone;
+    });
+    out.push_back(settle_result(properties_[p].name, std::move(prop.tally), std::move(prop.end),
+                                prop.finished ? prop.seconds : watch_.seconds(), options_));
+  }
+  return out;
+}
+
+bool LeaseBook::known_locked(std::size_t p, const std::string& cursor) const {
+  if (!resume_) return false;
+  const JournalRecord* record = resume_->find(properties_[p].name, cursor);
+  return record != nullptr && record->verdict != "sat";
+}
+
+void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int) {}
+
+void LeaseBook::changed_locked(std::int64_t) {}
+
+bool LeaseBook::moot_locked(const Lease&) { return false; }
+
+LeaseConsumer::LeaseConsumer(LeaseBook& book, FaultInjector* injector,
+                             PropertyLearning* learning)
+    : book_(book), solvers_(book.properties().size()) {
+  hooks_.run_watch = &book.watch_;
+  hooks_.injector = injector;
+  hooks_.memory_polls = &book.memory_polls_;
+  hooks_.learning = learning;
+}
+
+SchemaSolver& LeaseConsumer::solver(std::size_t p) {
+  std::unique_ptr<SchemaSolver>& slot = solvers_[p];
+  if (!slot) {
+    slot = std::make_unique<SchemaSolver>(book_.analysis(), book_.properties()[p],
+                                          book_.options(), hooks_);
+  }
+  return *slot;
+}
+
+void LeaseConsumer::fold_stats() {
+  std::lock_guard<std::mutex> lock(book_.mutex);
+  for (std::size_t p = 0; p < solvers_.size(); ++p) {
+    if (solvers_[p]) book_.props[p].tally.incremental += solvers_[p]->stats();
+  }
+}
+
+bool LeaseConsumer::settle_one_lease() {
+  LeaseBook& book = book_;
+  std::size_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(book.mutex);
+    bool work_left = false;
+    const std::int64_t pick = book.pick_locked(&work_left);
+    if (pick < 0) return false;
+    id = static_cast<std::size_t>(pick);
+    book.set_state_locked(id, LeaseState::kActive);
+  }
+  // Leases never move and their tasks never change: read without the lock.
+  const Lease& lease = book.leases[id];
+  const std::size_t p = lease.property;
+  const std::size_t q = lease.query;
+  SchemaSolver& solver = this->solver(p);
+  const QueryCone* cone = book.cone(p, q);
+  const CheckOptions& options = book.options();
+  PropertyLearning* learning = hooks_.learning;
+  // The book charges the budget per visited schema, across leases.
+  EnumerationOptions unbounded = options.enumeration;
+  unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
+  LeaseState end = LeaseState::kDone;
+  bool aborted = false;
+  enumerate_schemas_under(
+      book.analysis(), lease.task, static_cast<int>(book.properties()[p].queries[q].cuts.size()),
+      unbounded, [&](const Schema& schema) {
+        std::string cursor = book.keep_cursors ? schema_cursor(q, schema) : std::string();
+        {
+          std::lock_guard<std::mutex> lock(book.mutex);
+          if (book.halted_locked()) {
+            end = LeaseState::kPending;
+            return false;
+          }
+          if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+            book.interrupted = true;
+            end = LeaseState::kPending;
+            return false;
+          }
+          if (options.timeout_seconds > 0.0 && book.watch().seconds() > options.timeout_seconds) {
+            book.timed_out = true;
+            end = LeaseState::kPending;
+            return false;
+          }
+          if (!cursor.empty() && book.known_locked(p, cursor)) return true;
+          if (!book.charge_locked(p)) {
+            end = LeaseState::kDropped;
+            return false;
+          }
+        }
+        SchemaStep step =
+            step_schema(solver, learning, cone, q, schema, book.remaining_seconds());
+        std::lock_guard<std::mutex> lock(book.mutex);
+        PropertyRun& prop = book.props[p];
+        prop.tally.lemma_hits += step.outcome.lemma_hits;
+        prop.tally.lemmas_learned += step.outcome.lemmas_learned;
+        switch (step.kind) {
+          case SchemaStep::Kind::kCut:
+            --prop.in_flight;
+            ++prop.tally.enumerated;
+            ++prop.tally.cut;
+            bump(options.progress, &ProgressCounters::enumerated);
+            bump(options.progress, &ProgressCounters::cut);
+            return true;
+          case SchemaStep::Kind::kInterrupted:
+            --prop.in_flight;  // nothing settled: the charge is returned
+            (step.outcome.note == "cancelled" ? book.interrupted : book.timed_out) = true;
+            end = LeaseState::kPending;
+            return false;
+          case SchemaStep::Kind::kSettled:
+          case SchemaStep::Kind::kAborted:
+            break;
+        }
+        step.record.cursor = std::move(cursor);
+        book.merge_locked(p, q, schema, step.record, std::move(step.outcome), /*charged=*/true);
+        if (step.kind == SchemaStep::Kind::kAborted) {
+          ++prop.end.workers_aborted;
+          aborted = true;
+          end = LeaseState::kDropped;
+          return false;
+        }
+        if (prop.live()) return true;
+        end = LeaseState::kDropped;  // a witness settled the property
+        return false;
+      });
+  {
+    std::lock_guard<std::mutex> lock(book.mutex);
+    if (book.leases[id].state == LeaseState::kActive) book.set_state_locked(id, end);
+  }
+  if (aborted) throw WorkerAbortFault{};
+  return true;
+}
+
+}  // namespace hv::checker

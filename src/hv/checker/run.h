@@ -1,0 +1,210 @@
+// The lease book: the transport-free core of one verification run, shared by
+// every executor that settles schemas.
+//
+// A run splits each property's schema space into leases, one per (query,
+// chain subtree) of plan_tasks, in (property, query, DFS task) order. The
+// book owns everything around step_schema that does not need a wire:
+//
+//   * the normalized options (certify forces incremental solving; certify
+//     plus resume is refused), the journal and the resume file with their
+//     identity check;
+//   * the leases and their states, granted first-fit (fair-shared across
+//     properties, see pick_locked);
+//   * per property: the tally, the RunEnd and the finish stamp;
+//   * the one budget rule: a schema is charged when it is visited, and the
+//     budget is exhausted only when a schema beyond it would be charged;
+//   * the merge of a settled schema into tally, journal, certificate
+//     evidence and the witness, and the final settle_result assembly.
+//
+// In-process threads are its consumers (LeaseConsumer, one per thread, calls
+// it directly), and so is the distributed coordinator's self-solve. The
+// coordinator (hv/dist) derives from the book and adds only what needs a
+// wire or distrust, through the protected hooks: cursor dedup, skip lists,
+// fleet learning, spot checks and revocation.
+#ifndef HV_CHECKER_RUN_H
+#define HV_CHECKER_RUN_H
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "hv/checker/cone.h"
+#include "hv/checker/guard_analysis.h"
+#include "hv/checker/journal.h"
+#include "hv/checker/learning.h"
+#include "hv/checker/parameterized.h"
+#include "hv/checker/schema_solver.h"
+#include "hv/util/stopwatch.h"
+
+namespace hv::checker {
+
+enum class LeaseState { kPending, kActive, kDone, kDropped };
+
+/// One unit of work: a chain subtree of one (property, query).
+struct Lease {
+  std::size_t property = 0;
+  std::size_t query = 0;
+  SubtreeTask task;
+  LeaseState state = LeaseState::kPending;
+};
+
+/// The book's state of one property.
+struct PropertyRun {
+  PropertyTally tally;
+  RunEnd end;
+  /// A witness (or a counterexample that failed validation) settled it.
+  bool stopped = false;
+  /// Its last lease settled at `seconds` on the run's stopwatch.
+  bool finished = false;
+  double seconds = 0.0;
+  /// Schemas charged to the budget whose outcome has not been counted yet.
+  std::int64_t in_flight = 0;
+
+  /// Still taking verdicts: no witness and budget left.
+  bool live() const { return !stopped && !end.budget_exhausted; }
+};
+
+class LeaseBook {
+ public:
+  /// `ta`, `properties` and `options` must outlive the book. Plans leases
+  /// for `consumers` concurrent consumers, opens the journal and loads the
+  /// resume file (checked against the model and options.journal_node).
+  /// Throws InvalidArgument for certify plus resume or a foreign journal.
+  LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
+            const CheckOptions& options, int consumers);
+  virtual ~LeaseBook();
+  LeaseBook(const LeaseBook&) = delete;
+  LeaseBook& operator=(const LeaseBook&) = delete;
+
+  /// Merges every non-sat resume record up front (sat records are re-solved:
+  /// no counterexample is journaled). `learning` (single-property books)
+  /// gets the subtree cuts the records carry. Call once, before any consumer.
+  void replay_resume(PropertyLearning* learning = nullptr);
+
+  /// Runs `threads` LeaseConsumers until no lease is left to claim; the
+  /// calling thread is consumer 0, so one thread spawns none. A consumer
+  /// hit by an injected worker death retires and the rest keep going.
+  /// `injector` and `learning` as for LeaseConsumer.
+  void consume(int threads, FaultInjector* injector, PropertyLearning* learning);
+
+  const CheckOptions& options() const { return options_; }
+  const GuardAnalysis& analysis() const { return analysis_; }
+  std::span<const spec::Property> properties() const { return properties_; }
+  const Stopwatch& watch() const { return watch_; }
+  /// Seconds left of options().timeout_seconds (0 when there is none).
+  double remaining_seconds() const;
+  /// The pruning cone of (property, query), built on first use; null with
+  /// pruning off. Takes `mutex`.
+  const QueryCone* cone(std::size_t p, std::size_t q);
+
+  /// Every result, assembled by settle_result after flushing the journal.
+  std::vector<PropertyResult> results();
+  /// The run's journal, or null.
+  ProgressJournal* journal() const { return journal_.get(); }
+
+  // --- everything below: caller holds `mutex` --------------------------------
+
+  /// The pending lease to grant next, or -1. First-fit, fair-shared across
+  /// properties: the first pending lease of a property with the fewest
+  /// active leases (one property: plain first-fit). -1 once the run halted.
+  /// `*work_left` is set when a lease is still pending or active.
+  std::int64_t pick_locked(bool* work_left);
+  /// Moves a lease to `state`, keeping the per-property counts and the
+  /// finish stamp. A lease of a property that takes no more verdicts is
+  /// dropped instead of going back to pending.
+  void set_state_locked(std::size_t lease, LeaseState state);
+  /// Drops every pending lease of `p` (its verdict is settled).
+  void drop_pending_locked(std::size_t p);
+  /// The budget rule: charges one visited schema to `p`, or returns false
+  /// (marking the budget exhausted) when the schema lies beyond it.
+  bool charge_locked(std::size_t p);
+  /// Merges one settled schema of `p`: dedup (known_locked), the budget
+  /// charge unless `charged` already took it, tally, journal, certificate
+  /// evidence and the sat witness, then merged_locked. `origin` names the
+  /// settling fleet connection (-1: in-process or resume). Returns false
+  /// iff the schema was dropped: a duplicate, over budget, or an uncharged
+  /// record for a property that takes no more verdicts.
+  bool merge_locked(std::size_t p, std::size_t q, const Schema& schema,
+                    const SchemaRecord& record, UnitOutcome outcome, bool charged,
+                    bool resumed = false, int origin = -1);
+  /// No lease left pending or active.
+  bool complete_locked() const;
+  bool halted_locked() const { return closing || interrupted || timed_out; }
+
+  /// Guards every member below and every subclass's shared state.
+  std::mutex mutex;
+  std::vector<Lease> leases;
+  std::vector<PropertyRun> props;
+  /// Run-level stops: no lease is granted once any is set.
+  bool closing = false;
+  bool interrupted = false;
+  bool timed_out = false;
+
+ protected:
+  /// True iff the schema at `cursor` is already settled and must be
+  /// neither visited nor counted again. Default: a replayed resume record.
+  virtual bool known_locked(std::size_t p, const std::string& cursor) const;
+  /// After a schema merged.
+  virtual void merged_locked(std::size_t p, std::size_t q, const Schema& schema,
+                             const SchemaRecord& record, int origin);
+  /// After a lease changed state (`lease` >= 0) or a property settled (-1).
+  virtual void changed_locked(std::int64_t lease);
+  /// True iff a pending lease is moot and settles without a grant.
+  virtual bool moot_locked(const Lease& lease);
+
+  /// Consumers build schema cursors (dedup, journal or resume need them).
+  bool keep_cursors = false;
+
+ private:
+  friend class LeaseConsumer;
+
+  /// True iff a lease of `p` is still pending or active.
+  bool open_locked(std::size_t p) const;
+  void finish_locked(std::size_t p);
+
+  const Stopwatch watch_;
+  std::span<const spec::Property> properties_;
+  CheckOptions options_;
+  const GuardAnalysis analysis_;
+  std::optional<ResumeState> resume_;
+  std::unique_ptr<ProgressJournal> journal_;
+  bool copy_resumed_ = false;
+  /// Per property and query, built on first use (guarded by `mutex`).
+  std::vector<std::vector<std::unique_ptr<QueryCone>>> cones_;
+  std::atomic<std::int64_t> memory_polls_{0};
+};
+
+/// One consumer of a LeaseBook: a thread's solvers (one per property, built
+/// on first use) and the loop that claims a lease, enumerates its subtree
+/// and settles every schema through step_schema into the book.
+class LeaseConsumer {
+ public:
+  /// `injector` may be null; `learning` is the run's shared learning state
+  /// (single-property books) or null.
+  LeaseConsumer(LeaseBook& book, FaultInjector* injector, PropertyLearning* learning);
+
+  /// Claims the next lease and settles its schemas. Returns false when
+  /// nothing is left to claim. On an injected worker death the lease is
+  /// dropped, the property counts an aborted worker and WorkerAbortFault
+  /// propagates: the consumer must retire.
+  bool settle_one_lease();
+
+  SchemaSolver& solver(std::size_t p);
+  /// Adds each solver's incremental-encoding counters to its property's
+  /// tally. Call once, when the consumer retires.
+  void fold_stats();
+
+ private:
+  LeaseBook& book_;
+  SolveHooks hooks_;
+  std::vector<std::unique_ptr<SchemaSolver>> solvers_;
+};
+
+}  // namespace hv::checker
+
+#endif  // HV_CHECKER_RUN_H

@@ -46,9 +46,9 @@ struct Schema {
   int segment_count() const noexcept { return static_cast<int>(unlock_order.size()) + 1; }
 };
 
-/// One settled (query, schema) unit, whichever executor settled it: the
-/// in-process pool, a fleet worker, the coordinator's own solver, or a
-/// journal replay. PropertyTally::count (result.h) is the only place a
+/// One settled (query, schema) unit, whichever executor settled it: a
+/// lease consumer (an in-process thread or the coordinator's own solver), a
+/// fleet worker, or a journal replay. PropertyTally::count (result.h) is the only place a
 /// record turns into counters; the journal (journal.h) and the worker's
 /// record frames (dist/protocol.h) serialize it.
 struct SchemaRecord {

@@ -7,6 +7,13 @@
 
 namespace hv::checker {
 
+namespace {
+
+// SMT branch-and-bound node budget per schema.
+constexpr std::int64_t kBranchBudget = 1'000'000;
+
+}  // namespace
+
 SchemaSolver::SchemaSolver(const GuardAnalysis& analysis, const spec::Property& property,
                            const CheckOptions& options, SolveHooks hooks)
     : analysis_(analysis),
@@ -57,14 +64,14 @@ EncodeResult SchemaSolver::attempt(std::size_t query_index, const Schema& schema
         lemmas = &hooks_.learning->queries[query_index].lemmas;
       }
       slot = std::make_unique<IncrementalSchemaEncoder>(
-          analysis_, query, options_.branch_budget, cone, mode_, lemmas);
+          analysis_, query, kBranchBudget, cone, mode_, lemmas);
     }
     slot->set_time_budget(budget);
     slot->set_pivot_budget(options_.pivot_budget);
     slot->set_cancel_flag(options_.cancel);
     return slot->check(schema);
   }
-  return solve_schema(analysis_, schema, query, options_.branch_budget, cone, budget, mode_,
+  return solve_schema(analysis_, schema, query, kBranchBudget, cone, budget, mode_,
                       options_.pivot_budget, options_.cancel);
 }
 
@@ -164,18 +171,16 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
   outcome.kind = UnitOutcome::Kind::kSat;
   const spec::ReachQuery& query = property_.queries[query_index];
   result.counterexample->property = property_.name;
-  if (options_.validate_counterexamples) {
-    outcome.validation_error =
-        validate_counterexample(analysis_.automaton(), *result.counterexample, query);
-    if (!outcome.validation_error.empty()) {
-      outcome.counterexample = std::move(*result.counterexample);
-      return outcome;
-    }
+  // Every counterexample is replayed against concrete semantics (a guard
+  // against encoder bugs), then shrunk while it still replays.
+  outcome.validation_error =
+      validate_counterexample(analysis_.automaton(), *result.counterexample, query);
+  if (!outcome.validation_error.empty()) {
+    outcome.counterexample = std::move(*result.counterexample);
+    return outcome;
   }
-  if (options_.minimize_counterexamples) {
-    *result.counterexample =
-        minimize_counterexample(analysis_.automaton(), *result.counterexample, query);
-  }
+  *result.counterexample =
+      minimize_counterexample(analysis_.automaton(), *result.counterexample, query);
   outcome.counterexample = std::move(*result.counterexample);
   return outcome;
 }

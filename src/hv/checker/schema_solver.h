@@ -1,7 +1,8 @@
-// Per-thread schema solving with the fault-tolerant retry ladder, factored
-// out of the in-process worker pool so that every execution engine — the
-// in-process pool at any thread count, and the distributed worker process
-// (hv/dist) — settles a (query, schema) unit through exactly the same path:
+// Per-thread schema solving with the fault-tolerant retry ladder, shared so
+// that every execution engine — a lease consumer (run.h: an in-process
+// thread at any thread count, or the coordinator's self-solve), the
+// distributed worker process and the coordinator's spot check (hv/dist) —
+// settles a (query, schema) unit through exactly the same path:
 //
 //   1. first attempt on the persistent incremental encoder (when enabled),
 //      under the per-schema watchdogs (wall-clock, pivot budget, soft RSS);
@@ -12,9 +13,10 @@
 // step_schema wraps the ladder in the full per-schema path every executor
 // shares — cut cover, cone, solve, cut derivation — and reports a
 // SchemaRecord (schema.h). Executors differ only in where the record goes:
-// the in-process pool counts and journals it (parameterized.cpp), a fleet
-// worker ships it as a frame, the coordinator's self-solve merges it like a
-// worker frame (hv/dist). Run-level interrupts (external cancellation,
+// a lease consumer merges it into the run's lease book (run.h), a fleet
+// worker ships it as a frame the coordinator merges into the same book,
+// and the spot check compares it with a worker's claim. Run-level
+// interrupts (external cancellation,
 // global timeout) are reported as kInterrupted, never retried and never
 // charged against the schema.
 #ifndef HV_CHECKER_SCHEMA_SOLVER_H
@@ -94,8 +96,8 @@ struct SolveHooks {
 class SchemaSolver {
  public:
   /// `analysis`, `property`, `options` and `hooks` members must outlive the
-  /// solver. Respects options.incremental / certify / watchdog settings the
-  /// same way the in-process pool does.
+  /// solver. Respects options.incremental / certify / watchdog settings
+  /// whichever executor owns it.
   SchemaSolver(const GuardAnalysis& analysis, const spec::Property& property,
                const CheckOptions& options, SolveHooks hooks);
   ~SchemaSolver();
@@ -106,7 +108,7 @@ class SchemaSolver {
   /// `remaining_seconds` is the run's remaining global budget (<= 0 with an
   /// armed timeout means "already at the deadline"). On Kind::kAborted the
   /// failing encoder's stats are already folded; the caller decides whether
-  /// the worker dies (pool) or the process exits (dist).
+  /// the consumer retires (in-process) or the process exits (dist).
   UnitOutcome solve(std::size_t query_index, const Schema& schema, const QueryCone* cone,
                     double remaining_seconds);
 

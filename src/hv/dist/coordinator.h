@@ -1,12 +1,15 @@
-// Distributed verification coordinator: shards the schema space of every
-// property into chain-subtree leases (the same DFS partition the in-process
-// pool uses), hands leases to workers over the frame protocol, and merges
-// their streamed verdict records into the usual PropertyResult / journal /
-// certificate paths. With several live properties, grants are fair-shared:
-// a "next" request gets the pending lease whose property currently has the
-// fewest active leases (ties to the lowest index, which preserves the
-// single-property first-fit order exactly), so one fleet multiplexes all
-// properties instead of draining them one at a time.
+// Distributed verification coordinator: a lease book (checker/run.h) whose
+// consumers are remote. The book shards the schema space of every property
+// into chain-subtree leases, exactly as for in-process threads, and owns the
+// budget, the journal and the merge into PropertyResult / certificate
+// evidence; the coordinator hands its leases to workers over the frame
+// protocol and adds what needs a wire or distrust: sessions, cursor dedup,
+// skip lists, fleet learning, health, spot checks and revocation. With
+// several live properties, grants are fair-shared: a "next" request gets
+// the pending lease whose property currently has the fewest active leases
+// (ties to the lowest index, which preserves the single-property first-fit
+// order exactly), so one fleet multiplexes all properties instead of
+// draining them one at a time.
 //
 // Fault model, in one place:
 //   * worker death (EOF, torn frame, SIGKILL) or silence beyond the lease
@@ -35,10 +38,11 @@
 //     the worker, revokes everything it contributed (journaled as
 //     "revoked" records so --resume re-solves them) and re-pends its
 //     leases. When the fleet is exhausted — everyone banned, quarantined
-//     or gone — the coordinator degrades to solving pending leases itself:
-//     the run slows down, it never wrongs. Verdict lying that slips past
-//     an unarmed spot-checker is still caught offline by --certify +
-//     `hvc audit`, which re-validates every Farkas leaf.
+//     or gone — the coordinator becomes a lease consumer itself, like an
+//     in-process thread: the run slows down, it never wrongs. Verdict
+//     lying that slips past an unarmed spot-checker is still caught
+//     offline by --certify + `hvc audit`, which re-validates every Farkas
+//     leaf.
 #ifndef HV_DIST_COORDINATOR_H
 #define HV_DIST_COORDINATOR_H
 

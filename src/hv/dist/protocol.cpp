@@ -258,11 +258,8 @@ cert::Json options_to_json(const checker::CheckOptions& options) {
       {"prune_implications", options.enumeration.prune_implications},
       {"prune_dead_unlocks", options.enumeration.prune_dead_unlocks},
       {"timeout_seconds", options.timeout_seconds},
-      {"branch_budget", options.branch_budget},
       {"incremental", options.incremental},
       {"property_directed_pruning", options.property_directed_pruning},
-      {"validate_counterexamples", options.validate_counterexamples},
-      {"minimize_counterexamples", options.minimize_counterexamples},
       {"certify", options.certify},
       {"schema_timeout_seconds", options.schema_timeout_seconds},
       {"pivot_budget", options.pivot_budget},
@@ -278,11 +275,8 @@ checker::CheckOptions options_from_json(const cert::Json& json) {
   options.enumeration.prune_implications = json.at("prune_implications").as_bool();
   options.enumeration.prune_dead_unlocks = json.at("prune_dead_unlocks").as_bool();
   options.timeout_seconds = json.at("timeout_seconds").as_double();
-  options.branch_budget = json.at("branch_budget").as_int();
   options.incremental = json.at("incremental").as_bool();
   options.property_directed_pruning = json.at("property_directed_pruning").as_bool();
-  options.validate_counterexamples = json.at("validate_counterexamples").as_bool();
-  options.minimize_counterexamples = json.at("minimize_counterexamples").as_bool();
   options.certify = json.at("certify").as_bool();
   options.schema_timeout_seconds = json.at("schema_timeout_seconds").as_double();
   options.pivot_budget = json.at("pivot_budget").as_int();

@@ -6,22 +6,11 @@
 #include <fstream>
 #include <utility>
 
+#include "hv/checker/journal.h"
 #include "hv/util/error.h"
 #include "hv/util/version.h"
 
 namespace hv::service {
-
-namespace {
-
-void sync_to_disk(std::FILE* file) {
-#if defined(__linux__)
-  ::fdatasync(fileno(file));
-#else
-  ::fsync(fileno(file));
-#endif
-}
-
-}  // namespace
 
 EventLog::EventLog(std::string path) : path_(std::move(path)) {
   bool fresh = true;
@@ -37,14 +26,14 @@ EventLog::EventLog(std::string path) : path_(std::move(path)) {
     const std::string line = header.to_string() + "\n";
     std::fwrite(line.data(), 1, line.size(), file_);
     std::fflush(file_);
-    sync_to_disk(file_);
+    checker::sync_to_disk(file_);
   }
 }
 
 EventLog::~EventLog() {
   if (file_ != nullptr) {
     std::fflush(file_);
-    sync_to_disk(file_);
+    checker::sync_to_disk(file_);
     std::fclose(file_);
   }
 }
@@ -54,7 +43,7 @@ void EventLog::append(const cert::Json& event) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
-  sync_to_disk(file_);
+  checker::sync_to_disk(file_);
 }
 
 std::vector<cert::Json> EventLog::load(const std::string& path) {

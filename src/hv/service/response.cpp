@@ -2,40 +2,15 @@
 
 #include <sstream>
 
+#include "hv/util/text.h"
+
 namespace hv::service {
-
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 double rational_fast_ratio(const checker::PropertyResult& result) {
   const std::int64_t total = result.rational_fast_ops + result.rational_big_ops;
   if (total == 0) return 1.0;
   return static_cast<double>(result.rational_fast_ops) / static_cast<double>(total);
 }
-
-}  // namespace
 
 std::string render_result_json(const ta::ThresholdAutomaton& ta,
                                const checker::PropertyResult& result) {

@@ -25,6 +25,10 @@ std::string render_result_json(const ta::ThresholdAutomaton& ta,
 std::string render_results_json(const ta::ThresholdAutomaton& ta,
                                 const std::vector<checker::PropertyResult>& results);
 
+/// Fraction of simplex Rational ops that stayed on the machine-word fast
+/// path (1.0 when no arithmetic ran, e.g. a fully-resumed journal run).
+double rational_fast_ratio(const checker::PropertyResult& result);
+
 /// The CLI exit-code convention: 0 all hold, 1 any violated, 3 any unknown.
 int exit_code(const std::vector<checker::PropertyResult>& results);
 

@@ -196,30 +196,6 @@ void print_byzantine_stats(const dist::DistStats& stats, std::ostream& out) {
       << " leases self-solved\n";
 }
 
-// Minimal JSON string escaping (the only JSON we emit is flat objects).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 // Simple flag cursor over the argument vector.
 class Args {
  public:
@@ -308,24 +284,6 @@ int exit_code(checker::Verdict verdict) {
   return 2;
 }
 
-/// Worst verdict across a run: violated dominates, then unknown.
-int exit_code(const std::vector<checker::PropertyResult>& results) {
-  int code = 0;
-  for (const checker::PropertyResult& result : results) {
-    if (result.verdict == checker::Verdict::kViolated) return 1;
-    if (result.verdict == checker::Verdict::kUnknown) code = 3;
-  }
-  return code;
-}
-
-// Fraction of simplex Rational ops that stayed on the machine-word fast
-// path (1.0 when no arithmetic ran, e.g. a fully-resumed journal run).
-double rational_fast_ratio(const checker::PropertyResult& result) {
-  const std::int64_t total = result.rational_fast_ops + result.rational_big_ops;
-  if (total == 0) return 1.0;
-  return static_cast<double>(result.rational_fast_ops) / static_cast<double>(total);
-}
-
 /// Pairs repeated --prop values with their --name values: the i-th --name
 /// names the i-th --prop; unnamed properties default to "property",
 /// "property2", "property3", ... (the first keeps the historical name, so
@@ -353,7 +311,7 @@ void print_result_text(const ta::ThresholdAutomaton& ta, const checker::Property
   if (result.rational_fast_ops + result.rational_big_ops > 0) {
     out << "arithmetic: " << result.rational_fast_ops << " fast-path ops, "
         << result.rational_big_ops << " bigint ops ("
-        << static_cast<int>(rational_fast_ratio(result) * 100.0) << "% fast)\n";
+        << static_cast<int>(service::rational_fast_ratio(result) * 100.0) << "% fast)\n";
   }
   if (result.schemas_cut > 0 || result.lemma_hits > 0 || result.lemmas_learned > 0) {
     out << "learning: " << result.schemas_cut << " schemas cut, " << result.lemma_hits
@@ -520,7 +478,7 @@ int command_check(Args& args, std::ostream& out) {
     }
     if (options.certify) out << "certificate: " << cert_path << "\n";
   }
-  return exit_code(results);
+  return service::exit_code(results);
 }
 
 int command_serve(Args& args, std::ostream& out) {
@@ -605,7 +563,7 @@ int command_serve(Args& args, std::ostream& out) {
     print_byzantine_stats(stats, out);
     if (options.certify) out << "certificate: " << cert_path << "\n";
   }
-  return exit_code(results);
+  return service::exit_code(results);
 }
 
 int command_work(Args& args, std::ostream& out) {

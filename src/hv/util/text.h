@@ -27,6 +27,13 @@ std::string pad_right(std::string_view text, std::size_t width);
 /// Fixed-point with two decimals ("%.2f"), as verdict notes print times.
 std::string format_seconds(double seconds);
 
+/// Appends `text` as the body of a JSON string literal (no quotes): `"` and
+/// `\` are escaped, newline, carriage return and tab get their short forms,
+/// and every other control character becomes \u00XX. The one escaper of
+/// every JSON and JSONL writer in the repo.
+void append_json_escaped(std::string& out, std::string_view text);
+std::string json_escape(std::string_view text);
+
 }  // namespace hv
 
 #endif  // HV_UTIL_TEXT_H

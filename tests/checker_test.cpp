@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <mutex>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -12,6 +14,7 @@
 
 #include "hv/checker/explicit_checker.h"
 #include "hv/checker/journal.h"
+#include "hv/checker/run.h"
 #include "hv/util/error.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/schema.h"
@@ -918,6 +921,96 @@ TEST(RobustnessTest, CertifyRefusesResume) {
   options.certify = true;
   options.resume_path = path;
   EXPECT_THROW(check_property(ta, property, options), InvalidArgument);
+}
+
+// --- the lease book ---------------------------------------------------------
+//
+// run.h: one grant, budget and merge path for in-process threads and the
+// distributed coordinator.
+
+TEST(LeaseBookTest, GrantsFirstFitInQueryThenTaskOrder) {
+  const ta::ThresholdAutomaton ta = hv::models::simplified_consensus_one_round();
+  const spec::Property property = spec::compile(ta, "p", "<>(locE0 > 0) -> [](locD1 == 0)");
+  ASSERT_EQ(property.queries.size(), 2U);
+  LeaseBook book(ta, std::span(&property, 1), CheckOptions{}, /*consumers=*/2);
+  const std::vector<SubtreeTask> tasks = plan_tasks(book.analysis(), 2, EnumerationOptions{});
+  ASSERT_EQ(book.leases.size(), 2 * tasks.size());
+  std::lock_guard<std::mutex> lock(book.mutex);
+  for (std::size_t i = 0; i < book.leases.size(); ++i) {
+    bool work_left = false;
+    const std::int64_t pick = book.pick_locked(&work_left);
+    ASSERT_EQ(pick, static_cast<std::int64_t>(i));
+    EXPECT_TRUE(work_left);
+    const Lease& lease = book.leases[i];
+    EXPECT_EQ(lease.query, i / tasks.size());
+    EXPECT_EQ(lease.task.prefix, tasks[i % tasks.size()].prefix);
+    book.set_state_locked(i, LeaseState::kActive);
+  }
+  bool work_left = false;
+  EXPECT_EQ(book.pick_locked(&work_left), -1);
+  EXPECT_TRUE(work_left);  // every lease is active
+  EXPECT_FALSE(book.complete_locked());
+}
+
+TEST(LeaseBookTest, BudgetIsExhaustedOnlyBeyondIt) {
+  const auto& ta = echo().body();
+  const spec::Property property = spec::compile(ta, "p", "[](locB == 0) -> [](locD == 0)");
+  CheckOptions options;
+  options.enumeration.max_schemas = 2;
+  LeaseBook book(ta, std::span(&property, 1), options, 1);
+  std::lock_guard<std::mutex> lock(book.mutex);
+  EXPECT_TRUE(book.charge_locked(0));
+  EXPECT_TRUE(book.charge_locked(0));
+  EXPECT_FALSE(book.props[0].end.budget_exhausted);  // the budget is used, not exceeded
+  EXPECT_FALSE(book.charge_locked(0));
+  EXPECT_TRUE(book.props[0].end.budget_exhausted);
+  EXPECT_EQ(book.props[0].in_flight, 2);
+  for (const Lease& lease : book.leases) EXPECT_EQ(lease.state, LeaseState::kDropped);
+}
+
+TEST(LeaseBookTest, UnchargedRecordsAreChargedAsTheyMerge) {
+  // Fleet and resume records are charged when they merge: a budget of two
+  // takes two records, and the third exhausts it without being counted.
+  const auto& ta = echo().body();
+  const spec::Property property = spec::compile(ta, "p", "[](locB == 0) -> [](locD == 0)");
+  CheckOptions options;
+  options.enumeration.max_schemas = 2;
+  LeaseBook book(ta, std::span(&property, 1), options, 1);
+  std::lock_guard<std::mutex> lock(book.mutex);
+  SchemaRecord record;
+  record.verdict = "unsat";
+  EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, record, {}, /*charged=*/false));
+  EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, record, {}, /*charged=*/false));
+  EXPECT_FALSE(book.props[0].end.budget_exhausted);
+  EXPECT_FALSE(book.merge_locked(0, 0, Schema{}, record, {}, /*charged=*/false));
+  EXPECT_EQ(book.props[0].tally.enumerated, 2);
+  EXPECT_EQ(book.props[0].tally.checked, 2);
+  EXPECT_TRUE(book.props[0].end.budget_exhausted);
+}
+
+TEST(LeaseBookTest, ChargedRecordsCountAfterTheWitness) {
+  // A schema visited within the budget counts even if another consumer's
+  // witness settled the property meanwhile; an uncharged fleet record for a
+  // settled property is dropped.
+  const auto& ta = echo().body();
+  const spec::Property property = spec::compile(ta, "p", "[](locB == 0) -> [](locD == 0)");
+  LeaseBook book(ta, std::span(&property, 1), CheckOptions{}, 1);
+  std::lock_guard<std::mutex> lock(book.mutex);
+  ASSERT_TRUE(book.charge_locked(0));
+  ASSERT_TRUE(book.charge_locked(0));
+  SchemaRecord sat;
+  sat.verdict = "sat";
+  EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, sat, {}, /*charged=*/true));
+  EXPECT_FALSE(book.props[0].live());
+  SchemaRecord unsat;
+  unsat.verdict = "unsat";
+  EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, unsat, {}, /*charged=*/true));
+  EXPECT_FALSE(book.merge_locked(0, 0, Schema{}, unsat, {}, /*charged=*/false));
+  EXPECT_EQ(book.props[0].tally.enumerated, 2);
+  EXPECT_EQ(book.props[0].in_flight, 0);
+  bool work_left = false;
+  EXPECT_EQ(book.pick_locked(&work_left), -1);  // the witness dropped every lease
+  EXPECT_FALSE(work_left);
 }
 
 TEST(ExplicitTest, StateBudget) {

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "hv/cert/json.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/ta/parser.h"
 
@@ -217,6 +218,18 @@ TEST_F(CliTest, JsonOutput) {
                                  "n=4,t=1,f=1", "--json"});
   EXPECT_EQ(explicit_code, 0);
   EXPECT_NE(out_.str().find("\"states\": "), std::string::npos);
+}
+
+TEST_F(CliTest, JsonOutputEscapesControlCharacters) {
+  // A property name with a carriage return and a raw control byte must
+  // still yield valid JSON that round-trips the name.
+  const std::string name = "a\rb\x01c";
+  const int code = run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
+                        "--name", name, "--json"});
+  EXPECT_EQ(code, 0);
+  cert::Json parsed;
+  ASSERT_NO_THROW(parsed = cert::Json::parse(out_.str())) << out_.str();
+  EXPECT_EQ(parsed.at("property").as_string(), name);
 }
 
 TEST_F(CliTest, JsonOutputMatchesGoldenSchema) {

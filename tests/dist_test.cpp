@@ -236,11 +236,8 @@ TEST(DistProtocol, OptionsSurviveTheWire) {
   options.enumeration.prune_implications = false;
   options.enumeration.prune_dead_unlocks = false;
   options.timeout_seconds = 7.5;
-  options.branch_budget = 99;
   options.incremental = false;
   options.property_directed_pruning = false;
-  options.validate_counterexamples = false;
-  options.minimize_counterexamples = false;
   options.certify = true;
   options.schema_timeout_seconds = 3.25;
   options.pivot_budget = 777;
@@ -252,11 +249,8 @@ TEST(DistProtocol, OptionsSurviveTheWire) {
   EXPECT_FALSE(back.enumeration.prune_implications);
   EXPECT_FALSE(back.enumeration.prune_dead_unlocks);
   EXPECT_DOUBLE_EQ(back.timeout_seconds, 7.5);
-  EXPECT_EQ(back.branch_budget, 99);
   EXPECT_FALSE(back.incremental);
   EXPECT_FALSE(back.property_directed_pruning);
-  EXPECT_FALSE(back.validate_counterexamples);
-  EXPECT_FALSE(back.minimize_counterexamples);
   EXPECT_TRUE(back.certify);
   EXPECT_DOUBLE_EQ(back.schema_timeout_seconds, 3.25);
   EXPECT_EQ(back.pivot_budget, 777);
@@ -912,6 +906,23 @@ TEST(DistEndToEnd, ForkLocalModeMatchesInProcess) {
   EXPECT_EQ(results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(results[0].schemas_pruned, reference[0].schemas_pruned);
   EXPECT_EQ(stats.workers_joined, 2);
+}
+
+TEST(DistEndToEnd, ExactSchemaBudgetHoldsLikeInProcess) {
+  // A budget of exactly the schemas the property visits is not exhausted:
+  // only a schema beyond it would be, in-process and in a fleet alike.
+  DistOptions options;
+  const auto unbounded = reference_check("safe", kHoldsFormula, options.check);
+  ASSERT_EQ(unbounded[0].verdict, checker::Verdict::kHolds);
+  options.check.enumeration.max_schemas = unbounded[0].schemas_checked +
+                                          unbounded[0].schemas_pruned + unbounded[0].schemas_cut +
+                                          unbounded[0].schemas_unknown;
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  EXPECT_EQ(reference[0].verdict, checker::Verdict::kHolds) << reference[0].note;
+  const std::vector<checker::PropertyResult> results = check_distributed_local(
+      kEchoModel, {{"safe", kHoldsFormula, false}}, /*worker_count=*/2, options);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].verdict, checker::Verdict::kHolds) << results[0].note;
 }
 
 // --- Byzantine workers ------------------------------------------------------

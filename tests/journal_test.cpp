@@ -52,7 +52,8 @@ TEST(JournalTest, RoundTripsRecords) {
     journal.append(record("safe", "q0|0|1", "unsat", 4, 17));
     journal.append(record("safe", "q0|0|2", "pruned"));
     journal.append(record("live", "q1||0", "unknown", 0, 0, "injected \"fault\"\n"));
-    EXPECT_EQ(journal.records_written(), 3);
+    journal.append(record("live", "q1||1", "unknown", 0, 0, "cr\r tab\t ctl\x01 bs\\"));
+    EXPECT_EQ(journal.records_written(), 4);
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.automaton, "Echo");
@@ -66,6 +67,9 @@ TEST(JournalTest, RoundTripsRecords) {
   // Notes survive escaping (quotes, newline).
   ASSERT_NE(state.find("live", "q1||0"), nullptr);
   EXPECT_EQ(state.find("live", "q1||0")->note, "injected \"fault\"\n");
+  // Every escape the writer emits decodes back.
+  ASSERT_NE(state.find("live", "q1||1"), nullptr);
+  EXPECT_EQ(state.find("live", "q1||1")->note, "cr\r tab\t ctl\x01 bs\\");
   // (property, cursor) is the key: same cursor under another property is
   // distinct.
   EXPECT_EQ(state.find("live", "q0|0|1"), nullptr);
@@ -120,12 +124,18 @@ TEST(JournalTest, ToleratesTornTrailingLine) {
   }
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
+    // Corrupt numbers are malformed lines too: a bare sign, and a digit run
+    // beyond int64.
+    file << "{\"p\":\"safe\",\"c\":\"q0|0|3\",\"v\":\"unsat\",\"len\":-}\n";
+    file << "{\"p\":\"safe\",\"c\":\"q0|0|4\",\"v\":\"unsat\",\"len\":99999999999999999999}\n";
     file << "{\"p\":\"safe\",\"c\":\"q0|0|2\",\"v\":\"uns";  // torn mid-record
   }
   const ResumeState state = load_journal(path);
-  EXPECT_EQ(state.skipped_lines, 1);
+  EXPECT_EQ(state.skipped_lines, 3);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|2"), nullptr);
+  EXPECT_EQ(state.find("safe", "q0|0|3"), nullptr);
+  EXPECT_EQ(state.find("safe", "q0|0|4"), nullptr);
 }
 
 TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {

@@ -178,9 +178,16 @@ TEST(ComposeVerdictsTest, RacedConsensusArrivalsCannotOutrunGadgetFailure) {
 TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
   // The default schedule is one lane, which visits the nodes in stage order;
   // two lanes must reach the same verdicts and accounting.
+  // Every node is bounded by a schema budget, not a wall clock, so each
+  // verdict is the same at any speed (a sanitizer build included). The
+  // budget covers every bv property (19 schemas each); the consensus and
+  // naive properties exhaust it. A budget above the largest consensus count
+  // (Inv1_1, 40,708 schemas) would not do: the naive SRoundTerm reaches a
+  // schema that takes minutes to solve before its 600th.
   HolisticOptions one_lane;
   one_lane.include_naive_attempt = true;
-  one_lane.naive_timeout_seconds = 0.3;  // Table 2's negative result, shrunk
+  one_lane.naive_timeout_seconds = 0;
+  one_lane.check.enumeration.max_schemas = 300;
   const HolisticReport seq = verify_red_belly_consensus(one_lane);
 
   HolisticOptions dag = one_lane;
@@ -207,9 +214,8 @@ TEST(HolisticDagTest, DagRunMatchesSequentialPipeline) {
   match(seq.consensus_results, par.consensus_results);
   ASSERT_EQ(seq.naive_results.size(), par.naive_results.size());
   for (std::size_t i = 0; i < seq.naive_results.size(); ++i) {
-    // The naive attempt's budget flows through the shared timeout path at
-    // every lane count; a budget that small is exhausted in both runs.
     EXPECT_EQ(seq.naive_results[i].verdict, par.naive_results[i].verdict);
+    EXPECT_EQ(seq.naive_results[i].schemas_checked, par.naive_results[i].schemas_checked);
   }
   EXPECT_GT(par.cpu_seconds, 0.0);
   EXPECT_GT(seq.cpu_seconds, 0.0);
