@@ -4,11 +4,14 @@
 # two forked worker processes settle the schemas, with cross-schema learning
 # off (one thread and the fleet), with one-shot instead of incremental
 # solving, with the fault-tolerant runtime armed (journal, per-schema
-# watchdogs and memory budget, all with limits that never fire) and with a
-# fleet whose verdicts are spot-checked. A schema budget of exactly 2116
-# must settle the simplified consensus alike at one thread, four threads and
-# two workers; and two one-thread certifying runs of the simplified
-# consensus must emit byte-identical certificates.
+# watchdogs and memory budget, all with limits that never fire), with a
+# fleet whose verdicts are spot-checked and with the machine-word rational
+# fast path off (HV_NO_FAST_RATIONAL=1, one thread). A schema budget of
+# exactly 2116 must settle the simplified consensus alike at one thread,
+# four threads and two workers. Two one-thread certifying runs of the
+# simplified consensus must emit byte-identical certificates, and
+# `hvc audit --json` of that certificate must pass with byte-identical
+# reports at one and at four audit jobs.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,13 +37,19 @@ for model in models/*.ta; do
   for mode in "--threads 1" "--threads 4" "--workers 2" "--threads 1 --no-lemmas" \
               "--threads 1 --no-incremental" "--workers 2 --no-lemmas" \
               "--threads 1 --journal $work/$name.journal --schema-timeout 3600 --pivot-budget 1000000000 --memory-budget 1000000" \
-              "--workers 2 --spot-check-rate 0.05"; do
+              "--workers 2 --spot-check-rate 0.05" "HV_NO_FAST_RATIONAL=1 --threads 1"; do
     leg=$((leg + 1))
     tag="$name.$leg"
+    # A leg's leading NAME=value words are environment settings.
+    read -r -a words <<< "$mode"
+    envs=()
+    while [[ "${words[0]}" == *=* ]]; do
+      envs+=("${words[0]}")
+      words=("${words[@]:1}")
+    done
     code=0
-    # shellcheck disable=SC2086
-    "$hvc" check "$model" $mode --json ${cap[@]+"${cap[@]}"} > "$work/$tag.json" \
-      2> "$work/$tag.err" || code=$?
+    env ${envs[@]+"${envs[@]}"} "$hvc" check "$model" "${words[@]}" --json ${cap[@]+"${cap[@]}"} \
+      > "$work/$tag.json" 2> "$work/$tag.err" || code=$?
     if [ "$code" -eq 2 ] && grep -q "no bundled properties" "$work/$tag.err"; then
       echo "== $name: no bundled properties, skipped"
       continue 2
@@ -94,4 +103,14 @@ for run in a b; do
     --cert-out "$work/cert.$run.json" > /dev/null
 done
 cmp "$work/cert.a.json" "$work/cert.b.json"
+
+echo "== audit parity (that certificate, hvc audit --jobs 1 / --jobs 4)"
+for jobs in 1 4; do
+  if ! "$hvc" audit "$work/cert.a.json" --json --jobs "$jobs" > "$work/audit.$jobs.json"; then
+    echo "FAIL: hvc audit --jobs $jobs did not pass" >&2
+    cat "$work/audit.$jobs.json" >&2
+    exit 1
+  fi
+done
+cmp "$work/audit.1.json" "$work/audit.4.json"
 echo "mode parity: OK"

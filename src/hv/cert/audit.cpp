@@ -6,8 +6,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "hv/checker/cone.h"
@@ -15,6 +15,7 @@
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/schema.h"
 #include "hv/pipeline/dag/scheduler.h"
+#include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -28,15 +29,17 @@ using checker::GuardAnalysis;
 using checker::IncrementalSchemaEncoder;
 using checker::QueryCone;
 using checker::Schema;
+using smt::LinearConstraint;
+using smt::Literal;
 using smt::Relation;
+using smt::TraceView;
+using smt::proof::name_set_filter;
 using smt::proof::NamedTerms;
 using smt::proof::Node;
 using smt::proof::NodeKind;
 using smt::proof::Premise;
 using smt::proof::PremiseOrigin;
-using smt::proof::Trace;
 using smt::proof::TracedConstraint;
-using smt::proof::TracedLiteral;
 
 constexpr std::size_t kMaxIssues = 200;
 constexpr int kMaxWalkDepth = 6000;
@@ -69,16 +72,9 @@ void merge_issue(AuditReport& report, const std::string& issue) {
 // evaluation. Everything below this banner uses only hv/util arithmetic.
 // ---------------------------------------------------------------------------
 
-std::string premise_key(const NamedTerms& terms, Relation rel, const BigInt& bound) {
-  std::string key = rel == Relation::kLe ? "<=|" : ">=|";
-  key += bound.to_string();
-  for (const auto& [name, coeff] : terms) {
-    key += '|';
-    key += name;
-    key += ':';
-    key += coeff.to_string();
-  }
-  return key;
+/// Exact structural equality of two inequalities (origins aside).
+bool same_inequality(const Premise& lhs, const Premise& rhs) {
+  return lhs.terms == rhs.terms && lhs.rel == rhs.rel && lhs.bound == rhs.bound;
 }
 
 /// The auditor's own normalization of a raw (traced) constraint under a
@@ -163,26 +159,16 @@ Normalized normalize(const TracedConstraint& raw, bool positive) {
 
 /// Audits one schema's evidence against its re-encoded trace. Owns the tree
 /// walk's context: the atom bindings made by propagation/decision nodes and
-/// the assumption stack of enclosing integer branches.
+/// the assumption stack of enclosing integer branches. Only what the proof
+/// cites is rendered into name space and normalized.
 class SchemaAuditor {
  public:
-  SchemaAuditor(const Trace& trace, AuditReport& report, std::string context)
+  SchemaAuditor(const TraceView& trace, AuditReport& report, std::string context)
       : trace_(trace),
         report_(report),
         context_(std::move(context)),
-        assignment_(trace.atoms.size(), -1),
-        atom_cache_(trace.atoms.size()) {
-    for (const TracedConstraint& constraint : trace_.constraints) {
-      const Normalized normalized = normalize(constraint, /*positive=*/true);
-      if (normalized.constant) {
-        if (!normalized.value) constraints_false_ = true;
-        continue;
-      }
-      for (const Premise& premise : normalized.premises) {
-        constraint_keys_.insert(premise_key(premise.terms, premise.rel, premise.bound));
-      }
-    }
-  }
+        assignment_(trace.atoms().size(), -1),
+        atom_cache_(trace.atoms().size()) {}
 
   bool audit_proof(const Node& root) { return verify(root, 0); }
 
@@ -194,8 +180,9 @@ class SchemaAuditor {
       }
     }
     bool ok = true;
-    const auto evaluate = [&](const TracedConstraint& constraint,
+    const auto evaluate = [&](const LinearConstraint& raw,
                               bool& truth) -> bool {  // false: missing variable
+      const TracedConstraint constraint = trace_.render(raw);
       BigInt total = constraint.constant;
       for (const auto& [name, coeff] : constraint.terms) {
         const auto it = values.find(name);
@@ -219,21 +206,24 @@ class SchemaAuditor {
       }
       return true;
     };
-    for (std::size_t i = 0; i < trace_.constraints.size(); ++i) {
+    const std::vector<LinearConstraint>& constraints = trace_.constraints();
+    for (std::size_t i = 0; i < constraints.size(); ++i) {
       bool truth = false;
-      if (!evaluate(trace_.constraints[i], truth)) return false;
+      if (!evaluate(constraints[i], truth)) return false;
       if (!truth) {
         ok = fail("model violates constraint #" + std::to_string(i));
       }
     }
-    for (std::size_t c = 0; c < trace_.clauses.size(); ++c) {
+    const std::vector<LinearConstraint>& atoms = trace_.atoms();
+    const std::vector<std::vector<Literal>>& clauses = trace_.clauses();
+    for (std::size_t c = 0; c < clauses.size(); ++c) {
       bool satisfied = false;
-      for (const TracedLiteral& literal : trace_.clauses[c]) {
-        if (literal.atom < 0 || literal.atom >= static_cast<int>(trace_.atoms.size())) {
+      for (const Literal& literal : clauses[c]) {
+        if (literal.atom < 0 || literal.atom >= static_cast<int>(atoms.size())) {
           return fail("clause cites an invalid atom index");
         }
         bool truth = false;
-        if (!evaluate(trace_.atoms[static_cast<std::size_t>(literal.atom)], truth)) return false;
+        if (!evaluate(atoms[static_cast<std::size_t>(literal.atom)], truth)) return false;
         if (truth == literal.positive) {
           satisfied = true;
           break;
@@ -254,8 +244,46 @@ class SchemaAuditor {
 
   const Normalized& normalized_atom(int atom, bool positive) {
     auto& slot = atom_cache_[static_cast<std::size_t>(atom)][positive ? 1 : 0];
-    if (!slot) slot = normalize(trace_.atoms[static_cast<std::size_t>(atom)], positive);
+    if (!slot) {
+      slot = normalize(trace_.render(trace_.atoms()[static_cast<std::size_t>(atom)]), positive);
+    }
     return *slot;
+  }
+
+  /// Whether some live constraint normalizes to constant falsehood: one
+  /// without terms, or an equality whose content does not divide its
+  /// constant. Settled on first use; only a proof citing a constant-false
+  /// constraint asks.
+  bool constraints_false() {
+    if (!constraints_false_) {
+      constraints_false_ = false;
+      for (const LinearConstraint& constraint : trace_.constraints()) {
+        if (!constraint.expr.is_constant() && constraint.relation != Relation::kEq) continue;
+        const Normalized normalized = normalize(trace_.render(constraint), /*positive=*/true);
+        if (normalized.constant && !normalized.value) {
+          constraints_false_ = true;
+          break;
+        }
+      }
+    }
+    return *constraints_false_;
+  }
+
+  /// True iff some live constraint, under the auditor's own normalization,
+  /// is exactly `premise`. The name-set filter only picks which constraints
+  /// to render and normalize — acceptance rests on the exact comparison,
+  /// and a filter miss fails closed.
+  bool asserted(const Premise& premise) {
+    for (const std::uint32_t index : trace_.candidates(name_set_filter(premise.terms))) {
+      auto [it, fresh] = constraint_cache_.try_emplace(index);
+      if (fresh) {
+        it->second = normalize(trace_.render(trace_.constraints()[index]), /*positive=*/true);
+      }
+      for (const Premise& candidate : it->second.premises) {
+        if (same_inequality(candidate, premise)) return true;
+      }
+    }
+    return false;
   }
 
   bool premise_ok(const Premise& premise) {
@@ -269,10 +297,10 @@ class SchemaAuditor {
       if (trivially_true) return true;
       switch (premise.origin) {
         case PremiseOrigin::kConstraint:
-          if (constraints_false_) return true;
+          if (constraints_false()) return true;
           return fail("premise claims a constraint is constant-false, but none is");
         case PremiseOrigin::kAtom: {
-          if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms.size())) {
+          if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms().size())) {
             return fail("premise cites an invalid atom index");
           }
           if (assignment_[static_cast<std::size_t>(premise.atom)] !=
@@ -293,12 +321,10 @@ class SchemaAuditor {
 
     switch (premise.origin) {
       case PremiseOrigin::kConstraint:
-        if (constraint_keys_.count(premise_key(premise.terms, premise.rel, premise.bound)) > 0) {
-          return true;
-        }
+        if (asserted(premise)) return true;
         return fail("premise is not among the asserted constraints");
       case PremiseOrigin::kAtom: {
-        if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms.size())) {
+        if (premise.atom < 0 || premise.atom >= static_cast<int>(trace_.atoms().size())) {
           return fail("premise cites an invalid atom index");
         }
         if (assignment_[static_cast<std::size_t>(premise.atom)] != (premise.positive ? 1 : 0)) {
@@ -313,20 +339,14 @@ class SchemaAuditor {
           return fail("premise content does not match its constant atom");
         }
         for (const Premise& candidate : normalized.premises) {
-          if (candidate.terms == premise.terms && candidate.rel == premise.rel &&
-              candidate.bound == premise.bound) {
-            return true;
-          }
+          if (same_inequality(candidate, premise)) return true;
         }
         return fail("premise content does not match the auditor's normalization of atom #" +
                     std::to_string(premise.atom));
       }
       case PremiseOrigin::kBranch:
         for (const Premise& assumption : branch_stack_) {
-          if (assumption.terms == premise.terms && assumption.rel == premise.rel &&
-              assumption.bound == premise.bound) {
-            return true;
-          }
+          if (same_inequality(assumption, premise)) return true;
         }
         return fail("premise is not among the enclosing branch assumptions");
     }
@@ -361,8 +381,8 @@ class SchemaAuditor {
     return true;
   }
 
-  bool literal_false(const TracedLiteral& literal) {
-    if (literal.atom < 0 || literal.atom >= static_cast<int>(trace_.atoms.size())) return false;
+  bool literal_false(const Literal& literal) {
+    if (literal.atom < 0 || literal.atom >= static_cast<int>(trace_.atoms().size())) return false;
     const signed char value = assignment_[static_cast<std::size_t>(literal.atom)];
     if (value != -1) return value == (literal.positive ? 0 : 1);
     const Normalized& normalized = normalized_atom(literal.atom, literal.positive);
@@ -376,10 +396,10 @@ class SchemaAuditor {
         return check_farkas(node);
 
       case NodeKind::kClauseConflict: {
-        if (node.clause < 0 || node.clause >= static_cast<int>(trace_.clauses.size())) {
+        if (node.clause < 0 || node.clause >= static_cast<int>(trace_.clauses().size())) {
           return fail("conflict cites an invalid clause index");
         }
-        for (const TracedLiteral& literal : trace_.clauses[static_cast<std::size_t>(node.clause)]) {
+        for (const Literal& literal : trace_.clauses()[static_cast<std::size_t>(node.clause)]) {
           if (!literal_false(literal)) {
             return fail("clause #" + std::to_string(node.clause) +
                         " is not conflicting: a literal is not false");
@@ -389,15 +409,15 @@ class SchemaAuditor {
       }
 
       case NodeKind::kPropagation: {
-        if (node.clause < 0 || node.clause >= static_cast<int>(trace_.clauses.size())) {
+        if (node.clause < 0 || node.clause >= static_cast<int>(trace_.clauses().size())) {
           return fail("propagation cites an invalid clause index");
         }
-        if (node.atom < 0 || node.atom >= static_cast<int>(trace_.atoms.size())) {
+        if (node.atom < 0 || node.atom >= static_cast<int>(trace_.atoms().size())) {
           return fail("propagation cites an invalid atom index");
         }
         if (node.first == nullptr) return fail("propagation without a child");
         bool found_forced = false;
-        for (const TracedLiteral& literal : trace_.clauses[static_cast<std::size_t>(node.clause)]) {
+        for (const Literal& literal : trace_.clauses()[static_cast<std::size_t>(node.clause)]) {
           if (literal.atom == node.atom && literal.positive == node.positive) {
             found_forced = true;
             continue;
@@ -419,7 +439,7 @@ class SchemaAuditor {
       }
 
       case NodeKind::kDecision: {
-        if (node.atom < 0 || node.atom >= static_cast<int>(trace_.atoms.size())) {
+        if (node.atom < 0 || node.atom >= static_cast<int>(trace_.atoms().size())) {
           return fail("decision cites an invalid atom index");
         }
         if (node.first == nullptr || node.second == nullptr) {
@@ -464,11 +484,11 @@ class SchemaAuditor {
     return fail("invalid proof node kind");
   }
 
-  const Trace& trace_;
+  const TraceView& trace_;
   AuditReport& report_;
   std::string context_;
-  std::set<std::string> constraint_keys_;
-  bool constraints_false_ = false;
+  std::unordered_map<std::uint32_t, Normalized> constraint_cache_;
+  std::optional<bool> constraints_false_;
   std::vector<signed char> assignment_;
   std::vector<Premise> branch_stack_;
   std::vector<std::array<std::optional<Normalized>, 2>> atom_cache_;
@@ -725,27 +745,30 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
     const SchemaCert* entry = state.by_query[q][i];
     const std::string entry_context =
         state.context + ", " + schema_key(entry->query_index, entry->schema);
-    Trace trace;
+    bool green = false;
+    bool encoded = false;
     try {
-      trace = encoder->trace(entry->schema);
+      encoder->trace(entry->schema, [&](const TraceView& trace) {
+        encoded = true;
+        SchemaAuditor auditor(trace, sink, entry_context);
+        if (entry->sat) {
+          green = auditor.audit_model(entry->model);
+          ++sink.models_checked;
+        } else {
+          if (entry->proof == nullptr) {
+            add_issue(sink, entry_context, "unsat evidence without a proof");
+          } else {
+            green = auditor.audit_proof(*entry->proof);
+          }
+          ++sink.schemas_covered;
+        }
+      });
     } catch (const Error& error) {
+      if (encoded) throw;
       add_issue(sink, entry_context, std::string("re-encoding failed: ") + error.what());
       encoder = std::make_unique<IncrementalSchemaEncoder>(
           analysis, property.queries[q], /*branch_budget=*/1, cone, EncoderMode::kTrace);
       continue;
-    }
-    SchemaAuditor auditor(trace, sink, entry_context);
-    bool green = false;
-    if (entry->sat) {
-      green = auditor.audit_model(entry->model);
-      ++sink.models_checked;
-    } else {
-      if (entry->proof == nullptr) {
-        add_issue(sink, entry_context, "unsat evidence without a proof");
-      } else {
-        green = auditor.audit_proof(*entry->proof);
-      }
-      ++sink.schemas_covered;
     }
     state.covered[schema_key(entry->query_index, entry->schema)].green = green;
   }

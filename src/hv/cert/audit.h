@@ -14,6 +14,12 @@
 // verification effort is actually spent and where a soundness bug would
 // hide — are entirely out of the audit path.
 //
+// A premise citing an asserted constraint is accepted only when some live
+// constraint of the re-encoding, normalized by the auditor itself, equals
+// it exactly (terms, relation, bound). The trace's name-set filter only
+// picks which constraints to compare; it is never a reason to accept, and a
+// filter miss fails closed.
+//
 // What a green audit establishes, per property:
 //   * verdict "holds": every schema the enumerator produces for every
 //     violation query is either covered by a checked Farkas/DPLL refutation

@@ -108,14 +108,13 @@ class IncrementalSchemaEncoder::Impl {
     return result;
   }
 
-  smt::proof::Trace trace(const Schema& schema) {
+  void trace(const Schema& schema, const std::function<void(const smt::TraceView&)>& audit) {
     HV_REQUIRE(mode_ == EncoderMode::kTrace);
     const std::size_t steps_mark = encode_schema(schema);
-    smt::proof::Trace snapshot = solver_.snapshot_trace();
+    audit(solver_.trace_view());
     solver_.pop();
     steps_.resize(steps_mark);
     ++stats_.schemas_encoded;
-    return snapshot;
   }
 
  private:
@@ -456,8 +455,9 @@ EncodeResult IncrementalSchemaEncoder::check(const Schema& schema) {
   return impl_->check(schema);
 }
 
-smt::proof::Trace IncrementalSchemaEncoder::trace(const Schema& schema) {
-  return impl_->trace(schema);
+void IncrementalSchemaEncoder::trace(const Schema& schema,
+                                     const std::function<void(const smt::TraceView&)>& audit) {
+  impl_->trace(schema, audit);
 }
 
 const IncrementalStats& IncrementalSchemaEncoder::stats() const noexcept {

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -34,6 +35,10 @@
 #include "hv/checker/schema.h"
 #include "hv/smt/lemma.h"
 #include "hv/spec/query.h"
+
+namespace hv::smt {
+class TraceView;
+}  // namespace hv::smt
 
 namespace hv::checker {
 
@@ -118,13 +123,15 @@ class IncrementalSchemaEncoder {
   /// EncoderMode::kTrace.
   EncodeResult check(const Schema& schema);
 
-  /// Encodes one schema on a trace-mode solver and returns the name-space
-  /// assertion snapshot — the auditor's re-encoding. Only available in
-  /// EncoderMode::kTrace. Prefix sharing works exactly as for check(), and
-  /// because the encoder is deterministic the atom/clause indices of the
-  /// snapshot coincide with the ones the certifying run saw for the same
-  /// schema.
-  smt::proof::Trace trace(const Schema& schema);
+  /// Encodes one schema on a trace-mode solver and hands `audit` a view of
+  /// the assertions alive for it — the auditor's re-encoding. Only
+  /// available in EncoderMode::kTrace. Prefix sharing works exactly as for
+  /// check(), and because the encoder is deterministic the atom/clause
+  /// indices of the view coincide with the ones the certifying run saw for
+  /// the same schema. The view reads the solver's live stack: the schema's
+  /// transient scope is popped as soon as `audit` returns, so the view
+  /// must not escape the callback.
+  void trace(const Schema& schema, const std::function<void(const smt::TraceView&)>& audit);
 
   const IncrementalStats& stats() const noexcept;
 

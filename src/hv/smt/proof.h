@@ -34,8 +34,10 @@
 #ifndef HV_SMT_PROOF_H
 #define HV_SMT_PROOF_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,29 +95,25 @@ struct UnsatProof {
   std::unique_ptr<Node> root;
 };
 
-/// A raw assertion as the encoder issued it, in name space:
+/// A raw assertion rendered in name space (terms sorted by name):
 /// sum(terms) + constant rel 0. Raw means pre-normalization — the auditor
 /// performs content division and integer tightening itself.
 struct TracedConstraint {
   NamedTerms terms;
   BigInt constant;
   Relation rel = Relation::kLe;
+
+  friend bool operator==(const TracedConstraint&, const TracedConstraint&) = default;
 };
 
-struct TracedLiteral {
-  int atom = -1;
-  bool positive = true;
-};
+/// One variable name's share of a term-name-set filter.
+std::uint64_t name_filter(std::string_view name);
 
-/// Snapshot of every assertion alive on the solver stack, produced by a
-/// trace-mode solver (no simplex, no search). The auditor re-encodes a
-/// schema through the ordinary encoder running on such a solver and audits
-/// the certificate's proof tree against this trace.
-struct Trace {
-  std::vector<TracedConstraint> constraints;
-  std::vector<TracedConstraint> atoms;
-  std::vector<std::vector<TracedLiteral>> clauses;
-};
+/// Filter value of the set of names `terms` mentions: the sum of their
+/// name_filter()s, so it does not depend on term order and the empty set
+/// maps to 0. Equal name sets have equal filters; the converse does not
+/// hold, so a filter match only nominates a constraint for comparison.
+std::uint64_t name_set_filter(const NamedTerms& terms);
 
 }  // namespace hv::smt::proof
 

@@ -35,6 +35,7 @@ void Solver::enable_trace() {
 
 VarId Solver::new_variable(std::string name) {
   if (trace_) {
+    trace_name_filters_.push_back(proof::name_filter(name));
     names_.push_back(std::move(name));
     return static_cast<int>(names_.size()) - 1;
   }
@@ -47,8 +48,7 @@ VarId Solver::new_variable(std::string name) {
 
 void Solver::add_lower_bound(VarId var, const BigInt& bound) {
   if (trace_) {
-    traced_constraints_.push_back(
-        make_ge(LinearExpr::variable(var), LinearExpr(bound)));
+    record_traced(make_ge(LinearExpr::variable(var), LinearExpr(bound)));
     return;
   }
   int tag = -1;
@@ -63,8 +63,7 @@ void Solver::add_lower_bound(VarId var, const BigInt& bound) {
 
 void Solver::add_upper_bound(VarId var, const BigInt& bound) {
   if (trace_) {
-    traced_constraints_.push_back(
-        make_le(LinearExpr::variable(var), LinearExpr(bound)));
+    record_traced(make_le(LinearExpr::variable(var), LinearExpr(bound)));
     return;
   }
   int tag = -1;
@@ -143,6 +142,14 @@ void Solver::pop() {
   if (!trace_) simplex_.pop();  // bounds and variables/rows created in the scope
   if (trace_) {
     traced_atoms_.resize(scope.atom_count);
+    trace_name_filters_.resize(scope.name_count);
+    for (std::size_t i = traced_constraints_.size(); i-- > scope.trace_constraint_count;) {
+      const auto it = trace_index_.find(traced_filters_[i]);
+      HV_REQUIRE(it != trace_index_.end() && !it->second.empty() && it->second.back() == i);
+      it->second.pop_back();
+      if (it->second.empty()) trace_index_.erase(it);
+    }
+    traced_filters_.resize(scope.trace_constraint_count);
   } else {
     atoms_.resize(scope.atom_count);
   }
@@ -243,7 +250,7 @@ Solver::NormalizedAtom Solver::normalize(const LinearConstraint& constraint) {
 
 void Solver::add(const LinearConstraint& constraint) {
   if (trace_) {
-    traced_constraints_.push_back(constraint);
+    record_traced(constraint);
     return;
   }
   const NormalizedAtom atom = normalize(constraint);
@@ -781,35 +788,48 @@ std::vector<std::pair<std::string, BigInt>> Solver::model_assignment() const {
   return out;
 }
 
-proof::Trace Solver::snapshot_trace() const {
+void Solver::record_traced(LinearConstraint constraint) {
+  std::uint64_t filter = 0;
+  for (const auto& [var, coeff] : constraint.expr.terms()) filter += trace_name_filters_[var];
+  trace_index_[filter].push_back(static_cast<std::uint32_t>(traced_constraints_.size()));
+  traced_filters_.push_back(filter);
+  traced_constraints_.push_back(std::move(constraint));
+}
+
+TraceView Solver::trace_view() const {
   HV_REQUIRE(trace_);
-  proof::Trace trace;
-  const auto render = [&](const LinearConstraint& constraint) {
-    proof::TracedConstraint out;
-    out.constant = constraint.expr.constant();
-    out.rel = constraint.relation;
-    out.terms.reserve(constraint.expr.terms().size());
-    for (const auto& [var, coeff] : constraint.expr.terms()) {
-      out.terms.emplace_back(names_[var], coeff);
-    }
-    std::sort(out.terms.begin(), out.terms.end(),
-              [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
-    return out;
-  };
-  trace.constraints.reserve(traced_constraints_.size());
-  for (const LinearConstraint& constraint : traced_constraints_) {
-    trace.constraints.push_back(render(constraint));
+  return TraceView(*this);
+}
+
+const std::vector<LinearConstraint>& TraceView::constraints() const noexcept {
+  return solver_->traced_constraints_;
+}
+
+const std::vector<LinearConstraint>& TraceView::atoms() const noexcept {
+  return solver_->traced_atoms_;
+}
+
+const std::vector<std::vector<Literal>>& TraceView::clauses() const noexcept {
+  return solver_->clauses_;
+}
+
+std::span<const std::uint32_t> TraceView::candidates(std::uint64_t filter) const {
+  const auto it = solver_->trace_index_.find(filter);
+  if (it == solver_->trace_index_.end()) return {};
+  return it->second;
+}
+
+proof::TracedConstraint TraceView::render(const LinearConstraint& constraint) const {
+  proof::TracedConstraint out;
+  out.constant = constraint.expr.constant();
+  out.rel = constraint.relation;
+  out.terms.reserve(constraint.expr.terms().size());
+  for (const auto& [var, coeff] : constraint.expr.terms()) {
+    out.terms.emplace_back(solver_->names_[var], coeff);
   }
-  trace.atoms.reserve(traced_atoms_.size());
-  for (const LinearConstraint& atom : traced_atoms_) trace.atoms.push_back(render(atom));
-  trace.clauses.reserve(clauses_.size());
-  for (const auto& clause : clauses_) {
-    std::vector<proof::TracedLiteral> literals;
-    literals.reserve(clause.size());
-    for (const Literal& literal : clause) literals.push_back({literal.atom, literal.positive});
-    trace.clauses.push_back(std::move(literals));
-  }
-  return trace;
+  std::sort(out.terms.begin(), out.terms.end(),
+            [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
+  return out;
 }
 
 }  // namespace hv::smt

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +53,32 @@ enum class CheckResult { kSat, kUnsat };
 struct Literal {
   int atom = -1;
   bool positive = true;
+};
+
+class Solver;
+
+/// Read-only view of a trace-mode solver's live assertion stack, in var-id
+/// space with the solver's name table. It reads the solver's own storage,
+/// so it is valid only until the solver's next declaration, assertion,
+/// push or pop.
+class TraceView {
+ public:
+  const std::vector<LinearConstraint>& constraints() const noexcept;
+  const std::vector<LinearConstraint>& atoms() const noexcept;
+  const std::vector<std::vector<Literal>>& clauses() const noexcept;
+
+  /// Ascending indices of the live constraints whose term-name set has the
+  /// given proof::name_set_filter value. Only ever a superset of the
+  /// constraints over exactly that name set: a caller must still compare.
+  std::span<const std::uint32_t> candidates(std::uint64_t filter) const;
+
+  /// `constraint` in name space, terms sorted by name.
+  proof::TracedConstraint render(const LinearConstraint& constraint) const;
+
+ private:
+  friend class Solver;
+  explicit TraceView(const Solver& solver) noexcept : solver_(&solver) {}
+  const Solver* solver_;
 };
 
 class Solver {
@@ -172,14 +199,14 @@ class Solver {
 
   /// Turns the solver into a pure assertion recorder for the auditor: no
   /// simplex, no normalization, no search — add()/add_atom()/add_clause()
-  /// and push()/pop() merely maintain the name-space assertion trace
-  /// returned by snapshot_trace(); check() throws. Must be called on a
-  /// pristine solver; mutually exclusive with enable_certificates().
+  /// and push()/pop() merely maintain the assertion stack that trace_view()
+  /// exposes; check() throws. Must be called on a pristine solver; mutually
+  /// exclusive with enable_certificates().
   void enable_trace();
   bool tracing() const noexcept { return trace_; }
 
-  /// Snapshot of all assertions alive on the stack (trace mode only).
-  proof::Trace snapshot_trace() const;
+  /// View of all assertions alive on the stack (trace mode only).
+  TraceView trace_view() const;
 
  private:
   enum class BoundKind { kLe, kGe, kEq };
@@ -308,10 +335,19 @@ class Solver {
   // vector stays sorted and pop() trims a suffix).
   std::unordered_map<std::string, std::vector<int>> asserted_sigs_;
 
-  // Trace mode.
+  // Trace mode. Every recorded constraint's term-name-set filter
+  // (proof::name_set_filter) is computed once, from the per-variable
+  // name filters, and indexed; pop() retracts the index entries of the
+  // constraints dying with the scope (each list stays ascending, so that
+  // is a pop_back).
+  friend class TraceView;
+  void record_traced(LinearConstraint constraint);
   bool trace_ = false;
   std::vector<LinearConstraint> traced_constraints_;
   std::vector<LinearConstraint> traced_atoms_;
+  std::vector<std::uint64_t> trace_name_filters_;  // parallel to names_
+  std::vector<std::uint64_t> traced_filters_;      // parallel to traced_constraints_
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> trace_index_;
 
   Stats stats_;
   std::int64_t branch_budget_ = 1'000'000;

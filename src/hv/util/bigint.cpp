@@ -97,7 +97,8 @@ std::int64_t BigInt::to_int64() const {
   if (!fits_int64()) throw InvalidArgument("BigInt::to_int64: value out of range");
   std::uint64_t magnitude = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) magnitude = (magnitude << 32) | limbs_[i];
-  return negative_ ? -static_cast<std::int64_t>(magnitude) : static_cast<std::int64_t>(magnitude);
+  // Negate in unsigned arithmetic: 2^63 has no int64 counterpart to negate.
+  return static_cast<std::int64_t>(negative_ ? 0 - magnitude : magnitude);
 }
 
 std::string BigInt::to_string() const {

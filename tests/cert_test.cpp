@@ -6,15 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hv/cert/certificate.h"
 #include "hv/cert/emit.h"
 #include "hv/cert/json.h"
+#include "hv/checker/cone.h"
+#include "hv/checker/encoder.h"
+#include "hv/checker/guard_analysis.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
+#include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -100,6 +108,24 @@ smt::proof::Node* first_farkas(smt::proof::Node& node) {
   }
   if (node.second != nullptr) {
     if (smt::proof::Node* found = first_farkas(*node.second)) return found;
+  }
+  return nullptr;
+}
+
+/// The first Farkas premise in the tree that cites an asserted constraint
+/// with at least two terms.
+smt::proof::Premise* first_multi_term_constraint_premise(smt::proof::Node& node) {
+  if (node.kind == smt::proof::NodeKind::kFarkas) {
+    for (smt::proof::FarkasTerm& term : node.farkas) {
+      if (term.premise.origin == smt::proof::PremiseOrigin::kConstraint &&
+          term.premise.terms.size() >= 2) {
+        return &term.premise;
+      }
+    }
+  }
+  for (smt::proof::Node* child : {node.first.get(), node.second.get()}) {
+    if (child == nullptr) continue;
+    if (smt::proof::Premise* found = first_multi_term_constraint_premise(*child)) return found;
   }
   return nullptr;
 }
@@ -259,6 +285,24 @@ TEST(CertTamperTest, ForgedPremiseBoundRejected) {
   });
   const AuditReport report = audit_certificate(parse_certificate(to_json_text(certificate)));
   EXPECT_FALSE(report.ok);
+
+  // A leaf "0 <= -1" claiming some asserted constraint is constant-false:
+  // no constraint of the bv encoding normalizes to falsehood.
+  Certificate constant = parse_certificate(bv_certificate_text());
+  mutate_first_proof(constant, [](smt::proof::Node& root) {
+    smt::proof::Node* farkas = first_farkas(root);
+    ASSERT_NE(farkas, nullptr);
+    smt::proof::Premise premise;
+    premise.origin = smt::proof::PremiseOrigin::kConstraint;
+    premise.rel = smt::Relation::kLe;
+    premise.bound = BigInt(-1);
+    farkas->farkas = {{premise, Rational(1)}};
+  });
+  const AuditReport constant_report =
+      audit_certificate(parse_certificate(to_json_text(constant)));
+  EXPECT_FALSE(constant_report.ok);
+  EXPECT_NE(constant_report.to_string().find("constant-false, but none is"), std::string::npos)
+      << constant_report.to_string();
 }
 
 TEST(CertTamperTest, DroppedSchemaRejected) {
@@ -301,6 +345,145 @@ TEST(CertTamperTest, UpgradedVerdictRejected) {
   certificate.components[0].properties[0].complete = true;
   const AuditReport report = audit_certificate(parse_certificate(to_json_text(certificate)));
   EXPECT_FALSE(report.ok);
+}
+
+TEST(CertTamperTest, PremiseNameSmugglingRejected) {
+  // Fold the names and coefficients of a cited row [(n1,c1),...,(nk,ck)]
+  // into one variable "n1:c1|...|nk" with coefficient ck. A text key that
+  // joins names and coefficients with ':' and '|' cannot tell the forgery
+  // from the row; premise matching must be structural, so the forged
+  // premise is not found among the asserted constraints.
+  Certificate certificate = parse_certificate(bv_certificate_text());
+  bool smuggled = false;
+  for (PropertyCert& property : certificate.components[0].properties) {
+    for (SchemaCert& schema : property.schemas) {
+      if (schema.sat || smuggled) continue;
+      auto copy = smt::proof::clone(*schema.proof);
+      smt::proof::Premise* premise = first_multi_term_constraint_premise(*copy);
+      if (premise == nullptr) continue;
+      std::string name;
+      for (std::size_t i = 0; i + 1 < premise->terms.size(); ++i) {
+        name += premise->terms[i].first + ":" + premise->terms[i].second.to_string() + "|";
+      }
+      name += premise->terms.back().first;
+      const BigInt coeff = premise->terms.back().second;
+      premise->terms = {{name, coeff}};
+      schema.proof = std::move(copy);
+      smuggled = true;
+    }
+  }
+  ASSERT_TRUE(smuggled) << "no proof cites a multi-term constraint";
+  const AuditReport report = audit_certificate(parse_certificate(to_json_text(certificate)));
+  EXPECT_FALSE(report.ok);
+  const bool rejected_as_unasserted =
+      std::any_of(report.issues.begin(), report.issues.end(), [](const std::string& issue) {
+        return issue.find("premise is not among the asserted constraints") != std::string::npos;
+      });
+  EXPECT_TRUE(rejected_as_unasserted) << report.to_string();
+}
+
+// --- trace view -------------------------------------------------------------
+
+/// What a re-encoding shows the auditor, in name space: the constraints as
+/// a sorted multiset, the atoms and the clauses in order (proofs cite them
+/// by index).
+struct RenderedTrace {
+  std::vector<smt::proof::TracedConstraint> constraints;
+  std::vector<smt::proof::TracedConstraint> atoms;
+  std::vector<std::vector<std::pair<int, bool>>> clauses;
+};
+
+RenderedTrace render_trace(const smt::TraceView& view) {
+  RenderedTrace out;
+  for (const smt::LinearConstraint& constraint : view.constraints()) {
+    out.constraints.push_back(view.render(constraint));
+  }
+  std::sort(out.constraints.begin(), out.constraints.end(),
+            [](const smt::proof::TracedConstraint& lhs, const smt::proof::TracedConstraint& rhs) {
+              return std::tie(lhs.terms, lhs.constant, lhs.rel) <
+                     std::tie(rhs.terms, rhs.constant, rhs.rel);
+            });
+  for (const smt::LinearConstraint& atom : view.atoms()) out.atoms.push_back(view.render(atom));
+  for (const std::vector<smt::Literal>& clause : view.clauses()) {
+    out.clauses.emplace_back();
+    for (const smt::Literal& literal : clause) {
+      out.clauses.back().emplace_back(literal.atom, literal.positive);
+    }
+  }
+  return out;
+}
+
+TEST(CertTraceViewTest, ReusedEncoderShowsExactlyAFreshEncodingInAuditOrder) {
+  // One trace encoder walks every evidence entry of one query in audit
+  // order, keeping shared prefixes and popping the rest. At every schema
+  // its view must equal a fresh encoder's, and the candidate index must
+  // nominate every live constraint and nothing beyond the live stack: a
+  // constraint of a popped scope can never answer a later lookup.
+  const Certificate parsed = parse_certificate(bv_certificate_text());
+  const ComponentCert& component = parsed.components[0];
+  const ta::ThresholdAutomaton ta = builtin_model(component.model.key);
+  const checker::GuardAnalysis analysis(ta);
+
+  // The (property, query) with the most evidence entries.
+  const PropertyCert* property_cert = nullptr;
+  std::int64_t query_index = 0;
+  std::vector<const SchemaCert*> entries;
+  for (const PropertyCert& property : component.properties) {
+    std::map<std::int64_t, std::vector<const SchemaCert*>> by_query;
+    for (const SchemaCert& schema : property.schemas) {
+      by_query[schema.query_index].push_back(&schema);
+    }
+    for (auto& [q, list] : by_query) {
+      if (list.size() > entries.size()) {
+        property_cert = &property;
+        query_index = q;
+        entries = std::move(list);
+      }
+    }
+  }
+  ASSERT_NE(property_cert, nullptr);
+  ASSERT_GE(entries.size(), 2u);
+  std::sort(entries.begin(), entries.end(), [](const SchemaCert* lhs, const SchemaCert* rhs) {
+    return std::tie(lhs->schema.unlock_order, lhs->schema.cut_positions) <
+           std::tie(rhs->schema.unlock_order, rhs->schema.cut_positions);
+  });
+
+  const std::vector<spec::Property> bundled = bundled_properties(ta);
+  const auto property = std::find_if(bundled.begin(), bundled.end(), [&](const auto& p) {
+    return p.name == property_cert->name;
+  });
+  ASSERT_NE(property, bundled.end());
+  const spec::ReachQuery& query = property->queries[static_cast<std::size_t>(query_index)];
+  std::optional<checker::QueryCone> cone;
+  if (property_cert->property_directed_pruning) cone.emplace(analysis, query);
+  const checker::QueryCone* cone_ptr = cone ? &*cone : nullptr;
+
+  checker::IncrementalSchemaEncoder walker(analysis, query, 1, cone_ptr,
+                                           checker::EncoderMode::kTrace);
+  for (const SchemaCert* entry : entries) {
+    RenderedTrace seen;
+    walker.trace(entry->schema, [&](const smt::TraceView& view) {
+      seen = render_trace(view);
+      const std::size_t live = view.constraints().size();
+      for (std::size_t i = 0; i < live; ++i) {
+        const auto terms = view.render(view.constraints()[i]).terms;
+        const auto nominated = view.candidates(smt::proof::name_set_filter(terms));
+        EXPECT_EQ(std::count(nominated.begin(), nominated.end(), i), 1);
+        for (const std::uint32_t index : nominated) EXPECT_LT(index, live);
+      }
+    });
+    checker::IncrementalSchemaEncoder fresh(analysis, query, 1, cone_ptr,
+                                            checker::EncoderMode::kTrace);
+    RenderedTrace expected;
+    fresh.trace(entry->schema,
+                [&](const smt::TraceView& view) { expected = render_trace(view); });
+    EXPECT_EQ(seen.constraints, expected.constraints);
+    EXPECT_EQ(seen.atoms, expected.atoms);
+    EXPECT_EQ(seen.clauses, expected.clauses);
+  }
+  // The walk really kept prefixes, so popped scopes were in play.
+  EXPECT_GT(walker.stats().segments_reused, 0);
+  EXPECT_GT(walker.stats().segments_popped, 0);
 }
 
 // --- sharded audit ----------------------------------------------------------

@@ -218,7 +218,8 @@ TEST(RationalDiffTest, ChainedPivotLikeAccumulationAgrees) {
       std::int64_t c = coeff(local);
       if (c == 0) c = 3;
       const std::int64_t magnitude = std::int64_t{1} << shift(local);
-      const Rational factor(BigInt(c * magnitude), BigInt(c < 0 ? 3 : 7));
+      // c * 2^61 overflows int64, so the product is formed in BigInt.
+      const Rational factor(BigInt(c) * BigInt(magnitude), BigInt(c < 0 ? 3 : 7));
       const Rational value(BigInt(coeff(local)), BigInt(magnitude));
       acc.add_mul(factor, value);
       if (i % 37 == 0 && !acc.is_zero()) acc = acc.reciprocal();
