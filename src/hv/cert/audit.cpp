@@ -13,7 +13,9 @@
 #include "hv/checker/cone.h"
 #include "hv/checker/encoder.h"
 #include "hv/checker/guard_analysis.h"
+#include "hv/checker/journal.h"
 #include "hv/checker/schema.h"
+#include "hv/models/registry.h"
 #include "hv/pipeline/dag/scheduler.h"
 #include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
@@ -29,6 +31,7 @@ using checker::GuardAnalysis;
 using checker::IncrementalSchemaEncoder;
 using checker::QueryCone;
 using checker::Schema;
+using checker::schema_cursor;
 using smt::LinearConstraint;
 using smt::Literal;
 using smt::Relation;
@@ -501,20 +504,6 @@ class SchemaAuditor {
 // error-recovery path below always allowed mid-list anyway.
 // ---------------------------------------------------------------------------
 
-std::string schema_key(std::int64_t query_index, const Schema& schema) {
-  std::string key = "q" + std::to_string(query_index) + "|c";
-  for (const int guard : schema.unlock_order) {
-    key += std::to_string(guard);
-    key += ',';
-  }
-  key += "|k";
-  for (const int cut : schema.cut_positions) {
-    key += std::to_string(cut);
-    key += ',';
-  }
-  return key;
-}
-
 bool schema_shape_ok(const Schema& schema, int guard_count, std::size_t cut_count,
                      std::string& why) {
   std::vector<bool> used(static_cast<std::size_t>(guard_count), false);
@@ -574,7 +563,7 @@ bool reconstruct_component(ComponentState& state, AuditReport& sink) {
     if (component.model.kind == "text") {
       state.ta = ta::parse_ta(component.model.text).one_round_reduction();
     } else if (component.model.kind == "builtin") {
-      state.ta = builtin_model(component.model.key);
+      state.ta = models::builtin_model(component.model.key);
     } else {
       add_issue(sink, state.context, "invalid model kind '" + component.model.kind + "'");
       return false;
@@ -636,7 +625,7 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
       }
       state.property = spec::compile(ta, cert.name, cert.source.formula);
     } else if (cert.source.kind == "bundled") {
-      const std::vector<spec::Property> bundled = bundled_properties(ta);
+      const std::vector<spec::Property> bundled = models::bundled_properties(ta);
       const auto it = std::find_if(bundled.begin(), bundled.end(), [&](const spec::Property& p) {
         return p.name == cert.name;
       });
@@ -694,7 +683,7 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
       state.shapes_ok = false;
       continue;
     }
-    const std::string key = schema_key(entry.query_index, entry.schema);
+    const std::string key = schema_cursor(q, entry.schema);
     if (!state.covered.emplace(key, PropertyAuditState::Entry{&entry, false, false}).second) {
       add_issue(sink, context, "duplicate schema evidence (" + key + ")");
       state.shapes_ok = false;
@@ -712,7 +701,9 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
       state.shapes_ok = false;
       continue;
     }
-    if (!state.pruned.emplace(schema_key(entry.query_index, entry.schema), false).second) {
+    const std::string key =
+        schema_cursor(static_cast<std::size_t>(entry.query_index), entry.schema);
+    if (!state.pruned.emplace(key, false).second) {
       add_issue(sink, context, "duplicate pruned-schema entry");
       state.shapes_ok = false;
     }
@@ -743,8 +734,7 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
       analysis, property.queries[q], /*branch_budget=*/1, cone, EncoderMode::kTrace);
   for (std::size_t i = lo; i < hi; ++i) {
     const SchemaCert* entry = state.by_query[q][i];
-    const std::string entry_context =
-        state.context + ", " + schema_key(entry->query_index, entry->schema);
+    const std::string entry_context = state.context + ", " + schema_cursor(q, entry->schema);
     bool green = false;
     bool encoded = false;
     try {
@@ -770,7 +760,7 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
           analysis, property.queries[q], /*branch_budget=*/1, cone, EncoderMode::kTrace);
       continue;
     }
-    state.covered[schema_key(entry->query_index, entry->schema)].green = green;
+    state.covered[schema_cursor(q, entry->schema)].green = green;
   }
 }
 
@@ -789,7 +779,7 @@ void audit_coverage(const GuardAnalysis& analysis, PropertyAuditState& state,
       const int cut_count = static_cast<int>(property.queries[q].cuts.size());
       const checker::EnumerationOutcome outcome = checker::enumerate_schemas(
           analysis, cut_count, cert.enumeration, [&](const Schema& schema) {
-            const std::string key = schema_key(static_cast<std::int64_t>(q), schema);
+            const std::string key = schema_cursor(q, schema);
             if (cert.property_directed_pruning && !state.cones[q].schema_feasible(schema)) {
               const auto it = state.pruned.find(key);
               if (it == state.pruned.end()) {
@@ -898,11 +888,10 @@ void recompose_theorem6(const Certificate& certificate,
     }
     return verdicts;
   };
-  const std::string agreement =
-      verdict_combine(gather({"Inv1_0", "Inv1_1", "Inv2_0", "Inv2_1"}));
-  const std::string validity = verdict_combine(gather({"Inv2_0", "Inv2_1"}));
-  const std::string termination =
-      verdict_combine(gather({"SRoundTerm", "Dec_0", "Dec_1", "Good_0", "Good_1"}));
+  const models::Theorem6Dependencies& theorem6 = models::theorem6_dependencies();
+  const std::string agreement = verdict_combine(gather(theorem6.agreement));
+  const std::string validity = verdict_combine(gather(theorem6.validity));
+  const std::string termination = verdict_combine(gather(theorem6.termination));
   const auto check_claim = [&](const char* what, const std::string& claimed,
                                const std::string& recomputed) {
     if (claimed != recomputed) {

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "hv/models/bv_broadcast.h"
-#include "hv/models/naive_consensus.h"
-#include "hv/models/simplified_consensus.h"
-#include "hv/models/st_broadcast.h"
 #include "hv/util/error.h"
 
 namespace hv::cert {
@@ -501,50 +497,6 @@ std::string to_json_text(const Certificate& certificate) {
 
 Certificate parse_certificate(std::string_view json_text) {
   return certificate_from_json(Json::parse(json_text));
-}
-
-ta::ThresholdAutomaton builtin_model(const std::string& key) {
-  if (key == "bv_broadcast") return models::bv_broadcast();
-  if (key == "st_broadcast") return models::st_broadcast();
-  if (key == "simplified_consensus") return models::simplified_consensus_one_round();
-  if (key == "naive_consensus") return models::naive_consensus_one_round();
-  throw InvalidArgument("certificate: unknown builtin model '" + key + "'");
-}
-
-namespace {
-
-// The Table-2 rows of the two consensus automata; the broadcast automata
-// default to their full bundled sets.
-const char* const kSimplifiedTable2[] = {"Inv1_0", "Inv2_0", "SRoundTerm", "Good_0", "Dec_0"};
-
-}  // namespace
-
-bool has_bundled_properties(const std::string& automaton_name) {
-  return automaton_name == "BvBroadcast" || automaton_name == "StBroadcast" ||
-         automaton_name == "SimplifiedConsensus" || automaton_name == "NaiveConsensus";
-}
-
-std::vector<spec::Property> bundled_properties(const ta::ThresholdAutomaton& ta,
-                                               bool table2_defaults) {
-  const std::string& name = ta.name();
-  if (name == "BvBroadcast") return models::bv_properties(ta);
-  if (name == "StBroadcast") return models::st_properties(ta);
-  if (name == "NaiveConsensus") return models::naive_table2_properties(ta);
-  if (name == "SimplifiedConsensus") {
-    std::vector<spec::Property> all = models::simplified_properties(ta);
-    if (!table2_defaults) return all;
-    std::vector<spec::Property> subset;
-    for (const char* wanted : kSimplifiedTable2) {
-      const auto it = std::find_if(all.begin(), all.end(), [&](const spec::Property& p) {
-        return p.name == wanted;
-      });
-      if (it == all.end()) throw InternalError("bundled Table-2 property missing: " +
-                                               std::string(wanted));
-      subset.push_back(std::move(*it));
-    }
-    return subset;
-  }
-  throw InvalidArgument("certificate: no bundled properties for automaton '" + name + "'");
 }
 
 }  // namespace hv::cert

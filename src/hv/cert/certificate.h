@@ -34,7 +34,7 @@ namespace hv::cert {
 struct ModelSource {
   /// "text": `text` holds the complete .ta source (parse + one-round
   /// reduction reproduce the checked automaton). "builtin": `key` names one
-  /// of the models bundled with the library (see builtin_model()).
+  /// of the models bundled with the library (see models::builtin_model()).
   std::string kind;
   std::string text;
   std::string key;
@@ -108,23 +108,6 @@ Certificate parse_certificate(std::string_view json_text);
 /// Proof-tree (de)serialization, exposed for tests.
 Json proof_to_json(const smt::proof::Node& node);
 std::unique_ptr<smt::proof::Node> proof_from_json(const Json& json);
-
-/// The models bundled with the library, by certificate key:
-/// "bv_broadcast", "st_broadcast", "simplified_consensus" (one-round
-/// reduction), "naive_consensus" (one-round reduction). Throws
-/// InvalidArgument on an unknown key.
-ta::ThresholdAutomaton builtin_model(const std::string& key);
-
-/// True iff bundled_properties() knows the automaton (by its name, e.g.
-/// "SimplifiedConsensus" — the .ta files and the builtin factories agree).
-bool has_bundled_properties(const std::string& automaton_name);
-
-/// The bundled property set for an automaton, compiled against `ta`. With
-/// `table2_defaults`, restricts to the default `hvc check` set (the Table-2
-/// rows for the consensus automata; every property otherwise). Throws
-/// InvalidArgument when the automaton has no bundled set.
-std::vector<spec::Property> bundled_properties(const ta::ThresholdAutomaton& ta,
-                                               bool table2_defaults = false);
 
 }  // namespace hv::cert
 

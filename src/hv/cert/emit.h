@@ -14,7 +14,7 @@ namespace hv::cert {
 
 /// A model source embedding the complete .ta text.
 ModelSource text_model_source(std::string ta_text);
-/// A model source naming a bundled model (see builtin_model()).
+/// A model source naming a bundled model (see models::builtin_model()).
 ModelSource builtin_model_source(std::string key);
 
 /// Certificate section for one property. The result must carry evidence

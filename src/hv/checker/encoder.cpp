@@ -7,6 +7,7 @@
 #include "hv/smt/solver.h"
 #include "hv/spec/state.h"
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::checker {
 
@@ -319,7 +320,7 @@ class IncrementalSchemaEncoder::Impl {
   void apply_rule(ta::RuleId rule_id, Config& config) {
     const ta::Rule& rule = ta_.rule(rule_id);
     const smt::VarId delta = solver_.new_variable(
-        "d" + std::to_string(steps_.size()) + "[" + rule.name + "]");
+        numbered("d", static_cast<std::int64_t>(steps_.size())) + "[" + rule.name + "]");
     solver_.add_lower_bound(delta, 0);
     steps_.push_back({rule_id, delta});
 

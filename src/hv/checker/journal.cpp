@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "hv/util/error.h"
+#include "hv/util/hash.h"
 #include "hv/util/text.h"
 #include "hv/util/version.h"
 
@@ -201,15 +202,10 @@ bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Sc
 }
 
 std::string model_content_hash(const ta::ThresholdAutomaton& ta) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64 offset basis
+  std::uint64_t hash = kFnvOffsetBasis;
   const auto mix = [&hash](std::string_view text) {
-    for (const char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
     // Field separator so "ab"+"c" and "a"+"bc" hash differently.
-    hash ^= 0x1f;
-    hash *= 1099511628211ull;
+    hash = fnv1a("\x1f", fnv1a(text, hash));
   };
   const auto name_of = [&ta](ta::VarId id) { return ta.variable_name(id); };
   mix(ta.name());
@@ -235,9 +231,7 @@ std::string model_content_hash(const ta::ThresholdAutomaton& ta) {
     mix(constraint.to_string(name_of));
   }
   mix(ta.process_count().to_string(name_of));
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(hash));
-  return buffer;
+  return hex16(hash);
 }
 
 JournalHeader::JournalHeader(std::string automaton_name)
@@ -252,7 +246,7 @@ JournalHeader::JournalHeader(std::string automaton_name, std::string hash)
       hvc_version(kHvcVersion) {}
 
 std::string schema_cursor(std::size_t query_index, const Schema& schema) {
-  std::string out = "q" + std::to_string(query_index) + "|";
+  std::string out = numbered("q", static_cast<std::int64_t>(query_index)) + "|";
   for (std::size_t i = 0; i < schema.unlock_order.size(); ++i) {
     if (i > 0) out += ',';
     out += std::to_string(schema.unlock_order[i]);

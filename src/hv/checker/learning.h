@@ -18,6 +18,15 @@
 // Both are per-query: a cut prefix or lemma derived against one reach query
 // says nothing about another query's constraint system.
 //
+// Where the state lives: a run's lease book (run.h) owns one PropertyLearning
+// per property, iff lemmas_enabled holds for its options. Every consumer's
+// solver of that property carries it (SolveHooks::learning), so step_schema
+// reads and extends the same cut index, and the book folds the cut of every
+// merged unsat record into it, whoever settled the schema: a thread, the
+// resume replay or a fleet worker. A fleet worker process keeps its own
+// PropertyLearning per property, fed by its own refutations and by the
+// cuts and lemmas the coordinator ships from the book (hv/dist/protocol.h).
+//
 // Trust boundary: neither kind of learned fact can flip a verdict. A cut
 // only suppresses solving of schemas whose unsat-ness is entailed by an
 // already-solved refutation; a lemma hit only replaces a solver run that

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
 
-#include "hv/checker/learning.h"
 #include "hv/checker/run.h"
 #include "hv/util/rational.h"
 
@@ -23,14 +21,9 @@ PropertyResult check_property(const ta::ThresholdAutomaton& ta, const spec::Prop
                               const CheckOptions& options) {
   const int workers = std::max(1, options.workers);
   LeaseBook book(ta, std::span(&property, 1), options, workers);
-  // Cross-schema learning state shared by every consumer of this run: one
-  // lemma pool and one subtree-cut index per query.
-  std::optional<PropertyLearning> learning;
-  if (lemmas_enabled(book.options())) learning.emplace(property.queries.size());
-  PropertyLearning* learn = learning ? &*learning : nullptr;
-  book.replay_resume(learn);
+  book.replay_resume();
   FaultInjector injector(book.options().fault);
-  book.consume(workers, &injector, learn);
+  book.consume(workers, &injector);
   return std::move(book.results().front());
 }
 

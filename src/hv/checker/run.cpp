@@ -128,8 +128,11 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
       plan_tasks(analysis_, std::max(1, consumers), options_.enumeration);
   props = std::vector<PropertyRun>(properties_.size());
   cones_.resize(properties_.size());
+  learning_.resize(properties_.size());
+  const bool learn = lemmas_enabled(options_);
   for (std::size_t p = 0; p < properties_.size(); ++p) {
     cones_[p].resize(properties_[p].queries.size());
+    if (learn) learning_[p] = std::make_unique<PropertyLearning>(properties_[p].queries.size());
     for (std::size_t q = 0; q < properties_[p].queries.size(); ++q) {
       for (const SubtreeTask& task : tasks) leases.push_back({p, q, task, LeaseState::kPending});
     }
@@ -138,7 +141,7 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
 
 LeaseBook::~LeaseBook() = default;
 
-void LeaseBook::replay_resume(PropertyLearning* learning) {
+void LeaseBook::replay_resume() {
   if (!resume_) return;
   std::lock_guard<std::mutex> lock(mutex);
   for (const auto& [key, record] : resume_->settled) {
@@ -153,20 +156,13 @@ void LeaseBook::replay_resume(PropertyLearning* learning) {
     if (!parse_schema_cursor(record.cursor, &q, &schema) || q >= named->queries.size()) continue;
     // Journal records carry no arithmetic counters; resumed schemas
     // contribute zero to the fast/big split (documented in result.h).
-    if (!merge_locked(p, q, schema, record, {}, /*charged=*/false, /*resumed=*/true)) continue;
-    // A resumed run skips the subtrees the interrupted run proved
-    // infeasible instead of re-deriving the refutations.
-    if (learning != nullptr && record.verdict == "unsat") {
-      if (const auto prefix = cut_prefix(schema.unlock_order, record.cut)) {
-        learning->queries[q].cuts.add(*prefix);
-      }
-    }
+    merge_locked(p, q, schema, record, {}, /*charged=*/false, /*resumed=*/true);
   }
 }
 
-void LeaseBook::consume(int threads, FaultInjector* injector, PropertyLearning* learning) {
+void LeaseBook::consume(int threads, FaultInjector* injector) {
   const auto run = [&] {
-    LeaseConsumer consumer(*this, injector, learning);
+    LeaseConsumer consumer(*this, injector);
     try {
       while (consumer.settle_one_lease()) {
       }
@@ -285,7 +281,15 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
     prop.stopped = true;
     drop_pending_locked(p);
   }
-  merged_locked(p, q, schema, record, origin);
+  // A resumed run skips the subtrees the interrupted run proved infeasible,
+  // and a fleet's cuts reach every later grant. A thread's cut is already
+  // in the index (step_schema put it there), so adding it again is a no-op.
+  std::optional<std::vector<int>> cut;
+  if (learning_[p] && record.verdict == "unsat") {
+    cut = cut_prefix(schema.unlock_order, record.cut);
+    if (cut && !learning_[p]->queries[q].cuts.add(*cut)) cut.reset();
+  }
+  merged_locked(p, q, schema, record, origin, cut ? &*cut : nullptr);
   return true;
 }
 
@@ -338,26 +342,27 @@ bool LeaseBook::known_locked(std::size_t p, const std::string& cursor) const {
   return record != nullptr && record->verdict != "sat";
 }
 
-void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int) {}
+void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,
+                              const std::vector<int>*) {}
 
 void LeaseBook::changed_locked(std::int64_t) {}
 
 bool LeaseBook::moot_locked(const Lease&) { return false; }
 
-LeaseConsumer::LeaseConsumer(LeaseBook& book, FaultInjector* injector,
-                             PropertyLearning* learning)
+LeaseConsumer::LeaseConsumer(LeaseBook& book, FaultInjector* injector)
     : book_(book), solvers_(book.properties().size()) {
   hooks_.run_watch = &book.watch_;
   hooks_.injector = injector;
   hooks_.memory_polls = &book.memory_polls_;
-  hooks_.learning = learning;
 }
 
 SchemaSolver& LeaseConsumer::solver(std::size_t p) {
   std::unique_ptr<SchemaSolver>& slot = solvers_[p];
   if (!slot) {
+    SolveHooks hooks = hooks_;
+    hooks.learning = book_.learning(p);
     slot = std::make_unique<SchemaSolver>(book_.analysis(), book_.properties()[p],
-                                          book_.options(), hooks_);
+                                          book_.options(), hooks);
   }
   return *slot;
 }
@@ -387,7 +392,6 @@ bool LeaseConsumer::settle_one_lease() {
   SchemaSolver& solver = this->solver(p);
   const QueryCone* cone = book.cone(p, q);
   const CheckOptions& options = book.options();
-  PropertyLearning* learning = hooks_.learning;
   // The book charges the budget per visited schema, across leases.
   EnumerationOptions unbounded = options.enumeration;
   unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
@@ -419,8 +423,7 @@ bool LeaseConsumer::settle_one_lease() {
             return false;
           }
         }
-        SchemaStep step =
-            step_schema(solver, learning, cone, q, schema, book.remaining_seconds());
+        SchemaStep step = step_schema(solver, cone, q, schema, book.remaining_seconds());
         std::lock_guard<std::mutex> lock(book.mutex);
         PropertyRun& prop = book.props[p];
         prop.tally.lemma_hits += step.outcome.lemma_hits;

@@ -10,17 +10,23 @@
 //     identity check;
 //   * the leases and their states, granted first-fit (fair-shared across
 //     properties, see pick_locked);
-//   * per property: the tally, the RunEnd and the finish stamp;
+//   * per property: the tally, the RunEnd, the finish stamp and, iff
+//     lemmas_enabled holds for the normalized options, the learning state
+//     (learning.h: one cut index and lemma pool per query). Every consumer's
+//     solver of a property shares it, and every merged unsat record's cut
+//     joins its index, whether a thread, the resume replay or a fleet
+//     worker settled the schema;
 //   * the one budget rule: a schema is charged when it is visited, and the
 //     budget is exhausted only when a schema beyond it would be charged;
 //   * the merge of a settled schema into tally, journal, certificate
-//     evidence and the witness, and the final settle_result assembly.
+//     evidence, cut index and the witness, and the final settle_result
+//     assembly.
 //
 // In-process threads are its consumers (LeaseConsumer, one per thread, calls
 // it directly), and so is the distributed coordinator's self-solve. The
 // coordinator (hv/dist) derives from the book and adds only what needs a
 // wire or distrust, through the protected hooks: cursor dedup, skip lists,
-// fleet learning, spot checks and revocation.
+// shipping the book's learning to workers, spot checks and revocation.
 #ifndef HV_CHECKER_RUN_H
 #define HV_CHECKER_RUN_H
 
@@ -82,20 +88,23 @@ class LeaseBook {
   LeaseBook& operator=(const LeaseBook&) = delete;
 
   /// Merges every non-sat resume record up front (sat records are re-solved:
-  /// no counterexample is journaled). `learning` (single-property books)
-  /// gets the subtree cuts the records carry. Call once, before any consumer.
-  void replay_resume(PropertyLearning* learning = nullptr);
+  /// no counterexample is journaled), so the subtree cuts the records carry
+  /// are skipped instead of re-derived. Call once, before any consumer.
+  void replay_resume();
 
   /// Runs `threads` LeaseConsumers until no lease is left to claim; the
   /// calling thread is consumer 0, so one thread spawns none. A consumer
   /// hit by an injected worker death retires and the rest keep going.
-  /// `injector` and `learning` as for LeaseConsumer.
-  void consume(int threads, FaultInjector* injector, PropertyLearning* learning);
+  /// `injector` as for LeaseConsumer.
+  void consume(int threads, FaultInjector* injector);
 
   const CheckOptions& options() const { return options_; }
   const GuardAnalysis& analysis() const { return analysis_; }
   std::span<const spec::Property> properties() const { return properties_; }
   const Stopwatch& watch() const { return watch_; }
+  /// The learning state of property `p`, or null when the run does not
+  /// learn. Internally synchronized: usable without `mutex`.
+  PropertyLearning* learning(std::size_t p) const { return learning_[p].get(); }
   /// Seconds left of options().timeout_seconds (0 when there is none).
   double remaining_seconds() const;
   /// The pruning cone of (property, query), built on first use; null with
@@ -125,7 +134,8 @@ class LeaseBook {
   bool charge_locked(std::size_t p);
   /// Merges one settled schema of `p`: dedup (known_locked), the budget
   /// charge unless `charged` already took it, tally, journal, certificate
-  /// evidence and the sat witness, then merged_locked. `origin` names the
+  /// evidence, an unsat record's cut and the sat witness, then
+  /// merged_locked. `origin` names the
   /// settling fleet connection (-1: in-process or resume). Returns false
   /// iff the schema was dropped: a duplicate, over budget, or an uncharged
   /// record for a property that takes no more verdicts.
@@ -149,9 +159,11 @@ class LeaseBook {
   /// True iff the schema at `cursor` is already settled and must be
   /// neither visited nor counted again. Default: a replayed resume record.
   virtual bool known_locked(std::size_t p, const std::string& cursor) const;
-  /// After a schema merged.
+  /// After a schema merged. `new_cut` is the chain prefix its record's cut
+  /// added to the cut index, or null when it added none.
   virtual void merged_locked(std::size_t p, std::size_t q, const Schema& schema,
-                             const SchemaRecord& record, int origin);
+                             const SchemaRecord& record, int origin,
+                             const std::vector<int>* new_cut);
   /// After a lease changed state (`lease` >= 0) or a property settled (-1).
   virtual void changed_locked(std::int64_t lease);
   /// True iff a pending lease is moot and settles without a grant.
@@ -176,17 +188,19 @@ class LeaseBook {
   bool copy_resumed_ = false;
   /// Per property and query, built on first use (guarded by `mutex`).
   std::vector<std::vector<std::unique_ptr<QueryCone>>> cones_;
+  /// Per property; all null when the run does not learn.
+  std::vector<std::unique_ptr<PropertyLearning>> learning_;
   std::atomic<std::int64_t> memory_polls_{0};
 };
 
 /// One consumer of a LeaseBook: a thread's solvers (one per property, built
-/// on first use) and the loop that claims a lease, enumerates its subtree
-/// and settles every schema through step_schema into the book.
+/// on first use and sharing the book's learning state) and the loop that
+/// claims a lease, enumerates its subtree and settles every schema through
+/// step_schema into the book.
 class LeaseConsumer {
  public:
-  /// `injector` may be null; `learning` is the run's shared learning state
-  /// (single-property books) or null.
-  LeaseConsumer(LeaseBook& book, FaultInjector* injector, PropertyLearning* learning);
+  /// `injector` may be null.
+  LeaseConsumer(LeaseBook& book, FaultInjector* injector);
 
   /// Claims the next lease and settles its schemas. Returns false when
   /// nothing is left to claim. On an injected worker death the lease is

@@ -59,10 +59,8 @@ EncodeResult SchemaSolver::attempt(std::size_t query_index, const Schema& schema
     }
     auto& slot = encoders_[query_index];
     if (!slot) {
-      smt::LemmaPool* lemmas = nullptr;
-      if (hooks_.learning != nullptr && lemmas_enabled(options_)) {
-        lemmas = &hooks_.learning->queries[query_index].lemmas;
-      }
+      smt::LemmaPool* lemmas =
+          hooks_.learning != nullptr ? &hooks_.learning->queries[query_index].lemmas : nullptr;
       slot = std::make_unique<IncrementalSchemaEncoder>(
           analysis_, query, kBranchBudget, cone, mode_, lemmas);
     }
@@ -185,8 +183,9 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
   return outcome;
 }
 
-SchemaStep step_schema(SchemaSolver& solver, PropertyLearning* learning, const QueryCone* cone,
-                       std::size_t q, const Schema& schema, double remaining_seconds) {
+SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t q,
+                       const Schema& schema, double remaining_seconds) {
+  PropertyLearning* learning = solver.learning();
   SchemaStep step;
   SchemaRecord& record = step.record;
   if (learning != nullptr && learning->queries[q].cuts.covers(schema.unlock_order)) {

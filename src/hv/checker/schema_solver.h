@@ -11,7 +11,8 @@
 //   3. only then is the unit reported as unknown — the run continues.
 //
 // step_schema wraps the ladder in the full per-schema path every executor
-// shares — cut cover, cone, solve, cut derivation — and reports a
+// shares — cut cover, cone, solve, cut derivation, all against the learning
+// state the solver carries (SolveHooks::learning) — and reports a
 // SchemaRecord (schema.h). Executors differ only in where the record goes:
 // a lease consumer merges it into the run's lease book (run.h), a fleet
 // worker ships it as a frame the coordinator merges into the same book,
@@ -85,8 +86,9 @@ struct SolveHooks {
   FaultInjector* injector = nullptr;
   /// Shared attempt counter striding the soft-RSS polls across workers.
   std::atomic<std::int64_t>* memory_polls = nullptr;
-  /// Cross-schema learning state (per-query lemma pools + cut indexes);
-  /// null disables learning regardless of CheckOptions::lemmas.
+  /// Cross-schema learning state of the solver's property (per-query lemma
+  /// pools + cut indexes): the lease book's (run.h), or a fleet worker's
+  /// own. Null disables learning; set it only when lemmas_enabled holds.
   PropertyLearning* learning = nullptr;
 };
 
@@ -115,6 +117,9 @@ class SchemaSolver {
   /// Incremental-encoding counters accumulated so far: retired encoders plus
   /// the live ones. Call once when the worker finishes.
   IncrementalStats stats() const;
+
+  /// The learning state it solves against (SolveHooks::learning), or null.
+  PropertyLearning* learning() const { return hooks_.learning; }
 
  private:
   EncodeResult attempt(std::size_t query_index, const Schema& schema, const QueryCone* cone,
@@ -145,12 +150,12 @@ struct SchemaStep {
   UnitOutcome outcome;
 };
 
-/// Settles one schema: a cut in `learning` (null: no learning) covers it,
-/// or the cone (null: pruning off) prunes it, or `solver` solves it. An
-/// unsat refutation's new subtree cut goes into `learning` and, when it is
-/// new there, into record.cut.
-SchemaStep step_schema(SchemaSolver& solver, PropertyLearning* learning, const QueryCone* cone,
-                       std::size_t q, const Schema& schema, double remaining_seconds);
+/// Settles one schema: a cut in the solver's learning state (none: no
+/// learning) covers it, or the cone (null: pruning off) prunes it, or
+/// `solver` solves it. An unsat refutation's new subtree cut goes into that
+/// learning state and, when it is new there, into record.cut.
+SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t q,
+                       const Schema& schema, double remaining_seconds);
 
 }  // namespace hv::checker
 

@@ -9,22 +9,11 @@
 #include <thread>
 
 #include "hv/dist/frame.h"
+#include "hv/util/hash.h"
 
 namespace hv::dist {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double unit_draw(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
 
 /// Writes a frame header declaring the full payload length, then only the
 /// first half of the payload, then kills the stream: the receiver sees a
@@ -77,19 +66,19 @@ NetFaultPlan net_fault_plan_from_env() {
 
 ChaosLink::ChaosLink(const NetFaultPlan& plan, std::uint64_t link_serial) : plan_(plan) {
   std::uint64_t mix = plan.seed;
-  for (std::uint64_t i = 0; i <= link_serial; ++i) splitmix64(mix);
+  for (std::uint64_t i = 0; i <= link_serial; ++i) splitmix64_next(mix);
   state_ = mix;
 }
 
 NetFaultKind ChaosLink::next_fault() {
   if (!plan_.armed()) return NetFaultKind::kNone;
-  if (unit_draw(state_) >= plan_.rate) return NetFaultKind::kNone;
+  if (unit_interval(splitmix64_next(state_)) >= plan_.rate) return NetFaultKind::kNone;
   if (plan_.kind != NetFaultKind::kMix) return plan_.kind;
   static constexpr NetFaultKind kMenu[] = {
       NetFaultKind::kDelay,   NetFaultKind::kDrop,     NetFaultKind::kDup,
       NetFaultKind::kReorder, NetFaultKind::kTruncate, NetFaultKind::kPartition,
   };
-  return kMenu[splitmix64(state_) % (sizeof(kMenu) / sizeof(kMenu[0]))];
+  return kMenu[splitmix64_next(state_) % (sizeof(kMenu) / sizeof(kMenu[0]))];
 }
 
 bool ChaosLink::send(int fd, std::string_view payload) {
@@ -101,7 +90,7 @@ bool ChaosLink::send(int fd, std::string_view payload) {
       break;
     case NetFaultKind::kDelay:
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(1 + static_cast<int>(splitmix64(state_) % 25)));
+          std::chrono::milliseconds(1 + static_cast<int>(splitmix64_next(state_) % 25)));
       break;
     case NetFaultKind::kDrop:
       // A reliable stream can only lose a frame by dying with it.

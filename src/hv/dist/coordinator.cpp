@@ -9,7 +9,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -24,6 +23,7 @@
 #include "hv/checker/schema_solver.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/hash.h"
 #include "hv/util/stopwatch.h"
 #include "hv/util/text.h"
 #include "hv/util/version.h"
@@ -130,49 +130,40 @@ bool task_covers(const checker::SubtreeTask& task, const std::vector<int>& unloc
   return unlock_order == task.prefix;
 }
 
-// True iff a recorded subtree cut proves the whole lease moot: every schema
-// under the task extends task.prefix, so a cut that is a prefix of
-// task.prefix refutes all of them (a *longer* cut only covers part of the
-// subtree and is handled by the worker's local skip instead).
-bool cut_covers_task(const std::vector<int>& cut, const checker::SubtreeTask& task) {
-  return cut.size() <= task.prefix.size() &&
-         std::equal(cut.begin(), cut.end(), task.prefix.begin());
+// The book's options for a fleet run. Spot-checking disables cross-schema
+// learning: a forged lemma or subtree cut from an untrusted worker would
+// poison honest workers in ways no per-record re-solve can detect.
+checker::CheckOptions book_options(const DistOptions& dist) {
+  checker::CheckOptions check = dist.check;
+  if (dist.spot_check_rate > 0.0) check.lemmas = false;
+  return check;
 }
 
 // The run's lease book plus what only a fleet needs: sessions, cursor
-// dedup and skip lists, fleet learning, health, spot checks and revocation.
-// The book's mutex guards all of it.
+// dedup and skip lists, shipping the book's learning, health, spot checks
+// and revocation. The book's mutex guards all of it.
 struct Coord : checker::LeaseBook {
   Coord(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
         const DistOptions& dist_options)
-      : LeaseBook(ta, properties, dist_options.check, dist_options.expected_workers),
+      : LeaseBook(ta, properties, book_options(dist_options), dist_options.expected_workers),
         dist(dist_options),
         fleet(properties.size()),
         settled(properties.size()),
         skip(leases.size()) {
     keep_cursors = true;  // the dedup is keyed by cursor
-    // Spot-checking disables cross-schema learning: a forged lemma or
-    // subtree cut from an untrusted worker would poison honest workers in
-    // ways no per-record re-solve can detect.
-    learn = checker::lemmas_enabled(options()) && dist.spot_check_rate <= 0.0;
     if (dist.self_hosted_fleet) fleet_formed_by = Clock::now() + kFleetFormationBound;
   }
 
+  /// True iff the run learns: the book then holds every property's cut
+  /// index and lemma pool, ships them inside lease grants and broadcasts
+  /// new facts as learn frames to the learn-capable workers.
+  bool learns() const { return checker::lemmas_enabled(options()); }
+  /// Sends `frame` to every learn-capable connection but `origin`.
+  void broadcast_locked(const cert::Json& frame, int origin) const;
+
   const DistOptions& dist;
   cert::Json welcome;
-  /// Coordinator-side learning gate (checker::lemmas_enabled on the run's
-  /// options): when off, learn frames are neither advertised nor folded.
-  bool learn = false;
   std::vector<FleetProp> fleet;
-  /// Cross-schema learning facts folded from workers (and the resume
-  /// journal), keyed by (property, query). Cuts are unsat chain prefixes;
-  /// lemmas are premise-string lists deduplicated via lemma_keys. Both are
-  /// shipped inside lease grants and broadcast as learn frames so every
-  /// worker abandons subtrees another worker already refuted.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::vector<int>>> cuts_by_pq;
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::vector<std::string>>>
-      lemmas_by_pq;
-  std::unordered_set<std::string> lemma_keys;
   /// Verdict dedup and conflict detection, per property: cursor ->
   /// verdict_code of everything settled (by resume replay, a worker record
   /// or an in-process solve). Makes reassignment replays idempotent and lets
@@ -208,31 +199,30 @@ struct Coord : checker::LeaseBook {
   int spot_inflight = 0;
 
   /// In-process solving (spot checks and fleet-exhausted degradation) on
-  /// one lease consumer whose solvers never learn: the lemma pool is
-  /// worker-facing state, and a spot check must reproduce an honest
-  /// worker's verdict, which learning cannot change, only accelerate.
-  /// `solve_mutex` serializes its use; never acquire it while holding
-  /// `mutex` (the self-solve path takes solve_mutex first, then mutex per
-  /// schema).
+  /// one lease consumer, which learns like every other consumer of the
+  /// book. A spot-checked run does not learn, so a spot check reproduces
+  /// an honest worker's verdict from scratch. `solve_mutex` serializes its
+  /// use; never acquire it while holding `mutex` (the self-solve path takes
+  /// solve_mutex first, then mutex per schema).
   std::mutex solve_mutex;
   checker::FaultInjector inline_injector{checker::FaultPlan{}};  // never armed
-  checker::LeaseConsumer inline_consumer{*this, &inline_injector, nullptr};
+  checker::LeaseConsumer inline_consumer{*this, &inline_injector};
 
  protected:
   bool known_locked(std::size_t p, const std::string& cursor) const override {
     return settled[p].count(cursor) > 0;
   }
   void merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
-                     const checker::SchemaRecord& record, int origin) override;
+                     const checker::SchemaRecord& record, int origin,
+                     const std::vector<int>* new_cut) override;
   // A pending lease a recorded subtree cut covers settles instead of being
-  // granted (it may have returned to pending before the cut arrived).
+  // granted (it may have returned to pending before the cut arrived). Every
+  // schema under the task extends task.prefix, so a cut that is a prefix of
+  // task.prefix refutes all of them; a *longer* cut covers only part of the
+  // subtree and is left to the worker's local skip.
   bool moot_locked(const Lease& lease) override {
-    if (!learn) return false;
-    const auto cit = cuts_by_pq.find({lease.property, lease.query});
-    return cit != cuts_by_pq.end() &&
-           std::any_of(cit->second.begin(), cit->second.end(), [&](const std::vector<int>& cut) {
-             return cut_covers_task(cut, lease.task);
-           });
+    const checker::PropertyLearning* learning = this->learning(lease.property);
+    return learning != nullptr && learning->queries[lease.query].cuts.covers(lease.task.prefix);
   }
 
  public:
@@ -276,30 +266,17 @@ bool run_complete(Coord& c) {
   return c.spot_inflight == 0 && c.complete_locked();
 }
 
-// Folds one subtree cut into the coordinator (caller holds the mutex).
-// Returns true iff the cut is new. The cut itself is not journaled here —
-// it rides on the unsat record of the schema that produced it — but every
-// still-pending lease it fully covers is settled without ever being
-// granted: the subtree is proven unsat wholesale.
-bool fold_cut(Coord& c, std::size_t p, std::size_t q, std::vector<int> prefix) {
-  std::vector<std::vector<int>>& cuts = c.cuts_by_pq[{p, q}];
-  for (const std::vector<int>& existing : cuts) {
-    if (existing == prefix) return false;
+void Coord::broadcast_locked(const cert::Json& frame, int origin) const {
+  for (const ConnInfo& info : open_conns) {
+    if (info.learn && info.origin != origin) info.conn->send(frame);
   }
-  for (std::size_t i = 0; i < c.leases.size(); ++i) {
-    const Lease& lease = c.leases[i];
-    if (lease.property != p || lease.query != q || lease.state != LeaseState::kPending) continue;
-    if (cut_covers_task(prefix, lease.task)) c.set_state_locked(i, LeaseState::kDone);
-  }
-  cuts.push_back(std::move(prefix));
-  return true;
 }
 
 // The fleet's share of a merge: dedup, the covering lease's skip list, the
-// witness's origin, a subtree cut riding on an unsat record, and the spot
-// check's per-origin log.
+// witness's origin, a new subtree cut, and the spot check's per-origin log.
 void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
-                          const checker::SchemaRecord& record, int origin) {
+                          const checker::SchemaRecord& record, int origin,
+                          const std::vector<int>* new_cut) {
   settled[p].emplace(record.cursor, verdict_code(record.verdict));
   for (std::size_t i = 0; i < leases.size(); ++i) {
     const Lease& lease = leases[i];
@@ -309,22 +286,22 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
     }
   }
   if (record.verdict == "sat") fleet[p].sat_origin = origin;
-  // A cut proves every schema extending the chain prefix unsat: fold it
-  // (settling covered pending leases) and broadcast it to the other
-  // learn-capable workers so they skip the doomed subtrees too.
-  if (learn && record.verdict == "unsat") {
-    const auto prefix = checker::cut_prefix(schema.unlock_order, record.cut);
-    if (prefix && fold_cut(*this, p, q, *prefix)) {
-      cert::Json::Array prefix_json(prefix->begin(), prefix->end());
-      const cert::Json frame = cert::Json::Object{
-          {"type", "learn"},
-          {"p", static_cast<std::int64_t>(p)},
-          {"cuts", cert::Json::Array{cert::Json::Object{{"q", static_cast<std::int64_t>(q)},
-                                                        {"prefix", std::move(prefix_json)}}}}};
-      for (const ConnInfo& info : open_conns) {
-        if (info.learn && info.origin != origin) info.conn->send(frame);
+  // A new cut proves every schema extending its chain prefix unsat. The cut
+  // itself is not journaled here (it rides on the record), but every
+  // still-pending lease it covers settles without ever being granted, and
+  // the other learn-capable workers hear of it so they skip the doomed
+  // subtrees too.
+  if (new_cut != nullptr) {
+    for (std::size_t i = 0; i < leases.size(); ++i) {
+      const Lease& lease = leases[i];
+      if (lease.property == p && lease.query == q && lease.state == LeaseState::kPending &&
+          moot_locked(lease)) {
+        set_state_locked(i, LeaseState::kDone);
       }
     }
+    LearnPayload payload;
+    payload.add_cut(q, *new_cut);
+    broadcast_locked(learn_frame(p, std::move(payload)), origin);
   }
   if (origin >= 0 && dist.spot_check_rate > 0.0) applied_by_origin[origin].emplace_back(p, record);
 }
@@ -341,29 +318,21 @@ bool spot_sampled(const Coord& c, const std::string& cursor, const std::string& 
   if (rate <= 0.0) return false;
   if (verdict == "unknown") return false;  // inconclusive either way
   if (verdict == "sat" || rate >= 1.0) return true;
-  std::uint64_t h = 1469598103934665603ull ^ c.dist.spot_check_seed;
-  for (const char ch : cursor) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
+  const std::uint64_t h = fnv1a(cursor, kFnvOffsetBasis ^ c.dist.spot_check_seed);
+  return unit_interval(splitmix64_mix(h + kGoldenGamma)) < rate;
 }
 
-/// Re-settles one reported schema in-process (step_schema, no learning) and
-/// compares. Returns an empty string on agreement (or an inconclusive
-/// re-solve — honest watchdog nondeterminism must not cost anyone a
-/// connection), else a description of the disagreement. Call WITHOUT the
+/// Re-settles one reported schema in-process (step_schema; a spot-checked
+/// run does not learn) and compares. Returns an empty string on agreement
+/// (or an inconclusive re-solve — honest watchdog nondeterminism must not
+/// cost anyone a connection), else a description of the disagreement. Call WITHOUT the
 /// coordinator mutex: the solve can take as long as any schema takes.
 std::string spot_disagreement(Coord& c, std::size_t p, std::size_t q,
                               const checker::Schema& schema, const std::string& verdict) {
   std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
   const checker::SchemaStep step =
-      checker::step_schema(c.inline_consumer.solver(p), /*learning=*/nullptr, c.cone(p, q), q,
-                           schema, c.remaining_seconds());
+      checker::step_schema(c.inline_consumer.solver(p), c.cone(p, q), q, schema,
+                           c.remaining_seconds());
   const std::string& own = step.record.verdict;
   if (step.kind != checker::SchemaStep::Kind::kSettled || own == "unknown" || own == verdict) {
     return std::string();
@@ -589,14 +558,7 @@ bool Session::admit() {
     }
     // Feature negotiation: absent/empty means a pre-upgrade worker, which
     // simply never sees a learn frame (it still solves, without lemmas).
-    if (const cert::Json* features = hello.find("features")) {
-      for (const cert::Json& feature : features->as_array()) {
-        if (feature.kind() == cert::Json::Kind::kString &&
-            feature.as_string() == "learn") {
-          peer_learn = true;
-        }
-      }
-    }
+    peer_learn = has_feature(hello, "learn");
   } catch (const std::exception&) {
     return false;  // mistyped hello fields: not a worker
   }
@@ -642,7 +604,7 @@ bool Session::admit() {
     }
   }
   if (!conn.send(c.welcome)) return false;
-  learn = c.learn && peer_learn;
+  learn = c.learns() && peer_learn;
   std::lock_guard<std::mutex> lock(c.mutex);
   origin = c.next_origin++;
   ++c.stats.workers_joined;
@@ -721,29 +683,16 @@ bool Session::on_next() {
           {"prefix", cert::Json::Array(lease.task.prefix.begin(), lease.task.prefix.end())},
           {"extensions", lease.task.include_extensions},
           {"skip", cert::Json::Array(c.skip[id].begin(), c.skip[id].end())}};
-      // Learning payload: everything known about this (property, query)
-      // rides along so a late-joining worker starts with the fleet's
+      // Learning payload: everything the book knows about this (property,
+      // query) rides along so a late-joining worker starts with the fleet's
       // accumulated cuts and lemmas.
       if (learn) {
-        const std::pair<std::size_t, std::size_t> pq{lease.property, lease.query};
-        cert::Json::Array cuts;
-        if (const auto cit = c.cuts_by_pq.find(pq); cit != c.cuts_by_pq.end()) {
-          for (const std::vector<int>& cut : cit->second) {
-            cuts.push_back(
-                cert::Json::Object{{"q", static_cast<std::int64_t>(lease.query)},
-                                   {"prefix", cert::Json::Array(cut.begin(), cut.end())}});
-          }
-        }
-        cert::Json::Array lemmas;
-        if (const auto lit = c.lemmas_by_pq.find(pq); lit != c.lemmas_by_pq.end()) {
-          for (const std::vector<std::string>& premises : lit->second) {
-            lemmas.push_back(cert::Json::Object{
-                {"q", static_cast<std::int64_t>(lease.query)},
-                {"premises", cert::Json::Array(premises.begin(), premises.end())}});
-          }
-        }
-        if (!cuts.empty()) reply.set("cuts", std::move(cuts));
-        if (!lemmas.empty()) reply.set("lemmas", std::move(lemmas));
+        const std::size_t q = lease.query;
+        const checker::QueryLearning& known = c.learning(lease.property)->queries[q];
+        LearnPayload payload;
+        for (const std::vector<int>& cut : known.cuts.snapshot()) payload.add_cut(q, cut);
+        for (const smt::Lemma& lemma : known.lemmas.snapshot()) payload.add_lemma(q, lemma);
+        payload.put(reply);
       }
     } else if (work_left) {
       reply = cert::Json::Object{{"type", "wait"}, {"ms", 0}};
@@ -833,10 +782,10 @@ bool Session::on_verdict(const cert::Json& msg) {
 }
 
 // A `learn` frame: freshly pooled Farkas lemmas from this worker. Folds them
-// (deduped) into the pools shipped with grants and broadcasts the new ones
-// to every other learn-capable worker. Cuts are taken only from unsat
-// records, which cite a granted lease; a cuts[] field here is ignored.
-// Silently ignored when this run does not learn.
+// into the book's lemma pools, which grants ship, and broadcasts the ones
+// the book had not seen to every other learn-capable worker. Cuts are taken
+// only from unsat records, which cite a granted lease; a cuts[] field here
+// is ignored. Silently ignored when this run does not learn.
 bool Session::on_learn(const cert::Json& msg) {
   if (!learn) return true;
   const auto p = static_cast<std::size_t>(msg.at("p").as_int());
@@ -844,31 +793,10 @@ bool Session::on_learn(const cert::Json& msg) {
     punish_violation();
     return false;
   }
-  const cert::Json* lemmas = msg.find("lemmas");
-  if (lemmas == nullptr) return true;
-  cert::Json::Array fresh;
   std::lock_guard<std::mutex> lock(c.mutex);
-  for (const cert::Json& entry : lemmas->as_array()) {
-    const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-    if (q >= c.properties()[p].queries.size()) continue;
-    std::vector<std::string> premises;
-    std::string key = std::to_string(p) + '|' + std::to_string(q);
-    for (const cert::Json& premise : entry.at("premises").as_array()) {
-      premises.push_back(premise.as_string());
-      key += '\x1f';
-      key += premises.back();
-    }
-    if (premises.empty() || !c.lemma_keys.insert(key).second) continue;
-    c.lemmas_by_pq[{p, q}].push_back(std::move(premises));
-    fresh.push_back(entry);
-  }
-  if (!fresh.empty()) {
-    const cert::Json frame = cert::Json::Object{
-        {"type", "learn"}, {"p", static_cast<std::int64_t>(p)}, {"lemmas", std::move(fresh)}};
-    for (const ConnInfo& info : c.open_conns) {
-      if (info.learn && info.origin != origin) info.conn->send(frame);
-    }
-  }
+  LearnPayload fresh;
+  fresh.lemmas = fold_learn(msg, *c.learning(p), /*with_cuts=*/false);
+  if (!fresh.lemmas.empty()) c.broadcast_locked(learn_frame(p, std::move(fresh)), origin);
   return true;
 }
 
@@ -959,7 +887,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
                                  {"properties", specs_to_json(specs)},
                                  {"options", options_to_json(wire)},
                                  {"lease_timeout", options.lease_timeout_seconds}};
-  if (c.learn) c.welcome.set("features", cert::Json::Array{"learn"});
+  if (c.learns()) c.welcome.set("features", cert::Json::Array{"learn"});
 
   // Accept loop: hand every connection to its own handler thread; watch for
   // completion, cancellation and the global timeout.

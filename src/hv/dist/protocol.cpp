@@ -6,12 +6,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <utility>
 
 #include "hv/cert/certificate.h"
 #include "hv/dist/chaos.h"
+#include "hv/models/registry.h"
 #include "hv/spec/compile.h"
 #include "hv/util/error.h"
 
@@ -209,7 +211,7 @@ std::vector<spec::Property> resolve_properties(const ta::ThresholdAutomaton& ta,
       continue;
     }
     if (!bundled_loaded) {
-      bundled = cert::bundled_properties(ta, /*table2_defaults=*/false);
+      bundled = models::bundled_properties(ta, /*table2_defaults=*/false);
       bundled_loaded = true;
     }
     bool found = false;
@@ -417,6 +419,71 @@ checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOut
     }
   }
   return record;
+}
+
+bool has_feature(const cert::Json& frame, std::string_view feature) {
+  const cert::Json* features = frame.find("features");
+  if (features == nullptr) return false;
+  return std::any_of(features->as_array().begin(), features->as_array().end(),
+                     [&](const cert::Json& entry) {
+                       return entry.kind() == cert::Json::Kind::kString &&
+                              entry.as_string() == feature;
+                     });
+}
+
+void LearnPayload::add_cut(std::size_t q, const std::vector<int>& prefix) {
+  cuts.push_back(cert::Json::Object{{"q", static_cast<std::int64_t>(q)},
+                                    {"prefix", cert::Json::Array(prefix.begin(), prefix.end())}});
+}
+
+void LearnPayload::add_lemma(std::size_t q, const smt::Lemma& lemma) {
+  lemmas.push_back(cert::Json::Object{
+      {"q", static_cast<std::int64_t>(q)},
+      {"premises", cert::Json::Array(lemma.premises.begin(), lemma.premises.end())}});
+}
+
+void LearnPayload::put(cert::Json& frame) {
+  if (!cuts.empty()) frame.set("cuts", std::move(cuts));
+  if (!lemmas.empty()) frame.set("lemmas", std::move(lemmas));
+}
+
+cert::Json learn_frame(std::size_t p, LearnPayload payload) {
+  cert::Json frame = cert::Json::Object{{"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
+  payload.put(frame);
+  return frame;
+}
+
+cert::Json::Array fold_learn(const cert::Json& frame, checker::PropertyLearning& learning,
+                             bool with_cuts) {
+  const auto query = [&](const cert::Json& entry) -> checker::QueryLearning* {
+    const std::int64_t q = entry.at("q").as_int();
+    if (q < 0 || q >= static_cast<std::int64_t>(learning.queries.size())) return nullptr;
+    return &learning.queries[static_cast<std::size_t>(q)];
+  };
+  if (const cert::Json* cuts = with_cuts ? frame.find("cuts") : nullptr) {
+    for (const cert::Json& entry : cuts->as_array()) {
+      checker::QueryLearning* target = query(entry);
+      if (target == nullptr) continue;
+      std::vector<int> prefix;
+      for (const cert::Json& g : entry.at("prefix").as_array()) {
+        prefix.push_back(static_cast<int>(g.as_int()));
+      }
+      target->cuts.add(prefix);
+    }
+  }
+  cert::Json::Array fresh;
+  if (const cert::Json* lemmas = frame.find("lemmas")) {
+    for (const cert::Json& entry : lemmas->as_array()) {
+      checker::QueryLearning* target = query(entry);
+      if (target == nullptr) continue;
+      smt::Lemma lemma;
+      for (const cert::Json& premise : entry.at("premises").as_array()) {
+        lemma.premises.push_back(premise.as_string());
+      }
+      if (target->lemmas.insert(std::move(lemma), /*fresh=*/false)) fresh.push_back(entry);
+    }
+  }
+  return fresh;
 }
 
 }  // namespace hv::dist

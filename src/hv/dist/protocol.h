@@ -66,6 +66,7 @@
 //                                               every schema extending it too
 //   learn lemmas entries: {q, premises[]}     — a pooled Farkas refutation,
 //                                               keyed by constraint content
+//   (both sides write and read them through LearnPayload and fold_learn)
 //   lease_done cut/hits/learned: schemas skipped by cuts, lemma-pool hits,
 //                                and lemmas learned while holding the lease
 #ifndef HV_DIST_PROTOCOL_H
@@ -75,6 +76,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hv/cert/json.h"
@@ -201,6 +203,34 @@ cert::Json record_to_json(const checker::SchemaRecord& record, const checker::Un
 /// Inverse of record_to_json; the witness, model and proof land in
 /// `*solve`. Throws on a missing or mistyped field.
 checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOutcome* solve);
+
+/// True iff a hello or welcome frame lists `feature` in its features[]
+/// (absent: none). Throws when features is not an array.
+bool has_feature(const cert::Json& frame, std::string_view feature);
+
+/// The learned facts of one property on the wire: the cuts[] ({q, prefix[]})
+/// and lemmas[] ({q, premises[]}) entries of a learn frame or a lease grant.
+struct LearnPayload {
+  cert::Json::Array cuts;
+  cert::Json::Array lemmas;
+
+  void add_cut(std::size_t q, const std::vector<int>& prefix);
+  void add_lemma(std::size_t q, const smt::Lemma& lemma);
+  /// Moves the non-empty arrays into `frame`.
+  void put(cert::Json& frame);
+};
+
+/// A learn frame {p, cuts[]?, lemmas[]?}.
+cert::Json learn_frame(std::size_t p, LearnPayload payload);
+
+/// Folds the lemmas[] entries of a learn frame or lease grant into
+/// `learning`, and its cuts[] entries too when `with_cuts`. Lemmas go in as
+/// remote facts (LemmaPool::insert with fresh=false), so take_fresh never
+/// echoes them back. Entries naming a query `learning` lacks, and lemmas
+/// without premises, are skipped. Returns the lemma entries that were new.
+/// Throws on a mistyped entry, keeping the entries folded before it.
+cert::Json::Array fold_learn(const cert::Json& frame, checker::PropertyLearning& learning,
+                             bool with_cuts);
 
 }  // namespace hv::dist
 

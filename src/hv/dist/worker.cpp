@@ -21,6 +21,7 @@
 #include "hv/dist/protocol.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/hash.h"
 #include "hv/util/stopwatch.h"
 #include "hv/util/version.h"
 
@@ -134,14 +135,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     properties = resolve_properties(*parsed, specs_from_json(welcome.at("properties")));
     // Tolerant feature read: a pre-upgrade coordinator omits the array and
     // this worker solves without lemmas instead of dropping the connection.
-    if (const cert::Json* features = welcome.find("features")) {
-      for (const cert::Json& feature : features->as_array()) {
-        if (feature.kind() == cert::Json::Kind::kString &&
-            feature.as_string() == "learn") {
-          peer_learn = true;
-        }
-      }
-    }
+    peer_learn = has_feature(welcome, "learn");
     // Tolerant lease-timeout read: refuse a heartbeat period the
     // coordinator would mistake for death. A period above half the lease
     // timeout leaves no slack for a slow schema between beats; the stop is
@@ -192,56 +186,19 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   // local refutations and by coordinator learn frames/lease payloads.
   const bool learn_mode = peer_learn && checker::lemmas_enabled(check);
   std::vector<std::unique_ptr<checker::PropertyLearning>> learning(properties.size());
-  const auto learning_for = [&](std::size_t p) -> checker::PropertyLearning& {
-    auto& slot = learning[p];
-    if (!slot) {
-      slot = std::make_unique<checker::PropertyLearning>(properties[p].queries.size());
-    }
-    return *slot;
-  };
-  // Folds the cuts[]/lemmas[] arrays of a learn frame or lease grant.
-  // Tolerant of malformed entries: learning facts are advisory, a bad one is
-  // dropped rather than dropping the coordinator.
-  const auto apply_learn_arrays = [&](std::size_t p, const cert::Json* cuts,
-                                      const cert::Json* lemmas) {
-    if (!learn_mode || p >= properties.size()) return;
-    checker::PropertyLearning& learn = learning_for(p);
+  for (std::size_t p = 0; learn_mode && p < properties.size(); ++p) {
+    learning[p] = std::make_unique<checker::PropertyLearning>(properties[p].queries.size());
+  }
+  // Folds the cuts and lemmas of a lease grant for property `p`, or of a
+  // learn frame, which names its property in "p". Tolerant of malformed
+  // entries: learning facts are advisory, a bad one is dropped rather than
+  // dropping the coordinator, and the entries before it stand on their own.
+  const auto apply_learn = [&](const cert::Json& msg, std::int64_t p = -1) {
+    if (!learn_mode) return;
     try {
-      if (cuts != nullptr) {
-        for (const cert::Json& entry : cuts->as_array()) {
-          const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-          if (q >= properties[p].queries.size()) continue;
-          std::vector<int> prefix;
-          for (const cert::Json& g : entry.at("prefix").as_array()) {
-            prefix.push_back(static_cast<int>(g.as_int()));
-          }
-          learn.queries[q].cuts.add(prefix);
-        }
-      }
-      if (lemmas != nullptr) {
-        for (const cert::Json& entry : lemmas->as_array()) {
-          const auto q = static_cast<std::size_t>(entry.at("q").as_int());
-          if (q >= properties[p].queries.size()) continue;
-          smt::Lemma lemma;
-          for (const cert::Json& premise : entry.at("premises").as_array()) {
-            lemma.premises.push_back(premise.as_string());
-          }
-          if (lemma.premises.empty()) continue;
-          // fresh=false: a remote lemma must not be echoed back by the next
-          // take_fresh() shipment.
-          learn.queries[q].lemmas.insert(std::move(lemma), /*fresh=*/false);
-        }
-      }
-    } catch (const std::exception&) {
-      // Partially applied is fine — every fact stands on its own.
-    }
-  };
-  const auto apply_learn_frame = [&](const cert::Json& msg) {
-    const cert::Json* p_field = msg.find("p");
-    if (p_field == nullptr) return;
-    try {
-      apply_learn_arrays(static_cast<std::size_t>(p_field->as_int()), msg.find("cuts"),
-                         msg.find("lemmas"));
+      if (p < 0) p = msg.at("p").as_int();
+      if (p < 0 || p >= static_cast<std::int64_t>(properties.size())) return;
+      fold_learn(msg, *learning[static_cast<std::size_t>(p)], /*with_cuts=*/true);
     } catch (const std::exception&) {
     }
   };
@@ -249,7 +206,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   const auto solver_for = [&](std::size_t p) -> checker::SchemaSolver& {
     if (!solvers[p]) {
       checker::SolveHooks prop_hooks = hooks;
-      if (learn_mode) prop_hooks.learning = &learning_for(p);
+      prop_hooks.learning = learning[p].get();
       solvers[p] =
           std::make_unique<checker::SchemaSolver>(analysis, properties[p], check, prop_hooks);
     }
@@ -331,7 +288,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
              (reply.at("type").as_string() == "abandon" ||
               reply.at("type").as_string() == "learn" ||
               reply.at("type").as_string() == "welcome")) {
-        if (reply.at("type").as_string() == "learn") apply_learn_frame(reply);
+        if (reply.at("type").as_string() == "learn") apply_learn(reply);
         status = conn.recv(&reply, options.recv_timeout_ms);
       }
       if (status != FrameStatus::kOk) {
@@ -370,7 +327,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         }
         // Learning payload of the grant: the fleet's accumulated cuts and
         // lemmas for this (property, query).
-        apply_learn_arrays(p, reply.find("cuts"), reply.find("lemmas"));
+        apply_learn(reply, static_cast<std::int64_t>(p));
       }
     } catch (const std::exception& e) {
       report.note = std::string("malformed coordinator message: ") + e.what();
@@ -410,7 +367,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         }
         // Broadcast learning facts from other workers arrive mid-lease and
         // take effect on the very next schema of this enumeration.
-        if (type->as_string() == "learn") apply_learn_frame(note);
+        if (type->as_string() == "learn") apply_learn(note);
       }
       return false;
     };
@@ -428,7 +385,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       return !abandoned();
     };
 
-    checker::PropertyLearning* learning = learn_mode ? &learning_for(p) : nullptr;
     enumerate_schemas_under(
         analysis, task, cut_count, check.enumeration, [&](const checker::Schema& schema) {
           if (cancelled()) {
@@ -437,8 +393,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
           }
           std::string cursor = checker::schema_cursor(q, schema);
           if (skip.count(cursor) > 0) return true;  // settled before this lease
-          checker::SchemaStep step =
-              checker::step_schema(solver, learning, cone, q, schema, remaining());
+          checker::SchemaStep step = checker::step_schema(solver, cone, q, schema, remaining());
           lease_hits += step.outcome.lemma_hits;
           lease_learned += step.outcome.lemmas_learned;
           switch (step.kind) {
@@ -494,25 +449,16 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     // lemmas — remote ones were inserted fresh=false and are not echoed.
     // (Cuts already travelled on their unsat record frames.)
     if (learn_mode) {
-      cert::Json::Array lemma_entries;
-      checker::PropertyLearning& learn = learning_for(p);
+      LearnPayload fresh;
+      checker::PropertyLearning& learn = *learning[p];
       for (std::size_t lq = 0; lq < learn.queries.size(); ++lq) {
-        for (smt::Lemma& lemma : learn.queries[lq].lemmas.take_fresh()) {
-          cert::Json::Array premises;
-          for (const std::string& premise : lemma.premises) premises.push_back(premise);
-          lemma_entries.push_back(cert::Json::Object{
-              {"q", static_cast<std::int64_t>(lq)}, {"premises", std::move(premises)}});
+        for (const smt::Lemma& lemma : learn.queries[lq].lemmas.take_fresh()) {
+          fresh.add_lemma(lq, lemma);
         }
       }
-      if (!lemma_entries.empty()) {
-        cert::Json frame =
-            cert::Json::Object{{"type", "learn"},
-                               {"p", static_cast<std::int64_t>(p)},
-                               {"lemmas", std::move(lemma_entries)}};
-        if (!conn.send(frame)) {
-          report.note = "connection lost";
-          break;
-        }
+      if (!fresh.lemmas.empty() && !conn.send(learn_frame(p, std::move(fresh)))) {
+        report.note = "connection lost";
+        break;
       }
     }
     const checker::IncrementalStats after = solver.stats();
@@ -553,12 +499,9 @@ bool connection_level_failure(const WorkerReport& report) {
 std::int64_t jittered_backoff_ms(std::int64_t base_ms, std::uint64_t seed, int attempt) {
   // splitmix64 over (seed, attempt): stateless, so the test can recompute
   // any draw. The jitter stays within ±25% of the base by construction.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  const double unit = static_cast<double>(z >> 11) * 0x1.0p-53;  // [0,1)
-  const double factor = 0.75 + 0.5 * unit;                       // [0.75, 1.25)
+  const double unit = unit_interval(
+      splitmix64_mix(seed + kGoldenGamma * static_cast<std::uint64_t>(attempt + 1)));
+  const double factor = 0.75 + 0.5 * unit;  // [0.75, 1.25)
   const auto jittered =
       static_cast<std::int64_t>(static_cast<double>(base_ms) * factor);
   return std::max<std::int64_t>(1, jittered);
@@ -573,11 +516,7 @@ WorkerReport run_worker(const WorkerOptions& options) {
   // Jitter seed from the label (FNV-1a): deterministic per worker, different
   // across a fleet of distinctly labelled workers, so a coordinator restart
   // does not see the whole fleet reconnect in lockstep.
-  std::uint64_t jitter_seed = 1469598103934665603ULL;
-  for (const char ch : options.label) {
-    jitter_seed ^= static_cast<unsigned char>(ch);
-    jitter_seed *= 1099511628211ULL;
-  }
+  const std::uint64_t jitter_seed = fnv1a(options.label);
   WorkerReport total;
   Stopwatch window;  // time since the last successful attempt start
   std::int64_t backoff_ms = 50;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -10,8 +9,10 @@
 
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/naive_consensus.h"
+#include "hv/models/registry.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/pipeline/dag/scheduler.h"
+#include "hv/util/hash.h"
 #include "hv/util/stopwatch.h"
 
 namespace hv::pipeline {
@@ -33,7 +34,7 @@ Verdict combine(const std::vector<const PropertyResult*>& dependencies) {
   return all_hold ? Verdict::kHolds : Verdict::kUnknown;
 }
 
-const PropertyResult* find(const std::vector<PropertyResult>& results, const char* name) {
+const PropertyResult* find(const std::vector<PropertyResult>& results, const std::string& name) {
   const auto it = std::find_if(results.begin(), results.end(),
                                [name](const PropertyResult& r) { return r.property == name; });
   return it == results.end() ? nullptr : &*it;
@@ -66,14 +67,7 @@ double sum_seconds(const HolisticReport& report) {
 /// readable in journal headers while still pinning every verdict-relevant
 /// option.
 std::string fingerprint_hash(const checker::CheckOptions& check) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : checker::options_fingerprint(check)) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(hash));
-  return buffer;
+  return hex16(fnv1a(checker::options_fingerprint(check)));
 }
 
 /// Node identity: stage, property and the fingerprint of every option that
@@ -272,27 +266,16 @@ void compose_verdicts(HolisticReport& report) {
   std::vector<const PropertyResult*> gadget;
   for (const PropertyResult& result : report.bv_results) gadget.push_back(&result);
 
-  const auto with_gadget = [&gadget](std::vector<const PropertyResult*> own) {
+  const auto rests_on = [&](const std::vector<std::string>& names) {
+    std::vector<const PropertyResult*> own;
+    for (const std::string& name : names) own.push_back(find(report.consensus_results, name));
     own.insert(own.end(), gadget.begin(), gadget.end());
-    return own;
+    return combine(own);
   };
-
-  // [10, Proposition 2]: Inv1_v and Inv2_v imply Agree_v and Valid_v.
-  report.agreement = combine(with_gadget({find(report.consensus_results, "Inv1_0"),
-                                          find(report.consensus_results, "Inv1_1"),
-                                          find(report.consensus_results, "Inv2_0"),
-                                          find(report.consensus_results, "Inv2_1")}));
-  report.validity = combine(with_gadget({find(report.consensus_results, "Inv2_0"),
-                                         find(report.consensus_results, "Inv2_1")}));
-  // Theorem 6: fairness (Def. 3) gives a good round; Corollary 5 turns it
-  // into an empty M0 (or M1x) superround; (Good) and (Dec) then force every
-  // process to decide, and (SRoundTerm) makes the termination formula
-  // well-formed.
-  report.termination = combine(with_gadget({find(report.consensus_results, "SRoundTerm"),
-                                            find(report.consensus_results, "Dec_0"),
-                                            find(report.consensus_results, "Dec_1"),
-                                            find(report.consensus_results, "Good_0"),
-                                            find(report.consensus_results, "Good_1")}));
+  const models::Theorem6Dependencies& theorem6 = models::theorem6_dependencies();
+  report.agreement = rests_on(theorem6.agreement);
+  report.validity = rests_on(theorem6.validity);
+  report.termination = rests_on(theorem6.termination);
 }
 
 std::string HolisticReport::to_string() const {

@@ -5,6 +5,7 @@
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::sim {
 
@@ -130,7 +131,7 @@ class SimplifiedProjector {
       }
       if (round1.aux_sent) {
         if (!round1.aux_payload.is_singleton()) {
-          *diagnostic = "p" + std::to_string(id) + ": non-singleton first aux payload";
+          *diagnostic = numbered("p", id) + ": non-singleton first aux payload";
           return std::nullopt;
         }
         ++config.shared[shared_pos(round1.aux_payload.singleton_value() == 0 ? "aux0" : "aux1")];
@@ -181,7 +182,7 @@ class SimplifiedProjector {
   std::optional<ta::LocationId> project_process(const algo::DbftProcess& process,
                                                 std::string* diagnostic) const {
     const auto fail = [&](const std::string& what) {
-      *diagnostic = "p" + std::to_string(process.id()) + ": " + what;
+      *diagnostic = numbered("p", process.id()) + ": " + what;
       return std::nullopt;
     };
     const auto by_contestants = [&](const BitSet2 contestants, const char* m0, const char* m1,
@@ -234,7 +235,7 @@ class BvBroadcastProjector {
       const auto round1 = runner_.process(id).round_view(1);
       const auto location = table1_location(round1.bv_broadcast, round1.contestants);
       if (!location) {
-        *diagnostic = "p" + std::to_string(id) + ": broadcast " +
+        *diagnostic = numbered("p", id) + ": broadcast " +
                       round1.bv_broadcast.to_string() + " / delivered " +
                       round1.contestants.to_string() + " matches no Table 1 location";
         return std::nullopt;

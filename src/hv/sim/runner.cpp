@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::sim {
 
@@ -125,7 +126,7 @@ std::string Runner::agreement_violation() const {
     const std::optional<int> decision = processes_[id]->decision();
     if (!decision) continue;
     if (seen && *seen != *decision) {
-      return "p" + std::to_string(id) + " decided " + std::to_string(*decision) +
+      return numbered("p", id) + " decided " + std::to_string(*decision) +
              " while another process decided " + std::to_string(*seen);
     }
     seen = decision;
@@ -139,7 +140,7 @@ std::string Runner::validity_violation() const {
   for (const ProcessId id : correct_ids_) {
     const std::optional<int> decision = processes_[id]->decision();
     if (decision && !proposed.contains(*decision)) {
-      return "p" + std::to_string(id) + " decided the unproposed value " +
+      return numbered("p", id) + " decided the unproposed value " +
              std::to_string(*decision);
     }
   }

@@ -5,6 +5,7 @@
 
 #include "hv/sim/runner.h"
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::algo {
 
@@ -102,7 +103,7 @@ std::string VectorRunner::agreement_violation() const {
     const auto decision = processes_[id]->decision();
     if (!decision) continue;
     if (reference && *reference != *decision) {
-      return "p" + std::to_string(id) + " and p" + std::to_string(reference_id) +
+      return numbered("p", id) + " and p" + std::to_string(reference_id) +
              " decided different vectors";
     }
     reference = decision;

@@ -38,6 +38,11 @@ std::vector<Lemma> LemmaPool::take_fresh() {
   return std::exchange(fresh_, {});
 }
 
+std::vector<Lemma> LemmaPool::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return lemmas_;
+}
+
 bool LemmaPool::probe(const std::function<int(const std::string&)>& min_depth,
                       int* depth) const {
   std::lock_guard<std::mutex> lock(mutex_);

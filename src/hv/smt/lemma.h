@@ -53,6 +53,9 @@ class LemmaPool {
   /// (distributed sharing: the worker ships these with its lease report).
   std::vector<Lemma> take_fresh();
 
+  /// Every stored lemma, in insertion order.
+  std::vector<Lemma> snapshot() const;
+
   /// Probes for a lemma whose premises are all currently asserted.
   /// `min_depth` maps a canonical inequality string to the shallowest scope
   /// depth asserting a content-equal constraint, or -1 when absent. On a

@@ -2,6 +2,8 @@
 
 #include <functional>
 
+#include "hv/util/hash.h"
+
 namespace hv::smt::proof {
 
 std::unique_ptr<Node> clone(const Node& node) {
@@ -28,10 +30,7 @@ std::int64_t node_count(const Node& node) {
 std::uint64_t name_filter(std::string_view name) {
   // splitmix64's finalizer spreads the string hash over all 64 bits, so a
   // sum of several of them stays well distributed.
-  std::uint64_t x = std::hash<std::string_view>{}(name) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return splitmix64_mix(std::hash<std::string_view>{}(name) + kGoldenGamma);
 }
 
 std::uint64_t name_set_filter(const NamedTerms& terms) {

@@ -402,13 +402,20 @@ std::string to_string(const ta::ThresholdAutomaton& ta, const FormulaPtr& formul
       std::string out;
       for (std::size_t i = 0; i < formula->children.size(); ++i) {
         if (i != 0) out += op;
-        out += "(" + to_string(ta, formula->children[i]) + ")";
+        out += '(';
+        out += to_string(ta, formula->children[i]);
+        out += ')';
       }
       return out;
     }
-    case FormulaKind::kImplies:
-      return "(" + to_string(ta, formula->children[0]) + ") -> (" +
-             to_string(ta, formula->children[1]) + ")";
+    case FormulaKind::kImplies: {
+      std::string out = "(";
+      out += to_string(ta, formula->children[0]);
+      out += ") -> (";
+      out += to_string(ta, formula->children[1]);
+      out += ')';
+      return out;
+    }
     case FormulaKind::kGlobally:
       return "[](" + to_string(ta, formula->children[0]) + ")";
     case FormulaKind::kEventually:

@@ -7,12 +7,15 @@ namespace hv::synth {
 
 std::string Candidate::to_string() const {
   std::string out;
-  if (a != 0) out += (a == 1 ? "" : std::to_string(a) + "*") + std::string("t");
+  if (a != 0) {
+    if (a != 1) out += std::to_string(a) + "*";
+    out += "t";
+  }
   if (b != 0) {
     if (!out.empty()) out += " + ";
     out += std::to_string(b);
   }
-  if (out.empty()) out = "0";
+  if (out.empty()) out += '0';
   if (c != 0) out += " - f";
   return out;
 }

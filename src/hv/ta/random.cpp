@@ -3,6 +3,7 @@
 #include <string>
 
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::ta {
 
@@ -21,7 +22,7 @@ ThresholdAutomaton random_automaton(const RandomTaOptions& options, std::uint64_
   const VarId f = ta.add_parameter("f");
   std::vector<VarId> shared;
   for (int i = 0; i < options.shared_variables; ++i) {
-    shared.push_back(ta.add_shared("x" + std::to_string(i)));
+    shared.push_back(ta.add_shared(numbered("x", i)));
   }
   ta.add_resilience(smt::make_gt(smt::LinearExpr::variable(n), smt::LinearExpr::term(t, 3)));
   ta.add_resilience(smt::make_ge(smt::LinearExpr::variable(t), smt::LinearExpr::variable(f)));
@@ -32,7 +33,7 @@ ThresholdAutomaton random_automaton(const RandomTaOptions& options, std::uint64_
   for (int i = 0; i < location_count; ++i) {
     // L0 always initial; others initial with small probability so most
     // automata have a non-trivial flow.
-    ta.add_location("L" + std::to_string(i), /*initial=*/i == 0 || chance(0.2));
+    ta.add_location(numbered("L", i), /*initial=*/i == 0 || chance(0.2));
   }
 
   const int rule_count = pick(options.min_rules, options.max_rules);
@@ -58,7 +59,7 @@ ThresholdAutomaton random_automaton(const RandomTaOptions& options, std::uint64_
       const VarId bumped = shared[static_cast<std::size_t>(pick(0, options.shared_variables - 1))];
       update.increments.emplace_back(bumped, BigInt(1));
     }
-    ta.add_rule("g" + std::to_string(i), from, to, std::move(guard), std::move(update));
+    ta.add_rule(numbered("g", i), from, to, std::move(guard), std::move(update));
   }
   for (LocationId location = 0; location < location_count; ++location) {
     if (chance(options.self_loop_probability)) ta.add_self_loop(location);

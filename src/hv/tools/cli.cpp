@@ -20,6 +20,7 @@
 #include "hv/dist/coordinator.h"
 #include "hv/dist/local.h"
 #include "hv/dist/worker.h"
+#include "hv/models/registry.h"
 #include "hv/pipeline/certify.h"
 #include "hv/pipeline/holistic.h"
 #include "hv/service/client.h"
@@ -425,10 +426,10 @@ int command_check(Args& args, std::ostream& out) {
     for (const dist::PropertySpec& spec : ltl) {
       properties.push_back(spec::compile(ta, spec.name, spec.formula));
     }
-  } else if (cert::has_bundled_properties(ta.name())) {
+  } else if (models::has_bundled_properties(ta.name())) {
     // The model's bundled default set (the Table-2 properties for the
     // simplified consensus automaton), as serve and submit use.
-    properties = cert::bundled_properties(ta, /*table2_defaults=*/true);
+    properties = models::bundled_properties(ta, /*table2_defaults=*/true);
   } else {
     throw InvalidArgument("check: --prop is required (no bundled properties for automaton '" +
                           ta.name() + "')");
@@ -528,9 +529,9 @@ int command_serve(Args& args, std::ostream& out) {
   std::vector<dist::PropertySpec> specs = ltl_specs(props, names);
   if (!specs.empty()) {
     // LTL properties from the command line travel by formula.
-  } else if (cert::has_bundled_properties(ta.name())) {
+  } else if (models::has_bundled_properties(ta.name())) {
     for (const spec::Property& property :
-         cert::bundled_properties(ta, /*table2_defaults=*/true)) {
+         models::bundled_properties(ta, /*table2_defaults=*/true)) {
       specs.push_back({property.name, "", /*bundled=*/true});
     }
   } else {
@@ -688,12 +689,12 @@ int command_submit(Args& args, std::ostream& out) {
   request.specs = ltl_specs(props, names);
   if (request.specs.empty()) {
     const ta::ThresholdAutomaton ta = ta::parse_ta(request.model_text).one_round_reduction();
-    if (!cert::has_bundled_properties(ta.name())) {
+    if (!models::has_bundled_properties(ta.name())) {
       throw InvalidArgument("submit: --prop is required (no bundled properties for automaton '" +
                             ta.name() + "')");
     }
     for (const spec::Property& property :
-         cert::bundled_properties(ta, /*table2_defaults=*/true)) {
+         models::bundled_properties(ta, /*table2_defaults=*/true)) {
       request.specs.push_back({property.name, "", /*bundled=*/true});
     }
   }

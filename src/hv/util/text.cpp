@@ -52,6 +52,12 @@ std::string pad_right(std::string_view text, std::size_t width) {
   return out;
 }
 
+std::string numbered(std::string_view stem, std::int64_t n) {
+  std::string out(stem);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string format_seconds(double seconds) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.2f", seconds);

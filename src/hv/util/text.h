@@ -2,6 +2,7 @@
 #ifndef HV_UTIL_TEXT_H
 #define HV_UTIL_TEXT_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,11 @@ std::string join(const std::vector<std::string>& items, std::string_view separat
 /// Left-pads (align right) or right-pads (align left) to `width` with spaces.
 std::string pad_left(std::string_view text, std::size_t width);
 std::string pad_right(std::string_view text, std::size_t width);
+
+/// `stem` followed by the decimal digits of `n` ("p", 3 -> "p3"). Names
+/// built this way append to `stem` instead of inserting it in front of
+/// std::to_string's result, which GCC 12's -Wrestrict flags at -O3.
+std::string numbered(std::string_view stem, std::int64_t n);
 
 /// Fixed-point with two decimals ("%.2f"), as verdict notes print times.
 std::string format_seconds(double seconds);

@@ -22,6 +22,7 @@
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
+#include "hv/models/registry.h"
 #include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
@@ -70,7 +71,7 @@ Certificate certify_text_model(const std::string& ta_text, const std::string& na
 const std::string& bv_certificate_text() {
   static const std::string text = [] {
     const ta::ThresholdAutomaton bv = models::bv_broadcast();
-    const std::vector<spec::Property> properties = bundled_properties(bv);
+    const std::vector<spec::Property> properties = models::bundled_properties(bv);
     checker::CheckOptions options;
     options.certify = true;
     const std::vector<checker::PropertyResult> results =
@@ -421,7 +422,7 @@ TEST(CertTraceViewTest, ReusedEncoderShowsExactlyAFreshEncodingInAuditOrder) {
   // constraint of a popped scope can never answer a later lookup.
   const Certificate parsed = parse_certificate(bv_certificate_text());
   const ComponentCert& component = parsed.components[0];
-  const ta::ThresholdAutomaton ta = builtin_model(component.model.key);
+  const ta::ThresholdAutomaton ta = models::builtin_model(component.model.key);
   const checker::GuardAnalysis analysis(ta);
 
   // The (property, query) with the most evidence entries.
@@ -448,7 +449,7 @@ TEST(CertTraceViewTest, ReusedEncoderShowsExactlyAFreshEncodingInAuditOrder) {
            std::tie(rhs->schema.unlock_order, rhs->schema.cut_positions);
   });
 
-  const std::vector<spec::Property> bundled = bundled_properties(ta);
+  const std::vector<spec::Property> bundled = models::bundled_properties(ta);
   const auto property = std::find_if(bundled.begin(), bundled.end(), [&](const auto& p) {
     return p.name == property_cert->name;
   });

@@ -1013,6 +1013,42 @@ TEST(LeaseBookTest, ChargedRecordsCountAfterTheWitness) {
   EXPECT_FALSE(work_left);
 }
 
+TEST(LeaseBookTest, ResumedCutLandsInItsOwnPropertysIndex) {
+  // A resumed unsat record's cut joins the cut index of the property it
+  // names and no other: a chain prefix refuted under one property says
+  // nothing about another's constraint system.
+  const auto& ta = echo().body();
+  const std::vector<spec::Property> properties = {
+      spec::compile(ta, "a", "[](locB == 0) -> [](locD == 0)"),
+      spec::compile(ta, "b", "locA != 0 -> [](locD == 0)")};
+  CheckOptions options;
+  if (!lemmas_enabled(options)) GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  options.resume_path = ::testing::TempDir() + "lease_book_resumed_cut.jsonl";
+  std::remove(options.resume_path.c_str());
+  Schema schema;
+  schema.unlock_order = {0};
+  {
+    ProgressJournal journal(options.resume_path,
+                            JournalHeader(ta.name(), model_content_hash(ta)));
+    JournalRecord record;
+    record.property = "b";
+    record.cursor = schema_cursor(0, schema);
+    record.verdict = "unsat";
+    record.cut = 1;
+    journal.append(record);
+  }
+  LeaseBook book(ta, properties, options, 1);
+  book.replay_resume();
+  ASSERT_NE(book.learning(0), nullptr);
+  ASSERT_NE(book.learning(1), nullptr);
+  EXPECT_EQ(book.props[1].tally.resumed, 1);
+  EXPECT_TRUE(book.learning(1)->queries[0].cuts.covers({0}));
+  EXPECT_EQ(book.learning(1)->queries[0].cuts.size(), 1u);
+  for (const QueryLearning& query : book.learning(0)->queries) {
+    EXPECT_EQ(query.cuts.size(), 0u);
+  }
+}
+
 TEST(ExplicitTest, StateBudget) {
   const auto& ta = echo().body();
   const spec::Property property = spec::compile(ta, "a", "locA != 0 -> [](locD == 0)");

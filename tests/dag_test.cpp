@@ -12,6 +12,7 @@
 
 #include "hv/pipeline/dag/scheduler.h"
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace dag = hv::pipeline::dag;
 
@@ -170,7 +171,7 @@ TEST(DagSchedulerTest, ManyLanesDrainAWideGraph) {
   std::atomic<int> ran{0};
   std::vector<dag::NodeId> layer;
   for (int i = 0; i < 24; ++i) {
-    layer.push_back(graph.add("n" + std::to_string(i), [&] {
+    layer.push_back(graph.add(hv::numbered("n", i), [&] {
       ran.fetch_add(1);
       return true;
     }));

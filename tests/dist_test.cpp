@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
 #include "hv/checker/parameterized.h"
 #include "hv/dist/coordinator.h"
@@ -297,6 +299,7 @@ TEST(DistProtocol, PropertySpecsSurviveTheWire) {
 // --- end to end over a unix socket ------------------------------------------
 
 struct ServeRun {
+  std::string model = kEchoModel;
   std::vector<checker::PropertyResult> results;
   DistStats stats;
   std::string error;
@@ -306,7 +309,7 @@ struct ServeRun {
              const DistOptions& options) {
     thread = std::thread([this, address, specs, options] {
       try {
-        results = serve(kEchoModel, specs, address, options, &stats);
+        results = serve(model, specs, address, options, &stats);
       } catch (const Error& e) {
         error = e.what();
       }
@@ -343,9 +346,11 @@ int connect_with_retry(const std::string& address) {
   return fd;
 }
 
-void hello_and_welcome(Conn& conn, const std::string& label) {
-  ASSERT_TRUE(conn.send(cert::Json::Object{
-      {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", label}}));
+void hello_and_welcome(Conn& conn, const std::string& label, bool learn = false) {
+  cert::Json hello = cert::Json::Object{
+      {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", label}};
+  if (learn) hello.set("features", cert::Json::Array{"learn"});
+  ASSERT_TRUE(conn.send(hello));
   cert::Json welcome;
   ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
   ASSERT_EQ(welcome.at("type").as_string(), "welcome");
@@ -374,7 +379,9 @@ struct LeaseGrant {
   bool extensions = false;
 };
 
-bool acquire_lease(Conn& conn, LeaseGrant* grant) {
+/// Asks for leases until one is granted; `*frame` (optional) receives the
+/// grant as sent.
+bool acquire_lease(Conn& conn, LeaseGrant* grant, cert::Json* frame = nullptr) {
   for (int spin = 0; spin < 100; ++spin) {
     if (!conn.send(cert::Json::Object{{"type", "next"}})) return false;
     cert::Json reply;
@@ -393,6 +400,7 @@ bool acquire_lease(Conn& conn, LeaseGrant* grant) {
       grant->prefix.push_back(g.as_int());
     }
     grant->extensions = reply.at("extensions").as_bool();
+    if (frame != nullptr) *frame = std::move(reply);
     return true;
   }
   return false;
@@ -608,8 +616,8 @@ TEST(DistEndToEnd, LegacyPeerWithoutFeaturesDegrades) {
 TEST(DistEndToEnd, SelfSolveMatchesInProcess) {
   // A self-hosted fleet that never joins: once a lease timeout passes with
   // nobody connected, the coordinator settles every lease itself through
-  // step_schema and the merge a worker frame takes. Its solver never
-  // learns, so it must land on the learning-free in-process coverage, and a
+  // step_schema and the merge a worker frame takes. Its solver learns like
+  // an in-process thread, so it must land on the in-process coverage, and a
   // violation must carry its witness.
   for (const bool pruning : {true, false}) {
     for (const auto& [name, formula] : {std::pair{"safe", kHoldsFormula},
@@ -625,9 +633,7 @@ TEST(DistEndToEnd, SelfSolveMatchesInProcess) {
       run.join();
       ASSERT_TRUE(run.error.empty()) << run.error;
 
-      checker::CheckOptions ref = options.check;
-      ref.lemmas = false;
-      const auto reference = reference_check(name, formula, ref);
+      const auto reference = reference_check(name, formula, options.check);
       ASSERT_EQ(run.results.size(), 1u);
       EXPECT_EQ(run.results[0].verdict, reference[0].verdict);
       EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
@@ -1087,6 +1093,221 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
   EXPECT_TRUE(run.results[0].counterexample.has_value());
 }
 
+// --- fleet learning -----------------------------------------------------------
+//
+// Scripted learn-capable peers against the coordinator's share of the lease
+// book's learning: cuts arrive on unsat records, lemmas on learn frames, and
+// both ride on later grants.
+
+// Two independent guards (x and y), so the chain tree has subtrees a cut
+// under one guard's prefix does not touch.
+constexpr const char* kTwoGuardModel = R"(
+ta TwoGuards {
+  parameters n, t, f;
+  shared x, y;
+  resilience n > 3*t;
+  resilience t >= f;
+  resilience f >= 0;
+  processes n - f;
+  initial A;
+  locations B, C, D, E;
+  rule ax: A -> B do x += 1;
+  rule ay: A -> C do y += 1;
+  rule dx: B -> D when x >= t + 1 - f;
+  rule ey: C -> E when y >= t + 1 - f;
+  selfloop D;
+  selfloop E;
+}
+)";
+constexpr const char* kTwoGuardFormula = "[](locB == 0) -> [](locD == 0)";
+
+// A run of kTwoGuardModel served for one expected worker, plus its lease
+// plan, which the coordinator builds the same way.
+struct LearningRun {
+  LearningRun() {
+    const ta::ThresholdAutomaton ta = ta::parse_ta(kTwoGuardModel).one_round_reduction();
+    queries = spec::compile(ta, "safe", kTwoGuardFormula).queries.size();
+    tasks = checker::plan_tasks(checker::GuardAnalysis(ta), 1, checker::EnumerationOptions{});
+    options.expected_workers = 1;
+    options.lease_timeout_seconds = 30.0;
+    run.model = kTwoGuardModel;
+  }
+  void start(const std::string& address) {
+    run.start(address, {{"safe", kTwoGuardFormula, false}}, options);
+  }
+
+  DistOptions options;
+  ServeRun run;
+  std::size_t queries = 0;
+  std::vector<checker::SubtreeTask> tasks;
+};
+
+bool extends(const std::vector<std::int64_t>& chain, const std::vector<std::int64_t>& prefix) {
+  return chain.size() >= prefix.size() && std::equal(prefix.begin(), prefix.end(), chain.begin());
+}
+
+// Completes leases without records until one with a non-empty chain prefix
+// is granted, then refutes that prefix with a cut-bearing unsat record
+// (the cut spans the whole prefix) and completes it too.
+void grant_and_cut(Conn& conn, LeaseGrant* cut_lease) {
+  for (;;) {
+    ASSERT_TRUE(acquire_lease(conn, cut_lease));
+    if (!cut_lease->prefix.empty()) break;
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
+  }
+  cert::Json record = record_frame(cut_lease->id, cut_lease->property,
+                                   chain_cursor(cut_lease->query, cut_lease->prefix), "unsat");
+  record.set("cut", static_cast<std::int64_t>(cut_lease->prefix.size()));
+  ASSERT_TRUE(conn.send(record));
+  ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
+}
+
+cert::Json lemma_frame(std::vector<std::string> premises) {
+  cert::Json::Array entry_premises(premises.begin(), premises.end());
+  return cert::Json::Object{
+      {"type", "learn"},
+      {"p", 0},
+      {"lemmas", cert::Json::Array{cert::Json::Object{
+                     {"q", 0}, {"premises", std::move(entry_premises)}}}}};
+}
+
+TEST(DistLearning, GrantCarriesTheCutsAndLemmasOfEarlierFrames) {
+  const std::string address = "unix:" + temp_path("dist_learn_grant.sock");
+  LearningRun fleet;
+  if (!checker::lemmas_enabled(fleet.options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  ASSERT_EQ(fleet.queries, 1u);
+  fleet.start(address);
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  {
+    Conn conn(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted", /*learn=*/true));
+    LeaseGrant cut_lease;
+    ASSERT_NO_FATAL_FAILURE(grant_and_cut(conn, &cut_lease));
+    ASSERT_TRUE(conn.send(lemma_frame({"y<=0", "x>=1"})));
+    // The next grant lies outside the refuted subtree and carries both
+    // facts, the lemma as the book's pool stores it (premises sorted).
+    LeaseGrant next;
+    cert::Json grant;
+    ASSERT_TRUE(acquire_lease(conn, &next, &grant));
+    EXPECT_FALSE(extends(next.prefix, cut_lease.prefix));
+    ASSERT_NE(grant.find("cuts"), nullptr) << grant.to_string();
+    ASSERT_NE(grant.find("lemmas"), nullptr) << grant.to_string();
+    const cert::Json expected_cut = cert::Json::Object{
+        {"q", 0}, {"prefix", cert::Json::Array(cut_lease.prefix.begin(), cut_lease.prefix.end())}};
+    EXPECT_EQ(grant.at("cuts").to_string(),
+              cert::Json(cert::Json::Array{expected_cut}).to_string());
+    EXPECT_EQ(grant.at("lemmas").to_string(),
+              cert::Json(cert::Json::Array{cert::Json::Object{
+                             {"q", 0}, {"premises", cert::Json::Array{"x>=1", "y<=0"}}}})
+                  .to_string());
+    conn.close();
+  }
+  const WorkerReport survivor = run_one_worker(address, "honest");
+  fleet.run.join();
+  ASSERT_TRUE(fleet.run.error.empty()) << fleet.run.error;
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  ASSERT_EQ(fleet.run.results.size(), 1u);
+  EXPECT_EQ(fleet.run.results[0].verdict, checker::Verdict::kHolds);
+}
+
+TEST(DistLearning, CutSettlesCoveredPendingLeasesWithoutAGrant) {
+  const std::string address = "unix:" + temp_path("dist_learn_settle.sock");
+  LearningRun fleet;
+  if (!checker::lemmas_enabled(fleet.options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  ASSERT_EQ(fleet.queries, 1u);
+  fleet.start(address);
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  LeaseGrant cut_lease;
+  std::int64_t granted = 0;
+  {
+    Conn conn(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted", /*learn=*/true));
+    ASSERT_NO_FATAL_FAILURE(grant_and_cut(conn, &cut_lease));
+    granted = cut_lease.id + 1;  // leases are granted first-fit, in plan order
+    // Drain the rest of the run: no lease inside the refuted subtree is
+    // ever granted.
+    for (;;) {
+      ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "next"}}));
+      cert::Json reply;
+      ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
+      const std::string& type = reply.at("type").as_string();
+      if (type == "shutdown") break;
+      if (type == "wait") continue;
+      ASSERT_EQ(type, "lease");
+      ++granted;
+      std::vector<std::int64_t> prefix;
+      for (const cert::Json& g : reply.at("prefix").as_array()) prefix.push_back(g.as_int());
+      EXPECT_FALSE(extends(prefix, cut_lease.prefix)) << reply.to_string();
+      ASSERT_TRUE(
+          conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", reply.at("lease")}}));
+    }
+    conn.close();
+  }
+  fleet.run.join();
+  ASSERT_TRUE(fleet.run.error.empty()) << fleet.run.error;
+  std::vector<std::int64_t> cut_prefix(cut_lease.prefix);
+  std::int64_t covered = 0;
+  for (const checker::SubtreeTask& task : fleet.tasks) {
+    const std::vector<std::int64_t> prefix(task.prefix.begin(), task.prefix.end());
+    if (prefix != cut_prefix && extends(prefix, cut_prefix)) ++covered;
+  }
+  ASSERT_GE(covered, 1) << "the plan has no subtree under the cut";
+  EXPECT_EQ(fleet.run.stats.leases_granted, granted);
+  EXPECT_EQ(granted, static_cast<std::int64_t>(fleet.tasks.size()) - covered);
+}
+
+TEST(DistLearning, PermutedLemmaIsNotRebroadcast) {
+  const std::string address = "unix:" + temp_path("dist_learn_dedup.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 30.0;
+  if (!checker::lemmas_enabled(options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+  const int sender_fd = connect_with_retry(address);
+  ASSERT_GE(sender_fd, 0);
+  Conn sender(sender_fd);
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(sender, "sender", /*learn=*/true));
+  const int listener_fd = connect_with_retry(address);
+  ASSERT_GE(listener_fd, 0);
+  Conn listener(listener_fd);
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(listener, "listener", /*learn=*/true));
+  // A `next` answered means every frame the sender sent before it was
+  // handled, broadcasts included.
+  const auto sync = [&] {
+    LeaseGrant grant;
+    return acquire_lease(sender, &grant);
+  };
+
+  ASSERT_TRUE(sender.send(lemma_frame({"a<=0", "b>=1"})));
+  ASSERT_TRUE(sync());
+  cert::Json broadcast;
+  ASSERT_EQ(listener.recv(&broadcast, 5'000), FrameStatus::kOk);
+  EXPECT_EQ(broadcast.at("type").as_string(), "learn");
+  ASSERT_EQ(broadcast.at("lemmas").as_array().size(), 1u);
+
+  ASSERT_TRUE(sender.send(lemma_frame({"b>=1", "a<=0"})));
+  ASSERT_TRUE(sync());
+  cert::Json echo;
+  EXPECT_EQ(listener.recv(&echo, 300), FrameStatus::kTimeout) << echo.to_string();
+  sender.close();
+  listener.close();
+
+  const WorkerReport survivor = run_one_worker(address, "honest");
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
+}
+
 TEST(DistByzantine, RepeatOffendersAreQuarantinedOnRejoin) {
   const std::string address = "unix:" + temp_path("dist_quarantine.sock");
   ServeRun run;
@@ -1216,6 +1437,14 @@ TEST(DistReconnect, BackoffJitterStaysWithinBounds) {
   EXPECT_TRUE(seeds_differ) << "jitter ignores the seed";
   // Tiny bases round toward zero; the floor keeps the loop from spinning.
   EXPECT_GE(jittered_backoff_ms(1, 7, 0), 1);
+}
+
+TEST(DistReconnect, BackoffJitterDrawsArePinned) {
+  // The draws are a pure function of (base, seed, attempt); pinned so a
+  // change to the shared hash helpers cannot move them unnoticed.
+  EXPECT_EQ(jittered_backoff_ms(1000, 42, 0), 1120);
+  EXPECT_EQ(jittered_backoff_ms(1000, 0xdeadbeef, 3), 977);
+  EXPECT_EQ(jittered_backoff_ms(50, 7, 1), 37);
 }
 
 TEST(DistReconnect, JitteredSleepsStayWithinTheReconnectBudget) {

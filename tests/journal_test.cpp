@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "hv/checker/parameterized.h"
+#include "hv/models/registry.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/util/error.h"
 #include "hv/util/version.h"
@@ -332,6 +333,17 @@ TEST(JournalTest, HeaderRecordsModelHashAndVersion) {
     file << "{\"hv_journal\":2,\"automaton\":\"Echo\",\"model_hash\":\"deadbeefdeadbeef\"}\n";
   }
   EXPECT_THROW(load_journal(path), Error);
+}
+
+TEST(JournalTest, ModelContentHashIsPinned) {
+  // Journal headers, pipeline node keys and the fleet handshake carry the
+  // hash, so it must not drift across releases.
+  for (const auto& [key, hash] : {std::pair{"bv_broadcast", "5dd700473302d0e6"},
+                                  std::pair{"st_broadcast", "08f95ded517057b5"},
+                                  std::pair{"simplified_consensus", "342bf47f6554a980"},
+                                  std::pair{"naive_consensus", "6288279a40639066"}}) {
+    EXPECT_EQ(model_content_hash(hv::models::builtin_model(key)), hash) << key;
+  }
 }
 
 TEST(JournalTest, CutFieldRoundTrips) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "hv/ta/parser.h"
+#include "hv/util/text.h"
 
 #include "hv/checker/guard_analysis.h"
 #include "hv/models/naive_consensus.h"
@@ -126,7 +127,7 @@ TEST(NaiveModelTest, RuleTableCoversFirstHalf) {
   std::string all;
   for (const auto& row : rows) all += row.rules + ", ";
   for (int i = 1; i <= 22; ++i) {
-    EXPECT_NE(all.find("r" + std::to_string(i)), std::string::npos) << i;
+    EXPECT_NE(all.find(numbered("r", i)), std::string::npos) << i;
   }
   EXPECT_GE(rows.size(), 10u);
   EXPECT_LE(rows.size(), 22u);

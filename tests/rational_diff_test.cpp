@@ -24,6 +24,7 @@
 #include "hv/cert/emit.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
+#include "hv/models/registry.h"
 #include "hv/util/error.h"
 #include "hv/util/rational.h"
 
@@ -251,7 +252,7 @@ checker::PropertyResult check_with_mode(bool fast, const ta::ThresholdAutomaton&
 
 TEST(RationalDiffTest, EndToEndVerdictsAndCertificatesIdentical) {
   const ta::ThresholdAutomaton bv = models::bv_broadcast();
-  const std::vector<spec::Property> properties = cert::bundled_properties(bv);
+  const std::vector<spec::Property> properties = models::bundled_properties(bv);
   ASSERT_FALSE(properties.empty());
   for (const spec::Property& property : properties) {
     cert::Certificate fast_cert, slow_cert;
@@ -280,7 +281,7 @@ TEST(RationalDiffTest, AuditAcceptsCertificateProducedWithoutFastPath) {
   // A certificate written by a pre-fast-path (or escape-hatched) binary must
   // still audit green on a fast-path auditor, and vice versa.
   const ta::ThresholdAutomaton bv = models::bv_broadcast();
-  const std::vector<spec::Property> properties = cert::bundled_properties(bv);
+  const std::vector<spec::Property> properties = models::bundled_properties(bv);
   cert::Certificate slow_cert;
   for (const spec::Property& property : properties) {
     check_with_mode(false, bv, property, /*certify=*/true, &slow_cert);

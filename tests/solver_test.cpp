@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 
 namespace hv::smt {
 namespace {
@@ -215,7 +216,7 @@ TEST_P(SolverRandomTest, AgreesWithBruteForce) {
     Solver solver;
     std::vector<VarId> vars;
     for (int v = 0; v < kVars; ++v) {
-      vars.push_back(solver.new_variable("v" + std::to_string(v)));
+      vars.push_back(solver.new_variable(numbered("v", v)));
       solver.add_lower_bound(vars.back(), 0);
       solver.add_upper_bound(vars.back(), kDomain);
     }
@@ -281,7 +282,7 @@ TEST_P(SolverCnfRandomTest, AgreesWithBruteForce) {
     Solver solver;
     std::vector<VarId> vars;
     for (int v = 0; v < kVars; ++v) {
-      vars.push_back(solver.new_variable("v" + std::to_string(v)));
+      vars.push_back(solver.new_variable(numbered("v", v)));
       solver.add_lower_bound(vars.back(), 0);
       solver.add_upper_bound(vars.back(), kDomain);
     }
@@ -361,7 +362,7 @@ TEST(SolverTest, TimeBudgetAborts) {
   Solver solver;
   std::vector<VarId> vars;
   for (int v = 0; v < 14; ++v) {
-    vars.push_back(solver.new_variable("v" + std::to_string(v)));
+    vars.push_back(solver.new_variable(numbered("v", v)));
     solver.add_lower_bound(vars.back(), 0);
     solver.add_upper_bound(vars.back(), 30);
   }
@@ -471,7 +472,7 @@ TEST(SolverTest, ModelValidAfterDeepPopSequence) {
   std::vector<VarId> vars;
   std::vector<LinearConstraint> base;
   for (int v = 0; v < 4; ++v) {
-    vars.push_back(persistent.new_variable("v" + std::to_string(v)));
+    vars.push_back(persistent.new_variable(numbered("v", v)));
     persistent.add_lower_bound(vars.back(), 0);
     persistent.add_upper_bound(vars.back(), 20);
   }
@@ -495,7 +496,7 @@ TEST(SolverTest, ModelValidAfterDeepPopSequence) {
     }
     Solver fresh;
     for (std::size_t v = 0; v < vars.size(); ++v) {
-      const VarId fv = fresh.new_variable("v" + std::to_string(v));
+      const VarId fv = fresh.new_variable(numbered("v", v));
       fresh.add_lower_bound(fv, 0);
       fresh.add_upper_bound(fv, 20);
     }
@@ -530,6 +531,12 @@ TEST(LemmaPoolTest, DedupCapacityAndFreshness) {
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].premises, (std::vector<std::string>{"a<=0", "b>=1"}));
   EXPECT_TRUE(pool.take_fresh().empty());
+  // The snapshot lists every stored lemma, imported ones too, in insertion
+  // order.
+  const std::vector<Lemma> all = pool.snapshot();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].premises, (std::vector<std::string>{"a<=0", "b>=1"}));
+  EXPECT_EQ(all[1].premises, (std::vector<std::string>{"c<=0"}));
   // A probe hits iff every premise of some lemma is asserted; the reported
   // depth is that lemma's deepest premise.
   int depth = -1;
