@@ -50,7 +50,6 @@ class VectorConsensusProcess {
   /// Binary decision of one instance, if reached.
   std::optional<int> instance_decision(int instance) const;
   int decided_one_count() const;
-  bool proposal_delivered(int instance) const { return rbc_[instance].delivered(); }
 
  private:
   void start_instance(int instance, int input);

@@ -113,13 +113,6 @@ bool Runner::all_correct_decided() const {
                      [&](ProcessId id) { return processes_[id]->decision().has_value(); });
 }
 
-std::optional<int> Runner::first_decision() const {
-  for (const ProcessId id : correct_ids_) {
-    if (processes_[id]->decision()) return processes_[id]->decision();
-  }
-  return std::nullopt;
-}
-
 std::string Runner::agreement_violation() const {
   std::optional<int> seen;
   for (const ProcessId id : correct_ids_) {

@@ -85,8 +85,6 @@ class Runner {
   const RunnerConfig& config() const noexcept { return config_; }
 
   bool all_correct_decided() const;
-  /// Empty optional if no correct process decided yet.
-  std::optional<int> first_decision() const;
   /// "" if agreement holds so far, else a diagnostic.
   std::string agreement_violation() const;
   /// "" if every decision equals some correct input, else a diagnostic.

@@ -10,11 +10,13 @@
 // which schema of the query is being encoded.
 //
 // The pool stores such refutations as sorted vectors of canonical
-// inequality strings (full strings, never bare hashes: a hash collision
-// would fabricate an unsound "unsat" verdict). Solver::check() probes the
-// pool before searching; a hit short-circuits to kUnsat and reports the
-// scope depth of the deepest premise, which the checker turns into a
-// subtree cut (see hv/checker/learning.h).
+// inequality strings. Solver::check() probes the pool before searching; a
+// hit short-circuits to kUnsat and reports the scope depth of the deepest
+// premise, which the checker turns into a subtree cut (see
+// hv/checker/learning.h). The solver indexes its asserted premises by the
+// 64-bit FNV-1a key of their strings, but a key only nominates a premise:
+// the full string decides. A bare hash never decides a match, since a
+// collision would fabricate an unsound "unsat" verdict.
 //
 // Thread safety: one pool is shared by every encoder working on the same
 // query (in-process pool workers, or the distributed worker's per-query

@@ -1,6 +1,7 @@
 #include "hv/smt/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "hv/util/error.h"
@@ -9,7 +10,19 @@ namespace hv::smt {
 
 namespace {
 
-const Rational kZeroRational;
+// The entry for column `var` in a sorted row, or end() when the coefficient
+// is zero; lower_entry is the insertion point.
+template <typename Entries>
+auto lower_entry(Entries& entries, int var) {
+  return std::lower_bound(entries.begin(), entries.end(), var,
+                          [](const auto& entry, int column) { return entry.first < column; });
+}
+
+template <typename Entries>
+auto find_entry(Entries& entries, int var) {
+  const auto it = lower_entry(entries, var);
+  return it != entries.end() && it->first == var ? it : entries.end();
+}
 
 // Folds the delta of the thread-local Rational op counters over a scope into
 // Simplex::Stats. Placed on the mutating entry points (check, pop, add_row,
@@ -33,21 +46,10 @@ class ArithScope {
 
 }  // namespace
 
-const Rational& Simplex::coeff_at(const Row& row, int var) noexcept {
-  if (var < static_cast<int>(row.coeffs.size())) return row.coeffs[var];
-  return kZeroRational;
-}
-
-Rational& Simplex::coeff_ref(Row& row, int var) {
-  if (var >= static_cast<int>(row.coeffs.size())) {
-    row.coeffs.resize(static_cast<std::size_t>(var) + 1);
-  }
-  return row.coeffs[var];
-}
-
 int Simplex::add_variable() {
-  // Existing rows keep their width: the new column is implicitly zero.
+  // Existing rows are untouched: the new column has no entries yet.
   columns_.push_back(Column{});
+  if (columns_.size() > candidates_.size() * 64) candidates_.push_back(0);
   trail_.push_back({TrailKind::kAddVar, static_cast<int>(columns_.size()) - 1, std::nullopt});
   return static_cast<int>(columns_.size()) - 1;
 }
@@ -55,32 +57,36 @@ int Simplex::add_variable() {
 int Simplex::add_row(const std::vector<std::pair<int, BigInt>>& combination) {
   const ArithScope arith(stats_);
   const int slack = add_variable();
-  Row row;
-  row.basic_var = slack;
-  // Size the row once up front instead of growing it per written column.
-  std::size_t width = 0;
+  if (accumulator_.size() < columns_.size()) accumulator_.resize(columns_.size());
+  touched_.clear();
   for (const auto& [var, coeff] : combination) {
     HV_REQUIRE(var >= 0 && var < slack);
-    width = std::max(width, is_basic(var) ? rows_[columns_[var].row].coeffs.size()
-                                          : static_cast<std::size_t>(var) + 1);
-  }
-  row.coeffs.resize(width);
-  for (const auto& [var, coeff] : combination) {
     const Rational factor{coeff};
     if (is_basic(var)) {
       // Substitute the defining row of the basic variable.
-      const Row& defining = rows_[columns_[var].row];
-      for (int j = 0; j < static_cast<int>(defining.coeffs.size()); ++j) {
-        if (!defining.coeffs[j].is_zero()) row.coeffs[j].add_mul(factor, defining.coeffs[j]);
+      for (const auto& [column, value] : rows_[columns_[var].row].entries) {
+        accumulator_[column].add_mul(factor, value);
+        touched_.push_back(column);
       }
     } else {
-      row.coeffs[var] += factor;
+      accumulator_[var] += factor;
+      touched_.push_back(var);
     }
   }
-  // The slack starts basic; its assignment is the row value.
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  // Gather the nonzeros in column order and reset the accumulator. The slack
+  // starts basic; its assignment is the row value.
+  Row row;
+  row.basic_var = slack;
   Rational value;
-  for (int j = 0; j < static_cast<int>(row.coeffs.size()); ++j) {
-    if (!row.coeffs[j].is_zero()) value.add_mul(row.coeffs[j], columns_[j].assignment);
+  for (const int column : touched_) {
+    Rational& coeff = accumulator_[column];
+    if (!coeff.is_zero()) {
+      value.add_mul(coeff, columns_[column].assignment);
+      row.entries.emplace_back(column, std::move(coeff));
+    }
+    coeff = Rational();
   }
   columns_[slack].assignment = std::move(value);
   columns_[slack].row = static_cast<int>(rows_.size());
@@ -100,7 +106,11 @@ bool Simplex::assert_lower(int var, const Rational& bound, int tag) {
   trail_.push_back({TrailKind::kLower, var, column.lower, column.lower_tag});
   column.lower = bound;
   column.lower_tag = tag;
-  if (!is_basic(var) && column.assignment < bound) update_nonbasic(var, bound);
+  if (is_basic(var)) {
+    mark_candidate(var);
+  } else if (column.assignment < bound) {
+    update_nonbasic(var, bound);
+  }
   return true;
 }
 
@@ -115,7 +125,11 @@ bool Simplex::assert_upper(int var, const Rational& bound, int tag) {
   trail_.push_back({TrailKind::kUpper, var, column.upper, column.upper_tag});
   column.upper = bound;
   column.upper_tag = tag;
-  if (!is_basic(var) && column.assignment > bound) update_nonbasic(var, bound);
+  if (is_basic(var)) {
+    mark_candidate(var);
+  } else if (column.assignment > bound) {
+    update_nonbasic(var, bound);
+  }
   return true;
 }
 
@@ -127,7 +141,6 @@ void Simplex::pop() {
     TrailEntry& entry = trail_.back();
     if (entry.kind == TrailKind::kMark) {
       trail_.pop_back();
-      shed_column_tails();
       return;
     }
     if (entry.kind == TrailKind::kAddVar) {
@@ -145,8 +158,8 @@ void Simplex::pop() {
       column.upper_tag = entry.previous_tag;
     }
     trail_.pop_back();
-    // Assignments are left as-is: they may violate nothing anymore, and
-    // check() repairs any remaining violations.
+    // Assignments are left as-is: a restored bound is looser, so it adds no
+    // violation, and check() repairs any remaining ones.
   }
   throw InternalError("Simplex::pop without matching push");
 }
@@ -169,48 +182,42 @@ void Simplex::remove_last_variable() {
   const int var = static_cast<int>(columns_.size()) - 1;
   int row_index = columns_[var].row;
   if (row_index < 0) {
-    // Nonbasic: pivot the variable into some row mentioning it, if any.
+    // Nonbasic: pivot the variable into the first row mentioning it, if
+    // any. It is the highest column, so a row mentions it iff its last
+    // entry does.
     for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
-      if (!coeff_at(rows_[r], var).is_zero()) {
-        const int evicted = rows_[r].basic_var;
-        pivot(r, var);
-        // The evicted variable is nonbasic now and must sit within its
-        // bounds again (check() only ever repairs *basic* violations).
-        if (!within_lower(evicted)) {
-          update_nonbasic(evicted, *columns_[evicted].lower);
-        } else if (!within_upper(evicted)) {
-          update_nonbasic(evicted, *columns_[evicted].upper);
-        }
-        row_index = r;
-        break;
+      const std::vector<Entry>& entries = rows_[r].entries;
+      if (entries.empty() || entries.back().first != var) continue;
+      const int evicted = rows_[r].basic_var;
+      pivot(r, var);
+      // The evicted variable is nonbasic now and must sit within its
+      // bounds again (check() only ever repairs *basic* violations).
+      if (!within_lower(evicted)) {
+        update_nonbasic(evicted, *columns_[evicted].lower);
+      } else if (!within_upper(evicted)) {
+        update_nonbasic(evicted, *columns_[evicted].upper);
       }
+      row_index = r;
+      break;
     }
   }
   if (row_index >= 0) remove_row(row_index);
   columns_.pop_back();
-  // Surviving rows provably carry zero coefficients on the dropped column
-  // (their equalities range over surviving variables only). The tail entries
-  // are shed once per pop() rather than per deleted variable — coeff_at
-  // already reads the not-yet-trimmed zeros correctly in the meantime.
-}
-
-void Simplex::shed_column_tails() {
-  for (Row& row : rows_) {
-    while (row.coeffs.size() > columns_.size()) {
-      HV_REQUIRE(row.coeffs.back().is_zero());
-      row.coeffs.pop_back();
-    }
-  }
+  candidates_[static_cast<std::size_t>(var) / 64] &= ~(std::uint64_t{1} << (var % 64));
+  candidates_.resize((columns_.size() + 63) / 64);
+  // The surviving equalities range over surviving variables only, so no
+  // row may still mention the dropped column.
+  for (const Row& row : rows_) HV_REQUIRE(row.entries.empty() || row.entries.back().first < var);
 }
 
 void Simplex::update_nonbasic(int var, const Rational& new_value) {
   const Rational delta = new_value - columns_[var].assignment;
   if (delta.is_zero()) return;
-  for (Row& row : rows_) {
-    const Rational& coeff = coeff_at(row, var);
-    if (!coeff.is_zero()) {
-      columns_[row.basic_var].assignment.add_mul(coeff, delta);
-    }
+  for (const Row& row : rows_) {
+    const auto entry = find_entry(row.entries, var);
+    if (entry == row.entries.end()) continue;
+    columns_[row.basic_var].assignment.add_mul(entry->second, delta);
+    mark_candidate(row.basic_var);
   }
   columns_[var].assignment = new_value;
 }
@@ -225,56 +232,80 @@ bool Simplex::within_upper(int var) const {
   return !column.upper || column.assignment <= *column.upper;
 }
 
+void Simplex::mark_candidate(int var) {
+  candidates_[static_cast<std::size_t>(var) / 64] |= std::uint64_t{1} << (var % 64);
+}
+
 void Simplex::pivot(int row_index, int entering_var) {
   Row& row = rows_[row_index];
   const int leaving_var = row.basic_var;
-  const Rational pivot_coeff = coeff_at(row, entering_var);
-  HV_REQUIRE(!pivot_coeff.is_zero());
+  const auto pivot_entry = find_entry(row.entries, entering_var);
+  HV_REQUIRE(pivot_entry != row.entries.end());
 
   // Rewrite the pivot row to define the entering variable:
   //   leaving = sum a_j x_j  ==>  entering = leaving/a_e - sum_{j!=e} (a_j/a_e) x_j
   // One reciprocal replaces a division per entry (and the Rational(1)/a_e of
   // the leaving column): multiplication cross-reduces with machine-word gcds.
-  const Rational recip = pivot_coeff.reciprocal();
+  const Rational recip = pivot_entry->second.reciprocal();
   Rational neg_recip = recip;
   neg_recip.negate();
-  coeff_ref(row, entering_var) = Rational();
-  for (Rational& coeff : row.coeffs) {
-    if (!coeff.is_zero()) coeff *= neg_recip;
-  }
-  coeff_ref(row, leaving_var) = recip;
+  row.entries.erase(pivot_entry);
+  for (Entry& entry : row.entries) entry.second *= neg_recip;
+  row.entries.insert(lower_entry(row.entries, leaving_var), Entry{leaving_var, recip});
   row.basic_var = entering_var;
   columns_[entering_var].row = row_index;
   columns_[leaving_var].row = -1;
 
-  // Substitute the entering variable out of all other rows. The fused
-  // add_mul avoids a temporary Rational per inner-loop entry, and the row is
-  // widened once up front so the inner loop indexes without bounds upkeep.
+  // Substitute the entering variable out of all other rows: a sorted merge
+  // of each row with factor * (pivot row), dropping the entering entry and
+  // any coefficient that cancels. The fused add_mul avoids a temporary
+  // Rational per entry.
   for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
     if (r == row_index) continue;
-    Row& other = rows_[r];
-    const Rational factor = coeff_at(other, entering_var);
-    if (factor.is_zero()) continue;
-    if (other.coeffs.size() < row.coeffs.size()) other.coeffs.resize(row.coeffs.size());
-    other.coeffs[entering_var] = Rational();
-    for (int j = 0; j < static_cast<int>(row.coeffs.size()); ++j) {
-      if (!row.coeffs[j].is_zero()) other.coeffs[j].add_mul(factor, row.coeffs[j]);
+    std::vector<Entry>& other = rows_[r].entries;
+    const auto hit = find_entry(other, entering_var);
+    if (hit == other.end()) continue;
+    const Rational factor = std::move(hit->second);
+    merged_.reserve(other.size() + row.entries.size());
+    auto a = other.begin();
+    auto b = row.entries.cbegin();
+    while (a != other.end() || b != row.entries.cend()) {
+      if (b == row.entries.cend() || (a != other.end() && a->first < b->first)) {
+        if (a->first != entering_var) merged_.push_back(std::move(*a));
+        ++a;
+      } else if (a == other.end() || b->first < a->first) {
+        Rational product;
+        product.add_mul(factor, b->second);
+        merged_.emplace_back(b->first, std::move(product));
+        ++b;
+      } else {
+        a->second.add_mul(factor, b->second);
+        if (!a->second.is_zero()) merged_.push_back(std::move(*a));
+        ++a;
+        ++b;
+      }
     }
+    other.swap(merged_);
+    merged_.clear();
   }
 }
 
 void Simplex::pivot_and_update(int row_index, int entering_var, const Rational& target) {
   ++stats_.pivots;
-  const int leaving_var = rows_[row_index].basic_var;
-  const Rational coeff = coeff_at(rows_[row_index], entering_var);
-  const Rational theta = (target - columns_[leaving_var].assignment) / coeff;
+  const Row& pivot_row = rows_[row_index];
+  const int leaving_var = pivot_row.basic_var;
+  const Rational theta = (target - columns_[leaving_var].assignment) /
+                         find_entry(pivot_row.entries, entering_var)->second;
   columns_[leaving_var].assignment = target;
   columns_[entering_var].assignment += theta;
+  mark_candidate(entering_var);
   for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
     if (r == row_index) continue;
     const Row& row = rows_[r];
-    const Rational& c = coeff_at(row, entering_var);
-    if (!c.is_zero()) columns_[row.basic_var].assignment.add_mul(c, theta);
+    const auto entry = find_entry(row.entries, entering_var);
+    if (entry == row.entries.end()) continue;
+    columns_[row.basic_var].assignment.add_mul(entry->second, theta);
+    mark_candidate(row.basic_var);
   }
   pivot(row_index, entering_var);
 }
@@ -286,19 +317,27 @@ bool Simplex::check() {
       throw Error("smt: simplex pivot budget exceeded");
     }
     // Bland's rule: the violating basic variable with the smallest index.
+    // Every violating basic variable is a candidate, and candidates are
+    // visited in ascending order, so the first violation found is the
+    // smallest; candidates found within bounds (or nonbasic) are dropped.
     int violating = -1;
     bool needs_increase = false;
-    for (int var = 0; var < static_cast<int>(columns_.size()); ++var) {
-      if (!is_basic(var)) continue;
-      if (!within_lower(var)) {
-        violating = var;
-        needs_increase = true;
-        break;
-      }
-      if (!within_upper(var)) {
-        violating = var;
-        needs_increase = false;
-        break;
+    for (std::size_t word = 0; word < candidates_.size() && violating == -1; ++word) {
+      for (std::uint64_t bits = candidates_[word]; bits != 0; bits &= bits - 1) {
+        const int var = static_cast<int>(word * 64) + std::countr_zero(bits);
+        if (is_basic(var)) {
+          if (!within_lower(var)) {
+            violating = var;
+            needs_increase = true;
+            break;
+          }
+          if (!within_upper(var)) {
+            violating = var;
+            needs_increase = false;
+            break;
+          }
+        }
+        candidates_[word] &= ~(std::uint64_t{1} << (var % 64));
       }
     }
     if (violating == -1) return true;
@@ -306,11 +345,9 @@ bool Simplex::check() {
     const Row& row = rows_[columns_[violating].row];
     const Rational target =
         needs_increase ? *columns_[violating].lower : *columns_[violating].upper;
+    // Entries are the row's nonbasic variables in ascending column order.
     int entering = -1;
-    for (int var = 0; var < static_cast<int>(columns_.size()); ++var) {
-      if (is_basic(var) || var == violating) continue;
-      const Rational& coeff = coeff_at(row, var);
-      if (coeff.is_zero()) continue;
+    for (const auto& [var, coeff] : row.entries) {
       const bool coeff_positive = coeff.is_positive();
       // To increase the basic value we can raise a positive-coefficient
       // variable below its upper bound or lower a negative-coefficient
@@ -342,10 +379,7 @@ bool Simplex::check() {
         last_conflict_.emplace_back(
             needs_increase ? columns_[violating].lower_tag : columns_[violating].upper_tag,
             Rational(1));
-        for (int var = 0; var < static_cast<int>(columns_.size()); ++var) {
-          if (is_basic(var) || var == violating) continue;
-          const Rational& coeff = coeff_at(row, var);
-          if (coeff.is_zero()) continue;
+        for (const auto& [var, coeff] : row.entries) {
           // needs_increase: a_j > 0 blocks at upper, a_j < 0 at lower;
           // mirrored when the violated bound is the upper one.
           const bool at_upper = coeff.is_positive() == needs_increase;

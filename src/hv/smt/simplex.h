@@ -8,6 +8,14 @@
 // tightens a bound, so backtracking restores bounds from a trail and never
 // has to undo pivots.
 //
+// The tableau is sparse: a row stores only its nonzero coefficients, sorted
+// by column, so a pivot costs the width of the rows it touches rather than
+// the column count. check() does not scan every column for Bland's violated
+// variable either: a candidate bitset holds every basic variable that may
+// sit outside its bounds, and the scan walks it in ascending order, so the
+// smallest-index choice — and with it every pivot — is the one a full scan
+// would make.
+//
 // The trail is also *structural*: variables and rows created after a push()
 // are deleted again by the matching pop(), so the solver layer can expose an
 // incremental assertion stack (scoped constraints, not just scoped bounds).
@@ -25,8 +33,9 @@
 #ifndef HV_SMT_SIMPLEX_H
 #define HV_SMT_SIMPLEX_H
 
+#include <cstdint>
 #include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "hv/smt/linear.h"
@@ -68,8 +77,6 @@ class Simplex {
   /// created since the matching push().
   void push();
   void pop();
-
-  int row_count() const noexcept { return static_cast<int>(rows_.size()); }
 
   struct Stats {
     /// Feasibility-restoring pivots performed by check().
@@ -114,19 +121,16 @@ class Simplex {
     int row = -1;
   };
 
+  using Entry = std::pair<int, Rational>;
+
   struct Row {
     int basic_var = -1;
-    // Coefficients over variables; the vector only extends as far as the
-    // row's highest written column — columns beyond coeffs.size() are
-    // implicitly zero, so adding a variable never touches existing rows.
-    // Entries for basic variables are zero except the implicit -1 on
-    // basic_var itself (row reads basic_var = sum coeffs[j]*var_j).
-    std::vector<Rational> coeffs;
+    // The row reads basic_var = sum coeff * var over its entries: the
+    // nonzero coefficients of nonbasic variables, sorted by column. Basic
+    // variables never appear and cancelled coefficients are dropped, so
+    // adding a variable touches no row and a deleted column leaves no entry.
+    std::vector<Entry> entries;
   };
-
-  // Implicit-zero column accessors.
-  static const Rational& coeff_at(const Row& row, int var) noexcept;
-  static Rational& coeff_ref(Row& row, int var);
 
   enum class TrailKind { kLower, kUpper, kAddVar, kMark };
   struct TrailEntry {
@@ -138,14 +142,14 @@ class Simplex {
 
   bool is_basic(int var) const noexcept { return columns_[var].row >= 0; }
   void remove_last_variable();
-  // Trims row widths back to the column count after structural deletion.
-  void shed_column_tails();
   void remove_row(int row_index);
   void update_nonbasic(int var, const Rational& new_value);
   void pivot(int row_index, int entering_var);
   void pivot_and_update(int row_index, int entering_var, const Rational& target);
   bool within_lower(int var) const;
   bool within_upper(int var) const;
+  // Adds `var` to the violation candidates (see check()).
+  void mark_candidate(int var);
 
   std::vector<Column> columns_;
   std::vector<Row> rows_;
@@ -154,6 +158,16 @@ class Simplex {
   std::int64_t pivot_limit_ = 0;
   bool track_conflicts_ = false;
   std::vector<std::pair<int, Rational>> last_conflict_;
+  // Bitset over columns holding every basic variable outside its bounds
+  // (and possibly others): set whenever a basic variable's bound tightens
+  // or its assignment moves, cleared when check() finds the variable within
+  // bounds or nonbasic, or when its column is deleted.
+  std::vector<std::uint64_t> candidates_;
+  // add_row's dense accumulator (all zero between calls) and the columns it
+  // touched; pivot's merge buffer. Kept to reuse their allocations.
+  std::vector<Rational> accumulator_;
+  std::vector<int> touched_;
+  std::vector<Entry> merged_;
 };
 
 }  // namespace hv::smt

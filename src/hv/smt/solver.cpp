@@ -2,11 +2,30 @@
 
 #include <algorithm>
 #include <charconv>
+#include <string_view>
 #include <utility>
 
 #include "hv/util/error.h"
+#include "hv/util/hash.h"
 
 namespace hv::smt {
+
+namespace {
+
+// Feeds the decimal digits of `value` to `sink`: those of BigInt::to_string,
+// without allocating when the value fits a machine word.
+template <typename Sink>
+void write_integer(const BigInt& value, Sink& sink) {
+  if (value.fits_int64()) {
+    char digits[20];
+    const char* end = std::to_chars(digits, digits + sizeof digits, value.to_int64()).ptr;
+    sink(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  } else {
+    sink(std::string_view(value.to_string()));
+  }
+}
+
+}  // namespace
 
 Solver::Solver() = default;
 
@@ -158,12 +177,13 @@ void Solver::pop() {
   names_.resize(scope.name_count);
   if (learn_) {
     // Retract the signature index entries of the premises dying with this
-    // scope (their depth entries are the suffix of each signature's list).
-    for (std::size_t i = scope.premise_count; i < premises_.size(); ++i) {
+    // scope, youngest first (their indices are the suffix of each key's list).
+    for (std::size_t i = premises_.size(); i-- > scope.premise_count;) {
       const PremiseRec& rec = premises_[i];
-      if (rec.sig.empty()) continue;
-      const auto it = asserted_sigs_.find(rec.sig);
-      HV_REQUIRE(it != asserted_sigs_.end() && !it->second.empty());
+      if (rec.origin != proof::PremiseOrigin::kConstraint) continue;
+      const auto it = asserted_sigs_.find(rec.key);
+      HV_REQUIRE(it != asserted_sigs_.end() && !it->second.empty() &&
+                 it->second.back() == static_cast<int>(i));
       it->second.pop_back();
       if (it->second.empty()) asserted_sigs_.erase(it);
     }
@@ -300,14 +320,15 @@ void Solver::add_clause(std::vector<Literal> literals) {
 
 int Solver::record_premise(proof::PremiseOrigin origin, int atom, bool positive, int var,
                            Relation rel, BigInt bound) {
-  PremiseRec rec{origin, atom, positive, var, rel, std::move(bound),
-                 static_cast<int>(scopes_.size()), {}};
+  const int index = static_cast<int>(premises_.size());
+  premises_.push_back({origin, atom, positive, var, rel, std::move(bound),
+                       static_cast<int>(scopes_.size()), 0});
   if (learn_ && origin == proof::PremiseOrigin::kConstraint) {
-    rec.sig = premise_signature(var, rel, rec.bound);
-    asserted_sigs_[rec.sig].push_back(rec.depth);
+    PremiseRec& rec = premises_.back();
+    rec.key = premise_key(rec);
+    asserted_sigs_[rec.key].push_back(index);
   }
-  premises_.push_back(std::move(rec));
-  return static_cast<int>(premises_.size()) - 1;
+  return index;
 }
 
 proof::NamedTerms Solver::named_terms_for(int var) const {
@@ -323,28 +344,50 @@ proof::NamedTerms Solver::named_terms_for(int var) const {
   return terms;
 }
 
-std::string Solver::premise_signature(int var, Relation rel, const BigInt& bound) const {
-  const proof::NamedTerms terms = named_terms_for(var);
-  std::string sig;
-  for (const auto& [name, coeff] : terms) {
-    sig += coeff.to_string();
-    sig += '*';
-    sig += name;
-    sig += '+';
+template <typename Sink>
+void Solver::write_signature(const PremiseRec& rec, Sink&& sink) {
+  // The terms named_terms_for(rec.var) lists, viewed in place.
+  static const BigInt kOne(1);
+  signature_terms_.clear();
+  if (rec.var < static_cast<int>(slack_defs_.size()) && !slack_defs_[rec.var].empty()) {
+    for (const auto& [v, coeff] : slack_defs_[rec.var]) {
+      signature_terms_.emplace_back(&names_[v], &coeff);
+    }
+  } else {
+    signature_terms_.emplace_back(&names_[rec.var], &kOne);
   }
-  switch (rel) {
+  std::sort(signature_terms_.begin(), signature_terms_.end(),
+            [](const auto& lhs, const auto& rhs) { return *lhs.first < *rhs.first; });
+  for (const auto& [name, coeff] : signature_terms_) {
+    write_integer(*coeff, sink);
+    sink(std::string_view("*"));
+    sink(std::string_view(*name));
+    sink(std::string_view("+"));
+  }
+  switch (rec.rel) {
     case Relation::kLe:
-      sig += "<=";
+      sink(std::string_view("<="));
       break;
     case Relation::kGe:
-      sig += ">=";
+      sink(std::string_view(">="));
       break;
     case Relation::kEq:
-      sig += "==";
+      sink(std::string_view("=="));
       break;
   }
-  sig += bound.to_string();
+  write_integer(rec.bound, sink);
+}
+
+std::string Solver::premise_signature(const PremiseRec& rec) {
+  std::string sig;
+  write_signature(rec, [&](std::string_view piece) { sig += piece; });
   return sig;
+}
+
+std::uint64_t Solver::premise_key(const PremiseRec& rec) {
+  std::uint64_t key = kFnvOffsetBasis;
+  write_signature(rec, [&](std::string_view piece) { key = fnv1a(piece, key); });
+  return key;
 }
 
 int Solver::note_simplex_conflict() {
@@ -356,20 +399,22 @@ int Solver::note_simplex_conflict() {
   // the refutation's scope requirement.
   int depth = 0;
   bool pure = true;
-  Lemma lemma;
   for (const auto& [tag, multiplier] : simplex_.last_conflict()) {
     HV_REQUIRE(tag >= 0 && tag < static_cast<int>(premises_.size()));
     const PremiseRec& rec = premises_[tag];
     if (rec.origin == proof::PremiseOrigin::kConstraint) {
       depth = std::max(depth, rec.depth);
-      if (lemmas_ != nullptr) lemma.premises.push_back(rec.sig);
     } else {
       pure = false;
     }
     (void)multiplier;
   }
   conflict_scope_depth_ = std::max(conflict_scope_depth_, depth);
-  if (pure && lemmas_ != nullptr && !lemma.premises.empty()) {
+  if (pure && lemmas_ != nullptr && !simplex_.last_conflict().empty()) {
+    Lemma lemma;
+    for (const auto& [tag, multiplier] : simplex_.last_conflict()) {
+      lemma.premises.push_back(premise_signature(premises_[tag]));
+    }
     if (lemmas_->insert(std::move(lemma))) ++stats_.lemmas_learned;
   }
   return depth;
@@ -483,11 +528,16 @@ CheckResult Solver::check() {
     // context without touching the simplex. The depth it reports is the
     // deepest scope any matched premise needs, so the subtree-cut contract
     // of conflict_scope_depth() carries over.
+    // A key hit only nominates a premise; its rendered string decides. The
+    // indices ascend with depth, so the first confirmed one is shallowest.
     int depth = -1;
     const auto min_depth = [&](const std::string& sig) -> int {
-      const auto it = asserted_sigs_.find(sig);
-      if (it == asserted_sigs_.end() || it->second.empty()) return -1;
-      return it->second.front();
+      const auto it = asserted_sigs_.find(fnv1a(sig));
+      if (it == asserted_sigs_.end()) return -1;
+      for (const int index : it->second) {
+        if (premise_signature(premises_[index]) == sig) return premises_[index].depth;
+      }
+      return -1;
     };
     if (lemmas_->probe(min_depth, &depth)) {
       ++stats_.lemma_hits;

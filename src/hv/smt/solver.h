@@ -156,7 +156,7 @@ class Solver {
 
   /// Turns on certificate emission. Must be called on a pristine solver
   /// (before any variable or assertion). Every subsequent kUnsat check()
-  /// leaves a proof tree in last_proof(); kSat leaves the named integer
+  /// leaves a proof tree for take_last_proof(); kSat leaves the named integer
   /// model in model_assignment().
   void enable_certificates();
   bool certifying() const noexcept { return certify_; }
@@ -184,10 +184,8 @@ class Solver {
   /// scope — is therefore already unsatisfiable.
   int conflict_scope_depth() const noexcept { return conflict_scope_depth_; }
 
-  /// Proof for the most recent check() == kUnsat (null after kSat or when
-  /// certificates are disabled). Valid until the next check().
-  const proof::Node* last_proof() const noexcept { return last_proof_.get(); }
-  /// Transfers ownership of the last proof to the caller.
+  /// Transfers ownership of the proof for the most recent check() == kUnsat
+  /// to the caller (null after kSat or when certificates are disabled).
   std::unique_ptr<proof::Node> take_last_proof() noexcept { return std::move(last_proof_); }
 
   /// The last model as (name, value) pairs over the caller's named
@@ -234,10 +232,10 @@ class Solver {
     Relation rel = Relation::kLe;
     BigInt bound;
     // Learning mode: scope depth the premise was asserted at, and (for
-    // kConstraint premises) the canonical name-space inequality string used
-    // as its lemma-pool signature.
+    // kConstraint premises) the FNV-1a key of its canonical name-space
+    // inequality string, the lemma-pool signature (premise_signature).
     int depth = 0;
-    std::string sig;
+    std::uint64_t key = 0;
   };
 
   NormalizedAtom normalize(const LinearConstraint& constraint);
@@ -253,8 +251,13 @@ class Solver {
   // The (slack-substituted) named terms the simplex variable stands for.
   proof::NamedTerms named_terms_for(int var) const;
   // Canonical name-space rendering of "terms(var) rel bound" (lemma-pool
-  // signature; learning mode only).
-  std::string premise_signature(int var, Relation rel, const BigInt& bound) const;
+  // signature; learning mode only), and its FNV-1a key, streamed from the
+  // same bytes without building the string.
+  std::string premise_signature(const PremiseRec& rec);
+  std::uint64_t premise_key(const PremiseRec& rec);
+  // Feeds the signature to `sink` piece by piece.
+  template <typename Sink>
+  void write_signature(const PremiseRec& rec, Sink&& sink);
   // Learning mode, called at every simplex conflict: folds the depth of the
   // cited permanent constraints into conflict_scope_depth_, banks the
   // conflict as a lemma when it is a pure Farkas combination of permanent
@@ -330,10 +333,13 @@ class Solver {
   bool learn_ = false;
   LemmaPool* lemmas_ = nullptr;
   int conflict_scope_depth_ = 0;
-  // Canonical inequality string -> ascending scope depths currently
-  // asserting it (premises are recorded/retracted stack-wise, so each
-  // vector stays sorted and pop() trims a suffix).
-  std::unordered_map<std::string, std::vector<int>> asserted_sigs_;
+  // Signature key -> ascending indices of the live kConstraint premises
+  // with that key (premises are recorded/retracted stack-wise, so each
+  // vector stays sorted and pop() trims a suffix). A key only nominates:
+  // a lemma-probe hit is confirmed by comparing full strings.
+  std::unordered_map<std::uint64_t, std::vector<int>> asserted_sigs_;
+  // write_signature's name-sorted term view, kept to reuse its allocation.
+  std::vector<std::pair<const std::string*, const BigInt*>> signature_terms_;
 
   // Trace mode. Every recorded constraint's term-name-set filter
   // (proof::name_set_filter) is computed once, from the per-variable

@@ -25,11 +25,6 @@ inline smt::VarId counter_state_var(const ta::ThresholdAutomaton& ta, ta::Locati
   return ta.variable_count() + location;
 }
 
-/// Total number of state variables (TA variables + location counters).
-inline int state_var_count(const ta::ThresholdAutomaton& ta) {
-  return ta.variable_count() + ta.location_count();
-}
-
 /// Expression kappa[location].
 inline smt::LinearExpr counter_expr(const ta::ThresholdAutomaton& ta, ta::LocationId location) {
   return smt::LinearExpr::variable(counter_state_var(ta, location));

@@ -96,7 +96,6 @@ class ThresholdAutomaton {
   const std::vector<smt::LinearConstraint>& resilience() const noexcept { return resilience_; }
   const smt::LinearExpr& process_count() const noexcept { return process_count_; }
 
-  VarKind variable_kind(VarId id) const { return variables_[id].kind; }
   const std::string& variable_name(VarId id) const { return variables_[id].name; }
   bool is_parameter(VarId id) const { return variables_[id].kind == VarKind::kParameter; }
   bool is_shared(VarId id) const { return variables_[id].kind == VarKind::kShared; }

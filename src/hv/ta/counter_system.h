@@ -41,7 +41,6 @@ class CounterSystem {
 
   /// Dense index of a shared variable within Config::shared.
   int shared_index(VarId id) const;
-  VarId shared_var_at(int index) const { return shared_vars_[index]; }
   int shared_count() const noexcept { return static_cast<int>(shared_vars_.size()); }
 
   /// All initial configurations: every distribution of the processes over

@@ -304,6 +304,27 @@ std::vector<dist::PropertySpec> ltl_specs(const std::vector<std::string>& props,
   return specs;
 }
 
+/// The automaton's bundled default properties (the Table-2 set for the
+/// simplified consensus automaton): what check, serve and submit run without
+/// --prop. Throws "<command>: --prop is required (...)" when it bundles none.
+std::vector<spec::Property> default_properties(const std::string& command,
+                                               const ta::ThresholdAutomaton& ta) {
+  if (!models::has_bundled_properties(ta.name())) {
+    throw InvalidArgument(command + ": --prop is required (no bundled properties for automaton '" +
+                          ta.name() + "')");
+  }
+  return models::bundled_properties(ta, /*table2_defaults=*/true);
+}
+
+/// Bundled properties travel to workers and the daemon by name.
+std::vector<dist::PropertySpec> bundled_specs(const std::vector<spec::Property>& properties) {
+  std::vector<dist::PropertySpec> specs;
+  for (const spec::Property& property : properties) {
+    specs.push_back({property.name, "", /*bundled=*/true});
+  }
+  return specs;
+}
+
 void print_result_text(const ta::ThresholdAutomaton& ta, const checker::PropertyResult& result,
                        std::ostream& out) {
   out << result.property << ": " << checker::to_string(result.verdict) << " ("
@@ -422,17 +443,9 @@ int command_check(Args& args, std::ostream& out) {
   const ta::ThresholdAutomaton ta = ta::parse_ta(model_text).one_round_reduction();
   const std::vector<dist::PropertySpec> ltl = ltl_specs(props, names);
   std::vector<spec::Property> properties;
-  if (!ltl.empty()) {
-    for (const dist::PropertySpec& spec : ltl) {
-      properties.push_back(spec::compile(ta, spec.name, spec.formula));
-    }
-  } else if (models::has_bundled_properties(ta.name())) {
-    // The model's bundled default set (the Table-2 properties for the
-    // simplified consensus automaton), as serve and submit use.
-    properties = models::bundled_properties(ta, /*table2_defaults=*/true);
-  } else {
-    throw InvalidArgument("check: --prop is required (no bundled properties for automaton '" +
-                          ta.name() + "')");
+  if (ltl.empty()) properties = default_properties("check", ta);
+  for (const dist::PropertySpec& spec : ltl) {
+    properties.push_back(spec::compile(ta, spec.name, spec.formula));
   }
 
   std::vector<checker::PropertyResult> results;
@@ -441,12 +454,7 @@ int command_check(Args& args, std::ostream& out) {
     // Fork-local distributed mode: N worker processes over a private unix
     // socket. The specs travel by name/formula; workers recompile them
     // against their own parse of the model text.
-    std::vector<dist::PropertySpec> specs = ltl;
-    if (specs.empty()) {
-      for (const spec::Property& property : properties) {
-        specs.push_back({property.name, "", /*bundled=*/true});
-      }
-    }
+    const std::vector<dist::PropertySpec> specs = ltl.empty() ? bundled_specs(properties) : ltl;
     dist::DistOptions dist_options;
     dist_options.check = options;
     dist_options.spot_check_rate = spot_check_rate;
@@ -526,18 +534,9 @@ int command_serve(Args& args, std::ostream& out) {
 
   const std::string model_text = read_file(*model_path);
   const ta::ThresholdAutomaton ta = ta::parse_ta(model_text).one_round_reduction();
+  // LTL properties from the command line travel by formula.
   std::vector<dist::PropertySpec> specs = ltl_specs(props, names);
-  if (!specs.empty()) {
-    // LTL properties from the command line travel by formula.
-  } else if (models::has_bundled_properties(ta.name())) {
-    for (const spec::Property& property :
-         models::bundled_properties(ta, /*table2_defaults=*/true)) {
-      specs.push_back({property.name, "", /*bundled=*/true});
-    }
-  } else {
-    throw InvalidArgument("serve: --prop is required (no bundled properties for automaton '" +
-                          ta.name() + "')");
-  }
+  if (specs.empty()) specs = bundled_specs(default_properties("serve", ta));
 
   dist::DistStats stats;
   const std::vector<checker::PropertyResult> results =
@@ -689,14 +688,7 @@ int command_submit(Args& args, std::ostream& out) {
   request.specs = ltl_specs(props, names);
   if (request.specs.empty()) {
     const ta::ThresholdAutomaton ta = ta::parse_ta(request.model_text).one_round_reduction();
-    if (!models::has_bundled_properties(ta.name())) {
-      throw InvalidArgument("submit: --prop is required (no bundled properties for automaton '" +
-                            ta.name() + "')");
-    }
-    for (const spec::Property& property :
-         models::bundled_properties(ta, /*table2_defaults=*/true)) {
-      request.specs.push_back({property.name, "", /*bundled=*/true});
-    }
+    request.specs = bundled_specs(default_properties("submit", ta));
   }
 
   service::Client client(connect);

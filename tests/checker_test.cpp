@@ -16,6 +16,7 @@
 #include "hv/checker/journal.h"
 #include "hv/checker/run.h"
 #include "hv/util/error.h"
+#include "hv/util/rational.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/schema.h"
 #include "hv/spec/compile.h"
@@ -1046,6 +1047,54 @@ TEST(LeaseBookTest, ResumedCutLandsInItsOwnPropertysIndex) {
   EXPECT_EQ(book.learning(1)->queries[0].cuts.size(), 1u);
   for (const QueryLearning& query : book.learning(0)->queries) {
     EXPECT_EQ(query.cuts.size(), 0u);
+  }
+}
+
+TEST(ParameterizedTest, PinnedSimplexArithmetic) {
+  // The simplex's pivot sequence and rational arithmetic are part of the
+  // checker's observable behaviour: certificates cite its Farkas
+  // combinations and learning banks its conflicts. These figures pin them
+  // on a few bundled properties at one thread, so any change to the pivot
+  // sequence is a deliberate one. The op count is fast plus big ops; the
+  // BigInt-only representation (HV_NO_FAST_RATIONAL) counts its fused and
+  // normalizing steps differently, so it has its own figure.
+  CheckOptions learning;
+  if (!lemmas_enabled(learning)) GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  CheckOptions certify;
+  certify.certify = true;
+  const ta::ThresholdAutomaton simplified = hv::models::simplified_consensus_one_round();
+  const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
+  const auto named = [](const std::vector<spec::Property>& properties, const std::string& name) {
+    for (const spec::Property& property : properties) {
+      if (property.name == name) return property;
+    }
+    throw InvalidArgument("no property " + name);
+  };
+  const spec::Property inv1 = named(hv::models::simplified_table2_properties(simplified), "Inv1_0");
+  struct Pin {
+    const char* label;
+    const ta::ThresholdAutomaton& ta;
+    spec::Property property;
+    const CheckOptions& options;
+    std::int64_t pivots;
+    std::int64_t rational_ops;
+    std::int64_t bigint_only_ops;
+  };
+  const Pin pins[] = {
+      {"simplified Inv1_0, learning", simplified, inv1, learning, 1513, 1637815, 2972225},
+      {"simplified Inv1_0, certify", simplified, inv1, certify, 3058, 18607173, 31324334},
+      {"BV-Obl0", bv, named(hv::models::bv_properties(bv), "BV-Obl0"), learning, 728, 131433,
+       250854},
+      {"BV-Unif1", bv, named(hv::models::bv_properties(bv), "BV-Unif1"), learning, 1053, 200258,
+       383731},
+  };
+  for (const Pin& pin : pins) {
+    const PropertyResult result = check_property(pin.ta, pin.property, pin.options);
+    EXPECT_EQ(result.verdict, Verdict::kHolds) << pin.label;
+    EXPECT_EQ(result.simplex_pivots, pin.pivots) << pin.label;
+    EXPECT_EQ(result.rational_fast_ops + result.rational_big_ops,
+              Rational::fast_path_enabled() ? pin.rational_ops : pin.bigint_only_ops)
+        << pin.label;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -298,15 +299,25 @@ TEST(DistProtocol, PropertySpecsSurviveTheWire) {
 
 // --- end to end over a unix socket ------------------------------------------
 
+/// A coordinator serving on its own thread. Destruction cancels a run still
+/// in progress and joins it, so a failed ASSERT_* ends the test with one
+/// failure instead of std::terminate on a joinable thread.
 struct ServeRun {
   std::string model = kEchoModel;
   std::vector<checker::PropertyResult> results;
   DistStats stats;
   std::string error;
+  std::atomic<bool> cancel{false};
   std::thread thread;
 
+  ~ServeRun() {
+    cancel = true;
+    if (thread.joinable()) thread.join();
+  }
+
   void start(const std::string& address, const std::vector<PropertySpec>& specs,
-             const DistOptions& options) {
+             DistOptions options) {
+    options.check.cancel = &cancel;
     thread = std::thread([this, address, specs, options] {
       try {
         results = serve(model, specs, address, options, &stats);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -221,6 +223,144 @@ TEST(SimplexTest, RandomizedPushPopAgreesWithFreshSolve) {
       EXPECT_EQ(incremental_feasible, fresh_feasible())
           << "session=" << session << " step=" << step;
       if (!incremental_consistent) break;  // conflicting frame: stop session
+    }
+  }
+}
+
+// Variables and rows created inside scopes, so pop() runs the structural
+// eviction pivots on a tableau that check() has already pivoted. After every
+// check() the session is verified against a mirror of the live variables and
+// bounds: a sat answer must satisfy every bound and every slack definition,
+// and an unsat answer's Farkas explanation must cancel every variable and
+// leave a contradictory constant.
+TEST(SimplexTest, RandomizedStructuralSessionsStayConsistent) {
+  struct Bound {
+    int var;
+    bool is_lower;
+    std::int64_t value;
+  };
+  std::mt19937_64 rng(77);
+  for (int session = 0; session < 100; ++session) {
+    Simplex simplex;
+    simplex.set_conflict_tracking(true);
+    // Mirror: per variable its defining combination (empty: structural);
+    // every asserted bound by tag; the live tags; per open scope the
+    // variable count and live tag count at its push().
+    std::vector<std::vector<std::pair<int, BigInt>>> defs;
+    std::vector<Bound> bounds;
+    std::vector<int> live;
+    std::vector<std::pair<std::size_t, std::size_t>> scopes;
+    const auto push = [&] {
+      simplex.push();
+      scopes.emplace_back(defs.size(), live.size());
+    };
+    const auto pop = [&] {
+      simplex.pop();
+      defs.resize(scopes.back().first);
+      live.resize(scopes.back().second);
+      scopes.pop_back();
+    };
+
+    const auto expect_farkas = [&](const std::vector<std::pair<int, Rational>>& conflict,
+                                   const std::string& where) {
+      ASSERT_FALSE(conflict.empty()) << where;
+      // Sum of multiplier * (sign*var <= sign*bound), sign = -1 for lower.
+      std::vector<Rational> coeffs(defs.size());
+      Rational rhs;
+      for (const auto& [tag, multiplier] : conflict) {
+        ASSERT_TRUE(tag >= 0 && tag < static_cast<int>(bounds.size())) << where;
+        ASSERT_NE(std::find(live.begin(), live.end(), tag), live.end()) << where;
+        ASSERT_TRUE(multiplier.is_positive()) << where;
+        const Bound& bound = bounds[tag];
+        const Rational signed_multiplier = bound.is_lower ? -multiplier : multiplier;
+        coeffs[bound.var] += signed_multiplier;
+        rhs += signed_multiplier * Rational(bound.value);
+      }
+      // Expand slacks into the variables they are defined over (always
+      // older ones), youngest first.
+      for (std::size_t var = defs.size(); var-- > 0;) {
+        if (coeffs[var].is_zero() || defs[var].empty()) continue;
+        for (const auto& [arg, k] : defs[var]) coeffs[arg] += coeffs[var] * Rational(k);
+        coeffs[var] = Rational();
+      }
+      for (std::size_t var = 0; var < coeffs.size(); ++var) {
+        EXPECT_TRUE(coeffs[var].is_zero()) << where << " leaves var " << var;
+      }
+      EXPECT_TRUE(rhs.is_negative()) << where << " derives 0 <= " << rhs;
+    };
+
+    // A few permanent variables; everything after the first push() lives
+    // in a scope, and the base scope is never popped or bounded.
+    for (int v = 0; v < 3; ++v) {
+      simplex.add_variable();
+      defs.emplace_back();
+    }
+    push();
+    for (int step = 0; step < 200; ++step) {
+      const std::string where =
+          "session " + std::to_string(session) + " step " + std::to_string(step);
+      const int action = static_cast<int>(rng() % 20);
+      if (action < 2) {
+        push();
+      } else if (action < 4 && scopes.size() > 1) {
+        pop();
+      } else if (action < 6) {
+        ASSERT_EQ(simplex.add_variable(), static_cast<int>(defs.size())) << where;
+        defs.emplace_back();
+      } else if (action < 10) {
+        std::vector<std::pair<int, BigInt>> combination;
+        const int width = 1 + static_cast<int>(rng() % 4);
+        for (int i = 0; i < width; ++i) {
+          const int var = static_cast<int>(rng() % defs.size());
+          const bool taken = std::any_of(combination.begin(), combination.end(),
+                                         [&](const auto& term) { return term.first == var; });
+          const std::int64_t coeff = static_cast<std::int64_t>(rng() % 7) - 3;
+          if (!taken && coeff != 0) combination.emplace_back(var, BigInt(coeff));
+        }
+        if (combination.empty()) continue;
+        ASSERT_EQ(simplex.add_row(combination), static_cast<int>(defs.size())) << where;
+        defs.push_back(std::move(combination));
+      } else {
+        const Bound bound{static_cast<int>(rng() % defs.size()), rng() % 2 == 0,
+                          static_cast<std::int64_t>(rng() % 13) - 6};
+        const int tag = static_cast<int>(bounds.size());
+        bounds.push_back(bound);
+        live.push_back(tag);
+        const bool ok = bound.is_lower
+                            ? simplex.assert_lower(bound.var, Rational(bound.value), tag)
+                            : simplex.assert_upper(bound.var, Rational(bound.value), tag);
+        if (!ok) {
+          // An immediate clash records nothing; it cites the new bound and
+          // the live opposite one.
+          expect_farkas(simplex.last_conflict(), where + " (eager)");
+          live.pop_back();
+          continue;
+        }
+      }
+      if (simplex.check()) {
+        for (std::size_t var = 0; var < defs.size(); ++var) {
+          const Rational& value = simplex.value(static_cast<int>(var));
+          for (const int tag : live) {
+            const Bound& bound = bounds[tag];
+            if (bound.var != static_cast<int>(var)) continue;
+            if (bound.is_lower) {
+              EXPECT_GE(value, Rational(bound.value)) << where << " var " << var;
+            } else {
+              EXPECT_LE(value, Rational(bound.value)) << where << " var " << var;
+            }
+          }
+          if (defs[var].empty()) continue;
+          Rational sum;
+          for (const auto& [arg, k] : defs[var]) sum += Rational(k) * simplex.value(arg);
+          EXPECT_EQ(value, sum) << where << " slack " << var;
+        }
+      } else {
+        expect_farkas(simplex.last_conflict(), where);
+        // Back out of the infeasible scope, keeping one scope open.
+        pop();
+        if (scopes.empty()) push();
+      }
+      if (HasFailure()) return;
     }
   }
 }
