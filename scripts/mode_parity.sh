@@ -5,13 +5,16 @@
 # off (one thread and the fleet), with one-shot instead of incremental
 # solving, with the fault-tolerant runtime armed (journal, per-schema
 # watchdogs and memory budget, all with limits that never fire), with a
-# fleet whose verdicts are spot-checked and with the machine-word rational
-# fast path off (HV_NO_FAST_RATIONAL=1, one thread). A schema budget of
-# exactly 2116 must settle the simplified consensus alike at one thread,
-# four threads and two workers. Two one-thread certifying runs of the
-# simplified consensus must emit byte-identical certificates, and
-# `hvc audit --json` of that certificate must pass with byte-identical
-# reports at one and at four audit jobs.
+# fleet whose verdicts are spot-checked, with the machine-word rational
+# fast path off (HV_NO_FAST_RATIONAL=1, one thread) and with certificates
+# on (one thread). Every property that holds must also account for the same
+# number of schemas in every leg: its schemas + pruned + cut +
+# unknown_schemas equal the one-thread leg's. A schema budget of exactly
+# 2116 must settle the simplified consensus alike at one thread, four
+# threads and two workers. Two one-thread certifying runs of the simplified
+# consensus must emit byte-identical certificates, and `hvc audit --json` of
+# that certificate must pass with byte-identical reports at one and at four
+# audit jobs.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,9 +24,24 @@ hvc="$build/hvc"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# One "property verdict" line per property of a --json report.
-verdicts() {
-  grep -oE '"(property|verdict)": "[^"]*"' "$1" | sed -E 's/.*: "(.*)"/\1/' | paste -d' ' - -
+# One "property verdict total" line per property of a --json report. The
+# total is schemas + pruned + cut + unknown_schemas for a property that
+# holds, and "-" for any other verdict.
+summary() {
+  awk '
+    function field(name,   m) {
+      if (!match($0, "\"" name "\": \"?[^\",]*")) return ""
+      m = substr($0, RSTART, RLENGTH)
+      sub(/^"[^"]*": "?/, "", m)
+      return m
+    }
+    /"property": / {
+      total = "-"
+      if (field("verdict") == "holds") {
+        total = field("schemas") + field("pruned") + field("cut") + field("unknown_schemas")
+      }
+      print field("property"), field("verdict"), total
+    }' "$1"
 }
 
 for model in models/*.ta; do
@@ -37,7 +55,8 @@ for model in models/*.ta; do
   for mode in "--threads 1" "--threads 4" "--workers 2" "--threads 1 --no-lemmas" \
               "--threads 1 --no-incremental" "--workers 2 --no-lemmas" \
               "--threads 1 --journal $work/$name.journal --schema-timeout 3600 --pivot-budget 1000000000 --memory-budget 1000000" \
-              "--workers 2 --spot-check-rate 0.05" "HV_NO_FAST_RATIONAL=1 --threads 1"; do
+              "--workers 2 --spot-check-rate 0.05" "HV_NO_FAST_RATIONAL=1 --threads 1" \
+              "--threads 1 --certify"; do
     leg=$((leg + 1))
     tag="$name.$leg"
     # A leg's leading NAME=value words are environment settings.
@@ -59,12 +78,12 @@ for model in models/*.ta; do
       cat "$work/$tag.err" >&2
       exit 1
     fi
-    verdicts "$work/$tag.json" > "$work/$tag.verdicts"
-    echo "== $name $mode: $(paste -sd, "$work/$tag.verdicts")"
+    summary "$work/$tag.json" > "$work/$tag.summary"
+    echo "== $name $mode: $(paste -sd, "$work/$tag.summary")"
     if [ -z "$reference" ]; then
-      reference="$work/$tag.verdicts"
-    elif ! diff "$reference" "$work/$tag.verdicts"; then
-      echo "FAIL: $name verdicts under $mode differ from --threads 1" >&2
+      reference="$work/$tag.summary"
+    elif ! diff "$reference" "$work/$tag.summary"; then
+      echo "FAIL: $name verdicts or schema totals under $mode differ from --threads 1" >&2
       exit 1
     fi
   done
@@ -87,11 +106,11 @@ for mode in "--threads 1" "--threads 4" "--workers 2"; do
     cat "$work/$tag.err" >&2
     exit 1
   fi
-  verdicts "$work/$tag.json" > "$work/$tag.verdicts"
-  echo "== exact budget $mode: $(paste -sd, "$work/$tag.verdicts")"
+  summary "$work/$tag.json" > "$work/$tag.summary"
+  echo "== exact budget $mode: $(paste -sd, "$work/$tag.summary")"
   if [ -z "$reference" ]; then
-    reference="$work/$tag.verdicts"
-  elif ! diff "$reference" "$work/$tag.verdicts"; then
+    reference="$work/$tag.summary"
+  elif ! diff "$reference" "$work/$tag.summary"; then
     echo "FAIL: exact-budget verdicts under $mode differ from --threads 1" >&2
     exit 1
   fi

@@ -339,13 +339,13 @@ class IncrementalSchemaEncoder::Impl {
       solver_.add_clause({{zero_atom, true}, {guard_atom, true}});
     }
 
-    config.counters[rule.from] -= smt::LinearExpr::variable(delta);
-    config.counters[rule.to] += smt::LinearExpr::variable(delta);
+    config.counters[rule.from].add_term(delta, BigInt(-1));
+    config.counters[rule.to].add_term(delta, BigInt(1));
     for (const auto& [var, amount] : rule.update.increments) {
-      config.shared[shared_index_[var]] += smt::LinearExpr::term(delta, amount);
+      config.shared[shared_index_[var]].add_term(delta, amount);
     }
     // Only the source counter decreases; it must stay non-negative.
-    solver_.add(smt::make_ge(config.counters[rule.from], smt::LinearExpr(0)));
+    solver_.add({config.counters[rule.from], smt::Relation::kGe});
   }
 
   void push_level(int guard) {

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hv/util/bigint.h"
@@ -39,6 +40,11 @@ class LinearExpr {
   /// Sorted (var, coeff) pairs with non-zero coefficients.
   const std::vector<std::pair<VarId, BigInt>>& terms() const noexcept { return terms_; }
   bool is_constant() const noexcept { return terms_.empty(); }
+
+  /// Moves the terms out, leaving the constant expression.
+  std::vector<std::pair<VarId, BigInt>> release_terms() noexcept {
+    return std::exchange(terms_, {});
+  }
 
   /// Adds `coeff * var` in place.
   LinearExpr& add_term(VarId var, const BigInt& coeff);

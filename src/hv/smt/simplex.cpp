@@ -73,18 +73,21 @@ int Simplex::add_row(const std::vector<std::pair<int, BigInt>>& combination) {
       touched_.push_back(var);
     }
   }
-  std::sort(touched_.begin(), touched_.end());
+  // Without a substituted row the columns arrive sorted already.
+  if (!std::is_sorted(touched_.begin(), touched_.end())) std::sort(touched_.begin(), touched_.end());
   touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
   // Gather the nonzeros in column order and reset the accumulator. The slack
   // starts basic; its assignment is the row value.
   Row row;
   row.basic_var = slack;
+  row.entries.reserve(touched_.size());
   Rational value;
   for (const int column : touched_) {
     Rational& coeff = accumulator_[column];
     if (!coeff.is_zero()) {
       value.add_mul(coeff, columns_[column].assignment);
       row.entries.emplace_back(column, std::move(coeff));
+      ++columns_[column].occurrences;
     }
     coeff = Rational();
   }
@@ -165,6 +168,7 @@ void Simplex::pop() {
 }
 
 void Simplex::remove_row(int row_index) {
+  for (const Entry& entry : rows_[row_index].entries) --columns_[entry.first].occurrences;
   const int last = static_cast<int>(rows_.size()) - 1;
   if (row_index != last) {
     rows_[row_index] = std::move(rows_[last]);
@@ -178,13 +182,14 @@ void Simplex::remove_row(int row_index) {
 // surviving one that mentions it, so making it basic and dropping its row
 // removes exactly that equality; a non-slack variable is mentioned by no
 // surviving row by the time it is processed and its column drops silently.
+// The column's occurrence count says whether any row mentions it, so only a
+// nonbasic column that some row still mentions costs a scan of the rows.
 void Simplex::remove_last_variable() {
   const int var = static_cast<int>(columns_.size()) - 1;
   int row_index = columns_[var].row;
-  if (row_index < 0) {
-    // Nonbasic: pivot the variable into the first row mentioning it, if
-    // any. It is the highest column, so a row mentions it iff its last
-    // entry does.
+  if (row_index < 0 && columns_[var].occurrences > 0) {
+    // Nonbasic: pivot the variable into the first row mentioning it. It is
+    // the highest column, so a row mentions it iff its last entry does.
     for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
       const std::vector<Entry>& entries = rows_[r].entries;
       if (entries.empty() || entries.back().first != var) continue;
@@ -202,22 +207,24 @@ void Simplex::remove_last_variable() {
     }
   }
   if (row_index >= 0) remove_row(row_index);
+  // The surviving equalities range over surviving variables only, so no
+  // row may still mention the dropped column.
+  HV_REQUIRE(columns_[var].occurrences == 0);
   columns_.pop_back();
   candidates_[static_cast<std::size_t>(var) / 64] &= ~(std::uint64_t{1} << (var % 64));
   candidates_.resize((columns_.size() + 63) / 64);
-  // The surviving equalities range over surviving variables only, so no
-  // row may still mention the dropped column.
-  for (const Row& row : rows_) HV_REQUIRE(row.entries.empty() || row.entries.back().first < var);
 }
 
 void Simplex::update_nonbasic(int var, const Rational& new_value) {
   const Rational delta = new_value - columns_[var].assignment;
   if (delta.is_zero()) return;
-  for (const Row& row : rows_) {
-    const auto entry = find_entry(row.entries, var);
-    if (entry == row.entries.end()) continue;
-    columns_[row.basic_var].assignment.add_mul(entry->second, delta);
-    mark_candidate(row.basic_var);
+  int remaining = columns_[var].occurrences;
+  for (auto row = rows_.cbegin(); row != rows_.cend() && remaining > 0; ++row) {
+    const auto entry = find_entry(row->entries, var);
+    if (entry == row->entries.end()) continue;
+    columns_[row->basic_var].assignment.add_mul(entry->second, delta);
+    mark_candidate(row->basic_var);
+    --remaining;
   }
   columns_[var].assignment = new_value;
 }
@@ -252,6 +259,8 @@ void Simplex::pivot(int row_index, int entering_var) {
   row.entries.erase(pivot_entry);
   for (Entry& entry : row.entries) entry.second *= neg_recip;
   row.entries.insert(lower_entry(row.entries, leaving_var), Entry{leaving_var, recip});
+  --columns_[entering_var].occurrences;
+  ++columns_[leaving_var].occurrences;
   row.basic_var = entering_var;
   columns_[entering_var].row = row_index;
   columns_[leaving_var].row = -1;
@@ -259,8 +268,10 @@ void Simplex::pivot(int row_index, int entering_var) {
   // Substitute the entering variable out of all other rows: a sorted merge
   // of each row with factor * (pivot row), dropping the entering entry and
   // any coefficient that cancels. The fused add_mul avoids a temporary
-  // Rational per entry.
-  for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
+  // Rational per entry. Occurrence counts follow every entry the merge
+  // drops or adds.
+  for (int r = 0; r < static_cast<int>(rows_.size()) && columns_[entering_var].occurrences > 0;
+       ++r) {
     if (r == row_index) continue;
     std::vector<Entry>& other = rows_[r].entries;
     const auto hit = find_entry(other, entering_var);
@@ -271,16 +282,25 @@ void Simplex::pivot(int row_index, int entering_var) {
     auto b = row.entries.cbegin();
     while (a != other.end() || b != row.entries.cend()) {
       if (b == row.entries.cend() || (a != other.end() && a->first < b->first)) {
-        if (a->first != entering_var) merged_.push_back(std::move(*a));
+        if (a->first != entering_var) {
+          merged_.push_back(std::move(*a));
+        } else {
+          --columns_[entering_var].occurrences;
+        }
         ++a;
       } else if (a == other.end() || b->first < a->first) {
         Rational product;
         product.add_mul(factor, b->second);
         merged_.emplace_back(b->first, std::move(product));
+        ++columns_[b->first].occurrences;
         ++b;
       } else {
         a->second.add_mul(factor, b->second);
-        if (!a->second.is_zero()) merged_.push_back(std::move(*a));
+        if (!a->second.is_zero()) {
+          merged_.push_back(std::move(*a));
+        } else {
+          --columns_[a->first].occurrences;
+        }
         ++a;
         ++b;
       }
@@ -299,13 +319,16 @@ void Simplex::pivot_and_update(int row_index, int entering_var, const Rational& 
   columns_[leaving_var].assignment = target;
   columns_[entering_var].assignment += theta;
   mark_candidate(entering_var);
-  for (int r = 0; r < static_cast<int>(rows_.size()); ++r) {
+  // Every other row mentioning the entering variable moves with it.
+  int remaining = columns_[entering_var].occurrences - 1;
+  for (int r = 0; r < static_cast<int>(rows_.size()) && remaining > 0; ++r) {
     if (r == row_index) continue;
     const Row& row = rows_[r];
     const auto entry = find_entry(row.entries, entering_var);
     if (entry == row.entries.end()) continue;
     columns_[row.basic_var].assignment.add_mul(entry->second, theta);
     mark_candidate(row.basic_var);
+    --remaining;
   }
   pivot(row_index, entering_var);
 }

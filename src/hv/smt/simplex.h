@@ -25,7 +25,10 @@
 // dropped without touching the equalities over surviving variables. The
 // surviving basis is left in place — this is the warm start that makes a
 // pop()+push() sequence on a shared prefix cheap compared to refactoring
-// the tableau from scratch.
+// the tableau from scratch. Every column counts the rows that mention it,
+// so deletion costs only the rows it touches: a basic variable drops its
+// own row, an unmentioned nonbasic one drops no row at all, and only a
+// nonbasic one that some row still mentions searches the rows.
 //
 // All arithmetic is exact (hv::Rational over BigInt); there is no epsilon
 // and no numerical drift, which matters because the checker's verdicts are
@@ -119,6 +122,8 @@ class Simplex {
     Rational assignment;
     // Index into rows_ if basic, -1 if nonbasic.
     int row = -1;
+    // Number of rows holding an entry in this column (zero while basic).
+    int occurrences = 0;
   };
 
   using Entry = std::pair<int, Rational>;
@@ -129,6 +134,9 @@ class Simplex {
     // nonzero coefficients of nonbasic variables, sorted by column. Basic
     // variables never appear and cancelled coefficients are dropped, so
     // adding a variable touches no row and a deleted column leaves no entry.
+    // Each entry is counted in its column's occurrences, so structural
+    // deletion and the scans for a column's rows stop at the rows that
+    // mention it instead of visiting every row.
     std::vector<Entry> entries;
   };
 

@@ -61,7 +61,7 @@ VarId Solver::new_variable(std::string name) {
   const int var = simplex_.add_variable();
   HV_REQUIRE(var == static_cast<int>(names_.size()));
   names_.push_back(std::move(name));
-  if (certify_ || learn_) slack_defs_.emplace_back();
+  slack_defs_.emplace_back();
   return var;
 }
 
@@ -106,38 +106,27 @@ void Solver::mark_trivially_unsat(std::unique_ptr<proof::Node> proof, int depth)
   trivially_unsat_ = true;
 }
 
-int Solver::slack_for(const std::vector<std::pair<int, BigInt>>& terms) {
-  // This key is built for every normalized multi-term constraint, so it is
-  // written with to_chars straight into a single allocation sized for the
-  // worst case (11 digits var + ':' + 20 digits coeff + ','); only
-  // coefficients that genuinely exceed int64 (rare) take the allocating
-  // to_string path.
-  std::string key(terms.size() * 33, '\0');
-  char* out = key.data();
+int Solver::slack_for(std::vector<std::pair<int, BigInt>>&& terms) {
+  // Every normalized multi-term constraint looks its terms up here, so the
+  // key mixes machine words; only a coefficient that exceeds int64 (rare)
+  // hashes its digits.
+  std::uint64_t key = kFnvOffsetBasis;
   for (const auto& [var, coeff] : terms) {
-    out = std::to_chars(out, out + 11, var).ptr;
-    *out++ = ':';
-    if (coeff.fits_int64()) {
-      out = std::to_chars(out, out + 20, coeff.to_int64()).ptr;
-    } else {
-      const std::size_t used = static_cast<std::size_t>(out - key.data());
-      const std::string digits = coeff.to_string();
-      key.resize(key.size() + digits.size());
-      out = key.data() + used;
-      out = std::copy(digits.begin(), digits.end(), out);
-    }
-    *out++ = ',';
+    key = splitmix64_mix(key ^ static_cast<std::uint64_t>(var));
+    key = splitmix64_mix(key ^ (coeff.fits_int64() ? static_cast<std::uint64_t>(coeff.to_int64())
+                                                   : fnv1a(coeff.to_string())));
   }
-  key.resize(static_cast<std::size_t>(out - key.data()));
-  const auto it = slack_pool_.find(key);
-  if (it != slack_pool_.end()) return it->second;
+  std::vector<int>& slacks = slack_pool_[key];
+  for (const int slack : slacks) {
+    if (slack_defs_[slack] == terms) return slack;
+  }
   const int slack = simplex_.add_row(terms);
   names_.push_back("slack#" + std::to_string(slack));
-  if (certify_ || learn_) slack_defs_.push_back(terms);
-  slack_pool_.emplace(key, slack);
+  slack_defs_.push_back(std::move(terms));
+  slacks.push_back(slack);
   // The slack's row dies with the current scope; the pool entry must die
   // with it, or a later scope would alias a recycled variable index.
-  if (!scopes_.empty()) scopes_.back().slack_keys.push_back(std::move(key));
+  if (!scopes_.empty()) scopes_.back().slack_keys.push_back(key);
   return slack;
 }
 
@@ -190,17 +179,25 @@ void Solver::pop() {
   }
   premises_.resize(scope.premise_count);
   traced_constraints_.resize(scope.trace_constraint_count);
-  if (certify_ || learn_) slack_defs_.resize(scope.name_count);
+  if (!trace_) slack_defs_.resize(scope.name_count);
   trivially_unsat_ = scope.trivially_unsat;
   trivial_depth_ = scope.trivial_depth;
   trivial_proof_ = scope.trivial_proof;
-  for (const std::string& key : scope.slack_keys) slack_pool_.erase(key);
+  // The scope's slacks are the youngest of their keys' lists: trim them,
+  // youngest first.
+  for (auto key = scope.slack_keys.rbegin(); key != scope.slack_keys.rend(); ++key) {
+    const auto it = slack_pool_.find(*key);
+    HV_REQUIRE(it != slack_pool_.end() && !it->second.empty() &&
+               it->second.back() >= static_cast<int>(scope.name_count));
+    it->second.pop_back();
+    if (it->second.empty()) slack_pool_.erase(it);
+  }
   scopes_.pop_back();
 }
 
-Solver::NormalizedAtom Solver::normalize(const LinearConstraint& constraint) {
+Solver::NormalizedAtom Solver::normalize(LinearConstraint&& constraint) {
   NormalizedAtom atom;
-  const LinearExpr& expr = constraint.expr;
+  LinearExpr& expr = constraint.expr;
   if (expr.is_constant()) {
     atom.constant = true;
     const int sign = expr.constant().sign();
@@ -219,23 +216,24 @@ Solver::NormalizedAtom Solver::normalize(const LinearConstraint& constraint) {
   }
 
   // Divide the term vector by its content so shared slacks are canonical and
-  // integer tightening of the bound is as strong as possible.
+  // integer tightening of the bound is as strong as possible. The terms are
+  // the constraint's own, taken over: a new slack keeps them as its
+  // definition.
   BigInt content = 0;
-  for (const auto& [var, coeff] : expr.terms()) content = BigInt::gcd(content, coeff);
+  for (const auto& [var, coeff] : expr.terms()) {
+    content = BigInt::gcd(content, coeff);
+    if (content == BigInt(1)) break;  // the common case: a unit coefficient
+  }
   HV_REQUIRE(content.is_positive());
-
-  std::vector<std::pair<int, BigInt>> divided;
-  const std::vector<std::pair<int, BigInt>>* terms = &expr.terms();
-  if (!(content == BigInt(1))) {  // the common case copies nothing
-    divided.reserve(expr.terms().size());
-    for (const auto& [var, coeff] : expr.terms()) divided.emplace_back(var, coeff / content);
-    terms = &divided;
+  std::vector<std::pair<int, BigInt>> terms = expr.release_terms();
+  if (!(content == BigInt(1))) {
+    for (auto& [var, coeff] : terms) coeff /= content;
   }
 
-  if (terms->size() == 1 && (*terms)[0].second == BigInt(1)) {
-    atom.var = (*terms)[0].first;
+  if (terms.size() == 1 && terms[0].second == BigInt(1)) {
+    atom.var = terms[0].first;
   } else {
-    atom.var = slack_for(*terms);
+    atom.var = slack_for(std::move(terms));
   }
 
   // expr rel 0  <=>  content * slack + constant rel 0  <=>  slack rel' bound.
@@ -268,12 +266,12 @@ Solver::NormalizedAtom Solver::normalize(const LinearConstraint& constraint) {
   return atom;
 }
 
-void Solver::add(const LinearConstraint& constraint) {
+void Solver::add(LinearConstraint constraint) {
   if (trace_) {
-    record_traced(constraint);
+    record_traced(std::move(constraint));
     return;
   }
-  const NormalizedAtom atom = normalize(constraint);
+  const NormalizedAtom atom = normalize(std::move(constraint));
   if (atom.constant) {
     if (!atom.constant_value) {
       // The falsehood is the added constraint itself, which lives in the
@@ -289,12 +287,12 @@ void Solver::add(const LinearConstraint& constraint) {
   }
 }
 
-int Solver::add_atom(const LinearConstraint& constraint) {
+int Solver::add_atom(LinearConstraint constraint) {
   if (trace_) {
-    traced_atoms_.push_back(constraint);
+    traced_atoms_.push_back(std::move(constraint));
     return static_cast<int>(traced_atoms_.size()) - 1;
   }
-  atoms_.push_back(normalize(constraint));
+  atoms_.push_back(normalize(std::move(constraint)));
   return static_cast<int>(atoms_.size()) - 1;
 }
 

@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -91,14 +90,16 @@ class Solver {
   int variable_count() const noexcept { return static_cast<int>(names_.size()); }
   const std::string& name(VarId var) const { return names_[var]; }
 
-  /// Permanent conjuncts (asserted before search, never retracted).
-  void add(const LinearConstraint& constraint);
+  /// Permanent conjuncts (asserted before search, never retracted). The
+  /// constraint is taken over: a trace keeps it and a new slack keeps its
+  /// terms, so a temporary reaches the solver without a copy.
+  void add(LinearConstraint constraint);
   void add_lower_bound(VarId var, const BigInt& bound);
   void add_upper_bound(VarId var, const BigInt& bound);
 
   /// Registers an atom for use in clauses; returns its id. Equality atoms
-  /// may only appear positively.
-  int add_atom(const LinearConstraint& constraint);
+  /// may only appear positively. Takes the constraint over like add().
+  int add_atom(LinearConstraint constraint);
 
   /// Adds a disjunction of literals (empty clause makes the problem unsat).
   void add_clause(std::vector<Literal> literals);
@@ -238,8 +239,10 @@ class Solver {
     std::uint64_t key = 0;
   };
 
-  NormalizedAtom normalize(const LinearConstraint& constraint);
-  int slack_for(const std::vector<std::pair<int, BigInt>>& terms);
+  // Normalizes `constraint`, whose terms it takes over.
+  NormalizedAtom normalize(LinearConstraint&& constraint);
+  // The slack defined by the normalized term vector, minted on first use.
+  int slack_for(std::vector<std::pair<int, BigInt>>&& terms);
   // Asserts a normalized atom (or its negation) on the simplex; returns
   // false on immediate bound conflict. In certificate mode the asserted
   // bounds are recorded as premises with the given origin.
@@ -304,12 +307,20 @@ class Solver {
     // The trivial-unsat proof active when the scope opened (shared so the
     // scope snapshot is a cheap copy).
     std::shared_ptr<proof::Node> trivial_proof;
-    std::vector<std::string> slack_keys;  // pool entries to evict on pop
+    std::vector<std::uint64_t> slack_keys;  // keys of the slacks minted in the scope
   };
 
   Simplex simplex_;
   std::vector<std::string> names_;
-  std::map<std::string, int> slack_pool_;  // canonical term-vector -> slack var
+  // Slack pool: the hashed key of a normalized term vector -> ascending ids
+  // of the live slacks with that key. A key only nominates: slack_defs_
+  // confirms a hit. Slacks are minted and deleted stack-wise, so pop() trims
+  // each of its keys' lists by a pop_back.
+  std::unordered_map<std::uint64_t, std::vector<int>> slack_pool_;
+  // Per-variable slack definitions (empty for non-slacks); parallel to
+  // names_ in every mode but trace mode. The slack pool confirms its hits
+  // against them; certificates and lemma signatures name slacks by them.
+  std::vector<std::vector<std::pair<VarId, BigInt>>> slack_defs_;
   std::vector<Scope> scopes_;
   std::vector<NormalizedAtom> atoms_;
   std::vector<std::vector<Literal>> clauses_;
@@ -322,9 +333,6 @@ class Solver {
   // Certificate mode.
   bool certify_ = false;
   std::vector<PremiseRec> premises_;
-  // Per-variable slack definitions (empty for non-slacks); parallel to
-  // names_ while certifying.
-  std::vector<std::vector<std::pair<VarId, BigInt>>> slack_defs_;
   std::unique_ptr<proof::Node> last_proof_;
   std::shared_ptr<proof::Node> trivial_proof_;
   std::unique_ptr<proof::Node> pending_conflict_;

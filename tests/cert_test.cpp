@@ -27,6 +27,7 @@
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/hash.h"
 
 namespace hv::cert {
 namespace {
@@ -259,6 +260,45 @@ TEST(CertAuditTest, BuiltinModelWithBundledPropertiesAuditsGreen) {
             static_cast<std::int64_t>(parsed.components[0].properties.size()));
   EXPECT_GT(report.schemas_covered, 0);
   EXPECT_GT(report.farkas_nodes, 0);
+}
+
+TEST(CertTest, CertificateBytesArePinned) {
+  // A certificate's bytes follow the simplex's pivots and Farkas
+  // combinations exactly, so these FNV-1a digests of two one-thread
+  // certifying runs make any change to the encoding, the search or the
+  // serializer that moves a single byte a deliberate one. The bytes do not
+  // depend on the rational representation (HV_NO_FAST_RATIONAL).
+  const ta::ThresholdAutomaton simplified = models::builtin_model("simplified_consensus");
+  const ta::ThresholdAutomaton bv = models::builtin_model("bv_broadcast");
+  const auto bundled = [](const ta::ThresholdAutomaton& ta, const std::string& name) {
+    for (const spec::Property& property : models::bundled_properties(ta)) {
+      if (property.name == name) return property;
+    }
+    throw InvalidArgument("no bundled property " + name);
+  };
+  struct Pin {
+    const char* model;
+    const ta::ThresholdAutomaton& ta;
+    spec::Property property;
+    const char* source_kind;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {"simplified_consensus", simplified,
+       spec::compile(simplified, "D0_excludes_E1x", "<>(locD0 != 0) -> [](locE1x == 0)"), "ltl",
+       "3dd1fa60a0fad770"},
+      {"bv_broadcast", bv, bundled(bv, "BV-Unif1"), "bundled", "f4f6336f2a2f8d1b"},
+  };
+  checker::CheckOptions options;
+  options.certify = true;
+  for (const Pin& pin : pins) {
+    const checker::PropertyResult result = checker::check_property(pin.ta, pin.property, options);
+    EXPECT_GT(result.schemas_checked, 0) << pin.model;
+    Certificate certificate;
+    certificate.components.push_back(make_component_cert(
+        builtin_model_source(pin.model), {pin.property}, {result}, pin.source_kind));
+    EXPECT_EQ(hex16(fnv1a(to_json_text(certificate))), pin.digest) << pin.model;
+  }
 }
 
 // --- tamper rejection -------------------------------------------------------

@@ -1062,6 +1062,10 @@ TEST(ParameterizedTest, PinnedSimplexArithmetic) {
   if (!lemmas_enabled(learning)) GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
   CheckOptions certify;
   certify.certify = true;
+  // Neither learning nor certificates: the one mode whose solver keeps slack
+  // definitions only for its slack pool.
+  CheckOptions plain;
+  plain.lemmas = false;
   const ta::ThresholdAutomaton simplified = hv::models::simplified_consensus_one_round();
   const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
   const auto named = [](const std::vector<spec::Property>& properties, const std::string& name) {
@@ -1083,6 +1087,7 @@ TEST(ParameterizedTest, PinnedSimplexArithmetic) {
   const Pin pins[] = {
       {"simplified Inv1_0, learning", simplified, inv1, learning, 1513, 1637815, 2972225},
       {"simplified Inv1_0, certify", simplified, inv1, certify, 3058, 18607173, 31324334},
+      {"simplified Inv1_0, plain", simplified, inv1, plain, 3058, 18607173, 31324334},
       {"BV-Obl0", bv, named(hv::models::bv_properties(bv), "BV-Obl0"), learning, 728, 131433,
        250854},
       {"BV-Unif1", bv, named(hv::models::bv_properties(bv), "BV-Unif1"), learning, 1053, 200258,

@@ -233,6 +233,30 @@ TEST(SimplexTest, RandomizedPushPopAgreesWithFreshSolve) {
 // bounds: a sat answer must satisfy every bound and every slack definition,
 // and an unsat answer's Farkas explanation must cancel every variable and
 // leave a contradictory constant.
+TEST(SimplexTest, PopEvictsAColumnAnOlderRowStillMentions) {
+  // s = x + y is permanent; the scoped slack d = x - y is pushed out of the
+  // basis by its bound, which substitutes d into s's row. Deleting d must
+  // pivot it back into that (surviving) row and keep s = x + y intact.
+  Simplex simplex;
+  const int x = simplex.add_variable();
+  const int y = simplex.add_variable();
+  const int s = simplex.add_row({{x, 1}, {y, 1}});
+  simplex.push();
+  const int d = simplex.add_row({{x, 1}, {y, -1}});
+  ASSERT_TRUE(simplex.assert_lower(d, rat(1)));
+  ASSERT_TRUE(simplex.check());
+  EXPECT_EQ(simplex.value(d), simplex.value(x) - simplex.value(y));
+  simplex.pop();
+  ASSERT_EQ(simplex.variable_count(), 3);
+  ASSERT_TRUE(simplex.assert_lower(s, rat(3)));
+  ASSERT_TRUE(simplex.assert_upper(x, rat(1)));
+  ASSERT_TRUE(simplex.check());
+  EXPECT_EQ(simplex.value(s), simplex.value(x) + simplex.value(y));
+  EXPECT_GE(simplex.value(y), rat(2));
+  ASSERT_TRUE(simplex.assert_upper(y, rat(1)));
+  EXPECT_FALSE(simplex.check());
+}
+
 TEST(SimplexTest, RandomizedStructuralSessionsStayConsistent) {
   struct Bound {
     int var;
@@ -240,7 +264,12 @@ TEST(SimplexTest, RandomizedStructuralSessionsStayConsistent) {
     std::int64_t value;
   };
   std::mt19937_64 rng(77);
-  for (int session = 0; session < 100; ++session) {
+  for (int session = 0; session < 200; ++session) {
+    // The second hundred sessions aim half their bounds at the youngest
+    // variable. A bounded young slack tends to leave the basis, which
+    // substitutes it into older rows, so a later pop() deletes a nonbasic
+    // column that a surviving row still mentions.
+    const bool aim_young = session >= 100;
     Simplex simplex;
     simplex.set_conflict_tracking(true);
     // Mirror: per variable its defining combination (empty: structural);
@@ -321,8 +350,9 @@ TEST(SimplexTest, RandomizedStructuralSessionsStayConsistent) {
         ASSERT_EQ(simplex.add_row(combination), static_cast<int>(defs.size())) << where;
         defs.push_back(std::move(combination));
       } else {
-        const Bound bound{static_cast<int>(rng() % defs.size()), rng() % 2 == 0,
-                          static_cast<std::int64_t>(rng() % 13) - 6};
+        const int var = aim_young && rng() % 2 == 0 ? static_cast<int>(defs.size()) - 1
+                                                    : static_cast<int>(rng() % defs.size());
+        const Bound bound{var, rng() % 2 == 0, static_cast<std::int64_t>(rng() % 13) - 6};
         const int tag = static_cast<int>(bounds.size());
         bounds.push_back(bound);
         live.push_back(tag);

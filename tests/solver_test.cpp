@@ -464,6 +464,43 @@ TEST(SolverTest, SlackPoolDiesWithItsScope) {
   EXPECT_GE(solver.model_value(x), BigInt(4));
 }
 
+TEST(SolverTest, SlackPoolSharesOnlyIdenticalTermVectorsOfLiveScopes) {
+  Solver solver;
+  const VarId x = solver.new_variable("x");
+  const VarId y = solver.new_variable("y");
+  solver.add_lower_bound(x, 0);
+  solver.add_lower_bound(y, 0);
+  const int structural = solver.variable_count();
+  solver.push();
+  solver.add(make_le(var(x) + var(y), LinearExpr(2)));
+  ASSERT_EQ(solver.variable_count(), structural + 1);  // the slack for x+y
+  solver.push();
+  // A nested scope reuses the outer slack, also for a scaled term vector
+  // that normalizes to the same one.
+  solver.add(make_ge(var(x) + var(y), LinearExpr(1)));
+  solver.add(make_le(LinearExpr::term(x, 2) + LinearExpr::term(y, 2), LinearExpr(4)));
+  EXPECT_EQ(solver.variable_count(), structural + 1);
+  // x+2y is a different term vector and gets a slack of its own: were it to
+  // alias x+y's, x+y <= 2 and x+2y >= 3 would be read as contradictory.
+  solver.add(make_ge(var(x) + LinearExpr::term(y, 2), LinearExpr(3)));
+  EXPECT_EQ(solver.variable_count(), structural + 2);
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  EXPECT_LE(solver.model_value(x) + solver.model_value(y), BigInt(2));
+  EXPECT_GE(solver.model_value(x) + solver.model_value(y) * BigInt(2), BigInt(3));
+  solver.pop();
+  EXPECT_EQ(solver.variable_count(), structural + 1);
+  solver.pop();
+  EXPECT_EQ(solver.variable_count(), structural);
+  // After the outer pop the term vector is minted afresh.
+  solver.add(make_ge(var(x) + var(y), LinearExpr(5)));
+  EXPECT_EQ(solver.variable_count(), structural + 1);
+  solver.add(make_le(var(x) + LinearExpr::term(y, 2), LinearExpr(6)));
+  EXPECT_EQ(solver.variable_count(), structural + 2);
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  EXPECT_GE(solver.model_value(x) + solver.model_value(y), BigInt(5));
+  EXPECT_LE(solver.model_value(x) + solver.model_value(y) * BigInt(2), BigInt(6));
+}
+
 TEST(SolverTest, ModelValidAfterDeepPopSequence) {
   // Randomized differential: a persistent solver driven through push/pop
   // must agree with a fresh solver on every (cumulative) constraint set.
