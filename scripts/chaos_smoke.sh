@@ -6,9 +6,10 @@
 #      kind) — the merged verdict AND the schema accounting must match the
 #      reference byte for byte (modulo timing/solver-path fields);
 #   3. fork-local mode (`hvc check --workers 3`) under mixed chaos;
-#   4. a lying worker (HV_LIE_VERDICTS=1) against an armed spot-checker —
-#      it must be caught, banned and revoked, and the run must still land
-#      on the reference verdict with a worker_disagreement note.
+#   4. a lying worker (HV_LIE_VERDICTS=1) against a certifying coordinator
+#      (`hvc serve --certify`), which checks every record before it merges —
+#      the liar must be banned, and the run must still land on the
+#      reference verdict.
 # Usage: scripts/chaos_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,11 +24,11 @@ sock="$work/coord.sock"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # Strip run-dependent fields (timing, solver pivot path, resume/retry
-# counters, incremental-solver accounting, the rational op split and the
-# spot-check counters, all of which legitimately differ across lease
-# boundaries); what must match is the verdict and the schema accounting.
+# counters, incremental-solver accounting and the rational op split, all of
+# which legitimately differ across lease boundaries); what must match is the
+# verdict and the schema accounting.
 normalize() {
-  sed -E 's/"(seconds|pivots|resumed|retries|segments_[a-z]+|prefix_reuse_ratio|rational_[a-z_]+|spot_checked|spot_disagreements)": [0-9.]+(, )?//g' "$1"
+  sed -E 's/"(seconds|pivots|resumed|retries|segments_[a-z]+|prefix_reuse_ratio|rational_[a-z_]+)": [0-9.]+(, )?//g' "$1"
 }
 
 # Strict accounting parity needs cross-schema learning off: which schemas
@@ -78,26 +79,27 @@ if ! diff -u "$work/ref.norm" "$work/forkmix.norm"; then
 fi
 echo "OK: fork-local mixed-chaos run matches the in-process run"
 
-echo "== lying worker vs armed spot-checker"
+echo "== lying worker vs certifying coordinator"
+# Text mode: the byzantine: line (hostile frames, bans) is printed there.
 "$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 \
-  --spot-check-rate 1.0 --json > "$work/liar.json" &
+  --certify --cert-out "$work/liar.cert.json" > "$work/liar.txt" &
 coord=$!
 HV_LIE_VERDICTS=1 "$hvc" work --connect "unix:$sock" --label liar --retry 10 &
 workers 2 honest
 wait "$coord"
 wait || true  # the liar exits nonzero when its connection is cut
 
-verdict_of() { grep -o '"verdict": "[a-z]*"' "$1" | head -1; }
-if [ "$(verdict_of "$work/liar.json")" != "$(verdict_of "$work/ref.json")" ]; then
-  echo "FAIL: a lying worker flipped the verdict" >&2
-  diff -u "$work/ref.json" "$work/liar.json" || true
+ref_verdict="$(grep -oE '"verdict": "[a-z]+"' "$work/ref.json" | head -1 | cut -d'"' -f4)"
+liar_verdict="$(grep -oE ': (holds|violated|unknown) \(' "$work/liar.txt" | head -1 | cut -d' ' -f2)"
+if [ "$liar_verdict" != "$ref_verdict" ]; then
+  echo "FAIL: a lying worker moved the verdict ($liar_verdict, reference $ref_verdict)" >&2
+  cat "$work/liar.txt" >&2
   exit 1
 fi
-if ! grep -q 'worker_disagreement' "$work/liar.json"; then
-  echo "FAIL: the lying worker left no worker_disagreement note (was it caught?)" >&2
-  cat "$work/liar.json" >&2
+banned="$(grep '^byzantine:' "$work/liar.txt" | grep -oE '[0-9]+ banned' | cut -d' ' -f1 || true)"
+if [ "${banned:-0}" -lt 1 ]; then
+  echo "FAIL: the lying worker was not banned (was it caught?)" >&2
+  cat "$work/liar.txt" >&2
   exit 1
 fi
-echo "OK: lying worker caught and revoked; verdict intact" \
-     "($(grep -o '"spot_checked": [0-9]*, "spot_disagreements": [0-9]*' \
-         "$work/liar.json" | head -1))"
+echo "OK: lying worker caught at merge and banned; verdict intact ($(grep '^byzantine:' "$work/liar.txt"))"

@@ -5,16 +5,18 @@
 # off (one thread and the fleet), with one-shot instead of incremental
 # solving, with the fault-tolerant runtime armed (journal, per-schema
 # watchdogs and memory budget, all with limits that never fire), with a
-# fleet whose verdicts are spot-checked, with the machine-word rational
-# fast path off (HV_NO_FAST_RATIONAL=1, one thread) and with certificates
-# on (one thread). Every property that holds must also account for the same
+# certifying two-worker fleet whose coordinator checks every worker record
+# before it merges, with the machine-word rational fast path off
+# (HV_NO_FAST_RATIONAL=1, one thread) and with certificates on (one
+# thread). Every property that holds must also account for the same
 # number of schemas in every leg: its schemas + pruned + cut +
 # unknown_schemas equal the one-thread leg's. A schema budget of exactly
 # 2116 must settle the simplified consensus alike at one thread, four
 # threads and two workers. Two one-thread certifying runs of the simplified
 # consensus must emit byte-identical certificates, and `hvc audit --json` of
 # that certificate must pass with byte-identical reports at one and at four
-# audit jobs.
+# audit jobs. The certifying fleet's simplified-consensus certificate must
+# pass `hvc audit` too.
 # Usage: scripts/mode_parity.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,7 +57,8 @@ for model in models/*.ta; do
   for mode in "--threads 1" "--threads 4" "--workers 2" "--threads 1 --no-lemmas" \
               "--threads 1 --no-incremental" "--workers 2 --no-lemmas" \
               "--threads 1 --journal $work/$name.journal --schema-timeout 3600 --pivot-budget 1000000000 --memory-budget 1000000" \
-              "--workers 2 --spot-check-rate 0.05" "HV_NO_FAST_RATIONAL=1 --threads 1" \
+              "--workers 2 --certify --cert-out $work/$name.fleet-cert.json" \
+              "HV_NO_FAST_RATIONAL=1 --threads 1" \
               "--threads 1 --certify"; do
     leg=$((leg + 1))
     tag="$name.$leg"
@@ -132,4 +135,11 @@ for jobs in 1 4; do
   fi
 done
 cmp "$work/audit.1.json" "$work/audit.4.json"
+
+echo "== fleet audit (simplified consensus, --workers 2 --certify certificate)"
+if ! "$hvc" audit "$work/simplified_consensus.fleet-cert.json" > "$work/audit.fleet.txt"; then
+  echo "FAIL: hvc audit did not pass the certifying fleet's certificate" >&2
+  cat "$work/audit.fleet.txt" >&2
+  exit 1
+fi
 echo "mode parity: OK"

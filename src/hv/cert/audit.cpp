@@ -722,45 +722,19 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
 
 /// Phase 2: re-encode and audit one contiguous range of one query's sorted
 /// evidence list. Ranges over the same query may run concurrently: each
-/// gets its own trace encoder (re-encoding is deterministic per schema —
-/// the error-recovery path below restarts the encoder mid-list and always
-/// has), and each covered-map entry belongs to exactly one range.
+/// gets its own SchemaCheck (re-encoding is deterministic per schema — the
+/// check restarts its encoder after a re-encoding failure and always has),
+/// and each covered-map entry belongs to exactly one range.
 void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state, std::size_t q,
                        std::size_t lo, std::size_t hi, AuditReport& sink) {
   if (lo >= hi) return;
-  const spec::Property& property = *state.property;
   const QueryCone* cone = state.cert->property_directed_pruning ? &state.cones[q] : nullptr;
-  auto encoder = std::make_unique<IncrementalSchemaEncoder>(
-      analysis, property.queries[q], /*branch_budget=*/1, cone, EncoderMode::kTrace);
+  SchemaCheck check(analysis, state.property->queries[q], cone);
   for (std::size_t i = lo; i < hi; ++i) {
     const SchemaCert* entry = state.by_query[q][i];
-    const std::string entry_context = state.context + ", " + schema_cursor(q, entry->schema);
-    bool green = false;
-    bool encoded = false;
-    try {
-      encoder->trace(entry->schema, [&](const TraceView& trace) {
-        encoded = true;
-        SchemaAuditor auditor(trace, sink, entry_context);
-        if (entry->sat) {
-          green = auditor.audit_model(entry->model);
-          ++sink.models_checked;
-        } else {
-          if (entry->proof == nullptr) {
-            add_issue(sink, entry_context, "unsat evidence without a proof");
-          } else {
-            green = auditor.audit_proof(*entry->proof);
-          }
-          ++sink.schemas_covered;
-        }
-      });
-    } catch (const Error& error) {
-      if (encoded) throw;
-      add_issue(sink, entry_context, std::string("re-encoding failed: ") + error.what());
-      encoder = std::make_unique<IncrementalSchemaEncoder>(
-          analysis, property.queries[q], /*branch_budget=*/1, cone, EncoderMode::kTrace);
-      continue;
-    }
-    state.covered[schema_cursor(q, entry->schema)].green = green;
+    const std::string key = schema_cursor(q, entry->schema);
+    state.covered[key].green = check.check(entry->schema, entry->sat, entry->proof.get(),
+                                           &entry->model, sink, state.context + ", " + key);
   }
 }
 
@@ -918,6 +892,51 @@ void merge_report(AuditReport& report, const AuditReport& part) {
 }
 
 }  // namespace
+
+SchemaCheck::SchemaCheck(const GuardAnalysis& analysis, const spec::ReachQuery& query,
+                         const QueryCone* cone)
+    : analysis_(analysis),
+      query_(query),
+      cone_(cone),
+      encoder_(std::make_unique<IncrementalSchemaEncoder>(analysis, query, /*branch_budget=*/1,
+                                                          cone, EncoderMode::kTrace)) {}
+
+SchemaCheck::~SchemaCheck() = default;
+
+bool SchemaCheck::check(const Schema& schema, bool sat, const smt::proof::Node* proof,
+                        const std::vector<std::pair<std::string, BigInt>>* model,
+                        AuditReport& report, const std::string& context) {
+  bool green = false;
+  bool encoded = false;
+  try {
+    encoder_->trace(schema, [&](const TraceView& trace) {
+      encoded = true;
+      SchemaAuditor auditor(trace, report, context);
+      if (sat) {
+        if (model == nullptr) {
+          add_issue(report, context, "sat evidence without a model");
+        } else {
+          green = auditor.audit_model(*model);
+        }
+        ++report.models_checked;
+      } else {
+        if (proof == nullptr) {
+          add_issue(report, context, "unsat evidence without a proof");
+        } else {
+          green = auditor.audit_proof(*proof);
+        }
+        ++report.schemas_covered;
+      }
+    });
+  } catch (const Error& error) {
+    if (encoded) throw;
+    add_issue(report, context, std::string("re-encoding failed: ") + error.what());
+    encoder_ = std::make_unique<IncrementalSchemaEncoder>(analysis_, query_, /*branch_budget=*/1,
+                                                          cone_, EncoderMode::kTrace);
+    return false;
+  }
+  return green;
+}
 
 /// The audit's phases, scheduled as a DAG and merged back in canonical
 /// (component, property, shard) order.

@@ -35,10 +35,18 @@
 #define HV_CERT_AUDIT_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hv/cert/certificate.h"
+
+namespace hv::checker {
+class GuardAnalysis;
+class IncrementalSchemaEncoder;
+class QueryCone;
+}  // namespace hv::checker
 
 namespace hv::cert {
 
@@ -72,6 +80,39 @@ struct AuditOptions {
   /// ok. The trust boundary does not depend on the schedule — every leaf is
   /// checked by the same pure-arithmetic core.
   int jobs = 1;
+};
+
+/// The per-schema check of an audit, for one (property, query): each schema
+/// is re-encoded on a trace-mode encoder (which records assertions but never
+/// solves) and its evidence checked against that re-encoding by the
+/// pure-arithmetic core. Consecutive schemas that share a chain prefix reuse
+/// its encoding. `hvc audit` runs one per evidence shard; a certifying fleet
+/// coordinator (hv/dist) runs one per worker connection and (property,
+/// query) on every record before it merges. Not thread-safe.
+class SchemaCheck {
+ public:
+  /// `analysis`, `query` and `cone` (null: pruning off) must outlive the
+  /// check.
+  SchemaCheck(const checker::GuardAnalysis& analysis, const spec::ReachQuery& query,
+              const checker::QueryCone* cone);
+  ~SchemaCheck();
+  SchemaCheck(const SchemaCheck&) = delete;
+  SchemaCheck& operator=(const SchemaCheck&) = delete;
+
+  /// Checks the evidence of `schema`: a refutation `proof` (null: none) or,
+  /// when `sat`, a `model` (null: none). Issues land in `report` under
+  /// `context`, which also counts the refutation or model checked. Returns
+  /// true iff the evidence holds. A schema that fails to re-encode is an
+  /// issue, and the encoder restarts fresh for the next one.
+  bool check(const checker::Schema& schema, bool sat, const smt::proof::Node* proof,
+             const std::vector<std::pair<std::string, BigInt>>* model, AuditReport& report,
+             const std::string& context);
+
+ private:
+  const checker::GuardAnalysis& analysis_;
+  const spec::ReachQuery& query_;
+  const checker::QueryCone* cone_;
+  std::unique_ptr<checker::IncrementalSchemaEncoder> encoder_;
 };
 
 /// Audits a certificate end to end. Never throws on malformed content —

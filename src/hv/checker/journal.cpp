@@ -390,9 +390,9 @@ ResumeState load_journal(const std::string& path) {
       continue;
     }
     if (record.verdict == "revoked") {
-      // Compensating record from the distributed coordinator: the original
-      // verdict came from a worker later caught lying, so a resumed run must
-      // re-solve this cursor as if it had never been settled.
+      // Compensating record written by older distributed coordinators: the
+      // original verdict came from a worker later caught lying, so a resumed
+      // run must re-solve this cursor as if it had never been settled.
       state.settled.erase(ResumeState::key(record.property, record.cursor));
       continue;
     }

@@ -69,11 +69,11 @@ struct JournalHeader {
 /// big and retries counters are not journaled. `verdict` is one of "unsat",
 /// "sat", "pruned", "unknown" or "revoked"; sat records exist for
 /// completeness but are re-solved on resume (the counterexample itself is
-/// not journaled). A "revoked" record is a compensating entry appended by
-/// the distributed coordinator when a spot check catches a worker lying: on
-/// load it
-/// *erases* any earlier record for the same cursor, so a resumed run
-/// re-solves the schema instead of trusting the forged verdict. An unsat record
+/// not journaled). A "revoked" record is legacy input: older distributed
+/// coordinators appended one when they caught a worker lying after its
+/// records had merged. On load it still *erases* any earlier record for the
+/// same cursor, so a resumed run re-solves the schema; no current writer
+/// emits one. An unsat record
 /// whose refutation only referenced the first `cut` elements of the
 /// schema's unlock chain carries `cut >= 0`: the whole subtree below that
 /// prefix is infeasible, and resume rebuilds the subtree-cut index from

@@ -33,26 +33,25 @@ IncrementalStats& IncrementalStats::operator+=(const IncrementalStats& other) no
   return *this;
 }
 
-void PropertyTally::count(const SchemaRecord& record, ProgressCounters* progress, bool resumed,
-                          int sign) {
+void PropertyTally::count(const SchemaRecord& record, ProgressCounters* progress, bool resumed) {
   const auto add = [&](std::int64_t& field, std::atomic<std::int64_t> ProgressCounters::* live) {
-    field += sign;
-    if (progress != nullptr) (progress->*live).fetch_add(sign, std::memory_order_relaxed);
+    ++field;
+    if (progress != nullptr) (progress->*live).fetch_add(1, std::memory_order_relaxed);
   };
   add(enumerated, &ProgressCounters::enumerated);
-  retries += sign * record.retries;
+  retries += record.retries;
   if (resumed) add(this->resumed, &ProgressCounters::resumed);
   if (record.verdict == "pruned") {
     add(pruned, &ProgressCounters::pruned);
   } else if (record.verdict == "unsat" || record.verdict == "sat") {
     add(checked, &ProgressCounters::solved);
-    total_length += sign * record.length;
-    pivots += sign * record.pivots;
-    rational_fast_ops += sign * record.fast;
-    rational_big_ops += sign * record.big;
+    total_length += record.length;
+    pivots += record.pivots;
+    rational_fast_ops += record.fast;
+    rational_big_ops += record.big;
   } else {
     add(unknown, &ProgressCounters::unknown);
-    if (sign > 0 && degrade_note.empty()) {
+    if (degrade_note.empty()) {
       degrade_note = (resumed ? "schema degraded to unknown (resumed): "
                               : "schema degraded to unknown: ") +
                      record.note;
@@ -98,6 +97,15 @@ std::string Counterexample::to_string(const ta::ThresholdAutomaton& ta) const {
 
 std::string validate_counterexample(const ta::ThresholdAutomaton& ta, const Counterexample& cex,
                                     const spec::ReachQuery& query) {
+  if (cex.initial.counters.size() != static_cast<std::size_t>(ta.location_count()) ||
+      cex.initial.shared.size() != ta.shared_variables().size()) {
+    return "initial configuration does not fit the automaton";
+  }
+  for (const TraceStep& step : cex.steps) {
+    if (step.rule < 0 || step.rule >= ta.rule_count() || step.factor < 0) {
+      return "trace step does not fit the automaton";
+    }
+  }
   const ta::CounterSystem system(ta, cex.params);
   ta::Config config = cex.initial;
   if (!spec::evaluate(system, query.initial, config)) {

@@ -51,7 +51,10 @@ struct Counterexample {
 /// Replays the counterexample under concrete semantics and re-checks the
 /// query (initial constraint, cuts in order, final constraint). Returns an
 /// empty string on success, else a diagnostic. This guards against encoder
-/// bugs: every reported violation is independently validated.
+/// bugs: every reported violation is independently validated. A
+/// counterexample that does not fit `ta` (configuration sizes, rule ids,
+/// negative factors) fails too; parameters that violate the resilience
+/// condition throw InvalidArgument.
 std::string validate_counterexample(const ta::ThresholdAutomaton& ta, const Counterexample& cex,
                                     const spec::ReachQuery& query);
 
@@ -158,12 +161,11 @@ struct PropertyTally {
   std::vector<SchemaEvidence> evidence;
   std::vector<PrunedSchema> pruned_schemas;
 
-  /// Counts one settled schema (sign +1) or takes it back (sign -1, a
-  /// revoked worker record): enumerated, retries, resumed and the counter
-  /// its verdict lands in, mirrored into the live `progress` counters (null:
-  /// nobody watching). The first unknown schema sets the degrade note.
-  void count(const SchemaRecord& record, ProgressCounters* progress, bool resumed,
-             int sign = 1);
+  /// Counts one settled schema: enumerated, retries, resumed and the
+  /// counter its verdict lands in, mirrored into the live `progress`
+  /// counters (null: nobody watching). The first unknown schema sets the
+  /// degrade note.
+  void count(const SchemaRecord& record, ProgressCounters* progress, bool resumed);
 };
 
 /// Why a property run stopped: the inputs of the verdict precedence ladder
@@ -181,8 +183,6 @@ struct RunEnd {
   /// False when coverage is known to be incomplete (a distributed run
   /// with unsettled leases); ranked below every reason above.
   bool covered = true;
-  /// Appended to the note whatever the verdict (distributed spot checks).
-  std::string disagreement;
 
   /// Folds in a sat schema's witness: a counterexample that failed replay
   /// validation becomes the error note, else the first counterexample wins.
@@ -224,13 +224,6 @@ struct PropertyResult {
   /// journaled), so a resumed run under-reports totals, never mis-splits.
   std::int64_t rational_fast_ops = 0;
   std::int64_t rational_big_ops = 0;
-  /// Byzantine-defense accounting of the distributed coordinator
-  /// (dist/coordinator.h): worker-reported verdicts it re-solved in-process,
-  /// and how many of those disagreed (each disagreement bans the worker and
-  /// revokes its contributions; the run's verdict never rests on one).
-  /// Always zero for in-process runs and when --spot-check-rate is off.
-  std::int64_t schemas_spot_checked = 0;
-  std::int64_t spot_check_disagreements = 0;
   /// Present iff the incremental encoder path ran.
   std::optional<IncrementalStats> incremental;
   std::optional<Counterexample> counterexample;

@@ -84,9 +84,6 @@ PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd e
   } else {
     result.verdict = Verdict::kHolds;
   }
-  if (!end.disagreement.empty()) {
-    result.note = result.note.empty() ? end.disagreement : result.note + "; " + end.disagreement;
-  }
   if (options.certify) {
     auto evidence = std::make_shared<PropertyEvidence>();
     evidence->schemas = std::move(tally.evidence);
@@ -282,12 +279,13 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
     drop_pending_locked(p);
   }
   // A resumed run skips the subtrees the interrupted run proved infeasible,
-  // and a fleet's cuts reach every later grant. A thread's cut is already
-  // in the index (step_schema put it there), so adding it again is a no-op.
+  // and a fleet's cuts reach every later grant. A consumer's cut is already
+  // in the index: step_schema put it there and set record.cut only because
+  // it was new there, so a charged record's cut is new.
   std::optional<std::vector<int>> cut;
   if (learning_[p] && record.verdict == "unsat") {
     cut = cut_prefix(schema.unlock_order, record.cut);
-    if (cut && !learning_[p]->queries[q].cuts.add(*cut)) cut.reset();
+    if (cut && !charged && !learning_[p]->queries[q].cuts.add(*cut)) cut.reset();
   }
   merged_locked(p, q, schema, record, origin, cut ? &*cut : nullptr);
   return true;

@@ -25,8 +25,8 @@
 // In-process threads are its consumers (LeaseConsumer, one per thread, calls
 // it directly), and so is the distributed coordinator's self-solve. The
 // coordinator (hv/dist) derives from the book and adds only what needs a
-// wire or distrust, through the protected hooks: cursor dedup, skip lists,
-// shipping the book's learning to workers, spot checks and revocation.
+// wire or distrust, through the protected hooks: cursor dedup, skip lists
+// and shipping the book's learning to workers.
 #ifndef HV_CHECKER_RUN_H
 #define HV_CHECKER_RUN_H
 
@@ -105,8 +105,6 @@ class LeaseBook {
   /// The learning state of property `p`, or null when the run does not
   /// learn. Internally synchronized: usable without `mutex`.
   PropertyLearning* learning(std::size_t p) const { return learning_[p].get(); }
-  /// Seconds left of options().timeout_seconds (0 when there is none).
-  double remaining_seconds() const;
   /// The pruning cone of (property, query), built on first use; null with
   /// pruning off. Takes `mutex`.
   const QueryCone* cone(std::size_t p, std::size_t q);
@@ -160,7 +158,8 @@ class LeaseBook {
   /// neither visited nor counted again. Default: a replayed resume record.
   virtual bool known_locked(std::size_t p, const std::string& cursor) const;
   /// After a schema merged. `new_cut` is the chain prefix its record's cut
-  /// added to the cut index, or null when it added none.
+  /// added to the cut index (for a charged record: the cut step_schema
+  /// added), or null when it added none.
   virtual void merged_locked(std::size_t p, std::size_t q, const Schema& schema,
                              const SchemaRecord& record, int origin,
                              const std::vector<int>* new_cut);
@@ -175,6 +174,8 @@ class LeaseBook {
  private:
   friend class LeaseConsumer;
 
+  /// Seconds left of options().timeout_seconds (0 when there is none).
+  double remaining_seconds() const;
   /// True iff a lease of `p` is still pending or active.
   bool open_locked(std::size_t p) const;
   void finish_locked(std::size_t p);
@@ -208,12 +209,13 @@ class LeaseConsumer {
   /// propagates: the consumer must retire.
   bool settle_one_lease();
 
-  SchemaSolver& solver(std::size_t p);
   /// Adds each solver's incremental-encoding counters to its property's
   /// tally. Call once, when the consumer retires.
   void fold_stats();
 
  private:
+  SchemaSolver& solver(std::size_t p);
+
   LeaseBook& book_;
   SolveHooks hooks_;
   std::vector<std::unique_ptr<SchemaSolver>> solvers_;

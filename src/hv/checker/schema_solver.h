@@ -1,8 +1,8 @@
 // Per-thread schema solving with the fault-tolerant retry ladder, shared so
 // that every execution engine — a lease consumer (run.h: an in-process
-// thread at any thread count, or the coordinator's self-solve), the
-// distributed worker process and the coordinator's spot check (hv/dist) —
-// settles a (query, schema) unit through exactly the same path:
+// thread at any thread count, or the coordinator's self-solve) and the
+// distributed worker process (hv/dist) — settles a (query, schema) unit
+// through exactly the same path:
 //
 //   1. first attempt on the persistent incremental encoder (when enabled),
 //      under the per-schema watchdogs (wall-clock, pivot budget, soft RSS);
@@ -14,12 +14,11 @@
 // shares — cut cover, cone, solve, cut derivation, all against the learning
 // state the solver carries (SolveHooks::learning) — and reports a
 // SchemaRecord (schema.h). Executors differ only in where the record goes:
-// a lease consumer merges it into the run's lease book (run.h), a fleet
-// worker ships it as a frame the coordinator merges into the same book,
-// and the spot check compares it with a worker's claim. Run-level
-// interrupts (external cancellation,
-// global timeout) are reported as kInterrupted, never retried and never
-// charged against the schema.
+// a lease consumer merges it into the run's lease book (run.h), and a
+// fleet worker ships it as a frame the coordinator merges into the same
+// book. Run-level interrupts (external cancellation, global timeout) are
+// reported as kInterrupted, never retried and never charged against the
+// schema.
 #ifndef HV_CHECKER_SCHEMA_SOLVER_H
 #define HV_CHECKER_SCHEMA_SOLVER_H
 

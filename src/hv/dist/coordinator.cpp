@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -17,13 +18,13 @@
 #include <unordered_set>
 #include <utility>
 
+#include "hv/cert/audit.h"
+#include "hv/checker/cone.h"
 #include "hv/checker/fault.h"
-#include "hv/checker/journal.h"
 #include "hv/checker/run.h"
 #include "hv/checker/schema_solver.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
-#include "hv/util/hash.h"
 #include "hv/util/stopwatch.h"
 #include "hv/util/text.h"
 #include "hv/util/version.h"
@@ -44,27 +45,16 @@ constexpr std::chrono::milliseconds kFleetFormationBound{1000};
 using checker::Lease;
 using checker::LeaseState;
 
-// Fleet-only accounting of one property.
-struct FleetProp {
-  /// Origin (connection serial) of the sat record that stopped this
-  /// property, so a revocation knows whether the witness came from the
-  /// revoked worker (-1: in-process / resume).
-  int sat_origin = -1;
-  /// Spot-check accounting.
-  std::int64_t spot_checks = 0;
-  std::int64_t spot_failures = 0;
-};
-
 // --- worker health ----------------------------------------------------------
 //
-// Per-label scores feed an escalating quarantine ladder. Points: a
-// spot-check disagreement is an instant ban; hostile frames, chronic lease
-// timeouts and reconnect churn accumulate toward a cool-down, and a label
-// that keeps earning quarantines is banned for the run. The thresholds are
-// deliberately coarse — the defense against a *wrong verdict* is the
-// validation and spot-checking, not the score; the score only bounds how
-// much time a misbehaving peer can waste.
-constexpr double kSpotFailPenalty = 100.0;
+// Per-label scores feed an escalating quarantine ladder. Points: a forged
+// frame (one the merge check refutes) is an instant ban; other hostile
+// frames, chronic lease timeouts and reconnect churn accumulate toward a
+// cool-down, and a label that keeps earning quarantines is banned for the
+// run. The thresholds are deliberately coarse — the defense against a
+// *wrong verdict* is the trust gate and the merge check, not the score;
+// the score only bounds how much time a misbehaving peer can waste.
+constexpr double kForgeryPenalty = 100.0;
 constexpr double kHostilePenalty = 40.0;
 constexpr double kTimeoutPenalty = 25.0;
 constexpr double kChurnPenalty = 10.0;
@@ -130,24 +120,14 @@ bool task_covers(const checker::SubtreeTask& task, const std::vector<int>& unloc
   return unlock_order == task.prefix;
 }
 
-// The book's options for a fleet run. Spot-checking disables cross-schema
-// learning: a forged lemma or subtree cut from an untrusted worker would
-// poison honest workers in ways no per-record re-solve can detect.
-checker::CheckOptions book_options(const DistOptions& dist) {
-  checker::CheckOptions check = dist.check;
-  if (dist.spot_check_rate > 0.0) check.lemmas = false;
-  return check;
-}
-
 // The run's lease book plus what only a fleet needs: sessions, cursor
-// dedup and skip lists, shipping the book's learning, health, spot checks
-// and revocation. The book's mutex guards all of it.
+// dedup and skip lists, shipping the book's learning and health. The
+// book's mutex guards all of it.
 struct Coord : checker::LeaseBook {
   Coord(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
         const DistOptions& dist_options)
-      : LeaseBook(ta, properties, book_options(dist_options), dist_options.expected_workers),
+      : LeaseBook(ta, properties, dist_options.check, dist_options.expected_workers),
         dist(dist_options),
-        fleet(properties.size()),
         settled(properties.size()),
         skip(leases.size()) {
     keep_cursors = true;  // the dedup is keyed by cursor
@@ -163,7 +143,6 @@ struct Coord : checker::LeaseBook {
 
   const DistOptions& dist;
   cert::Json welcome;
-  std::vector<FleetProp> fleet;
   /// Verdict dedup and conflict detection, per property: cursor ->
   /// verdict_code of everything settled (by resume replay, a worker record
   /// or an in-process solve). Makes reassignment replays idempotent and lets
@@ -173,8 +152,7 @@ struct Coord : checker::LeaseBook {
   /// Per lease: cursors settled inside its subtree (resume replay, partial
   /// work of a previous holder), shipped as the skip list of the next
   /// grant. Emptied when the lease completes, so the coordinator holds
-  /// cursors only for subtrees still in play; revoke_origin rebuilds it if
-  /// a completed lease returns to the pool.
+  /// cursors only for subtrees still in play.
   std::vector<std::vector<std::string>> skip;
   /// Lease-state events (see changed_locked) bump the epoch and wake both
   /// kinds of waiter: `next` handlers parked on lease_cv and the accept
@@ -188,23 +166,13 @@ struct Coord : checker::LeaseBook {
   DistStats stats;
   std::vector<ConnInfo> open_conns;
 
-  /// Byzantine defense: per-label health, per-origin applied-record logs
-  /// (spot-check mode only) and the next connection serial.
+  /// Byzantine defense: per-label health and the next connection serial.
   std::unordered_map<std::string, WorkerHealth> health;
-  std::unordered_map<int, std::vector<std::pair<std::size_t, checker::SchemaRecord>>>
-      applied_by_origin;
   int next_origin = 0;
-  /// Spot checks currently running outside the mutex; run_complete waits
-  /// for zero so a pending revocation can never race the run's completion.
-  int spot_inflight = 0;
 
-  /// In-process solving (spot checks and fleet-exhausted degradation) on
-  /// one lease consumer, which learns like every other consumer of the
-  /// book. A spot-checked run does not learn, so a spot check reproduces
-  /// an honest worker's verdict from scratch. `solve_mutex` serializes its
-  /// use; never acquire it while holding `mutex` (the self-solve path takes
-  /// solve_mutex first, then mutex per schema).
-  std::mutex solve_mutex;
+  /// In-process solving once the fleet is exhausted (graceful degradation)
+  /// on one lease consumer, which learns like every other consumer of the
+  /// book. Only the accept loop drives it.
   checker::FaultInjector inline_injector{checker::FaultPlan{}};  // never armed
   checker::LeaseConsumer inline_consumer{*this, &inline_injector};
 
@@ -227,9 +195,8 @@ struct Coord : checker::LeaseBook {
 
  public:
   // The lease-state events a waiter can act on: a lease went pending or
-  // settled, a property settled, the run is closing, or a spot check
-  // finished (-1: no lease). Wakes parked `next` handlers and the accept
-  // loop.
+  // settled, a property settled or the run is closing (-1: no lease).
+  // Wakes parked `next` handlers and the accept loop.
   void changed_locked(std::int64_t lease) override {
     if (lease >= 0 && leases[static_cast<std::size_t>(lease)].state == LeaseState::kDone) {
       skip[static_cast<std::size_t>(lease)] = {};
@@ -259,21 +226,14 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   }
 }
 
-bool run_complete(Coord& c) {
-  // An in-flight spot check can still revoke the record that "finished" the
-  // run (a forged sat stops its property the moment it merges); declaring
-  // completion under it would race the revocation and ship a lie.
-  return c.spot_inflight == 0 && c.complete_locked();
-}
-
 void Coord::broadcast_locked(const cert::Json& frame, int origin) const {
   for (const ConnInfo& info : open_conns) {
     if (info.learn && info.origin != origin) info.conn->send(frame);
   }
 }
 
-// The fleet's share of a merge: dedup, the covering lease's skip list, the
-// witness's origin, a new subtree cut, and the spot check's per-origin log.
+// The fleet's share of a merge: dedup, the covering lease's skip list and a
+// new subtree cut.
 void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
                           const checker::SchemaRecord& record, int origin,
                           const std::vector<int>* new_cut) {
@@ -285,7 +245,6 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
       break;  // subtrees are disjoint
     }
   }
-  if (record.verdict == "sat") fleet[p].sat_origin = origin;
   // A new cut proves every schema extending its chain prefix unsat. The cut
   // itself is not journaled here (it rides on the record), but every
   // still-pending lease it covers settles without ever being granted, and
@@ -303,125 +262,6 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
     payload.add_cut(q, *new_cut);
     broadcast_locked(learn_frame(p, std::move(payload)), origin);
   }
-  if (origin >= 0 && dist.spot_check_rate > 0.0) applied_by_origin[origin].emplace_back(p, record);
-}
-
-// --- verdict spot-checking --------------------------------------------------
-
-/// Deterministic content-based sampling: the same (cursor, seed) pair is
-/// always sampled or never, independent of arrival order, so a lying worker
-/// cannot learn which of its records escape scrutiny by replaying the run.
-/// Sat claims are always re-checked — a single forged witness flips the
-/// headline verdict.
-bool spot_sampled(const Coord& c, const std::string& cursor, const std::string& verdict) {
-  const double rate = c.dist.spot_check_rate;
-  if (rate <= 0.0) return false;
-  if (verdict == "unknown") return false;  // inconclusive either way
-  if (verdict == "sat" || rate >= 1.0) return true;
-  const std::uint64_t h = fnv1a(cursor, kFnvOffsetBasis ^ c.dist.spot_check_seed);
-  return unit_interval(splitmix64_mix(h + kGoldenGamma)) < rate;
-}
-
-/// Re-settles one reported schema in-process (step_schema; a spot-checked
-/// run does not learn) and compares. Returns an empty string on agreement
-/// (or an inconclusive re-solve — honest watchdog nondeterminism must not
-/// cost anyone a connection), else a description of the disagreement. Call WITHOUT the
-/// coordinator mutex: the solve can take as long as any schema takes.
-std::string spot_disagreement(Coord& c, std::size_t p, std::size_t q,
-                              const checker::Schema& schema, const std::string& verdict) {
-  std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
-  const checker::SchemaStep step =
-      checker::step_schema(c.inline_consumer.solver(p), c.cone(p, q), q, schema,
-                           c.remaining_seconds());
-  const std::string& own = step.record.verdict;
-  if (step.kind != checker::SchemaStep::Kind::kSettled || own == "unknown" || own == verdict) {
-    return std::string();
-  }
-  return "reported '" + verdict + "' where the coordinator settles '" + own + "'";
-}
-
-/// Recomputes a lease's skip list from the settled set. Scans every settled
-/// cursor, so only the rare revocation path calls it.
-void rebuild_skip_list(Coord& c, std::size_t id) {
-  const Lease& lease = c.leases[id];
-  std::vector<std::string>& skip = c.skip[id];
-  skip.clear();
-  for (const auto& entry : c.settled[lease.property]) {
-    std::size_t q = 0;
-    checker::Schema schema;
-    if (checker::parse_schema_cursor(entry.first, &q, &schema) && q == lease.query &&
-        task_covers(lease.task, schema.unlock_order)) {
-      skip.push_back(entry.first);
-    }
-  }
-}
-
-/// A spot check disagreed: nothing `origin` ever reported can be trusted.
-/// Bans the label, reverses every merge contribution of that origin
-/// (journaling compensating "revoked" records so --resume re-solves them),
-/// and re-pends every lease the connection touched so honest workers — or
-/// the coordinator itself, once the fleet is exhausted — re-solve the lot.
-/// Caller holds the mutex.
-void revoke_origin(Coord& c, int origin, const std::string& label,
-                   const std::unordered_set<std::int64_t>& lease_history, std::size_t p_hint,
-                   const std::string& cursor, const std::string& why) {
-  ++c.stats.spot_check_failures;
-  ++c.fleet[p_hint].spot_failures;
-  penalize(c, label, kSpotFailPenalty);
-  if (c.props[p_hint].end.disagreement.empty()) {
-    c.props[p_hint].end.disagreement = "worker_disagreement: worker '" + label + "' " + why +
-                                       " at cursor " + cursor +
-                                       "; its records were revoked and re-solved";
-  }
-  std::unordered_set<std::size_t> touched;
-  const auto it = c.applied_by_origin.find(origin);
-  if (it != c.applied_by_origin.end()) {
-    for (const auto& [p, record] : it->second) {
-      if (c.settled[p].erase(record.cursor) == 0) continue;
-      checker::PropertyRun& prop = c.props[p];
-      prop.tally.count(record, c.options().progress, /*resumed=*/false, /*sign=*/-1);
-      if (record.verdict == "sat" && c.fleet[p].sat_origin == origin) {
-        // The revoked worker's witness was what stopped this property;
-        // un-stop it so coverage completes honestly.
-        prop.stopped = false;
-        prop.end.counterexample.reset();
-        prop.end.error_note.clear();
-        c.fleet[p].sat_origin = -1;
-      }
-      checker::SchemaRecord revoked;
-      revoked.cursor = record.cursor;
-      revoked.verdict = "revoked";
-      checker::journal_append(c.journal(), c.properties()[p].name, revoked);
-      touched.insert(p);
-    }
-    c.applied_by_origin.erase(it);
-  }
-  for (const std::int64_t id : lease_history) {
-    const auto index = static_cast<std::size_t>(id);
-    const LeaseState state = c.leases[index].state;
-    if (state == LeaseState::kActive || state == LeaseState::kDone) {
-      c.set_state_locked(index, LeaseState::kPending);
-      ++c.stats.leases_reassigned;
-    }
-    touched.insert(c.leases[index].property);
-  }
-  for (const std::size_t p : touched) {
-    checker::PropertyRun& prop = c.props[p];
-    if (prop.end.budget_exhausted && !prop.stopped &&
-        prop.tally.enumerated + prop.in_flight < c.options().enumeration.max_schemas) {
-      prop.end.budget_exhausted = false;
-    }
-    for (std::size_t i = 0; i < c.leases.size(); ++i) {
-      if (c.leases[i].property != p) continue;
-      // Leases dropped because the property looked settled go back to the
-      // pool (set_state_locked keeps them dropped while it still is).
-      if (c.leases[i].state == LeaseState::kDropped) c.set_state_locked(i, LeaseState::kPending);
-      // The revoked cursors leave the skip lists, and a completed lease
-      // that returned to the pool gets its list back.
-      if (c.leases[i].state == LeaseState::kPending) rebuild_skip_list(c, i);
-    }
-  }
-  c.changed_locked(-1);
 }
 
 // True while a self-hosted fleet is still forming (caller holds the mutex).
@@ -445,17 +285,22 @@ struct Session {
   bool on_next();
   bool on_verdict(const cert::Json& msg);
   bool on_learn(const cert::Json& msg);
-  void on_lease_done(const cert::Json& msg);
+  bool on_lease_done(const cert::Json& msg);
+  bool forged(std::size_t p, std::size_t q, const checker::Schema& schema,
+              const checker::SchemaRecord& record, const checker::UnitOutcome& solve);
+  bool settles_subtree(const Lease& lease);
   void release_current();
-  void mark_hostile_locked();
+  void mark_hostile_locked(double penalty = kHostilePenalty);
   void punish_violation();
 
   Coord& c;
   Conn conn;
   std::string label = "worker";
   bool learn = false;  // both sides advertised "learn"
-  int origin = -1;     // connection serial: the key of revoke_origin
-  std::int64_t current = -1;  // lease index held by this worker
+  int origin = -1;     // connection serial: learn broadcasts skip their origin
+  /// Lease index held by this worker. Only this session's thread writes it
+  /// (under the mutex), so the thread reads it without one.
+  std::int64_t current = -1;
   /// Every lease ever granted on THIS connection: the trust set a record or
   /// sat frame must cite from. A late record for an expropriated lease of
   /// our own is honest (and deduplicated); a record citing anyone else's
@@ -466,6 +311,10 @@ struct Session {
   std::int64_t abandon_sent_for = -2;
   Clock::time_point last_activity = Clock::now();
   bool clean = false;
+  /// Certifying runs: this connection's per-schema checks, one per
+  /// (property, query), built on first use. Each follows this worker's DFS
+  /// order, so consecutive records reuse their chain prefix's encoding.
+  std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<cert::SchemaCheck>> checks;
 };
 
 void Session::serve() {
@@ -505,7 +354,7 @@ void Session::serve() {
       } else if (type == "learn") {
         keep = on_learn(msg);
       } else if (type == "lease_done") {
-        on_lease_done(msg);
+        keep = on_lease_done(msg);
       } else if (type != "heartbeat") {
         punish_violation();  // unknown message: protocol violation
         keep = false;
@@ -705,7 +554,8 @@ bool Session::on_next() {
 }
 
 // A `record` or `sat` frame: one schema this worker settled. It passes the
-// trust gate, merges like any other settled schema, and may be spot-checked.
+// merge check and the trust gate, then merges like any other settled
+// schema.
 bool Session::on_verdict(const cert::Json& msg) {
   const bool sat = msg.at("type").as_string() == "sat";
   checker::UnitOutcome solve;
@@ -718,11 +568,18 @@ bool Session::on_verdict(const cert::Json& msg) {
     punish_violation();
     return false;
   }
+  // Checked outside the mutex, so every worker's records are checked in
+  // parallel. Nothing merges unchecked, so a forgery costs the connection
+  // and the label, never a revocation.
+  if (forged(p, q, schema, record, solve)) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    mark_hostile_locked(kForgeryPenalty);
+    return false;
+  }
   const std::int64_t cited = msg.at("lease").as_int();
   // Cuts count only from peers that negotiated learning.
   if (!learn) record.cut = -1;
   bool abandon = false;
-  bool applied = false;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
     // Trust gate: the frame must carry a known verdict, cite a lease granted
@@ -749,36 +606,55 @@ bool Session::on_verdict(const cert::Json& msg) {
       mark_hostile_locked();
       return false;
     }
-    applied = c.merge_locked(p, q, schema, record, std::move(solve), /*charged=*/false,
-                             /*resumed=*/false, origin);
+    c.merge_locked(p, q, schema, record, std::move(solve), /*charged=*/false,
+                   /*resumed=*/false, origin);
     // Tell the worker to stop solving a subtree nobody wants: its lease was
     // expropriated, or the property is already settled (first witness,
     // exhausted budget). A worker stops a lease on its own after a sat.
     abandon = !sat && (cited != current || !c.props[p].live());
-  }
-  if (applied && spot_sampled(c, record.cursor, record.verdict)) {
-    {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      ++c.stats.spot_checks;
-      ++c.fleet[p].spot_checks;
-      ++c.spot_inflight;  // holds run_complete open until the verdict
-    }
-    // Re-solve WITHOUT the coordinator mutex — the run keeps merging other
-    // workers' records while this one is audited.
-    const std::string why = spot_disagreement(c, p, q, schema, record.verdict);
-    std::lock_guard<std::mutex> lock(c.mutex);
-    --c.spot_inflight;
-    c.changed_locked(-1);  // run_complete waits for spot checks
-    if (!why.empty()) {
-      revoke_origin(c, origin, label, lease_history, p, record.cursor, why);
-      return false;  // the lying connection dies with its records
-    }
   }
   if (abandon && abandon_sent_for != cited) {
     abandon_sent_for = cited;
     return conn.send(cert::Json::Object{{"type", "abandon"}, {"lease", cited}});
   }
   return true;
+}
+
+// The merge check of one record, run outside the mutex. In every mode a sat
+// whose worker reports no replay failure must carry a counterexample that
+// replays under the coordinator's own validate_counterexample. A certifying
+// run also checks the rest of the record's evidence with the auditor's own
+// per-schema check: an unsat proof or a sat model against this session's
+// trace re-encoding, and a pruned claim against the query cone. True iff
+// the record is forged.
+bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema,
+                     const checker::SchemaRecord& record, const checker::UnitOutcome& solve) {
+  const bool sat = record.verdict == "sat";
+  if (sat && solve.validation_error.empty()) {
+    if (!solve.counterexample) return true;
+    try {
+      if (!checker::validate_counterexample(c.analysis().automaton(), *solve.counterexample,
+                                            c.properties()[p].queries[q])
+               .empty()) {
+        return true;
+      }
+    } catch (const Error&) {
+      return true;  // e.g. parameters that violate the resilience condition
+    }
+  }
+  if (!c.options().certify) return false;
+  if (record.verdict == "pruned") {
+    const checker::QueryCone* cone = c.cone(p, q);
+    return cone == nullptr || cone->schema_feasible(schema);
+  }
+  if (!sat && record.verdict != "unsat") return false;  // unknown claims nothing
+  std::unique_ptr<cert::SchemaCheck>& check = checks[{p, q}];
+  if (!check) {
+    check = std::make_unique<cert::SchemaCheck>(c.analysis(), c.properties()[p].queries[q],
+                                                c.cone(p, q));
+  }
+  cert::AuditReport report;
+  return !check->check(schema, sat, solve.proof.get(), solve.model.get(), report, record.cursor);
 }
 
 // A `learn` frame: freshly pooled Farkas lemmas from this worker. Folds them
@@ -800,35 +676,74 @@ bool Session::on_learn(const cert::Json& msg) {
   return true;
 }
 
-// A `lease_done` frame: the worker finished (or abandoned) its lease.
-void Session::on_lease_done(const cert::Json& msg) {
+// A `lease_done` frame: the worker finished (or abandoned) its lease. A
+// negative counter is hostile; a certifying run also requires the lease's
+// whole subtree to be settled while its property is still live.
+bool Session::on_lease_done(const cert::Json& msg) {
   const std::int64_t id = msg.at("lease").as_int();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  if (id != current || id < 0) return;
-  const auto index = static_cast<std::size_t>(id);
-  if (c.leases[index].state == LeaseState::kActive) c.set_state_locked(index, LeaseState::kDone);
-  checker::PropertyRun& prop = c.props[c.leases[index].property];
+  checker::IncrementalStats delta;
   if (const cert::Json* stats = msg.find("stats")) {
-    checker::IncrementalStats delta;
     delta.segments_pushed = stats->at("segments_pushed").as_int();
     delta.segments_popped = stats->at("segments_popped").as_int();
     delta.segments_reused = stats->at("segments_reused").as_int();
     delta.schemas_encoded = stats->at("schemas_encoded").as_int();
-    prop.tally.incremental += delta;
   }
   // Learning counters, read tolerantly (pre-upgrade workers omit them). Cut
   // counts only cover subtrees a worker enumerated past — subtrees never
   // granted thanks to a cut are not enumerated at all, so the distributed
   // count is a documented undercount.
-  if (const cert::Json* cut = msg.find("cut")) {
-    prop.tally.cut += cut->as_int();
-    bump(c, &checker::ProgressCounters::cut, cut->as_int());
+  const auto counter = [&](const char* key) -> std::int64_t {
+    const cert::Json* field = msg.find(key);
+    return field == nullptr ? 0 : field->as_int();
+  };
+  const std::int64_t cut = counter("cut");
+  const std::int64_t hits = counter("hits");
+  const std::int64_t learned = counter("learned");
+  if (std::min({cut, hits, learned, delta.segments_pushed, delta.segments_popped,
+                delta.segments_reused, delta.schemas_encoded}) < 0) {
+    punish_violation();
+    return false;
   }
-  if (const cert::Json* hits = msg.find("hits")) prop.tally.lemma_hits += hits->as_int();
-  if (const cert::Json* learned = msg.find("learned")) {
-    prop.tally.lemmas_learned += learned->as_int();
+  if (id != current || id < 0) return true;
+  const auto index = static_cast<std::size_t>(id);
+  if (c.options().certify && !settles_subtree(c.leases[index])) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    mark_hostile_locked(kForgeryPenalty);
+    return false;
   }
+  std::lock_guard<std::mutex> lock(c.mutex);
+  if (c.leases[index].state == LeaseState::kActive) c.set_state_locked(index, LeaseState::kDone);
+  checker::PropertyRun& prop = c.props[c.leases[index].property];
+  prop.tally.incremental += delta;
+  prop.tally.cut += cut;
+  bump(c, &checker::ProgressCounters::cut, cut);
+  prop.tally.lemma_hits += hits;
+  prop.tally.lemmas_learned += learned;
   current = -1;
+  return true;
+}
+
+// True iff every schema of `lease`'s subtree is settled, or its property
+// takes no more verdicts (a witness or the budget ended it, and the worker
+// was told to abandon). A certifying run does not learn, so no cut skips a
+// schema. The subtree is enumerated outside the mutex.
+bool Session::settles_subtree(const Lease& lease) {
+  checker::EnumerationOptions unbounded = c.options().enumeration;
+  unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
+  const std::size_t q = lease.query;
+  std::vector<std::string> cursors;
+  checker::enumerate_schemas_under(
+      c.analysis(), lease.task,
+      static_cast<int>(c.properties()[lease.property].queries[q].cuts.size()), unbounded,
+      [&](const checker::Schema& schema) {
+        cursors.push_back(checker::schema_cursor(q, schema));
+        return true;
+      });
+  std::lock_guard<std::mutex> lock(c.mutex);
+  const std::unordered_map<std::string, char>& settled = c.settled[lease.property];
+  return !c.props[lease.property].live() ||
+         std::all_of(cursors.begin(), cursors.end(),
+                     [&](const std::string& cursor) { return settled.count(cursor) > 0; });
 }
 
 // Caller holds the mutex.
@@ -842,12 +757,12 @@ void Session::release_current() {
   current = -1;
 }
 
-// A protocol violation (hostile or malformed frame) costs health points on
-// top of the connection; EOFs, torn frames and timeouts are deaths, not
-// hostility.
-void Session::mark_hostile_locked() {
+// A protocol violation (hostile, malformed or forged frame) costs health
+// points on top of the connection; EOFs, torn frames and timeouts are
+// deaths, not hostility.
+void Session::mark_hostile_locked(double penalty) {
   ++c.stats.hostile_frames;
-  penalize(c, label, kHostilePenalty);
+  penalize(c, label, penalty);
 }
 
 void Session::punish_violation() {
@@ -862,11 +777,6 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
                                               const DistOptions& options, DistStats* stats) {
   // Closes the listening socket however this returns.
   const std::unique_ptr<int, void (*)(int*)> listening(&listen_fd, [](int* fd) { ::close(*fd); });
-  if (options.check.certify && options.spot_check_rate > 0.0) {
-    throw InvalidArgument(
-        "dist: --spot-check-rate is redundant under --certify (the audit re-validates every "
-        "verdict offline); drop one of the two");
-  }
   const ta::ThresholdAutomaton ta = ta::parse_ta(model_text).one_round_reduction();
   const std::vector<spec::Property> properties = resolve_properties(ta, specs);
   // The lease book plans the leases for the expected fleet, opens the
@@ -900,7 +810,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     bool degrade = false;
     {
       std::lock_guard<std::mutex> lock(c.mutex);
-      const bool complete = run_complete(c);
+      const bool complete = c.complete_locked();
       if (!complete && options.check.cancel != nullptr &&
           options.check.cancel->load(std::memory_order_relaxed)) {
         c.interrupted = true;
@@ -937,12 +847,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
       // The coordinator is then one more lease consumer, settling through
       // the same loop as an in-process thread (cancellation and the global
       // timeout send its lease back to the pool).
-      bool solved = false;
-      {
-        std::lock_guard<std::mutex> solve_lock(c.solve_mutex);
-        solved = c.inline_consumer.settle_one_lease();
-      }
-      if (solved) {
+      if (c.inline_consumer.settle_one_lease()) {
         std::lock_guard<std::mutex> lock(c.mutex);
         ++c.stats.leases_granted;
         ++c.stats.leases_self_solved;
@@ -971,10 +876,6 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   for (std::thread& handler : handlers) handler.join();
 
   std::vector<checker::PropertyResult> results = c.results();
-  for (std::size_t p = 0; p < results.size(); ++p) {
-    results[p].schemas_spot_checked = c.fleet[p].spot_checks;
-    results[p].spot_check_disagreements = c.fleet[p].spot_failures;
-  }
   if (stats != nullptr) {
     std::lock_guard<std::mutex> lock(c.mutex);
     *stats = c.stats;

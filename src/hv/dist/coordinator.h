@@ -4,7 +4,7 @@
 // budget, the journal and the merge into PropertyResult / certificate
 // evidence; the coordinator hands its leases to workers over the frame
 // protocol and adds what needs a wire or distrust: sessions, cursor dedup,
-// skip lists, fleet learning, health, spot checks and revocation. With
+// skip lists, fleet learning, health and the merge check. With
 // several live properties, grants are fair-shared: a "next" request gets
 // the pending lease whose property currently has the fewest active leases
 // (ties to the lowest index, which preserves the single-property first-fit
@@ -29,20 +29,24 @@
 //     Byzantine peer. Every record/sat frame must cite a lease granted on
 //     its own connection whose subtree covers the reported cursor, and a
 //     definitive verdict conflicting with an already-settled one is
-//     rejected — violations cost the connection and feed a per-label
-//     health score (spot-check failures, hostile frames, chronic lease
-//     timeouts, reconnect churn) that escalates from cool-down quarantine
-//     to a permanent ban for the run. With spot_check_rate > 0 the
-//     coordinator re-solves a deterministic sample of reported schemas
-//     in-process (sat claims are always re-solved); a disagreement bans
-//     the worker, revokes everything it contributed (journaled as
-//     "revoked" records so --resume re-solves them) and re-pends its
-//     leases. When the fleet is exhausted — everyone banned, quarantined
-//     or gone — the coordinator becomes a lease consumer itself, like an
-//     in-process thread: the run slows down, it never wrongs. Verdict
-//     lying that slips past an unarmed spot-checker is still caught
-//     offline by --certify + `hvc audit`, which re-validates every Farkas
-//     leaf.
+//     rejected. Violations cost the connection and feed a per-label health
+//     score (forged frames, other hostile frames, chronic lease timeouts,
+//     reconnect churn) that escalates from cool-down quarantine to a
+//     permanent ban for the run. Before any record merges, the merge check
+//     replays a sat's counterexample in every mode; a certifying run
+//     (--certify) also checks every record with the auditor's own
+//     per-schema check (cert::SchemaCheck): an unsat proof or a sat model
+//     against the coordinator's trace re-encoding, a pruned claim against
+//     the query cone, and a lease_done against the lease's subtree, every
+//     schema of which must have settled. A forged frame bans its label at
+//     once and its lease re-pends; nothing merged unchecked, so nothing is
+//     revoked. A plain fleet trusts its workers' unsat, pruned and
+//     lease_done claims; untrusted workers call for --certify. There a
+//     worker can still turn a property `unknown` by reporting unknown
+//     schemas, but never make it wrong. When the fleet is exhausted —
+//     everyone banned, quarantined or gone — the coordinator becomes a
+//     lease consumer itself, like an in-process thread: the run slows down,
+//     it never wrongs.
 #ifndef HV_DIST_COORDINATOR_H
 #define HV_DIST_COORDINATOR_H
 
@@ -66,17 +70,6 @@ struct DistOptions {
   /// Partition granularity hint: aim for at least 4 leases per expected
   /// worker so the fleet load-balances.
   int expected_workers = 2;
-  /// Fraction of worker-reported verdicts the coordinator re-solves
-  /// in-process (deterministically sampled by cursor content; sat claims
-  /// are always re-checked when armed). 0 disables spot-checking. Rejected
-  /// under --certify, where the auditor already re-validates every
-  /// verdict. Arming it also disables cross-schema learning for the run: a
-  /// forged lemma or subtree cut from an untrusted worker would poison
-  /// honest workers in ways no per-record check can see.
-  double spot_check_rate = 0.0;
-  /// Mixed into the spot-check sampling hash, so repeated runs can sample
-  /// different subsets of the schema space.
-  std::uint64_t spot_check_seed = 0;
   /// The coordinator forked its own fleet (fork-local mode): nobody else
   /// will ever connect, so graceful degradation arms even if no worker
   /// managed to join at all (e.g. every child lost its handshake to
@@ -91,11 +84,8 @@ struct DistStats {
   std::int64_t leases_granted = 0;
   /// Leases returned to the pool after their worker died or timed out.
   std::int64_t leases_reassigned = 0;
-  /// Byzantine-defense accounting.
-  std::int64_t spot_checks = 0;
-  std::int64_t spot_check_failures = 0;
-  /// Frames that violated the lease/verdict trust rules (each costs its
-  /// connection).
+  /// Frames that violated the lease/verdict trust rules or failed the merge
+  /// check (each costs its connection).
   std::int64_t hostile_frames = 0;
   /// Lease expropriations caused by silence beyond the lease timeout.
   std::int64_t lease_timeouts = 0;

@@ -413,8 +413,8 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
           }
           step.record.cursor = std::move(cursor);
           // Byzantine test hook: forge a counterexample-free "sat" for a
-          // schema the solver just refuted. Spot-checking must catch this;
-          // --certify would catch it offline.
+          // schema the solver just refuted. The coordinator's merge check
+          // must catch it.
           if (options.lie_about_verdicts && step.record.verdict == "unsat") {
             step.record.verdict = "sat";
           }

@@ -53,8 +53,8 @@ struct WorkerOptions {
   std::int64_t drop_after_records = 0;
   /// Test hook (HV_LIE_VERDICTS=1 under `hvc work`): report every unsat
   /// schema as a forged counterexample-free "sat" — a Byzantine worker the
-  /// coordinator's spot-checking must catch. Never enable outside
-  /// adversarial testing.
+  /// coordinator's merge check catches on its first forged frame, plain or
+  /// certifying. Never enable outside adversarial testing.
   bool lie_about_verdicts = false;
 };
 

@@ -162,7 +162,6 @@ void run_job(Daemon& d, Job& job) {
       dist::DistOptions dist_options;
       dist_options.check = options;
       dist_options.expected_workers = d.options.job_workers;
-      dist_options.spot_check_rate = d.options.spot_check_rate;
       results = dist::check_distributed_local(job.model_text, job.specs, d.options.job_workers,
                                               dist_options);
     } else {

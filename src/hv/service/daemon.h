@@ -61,14 +61,10 @@ struct DaemonOptions {
   std::int64_t cache_bytes = 64ll * 1024 * 1024;
   QueueLimits limits;
   /// >= 2: execute each job on that many fork-local worker processes
-  /// (dist::check_distributed_local) instead of in-process threads.
+  /// (dist::check_distributed_local) instead of in-process threads. The
+  /// fleet shares the daemon's binary; a certifying job's coordinator
+  /// still checks every worker record before it merges.
   int job_workers = 0;
-  /// With job_workers >= 2: fraction of worker-reported verdicts each
-  /// job's coordinator re-solves in-process (dist::DistOptions::
-  /// spot_check_rate — the Byzantine-worker defense). 0 trusts the
-  /// fork-local fleet, which shares the daemon's binary anyway; raise it
-  /// when the worker pool is ever opened to foreign processes.
-  double spot_check_rate = 0.0;
   /// Schema-journal durability batch for jobs (checker journal records per
   /// fsync). Smaller than the CLI default so a killed daemon resumes close
   /// to the kill point.

@@ -30,12 +30,6 @@ std::string render_result_json(const ta::ThresholdAutomaton& ta,
       << ", \"rational_big_ops\": " << result.rational_big_ops
       << ", \"rational_fast_ratio\": " << rational_fast_ratio(result)
       << ", \"note\": \"" << json_escape(result.note) << "\"";
-  if (result.schemas_spot_checked > 0) {
-    // Rendered only when spot-checking was armed, so trusted-fleet runs stay
-    // byte-identical to in-process output.
-    out << ", \"spot_checked\": " << result.schemas_spot_checked
-        << ", \"spot_disagreements\": " << result.spot_check_disagreements;
-  }
   if (result.incremental) {
     out << ", \"segments_pushed\": " << result.incremental->segments_pushed
         << ", \"segments_popped\": " << result.incremental->segments_popped

@@ -52,8 +52,8 @@ constexpr const char* kUsage = R"(usage:
         --workers N (N >= 2) forks N local worker *processes* sharding the
         schema space over a private socket — a crashed worker costs one
         lease, not the run; --threads W instead uses W in-process threads.
-        --spot-check-rate R applies the same verdict spot-checking as hvc
-        serve to the forked fleet.
+        With --certify the forked fleet is proof-checked as under hvc
+        serve.
         --journal appends settled schema verdicts to a crash-safe JSONL
         file; --resume skips the schemas an earlier journal settled and
         keeps appending to it. --schema-timeout/--pivot-budget are
@@ -67,21 +67,22 @@ constexpr const char* kUsage = R"(usage:
         --prop may repeat; the i-th --name names the i-th property.)
   hvc serve <model.ta> --listen <addr> [--prop "<ltl>"]... [--name N]...
                        [--expected-workers N] [--lease-timeout S]
-                       [--spot-check-rate R] [--spot-check-seed S]
                        [... same checking flags as hvc check ...]
        (distributed coordinator: shards the schema space into subtree
         leases and merges verdicts streamed by hvc work processes. <addr>
         is unix:/path or tcp:host:port. Without --prop it checks the
         model's bundled default properties. A worker that dies loses its
         lease to the next worker; kill -9 the coordinator and restart with
-        --resume to continue from the journal. --spot-check-rate R re-solves
-        a deterministic fraction R of worker-reported verdicts in-process
-        (sat claims always): a disagreement bans the worker and revokes its
-        records. Hostile frames, chronic lease timeouts and reconnect churn
-        feed a per-label health score that escalates from cool-down
-        quarantine to a permanent ban; with the fleet exhausted the
-        coordinator solves the remainder itself. Incompatible with
-        --certify, where hvc audit already re-validates every verdict.
+        --resume to continue from the journal. Every sat claim's
+        counterexample is replayed before it merges. Untrusted workers call
+        for --certify: the coordinator then checks every worker record with
+        hvc audit's per-schema check (proofs, models, pruned claims, whole
+        leases) before it merges, and a forged record bans its worker at
+        once; a worker can still make a property unknown, never wrong.
+        Hostile frames, chronic lease timeouts and reconnect churn feed a
+        per-label health score that escalates from cool-down quarantine to
+        a permanent ban; with the fleet exhausted the coordinator solves the
+        remainder itself.
         HV_NET_FAULT_KIND/_RATE/_SEED (delay, drop, dup, reorder, truncate,
         partition, mix) arm deterministic network-fault injection on every
         coordinator/worker connection for testing.)
@@ -96,11 +97,10 @@ constexpr const char* kUsage = R"(usage:
         restarts. --heartbeat-ms must stay under half the coordinator's
         lease timeout (refused otherwise). HV_LIE_VERDICTS=1 makes the
         worker forge sat verdicts — an adversarial test hook for the
-        coordinator's spot-checking.)
+        coordinator's merge check.)
   hvc daemon --listen <addr> --state <dir> [--cache-mb MB] [--job-workers N]
              [--max-running N] [--tenant-max-queued N]
              [--tenant-max-running N] [--tenant-schema-budget K]
-             [--spot-check-rate R]
        (multi-tenant verification service: accepts hvc submit jobs from
         many clients, schedules them fairly under per-tenant quotas, and
         answers repeated submissions from a content-addressed result cache
@@ -173,26 +173,15 @@ T parse_number(const std::string& what, const std::string& text) {
   return value;
 }
 
-double parse_spot_check_rate(const std::string& command, const std::string& value) {
-  const double rate = parse_number<double>("--spot-check-rate", value);
-  if (rate < 0.0 || rate > 1.0) {
-    throw InvalidArgument(command + ": --spot-check-rate must be in [0, 1], got " + value);
-  }
-  return rate;
-}
-
 /// One extra human-output line for the Byzantine-defense counters; printed
 /// only when something actually happened, so trusted-fleet runs keep their
 /// exact pre-existing output.
 void print_byzantine_stats(const dist::DistStats& stats, std::ostream& out) {
-  if (stats.spot_checks == 0 && stats.hostile_frames == 0 && stats.lease_timeouts == 0 &&
-      stats.workers_quarantined == 0 && stats.workers_banned == 0 &&
-      stats.leases_self_solved == 0) {
+  if (stats.hostile_frames == 0 && stats.lease_timeouts == 0 && stats.workers_quarantined == 0 &&
+      stats.workers_banned == 0 && stats.leases_self_solved == 0) {
     return;
   }
-  out << "byzantine: " << stats.spot_checks << " spot checks (" << stats.spot_check_failures
-      << " disagreements), " << stats.hostile_frames << " hostile frames, "
-      << stats.lease_timeouts << " lease timeouts, " << stats.workers_quarantined
+  out << "byzantine: " << stats.hostile_frames << " hostile frames, " << stats.lease_timeouts << " lease timeouts, " << stats.workers_quarantined
       << " quarantined, " << stats.workers_banned << " banned, " << stats.leases_self_solved
       << " leases self-solved\n";
 }
@@ -400,8 +389,6 @@ int command_check(Args& args, std::ostream& out) {
   std::vector<std::string> names;
   bool json = false;
   int fork_workers = 0;
-  double spot_check_rate = 0.0;
-  std::uint64_t spot_check_seed = 0;
   std::optional<std::string> cert_out;
   checker::CheckOptions options;
   while (!args.empty()) {
@@ -414,10 +401,6 @@ int command_check(Args& args, std::ostream& out) {
       fork_workers = *value;
     } else if (const auto value = args.number<int>("--threads")) {
       options.workers = *value;
-    } else if (const auto value = args.option("--spot-check-rate")) {
-      spot_check_rate = parse_spot_check_rate("check", *value);
-    } else if (const auto value = args.number<std::uint64_t>("--spot-check-seed")) {
-      spot_check_seed = *value;
     } else if (args.boolean("--json")) {
       json = true;
     } else if (const auto value = args.option("--cert-out")) {
@@ -433,11 +416,6 @@ int command_check(Args& args, std::ostream& out) {
   normalize_journal_paths(options);
   options.cancel = &g_interrupted;
   options.fault = checker::fault_plan_from_env();
-  if (spot_check_rate > 0.0 && fork_workers < 2) {
-    throw InvalidArgument(
-        "check: --spot-check-rate needs --workers N (N >= 2): in-process verdicts are "
-        "trusted by construction");
-  }
 
   const std::string model_text = read_file(*model_path);
   const ta::ThresholdAutomaton ta = ta::parse_ta(model_text).one_round_reduction();
@@ -457,8 +435,6 @@ int command_check(Args& args, std::ostream& out) {
     const std::vector<dist::PropertySpec> specs = ltl.empty() ? bundled_specs(properties) : ltl;
     dist::DistOptions dist_options;
     dist_options.check = options;
-    dist_options.spot_check_rate = spot_check_rate;
-    dist_options.spot_check_seed = spot_check_seed;
     results = dist::check_distributed_local(model_text, specs, fork_workers, dist_options,
                                             &dist_stats);
   } else {
@@ -512,10 +488,6 @@ int command_serve(Args& args, std::ostream& out) {
       dist_options.expected_workers = *value;
     } else if (const auto value = args.number<double>("--lease-timeout")) {
       dist_options.lease_timeout_seconds = *value;
-    } else if (const auto value = args.option("--spot-check-rate")) {
-      dist_options.spot_check_rate = parse_spot_check_rate("serve", *value);
-    } else if (const auto value = args.number<std::uint64_t>("--spot-check-seed")) {
-      dist_options.spot_check_seed = *value;
     } else if (args.boolean("--json")) {
       json = true;
     } else if (const auto value = args.option("--cert-out")) {
@@ -589,8 +561,8 @@ int command_work(Args& args, std::ostream& out) {
   if (options.connect.empty()) throw InvalidArgument("work: --connect is required");
   options.fault = checker::fault_plan_from_env();
   options.cancel = &g_interrupted;
-  // Adversarial test hook: forge sat verdicts so a spot-checking
-  // coordinator can be exercised end-to-end from the shell.
+  // Adversarial test hook: forge sat verdicts so the coordinator's merge
+  // check can be exercised end-to-end from the shell.
   if (const char* lie = std::getenv("HV_LIE_VERDICTS"); lie != nullptr && *lie == '1') {
     options.lie_about_verdicts = true;
   }
@@ -625,8 +597,6 @@ int command_daemon(Args& args, std::ostream& out) {
       options.limits.tenant_max_running = *value;
     } else if (const auto value = args.number<std::int64_t>("--tenant-schema-budget")) {
       options.limits.tenant_schema_budget = *value;
-    } else if (const auto value = args.option("--spot-check-rate")) {
-      options.spot_check_rate = parse_spot_check_rate("daemon", *value);
     } else {
       throw InvalidArgument("daemon: unexpected argument '" + args.peek() + "'");
     }

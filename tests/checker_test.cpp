@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -270,6 +271,30 @@ TEST(MinimizeTest, CounterexamplesAreMinimal) {
     valid = valid || validate_counterexample(ta, cex, query).empty();
   }
   EXPECT_TRUE(valid);
+}
+
+TEST(CounterexampleTest, ReplayRejectsAShapeThatDoesNotFitTheAutomaton) {
+  // A fleet coordinator replays counterexamples that arrive from workers:
+  // sizes, rule ids and factors are outside input and must fail the replay,
+  // never index past the automaton.
+  const auto& ta = echo().body();
+  const spec::Property property = spec::compile(ta, "d_empty", "locA != 0 -> [](locD == 0)");
+  const PropertyResult result = check_property(ta, property);
+  ASSERT_TRUE(result.counterexample.has_value());
+  const Counterexample& cex = *result.counterexample;
+  const auto query = std::find_if(
+      property.queries.begin(), property.queries.end(),
+      [&](const spec::ReachQuery& q) { return validate_counterexample(ta, cex, q).empty(); });
+  ASSERT_NE(query, property.queries.end());
+  ASSERT_FALSE(cex.steps.empty());
+  std::vector<Counterexample> misfits(4, cex);
+  misfits[0].initial.counters.push_back(0);
+  misfits[1].initial.shared.clear();
+  misfits[2].steps[0].rule = ta.rule_count();
+  misfits[3].steps[0].factor = -1;
+  for (const Counterexample& misfit : misfits) {
+    EXPECT_NE(validate_counterexample(ta, misfit, *query), "");
+  }
 }
 
 TEST(MultiRoundTest, CheckPropertyOverloadReduces) {
@@ -597,13 +622,12 @@ TEST(SettleResultTest, HighestRungWins) {
   options.timeout_seconds = 2.5;
   options.enumeration.max_schemas = 9;
   const std::string progress = " after 1.25s; solved 4/9 enumerated schemas, 2 pruned";
-  const auto settle = [&](std::size_t from, std::size_t to, const std::string& disagreement) {
+  const auto settle = [&](std::size_t from, std::size_t to) {
     PropertyTally tally;
     tally.enumerated = 9;
     tally.checked = 4;
     tally.pruned = 2;
     RunEnd end;
-    end.disagreement = disagreement;
     for (std::size_t k = from; k < to; ++k) ladder[k].set(tally, end);
     return settle_result("p", std::move(tally), std::move(end), 1.25, options);
   };
@@ -614,81 +638,11 @@ TEST(SettleResultTest, HighestRungWins) {
     const Rung& rung = ladder[k];
     // The rung alone, and the rung with every lower rung also set.
     for (const std::size_t to : {k + 1, ladder.size()}) {
-      const PropertyResult result = settle(k, to, "");
+      const PropertyResult result = settle(k, to);
       EXPECT_EQ(result.verdict, rung.verdict) << rung.name;
       EXPECT_EQ(result.note, expected_note(rung)) << rung.name;
       EXPECT_EQ(result.interrupted, k <= kInterruptedRung && kInterruptedRung < to) << rung.name;
     }
-    // A spot-check disagreement is appended to whatever the ladder says.
-    const std::string disagreement = "worker_disagreement: worker 'w' lied";
-    const std::string note = expected_note(rung);
-    EXPECT_EQ(settle(k, ladder.size(), disagreement).note,
-              note.empty() ? disagreement : note + "; " + disagreement)
-        << rung.name;
-  }
-}
-
-// The coordinator revokes a lying worker's records by counting them again
-// with sign -1; that is only sound if uncounting exactly undoes counting.
-TEST(PropertyTallyTest, CountThenUncountRestoresEveryCounter) {
-  const auto make = [](const char* verdict, std::int64_t length, std::int64_t pivots,
-                       std::int64_t fast, std::int64_t big, std::int64_t retries) {
-    SchemaRecord record;
-    record.cursor = "q0|0|";
-    record.verdict = verdict;
-    record.length = length;
-    record.pivots = pivots;
-    record.fast = fast;
-    record.big = big;
-    record.retries = retries;
-    record.note = "boom";
-    return record;
-  };
-  const std::vector<SchemaRecord> records = {
-      make("pruned", 0, 0, 0, 0, 0), make("unsat", 3, 17, 120, 2, 0),
-      make("sat", 4, 9, 80, 0, 1),   make("unknown", 0, 0, 0, 0, 1),
-      make("unsat", 2, 5, 40, 1, 0),
-  };
-  PropertyTally tally;
-  tally.enumerated = 7;
-  tally.checked = 3;
-  tally.pruned = 2;
-  tally.unknown = 1;
-  tally.retries = 4;
-  tally.total_length = 11;
-  tally.pivots = 50;
-  tally.rational_fast_ops = 900;
-  tally.rational_big_ops = 6;
-  const PropertyTally before = tally;
-  ProgressCounters progress;
-  for (const SchemaRecord& record : records) tally.count(record, &progress, false);
-  EXPECT_EQ(tally.enumerated, before.enumerated + 5);
-  EXPECT_EQ(tally.checked, before.checked + 3);
-  EXPECT_EQ(tally.pruned, before.pruned + 1);
-  EXPECT_EQ(tally.unknown, before.unknown + 1);
-  EXPECT_EQ(tally.retries, before.retries + 2);
-  EXPECT_EQ(tally.total_length, before.total_length + 9);
-  EXPECT_EQ(tally.pivots, before.pivots + 31);
-  EXPECT_EQ(tally.rational_fast_ops, before.rational_fast_ops + 240);
-  EXPECT_EQ(tally.rational_big_ops, before.rational_big_ops + 3);
-  EXPECT_EQ(tally.degrade_note, "schema degraded to unknown: boom");
-  EXPECT_EQ(progress.solved.load(), 3);
-
-  for (const SchemaRecord& record : records) tally.count(record, &progress, false, -1);
-  EXPECT_EQ(tally.enumerated, before.enumerated);
-  EXPECT_EQ(tally.checked, before.checked);
-  EXPECT_EQ(tally.pruned, before.pruned);
-  EXPECT_EQ(tally.cut, before.cut);
-  EXPECT_EQ(tally.unknown, before.unknown);
-  EXPECT_EQ(tally.resumed, before.resumed);
-  EXPECT_EQ(tally.retries, before.retries);
-  EXPECT_EQ(tally.total_length, before.total_length);
-  EXPECT_EQ(tally.pivots, before.pivots);
-  EXPECT_EQ(tally.rational_fast_ops, before.rational_fast_ops);
-  EXPECT_EQ(tally.rational_big_ops, before.rational_big_ops);
-  for (const auto* counter : {&progress.enumerated, &progress.solved, &progress.pruned,
-                              &progress.unknown, &progress.resumed}) {
-    EXPECT_EQ(counter->load(), 0);
   }
 }
 
@@ -1048,6 +1002,35 @@ TEST(LeaseBookTest, ResumedCutLandsInItsOwnPropertysIndex) {
   for (const QueryLearning& query : book.learning(0)->queries) {
     EXPECT_EQ(query.cuts.size(), 0u);
   }
+}
+
+TEST(LeaseBookTest, EveryCutAConsumerFindsReachesTheMergeHook) {
+  // step_schema adds a consumer's fresh cut to the book's index before the
+  // merge, so the merge cannot tell from the index that the cut is new; the
+  // charged record's cut says so. merged_locked must hear of every cut the
+  // run finds: the coordinator broadcasts each and settles the pending
+  // leases it covers, self-solved ones included.
+  struct CountingBook : LeaseBook {
+    using LeaseBook::LeaseBook;
+    void merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,
+                       const std::vector<int>* new_cut) override {
+      if (new_cut != nullptr) ++new_cuts;
+    }
+    std::size_t new_cuts = 0;
+  };
+  CheckOptions options;
+  if (!lemmas_enabled(options)) GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  const ta::ThresholdAutomaton ta = hv::models::simplified_consensus_one_round();
+  const std::vector<spec::Property> properties = hv::models::simplified_properties(ta);
+  const auto named = std::find_if(properties.begin(), properties.end(),
+                                  [](const spec::Property& p) { return p.name == "SRoundTerm"; });
+  ASSERT_NE(named, properties.end());
+  CountingBook book(ta, std::span(&*named, 1), options, 1);
+  book.consume(1, nullptr);
+  std::size_t cuts = 0;
+  for (const QueryLearning& query : book.learning(0)->queries) cuts += query.cuts.snapshot().size();
+  EXPECT_GT(cuts, 0u);
+  EXPECT_EQ(book.new_cuts, cuts);
 }
 
 TEST(ParameterizedTest, PinnedSimplexArithmetic) {

@@ -10,14 +10,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "hv/cert/audit.h"
+#include "hv/cert/emit.h"
+#include "hv/checker/cone.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
 #include "hv/checker/parameterized.h"
+#include "hv/checker/schema_solver.h"
 #include "hv/dist/coordinator.h"
 #include "hv/dist/frame.h"
 #include "hv/dist/local.h"
@@ -1356,78 +1362,308 @@ TEST(DistByzantine, RepeatOffendersAreQuarantinedOnRejoin) {
 }
 
 TEST(DistByzantine, LyingWorkerIsCaughtBannedAndTheRunSelfHeals) {
-  // The full Byzantine story end to end: a worker that forges a
-  // counterexample-free "sat" for an unsat schema is caught by the armed
-  // spot-checker, everything it contributed is revoked, its label is
-  // banned, and — the fleet now exhausted — the coordinator degrades to
-  // solving the re-pended leases itself. The run slows down; it never
-  // wrongs.
-  const std::string address = "unix:" + temp_path("dist_liar.sock");
+  // The full Byzantine story end to end, plain and certifying: a worker
+  // that forges a counterexample-free "sat" for an unsat schema is caught
+  // by the merge check before the record merges, its label is banned, and
+  // — the fleet now exhausted — the coordinator degrades to solving the
+  // re-pended leases itself. The run slows down; it never wrongs.
+  for (const bool certify : {false, true}) {
+    SCOPED_TRACE(certify ? "certify" : "plain");
+    const std::string address =
+        "unix:" + temp_path(certify ? "dist_liar_certify.sock" : "dist_liar.sock");
+    ServeRun run;
+    DistOptions options;
+    options.check.certify = certify;
+    options.lease_timeout_seconds = 0.75;  // also paces the degradation probe
+    // With the cone armed every schema of this property is statically
+    // pruned and an unsat solve — the thing the liar forges a sat for —
+    // never happens; disable it so the worker actually solves (and lies).
+    options.check.property_directed_pruning = false;
+    run.start(address, {{"safe", kHoldsFormula, false}}, options);
+
+    WorkerOptions liar;
+    liar.connect = address;
+    liar.label = "liar";
+    liar.heartbeat_ms = 100;  // pass the heartbeat-vs-lease-timeout gate
+    liar.lie_about_verdicts = true;
+    const WorkerReport report = run_worker(liar);
+    run.join();
+
+    ASSERT_TRUE(run.error.empty()) << run.error;
+    EXPECT_FALSE(report.completed);
+    ASSERT_EQ(run.results.size(), 1u);
+    EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
+    EXPECT_TRUE(run.results[0].note.empty()) << run.results[0].note;
+    EXPECT_EQ(run.stats.hostile_frames, 1);
+    EXPECT_EQ(run.stats.workers_banned, 1);
+    EXPECT_GE(run.stats.leases_self_solved, 1);
+
+    // The self-solved remainder lands on exactly the in-process coverage.
+    const auto reference = reference_check("safe", kHoldsFormula, options.check);
+    EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+    EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
+  }
+}
+
+/// The certificate of one Echo property's fleet results, audited.
+cert::AuditReport audit_fleet(const std::string& name, const std::string& formula,
+                              const std::vector<checker::PropertyResult>& results) {
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
+  cert::Certificate certificate;
+  certificate.components.push_back(cert::make_component_cert(
+      cert::text_model_source(kEchoModel), {spec::compile(ta, name, formula)}, results, "ltl"));
+  return cert::audit_certificate(certificate);
+}
+
+TEST(DistByzantine, HonestCertifyingFleetPassesTheMergeCheck) {
+  // Two forked workers (the fleet forms before the first grant), every
+  // record checked at merge: nobody is banned and the counts and the
+  // certificate are an in-process certifying run's.
+  DistOptions options;
+  options.check.certify = true;
+  options.check.property_directed_pruning = false;  // so records carry proofs
+  DistStats stats;
+  const std::vector<checker::PropertyResult> results = check_distributed_local(
+      kEchoModel, {{"safe", kHoldsFormula, false}}, /*worker_count=*/2, options, &stats);
+
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].verdict, checker::Verdict::kHolds);
+  EXPECT_EQ(stats.workers_joined, 2);
+  EXPECT_EQ(stats.hostile_frames, 0);
+  EXPECT_EQ(stats.workers_banned, 0);
+  EXPECT_TRUE(results[0].note.empty()) << results[0].note;
+
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  EXPECT_GT(reference[0].schemas_checked, 0);
+  EXPECT_EQ(results[0].schemas_checked, reference[0].schemas_checked);
+  EXPECT_EQ(results[0].schemas_pruned, reference[0].schemas_pruned);
+  EXPECT_EQ(results[0].schemas_unknown, reference[0].schemas_unknown);
+  const cert::AuditReport audit = audit_fleet("safe", kHoldsFormula, results);
+  EXPECT_TRUE(audit.ok) << audit.to_string();
+}
+
+TEST(DistByzantine, NegativeLeaseDoneCountersAreHostile) {
+  // A lease_done adds the peer's counters to the tally; a negative one
+  // would drive them below zero (and close the lease with no records).
+  const std::string address = "unix:" + temp_path("dist_negative_done.sock");
   ServeRun run;
   DistOptions options;
-  options.spot_check_rate = 1.0;
-  options.lease_timeout_seconds = 0.75;  // also paces the degradation probe
-  // With the cone armed every schema of this property is statically pruned
-  // and an unsat solve — the thing the liar forges a sat for — never
-  // happens; disable it so the worker actually solves (and lies).
-  options.check.property_directed_pruning = false;
+  options.lease_timeout_seconds = 30.0;
   run.start(address, {{"safe", kHoldsFormula, false}}, options);
-
-  WorkerOptions liar;
-  liar.connect = address;
-  liar.label = "liar";
-  liar.heartbeat_ms = 100;  // pass the heartbeat-vs-lease-timeout gate
-  liar.lie_about_verdicts = true;
-  const WorkerReport report = run_worker(liar);
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  {
+    Conn conn(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "negative"));
+    LeaseGrant grant;
+    ASSERT_TRUE(acquire_lease(conn, &grant));
+    ASSERT_TRUE(conn.send(cert::Json::Object{
+        {"type", "lease_done"}, {"lease", grant.id}, {"cut", std::int64_t{-1000}}}));
+    cert::Json reply;
+    EXPECT_NE(conn.recv(&reply, 5'000), FrameStatus::kOk) << reply.to_string();
+    conn.close();
+  }
+  const WorkerReport survivor = run_one_worker(address, "honest");
   run.join();
-
   ASSERT_TRUE(run.error.empty()) << run.error;
-  EXPECT_FALSE(report.completed);
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  EXPECT_EQ(run.stats.hostile_frames, 1);
   ASSERT_EQ(run.results.size(), 1u);
   EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
-  EXPECT_NE(run.results[0].note.find("worker_disagreement"), std::string::npos)
-      << run.results[0].note;
-  EXPECT_GE(run.results[0].schemas_spot_checked, 1);
-  EXPECT_GE(run.results[0].spot_check_disagreements, 1);
-  EXPECT_GE(run.stats.spot_check_failures, 1);
-  EXPECT_EQ(run.stats.workers_banned, 1);
-  EXPECT_GE(run.stats.leases_self_solved, 1);
-
-  // Revoke-and-re-solve must land on exactly the in-process coverage
-  // (spot-checking disarms cross-schema learning, so compare against a
-  // learning-free reference).
-  checker::CheckOptions ref = options.check;
-  ref.lemmas = false;
-  const auto reference = reference_check("safe", kHoldsFormula, ref);
+  EXPECT_GE(run.results[0].schemas_cut, 0);
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
 }
 
-TEST(DistByzantine, HonestFleetPassesSpotChecksWithCountersIntact) {
-  const std::string address = "unix:" + temp_path("dist_spot_honest.sock");
+// --- the merge check of a certifying fleet ------------------------------------
+//
+// A scripted certifying peer settles its leases with its own solver and
+// streams honest records until it commits one forgery; the coordinator must
+// ban it on that very frame, and an honest worker must then finish the run
+// exactly like an in-process certifying run, with a certificate that
+// audits.
+
+enum class Forgery {
+  kAlteredMultiplier,   // an unsat whose proof has one Farkas multiplier negated
+  kMissingProof,        // an unsat without its proof
+  kPrunedKept,          // "pruned" for a schema the cone keeps
+  kViolatingModel,      // a sat whose model violates the re-encoding
+  kFailingReplay,       // a sat whose counterexample fails replay
+  kUnsettledLeaseDone,  // a lease_done over a subtree with an unsettled schema
+};
+
+smt::proof::Node* first_farkas(smt::proof::Node& node) {
+  if (node.kind == smt::proof::NodeKind::kFarkas) return &node;
+  for (const auto& child : {node.first.get(), node.second.get()}) {
+    if (child == nullptr) continue;
+    if (smt::proof::Node* found = first_farkas(*child)) return found;
+  }
+  return nullptr;
+}
+
+/// Applies a record `forgery` to one honestly settled `step`, or returns
+/// false when the step is no target for it. The forged frame lands in
+/// `*frame`.
+bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::SchemaStep step,
+                  std::int64_t lease, cert::Json* frame) {
+  const std::string& verdict = step.record.verdict;
+  checker::UnitOutcome& outcome = step.outcome;
+  switch (forgery) {
+    case Forgery::kAlteredMultiplier: {
+      if (verdict != "unsat" || outcome.proof == nullptr) return false;
+      std::unique_ptr<smt::proof::Node> proof = smt::proof::clone(*outcome.proof);
+      smt::proof::Node* farkas = first_farkas(*proof);
+      if (farkas == nullptr || farkas->farkas.empty()) return false;
+      farkas->farkas[0].multiplier = -farkas->farkas[0].multiplier;
+      outcome.proof = std::move(proof);
+      break;
+    }
+    case Forgery::kMissingProof:
+      if (verdict != "unsat") return false;
+      outcome.proof = nullptr;
+      break;
+    case Forgery::kPrunedKept:
+      if (verdict != "unsat" && verdict != "sat") return false;
+      step.record.verdict = "pruned";
+      outcome = checker::UnitOutcome{};
+      break;
+    case Forgery::kViolatingModel: {
+      if (verdict != "sat" || outcome.model == nullptr) return false;
+      auto model = *outcome.model;
+      for (auto& entry : model) entry.second = entry.second + BigInt(7);
+      outcome.model =
+          std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(std::move(model));
+      break;
+    }
+    case Forgery::kFailingReplay: {
+      if (verdict != "sat" || !outcome.counterexample) return false;
+      // Fire a rule more often than there are processes to move.
+      ta::RuleId rule = 0;
+      while (ta.rule(rule).is_self_loop()) ++rule;
+      outcome.counterexample->steps.push_back({rule, 1000});
+      break;
+    }
+    case Forgery::kUnsettledLeaseDone:
+      return false;
+  }
+  *frame = record_to_json(step.record, outcome, lease, /*property=*/0);
+  return true;
+}
+
+/// Runs the forging peer against the coordinator at `address`; returns once
+/// the coordinator dropped it after its forged frame.
+void run_forger(const std::string& address, const std::string& formula,
+                const checker::CheckOptions& options, Forgery forgery) {
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
+  const spec::Property property = spec::compile(ta, "p", formula);
+  const checker::GuardAnalysis analysis(ta);
+  checker::SchemaSolver solver(analysis, property, options, checker::SolveHooks{});
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  Conn conn(fd);
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "forger"));
+  bool forged = false;
+  while (!forged) {
+    LeaseGrant grant;
+    ASSERT_TRUE(acquire_lease(conn, &grant)) << "no lease left to forge in";
+    const std::size_t q = static_cast<std::size_t>(grant.query);
+    std::optional<checker::QueryCone> cone;
+    if (options.property_directed_pruning) cone.emplace(analysis, property.queries[q]);
+    checker::SubtreeTask task;
+    task.prefix.assign(grant.prefix.begin(), grant.prefix.end());
+    task.include_extensions = grant.extensions;
+    const bool lease_forgery = forgery == Forgery::kUnsettledLeaseDone;
+    bool sat = false;
+    checker::enumerate_schemas_under(
+        analysis, task, static_cast<int>(property.queries[q].cuts.size()), options.enumeration,
+        [&](const checker::Schema& schema) {
+          checker::SchemaStep step =
+              checker::step_schema(solver, cone ? &*cone : nullptr, q, schema, 0.0);
+          EXPECT_EQ(step.kind, checker::SchemaStep::Kind::kSettled);
+          step.record.cursor = checker::schema_cursor(q, schema);
+          sat = step.record.verdict == "sat";
+          if (lease_forgery && !forged) {
+            forged = true;  // this schema never settles: the lease_done below is forged
+            return true;
+          }
+          cert::Json frame;
+          const bool forged_here =
+              !lease_forgery && forge_record(forgery, ta, step, grant.id, &frame);
+          if (!forged_here) frame = record_to_json(step.record, step.outcome, grant.id, 0);
+          EXPECT_TRUE(conn.send(frame));
+          forged = forged || forged_here;
+          return !forged_here && !sat;
+        });
+    if (forged && !lease_forgery) break;
+    ASSERT_FALSE(sat) << "the run settled before the forgery";
+    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", grant.id}}));
+  }
+  // Dropped on the forged frame: nothing but (at most) an abandon before EOF.
+  cert::Json reply;
+  FrameStatus status = FrameStatus::kOk;
+  while ((status = conn.recv(&reply, 5'000)) == FrameStatus::kOk) {
+    EXPECT_EQ(reply.at("type").as_string(), "abandon") << reply.to_string();
+  }
+  EXPECT_NE(status, FrameStatus::kTimeout) << "the coordinator kept the forger";
+  conn.close();
+}
+
+void expect_forgery_caught(Forgery forgery, const char* socket, const std::string& formula,
+                           bool pruning) {
+  const std::string address = "unix:" + temp_path(socket);
   ServeRun run;
   DistOptions options;
-  options.spot_check_rate = 1.0;
-  options.check.lemmas = false;  // what arming the spot-checker implies anyway
-  run.start(address, {{"safe", kHoldsFormula, false}}, options);
-  const WorkerReport report = run_one_worker(address, "honest");
+  options.check.certify = true;
+  options.check.property_directed_pruning = pruning;
+  options.lease_timeout_seconds = 30.0;
+  run.start(address, {{"p", formula, false}}, options);
+  ASSERT_NO_FATAL_FAILURE(run_forger(address, formula, options.check, forgery));
+  const WorkerReport survivor = run_one_worker(address, "honest");
   run.join();
 
   ASSERT_TRUE(run.error.empty()) << run.error;
-  EXPECT_TRUE(report.completed) << report.note;
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  EXPECT_EQ(run.stats.hostile_frames, 1);
+  EXPECT_EQ(run.stats.workers_banned, 1);
+  const auto reference = reference_check("p", formula, options.check);
+  EXPECT_GT(reference[0].schemas_checked, 0);
   ASSERT_EQ(run.results.size(), 1u);
-  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
-  EXPECT_GT(run.stats.spot_checks, 0);
-  EXPECT_EQ(run.stats.spot_check_failures, 0);
-  EXPECT_EQ(run.stats.workers_banned, 0);
-  EXPECT_GT(run.results[0].schemas_spot_checked, 0);
-  EXPECT_EQ(run.results[0].spot_check_disagreements, 0);
-  EXPECT_TRUE(run.results[0].note.empty()) << run.results[0].note;
-
-  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  EXPECT_EQ(run.results[0].verdict, reference[0].verdict);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
-  EXPECT_EQ(run.results[0].schemas_unknown, reference[0].schemas_unknown);
+  const cert::AuditReport audit = audit_fleet("p", formula, run.results);
+  EXPECT_TRUE(audit.ok) << audit.to_string();
+}
+
+TEST(DistByzantine, UnsatWithAnAlteredFarkasMultiplierIsCaught) {
+  expect_forgery_caught(Forgery::kAlteredMultiplier, "dist_forge_multiplier.sock",
+                        kHoldsFormula, /*pruning=*/false);
+}
+
+TEST(DistByzantine, UnsatWithoutAProofIsCaught) {
+  expect_forgery_caught(Forgery::kMissingProof, "dist_forge_no_proof.sock", kHoldsFormula,
+                        /*pruning=*/false);
+}
+
+TEST(DistByzantine, PrunedClaimTheConeRefutesIsCaught) {
+  expect_forgery_caught(Forgery::kPrunedKept, "dist_forge_pruned.sock", kViolatedFormula,
+                        /*pruning=*/true);
+}
+
+TEST(DistByzantine, SatWhoseModelViolatesTheReEncodingIsCaught) {
+  expect_forgery_caught(Forgery::kViolatingModel, "dist_forge_model.sock", kViolatedFormula,
+                        /*pruning=*/true);
+}
+
+TEST(DistByzantine, SatWhoseCounterexampleFailsReplayIsCaught) {
+  expect_forgery_caught(Forgery::kFailingReplay, "dist_forge_replay.sock", kViolatedFormula,
+                        /*pruning=*/true);
+}
+
+TEST(DistByzantine, LeaseDoneOverAnUnsettledSubtreeIsCaught) {
+  expect_forgery_caught(Forgery::kUnsettledLeaseDone, "dist_forge_lease_done.sock",
+                        kHoldsFormula, /*pruning=*/false);
 }
 
 // --- reconnect jitter and heartbeat validation ------------------------------

@@ -89,10 +89,11 @@ TEST(JournalTest, LaterRecordsWin) {
 }
 
 TEST(JournalTest, RevokedRecordsEraseEarlierVerdictsOnLoad) {
-  // The distributed coordinator journals a compensating "revoked" record
-  // when spot-checking catches a lying worker. Loading must forget the
-  // revoked cursor (so --resume re-solves it) while unrelated records — and
-  // a later honest re-solve of the same cursor — survive.
+  // Older distributed coordinators journaled a compensating "revoked"
+  // record when they caught a lying worker after its records had merged;
+  // such journals still resume. Loading must forget the revoked cursor (so
+  // --resume re-solves it) while unrelated records — and a later honest
+  // re-solve of the same cursor — survive.
   const std::string path = temp_path("journal_revoked.jsonl");
   {
     ProgressJournal journal(path, "Echo");
