@@ -23,9 +23,10 @@
 // solver of that property carries it (SolveHooks::learning), so step_schema
 // reads and extends the same cut index, and the book folds the cut of every
 // merged unsat record into it, whoever settled the schema: a thread, the
-// resume replay or a fleet worker. A fleet worker process keeps its own
-// PropertyLearning per property, fed by its own refutations and by the
-// cuts and lemmas the coordinator ships from the book (hv/dist/protocol.h).
+// resume replay or a fleet worker. A fleet worker process is a consumer of
+// a lease book of its own, whose learning state is fed by its own
+// refutations and by the cuts and lemmas the coordinator ships from the
+// run's book (hv/dist/protocol.h).
 //
 // Trust boundary: neither kind of learned fact can flip a verdict. A cut
 // only suppresses solving of schemas whose unsat-ness is entailed by an

@@ -44,17 +44,19 @@ struct Counterexample {
   std::vector<TraceStep> steps;
 
   /// Human-readable replay: parameters, initial configuration, steps and
-  /// intermediate configurations.
+  /// the configuration after each step (each fired in one go).
   std::string to_string(const ta::ThresholdAutomaton& ta) const;
 };
 
 /// Replays the counterexample under concrete semantics and re-checks the
 /// query (initial constraint, cuts in order, final constraint). Returns an
 /// empty string on success, else a diagnostic. This guards against encoder
-/// bugs: every reported violation is independently validated. A
-/// counterexample that does not fit `ta` (configuration sizes, rule ids,
-/// negative factors) fails too; parameters that violate the resilience
-/// condition throw InvalidArgument.
+/// bugs: every reported violation is independently validated. Each step is
+/// fired in one go, so the cost does not grow with its factor; the verdict
+/// is the one-firing-at-a-time replay's. A counterexample that does not
+/// fit `ta` (configuration sizes, rule ids, negative factors, a step whose
+/// configuration leaves int64) fails too; parameters that violate the
+/// resilience condition throw InvalidArgument.
 std::string validate_counterexample(const ta::ThresholdAutomaton& ta, const Counterexample& cex,
                                     const spec::ReachQuery& query);
 
@@ -82,6 +84,7 @@ struct IncrementalStats {
   double prefix_reuse_ratio() const noexcept;
 
   IncrementalStats& operator+=(const IncrementalStats& other) noexcept;
+  IncrementalStats& operator-=(const IncrementalStats& other) noexcept;
 };
 
 /// Certificate raw material for one (query, schema) SMT verdict, collected

@@ -26,8 +26,9 @@ CheckOptions normalized(const CheckOptions& options) {
   return out;
 }
 
-void bump(ProgressCounters* progress, std::atomic<std::int64_t> ProgressCounters::* counter) {
-  if (progress != nullptr) (progress->*counter).fetch_add(1, std::memory_order_relaxed);
+void bump(ProgressCounters* progress, std::atomic<std::int64_t> ProgressCounters::* counter,
+          std::int64_t n = 1) {
+  if (progress != nullptr) (progress->*counter).fetch_add(n, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -166,7 +167,6 @@ void LeaseBook::consume(int threads, FaultInjector* injector) {
     } catch (const WorkerAbortFault&) {
       // Contained: this consumer retires; the rest keep going.
     }
-    consumer.fold_stats();
   };
   std::vector<std::jthread> helpers;
   for (int i = 1; i < threads; ++i) helpers.emplace_back(run);
@@ -191,6 +191,16 @@ const QueryCone* LeaseBook::cone(std::size_t p, std::size_t q) {
   return slot.get();
 }
 
+EnumerationOutcome LeaseBook::enumerate_lease(
+    const Lease& lease, const std::function<bool(const Schema&)>& visit) const {
+  EnumerationOptions unbounded = options_.enumeration;
+  unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
+  return enumerate_schemas_under(
+      analysis_, lease.task,
+      static_cast<int>(properties_[lease.property].queries[lease.query].cuts.size()), unbounded,
+      visit);
+}
+
 std::int64_t LeaseBook::pick_locked(bool* work_left) {
   if (halted_locked()) return -1;
   std::vector<std::size_t> active(props.size(), 0);
@@ -201,11 +211,7 @@ std::int64_t LeaseBook::pick_locked(bool* work_left) {
   for (std::size_t i = 0; i < leases.size(); ++i) {
     const Lease& lease = leases[i];
     if (lease.state == LeaseState::kActive) *work_left = true;
-    if (lease.state != LeaseState::kPending) continue;
-    if (moot_locked(lease)) {
-      set_state_locked(i, LeaseState::kDone);
-      continue;
-    }
+    if (lease.state != LeaseState::kPending || settle_moot_locked(i)) continue;
     *work_left = true;
     if (grant < 0 ||
         active[lease.property] < active[leases[static_cast<std::size_t>(grant)].property]) {
@@ -236,16 +242,27 @@ void LeaseBook::drop_pending_locked(std::size_t p) {
   changed_locked(-1);
 }
 
-bool LeaseBook::charge_locked(std::size_t p) {
+std::int64_t LeaseBook::charge_locked(std::size_t p, std::int64_t n) {
   PropertyRun& prop = props[p];
-  if (!prop.live()) return false;
-  if (prop.tally.enumerated + prop.in_flight >= options_.enumeration.max_schemas) {
+  if (!prop.live()) return 0;
+  const std::int64_t room = std::max<std::int64_t>(
+      0, options_.enumeration.max_schemas - prop.tally.enumerated - prop.in_flight);
+  const std::int64_t charged = std::min(n, room);
+  if (charged < n) {
     prop.end.budget_exhausted = true;
     drop_pending_locked(p);
-    return false;
   }
-  ++prop.in_flight;
-  return true;
+  prop.in_flight += charged;
+  return charged;
+}
+
+void LeaseBook::cut_locked(std::size_t p, std::int64_t n) {
+  PropertyTally& tally = props[p].tally;
+  props[p].in_flight -= n;
+  tally.enumerated += n;
+  tally.cut += n;
+  bump(options_.progress, &ProgressCounters::enumerated, n);
+  bump(options_.progress, &ProgressCounters::cut, n);
 }
 
 bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
@@ -345,7 +362,7 @@ void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const Sch
 
 void LeaseBook::changed_locked(std::int64_t) {}
 
-bool LeaseBook::moot_locked(const Lease&) { return false; }
+bool LeaseBook::settle_moot_locked(std::size_t) { return false; }
 
 LeaseConsumer::LeaseConsumer(LeaseBook& book, FaultInjector* injector)
     : book_(book), solvers_(book.properties().size()) {
@@ -365,13 +382,6 @@ SchemaSolver& LeaseConsumer::solver(std::size_t p) {
   return *slot;
 }
 
-void LeaseConsumer::fold_stats() {
-  std::lock_guard<std::mutex> lock(book_.mutex);
-  for (std::size_t p = 0; p < solvers_.size(); ++p) {
-    if (solvers_[p]) book_.props[p].tally.incremental += solvers_[p]->stats();
-  }
-}
-
 bool LeaseConsumer::settle_one_lease() {
   LeaseBook& book = book_;
   std::size_t id = 0;
@@ -388,75 +398,73 @@ bool LeaseConsumer::settle_one_lease() {
   const std::size_t p = lease.property;
   const std::size_t q = lease.query;
   SchemaSolver& solver = this->solver(p);
+  const IncrementalStats encoded_before = solver.stats();
   const QueryCone* cone = book.cone(p, q);
   const CheckOptions& options = book.options();
-  // The book charges the budget per visited schema, across leases.
-  EnumerationOptions unbounded = options.enumeration;
-  unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
   LeaseState end = LeaseState::kDone;
   bool aborted = false;
-  enumerate_schemas_under(
-      book.analysis(), lease.task, static_cast<int>(book.properties()[p].queries[q].cuts.size()),
-      unbounded, [&](const Schema& schema) {
-        std::string cursor = book.keep_cursors ? schema_cursor(q, schema) : std::string();
-        {
-          std::lock_guard<std::mutex> lock(book.mutex);
-          if (book.halted_locked()) {
-            end = LeaseState::kPending;
-            return false;
-          }
-          if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-            book.interrupted = true;
-            end = LeaseState::kPending;
-            return false;
-          }
-          if (options.timeout_seconds > 0.0 && book.watch().seconds() > options.timeout_seconds) {
-            book.timed_out = true;
-            end = LeaseState::kPending;
-            return false;
-          }
-          if (!cursor.empty() && book.known_locked(p, cursor)) return true;
-          if (!book.charge_locked(p)) {
-            end = LeaseState::kDropped;
-            return false;
-          }
-        }
-        SchemaStep step = step_schema(solver, cone, q, schema, book.remaining_seconds());
-        std::lock_guard<std::mutex> lock(book.mutex);
-        PropertyRun& prop = book.props[p];
-        prop.tally.lemma_hits += step.outcome.lemma_hits;
-        prop.tally.lemmas_learned += step.outcome.lemmas_learned;
-        switch (step.kind) {
-          case SchemaStep::Kind::kCut:
-            --prop.in_flight;
-            ++prop.tally.enumerated;
-            ++prop.tally.cut;
-            bump(options.progress, &ProgressCounters::enumerated);
-            bump(options.progress, &ProgressCounters::cut);
-            return true;
-          case SchemaStep::Kind::kInterrupted:
-            --prop.in_flight;  // nothing settled: the charge is returned
-            (step.outcome.note == "cancelled" ? book.interrupted : book.timed_out) = true;
-            end = LeaseState::kPending;
-            return false;
-          case SchemaStep::Kind::kSettled:
-          case SchemaStep::Kind::kAborted:
-            break;
-        }
-        step.record.cursor = std::move(cursor);
-        book.merge_locked(p, q, schema, step.record, std::move(step.outcome), /*charged=*/true);
-        if (step.kind == SchemaStep::Kind::kAborted) {
-          ++prop.end.workers_aborted;
-          aborted = true;
-          end = LeaseState::kDropped;
-          return false;
-        }
-        if (prop.live()) return true;
-        end = LeaseState::kDropped;  // a witness settled the property
+  book.enumerate_lease(lease, [&](const Schema& schema) {
+    std::string cursor = book.keep_cursors ? schema_cursor(q, schema) : std::string();
+    {
+      std::lock_guard<std::mutex> lock(book.mutex);
+      if (book.halted_locked()) {
+        end = LeaseState::kPending;
         return false;
-      });
+      }
+      if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+        book.interrupted = true;
+        end = LeaseState::kPending;
+        return false;
+      }
+      if (options.timeout_seconds > 0.0 && book.watch().seconds() > options.timeout_seconds) {
+        book.timed_out = true;
+        end = LeaseState::kPending;
+        return false;
+      }
+      if (!cursor.empty() && book.known_locked(p, cursor)) return true;
+      if (!book.charge_locked(p)) {
+        end = LeaseState::kDropped;
+        return false;
+      }
+    }
+    SchemaStep step = step_schema(solver, cone, q, schema, book.remaining_seconds());
+    std::lock_guard<std::mutex> lock(book.mutex);
+    PropertyRun& prop = book.props[p];
+    prop.tally.lemma_hits += step.outcome.lemma_hits;
+    prop.tally.lemmas_learned += step.outcome.lemmas_learned;
+    switch (step.kind) {
+      case SchemaStep::Kind::kCut:
+        book.cut_locked(p, 1);
+        return true;
+      case SchemaStep::Kind::kInterrupted:
+        --prop.in_flight;  // nothing settled: the charge is returned
+        (step.outcome.note == "cancelled" ? book.interrupted : book.timed_out) = true;
+        end = LeaseState::kPending;
+        return false;
+      case SchemaStep::Kind::kSettled:
+      case SchemaStep::Kind::kAborted:
+        break;
+    }
+    step.record.cursor = std::move(cursor);
+    book.merge_locked(p, q, schema, step.record, std::move(step.outcome), /*charged=*/true);
+    if (step.kind == SchemaStep::Kind::kAborted) {
+      ++prop.end.workers_aborted;
+      aborted = true;
+      end = LeaseState::kDropped;
+      return false;
+    }
+    if (!prop.live()) {
+      end = LeaseState::kDropped;  // a witness settled the property
+      return false;
+    }
+    // The merge may have ended the lease (a fleet worker's abandon).
+    return book.leases[id].state == LeaseState::kActive;
+  });
   {
     std::lock_guard<std::mutex> lock(book.mutex);
+    IncrementalStats& encoded = book.props[p].tally.incremental;
+    encoded += solver.stats();
+    encoded -= encoded_before;
     if (book.leases[id].state == LeaseState::kActive) book.set_state_locked(id, end);
   }
   if (aborted) throw WorkerAbortFault{};

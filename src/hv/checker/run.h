@@ -22,16 +22,21 @@
 //     evidence, cut index and the witness, and the final settle_result
 //     assembly.
 //
-// In-process threads are its consumers (LeaseConsumer, one per thread, calls
-// it directly), and so is the distributed coordinator's self-solve. The
-// coordinator (hv/dist) derives from the book and adds only what needs a
-// wire or distrust, through the protected hooks: cursor dedup, skip lists
-// and shipping the book's learning to workers.
+// Every executor that solves a schema is a LeaseConsumer of a book: an
+// in-process thread (one consumer per thread), the distributed coordinator's
+// self-solve, and a fleet worker process, which keeps a book of its own over
+// the leases it is granted. The coordinator (hv/dist) derives from the book
+// and adds only what needs a wire or distrust, through the protected hooks:
+// cursor dedup, skip lists and shipping the book's learning to workers. A
+// fleet worker's book uses the same hooks the other way round: the grant's
+// skip list is its known_locked, and its merge_locked ships the settled
+// schema to the coordinator instead of merging it.
 #ifndef HV_CHECKER_RUN_H
 #define HV_CHECKER_RUN_H
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -108,6 +113,10 @@ class LeaseBook {
   /// The pruning cone of (property, query), built on first use; null with
   /// pruning off. Takes `mutex`.
   const QueryCone* cone(std::size_t p, std::size_t q);
+  /// Visits every schema of `lease`'s subtree in DFS order, without a
+  /// schema cap: the book charges the budget per visited schema.
+  EnumerationOutcome enumerate_lease(const Lease& lease,
+                                     const std::function<bool(const Schema&)>& visit) const;
 
   /// Every result, assembled by settle_result after flushing the journal.
   std::vector<PropertyResult> results();
@@ -127,19 +136,25 @@ class LeaseBook {
   void set_state_locked(std::size_t lease, LeaseState state);
   /// Drops every pending lease of `p` (its verdict is settled).
   void drop_pending_locked(std::size_t p);
-  /// The budget rule: charges one visited schema to `p`, or returns false
-  /// (marking the budget exhausted) when the schema lies beyond it.
-  bool charge_locked(std::size_t p);
+  /// The budget rule: charges up to `n` visited schemas to `p` and returns
+  /// how many it charged. Fewer than `n` means the rest lie beyond the
+  /// budget, which is then exhausted; none when `p` takes no more verdicts.
+  std::int64_t charge_locked(std::size_t p, std::int64_t n = 1);
+  /// Counts `n` charged schemas of `p` that a subtree cut covered: each is
+  /// enumerated and cut, in the tally and the live counters.
+  void cut_locked(std::size_t p, std::int64_t n);
   /// Merges one settled schema of `p`: dedup (known_locked), the budget
   /// charge unless `charged` already took it, tally, journal, certificate
   /// evidence, an unsat record's cut and the sat witness, then
   /// merged_locked. `origin` names the
   /// settling fleet connection (-1: in-process or resume). Returns false
   /// iff the schema was dropped: a duplicate, over budget, or an uncharged
-  /// record for a property that takes no more verdicts.
-  bool merge_locked(std::size_t p, std::size_t q, const Schema& schema,
-                    const SchemaRecord& record, UnitOutcome outcome, bool charged,
-                    bool resumed = false, int origin = -1);
+  /// record for a property that takes no more verdicts. A fleet worker's
+  /// book overrides it to ship the record instead; it may end the lease
+  /// (the consumer then stops settling it).
+  virtual bool merge_locked(std::size_t p, std::size_t q, const Schema& schema,
+                            const SchemaRecord& record, UnitOutcome outcome, bool charged,
+                            bool resumed = false, int origin = -1);
   /// No lease left pending or active.
   bool complete_locked() const;
   bool halted_locked() const { return closing || interrupted || timed_out; }
@@ -165,8 +180,9 @@ class LeaseBook {
                              const std::vector<int>* new_cut);
   /// After a lease changed state (`lease` >= 0) or a property settled (-1).
   virtual void changed_locked(std::int64_t lease);
-  /// True iff a pending lease is moot and settles without a grant.
-  virtual bool moot_locked(const Lease& lease);
+  /// Settles pending lease `lease` without a grant iff it is moot, counting
+  /// its schemas; true iff it did.
+  virtual bool settle_moot_locked(std::size_t lease);
 
   /// Consumers build schema cursors (dedup, journal or resume need them).
   bool keep_cursors = false;
@@ -194,24 +210,24 @@ class LeaseBook {
   std::atomic<std::int64_t> memory_polls_{0};
 };
 
-/// One consumer of a LeaseBook: a thread's solvers (one per property, built
-/// on first use and sharing the book's learning state) and the loop that
-/// claims a lease, enumerates its subtree and settles every schema through
-/// step_schema into the book.
+/// One consumer of a LeaseBook: an executor's solvers (one per property,
+/// built on first use and sharing the book's learning state) and the loop
+/// that claims a lease, enumerates its subtree and settles every schema
+/// through step_schema into the book. In-process threads, the coordinator's
+/// self-solve and fleet workers all settle through it.
 class LeaseConsumer {
  public:
   /// `injector` may be null.
   LeaseConsumer(LeaseBook& book, FaultInjector* injector);
 
-  /// Claims the next lease and settles its schemas. Returns false when
-  /// nothing is left to claim. On an injected worker death the lease is
+  /// Claims the next lease and settles its schemas until its subtree is
+  /// done, its property takes no more verdicts, the run halts or the lease
+  /// is no longer active (the book's merge ended it). Folds the lease's
+  /// incremental-encoding counters into its property's tally. Returns false
+  /// when nothing is left to claim. On an injected worker death the lease is
   /// dropped, the property counts an aborted worker and WorkerAbortFault
   /// propagates: the consumer must retire.
   bool settle_one_lease();
-
-  /// Adds each solver's incremental-encoding counters to its property's
-  /// tally. Call once, when the consumer retires.
-  void fold_stats();
 
  private:
   SchemaSolver& solver(std::size_t p);

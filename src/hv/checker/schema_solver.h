@@ -1,8 +1,8 @@
-// Per-thread schema solving with the fault-tolerant retry ladder, shared so
-// that every execution engine — a lease consumer (run.h: an in-process
-// thread at any thread count, or the coordinator's self-solve) and the
-// distributed worker process (hv/dist) — settles a (query, schema) unit
-// through exactly the same path:
+// Per-consumer schema solving with the fault-tolerant retry ladder. Every
+// execution engine is a lease consumer (run.h) — an in-process thread at any
+// thread count, the coordinator's self-solve and a fleet worker process
+// (hv/dist) — so each settles a (query, schema) unit through exactly the
+// same path:
 //
 //   1. first attempt on the persistent incremental encoder (when enabled),
 //      under the per-schema watchdogs (wall-clock, pivot budget, soft RSS);
@@ -13,9 +13,9 @@
 // step_schema wraps the ladder in the full per-schema path every executor
 // shares — cut cover, cone, solve, cut derivation, all against the learning
 // state the solver carries (SolveHooks::learning) — and reports a
-// SchemaRecord (schema.h). Executors differ only in where the record goes:
-// a lease consumer merges it into the run's lease book (run.h), and a
-// fleet worker ships it as a frame the coordinator merges into the same
+// SchemaRecord (schema.h). Executors differ only in where the record goes,
+// which their lease book decides: a thread's book merges it, and a fleet
+// worker's book ships it as a frame the coordinator merges into the run's
 // book. Run-level interrupts (external cancellation, global timeout) are
 // reported as kInterrupted, never retried and never charged against the
 // schema.
@@ -86,8 +86,8 @@ struct SolveHooks {
   /// Shared attempt counter striding the soft-RSS polls across workers.
   std::atomic<std::int64_t>* memory_polls = nullptr;
   /// Cross-schema learning state of the solver's property (per-query lemma
-  /// pools + cut indexes): the lease book's (run.h), or a fleet worker's
-  /// own. Null disables learning; set it only when lemmas_enabled holds.
+  /// pools + cut indexes): its lease book's (run.h). Null disables
+  /// learning; set it only when lemmas_enabled holds.
   PropertyLearning* learning = nullptr;
 };
 
@@ -114,7 +114,7 @@ class SchemaSolver {
                     double remaining_seconds);
 
   /// Incremental-encoding counters accumulated so far: retired encoders plus
-  /// the live ones. Call once when the worker finishes.
+  /// the live ones.
   IncrementalStats stats() const;
 
   /// The learning state it solves against (SolveHooks::learning), or null.

@@ -19,8 +19,6 @@
 #include <utility>
 
 #include "hv/cert/audit.h"
-#include "hv/checker/cone.h"
-#include "hv/checker/fault.h"
 #include "hv/checker/run.h"
 #include "hv/checker/schema_solver.h"
 #include "hv/ta/parser.h"
@@ -173,8 +171,7 @@ struct Coord : checker::LeaseBook {
   /// In-process solving once the fleet is exhausted (graceful degradation)
   /// on one lease consumer, which learns like every other consumer of the
   /// book. Only the accept loop drives it.
-  checker::FaultInjector inline_injector{checker::FaultPlan{}};  // never armed
-  checker::LeaseConsumer inline_consumer{*this, &inline_injector};
+  checker::LeaseConsumer inline_consumer{*this, /*injector=*/nullptr};
 
  protected:
   bool known_locked(std::size_t p, const std::string& cursor) const override {
@@ -187,10 +184,21 @@ struct Coord : checker::LeaseBook {
   // granted (it may have returned to pending before the cut arrived). Every
   // schema under the task extends task.prefix, so a cut that is a prefix of
   // task.prefix refutes all of them; a *longer* cut covers only part of the
-  // subtree and is left to the worker's local skip.
-  bool moot_locked(const Lease& lease) override {
+  // subtree and is left to the worker's local skip. The schemas it settles,
+  // all but those its skip list names, are charged as cut, as a thread that
+  // enumerated them would.
+  bool settle_moot_locked(std::size_t i) override {
+    const Lease& lease = leases[i];
     const checker::PropertyLearning* learning = this->learning(lease.property);
-    return learning != nullptr && learning->queries[lease.query].cuts.covers(lease.task.prefix);
+    if (learning == nullptr || !learning->queries[lease.query].cuts.covers(lease.task.prefix)) {
+      return false;
+    }
+    const std::int64_t unsettled =
+        enumerate_lease(lease, [](const checker::Schema&) { return true; }).schemas -
+        static_cast<std::int64_t>(skip[i].size());
+    cut_locked(lease.property, charge_locked(lease.property, unsettled));
+    set_state_locked(i, LeaseState::kDone);
+    return true;
   }
 
  public:
@@ -253,9 +261,8 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
   if (new_cut != nullptr) {
     for (std::size_t i = 0; i < leases.size(); ++i) {
       const Lease& lease = leases[i];
-      if (lease.property == p && lease.query == q && lease.state == LeaseState::kPending &&
-          moot_locked(lease)) {
-        set_state_locked(i, LeaseState::kDone);
+      if (lease.property == p && lease.query == q && lease.state == LeaseState::kPending) {
+        settle_moot_locked(i);
       }
     }
     LearnPayload payload;
@@ -688,10 +695,7 @@ bool Session::on_lease_done(const cert::Json& msg) {
     delta.segments_reused = stats->at("segments_reused").as_int();
     delta.schemas_encoded = stats->at("schemas_encoded").as_int();
   }
-  // Learning counters, read tolerantly (pre-upgrade workers omit them). Cut
-  // counts only cover subtrees a worker enumerated past — subtrees never
-  // granted thanks to a cut are not enumerated at all, so the distributed
-  // count is a documented undercount.
+  // Learning counters, read tolerantly (pre-upgrade workers omit them).
   const auto counter = [&](const char* key) -> std::int64_t {
     const cert::Json* field = msg.find(key);
     return field == nullptr ? 0 : field->as_int();
@@ -712,11 +716,14 @@ bool Session::on_lease_done(const cert::Json& msg) {
     return false;
   }
   std::lock_guard<std::mutex> lock(c.mutex);
+  const std::size_t p = c.leases[index].property;
+  // The schemas the worker's cuts skipped are charged like a thread's: each
+  // counts as enumerated and cut, and one beyond the budget exhausts it.
+  // Cuts count only from peers that negotiated learning.
+  if (learn) c.cut_locked(p, c.charge_locked(p, cut));
   if (c.leases[index].state == LeaseState::kActive) c.set_state_locked(index, LeaseState::kDone);
-  checker::PropertyRun& prop = c.props[c.leases[index].property];
+  checker::PropertyRun& prop = c.props[p];
   prop.tally.incremental += delta;
-  prop.tally.cut += cut;
-  bump(c, &checker::ProgressCounters::cut, cut);
   prop.tally.lemma_hits += hits;
   prop.tally.lemmas_learned += learned;
   current = -1;
@@ -728,17 +735,11 @@ bool Session::on_lease_done(const cert::Json& msg) {
 // was told to abandon). A certifying run does not learn, so no cut skips a
 // schema. The subtree is enumerated outside the mutex.
 bool Session::settles_subtree(const Lease& lease) {
-  checker::EnumerationOptions unbounded = c.options().enumeration;
-  unbounded.max_schemas = std::numeric_limits<std::int64_t>::max();
-  const std::size_t q = lease.query;
   std::vector<std::string> cursors;
-  checker::enumerate_schemas_under(
-      c.analysis(), lease.task,
-      static_cast<int>(c.properties()[lease.property].queries[q].cuts.size()), unbounded,
-      [&](const checker::Schema& schema) {
-        cursors.push_back(checker::schema_cursor(q, schema));
-        return true;
-      });
+  c.enumerate_lease(lease, [&](const checker::Schema& schema) {
+    cursors.push_back(checker::schema_cursor(lease.query, schema));
+    return true;
+  });
   std::lock_guard<std::mutex> lock(c.mutex);
   const std::unordered_map<std::string, char>& settled = c.settled[lease.property];
   return !c.props[lease.property].live() ||

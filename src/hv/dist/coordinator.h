@@ -4,7 +4,12 @@
 // budget, the journal and the merge into PropertyResult / certificate
 // evidence; the coordinator hands its leases to workers over the frame
 // protocol and adds what needs a wire or distrust: sessions, cursor dedup,
-// skip lists, fleet learning, health and the merge check. With
+// skip lists, fleet learning, health and the merge check. Each worker
+// settles its grants as a LeaseConsumer of a worker-side book (worker.h),
+// so a fleet visits and counts schemas as in-process threads do: the
+// schemas a worker's cuts skipped arrive as lease_done's `cut` count, and a
+// pending lease a cut covers settles ungranted; both are charged to the
+// budget as cut schemas, as a thread's would be. With
 // several live properties, grants are fair-shared: a "next" request gets
 // the pending lease whose property currently has the fewest active leases
 // (ties to the lowest index, which preserves the single-property first-fit
@@ -43,10 +48,10 @@
 //     revoked. A plain fleet trusts its workers' unsat, pruned and
 //     lease_done claims; untrusted workers call for --certify. There a
 //     worker can still turn a property `unknown` by reporting unknown
-//     schemas, but never make it wrong. When the fleet is exhausted —
-//     everyone banned, quarantined or gone — the coordinator becomes a
-//     lease consumer itself, like an in-process thread: the run slows down,
-//     it never wrongs.
+//     schemas or cut counts past the budget, but never make it wrong. When
+//     the fleet is exhausted — everyone banned, quarantined or gone — the
+//     coordinator becomes a lease consumer itself, like an in-process
+//     thread: the run slows down, it never wrongs.
 #ifndef HV_DIST_COORDINATOR_H
 #define HV_DIST_COORDINATOR_H
 

@@ -3,21 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "hv/checker/cone.h"
-#include "hv/checker/guard_analysis.h"
 #include "hv/checker/journal.h"
-#include "hv/checker/learning.h"
-#include "hv/checker/parameterized.h"
-#include "hv/checker/schema_solver.h"
+#include "hv/checker/run.h"
 #include "hv/dist/protocol.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -29,26 +24,112 @@ namespace hv::dist {
 
 namespace {
 
-cert::Json stats_delta(const checker::IncrementalStats& before,
-                       const checker::IncrementalStats& after) {
-  return cert::Json::Object{
-      {"segments_pushed", after.segments_pushed - before.segments_pushed},
-      {"segments_popped", after.segments_popped - before.segments_popped},
-      {"segments_reused", after.segments_reused - before.segments_reused},
-      {"schemas_encoded", after.schemas_encoded - before.schemas_encoded},
-  };
-}
+// The worker's lease book over the welcome's automaton, properties and
+// options, holding the one lease granted last. A LeaseConsumer settles it
+// exactly like an in-process thread; only the wire lives here, in the
+// book's hooks: the grant's skip list is known_locked, and where a thread
+// merges a settled schema, merge_locked ships it to the coordinator, runs
+// the test hooks and polls for an abandon. It keeps no record, witness or
+// evidence: those live in the coordinator's book.
+class WorkerBook : public checker::LeaseBook {
+ public:
+  WorkerBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
+             const checker::CheckOptions& check, Conn& conn, const WorkerOptions& options,
+             WorkerReport& report)
+      : LeaseBook(ta, properties, check, /*consumers=*/1),
+        conn_(conn),
+        options_(options),
+        report_(report) {
+    keep_cursors = true;  // skip lists and record frames name schemas by cursor
+  }
 
-// Why the lease enumeration stopped (beyond "subtree exhausted").
-// kAbandoned: the coordinator no longer wants the subtree (property settled
-// or lease reassigned); closed with a normal lease_done like kComplete.
-enum class LeaseExit {
-  kComplete,
-  kAbandoned,
-  kDropped,
-  kAborted,
-  kInterrupted,
-  kLost,
+  // Makes a grant the book's one pending lease, with a fresh tally for its
+  // property: after the settle, that tally holds the lease's own counters.
+  void grant(std::int64_t id, checker::Lease lease, std::unordered_set<std::string> skip) {
+    std::lock_guard<std::mutex> lock(mutex);
+    lease_id_ = id;
+    skip_ = std::move(skip);
+    props[lease.property].tally = {};
+    leases.assign(1, std::move(lease));
+  }
+
+  // Folds the cuts and lemmas of a lease grant for property `p`, or of a
+  // learn frame, which names its property in "p". Tolerant of malformed
+  // entries: learning facts are advisory, a bad one is dropped rather than
+  // dropping the coordinator, and the entries before it stand on their own.
+  void learn(const cert::Json& msg, std::int64_t p = -1) {
+    try {
+      if (p < 0) p = msg.at("p").as_int();
+      if (p < 0 || p >= static_cast<std::int64_t>(props.size())) return;
+      checker::PropertyLearning* learning = this->learning(static_cast<std::size_t>(p));
+      if (learning != nullptr) fold_learn(msg, *learning, /*with_cuts=*/true);
+    } catch (const std::exception&) {
+    }
+  }
+
+ protected:
+  bool known_locked(std::size_t, const std::string& cursor) const override {
+    return skip_.count(cursor) > 0;  // settled before this grant
+  }
+
+  // Ships the schema instead of merging it. The lease ends on a lost
+  // connection, on the drop test hook (dying mid-lease like a SIGKILL'd
+  // process: no lease_done, no goodbye), on a witness, which settles the
+  // property, and on an abandon; report_.note says which ends the worker.
+  bool merge_locked(std::size_t p, std::size_t, const checker::Schema&,
+                    const checker::SchemaRecord& record, checker::UnitOutcome outcome,
+                    bool charged, bool, int) override {
+    if (charged) --props[p].in_flight;
+    // An injected abort dies without a word: the coordinator re-pends the
+    // lease when the connection goes.
+    if (outcome.kind == checker::UnitOutcome::Kind::kAborted) return false;
+    // Byzantine test hook: forge a counterexample-free "sat" for a schema
+    // the solver just refuted. The coordinator's merge check must catch it.
+    const bool lie = options_.lie_about_verdicts && record.verdict == "unsat";
+    checker::SchemaRecord forged;
+    if (lie) {
+      forged = record;
+      forged.verdict = "sat";
+    }
+    const checker::SchemaRecord& shipped = lie ? forged : record;
+    if (!conn_.send(record_to_json(shipped, outcome, lease_id_, p))) {
+      report_.note = "connection lost";
+    } else if (++report_.records == options_.drop_after_records) {
+      report_.note = "dropped connection (test hook)";
+    } else if (shipped.verdict != "sat" && !abandoned()) {
+      return true;
+    }
+    set_state_locked(0, checker::LeaseState::kDone);
+    return true;
+  }
+
+ private:
+  // The coordinator cuts a lease short mid-stream with an "abandon" frame:
+  // the property settled under another worker (first witness, exhausted
+  // budget) or this lease was reassigned. Polled after every record so the
+  // worker never keeps solving a subtree nobody wants. Broadcast learning
+  // facts from other workers arrive here too and take effect on the very
+  // next schema of the lease.
+  bool abandoned() {
+    while (conn_.readable()) {
+      cert::Json note;
+      if (conn_.recv(&note, options_.recv_timeout_ms) != FrameStatus::kOk) {
+        report_.note = "connection lost";
+        return true;
+      }
+      const cert::Json* type = note.find("type");
+      if (type == nullptr || type->kind() != cert::Json::Kind::kString) continue;
+      if (type->as_string() == "abandon") return true;
+      if (type->as_string() == "learn") learn(note);
+    }
+    return false;
+  }
+
+  Conn& conn_;
+  const WorkerOptions& options_;
+  WorkerReport& report_;
+  std::int64_t lease_id_ = -1;
+  std::unordered_set<std::string> skip_;
 };
 
 // One full worker lifecycle: connect, handshake, lease loop. run_worker
@@ -78,10 +159,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   // Advertise cross-schema learning unless disabled locally (HV_NO_LEMMAS):
   // a coordinator that does not learn simply never echoes the feature, and
   // this worker degrades to plain no-lemma solving.
-  {
-    checker::CheckOptions probe;
-    if (checker::lemmas_enabled(probe)) hello.set("features", cert::Json::Array{"learn"});
-  }
+  if (checker::lemmas_enabled({})) hello.set("features", cert::Json::Array{"learn"});
   if (!conn.send(hello)) {
     report.note = "handshake send failed";
     return report;
@@ -158,60 +236,15 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     report.note = std::string("malformed welcome from coordinator: ") + e.what();
     return report;
   }
-  check.fault = options.fault;
   check.cancel = options.cancel;
-  const ta::ThresholdAutomaton& ta = *parsed;
-
-  const checker::GuardAnalysis analysis(ta);
-  std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<checker::QueryCone>> cones;
-  const auto cone_for = [&](std::size_t p, std::size_t q) -> const checker::QueryCone* {
-    if (!check.property_directed_pruning) return nullptr;
-    auto& slot = cones[{p, q}];
-    if (!slot) {
-      slot = std::make_unique<checker::QueryCone>(analysis, properties[p].queries[q]);
-    }
-    return slot.get();
-  };
-
-  const Stopwatch run_watch;  // the shipped global timeout counts from the welcome
+  // Cross-schema learning only when both sides negotiated "learn" (and the
+  // shipped options allow it): the book then keeps one cut index and lemma
+  // pool per property, fed by local refutations and by the coordinator's
+  // learn frames and grant payloads.
+  check.lemmas = check.lemmas && peer_learn;
+  WorkerBook book(*parsed, properties, check, conn, options, report);
   checker::FaultInjector injector(options.fault);
-  std::atomic<std::int64_t> memory_polls{0};
-  checker::SolveHooks hooks;
-  hooks.run_watch = &run_watch;
-  hooks.injector = &injector;
-  hooks.memory_polls = &memory_polls;
-  // Cross-schema learning, active only when both sides negotiated "learn"
-  // and the shipped options allow it (incremental, not certify, lemmas on,
-  // HV_NO_LEMMAS unset). One pool + cut index per (property, query), fed by
-  // local refutations and by coordinator learn frames/lease payloads.
-  const bool learn_mode = peer_learn && checker::lemmas_enabled(check);
-  std::vector<std::unique_ptr<checker::PropertyLearning>> learning(properties.size());
-  for (std::size_t p = 0; learn_mode && p < properties.size(); ++p) {
-    learning[p] = std::make_unique<checker::PropertyLearning>(properties[p].queries.size());
-  }
-  // Folds the cuts and lemmas of a lease grant for property `p`, or of a
-  // learn frame, which names its property in "p". Tolerant of malformed
-  // entries: learning facts are advisory, a bad one is dropped rather than
-  // dropping the coordinator, and the entries before it stand on their own.
-  const auto apply_learn = [&](const cert::Json& msg, std::int64_t p = -1) {
-    if (!learn_mode) return;
-    try {
-      if (p < 0) p = msg.at("p").as_int();
-      if (p < 0 || p >= static_cast<std::int64_t>(properties.size())) return;
-      fold_learn(msg, *learning[static_cast<std::size_t>(p)], /*with_cuts=*/true);
-    } catch (const std::exception&) {
-    }
-  };
-  std::vector<std::unique_ptr<checker::SchemaSolver>> solvers(properties.size());
-  const auto solver_for = [&](std::size_t p) -> checker::SchemaSolver& {
-    if (!solvers[p]) {
-      checker::SolveHooks prop_hooks = hooks;
-      prop_hooks.learning = learning[p].get();
-      solvers[p] =
-          std::make_unique<checker::SchemaSolver>(analysis, properties[p], check, prop_hooks);
-    }
-    return *solvers[p];
-  };
+  checker::LeaseConsumer consumer(book, &injector);
 
   // Liveness heartbeats: the coordinator renews the lease deadline on any
   // frame, so a long single-schema solve must not look like a dead worker.
@@ -239,15 +272,8 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     if (heartbeat.joinable()) heartbeat.join();
   };
 
-  const auto cancelled = [&] {
-    return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
-  };
-  const auto remaining = [&] {
-    return check.timeout_seconds > 0.0 ? check.timeout_seconds - run_watch.seconds() : 0.0;
-  };
-
   for (;;) {
-    if (cancelled()) {
+    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
       report.note = "cancelled";
       break;
     }
@@ -271,11 +297,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     // contract (run-as-a-thread hosts must never see an escaping throw).
     std::int64_t lease_id = -1;
     std::size_t p = 0;
-    std::size_t q = 0;
-    checker::SubtreeTask task;
-    std::unordered_set<std::string> skip;
-    bool stop = false;
-    bool wait = false;
     try {
       cert::Json reply;
       FrameStatus status = conn.recv(&reply, options.recv_timeout_ms);
@@ -288,7 +309,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
              (reply.at("type").as_string() == "abandon" ||
               reply.at("type").as_string() == "learn" ||
               reply.at("type").as_string() == "welcome")) {
-        if (reply.at("type").as_string() == "learn") apply_learn(reply);
+        if (reply.at("type").as_string() == "learn") book.learn(reply);
         status = conn.recv(&reply, options.recv_timeout_ms);
       }
       if (status != FrameStatus::kOk) {
@@ -305,172 +326,81 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         // runs out: ask again at once. Any other wait is slept off.
         const auto ms = std::min<std::int64_t>(reply.at("ms").as_int(), 2000);
         if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        wait = true;
-      } else if (type != "lease") {
+        continue;
+      }
+      if (type != "lease") {
         report.note = "unexpected message '" + type + "'";
         break;
-      } else {
-        // --- decode one lease ----------------------------------------------
-        lease_id = reply.at("lease").as_int();
-        p = static_cast<std::size_t>(reply.at("property").as_int());
-        q = static_cast<std::size_t>(reply.at("query").as_int());
-        if (p >= properties.size() || q >= properties[p].queries.size()) {
-          report.note = "lease names an unknown property/query";
-          break;
-        }
-        for (const cert::Json& g : reply.at("prefix").as_array()) {
-          task.prefix.push_back(static_cast<int>(g.as_int()));
-        }
-        task.include_extensions = reply.at("extensions").as_bool();
-        for (const cert::Json& cursor : reply.at("skip").as_array()) {
-          skip.insert(cursor.as_string());
-        }
-        // Learning payload of the grant: the fleet's accumulated cuts and
-        // lemmas for this (property, query).
-        apply_learn(reply, static_cast<std::int64_t>(p));
       }
+      // --- decode one lease ------------------------------------------------
+      lease_id = reply.at("lease").as_int();
+      p = static_cast<std::size_t>(reply.at("property").as_int());
+      const auto q = static_cast<std::size_t>(reply.at("query").as_int());
+      if (p >= properties.size() || q >= properties[p].queries.size()) {
+        report.note = "lease names an unknown property/query";
+        break;
+      }
+      checker::Lease lease{p, q, {}};
+      for (const cert::Json& g : reply.at("prefix").as_array()) {
+        lease.task.prefix.push_back(static_cast<int>(g.as_int()));
+      }
+      lease.task.include_extensions = reply.at("extensions").as_bool();
+      std::unordered_set<std::string> skip;
+      for (const cert::Json& cursor : reply.at("skip").as_array()) {
+        skip.insert(cursor.as_string());
+      }
+      book.grant(lease_id, std::move(lease), std::move(skip));
+      // Learning payload of the grant: the fleet's accumulated cuts and
+      // lemmas for this (property, query).
+      book.learn(reply, static_cast<std::int64_t>(p));
     } catch (const std::exception& e) {
       report.note = std::string("malformed coordinator message: ") + e.what();
-      stop = true;
+      break;
     }
-    if (stop) break;
-    if (wait) continue;
     ++report.leases;
-
-    const checker::QueryCone* cone = cone_for(p, q);
-    checker::SchemaSolver& solver = solver_for(p);
-    const checker::IncrementalStats before = solver.stats();
-    const int cut_count = static_cast<int>(properties[p].queries[q].cuts.size());
-    LeaseExit exit = LeaseExit::kComplete;
-    // Per-lease learning accounting, reported in lease_done. New cuts ride
-    // on their unsat record frames; only lemmas travel in learn frames.
-    std::int64_t lease_cut = 0;
-    std::int64_t lease_hits = 0;
-    std::int64_t lease_learned = 0;
-
-    // The coordinator can cut a lease short mid-stream with an "abandon"
-    // frame — the property settled under another worker (first witness,
-    // exhausted budget) or this lease was reassigned. Poll after every
-    // record so the worker never keeps solving a subtree nobody wants.
-    const auto abandoned = [&] {
-      while (conn.readable()) {
-        cert::Json note;
-        if (conn.recv(&note, options.recv_timeout_ms) != FrameStatus::kOk) {
-          exit = LeaseExit::kLost;
-          return true;
-        }
-        const cert::Json* type = note.find("type");
-        if (type == nullptr || type->kind() != cert::Json::Kind::kString) continue;
-        if (type->as_string() == "abandon") {
-          exit = LeaseExit::kAbandoned;
-          return true;
-        }
-        // Broadcast learning facts from other workers arrive mid-lease and
-        // take effect on the very next schema of this enumeration.
-        if (type->as_string() == "learn") apply_learn(note);
-      }
-      return false;
-    };
-
-    const auto stream = [&](cert::Json message) {
-      if (!conn.send(message)) {
-        exit = LeaseExit::kLost;
-        return false;
-      }
-      ++report.records;
-      if (options.drop_after_records > 0 && report.records >= options.drop_after_records) {
-        exit = LeaseExit::kDropped;
-        return false;
-      }
-      return !abandoned();
-    };
-
-    enumerate_schemas_under(
-        analysis, task, cut_count, check.enumeration, [&](const checker::Schema& schema) {
-          if (cancelled()) {
-            exit = LeaseExit::kInterrupted;
-            return false;
-          }
-          std::string cursor = checker::schema_cursor(q, schema);
-          if (skip.count(cursor) > 0) return true;  // settled before this lease
-          checker::SchemaStep step = checker::step_schema(solver, cone, q, schema, remaining());
-          lease_hits += step.outcome.lemma_hits;
-          lease_learned += step.outcome.lemmas_learned;
-          switch (step.kind) {
-            case checker::SchemaStep::Kind::kCut:
-              // No record frame: the count travels in lease_done.
-              ++lease_cut;
-              return true;
-            case checker::SchemaStep::Kind::kAborted:
-              exit = LeaseExit::kAborted;
-              return false;
-            case checker::SchemaStep::Kind::kInterrupted:
-              exit = LeaseExit::kInterrupted;
-              report.note = step.outcome.note;
-              return false;
-            case checker::SchemaStep::Kind::kSettled:
-              break;
-          }
-          step.record.cursor = std::move(cursor);
-          // Byzantine test hook: forge a counterexample-free "sat" for a
-          // schema the solver just refuted. The coordinator's merge check
-          // must catch it.
-          if (options.lie_about_verdicts && step.record.verdict == "unsat") {
-            step.record.verdict = "sat";
-          }
-          if (!stream(record_to_json(step.record, step.outcome, lease_id, p))) return false;
-          return step.record.verdict != "sat";  // a witness settles the property
-        });
-
-    if (exit == LeaseExit::kDropped) {
-      // Test hook: die abruptly mid-lease, exactly like a SIGKILL'd process
-      // — no lease_done, no goodbye.
-      report.note = "dropped connection (test hook)";
-      stop_heartbeat();
-      conn.close();
-      return report;
-    }
-    if (exit == LeaseExit::kAborted) {
+    try {
+      consumer.settle_one_lease();
+    } catch (const checker::WorkerAbortFault&) {
       report.aborted = true;
       report.note = "worker aborted mid-schema";
       break;
     }
-    if (exit == LeaseExit::kInterrupted) {
-      if (report.note.empty()) report.note = "interrupted";
-      break;
-    }
-    if (exit == LeaseExit::kLost) {
-      report.note = "connection lost";
-      break;
-    }
+    if (book.interrupted || book.timed_out) report.note = book.interrupted ? "cancelled" : "timeout";
+    if (!report.note.empty()) break;  // the lease ended the worker
     // Ship freshly learned lemmas before closing the lease, so the
     // coordinator can fold them into future grants and broadcast them to
     // the rest of the fleet. take_fresh() only returns locally learned
     // lemmas — remote ones were inserted fresh=false and are not echoed.
     // (Cuts already travelled on their unsat record frames.)
-    if (learn_mode) {
+    checker::PropertyLearning* learning = book.learning(p);
+    cert::Json lemmas;
+    if (learning != nullptr) {
       LearnPayload fresh;
-      checker::PropertyLearning& learn = *learning[p];
-      for (std::size_t lq = 0; lq < learn.queries.size(); ++lq) {
-        for (const smt::Lemma& lemma : learn.queries[lq].lemmas.take_fresh()) {
+      for (std::size_t lq = 0; lq < learning->queries.size(); ++lq) {
+        for (const smt::Lemma& lemma : learning->queries[lq].lemmas.take_fresh()) {
           fresh.add_lemma(lq, lemma);
         }
       }
-      if (!fresh.lemmas.empty() && !conn.send(learn_frame(p, std::move(fresh)))) {
-        report.note = "connection lost";
-        break;
-      }
+      if (!fresh.lemmas.empty()) lemmas = learn_frame(p, std::move(fresh));
     }
-    const checker::IncrementalStats after = solver.stats();
-    cert::Json done = cert::Json::Object{{"type", "lease_done"},
-                                         {"lease", lease_id},
-                                         {"stats", stats_delta(before, after)}};
-    if (learn_mode) {
-      done.set("cut", lease_cut);
-      done.set("hits", lease_hits);
-      done.set("learned", lease_learned);
+    // The grant started the property's tally afresh: it now counts this
+    // lease alone.
+    const checker::PropertyTally& tally = book.props[p].tally;
+    cert::Json done = cert::Json::Object{
+        {"type", "lease_done"},
+        {"lease", lease_id},
+        {"stats", cert::Json::Object{
+                      {"segments_pushed", tally.incremental.segments_pushed},
+                      {"segments_popped", tally.incremental.segments_popped},
+                      {"segments_reused", tally.incremental.segments_reused},
+                      {"schemas_encoded", tally.incremental.schemas_encoded},
+                  }}};
+    if (learning != nullptr) {
+      done.set("cut", tally.cut);
+      done.set("hits", tally.lemma_hits);
+      done.set("learned", tally.lemmas_learned);
     }
-    if (!conn.send(done)) {
+    if ((!lemmas.is_null() && !conn.send(lemmas)) || !conn.send(done)) {
       report.note = "connection lost";
       break;
     }

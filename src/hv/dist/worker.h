@@ -1,8 +1,10 @@
 // Distributed verification worker: connects to a coordinator, reconstructs
 // the automaton and properties from the welcome message, then pulls schema
-// subtree leases and streams back one verdict record per schema, settling
-// every unit through the same SchemaSolver retry ladder as the in-process
-// pool. Runs equally as a process (`hvc work`) or as a plain thread (tests
+// subtree leases and streams back one verdict record per schema. It is a
+// lease consumer (checker/run.h) like an in-process thread: each grant
+// becomes the lease of a worker-side lease book, settled by the same
+// LeaseConsumer, whose book ships every settled schema instead of merging
+// it. Runs equally as a process (`hvc work`) or as a plain thread (tests
 // drive coordinator and workers in one process over a unix socket).
 #ifndef HV_DIST_WORKER_H
 #define HV_DIST_WORKER_H

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <random>
 #include <span>
 #include <string>
 #include <tuple>
@@ -21,10 +23,13 @@
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/schema.h"
 #include "hv/spec/compile.h"
+#include "hv/spec/state.h"
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/models/st_broadcast.h"
 #include "hv/ta/parser.h"
+#include "hv/ta/random.h"
+#include "hv/util/stopwatch.h"
 
 namespace hv::checker {
 namespace {
@@ -295,6 +300,181 @@ TEST(CounterexampleTest, ReplayRejectsAShapeThatDoesNotFitTheAutomaton) {
   for (const Counterexample& misfit : misfits) {
     EXPECT_NE(validate_counterexample(ta, misfit, *query), "");
   }
+}
+
+// The replay one firing at a time, as validate_counterexample did before it
+// fired each step in one go: the reference the accelerated replay must equal.
+std::string replay_per_firing(const ta::ThresholdAutomaton& ta, const Counterexample& cex,
+                              const spec::ReachQuery& query) {
+  const ta::CounterSystem system(ta, cex.params);
+  ta::Config config = cex.initial;
+  if (!spec::evaluate(system, query.initial, config)) {
+    return "initial constraint fails on the initial configuration";
+  }
+  std::size_t next_cut = 0;
+  const auto consume_cuts = [&] {
+    while (next_cut < query.cuts.size() && spec::evaluate(system, query.cuts[next_cut], config)) {
+      ++next_cut;
+    }
+  };
+  consume_cuts();
+  for (const TraceStep& step : cex.steps) {
+    for (const ta::RuleId zero : query.zero_rules) {
+      if (step.rule == zero && step.factor > 0) {
+        return "trace fires a rule the query freezes: " + ta.rule(step.rule).name;
+      }
+    }
+    for (std::int64_t i = 0; i < step.factor; ++i) {
+      if (!system.enabled(step.rule, config)) {
+        return "rule " + ta.rule(step.rule).name + " fired while disabled";
+      }
+      config = system.successor(config, step.rule);
+      consume_cuts();
+    }
+  }
+  if (next_cut < query.cuts.size()) {
+    return "not all cut constraints were witnessed along the trace";
+  }
+  if (!spec::evaluate(system, query.final_cnf, config)) {
+    return "final constraint fails on the last configuration";
+  }
+  return {};
+}
+
+TEST(CounterexampleTest, AcceleratedReplayMatchesPerFiring) {
+  // Random automata, random traces (mostly enabled steps, some not) and
+  // random queries whose atoms mix counters, shared variables and
+  // parameters under <=, >= and =, so cuts and the final constraint switch
+  // on and off in the middle of steps.
+  std::mt19937_64 rng(20261019);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int valid = 0;
+  int witnessed = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    const ta::ThresholdAutomaton ta = ta::random_automaton({}, seed);
+    std::vector<smt::VarId> vars;
+    for (smt::VarId v = 0; v < ta.variable_count() + ta.location_count(); ++v) vars.push_back(v);
+    const auto random_atom = [&] {
+      smt::LinearExpr expr(pick(-6, 6));
+      for (int terms = static_cast<int>(pick(1, 2)); terms > 0; --terms) {
+        expr.add_term(vars[static_cast<std::size_t>(pick(0, static_cast<std::int64_t>(vars.size()) - 1))],
+                      BigInt(pick(-2, 2)));
+      }
+      const smt::Relation relations[] = {smt::Relation::kLe, smt::Relation::kGe,
+                                         smt::Relation::kEq};
+      return smt::LinearConstraint{expr, relations[pick(0, 2)]};
+    };
+    const auto random_cnf = [&] {
+      spec::Cnf cnf;
+      for (int c = static_cast<int>(pick(0, 2)); c > 0; --c) {
+        spec::Clause& clause = cnf.clauses.emplace_back();
+        for (int l = static_cast<int>(pick(1, 2)); l > 0; --l) {
+          clause.literals.push_back(random_atom());
+        }
+      }
+      return cnf;
+    };
+    const smt::VarId n = *ta.find_variable("n");
+    const smt::VarId t = *ta.find_variable("t");
+    const smt::VarId f = *ta.find_variable("f");
+    for (int round = 0; round < 40; ++round) {
+      Counterexample cex;
+      const std::int64_t tv = pick(0, 3);
+      const std::int64_t fv = pick(0, tv);
+      cex.params = {{n, 3 * tv + 1 + pick(0, 4)}, {t, tv}, {f, fv}};
+      const ta::CounterSystem system(ta, cex.params);
+      cex.initial.counters.assign(static_cast<std::size_t>(ta.location_count()), 0);
+      cex.initial.shared.assign(ta.shared_variables().size(), 0);
+      const std::vector<ta::LocationId> initial = ta.initial_locations();
+      for (std::int64_t p = 0; p < system.process_count(); ++p) {
+        ++cex.initial.counters[static_cast<std::size_t>(
+            initial[static_cast<std::size_t>(pick(0, static_cast<std::int64_t>(initial.size()) - 1))])];
+      }
+      ta::Config config = cex.initial;
+      for (int steps = static_cast<int>(pick(1, 6)); steps > 0; --steps) {
+        TraceStep step{static_cast<ta::RuleId>(pick(0, ta.rule_count() - 1)), pick(0, 4)};
+        if (pick(0, 4) > 0) {  // mostly: as many firings as stay enabled
+          std::int64_t fired = 0;
+          while (fired < step.factor && system.enabled(step.rule, config)) {
+            config = system.successor(config, step.rule);
+            ++fired;
+          }
+          step.factor = fired;
+        }
+        cex.steps.push_back(step);
+      }
+      spec::ReachQuery query;
+      if (pick(0, 3) == 0) query.initial = random_cnf();
+      if (pick(0, 4) == 0) query.zero_rules.push_back(static_cast<ta::RuleId>(pick(0, ta.rule_count() - 1)));
+      for (int c = static_cast<int>(pick(0, 3)); c > 0; --c) query.cuts.push_back(random_cnf());
+      query.final_cnf = random_cnf();
+
+      const std::string expected = replay_per_firing(ta, cex, query);
+      EXPECT_EQ(validate_counterexample(ta, cex, query), expected)
+          << "seed " << seed << " round " << round;
+      valid += expected.empty() ? 1 : 0;
+      witnessed += expected.empty() && !query.cuts.empty() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(valid, 100);
+  EXPECT_GT(witnessed, 10);
+}
+
+TEST(CounterexampleTest, AcceleratedReplayDecidesHugeFactors) {
+  // Echo with 10^15 announcers: a per-firing replay would take days.
+  const auto& ta = echo().body();
+  const std::int64_t big = 1'000'000'000'000'000;
+  Counterexample cex;
+  cex.params = {{*ta.find_variable("n"), big + 1},
+                {*ta.find_variable("t"), 1},
+                {*ta.find_variable("f"), 0}};
+  cex.initial.counters.assign(static_cast<std::size_t>(ta.location_count()), 0);
+  cex.initial.counters[static_cast<std::size_t>(*ta.find_location("A"))] = big + 1;
+  cex.initial.shared = {0};
+  const auto rule = [&](const char* name) {
+    ta::RuleId id = 0;
+    while (ta.rule(id).name != name) ++id;
+    return id;
+  };
+  const ta::RuleId announce = rule("announce");
+  cex.steps = {{announce, big}, {rule("wait"), 1}, {rule("proceed"), 1}};
+  const auto counter = [&](const char* location) {
+    return smt::LinearExpr::variable(ta.variable_count() + *ta.find_location(location));
+  };
+  const auto x = smt::LinearExpr::variable(*ta.find_variable("x"));
+  const auto unit = [](smt::LinearConstraint atom) {
+    spec::Cnf cnf;
+    cnf.add_unit(std::move(atom));
+    return cnf;
+  };
+  spec::ReachQuery query;
+  // Witnessed at firing 10^15 - 7 of the first step, then at its last.
+  query.cuts.push_back(unit(smt::make_ge(x, smt::LinearExpr(big - 7))));
+  query.cuts.push_back(unit(smt::make_eq(counter("B"), smt::LinearExpr(big))));
+  query.final_cnf.add_unit(smt::make_eq(counter("D"), smt::LinearExpr(1)));
+  const Stopwatch watch;
+  EXPECT_EQ(validate_counterexample(ta, cex, query), "");
+  EXPECT_NE(cex.to_string(ta).find("-> {B:1000000000000000"), std::string::npos)
+      << cex.to_string(ta);
+  // One firing too many for A's processes: disabled, not wrapped around.
+  cex.steps[0].factor = big + 2;
+  EXPECT_EQ(validate_counterexample(ta, cex, query), "rule announce fired while disabled");
+  // A cut that only holds beyond the trace's end is never witnessed.
+  cex.steps[0].factor = big;
+  query.cuts[0] = unit(smt::make_ge(x, smt::LinearExpr(big + 1)));
+  EXPECT_EQ(validate_counterexample(ta, cex, query),
+            "not all cut constraints were witnessed along the trace");
+  EXPECT_LT(watch.seconds(), 0.5);
+  // A step whose configuration leaves int64 does not fit the automaton.
+  cex.params[*ta.find_variable("n")] = std::numeric_limits<std::int64_t>::max();
+  cex.initial.counters[static_cast<std::size_t>(*ta.find_location("A"))] =
+      std::numeric_limits<std::int64_t>::max();
+  cex.initial.counters[static_cast<std::size_t>(*ta.find_location("B"))] = 1;
+  cex.steps = {{announce, std::numeric_limits<std::int64_t>::max()}};
+  query.cuts.clear();
+  EXPECT_EQ(validate_counterexample(ta, cex, query), "trace step does not fit the automaton");
 }
 
 TEST(MultiRoundTest, CheckPropertyOverloadReduces) {

@@ -661,6 +661,12 @@ TEST(DistEndToEnd, SelfSolveMatchesInProcess) {
       EXPECT_EQ(run.stats.workers_joined, 0);
       EXPECT_GE(run.stats.leases_self_solved, 1);
       EXPECT_EQ(run.stats.leases_self_solved, run.stats.leases_granted);
+      // Every solved schema went through an incremental encoder, whose
+      // counters each self-solved lease folds into the tally.
+      if (!pruning) {
+        ASSERT_TRUE(run.results[0].incremental.has_value());
+        EXPECT_EQ(run.results[0].incremental->schemas_encoded, run.results[0].schemas_checked);
+      }
     }
   }
 }
@@ -948,6 +954,100 @@ TEST(DistEndToEnd, ExactSchemaBudgetHoldsLikeInProcess) {
   EXPECT_EQ(results[0].verdict, checker::Verdict::kHolds) << results[0].note;
 }
 
+// Three independent guards: a chain subtree holds schemas a cut on its
+// prefix covers, so a fleet worker skips some schemas as cut inside its own
+// lease and the coordinator settles some pending leases as moot.
+constexpr const char* kThreeGuardModel = R"(
+ta ThreeGuards {
+  parameters n, t, f;
+  shared x, y, z;
+  resilience n > 3*t;
+  resilience t >= f;
+  resilience f >= 0;
+  processes n - f;
+  initial A;
+  locations B, C, E, D, F, G;
+  rule ax: A -> B do x += 1;
+  rule ay: A -> C do y += 1;
+  rule az: A -> E do z += 1;
+  rule dx: B -> D when x >= t + 1 - f;
+  rule fy: C -> F when y >= t + 1 - f;
+  rule gz: E -> G when z >= t + 1 - f;
+  selfloop D;
+  selfloop F;
+  selfloop G;
+}
+)";
+
+TEST(DistEndToEnd, ForkLocalFleetChargesEveryCutSchema) {
+  // The schemas a worker's cuts skip (reported in lease_done) and those of
+  // leases a cut settles before any grant are charged like a thread's: the
+  // live enumerated counter ends at the tally's total, which is the
+  // in-process run's, however the cuts fell.
+  DistOptions options;
+  if (!checker::lemmas_enabled(options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  options.check.property_directed_pruning = false;
+  const std::string formula = "[](locB == 0) -> [](locD == 0)";
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kThreeGuardModel).one_round_reduction();
+  const auto reference =
+      checker::check_properties(ta, {spec::compile(ta, "safe", formula)}, options.check);
+  const auto total = [](const checker::PropertyResult& r) {
+    return r.schemas_checked + r.schemas_pruned + r.schemas_cut + r.schemas_unknown;
+  };
+  ASSERT_GT(reference[0].schemas_cut, 0);
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+    checker::ProgressCounters progress;
+    options.check.progress = &progress;
+    const std::vector<checker::PropertyResult> results = check_distributed_local(
+        kThreeGuardModel, {{"safe", formula, false}}, workers, options);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].verdict, checker::Verdict::kHolds) << results[0].note;
+    EXPECT_EQ(progress.enumerated.load(), total(results[0]));
+    EXPECT_EQ(progress.cut.load(), results[0].schemas_cut);
+    EXPECT_EQ(total(results[0]), total(reference[0]));
+  }
+}
+
+TEST(DistEndToEnd, AbortedWorkerLeavesItsLeaseToAnHonestOne) {
+  // An injected abort kills the first worker at its second solve attempt:
+  // it reports the abort and ships neither the schema nor a lease_done, so
+  // its lease goes back to the pool when the connection drops, and the
+  // honest worker lands on the in-process verdict and totals.
+  const std::string address = "unix:" + temp_path("dist_abort.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 30.0;  // reassignment must come from the EOF
+  options.check.property_directed_pruning = false;
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+  WorkerOptions doomed;
+  doomed.connect = address;
+  doomed.label = "doomed";
+  doomed.fault.kind = checker::FaultKind::kWorkerAbort;
+  doomed.fault.at = 1;
+  const WorkerReport aborted = run_worker(doomed);
+  EXPECT_TRUE(aborted.aborted);
+  EXPECT_FALSE(aborted.completed);
+  EXPECT_EQ(aborted.note, "worker aborted mid-schema");
+  EXPECT_EQ(aborted.records, 1);  // the first solve only
+
+  const WorkerReport survivor = run_one_worker(address, "survivor");
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds) << run.results[0].note;
+  EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+  EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
+  EXPECT_EQ(run.results[0].schemas_unknown, 0);
+  EXPECT_EQ(run.stats.workers_joined, 2);
+  EXPECT_EQ(run.stats.workers_lost, 1);
+  EXPECT_GE(run.stats.leases_reassigned, 1);
+}
+
 // --- Byzantine workers ------------------------------------------------------
 
 TEST(DistByzantine, FramesCitingNeverGrantedLeasesAreHostile) {
@@ -1074,6 +1174,8 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
   if (!checker::lemmas_enabled(options.check)) {
     GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
   }
+  checker::ProgressCounters progress;
+  options.check.progress = &progress;
   run.start(address, {{"everyone_proceeds", kViolatedFormula, false}}, options);
   const int fd = connect_with_retry(address);
   ASSERT_GE(fd, 0);
@@ -1098,6 +1200,13 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
     ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
     conn.close();
   }
+  // The honest worker joins only once the coordinator dropped the forger:
+  // the session releases lease 0 in the critical section that leaves the
+  // fleet, so the honest worker is granted lease 0 first, as in-process.
+  for (int spin = 0; spin < 500 && progress.workers.load() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(progress.workers.load(), 0);
 
   const WorkerReport report = run_one_worker(address, "honest");
   run.join();
