@@ -28,11 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/naive_consensus.h"
 #include "hv/models/simplified_consensus.h"
+#include "hv/util/json.h"
 #include "hv/util/text.h"
 
 namespace {
@@ -139,7 +139,7 @@ std::string size_line(const hv::ta::ThresholdAutomaton& ta) {
 }
 
 int write_json(const std::string& path, const std::vector<Row>& rows) {
-  using hv::cert::Json;
+  using hv::Json;
   Json::Array out;
   out.reserve(rows.size());
   for (const Row& row : rows) {

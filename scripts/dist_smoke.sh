@@ -5,7 +5,9 @@
 #      of which is SIGKILLed mid-run — its lease must be reassigned and the
 #      merged verdict must still match the reference exactly;
 #   3. the coordinator itself SIGKILLed mid-run, then restarted with
-#      --resume from its journal; the resumed run must match too.
+#      --resume from its journal; the resumed run must match too;
+#   4. the same with a certifying coordinator (hvc serve --certify), whose
+#      resumed run's certificate must also pass hvc audit.
 # Usage: scripts/dist_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -94,6 +96,40 @@ if ! diff -u "$work/ref.norm" "$work/resumed.norm"; then
   exit 1
 fi
 echo "OK: resumed coordinator run matches the in-process run"
+
+echo "== certifying coordinator SIGKILLed mid-run, restarted with --certify --resume"
+"$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 --certify \
+  --cert-out "$work/unused.cert.json" --journal "$work/certify.jsonl" --json > /dev/null &
+coord=$!
+workers 3 certify-first
+sleep 0.8
+if kill -9 "$coord" 2>/dev/null; then
+  echo "   killed coordinator $coord as planned;" \
+       "journal kept $(wc -l < "$work/certify.jsonl") lines"
+else
+  echo "   run finished before the kill (resume is still exercised)"
+fi
+wait || true
+
+"$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 --certify \
+  --cert-out "$work/resumed.cert.json" --resume "$work/certify.jsonl" \
+  --json > "$work/certify_resumed.json" &
+coord=$!
+workers 3 certify-second
+wait "$coord"
+wait || true
+
+normalize "$work/certify_resumed.json" > "$work/certify_resumed.norm"
+if ! diff -u "$work/ref.norm" "$work/certify_resumed.norm"; then
+  echo "FAIL: resumed certifying coordinator run differs from the in-process run" >&2
+  exit 1
+fi
+"$hvc" audit "$work/resumed.cert.json" > "$work/audit.txt" || {
+  cat "$work/audit.txt" >&2
+  echo "FAIL: the resumed certifying coordinator's certificate does not audit" >&2
+  exit 1
+}
+echo "OK: resumed certifying coordinator run matches, and its certificate audits PASS"
 
 echo "== distributed run with cross-schema learning on"
 unset HV_NO_LEMMAS

@@ -5,7 +5,10 @@
 #      settled schema verdicts that reached fdatasync);
 #   3. a --resume run from the killed journal;
 #   4. the resumed run's verdict and schema accounting must match the
-#      reference run's exactly.
+#      reference run's exactly;
+#   5. the same for a --certify run: SIGKILLed with a journal, resumed with
+#      --certify --resume, and the resumed run's certificate must pass
+#      hvc audit (the replayed records carry their proofs).
 # Usage: scripts/kill_resume_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,9 +21,11 @@ prop='<>(locD0 != 0) -> [](locD1 == 0 && locE1x == 0)'
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# Strip run-dependent fields (timing, solver pivot path, resume/retry
-# counters, the rational fast/big op split — resumed schemas contribute no
-# ops); what must match is the verdict and the schema accounting.
+# Strip run-dependent fields (timing, the resume counter, and the solver
+# path counters: pivots, retries, the rational fast/big op split and the
+# incremental-solver accounting, which differ once the resumed run's
+# encoders start from an empty assertion stack); what must match is the
+# verdict and the schema accounting.
 normalize() {
   sed -E 's/"(seconds|pivots|resumed|retries|segments_[a-z]+|prefix_reuse_ratio|rational_[a-z_]+)": [0-9.]+(, )?//g' "$1"
 }
@@ -62,6 +67,34 @@ if ! diff -u "$work/ref.norm" "$work/resumed.norm"; then
   exit 1
 fi
 echo "OK: resumed run matches the uninterrupted run"
+
+echo "== certifying run SIGKILLed mid-flight, resumed with --certify --resume"
+code=0
+timeout -s KILL 0.7 \
+  "$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/unused.cert.json" \
+  --journal "$work/certify.jsonl" > /dev/null || code=$?
+if [ "$code" -eq 137 ]; then
+  echo "   killed as planned; journal kept $(wc -l < "$work/certify.jsonl") lines"
+else
+  echo "   run finished before the kill (exit $code); resume is still exercised"
+fi
+"$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/resumed.cert.json" \
+  --resume "$work/certify.jsonl" > "$work/certify_resumed.json"
+if [ "$code" -eq 137 ] && ! grep -q '"resumed": [1-9]' "$work/certify_resumed.json"; then
+  echo "FAIL: certifying resume replayed nothing from the killed journal" >&2
+  exit 1
+fi
+normalize "$work/certify_resumed.json" > "$work/certify_resumed.norm"
+if ! diff -u "$work/ref.norm" "$work/certify_resumed.norm"; then
+  echo "FAIL: resumed certifying run differs from the uninterrupted run" >&2
+  exit 1
+fi
+"$hvc" audit "$work/resumed.cert.json" > "$work/audit.txt" || {
+  cat "$work/audit.txt" >&2
+  echo "FAIL: the resumed run's certificate does not audit" >&2
+  exit 1
+}
+echo "OK: resumed certifying run matches, and its certificate audits PASS"
 
 echo "== kill and resume with cross-schema learning on"
 unset HV_NO_LEMMAS

@@ -7,9 +7,10 @@
 #      byte-identical to the original response (including its "seconds":
 #      the cache serves the original run's bytes verbatim);
 #   4. the daemon SIGKILLed mid-job, then restarted with the same --state:
-#      the interrupted job must resume from its journal and finish with
-#      the reference verdict, and the already-finished job must re-serve
-#      from the re-seeded cache byte-identically;
+#      the interrupted jobs (one plain, one --certify) must resume from
+#      their journals and finish with the reference verdicts and schema
+#      totals, and the already-finished job must re-serve from the
+#      re-seeded cache byte-identically;
 #   5. a tenant over its schema budget must be rejected with a precise
 #      error, not queued.
 # Usage: scripts/service_smoke.sh [build-dir]
@@ -52,6 +53,9 @@ fast_ref_code=0
 slow_ref_code=0
 "$hvc" check "$slow_model" --prop "$slow_prop" --json > "$work/slow_ref.json" \
   || slow_ref_code=$?
+certify_ref_code=0
+"$hvc" check "$slow_model" --prop "$slow_prop" --json --certify \
+  --cert-out "$work/certify_ref.cert.json" > "$work/certify_ref.json" || certify_ref_code=$?
 echo "   fast reference exit $fast_ref_code, slow reference exit $slow_ref_code"
 
 echo "== daemon: two tenants submit concurrently"
@@ -101,7 +105,9 @@ echo "OK: resubmission served from cache, byte-identical, zero schemas solved"
 echo "== SIGKILL the daemon mid-job, restart, resume and re-serve"
 slow_job="$("$hvc" submit "$slow_model" --connect "unix:$sock" --tenant alice \
   --prop "$slow_prop" | awk '$1 == "job" { print $2 }')"
-echo "   slow job id $slow_job running"
+certify_job="$("$hvc" submit "$slow_model" --connect "unix:$sock" --tenant bob \
+  --prop "$slow_prop" --certify | awk '$1 == "job" { print $2 }')"
+echo "   slow job id $slow_job running, certifying job id $certify_job submitted"
 sleep 1.5
 kill -9 "$daemon"
 wait "$daemon" 2>/dev/null || true
@@ -130,6 +136,22 @@ else
   echo "   (job re-ran from scratch — the kill landed before the first journal"
   echo "    flush; resume-from-journal is exercised deterministically by tests)"
 fi
+code_certify=0
+"$hvc" result "$certify_job" --connect "unix:$sock" --wait > "$work/certify.json" \
+  || code_certify=$?
+[ "$code_certify" -eq "$certify_ref_code" ] || {
+  echo "FAIL: resumed certifying job exit $code_certify, reference $certify_ref_code" >&2
+  cat "$work/daemon2.log" >&2
+  exit 1
+}
+normalize_resumed "$work/certify_ref.json" > "$work/certify_ref.norm"
+normalize_resumed "$work/certify.json" > "$work/certify.norm"
+if ! diff -u "$work/certify_ref.norm" "$work/certify.norm"; then
+  echo "FAIL: resumed certifying job differs from the in-process --certify run" >&2
+  exit 1
+fi
+echo "   certifying job $(grep -o '"resumed": [0-9]*' "$work/certify.json" | head -1)," \
+     "matches the in-process --certify run"
 grep -q "re-queued" "$work/daemon2.log" || {
   echo "FAIL: restarted daemon replayed nothing" >&2
   cat "$work/daemon2.log" >&2

@@ -21,12 +21,12 @@
 #include <utility>
 #include <vector>
 
-#include "hv/cert/json.h"
 #include "hv/checker/result.h"
 #include "hv/checker/schema.h"
 #include "hv/smt/proof.h"
 #include "hv/spec/query.h"
 #include "hv/ta/automaton.h"
+#include "hv/util/json.h"
 
 namespace hv::cert {
 
@@ -104,10 +104,6 @@ Json to_json(const Certificate& certificate);
 Certificate certificate_from_json(const Json& json);
 std::string to_json_text(const Certificate& certificate);
 Certificate parse_certificate(std::string_view json_text);
-
-/// Proof-tree (de)serialization, exposed for tests.
-Json proof_to_json(const smt::proof::Node& node);
-std::unique_ptr<smt::proof::Node> proof_from_json(const Json& json);
 
 }  // namespace hv::cert
 

@@ -2,13 +2,11 @@
 
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "hv/util/error.h"
@@ -20,121 +18,10 @@ namespace hv::checker {
 
 namespace {
 
-// Minimal scanner for the flat one-line objects this file writes. Returns
-// false on malformed input (the torn-tail case) instead of throwing.
-class LineScanner {
- public:
-  explicit LineScanner(const std::string& line) : line_(line) {}
-
-  // Parses `{"k":v, ...}` into the two output maps.
-  bool parse(std::unordered_map<std::string, std::string>* strings,
-             std::unordered_map<std::string, std::int64_t>* numbers) {
-    skip_space();
-    if (!consume('{')) return false;
-    skip_space();
-    if (consume('}')) return done();
-    for (;;) {
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_space();
-      if (!consume(':')) return false;
-      skip_space();
-      if (at_ < line_.size() && line_[at_] == '"') {
-        std::string value;
-        if (!parse_string(&value)) return false;
-        (*strings)[key] = std::move(value);
-      } else {
-        std::int64_t value = 0;
-        if (!parse_number(&value)) return false;
-        (*numbers)[key] = value;
-      }
-      skip_space();
-      if (consume(',')) {
-        skip_space();
-        continue;
-      }
-      if (consume('}')) return done();
-      return false;
-    }
-  }
-
- private:
-  bool done() {
-    skip_space();
-    return at_ == line_.size();
-  }
-
-  void skip_space() {
-    while (at_ < line_.size() && (line_[at_] == ' ' || line_[at_] == '\t' ||
-                                  line_[at_] == '\r')) {
-      ++at_;
-    }
-  }
-
-  bool consume(char c) {
-    if (at_ < line_.size() && line_[at_] == c) {
-      ++at_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    out->clear();
-    while (at_ < line_.size()) {
-      const char c = line_[at_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (at_ >= line_.size()) return false;
-      const char next = line_[at_++];
-      switch (next) {
-        case 'n':
-          *out += '\n';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'u': {
-          // Only \u00XX controls are ever written.
-          unsigned code = 0;
-          const char* first = line_.data() + at_;
-          if (at_ + 4 > line_.size() ||
-              std::from_chars(first, first + 4, code, 16).ptr != first + 4 || code > 0xff) {
-            return false;
-          }
-          at_ += 4;
-          *out += static_cast<char>(code);
-          break;
-        }
-        default:
-          *out += next;  // \" and \\ (and pass anything else through)
-      }
-    }
-    return false;  // unterminated: torn line
-  }
-
-  // The whole token must be an integer that fits int64: a bare "-" or an
-  // overlong digit run is a malformed line, not an exception.
-  bool parse_number(std::int64_t* out) {
-    const std::size_t start = at_;
-    if (at_ < line_.size() && line_[at_] == '-') ++at_;
-    while (at_ < line_.size() && line_[at_] >= '0' && line_[at_] <= '9') ++at_;
-    const char* first = line_.data() + start;
-    const char* last = line_.data() + at_;
-    const auto [end, error] = std::from_chars(first, last, *out);
-    return error == std::errc() && end == last;
-  }
-
-  const std::string& line_;
-  std::size_t at_ = 0;
-};
+// The header's format version. Version 3 made each record line the
+// settled-schema object of record.h; older journals are refused, not
+// half-read.
+constexpr std::int64_t kJournalVersion = 3;
 
 }  // namespace
 
@@ -264,18 +151,11 @@ ProgressJournal::ProgressJournal(std::string path, const JournalHeader& header,
     : path_(std::move(path)), flush_batch_(flush_batch < 1 ? 1 : flush_batch) {
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) throw Error("journal: cannot open " + path_ + " for append");
-  std::string line = "{\"hv_journal\":2,\"automaton\":\"" + json_escape(header.automaton) + "\"";
-  if (!header.model_hash.empty()) {
-    line += ",\"model_hash\":\"" + json_escape(header.model_hash) + "\"";
-  }
-  if (!header.hvc_version.empty()) {
-    line += ",\"hvc_version\":\"" + json_escape(header.hvc_version) + "\"";
-  }
-  if (!header.node.empty()) {
-    line += ",\"node\":\"" + json_escape(header.node) + "\"";
-  }
-  line += "}\n";
-  std::fputs(line.c_str(), file_);
+  Json line = Json::Object{{"hv_journal", kJournalVersion}, {"automaton", header.automaton}};
+  if (!header.model_hash.empty()) line.set("model_hash", header.model_hash);
+  if (!header.hvc_version.empty()) line.set("hvc_version", header.hvc_version);
+  if (!header.node.empty()) line.set("node", header.node);
+  std::fputs((line.to_string() + "\n").c_str(), file_);
   flush();
 }
 
@@ -286,20 +166,10 @@ ProgressJournal::~ProgressJournal() {
   }
 }
 
-void journal_append(ProgressJournal* journal, const std::string& property,
-                    const SchemaRecord& record) {
-  if (journal != nullptr) journal->append(property, record);
-}
-
-void ProgressJournal::append(const std::string& property, const SchemaRecord& record) {
-  std::string line = "{\"p\":\"" + json_escape(property) + "\",\"c\":\"" +
-                     json_escape(record.cursor) + "\",\"v\":\"" + json_escape(record.verdict) +
-                     "\"";
-  if (record.length != 0) line += ",\"len\":" + std::to_string(record.length);
-  if (record.pivots != 0) line += ",\"piv\":" + std::to_string(record.pivots);
-  if (record.cut >= 0) line += ",\"cut\":" + std::to_string(record.cut);
-  if (!record.note.empty()) line += ",\"note\":\"" + json_escape(record.note) + "\"";
-  line += "}\n";
+void ProgressJournal::append(const std::string& property, const SchemaRecord& record,
+                             const UnitOutcome& solve) {
+  const std::string line =
+      record_to_json(record, solve, {{"property", property}}).to_string() + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
   std::fputs(line.c_str(), file_);
   ++records_;
@@ -336,36 +206,46 @@ ResumeState load_journal(const std::string& path) {
   std::string line;
   while (std::getline(file, line)) {
     if (line.empty()) continue;
-    std::unordered_map<std::string, std::string> strings;
-    std::unordered_map<std::string, std::int64_t> numbers;
-    if (!LineScanner(line).parse(&strings, &numbers)) {
+    Json json;
+    try {
+      json = Json::parse(line);
+    } catch (const Error&) {
       // Torn tail (or stray corruption): count and move on — the schema the
       // line described is simply re-solved.
       ++state.skipped_lines;
       continue;
     }
-    if (numbers.contains("hv_journal")) {
-      const auto automaton = strings.find("automaton");
-      if (automaton == strings.end()) {
+    if (const Json* version = json.find("hv_journal")) {
+      const Json* automaton = json.find("automaton");
+      const auto text = [&](const char* key) {
+        const Json* field = json.find(key);
+        return field == nullptr || field->kind() == Json::Kind::kString;
+      };
+      if (version->kind() != Json::Kind::kInt || automaton == nullptr ||
+          !text("automaton") || !text("model_hash") || !text("hvc_version") || !text("node")) {
         ++state.skipped_lines;
         continue;
       }
-      if (header_seen && state.automaton != automaton->second) {
-        throw Error("journal: " + path + " mixes automatons '" + state.automaton +
-                    "' and '" + automaton->second + "'");
+      if (version->as_int() != kJournalVersion) {
+        throw Error("journal: " + path + " is a version-" + std::to_string(version->as_int()) +
+                    " journal, and this hvc reads only version " +
+                    std::to_string(kJournalVersion) + "; start a fresh journal");
       }
-      state.automaton = automaton->second;
-      // Identity fields appeared with header version 2; a file resumed
-      // across versions keeps the strictest (non-empty) values and refuses
-      // outright contradictions.
+      if (header_seen && state.automaton != automaton->as_string()) {
+        throw Error("journal: " + path + " mixes automatons '" + state.automaton + "' and '" +
+                    automaton->as_string() + "'");
+      }
+      state.automaton = automaton->as_string();
+      // A file resumed across runs keeps the strictest (non-empty) identity
+      // values and refuses outright contradictions.
       const auto adopt = [&](const char* key, std::string* slot) {
-        const auto it = strings.find(key);
-        if (it == strings.end()) return;
-        if (!slot->empty() && *slot != it->second) {
+        const Json* field = json.find(key);
+        if (field == nullptr) return;
+        if (!slot->empty() && *slot != field->as_string()) {
           throw Error("journal: " + path + " mixes " + key + " '" + *slot + "' and '" +
-                      it->second + "'");
+                      field->as_string() + "'");
         }
-        *slot = it->second;
+        *slot = field->as_string();
       };
       adopt("model_hash", &state.model_hash);
       adopt("hvc_version", &state.hvc_version);
@@ -374,26 +254,15 @@ ResumeState load_journal(const std::string& path) {
       continue;
     }
     JournalRecord record;
-    const auto field = [&](const char* name) -> std::string {
-      const auto it = strings.find(name);
-      return it == strings.end() ? std::string() : it->second;
-    };
-    record.property = field("p");
-    record.cursor = field("c");
-    record.verdict = field("v");
-    record.note = field("note");
-    if (const auto it = numbers.find("len"); it != numbers.end()) record.length = it->second;
-    if (const auto it = numbers.find("piv"); it != numbers.end()) record.pivots = it->second;
-    if (const auto it = numbers.find("cut"); it != numbers.end()) record.cut = it->second;
-    if (record.property.empty() || record.cursor.empty() || record.verdict.empty()) {
+    try {
+      static_cast<SchemaRecord&>(record) = record_from_json(json, &record.solve);
+      record.property = json.at("property").as_string();
+    } catch (const Error&) {
       ++state.skipped_lines;
       continue;
     }
-    if (record.verdict == "revoked") {
-      // Compensating record written by older distributed coordinators: the
-      // original verdict came from a worker later caught lying, so a resumed
-      // run must re-solve this cursor as if it had never been settled.
-      state.settled.erase(ResumeState::key(record.property, record.cursor));
+    if (record.property.empty() || record.cursor.empty() || record.verdict.empty()) {
+      ++state.skipped_lines;
       continue;
     }
     state.settled[ResumeState::key(record.property, record.cursor)] = std::move(record);

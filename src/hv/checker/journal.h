@@ -2,18 +2,31 @@
 //
 // The paper's hardest workloads (the naive multi-round DBFT automaton of
 // Table 2) run for days before timing out; a process kill must not destroy
-// the accumulated schema verdicts. The journal is an append-only JSONL file:
-// one record per settled schema, keyed by a *stable cursor* derived from the
-// schema content (unlock order + cut positions), which the deterministic
-// enumeration order reproduces run after run. Records are buffered and
-// fsync'd in batches, so a kill -9 at any point loses at most one batch; a
-// torn trailing line (the only possible corruption of an append-only file)
-// is skipped on load.
+// the accumulated schema verdicts. The journal is an append-only JSONL file
+// (format version 3): a header line {"hv_journal":3, automaton, model_hash,
+// hvc_version, node?}, then one line per settled schema, keyed by a
+// *stable cursor* derived from the schema content (unlock order + cut
+// positions), which the deterministic enumeration order reproduces run
+// after run. Each record line is the settled-schema object of record.h,
+// with the property's name as its head field: the very object a fleet
+// worker sends in a record frame. It carries the verdict, the counters
+// (length, pivots, rational fast/big ops, retries), the note, the subtree
+// cut, and the evidence when there is some: an unsat schema's proof and a
+// sat schema's model in certify mode, a sat schema's counterexample always.
+// Records are buffered and fsync'd in batches, so a kill -9 at any point
+// loses at most one batch; a torn trailing line (the only possible
+// corruption of an append-only file) is skipped on load, as is any line
+// that does not decode.
 //
 // Resume (`hvc check --resume`) loads the journal into a ResumeState and the
 // checker skips every already-settled schema, replaying its recorded
-// verdict, length and pivot count into the run statistics — an interrupted
-// run continued this way reports the same verdicts as an uninterrupted one.
+// verdict and counters into the run statistics: an interrupted run
+// continued this way reports the same verdicts and schema totals as an
+// uninterrupted one. A certifying resume replays only the records that
+// carry their evidence (an unsat with its proof, or a pruned schema, which
+// the auditor re-derives from the cone) and re-solves the rest, so the
+// resumed proofs land in the certificate and `hvc audit` checks them like
+// any other. Sat records are always re-solved.
 #ifndef HV_CHECKER_JOURNAL_H
 #define HV_CHECKER_JOURNAL_H
 
@@ -23,7 +36,9 @@
 #include <string>
 #include <unordered_map>
 
+#include "hv/checker/record.h"
 #include "hv/checker/schema.h"
+#include "hv/checker/schema_solver.h"
 
 namespace hv::checker {
 
@@ -47,11 +62,11 @@ bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Sc
 std::string model_content_hash(const ta::ThresholdAutomaton& ta);
 
 /// Identity block written into a journal's header line. Implicitly
-/// constructible from an automaton name alone (tests, legacy callers); the
-/// checker fills all fields.
+/// constructible from an automaton name alone (tests); the checker fills all
+/// fields.
 struct JournalHeader {
   std::string automaton;
-  std::string model_hash;   // empty: not recorded (legacy)
+  std::string model_hash;   // empty: not recorded
   std::string hvc_version;  // defaults to the running version
   /// DAG node identity ("<stage>.<property>#<options-fingerprint-hash>")
   /// when the journal belongs to one pipeline node; empty for whole-run
@@ -65,40 +80,37 @@ struct JournalHeader {
   JournalHeader(std::string automaton_name, std::string hash);
 };
 
-/// One journal line: a SchemaRecord (schema.h) of `property` whose fast,
-/// big and retries counters are not journaled. `verdict` is one of "unsat",
-/// "sat", "pruned", "unknown" or "revoked"; sat records exist for
-/// completeness but are re-solved on resume (the counterexample itself is
-/// not journaled). A "revoked" record is legacy input: older distributed
-/// coordinators appended one when they caught a worker lying after its
-/// records had merged. On load it still *erases* any earlier record for the
-/// same cursor, so a resumed run re-solves the schema; no current writer
-/// emits one. An unsat record
-/// whose refutation only referenced the first `cut` elements of the
-/// schema's unlock chain carries `cut >= 0`: the whole subtree below that
-/// prefix is infeasible, and resume rebuilds the subtree-cut index from
-/// the field instead of re-deriving it. Riding on the unsat record (rather
-/// than a separate line) keeps the verdict and the cut atomic — a kill
-/// can lose both, never one without the other.
+/// One journal line: a SchemaRecord (schema.h) of `property`, with the
+/// evidence the line carried in `solve` (proof, model, counterexample and
+/// validation error; the other fields stay default). `verdict` is one of
+/// "unsat", "sat", "pruned" or "unknown". An unsat record whose refutation
+/// only referenced the first `cut` elements of the schema's unlock chain
+/// carries `cut >= 0`: the whole subtree below that prefix is infeasible,
+/// and resume rebuilds the subtree-cut index from the field instead of
+/// re-deriving it. Riding on the unsat record (rather than a separate line)
+/// keeps the verdict and the cut atomic — a kill can lose both, never one
+/// without the other.
 struct JournalRecord : SchemaRecord {
   std::string property;
+  UnitOutcome solve;
 };
 
 /// Append-only JSONL writer shared by all workers of a run. Thread-safe;
 /// flush+fsync every `flush_batch` records and on destruction.
 class ProgressJournal {
  public:
-  /// Opens `path` for append and writes a header line recording the
-  /// automaton name, model content hash and hvc version (resume refuses a
-  /// journal recorded for a different model or version). Throws hv::Error if
-  /// the file cannot be opened.
+  /// Opens `path` for append and writes a header line recording the format
+  /// version, automaton name, model content hash and hvc version (resume
+  /// refuses a journal recorded for a different model or version). Throws
+  /// hv::Error if the file cannot be opened.
   ProgressJournal(std::string path, const JournalHeader& header, int flush_batch = 256);
   ~ProgressJournal();
   ProgressJournal(const ProgressJournal&) = delete;
   ProgressJournal& operator=(const ProgressJournal&) = delete;
 
-  void append(const std::string& property, const SchemaRecord& record);
-  void append(const JournalRecord& record) { append(record.property, record); }
+  void append(const std::string& property, const SchemaRecord& record,
+              const UnitOutcome& solve = {});
+  void append(const JournalRecord& record) { append(record.property, record, record.solve); }
   /// Durability point: fflush + fsync.
   void flush();
 
@@ -120,18 +132,14 @@ class ProgressJournal {
 /// on journaling filesystems.
 void sync_to_disk(std::FILE* file);
 
-/// Appends one record to `journal`; a no-op when journaling is off (null).
-void journal_append(ProgressJournal* journal, const std::string& property,
-                    const SchemaRecord& record);
-
 /// Parsed journal contents: settled verdicts keyed by (property, cursor).
 /// Later records for the same key win (a schema re-solved after a degraded
 /// attempt supersedes the earlier record).
 struct ResumeState {
   std::string automaton;
   /// Model content hash / hvc version / DAG node identity from the header;
-  /// empty when the journal predates their introduction (or, for `node`,
-  /// when it was not a per-node journal).
+  /// empty when the header did not record them (for `node`: when it was
+  /// not a per-node journal).
   std::string model_hash;
   std::string hvc_version;
   std::string node;
@@ -146,8 +154,11 @@ struct ResumeState {
   static std::string key(const std::string& property, const std::string& cursor);
 };
 
-/// Loads a journal; tolerant of a torn trailing line. Throws hv::Error if
-/// the file cannot be read or contains no valid header.
+/// Loads a journal; tolerant of a torn trailing line and of any other line
+/// that does not decode (counted in skipped_lines). Throws hv::Error if the
+/// file cannot be read, contains no valid header, mixes identities, or has a
+/// header of another format version (a version-2 journal is refused with a
+/// "start a fresh journal" diagnostic, never half-read).
 ResumeState load_journal(const std::string& path);
 
 /// Refuses a resume whose journal does not match the run: automaton name,

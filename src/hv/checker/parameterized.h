@@ -56,8 +56,10 @@ struct CheckOptions {
   /// by (property, schema cursor).
   std::string journal_path;
   /// Load this journal first and skip every schema it settles, replaying
-  /// the recorded verdicts into the statistics (empty disables). Refused in
-  /// certify mode: resumed schemas carry no proofs.
+  /// the recorded verdicts and counters into the statistics (empty
+  /// disables). Sat records are re-solved. In certify mode only records
+  /// that carry their evidence (an unsat with its proof, a pruned schema)
+  /// are replayed, and their proofs go into the certificate.
   std::string resume_path;
   /// Pipeline-DAG node identity stamped into the journal header (empty for
   /// whole-run journals). Resume cross-checks it: per-node journals of the

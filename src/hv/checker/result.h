@@ -200,7 +200,7 @@ struct PropertyResult {
   std::int64_t schemas_pruned = 0;
   /// Schemas skipped by core-based subtree cuts: an earlier refutation of a
   /// sibling only referenced the shared chain prefix, proving the whole
-  /// subtree unsat (learning mode; journaled as "cut" records).
+  /// subtree unsat (learning mode; journaled on the refuting unsat record).
   std::int64_t schemas_cut = 0;
   /// Lemma-pool activity (learning mode): solver checks short-circuited by
   /// a pooled Farkas refutation, and refutations banked into the pool.
@@ -223,8 +223,8 @@ struct PropertyResult {
   std::int64_t simplex_pivots = 0;
   /// Rational arithmetic inside the simplex, split by representation: ops
   /// that stayed on the machine-word fast path vs ops that fell back to
-  /// BigInt. Resumed journal schemas contribute zero (counters are not
-  /// journaled), so a resumed run under-reports totals, never mis-splits.
+  /// BigInt. Resumed journal schemas contribute the counts their journaling
+  /// run recorded.
   std::int64_t rational_fast_ops = 0;
   std::int64_t rational_big_ops = 0;
   /// Present iff the incremental encoder path ran.

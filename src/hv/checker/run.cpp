@@ -19,10 +19,6 @@ CheckOptions normalized(const CheckOptions& options) {
   // runs always ride the incremental encoders (verdict-identical either
   // way, and the auditor re-encodes incrementally).
   if (out.certify) out.incremental = true;
-  if (out.certify && !out.resume_path.empty()) {
-    throw InvalidArgument(
-        "checker: resume is incompatible with certify (resumed schemas carry no proofs)");
-  }
   return out;
 }
 
@@ -107,6 +103,15 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
   if (!options_.resume_path.empty()) {
     resume_ = load_journal(options_.resume_path);
     require_resume_compatible(*resume_, ta.name(), model_hash, options_.journal_node);
+    // What stays is replayed; the rest is re-solved: sat records always,
+    // and in a certifying run every record that lacks its evidence (an
+    // unsat without its proof, an unknown).
+    const auto replayed = [&](const JournalRecord& record) {
+      if (record.verdict == "pruned") return true;
+      if (record.verdict == "unsat") return !options_.certify || record.solve.proof != nullptr;
+      return record.verdict == "unknown" && !options_.certify;
+    };
+    std::erase_if(resume_->settled, [&](const auto& entry) { return !replayed(entry.second); });
   }
   if (!options_.journal_path.empty()) {
     JournalHeader header(ta.name(), model_hash);
@@ -143,7 +148,6 @@ void LeaseBook::replay_resume() {
   if (!resume_) return;
   std::lock_guard<std::mutex> lock(mutex);
   for (const auto& [key, record] : resume_->settled) {
-    if (record.verdict == "sat") continue;
     const auto named =
         std::find_if(properties_.begin(), properties_.end(),
                      [&](const spec::Property& p) { return p.name == record.property; });
@@ -152,9 +156,7 @@ void LeaseBook::replay_resume() {
     std::size_t q = 0;
     Schema schema;
     if (!parse_schema_cursor(record.cursor, &q, &schema) || q >= named->queries.size()) continue;
-    // Journal records carry no arithmetic counters; resumed schemas
-    // contribute zero to the fast/big split (documented in result.h).
-    merge_locked(p, q, schema, record, {}, /*charged=*/false, /*resumed=*/true);
+    merge_locked(p, q, schema, record, record.solve, /*charged=*/false, /*resumed=*/true);
   }
 }
 
@@ -281,7 +283,9 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
     --prop.in_flight;  // counted right below
   }
   prop.tally.count(record, options_.progress, resumed);
-  if (!resumed || copy_resumed_) journal_append(journal_.get(), properties_[p].name, record);
+  if (journal_ && (!resumed || copy_resumed_)) {
+    journal_->append(properties_[p].name, record, outcome);
+  }
   const bool sat = record.verdict == "sat";
   if (options_.certify && record.verdict == "pruned") {
     prop.tally.pruned_schemas.push_back({q, schema});
@@ -353,8 +357,7 @@ std::vector<PropertyResult> LeaseBook::results() {
 
 bool LeaseBook::known_locked(std::size_t p, const std::string& cursor) const {
   if (!resume_) return false;
-  const JournalRecord* record = resume_->find(properties_[p].name, cursor);
-  return record != nullptr && record->verdict != "sat";
+  return resume_->find(properties_[p].name, cursor) != nullptr;
 }
 
 void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,

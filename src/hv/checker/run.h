@@ -5,9 +5,9 @@
 // chain subtree) of plan_tasks, in (property, query, DFS task) order. The
 // book owns everything around step_schema that does not need a wire:
 //
-//   * the normalized options (certify forces incremental solving; certify
-//     plus resume is refused), the journal and the resume file with their
-//     identity check;
+//   * the normalized options (certify forces incremental solving), the
+//     journal and the resume file with their identity check and the choice
+//     of the records a resume replays (journal.h);
 //   * the leases and their states, granted first-fit (fair-shared across
 //     properties, see pick_locked);
 //   * per property: the tally, the RunEnd, the finish stamp and, iff
@@ -85,16 +85,18 @@ class LeaseBook {
   /// `ta`, `properties` and `options` must outlive the book. Plans leases
   /// for `consumers` concurrent consumers, opens the journal and loads the
   /// resume file (checked against the model and options.journal_node).
-  /// Throws InvalidArgument for certify plus resume or a foreign journal.
+  /// Throws InvalidArgument for a foreign journal.
   LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
             const CheckOptions& options, int consumers);
   virtual ~LeaseBook();
   LeaseBook(const LeaseBook&) = delete;
   LeaseBook& operator=(const LeaseBook&) = delete;
 
-  /// Merges every non-sat resume record up front (sat records are re-solved:
-  /// no counterexample is journaled), so the subtree cuts the records carry
-  /// are skipped instead of re-derived. Call once, before any consumer.
+  /// Merges every replayed resume record up front, with its counters and
+  /// its proof, so the subtree cuts the records carry are skipped instead of
+  /// re-derived. Sat records are re-solved, and so is a record a certifying
+  /// run cannot replay for lack of evidence (journal.h). Call once, before
+  /// any consumer.
   void replay_resume();
 
   /// Runs `threads` LeaseConsumers until no lease is left to claim; the

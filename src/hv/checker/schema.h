@@ -49,8 +49,8 @@ struct Schema {
 /// One settled (query, schema) unit, whichever executor settled it: a
 /// lease consumer (an in-process thread or the coordinator's own solver), a
 /// fleet worker, or a journal replay. PropertyTally::count (result.h) is the only place a
-/// record turns into counters; the journal (journal.h) and the worker's
-/// record frames (dist/protocol.h) serialize it.
+/// record turns into counters; record.h is its one codec, which the journal
+/// (journal.h) and the worker's record frames (dist/protocol.h) share.
 struct SchemaRecord {
   /// schema_cursor (journal.h); empty when no journal or resume is open.
   std::string cursor;
@@ -58,10 +58,10 @@ struct SchemaRecord {
   std::string verdict;
   std::int64_t length = 0;
   std::int64_t pivots = 0;
-  /// Rational fast-path / BigInt op split (never journaled).
+  /// Rational fast-path / BigInt op split.
   std::int64_t fast = 0;
   std::int64_t big = 0;
-  /// Fresh-solver retries taken (never journaled).
+  /// Fresh-solver retries taken.
   std::int64_t retries = 0;
   /// Why an unknown schema degraded.
   std::string note;

@@ -137,10 +137,10 @@ struct Coord : checker::LeaseBook {
   /// new facts as learn frames to the learn-capable workers.
   bool learns() const { return checker::lemmas_enabled(options()); }
   /// Sends `frame` to every learn-capable connection but `origin`.
-  void broadcast_locked(const cert::Json& frame, int origin) const;
+  void broadcast_locked(const Json& frame, int origin) const;
 
   const DistOptions& dist;
-  cert::Json welcome;
+  Json welcome;
   /// Verdict dedup and conflict detection, per property: cursor ->
   /// verdict_code of everything settled (by resume replay, a worker record
   /// or an in-process solve). Makes reassignment replays idempotent and lets
@@ -234,7 +234,7 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   }
 }
 
-void Coord::broadcast_locked(const cert::Json& frame, int origin) const {
+void Coord::broadcast_locked(const Json& frame, int origin) const {
   for (const ConnInfo& info : open_conns) {
     if (info.learn && info.origin != origin) info.conn->send(frame);
   }
@@ -290,9 +290,9 @@ struct Session {
   bool admit();
   bool on_silence();
   bool on_next();
-  bool on_verdict(const cert::Json& msg);
-  bool on_learn(const cert::Json& msg);
-  bool on_lease_done(const cert::Json& msg);
+  bool on_verdict(const Json& msg);
+  bool on_learn(const Json& msg);
+  bool on_lease_done(const Json& msg);
   bool forged(std::size_t p, std::size_t q, const checker::Schema& schema,
               const checker::SchemaRecord& record, const checker::UnitOutcome& solve);
   bool settles_subtree(const Lease& lease);
@@ -334,7 +334,7 @@ void Session::serve() {
   // release the lease, exactly like a handler returning false.
   try {
     for (;;) {
-      cert::Json msg;
+      Json msg;
       const FrameStatus status = conn.recv(&msg, 250);
       if (status == FrameStatus::kTimeout) {
         if (on_silence()) continue;
@@ -347,7 +347,7 @@ void Session::serve() {
       }
       if (status != FrameStatus::kOk) break;  // EOF or torn frame
       last_activity = Clock::now();
-      const cert::Json* type_field = msg.find("type");
+      const Json* type_field = msg.find("type");
       if (type_field == nullptr) {
         punish_violation();
         break;
@@ -393,21 +393,21 @@ void Session::serve() {
 // On success sends the welcome and joins the fleet; false means not a
 // worker, or refused.
 bool Session::admit() {
-  cert::Json hello;
+  Json hello;
   if (conn.recv(&hello, 10'000) != FrameStatus::kOk) return false;
   bool peer_learn = false;
   try {
     if (hello.at("type").as_string() != "hello") return false;
-    const cert::Json* protocol = hello.find("protocol");
+    const Json* protocol = hello.find("protocol");
     if (protocol == nullptr || protocol->as_int() != kDistProtocolVersion) {
-      conn.send(cert::Json::Object{
+      conn.send(Json::Object{
           {"type", "shutdown"},
           {"reason", "protocol mismatch (coordinator speaks " +
                          std::to_string(kDistProtocolVersion) + ")"}});
       return false;
     }
-    if (const cert::Json* label_field = hello.find("label")) {
-      if (label_field->kind() == cert::Json::Kind::kString &&
+    if (const Json* label_field = hello.find("label")) {
+      if (label_field->kind() == Json::Kind::kString &&
           !label_field->as_string().empty()) {
         label = label_field->as_string();
       }
@@ -455,7 +455,7 @@ bool Session::admit() {
       }
     }
     if (!reason.empty()) {
-      conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", reason}});
+      conn.send(Json::Object{{"type", "shutdown"}, {"reason", reason}});
       return false;
     }
   }
@@ -485,7 +485,7 @@ bool Session::on_silence() {
     return false;
   }
   if (c.closing && current < 0) {
-    conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
+    conn.send(Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
     clean = true;
     return false;
   }
@@ -494,7 +494,7 @@ bool Session::on_silence() {
 
 // The `next` frame: grant a lease, or answer wait / shutdown.
 bool Session::on_next() {
-  cert::Json reply;
+  Json reply;
   {
     std::unique_lock<std::mutex> lock(c.mutex);
     release_current();  // a worker asking again abandoned any holdover
@@ -531,14 +531,14 @@ bool Session::on_next() {
       abandon_sent_for = -2;  // a regranted lease may need its own abandon
       // Skip list: every settled cursor inside this subtree (resume replay
       // and partial work of a previous holder).
-      reply = cert::Json::Object{
+      reply = Json::Object{
           {"type", "lease"},
           {"lease", grant},
           {"property", static_cast<std::int64_t>(lease.property)},
           {"query", static_cast<std::int64_t>(lease.query)},
-          {"prefix", cert::Json::Array(lease.task.prefix.begin(), lease.task.prefix.end())},
+          {"prefix", Json::Array(lease.task.prefix.begin(), lease.task.prefix.end())},
           {"extensions", lease.task.include_extensions},
-          {"skip", cert::Json::Array(c.skip[id].begin(), c.skip[id].end())}};
+          {"skip", Json::Array(c.skip[id].begin(), c.skip[id].end())}};
       // Learning payload: everything the book knows about this (property,
       // query) rides along so a late-joining worker starts with the fleet's
       // accumulated cuts and lemmas.
@@ -551,9 +551,9 @@ bool Session::on_next() {
         payload.put(reply);
       }
     } else if (work_left) {
-      reply = cert::Json::Object{{"type", "wait"}, {"ms", 0}};
+      reply = Json::Object{{"type", "wait"}, {"ms", 0}};
     } else {
-      reply = cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
+      reply = Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
       clean = true;
     }
   }
@@ -563,10 +563,10 @@ bool Session::on_next() {
 // A `record` or `sat` frame: one schema this worker settled. It passes the
 // merge check and the trust gate, then merges like any other settled
 // schema.
-bool Session::on_verdict(const cert::Json& msg) {
+bool Session::on_verdict(const Json& msg) {
   const bool sat = msg.at("type").as_string() == "sat";
   checker::UnitOutcome solve;
-  checker::SchemaRecord record = record_from_json(msg, &solve);
+  checker::SchemaRecord record = checker::record_from_json(msg, &solve);
   std::size_t q = 0;
   checker::Schema schema;
   const auto p = static_cast<std::size_t>(msg.at("property").as_int());
@@ -622,7 +622,7 @@ bool Session::on_verdict(const cert::Json& msg) {
   }
   if (abandon && abandon_sent_for != cited) {
     abandon_sent_for = cited;
-    return conn.send(cert::Json::Object{{"type", "abandon"}, {"lease", cited}});
+    return conn.send(Json::Object{{"type", "abandon"}, {"lease", cited}});
   }
   return true;
 }
@@ -669,7 +669,7 @@ bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema
 // the book had not seen to every other learn-capable worker. Cuts are taken
 // only from unsat records, which cite a granted lease; a cuts[] field here
 // is ignored. Silently ignored when this run does not learn.
-bool Session::on_learn(const cert::Json& msg) {
+bool Session::on_learn(const Json& msg) {
   if (!learn) return true;
   const auto p = static_cast<std::size_t>(msg.at("p").as_int());
   if (p >= c.props.size()) {
@@ -686,10 +686,10 @@ bool Session::on_learn(const cert::Json& msg) {
 // A `lease_done` frame: the worker finished (or abandoned) its lease. A
 // negative counter is hostile; a certifying run also requires the lease's
 // whole subtree to be settled while its property is still live.
-bool Session::on_lease_done(const cert::Json& msg) {
+bool Session::on_lease_done(const Json& msg) {
   const std::int64_t id = msg.at("lease").as_int();
   checker::IncrementalStats delta;
-  if (const cert::Json* stats = msg.find("stats")) {
+  if (const Json* stats = msg.find("stats")) {
     delta.segments_pushed = stats->at("segments_pushed").as_int();
     delta.segments_popped = stats->at("segments_popped").as_int();
     delta.segments_reused = stats->at("segments_reused").as_int();
@@ -697,7 +697,7 @@ bool Session::on_lease_done(const cert::Json& msg) {
   }
   // Learning counters, read tolerantly (pre-upgrade workers omit them).
   const auto counter = [&](const char* key) -> std::int64_t {
-    const cert::Json* field = msg.find(key);
+    const Json* field = msg.find(key);
     return field == nullptr ? 0 : field->as_int();
   };
   const std::int64_t cut = counter("cut");
@@ -791,14 +791,14 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   // charged here as records merge.
   checker::CheckOptions wire = c.options();
   wire.enumeration.max_schemas = std::numeric_limits<std::int64_t>::max();
-  c.welcome = cert::Json::Object{{"type", "welcome"},
-                                 {"protocol", kDistProtocolVersion},
-                                 {"model_hash", checker::model_content_hash(ta)},
-                                 {"model_text", model_text},
-                                 {"properties", specs_to_json(specs)},
-                                 {"options", options_to_json(wire)},
-                                 {"lease_timeout", options.lease_timeout_seconds}};
-  if (c.learns()) c.welcome.set("features", cert::Json::Array{"learn"});
+  c.welcome = Json::Object{{"type", "welcome"},
+                           {"protocol", kDistProtocolVersion},
+                           {"model_hash", checker::model_content_hash(ta)},
+                           {"model_text", model_text},
+                           {"properties", specs_to_json(specs)},
+                           {"options", options_to_json(wire)},
+                           {"lease_timeout", options.lease_timeout_seconds}};
+  if (c.learns()) c.welcome.set("features", Json::Array{"learn"});
 
   // Accept loop: hand every connection to its own handler thread; watch for
   // completion, cancellation and the global timeout.

@@ -7,7 +7,7 @@
 //   +------+------+----------------------+
 //    4 B    4 B big-endian
 //
-// The payload is a JSON object (hv/cert/json.h); the codec itself is
+// The payload is a JSON object (hv/util/json.h); the codec itself is
 // payload-agnostic. Reads classify every failure mode instead of throwing:
 // a clean EOF between frames is a normal worker departure, a torn frame is
 // a mid-message death, a bad magic or an oversized length is a protocol

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "hv/cert/certificate.h"
 #include "hv/dist/chaos.h"
 #include "hv/models/registry.h"
 #include "hv/spec/compile.h"
@@ -152,7 +151,7 @@ Conn::Conn(int fd, bool subject_to_chaos) : fd_(fd) {
 
 Conn::~Conn() { close(); }
 
-bool Conn::send(const cert::Json& message) {
+bool Conn::send(const Json& message) {
   if (fd_ < 0) return false;
   const std::string payload = message.to_string();
   std::lock_guard<std::mutex> lock(write_mutex_);
@@ -160,8 +159,8 @@ bool Conn::send(const cert::Json& message) {
   return write_frame(fd_, payload);
 }
 
-FrameStatus Conn::recv(cert::Json* message, int timeout_ms) {
-  *message = cert::Json();
+FrameStatus Conn::recv(Json* message, int timeout_ms) {
+  *message = Json();
   if (fd_ < 0) return FrameStatus::kClosed;
   if (chaos_ != nullptr) {
     // Deliver any held (reordered) frame before blocking: a request/reply
@@ -173,7 +172,7 @@ FrameStatus Conn::recv(cert::Json* message, int timeout_ms) {
   const FrameStatus status = reader_.read(fd_, &payload, timeout_ms);
   if (status != FrameStatus::kOk) return status;
   try {
-    *message = cert::Json::parse(payload);
+    *message = Json::parse(payload);
   } catch (const Error&) {
     // A frame that is not JSON is a protocol violation, same class as a
     // corrupted length: report it as an error, not a message.
@@ -230,10 +229,10 @@ std::vector<spec::Property> resolve_properties(const ta::ThresholdAutomaton& ta,
   return properties;
 }
 
-cert::Json specs_to_json(const std::vector<PropertySpec>& specs) {
-  cert::Json::Array out;
+Json specs_to_json(const std::vector<PropertySpec>& specs) {
+  Json::Array out;
   for (const PropertySpec& spec : specs) {
-    out.push_back(cert::Json::Object{
+    out.push_back(Json::Object{
         {"name", spec.name},
         {"formula", spec.formula},
         {"bundled", spec.bundled},
@@ -242,9 +241,9 @@ cert::Json specs_to_json(const std::vector<PropertySpec>& specs) {
   return out;
 }
 
-std::vector<PropertySpec> specs_from_json(const cert::Json& json) {
+std::vector<PropertySpec> specs_from_json(const Json& json) {
   std::vector<PropertySpec> specs;
-  for (const cert::Json& entry : json.as_array()) {
+  for (const Json& entry : json.as_array()) {
     PropertySpec spec;
     spec.name = entry.at("name").as_string();
     spec.formula = entry.at("formula").as_string();
@@ -254,8 +253,8 @@ std::vector<PropertySpec> specs_from_json(const cert::Json& json) {
   return specs;
 }
 
-cert::Json options_to_json(const checker::CheckOptions& options) {
-  return cert::Json::Object{
+Json options_to_json(const checker::CheckOptions& options) {
+  return Json::Object{
       {"max_schemas", options.enumeration.max_schemas},
       {"prune_implications", options.enumeration.prune_implications},
       {"prune_dead_unlocks", options.enumeration.prune_dead_unlocks},
@@ -271,7 +270,7 @@ cert::Json options_to_json(const checker::CheckOptions& options) {
   };
 }
 
-checker::CheckOptions options_from_json(const cert::Json& json) {
+checker::CheckOptions options_from_json(const Json& json) {
   checker::CheckOptions options;
   options.enumeration.max_schemas = json.at("max_schemas").as_int();
   options.enumeration.prune_implications = json.at("prune_implications").as_bool();
@@ -287,197 +286,74 @@ checker::CheckOptions options_from_json(const cert::Json& json) {
   // Tolerant read: a pre-upgrade coordinator omits the field; learning is
   // additionally gated by the hello/welcome feature negotiation, so the
   // default here only matters to non-dist callers of this converter.
-  const cert::Json* lemmas = json.find("lemmas");
+  const Json* lemmas = json.find("lemmas");
   options.lemmas = lemmas == nullptr || lemmas->as_bool();
   return options;
 }
 
-cert::Json counterexample_to_json(const checker::Counterexample& cex) {
-  cert::Json::Array params;
-  for (const auto& [var, value] : cex.params) {
-    params.push_back(cert::Json::Array{static_cast<std::int64_t>(var), value});
-  }
-  cert::Json::Array counters;
-  for (const std::int64_t c : cex.initial.counters) counters.push_back(c);
-  cert::Json::Array shared;
-  for (const std::int64_t s : cex.initial.shared) shared.push_back(s);
-  cert::Json::Array steps;
-  for (const checker::TraceStep& step : cex.steps) {
-    steps.push_back(cert::Json::Array{static_cast<std::int64_t>(step.rule), step.factor});
-  }
-  return cert::Json::Object{
-      {"property", cex.property},
-      {"query_description", cex.query_description},
-      {"params", std::move(params)},
-      {"counters", std::move(counters)},
-      {"shared", std::move(shared)},
-      {"steps", std::move(steps)},
-  };
+Json record_frame(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
+                  std::int64_t lease, std::size_t property) {
+  return checker::record_to_json(
+      record, solve, {{"lease", lease}, {"property", static_cast<std::int64_t>(property)}});
 }
 
-checker::Counterexample counterexample_from_json(const cert::Json& json) {
-  checker::Counterexample cex;
-  cex.property = json.at("property").as_string();
-  cex.query_description = json.at("query_description").as_string();
-  for (const cert::Json& entry : json.at("params").as_array()) {
-    const cert::Json::Array& pair = entry.as_array();
-    if (pair.size() != 2) throw InvalidArgument("dist: malformed counterexample params");
-    cex.params[static_cast<ta::VarId>(pair[0].as_int())] = pair[1].as_int();
-  }
-  for (const cert::Json& c : json.at("counters").as_array()) {
-    cex.initial.counters.push_back(c.as_int());
-  }
-  for (const cert::Json& s : json.at("shared").as_array()) {
-    cex.initial.shared.push_back(s.as_int());
-  }
-  for (const cert::Json& entry : json.at("steps").as_array()) {
-    const cert::Json::Array& pair = entry.as_array();
-    if (pair.size() != 2) throw InvalidArgument("dist: malformed counterexample steps");
-    cex.steps.push_back({static_cast<ta::RuleId>(pair[0].as_int()), pair[1].as_int()});
-  }
-  return cex;
-}
-
-cert::Json model_values_to_json(const std::vector<std::pair<std::string, BigInt>>& values) {
-  cert::Json::Array out;
-  for (const auto& [name, value] : values) {
-    out.push_back(cert::Json::Array{name, value.to_string()});
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, BigInt>> model_values_from_json(const cert::Json& json) {
-  std::vector<std::pair<std::string, BigInt>> values;
-  for (const cert::Json& entry : json.as_array()) {
-    const cert::Json::Array& pair = entry.as_array();
-    if (pair.size() != 2) throw InvalidArgument("dist: malformed model values");
-    values.emplace_back(pair[0].as_string(), BigInt::from_string(pair[1].as_string()));
-  }
-  return values;
-}
-
-cert::Json record_to_json(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
-                          std::int64_t lease, std::size_t property) {
-  const bool sat = record.verdict == "sat";
-  cert::Json::Object frame;
-  frame.reserve(13);
-  const auto field = [&](const char* key, cert::Json value) {
-    frame.emplace_back(key, std::move(value));
-  };
-  field("type", sat ? "sat" : "record");
-  field("lease", lease);
-  field("property", static_cast<std::int64_t>(property));
-  field("cursor", record.cursor);
-  if (!sat) field("verdict", record.verdict);
-  field("length", record.length);
-  field("pivots", record.pivots);
-  if (sat || record.verdict == "unsat") {
-    field("fast", record.fast);
-    field("big", record.big);
-  }
-  field("retries", record.retries);
-  if (sat) {
-    field("validation_error", solve.validation_error);
-    if (solve.counterexample) {
-      field("counterexample", counterexample_to_json(*solve.counterexample));
-    }
-    if (solve.model) field("model", model_values_to_json(*solve.model));
-  } else {
-    field("note", record.note);
-    if (record.cut >= 0) field("cut", record.cut);
-    if (solve.proof) field("proof", cert::proof_to_json(*solve.proof));
-  }
-  return frame;
-}
-
-checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOutcome* solve) {
-  checker::SchemaRecord record;
-  const bool sat = frame.at("type").as_string() == "sat";
-  record.cursor = frame.at("cursor").as_string();
-  record.verdict = sat ? "sat" : frame.at("verdict").as_string();
-  record.length = frame.at("length").as_int();
-  record.pivots = frame.at("pivots").as_int();
-  record.retries = frame.at("retries").as_int();
-  // Tolerant reads: pruned and unknown records (and older workers) omit
-  // fast/big.
-  if (const cert::Json* fast = frame.find("fast")) record.fast = fast->as_int();
-  if (const cert::Json* big = frame.find("big")) record.big = big->as_int();
-  if (sat) {
-    solve->validation_error = frame.at("validation_error").as_string();
-    if (const cert::Json* cex = frame.find("counterexample")) {
-      solve->counterexample = counterexample_from_json(*cex);
-    }
-    if (const cert::Json* model = frame.find("model")) {
-      solve->model = std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
-          model_values_from_json(*model));
-    }
-  } else {
-    record.note = frame.at("note").as_string();
-    if (const cert::Json* cut = frame.find("cut")) record.cut = cut->as_int();
-    if (const cert::Json* proof = frame.find("proof")) {
-      solve->proof = std::shared_ptr<const smt::proof::Node>(cert::proof_from_json(*proof));
-    }
-  }
-  return record;
-}
-
-bool has_feature(const cert::Json& frame, std::string_view feature) {
-  const cert::Json* features = frame.find("features");
+bool has_feature(const Json& frame, std::string_view feature) {
+  const Json* features = frame.find("features");
   if (features == nullptr) return false;
   return std::any_of(features->as_array().begin(), features->as_array().end(),
-                     [&](const cert::Json& entry) {
-                       return entry.kind() == cert::Json::Kind::kString &&
+                     [&](const Json& entry) {
+                       return entry.kind() == Json::Kind::kString &&
                               entry.as_string() == feature;
                      });
 }
 
 void LearnPayload::add_cut(std::size_t q, const std::vector<int>& prefix) {
-  cuts.push_back(cert::Json::Object{{"q", static_cast<std::int64_t>(q)},
-                                    {"prefix", cert::Json::Array(prefix.begin(), prefix.end())}});
+  cuts.push_back(Json::Object{{"q", static_cast<std::int64_t>(q)},
+                              {"prefix", Json::Array(prefix.begin(), prefix.end())}});
 }
 
 void LearnPayload::add_lemma(std::size_t q, const smt::Lemma& lemma) {
-  lemmas.push_back(cert::Json::Object{
+  lemmas.push_back(Json::Object{
       {"q", static_cast<std::int64_t>(q)},
-      {"premises", cert::Json::Array(lemma.premises.begin(), lemma.premises.end())}});
+      {"premises", Json::Array(lemma.premises.begin(), lemma.premises.end())}});
 }
 
-void LearnPayload::put(cert::Json& frame) {
+void LearnPayload::put(Json& frame) {
   if (!cuts.empty()) frame.set("cuts", std::move(cuts));
   if (!lemmas.empty()) frame.set("lemmas", std::move(lemmas));
 }
 
-cert::Json learn_frame(std::size_t p, LearnPayload payload) {
-  cert::Json frame = cert::Json::Object{{"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
+Json learn_frame(std::size_t p, LearnPayload payload) {
+  Json frame = Json::Object{{"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
   payload.put(frame);
   return frame;
 }
 
-cert::Json::Array fold_learn(const cert::Json& frame, checker::PropertyLearning& learning,
-                             bool with_cuts) {
-  const auto query = [&](const cert::Json& entry) -> checker::QueryLearning* {
+Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
+                       bool with_cuts) {
+  const auto query = [&](const Json& entry) -> checker::QueryLearning* {
     const std::int64_t q = entry.at("q").as_int();
     if (q < 0 || q >= static_cast<std::int64_t>(learning.queries.size())) return nullptr;
     return &learning.queries[static_cast<std::size_t>(q)];
   };
-  if (const cert::Json* cuts = with_cuts ? frame.find("cuts") : nullptr) {
-    for (const cert::Json& entry : cuts->as_array()) {
+  if (const Json* cuts = with_cuts ? frame.find("cuts") : nullptr) {
+    for (const Json& entry : cuts->as_array()) {
       checker::QueryLearning* target = query(entry);
       if (target == nullptr) continue;
       std::vector<int> prefix;
-      for (const cert::Json& g : entry.at("prefix").as_array()) {
+      for (const Json& g : entry.at("prefix").as_array()) {
         prefix.push_back(static_cast<int>(g.as_int()));
       }
       target->cuts.add(prefix);
     }
   }
-  cert::Json::Array fresh;
-  if (const cert::Json* lemmas = frame.find("lemmas")) {
-    for (const cert::Json& entry : lemmas->as_array()) {
+  Json::Array fresh;
+  if (const Json* lemmas = frame.find("lemmas")) {
+    for (const Json& entry : lemmas->as_array()) {
       checker::QueryLearning* target = query(entry);
       if (target == nullptr) continue;
       smt::Lemma lemma;
-      for (const cert::Json& premise : entry.at("premises").as_array()) {
+      for (const Json& premise : entry.at("premises").as_array()) {
         lemma.premises.push_back(premise.as_string());
       }
       if (target->lemmas.insert(std::move(lemma), /*fresh=*/false)) fresh.push_back(entry);

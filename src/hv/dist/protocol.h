@@ -11,11 +11,12 @@
 //     next       {}                     request a lease (pull model); the
 //                                      coordinator may hold the reply until
 //                                      a lease frees up (long poll)
-//     record     {lease, property, cursor, verdict, length, pivots,
-//                 retries, note, cut?, proof?, model?} one settled schema;
+//     record     {lease, property, cursor, verdict, length, pivots, fast?,
+//                 big?, retries, note, cut?, proof?} one settled schema;
 //                 cut = subtree-cut prefix length of an unsat refutation
-//     sat        {lease, property, cursor, length, pivots, retries,
-//                 validation_error, counterexample?, model?}
+//     sat        {lease, property, cursor, length, pivots, fast, big,
+//                 retries, validation_error, counterexample?, model?}
+//                (both checker/record.h's object, as a journal line is)
 //     learn      {p, lemmas[]?}           freshly pooled Farkas lemmas
 //                                         (cuts ride on record frames; the
 //                                         coordinator ignores cuts[] here)
@@ -79,13 +80,14 @@
 #include <string_view>
 #include <vector>
 
-#include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
+#include "hv/checker/record.h"
 #include "hv/checker/result.h"
 #include "hv/checker/schema_solver.h"
 #include "hv/dist/frame.h"
 #include "hv/spec/query.h"
 #include "hv/ta/automaton.h"
+#include "hv/util/json.h"
 
 namespace hv::dist {
 
@@ -129,14 +131,14 @@ class Conn {
   bool valid() const noexcept { return fd_ >= 0; }
 
   /// Serializes and sends one message. Returns false on any send failure.
-  bool send(const cert::Json& message);
+  bool send(const Json& message);
 
   /// Receives one message. Returns the frame status; on kOk `*message` is
   /// the parsed object. A frame that is not valid JSON returns kBadMagic's
   /// cousin: status kOk is only returned for parseable payloads, anything
   /// else comes back as kError with the message left null. A kTimeout loses
   /// no bytes: a frame cut by the deadline completes on the next call.
-  FrameStatus recv(cert::Json* message, int timeout_ms);
+  FrameStatus recv(Json* message, int timeout_ms);
 
   /// True when a frame is in flight: part of one is already read, or at
   /// least one byte is waiting (or the peer closed). Never consumes data —
@@ -174,54 +176,40 @@ struct PropertySpec {
 std::vector<spec::Property> resolve_properties(const ta::ThresholdAutomaton& ta,
                                                const std::vector<PropertySpec>& specs);
 
-cert::Json specs_to_json(const std::vector<PropertySpec>& specs);
-std::vector<PropertySpec> specs_from_json(const cert::Json& json);
+Json specs_to_json(const std::vector<PropertySpec>& specs);
+std::vector<PropertySpec> specs_from_json(const Json& json);
 
 // --- wire conversions -------------------------------------------------------
 
 /// Solver settings a worker needs to reproduce the coordinator's checking
 /// semantics; the subset of checker::CheckOptions that travels.
-cert::Json options_to_json(const checker::CheckOptions& options);
-checker::CheckOptions options_from_json(const cert::Json& json);
+Json options_to_json(const checker::CheckOptions& options);
+checker::CheckOptions options_from_json(const Json& json);
 
-/// Counterexamples travel by raw ids (rule, variable, location indices);
-/// the model-hash handshake guarantees both sides numbered the automaton
-/// identically.
-cert::Json counterexample_to_json(const checker::Counterexample& cex);
-checker::Counterexample counterexample_from_json(const cert::Json& json);
-
-/// Certify-mode model values ([name, integer-string] pairs).
-cert::Json model_values_to_json(const std::vector<std::pair<std::string, BigInt>>& values);
-std::vector<std::pair<std::string, BigInt>> model_values_from_json(const cert::Json& json);
-
-/// A settled schema as a worker frame: "sat" (the witness or its
-/// replay-validation error, and the model in certify mode) or "record"
-/// (pruned, unsat or unknown, with the subtree cut and the proof in certify
-/// mode). `solve` supplies what only a solve carries.
-cert::Json record_to_json(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
-                          std::int64_t lease, std::size_t property);
-/// Inverse of record_to_json; the witness, model and proof land in
-/// `*solve`. Throws on a missing or mistyped field.
-checker::SchemaRecord record_from_json(const cert::Json& frame, checker::UnitOutcome* solve);
+/// A settled schema as a worker frame: the settled-schema object of
+/// checker/record.h (decoded by checker::record_from_json) with the lease and
+/// the property's index as its head fields.
+Json record_frame(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
+                  std::int64_t lease, std::size_t property);
 
 /// True iff a hello or welcome frame lists `feature` in its features[]
 /// (absent: none). Throws when features is not an array.
-bool has_feature(const cert::Json& frame, std::string_view feature);
+bool has_feature(const Json& frame, std::string_view feature);
 
 /// The learned facts of one property on the wire: the cuts[] ({q, prefix[]})
 /// and lemmas[] ({q, premises[]}) entries of a learn frame or a lease grant.
 struct LearnPayload {
-  cert::Json::Array cuts;
-  cert::Json::Array lemmas;
+  Json::Array cuts;
+  Json::Array lemmas;
 
   void add_cut(std::size_t q, const std::vector<int>& prefix);
   void add_lemma(std::size_t q, const smt::Lemma& lemma);
   /// Moves the non-empty arrays into `frame`.
-  void put(cert::Json& frame);
+  void put(Json& frame);
 };
 
 /// A learn frame {p, cuts[]?, lemmas[]?}.
-cert::Json learn_frame(std::size_t p, LearnPayload payload);
+Json learn_frame(std::size_t p, LearnPayload payload);
 
 /// Folds the lemmas[] entries of a learn frame or lease grant into
 /// `learning`, and its cuts[] entries too when `with_cuts`. Lemmas go in as
@@ -229,8 +217,8 @@ cert::Json learn_frame(std::size_t p, LearnPayload payload);
 /// echoes them back. Entries naming a query `learning` lacks, and lemmas
 /// without premises, are skipped. Returns the lemma entries that were new.
 /// Throws on a mistyped entry, keeping the entries folded before it.
-cert::Json::Array fold_learn(const cert::Json& frame, checker::PropertyLearning& learning,
-                             bool with_cuts);
+Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
+                       bool with_cuts);
 
 }  // namespace hv::dist
 

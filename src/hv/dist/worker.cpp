@@ -57,7 +57,7 @@ class WorkerBook : public checker::LeaseBook {
   // learn frame, which names its property in "p". Tolerant of malformed
   // entries: learning facts are advisory, a bad one is dropped rather than
   // dropping the coordinator, and the entries before it stand on their own.
-  void learn(const cert::Json& msg, std::int64_t p = -1) {
+  void learn(const Json& msg, std::int64_t p = -1) {
     try {
       if (p < 0) p = msg.at("p").as_int();
       if (p < 0 || p >= static_cast<std::int64_t>(props.size())) return;
@@ -92,7 +92,7 @@ class WorkerBook : public checker::LeaseBook {
       forged.verdict = "sat";
     }
     const checker::SchemaRecord& shipped = lie ? forged : record;
-    if (!conn_.send(record_to_json(shipped, outcome, lease_id_, p))) {
+    if (!conn_.send(record_frame(shipped, outcome, lease_id_, p))) {
       report_.note = "connection lost";
     } else if (++report_.records == options_.drop_after_records) {
       report_.note = "dropped connection (test hook)";
@@ -112,13 +112,13 @@ class WorkerBook : public checker::LeaseBook {
   // next schema of the lease.
   bool abandoned() {
     while (conn_.readable()) {
-      cert::Json note;
+      Json note;
       if (conn_.recv(&note, options_.recv_timeout_ms) != FrameStatus::kOk) {
         report_.note = "connection lost";
         return true;
       }
-      const cert::Json* type = note.find("type");
-      if (type == nullptr || type->kind() != cert::Json::Kind::kString) continue;
+      const Json* type = note.find("type");
+      if (type == nullptr || type->kind() != Json::Kind::kString) continue;
       if (type->as_string() == "abandon") return true;
       if (type->as_string() == "learn") learn(note);
     }
@@ -153,18 +153,18 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   }
   Conn conn(fd, /*subject_to_chaos=*/true);
 
-  cert::Json hello = cert::Json::Object{{"type", "hello"},
+  Json hello = Json::Object{{"type", "hello"},
                                         {"protocol", kDistProtocolVersion},
                                         {"label", options.label}};
   // Advertise cross-schema learning unless disabled locally (HV_NO_LEMMAS):
   // a coordinator that does not learn simply never echoes the feature, and
   // this worker degrades to plain no-lemma solving.
-  if (checker::lemmas_enabled({})) hello.set("features", cert::Json::Array{"learn"});
+  if (checker::lemmas_enabled({})) hello.set("features", Json::Array{"learn"});
   if (!conn.send(hello)) {
     report.note = "handshake send failed";
     return report;
   }
-  cert::Json welcome;
+  Json welcome;
   if (conn.recv(&welcome, options.recv_timeout_ms) != FrameStatus::kOk) {
     report.note = "no welcome from coordinator";
     return report;
@@ -185,9 +185,9 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       // The coordinator refused this label before granting anything
       // (quarantined or banned for the run). A semantic stop: reconnecting
       // under the same label would only be refused again.
-      const cert::Json* reason = welcome.find("reason");
+      const Json* reason = welcome.find("reason");
       report.note = "coordinator refused: " +
-                    (reason != nullptr && reason->kind() == cert::Json::Kind::kString
+                    (reason != nullptr && reason->kind() == Json::Kind::kString
                          ? reason->as_string()
                          : std::string("(no reason given)"));
       return report;
@@ -218,9 +218,9 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     // coordinator would mistake for death. A period above half the lease
     // timeout leaves no slack for a slow schema between beats; the stop is
     // semantic (reconnecting cannot fix a misconfiguration).
-    if (const cert::Json* lease_timeout = welcome.find("lease_timeout")) {
-      if (lease_timeout->kind() == cert::Json::Kind::kDouble ||
-          lease_timeout->kind() == cert::Json::Kind::kInt) {
+    if (const Json* lease_timeout = welcome.find("lease_timeout")) {
+      if (lease_timeout->kind() == Json::Kind::kDouble ||
+          lease_timeout->kind() == Json::Kind::kInt) {
         const double lease_ms = lease_timeout->as_double() * 1000.0;
         if (lease_ms > 0.0 && static_cast<double>(options.heartbeat_ms) > lease_ms / 2.0) {
           report.note = "heartbeat period " + std::to_string(options.heartbeat_ms) +
@@ -258,7 +258,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     while (!heartbeat_wake.wait_for(lock, std::chrono::milliseconds(options.heartbeat_ms),
                                     [&] { return heartbeat_stop; })) {
       lock.unlock();
-      const bool sent = conn.send(cert::Json::Object{{"type", "heartbeat"}});
+      const bool sent = conn.send(Json::Object{{"type", "heartbeat"}});
       lock.lock();
       if (!sent) break;
     }
@@ -277,16 +277,16 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       report.note = "cancelled";
       break;
     }
-    if (!conn.send(cert::Json::Object{{"type", "next"}})) {
+    if (!conn.send(Json::Object{{"type", "next"}})) {
       // The coordinator may have sent shutdown and closed its end while we
       // slept in a wait backoff; the frame is still in our receive buffer,
       // possibly behind learn or abandon frames. Missing it would turn a
       // clean end into a reconnect loop.
-      cert::Json last;
+      Json last;
       while (!report.completed && conn.recv(&last, 100) == FrameStatus::kOk) {
-        const cert::Json* last_type = last.find("type");
+        const Json* last_type = last.find("type");
         report.completed = last_type != nullptr &&
-                           last_type->kind() == cert::Json::Kind::kString &&
+                           last_type->kind() == Json::Kind::kString &&
                            last_type->as_string() == "shutdown";
       }
       if (!report.completed) report.note = "connection lost";
@@ -298,7 +298,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     std::int64_t lease_id = -1;
     std::size_t p = 0;
     try {
-      cert::Json reply;
+      Json reply;
       FrameStatus status = conn.recv(&reply, options.recv_timeout_ms);
       // A late "abandon" for a lease that already closed — or a broadcast
       // "learn" frame — can sit ahead of the real reply in the byte stream;
@@ -341,12 +341,12 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         break;
       }
       checker::Lease lease{p, q, {}};
-      for (const cert::Json& g : reply.at("prefix").as_array()) {
+      for (const Json& g : reply.at("prefix").as_array()) {
         lease.task.prefix.push_back(static_cast<int>(g.as_int()));
       }
       lease.task.include_extensions = reply.at("extensions").as_bool();
       std::unordered_set<std::string> skip;
-      for (const cert::Json& cursor : reply.at("skip").as_array()) {
+      for (const Json& cursor : reply.at("skip").as_array()) {
         skip.insert(cursor.as_string());
       }
       book.grant(lease_id, std::move(lease), std::move(skip));
@@ -373,7 +373,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     // lemmas — remote ones were inserted fresh=false and are not echoed.
     // (Cuts already travelled on their unsat record frames.)
     checker::PropertyLearning* learning = book.learning(p);
-    cert::Json lemmas;
+    Json lemmas;
     if (learning != nullptr) {
       LearnPayload fresh;
       for (std::size_t lq = 0; lq < learning->queries.size(); ++lq) {
@@ -386,10 +386,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     // The grant started the property's tally afresh: it now counts this
     // lease alone.
     const checker::PropertyTally& tally = book.props[p].tally;
-    cert::Json done = cert::Json::Object{
+    Json done = Json::Object{
         {"type", "lease_done"},
         {"lease", lease_id},
-        {"stats", cert::Json::Object{
+        {"stats", Json::Object{
                       {"segments_pushed", tally.incremental.segments_pushed},
                       {"segments_popped", tally.incremental.segments_popped},
                       {"segments_reused", tally.incremental.segments_reused},

@@ -33,10 +33,10 @@ Client::~Client() {
   if (conn_) conn_->close();
 }
 
-cert::Json Client::request(const cert::Json& message, int timeout_ms) {
+Json Client::request(const Json& message, int timeout_ms) {
   if (!conn_ || !conn_->valid()) throw Error("service: connection is closed");
   if (!conn_->send(message)) throw Error("service: send failed (daemon gone?)");
-  cert::Json reply;
+  Json reply;
   const dist::FrameStatus status = conn_->recv(&reply, timeout_ms);
   if (status != dist::FrameStatus::kOk) {
     throw Error(std::string("service: no reply from daemon (") + dist::to_string(status) +
@@ -45,8 +45,8 @@ cert::Json Client::request(const cert::Json& message, int timeout_ms) {
   return reply;
 }
 
-cert::Json Client::submit(const SubmitRequest& request) {
-  cert::Json message = cert::Json::Object{
+Json Client::submit(const SubmitRequest& request) {
+  Json message = Json::Object{
       {"type", "submit"},
       {"protocol", kServiceProtocolVersion},
       {"tenant", request.tenant},
@@ -55,28 +55,28 @@ cert::Json Client::submit(const SubmitRequest& request) {
       {"properties", dist::specs_to_json(request.specs)},
       {"options", dist::options_to_json(request.options)},
       {"threads", request.options.workers}};
-  cert::Json reply = this->request(message);
-  const cert::Json* type = reply.find("type");
+  Json reply = this->request(message);
+  const Json* type = reply.find("type");
   if (type != nullptr && type->as_string() == "error") {
     throw Error("service: " + reply.at("message").as_string());
   }
   return reply;
 }
 
-cert::Json Client::status(std::int64_t job) {
-  cert::Json message = cert::Json::Object{{"type", "status"}};
+Json Client::status(std::int64_t job) {
+  Json message = Json::Object{{"type", "status"}};
   if (job >= 0) message.set("job", job);
   return request(message);
 }
 
-cert::Json Client::result(std::int64_t job, bool wait,
-                          const std::function<void(const cert::Json&)>& on_progress) {
+Json Client::result(std::int64_t job, bool wait,
+                    const std::function<void(const Json&)>& on_progress) {
   if (!conn_ || !conn_->valid()) throw Error("service: connection is closed");
-  const cert::Json message =
-      cert::Json::Object{{"type", "result"}, {"job", job}, {"wait", wait}};
+  const Json message =
+      Json::Object{{"type", "result"}, {"job", job}, {"wait", wait}};
   if (!conn_->send(message)) throw Error("service: send failed (daemon gone?)");
   for (;;) {
-    cert::Json frame;
+    Json frame;
     // Generous per-frame deadline: the daemon streams progress every ~200ms
     // while a waited job runs, so silence this long means it died.
     const dist::FrameStatus status = conn_->recv(&frame, 60'000);
@@ -84,7 +84,7 @@ cert::Json Client::result(std::int64_t job, bool wait,
       throw Error(std::string("service: result stream broken (") + dist::to_string(status) +
                   ")");
     }
-    const cert::Json* type = frame.find("type");
+    const Json* type = frame.find("type");
     if (type != nullptr && type->as_string() == "progress") {
       if (on_progress) on_progress(frame);
       if (!wait) return frame;
@@ -94,8 +94,8 @@ cert::Json Client::result(std::int64_t job, bool wait,
   }
 }
 
-cert::Json Client::cancel(std::int64_t job) {
-  return request(cert::Json::Object{{"type", "cancel"}, {"job", job}});
+Json Client::cancel(std::int64_t job) {
+  return request(Json::Object{{"type", "cancel"}, {"job", job}});
 }
 
 }  // namespace hv::service

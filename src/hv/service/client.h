@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "hv/cert/json.h"
 #include "hv/checker/parameterized.h"
 #include "hv/dist/protocol.h"
+#include "hv/util/json.h"
 
 namespace hv::service {
 
@@ -42,25 +42,25 @@ class Client {
   /// Sends one frame and returns the next reply frame. Throws hv::Error on
   /// any transport failure or timeout. An "error" reply is returned, not
   /// thrown — callers decide whether it is fatal.
-  cert::Json request(const cert::Json& message, int timeout_ms = 60'000);
+  Json request(const Json& message, int timeout_ms = 60'000);
 
   /// Submits a job. Returns the "submitted" frame ({job, state, cached});
   /// throws hv::Error carrying the daemon's message on an error frame
   /// (quota rejection, bad model, protocol mismatch).
-  cert::Json submit(const SubmitRequest& request);
+  Json submit(const SubmitRequest& request);
 
   /// Queue/cache snapshot; `job` >= 0 restricts the jobs array to that id.
-  cert::Json status(std::int64_t job = -1);
+  Json status(std::int64_t job = -1);
 
   /// Fetches a job's result. With `wait`, blocks until the job is terminal,
   /// invoking `on_progress` for every streamed progress frame; without it,
   /// returns immediately (a non-terminal job yields its progress frame).
   /// Error frames (unknown job, daemon shutdown) are returned as-is.
-  cert::Json result(std::int64_t job, bool wait,
-                    const std::function<void(const cert::Json&)>& on_progress = nullptr);
+  Json result(std::int64_t job, bool wait,
+              const std::function<void(const Json&)>& on_progress = nullptr);
 
   /// Cancels a job (idempotent); returns the "ok" or "error" frame.
-  cert::Json cancel(std::int64_t job);
+  Json cancel(std::int64_t job);
 
  private:
   std::unique_ptr<dist::Conn> conn_;

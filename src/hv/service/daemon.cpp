@@ -15,7 +15,6 @@
 #include <thread>
 #include <utility>
 
-#include "hv/cert/json.h"
 #include "hv/checker/journal.h"
 #include "hv/dist/frame.h"
 #include "hv/dist/local.h"
@@ -24,6 +23,7 @@
 #include "hv/service/response.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/json.h"
 #include "hv/util/stopwatch.h"
 #include "hv/util/version.h"
 
@@ -40,8 +40,8 @@ std::string job_journal_path(const std::string& state_dir, std::int64_t id) {
   return state_dir + "/job-" + std::to_string(id) + ".jsonl";
 }
 
-cert::Json error_frame(const std::string& message) {
-  return cert::Json::Object{{"type", "error"}, {"message", message}};
+Json error_frame(const std::string& message) {
+  return Json::Object{{"type", "error"}, {"message", message}};
 }
 
 /// Everything the daemon's threads share. The mutex guards the queue, the
@@ -69,32 +69,32 @@ struct Daemon {
 
 // --- persistence ------------------------------------------------------------
 
-cert::Json submit_event(const Job& job) {
-  return cert::Json::Object{{"event", "submit"},
-                            {"job", job.id},
-                            {"tenant", job.tenant},
-                            {"priority", job.priority},
-                            {"model_text", job.model_text},
-                            {"properties", dist::specs_to_json(job.specs)},
-                            {"options", dist::options_to_json(job.options)},
-                            {"threads", job.options.workers},
-                            {"key", job.key}};
+Json submit_event(const Job& job) {
+  return Json::Object{{"event", "submit"},
+                      {"job", job.id},
+                      {"tenant", job.tenant},
+                      {"priority", job.priority},
+                      {"model_text", job.model_text},
+                      {"properties", dist::specs_to_json(job.specs)},
+                      {"options", dist::options_to_json(job.options)},
+                      {"threads", job.options.workers},
+                      {"key", job.key}};
 }
 
-cert::Json done_event(const Job& job) {
-  return cert::Json::Object{{"event", "done"},
-                            {"job", job.id},
-                            {"code", job.code},
-                            {"cached", job.cached},
-                            {"response", job.response}};
+Json done_event(const Job& job) {
+  return Json::Object{{"event", "done"},
+                      {"job", job.id},
+                      {"code", job.code},
+                      {"cached", job.cached},
+                      {"response", job.response}};
 }
 
 /// Rebuilds the queue from the event log: jobs with a terminal event land
 /// in that state (done ones re-seed the cache), the rest go back to queued
 /// and will resume from their per-job schema journal.
 void replay(Daemon& d, const std::string& log_path) {
-  const std::vector<cert::Json> events = EventLog::load(log_path);
-  for (const cert::Json& event : events) {
+  const std::vector<Json> events = EventLog::load(log_path);
+  for (const Json& event : events) {
     const std::string kind = event.at("event").as_string();
     if (kind == "submit") {
       auto job = std::make_unique<Job>();
@@ -104,7 +104,7 @@ void replay(Daemon& d, const std::string& log_path) {
       job->model_text = event.at("model_text").as_string();
       job->specs = dist::specs_from_json(event.at("properties"));
       job->options = dist::options_from_json(event.at("options"));
-      if (const cert::Json* threads = event.find("threads")) {
+      if (const Json* threads = event.find("threads")) {
         job->options.workers = static_cast<int>(threads->as_int());
       }
       job->key = event.at("key").as_string();
@@ -153,9 +153,8 @@ void run_job(Daemon& d, Job& job) {
     options.journal_flush_batch = d.options.journal_flush_batch;
     options.journal_path = job_journal_path(d.options.state_dir, job.id);
     // A journal left by a killed daemon lets the re-run skip everything the
-    // first attempt settled. Certify runs cannot resume (resumed schemas
-    // carry no proofs), so they restart from scratch instead.
-    if (!options.certify && file_exists(options.journal_path)) {
+    // first attempt settled.
+    if (file_exists(options.journal_path)) {
       options.resume_path = options.journal_path;
     }
     if (d.options.job_workers >= 2) {
@@ -186,8 +185,8 @@ void run_job(Daemon& d, Job& job) {
     job.state = JobState::kFailed;
     job.error = failure;
     ++d.stats.jobs_failed;
-    d.events->append(cert::Json::Object{{"event", "failed"}, {"job", job.id},
-                                        {"error", job.error}});
+    d.events->append(Json::Object{{"event", "failed"}, {"job", job.id},
+                                  {"error", job.error}});
     std::remove(job_journal_path(d.options.state_dir, job.id).c_str());
   } else {
     job.state = JobState::kDone;
@@ -224,8 +223,8 @@ void executor_loop(Daemon& d) {
 
 // --- request handlers -------------------------------------------------------
 
-void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
-  const cert::Json* protocol = msg.find("protocol");
+void handle_submit(Daemon& d, dist::Conn& conn, const Json& msg) {
+  const Json* protocol = msg.find("protocol");
   if (protocol == nullptr || protocol->as_int() != kServiceProtocolVersion) {
     conn.send(error_frame("service protocol mismatch (daemon speaks " +
                           std::to_string(kServiceProtocolVersion) + ")"));
@@ -234,13 +233,13 @@ void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
   auto job = std::make_unique<Job>();
   try {
     job->tenant = msg.at("tenant").as_string();
-    if (const cert::Json* priority = msg.find("priority")) {
+    if (const Json* priority = msg.find("priority")) {
       job->priority = static_cast<int>(priority->as_int());
     }
     job->model_text = msg.at("model_text").as_string();
     job->specs = dist::specs_from_json(msg.at("properties"));
     job->options = dist::options_from_json(msg.at("options"));
-    if (const cert::Json* threads = msg.find("threads")) {
+    if (const Json* threads = msg.find("threads")) {
       job->options.workers = static_cast<int>(threads->as_int());
     }
     // Validate the submission up front — parse the model and resolve every
@@ -260,7 +259,7 @@ void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
     return;
   }
 
-  cert::Json reply;
+  Json reply;
   {
     std::lock_guard<std::mutex> lock(d.mutex);
     if (d.closing) {
@@ -285,10 +284,10 @@ void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
       Job* stored = d.queue.enqueue(std::move(job));
       d.events->append(submit_event(*stored));
       d.events->append(done_event(*stored));
-      reply = cert::Json::Object{{"type", "submitted"},
-                                 {"job", stored->id},
-                                 {"state", to_string(stored->state)},
-                                 {"cached", true}};
+      reply = Json::Object{{"type", "submitted"},
+                           {"job", stored->id},
+                           {"state", to_string(stored->state)},
+                           {"cached", true}};
     } else {
       const std::string rejection =
           d.queue.admit(job->tenant, job->options.enumeration.max_schemas);
@@ -299,10 +298,10 @@ void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
       Job* stored = d.queue.enqueue(std::move(job));
       d.events->append(submit_event(*stored));
       d.job_event.notify_all();
-      reply = cert::Json::Object{{"type", "submitted"},
-                                 {"job", stored->id},
-                                 {"state", to_string(stored->state)},
-                                 {"cached", false}};
+      reply = Json::Object{{"type", "submitted"},
+                           {"job", stored->id},
+                           {"state", to_string(stored->state)},
+                           {"cached", false}};
     }
   }
   conn.send(reply);
@@ -310,7 +309,7 @@ void handle_submit(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
 
 /// One job's status row / progress frame body. Caller holds the lock (the
 /// counters themselves are atomics, but state/stamps are lock-guarded).
-cert::Json job_status(const Daemon& d, const Job& job) {
+Json job_status(const Daemon& d, const Job& job) {
   const double now = d.clock.seconds();
   double elapsed = 0.0;
   if (job.state == JobState::kRunning) {
@@ -328,7 +327,7 @@ cert::Json job_status(const Daemon& d, const Job& job) {
   } else if (job.state != JobState::kQueued && job.state != JobState::kRunning) {
     eta = 0.0;
   }
-  cert::Json row = cert::Json::Object{
+  Json row = Json::Object{
       {"job", job.id},
       {"tenant", job.tenant},
       {"state", to_string(job.state)},
@@ -350,42 +349,42 @@ cert::Json job_status(const Daemon& d, const Job& job) {
   return row;
 }
 
-void handle_status(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
-  cert::Json reply;
+void handle_status(Daemon& d, dist::Conn& conn, const Json& msg) {
+  Json reply;
   {
     std::lock_guard<std::mutex> lock(d.mutex);
-    cert::Json::Array rows;
-    const cert::Json* filter = msg.find("job");
+    Json::Array rows;
+    const Json* filter = msg.find("job");
     for (const auto& job : d.queue.jobs()) {
       if (filter != nullptr && job->id != filter->as_int()) continue;
       rows.push_back(job_status(d, *job));
     }
-    reply = cert::Json::Object{
+    reply = Json::Object{
         {"type", "status"},
         {"now", d.clock.seconds()},
         {"running", d.queue.running()},
         {"queued", d.queue.queued()},
-        {"cache", cert::Json::Object{{"entries", d.cache.entries()},
-                                     {"bytes", d.cache.bytes()},
-                                     {"hits", d.cache.hits()},
-                                     {"misses", d.cache.misses()},
-                                     {"evictions", d.cache.evictions()}}},
+        {"cache", Json::Object{{"entries", d.cache.entries()},
+                               {"bytes", d.cache.bytes()},
+                               {"hits", d.cache.hits()},
+                               {"misses", d.cache.misses()},
+                               {"evictions", d.cache.evictions()}}},
         {"jobs", std::move(rows)}};
   }
   conn.send(reply);
 }
 
-void handle_result(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
-  const cert::Json* id_field = msg.find("job");
+void handle_result(Daemon& d, dist::Conn& conn, const Json& msg) {
+  const Json* id_field = msg.find("job");
   if (id_field == nullptr) {
     conn.send(error_frame("result: missing job id"));
     return;
   }
   const std::int64_t id = id_field->as_int();
-  const cert::Json* wait_field = msg.find("wait");
+  const Json* wait_field = msg.find("wait");
   const bool wait = wait_field != nullptr && wait_field->as_bool();
   for (;;) {
-    cert::Json frame;
+    Json frame;
     bool terminal = false;
     {
       std::unique_lock<std::mutex> lock(d.mutex);
@@ -394,20 +393,20 @@ void handle_result(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
         frame = error_frame("unknown job " + std::to_string(id));
         terminal = true;
       } else if (job->state == JobState::kDone) {
-        frame = cert::Json::Object{{"type", "result"},
-                                   {"job", job->id},
-                                   {"state", to_string(job->state)},
-                                   {"code", job->code},
-                                   {"cached", job->cached},
-                                   {"response", job->response}};
+        frame = Json::Object{{"type", "result"},
+                             {"job", job->id},
+                             {"state", to_string(job->state)},
+                             {"code", job->code},
+                             {"cached", job->cached},
+                             {"response", job->response}};
         terminal = true;
       } else if (job->state == JobState::kFailed || job->state == JobState::kCancelled) {
-        frame = cert::Json::Object{{"type", "result"},
-                                   {"job", job->id},
-                                   {"state", to_string(job->state)},
-                                   {"code", job->state == JobState::kFailed ? 2 : 3},
-                                   {"cached", false},
-                                   {"response", job->error}};
+        frame = Json::Object{{"type", "result"},
+                             {"job", job->id},
+                             {"state", to_string(job->state)},
+                             {"code", job->state == JobState::kFailed ? 2 : 3},
+                             {"cached", false},
+                             {"response", job->error}};
         terminal = true;
       } else if (d.closing) {
         frame = error_frame("daemon is shutting down");
@@ -427,13 +426,13 @@ void handle_result(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
   }
 }
 
-void handle_cancel(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
-  const cert::Json* id_field = msg.find("job");
+void handle_cancel(Daemon& d, dist::Conn& conn, const Json& msg) {
+  const Json* id_field = msg.find("job");
   if (id_field == nullptr) {
     conn.send(error_frame("cancel: missing job id"));
     return;
   }
-  cert::Json reply;
+  Json reply;
   {
     std::lock_guard<std::mutex> lock(d.mutex);
     Job* job = d.queue.find(id_field->as_int());
@@ -445,24 +444,24 @@ void handle_cancel(Daemon& d, dist::Conn& conn, const cert::Json& msg) {
       job->state = JobState::kCancelled;
       job->finished_seconds = d.clock.seconds();
       ++d.stats.jobs_cancelled;
-      d.events->append(cert::Json::Object{{"event", "cancelled"}, {"job", job->id}});
+      d.events->append(Json::Object{{"event", "cancelled"}, {"job", job->id}});
       d.progress_event.notify_all();
     } else if (job->state == JobState::kRunning && !job->cancel.load()) {
       // Durable intent first, then the flag: if the daemon dies between the
       // two, the restart honors the cancellation instead of re-running.
-      d.events->append(cert::Json::Object{{"event", "cancelled"}, {"job", job->id}});
+      d.events->append(Json::Object{{"event", "cancelled"}, {"job", job->id}});
       job->cancel.store(true);
     }
     // Terminal states: cancel is an idempotent no-op.
-    reply = cert::Json::Object{{"type", "ok"}, {"job", job->id},
-                               {"state", to_string(job->state)}};
+    reply = Json::Object{{"type", "ok"}, {"job", job->id},
+                         {"state", to_string(job->state)}};
   }
   conn.send(reply);
 }
 
 void handle_connection(Daemon& d, int fd) {
   dist::Conn conn(fd);
-  cert::Json msg;
+  Json msg;
   for (;;) {
     const dist::FrameStatus status = conn.recv(&msg, 500);
     if (status == dist::FrameStatus::kTimeout) {
@@ -471,7 +470,7 @@ void handle_connection(Daemon& d, int fd) {
       continue;
     }
     if (status != dist::FrameStatus::kOk) return;
-    const cert::Json* type = msg.find("type");
+    const Json* type = msg.find("type");
     if (type == nullptr) {
       conn.send(error_frame("frame has no type"));
       return;

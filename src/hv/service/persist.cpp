@@ -21,7 +21,7 @@ EventLog::EventLog(std::string path) : path_(std::move(path)) {
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) throw Error("service: cannot open event log: " + path_);
   if (fresh) {
-    const cert::Json header = cert::Json::Object{{"hv_service_log", 1},
+    const Json header = Json::Object{{"hv_service_log", 1},
                                                  {"hvc_version", std::string(kHvcVersion)}};
     const std::string line = header.to_string() + "\n";
     std::fwrite(line.data(), 1, line.size(), file_);
@@ -38,7 +38,7 @@ EventLog::~EventLog() {
   }
 }
 
-void EventLog::append(const cert::Json& event) {
+void EventLog::append(const Json& event) {
   const std::string line = event.to_string() + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
   std::fwrite(line.data(), 1, line.size(), file_);
@@ -46,8 +46,8 @@ void EventLog::append(const cert::Json& event) {
   checker::sync_to_disk(file_);
 }
 
-std::vector<cert::Json> EventLog::load(const std::string& path) {
-  std::vector<cert::Json> events;
+std::vector<Json> EventLog::load(const std::string& path) {
+  std::vector<Json> events;
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     struct stat st = {};
@@ -58,9 +58,9 @@ std::vector<cert::Json> EventLog::load(const std::string& path) {
   bool saw_header = false;
   while (std::getline(file, line)) {
     if (line.empty()) continue;
-    cert::Json parsed;
+    Json parsed;
     try {
-      parsed = cert::Json::parse(line);
+      parsed = Json::parse(line);
     } catch (const std::exception&) {
       // Torn tail (or a corrupt line): stop trusting anything after it —
       // the log is append-only, so everything before is intact.

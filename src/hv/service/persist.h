@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "hv/cert/json.h"
+#include "hv/util/json.h"
 
 namespace hv::service {
 
@@ -41,14 +41,14 @@ class EventLog {
 
   /// Appends one event line and makes it durable (fflush + fdatasync)
   /// before returning. Thread-safe.
-  void append(const cert::Json& event);
+  void append(const Json& event);
 
   const std::string& path() const noexcept { return path_; }
 
   /// Loads every well-formed event of an existing log, skipping the header
   /// and a torn tail. Returns an empty vector for a missing file (a fresh
   /// daemon). Throws hv::Error on an unreadable file or a foreign header.
-  static std::vector<cert::Json> load(const std::string& path);
+  static std::vector<Json> load(const std::string& path);
 
  private:
   std::string path_;

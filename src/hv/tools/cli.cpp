@@ -14,7 +14,6 @@
 
 #include "hv/cert/audit.h"
 #include "hv/cert/emit.h"
-#include "hv/cert/json.h"
 #include "hv/checker/explicit_checker.h"
 #include "hv/checker/parameterized.h"
 #include "hv/dist/coordinator.h"
@@ -32,6 +31,7 @@
 #include "hv/ta/dot.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/json.h"
 #include "hv/util/text.h"
 
 namespace hv::tools {
@@ -54,16 +54,19 @@ constexpr const char* kUsage = R"(usage:
         lease, not the run; --threads W instead uses W in-process threads.
         With --certify the forked fleet is proof-checked as under hvc
         serve.
-        --journal appends settled schema verdicts to a crash-safe JSONL
-        file; --resume skips the schemas an earlier journal settled and
-        keeps appending to it. --schema-timeout/--pivot-budget are
-        per-schema watchdogs and --memory-budget a soft RSS cap: a schema
-        that trips one is retried on a fresh solver, then recorded as
-        unknown — the run continues. SIGINT/SIGTERM flush the journal and
-        print the partial results. --no-lemmas (or HV_NO_LEMMAS=1) disables
-        cross-schema learning — the Farkas lemma pool and core-based
-        subtree cuts; verdicts are identical either way. HV_FAULT_KIND/
-        _AT/_EVERY/_STALL_MS arm deterministic fault injection for testing.
+        --journal appends settled schema verdicts (with their counters,
+        and their proofs under --certify) to a crash-safe JSONL file;
+        --resume skips the schemas an earlier journal settled and keeps
+        appending to it. --certify --resume replays only the schemas whose
+        proof was journaled, and the certificate carries those proofs.
+        --schema-timeout/--pivot-budget are per-schema watchdogs and
+        --memory-budget a soft RSS cap: a schema that trips one is retried
+        on a fresh solver, then recorded as unknown — the run continues.
+        SIGINT/SIGTERM flush the journal and print the partial results.
+        --no-lemmas (or HV_NO_LEMMAS=1) disables cross-schema learning —
+        the Farkas lemma pool and core-based subtree cuts; verdicts are
+        identical either way. HV_FAULT_KIND/_AT/_EVERY/_STALL_MS arm
+        deterministic fault injection for testing.
         --prop may repeat; the i-th --name names the i-th property.)
   hvc serve <model.ta> --listen <addr> [--prop "<ltl>"]... [--name N]...
                        [--expected-workers N] [--lease-timeout S]
@@ -73,12 +76,13 @@ constexpr const char* kUsage = R"(usage:
         is unix:/path or tcp:host:port. Without --prop it checks the
         model's bundled default properties. A worker that dies loses its
         lease to the next worker; kill -9 the coordinator and restart with
-        --resume to continue from the journal. Every sat claim's
-        counterexample is replayed before it merges. Untrusted workers call
-        for --certify: the coordinator then checks every worker record with
-        hvc audit's per-schema check (proofs, models, pruned claims, whole
-        leases) before it merges, and a forged record bans its worker at
-        once; a worker can still make a property unknown, never wrong.
+        --resume to continue from the journal (with --certify too). Every
+        sat claim's counterexample is replayed before it merges. Untrusted
+        workers call for --certify: the coordinator then checks every
+        worker record with hvc audit's per-schema check (proofs, models,
+        pruned claims, whole leases) before it merges, and a forged record
+        bans its worker at once; a worker can still make a property
+        unknown, never wrong.
         Hostile frames, chronic lease timeouts and reconnect churn feed a
         per-label health score that escalates from cool-down quarantine to
         a permanent ban; with the fleet exhausted the coordinator solves the
@@ -609,7 +613,7 @@ int command_daemon(Args& args, std::ostream& out) {
 
 /// Shared by submit/status/result/cancel: prints a daemon progress frame
 /// as a one-line human summary.
-void print_progress(const cert::Json& frame, std::ostream& out) {
+void print_progress(const Json& frame, std::ostream& out) {
   out << "job " << frame.at("job").as_int() << " " << frame.at("state").as_string() << ": "
       << frame.at("solved").as_int() << " solved / " << frame.at("enumerated").as_int()
       << " enumerated, " << frame.at("properties_done").as_int() << "/"
@@ -662,7 +666,7 @@ int command_submit(Args& args, std::ostream& out) {
   }
 
   service::Client client(connect);
-  const cert::Json submitted = client.submit(request);
+  const Json submitted = client.submit(request);
   const std::int64_t job = submitted.at("job").as_int();
   const bool cached = submitted.at("cached").as_bool();
   if (!wait) {
@@ -674,11 +678,11 @@ int command_submit(Args& args, std::ostream& out) {
     }
     return 0;
   }
-  const cert::Json final_frame =
-      client.result(job, /*wait=*/true, [&](const cert::Json& frame) {
+  const Json final_frame =
+      client.result(job, /*wait=*/true, [&](const Json& frame) {
         if (!json) print_progress(frame, out);
       });
-  const cert::Json* type = final_frame.find("type");
+  const Json* type = final_frame.find("type");
   if (type == nullptr || type->as_string() != "result") {
     throw Error("submit: " + final_frame.at("message").as_string());
   }
@@ -712,8 +716,8 @@ int command_status(Args& args, std::ostream& out) {
   }
   if (connect.empty()) throw InvalidArgument("status: --connect is required");
   service::Client client(connect);
-  const cert::Json status = client.status(job);
-  const cert::Json* type = status.find("type");
+  const Json status = client.status(job);
+  const Json* type = status.find("type");
   if (type == nullptr || type->as_string() != "status") {
     throw Error("status: " + status.at("message").as_string());
   }
@@ -721,17 +725,17 @@ int command_status(Args& args, std::ostream& out) {
     out << status.to_string() << "\n";
     return 0;
   }
-  const cert::Json& cache = status.at("cache");
+  const Json& cache = status.at("cache");
   out << "daemon: " << status.at("running").as_int() << " running, "
       << status.at("queued").as_int() << " queued; cache " << cache.at("entries").as_int()
       << " entries / " << cache.at("bytes").as_int() << " bytes ("
       << cache.at("hits").as_int() << " hits, " << cache.at("misses").as_int()
       << " misses, " << cache.at("evictions").as_int() << " evictions)\n";
-  for (const cert::Json& row : status.at("jobs").as_array()) {
+  for (const Json& row : status.at("jobs").as_array()) {
     out << "  job " << row.at("job").as_int() << " [" << row.at("tenant").as_string()
         << "] " << row.at("state").as_string();
     if (row.at("cached").as_bool()) out << " (cache hit)";
-    if (const cert::Json* code = row.find("code")) out << " exit " << code->as_int();
+    if (const Json* code = row.find("code")) out << " exit " << code->as_int();
     if (row.at("state").as_string() == "running") {
       out << ": " << row.at("solved").as_int() << " solved / "
           << row.at("enumerated").as_int() << " enumerated, "
@@ -761,9 +765,9 @@ int command_result(Args& args, std::ostream& out) {
   }
   if (connect.empty()) throw InvalidArgument("result: --connect is required");
   service::Client client(connect);
-  const cert::Json frame =
+  const Json frame =
       client.result(parse_number<std::int64_t>("result: job id", *job_text), wait);
-  const cert::Json* type = frame.find("type");
+  const Json* type = frame.find("type");
   if (type == nullptr) throw Error("result: malformed reply");
   if (type->as_string() == "error") throw Error("result: " + frame.at("message").as_string());
   if (type->as_string() == "progress") {
@@ -793,8 +797,8 @@ int command_cancel(Args& args, std::ostream& out) {
   }
   if (connect.empty()) throw InvalidArgument("cancel: --connect is required");
   service::Client client(connect);
-  const cert::Json reply = client.cancel(parse_number<std::int64_t>("cancel: job id", *job_text));
-  const cert::Json* type = reply.find("type");
+  const Json reply = client.cancel(parse_number<std::int64_t>("cancel: job id", *job_text));
+  const Json* type = reply.find("type");
   if (type == nullptr || type->as_string() != "ok") {
     throw Error("cancel: " + reply.at("message").as_string());
   }
@@ -824,11 +828,11 @@ int command_audit(Args& args, std::ostream& out) {
   const cert::Certificate certificate = cert::parse_certificate(read_file(*cert_path));
   const cert::AuditReport report = cert::audit_certificate(certificate, audit_options);
   if (json) {
-    cert::Json::Array issues;
+    Json::Array issues;
     for (const std::string& issue : report.issues) issues.push_back(issue);
-    cert::Json::Array warnings;
+    Json::Array warnings;
     for (const std::string& warning : report.warnings) warnings.push_back(warning);
-    const cert::Json summary = cert::Json::Object{
+    const Json summary = Json::Object{
         {"ok", report.ok},
         {"properties_audited", report.properties_audited},
         {"schemas_covered", report.schemas_covered},

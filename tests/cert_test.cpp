@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
@@ -16,18 +17,19 @@
 
 #include "hv/cert/certificate.h"
 #include "hv/cert/emit.h"
-#include "hv/cert/json.h"
 #include "hv/checker/cone.h"
 #include "hv/checker/encoder.h"
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/parameterized.h"
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/registry.h"
+#include "hv/smt/proof_json.h"
 #include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
 #include "hv/util/hash.h"
+#include "hv/util/json.h"
 
 namespace hv::cert {
 namespace {
@@ -202,10 +204,10 @@ TEST(ProofJsonTest, RoundTripsTree) {
   high->first = std::move(conflict);
   root.second = std::move(high);
 
-  const Json json = proof_to_json(root);
-  const auto back = proof_from_json(json);
+  const Json json = smt::proof::to_json(root);
+  const auto back = smt::proof::from_json(json);
   // Same premise pool, same tree: the serialized forms must coincide.
-  EXPECT_EQ(proof_to_json(*back).to_string(), json.to_string());
+  EXPECT_EQ(smt::proof::to_json(*back).to_string(), json.to_string());
   ASSERT_EQ(back->kind, NodeKind::kBranch);
   ASSERT_EQ(back->first->farkas.size(), 2u);
   EXPECT_EQ(back->first->farkas[0].premise, premise);
@@ -218,13 +220,13 @@ TEST(ProofJsonTest, RejectsCorruptPools) {
     smt::proof::Node node;
     node.kind = smt::proof::NodeKind::kClauseConflict;
     node.clause = 0;
-    return proof_to_json(node);
+    return smt::proof::to_json(node);
   }();
   // A premise index outside the pool must be rejected, not crash.
   Json bad = Json::parse(R"({"names": [], "premises": [], "tree": ["F", 5, "1"]})");
-  EXPECT_THROW(proof_from_json(bad), InvalidArgument);
-  EXPECT_THROW(proof_from_json(Json::parse(R"({"tree": ["Z"]})")), InvalidArgument);
-  EXPECT_NO_THROW(proof_from_json(good));
+  EXPECT_THROW(smt::proof::from_json(bad), InvalidArgument);
+  EXPECT_THROW(smt::proof::from_json(Json::parse(R"({"tree": ["Z"]})")), InvalidArgument);
+  EXPECT_NO_THROW(smt::proof::from_json(good));
 }
 
 // --- end-to-end certify + audit --------------------------------------------
@@ -692,6 +694,96 @@ TEST(CertTamperTest, MalformedCertificateFailsCleanly) {
   EXPECT_FALSE(report.ok);
   ASSERT_FALSE(report.issues.empty());
   EXPECT_NE(report.issues[0].find("model reconstruction failed"), std::string::npos);
+}
+
+// --- certifying resume --------------------------------------------------------
+//
+// A journal line carries an unsat schema's proof, so a certifying run can be
+// continued from its journal and the resumed proofs land in the certificate,
+// which the auditor checks like any other.
+
+Certificate bv_certificate(const std::vector<spec::Property>& properties,
+                           const std::vector<checker::PropertyResult>& results) {
+  Certificate certificate;
+  certificate.components.push_back(
+      make_component_cert(builtin_model_source("bv_broadcast"), properties, results, "bundled"));
+  return certificate;
+}
+
+std::string fresh_temp(const char* name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+TEST(CertResumeTest, InterruptedCertifyingRunResumesToAnAuditedCertificate) {
+  const ta::ThresholdAutomaton bv = models::bv_broadcast();
+  const std::vector<spec::Property> properties = models::bundled_properties(bv);
+  checker::CheckOptions options;
+  options.certify = true;
+  options.property_directed_pruning = false;  // so most records carry proofs
+  const std::vector<checker::PropertyResult> reference =
+      checker::check_properties(bv, properties, options);
+
+  // The interrupted run: a schema budget stops every property part way.
+  checker::CheckOptions partial = options;
+  partial.journal_path = fresh_temp("cert_resume.jsonl");
+  partial.enumeration.max_schemas = 7;
+  for (const checker::PropertyResult& result :
+       checker::check_properties(bv, properties, partial)) {
+    ASSERT_EQ(result.verdict, checker::Verdict::kUnknown) << result.property;
+  }
+
+  checker::CheckOptions resumed = options;
+  resumed.journal_path = partial.journal_path;
+  resumed.resume_path = partial.journal_path;
+  const std::vector<checker::PropertyResult> results =
+      checker::check_properties(bv, properties, resumed);
+  ASSERT_EQ(results.size(), reference.size());
+  std::int64_t replayed = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(results[i].property);
+    EXPECT_EQ(results[i].verdict, reference[i].verdict);
+    EXPECT_EQ(results[i].schemas_checked, reference[i].schemas_checked);
+    EXPECT_EQ(results[i].schemas_pruned, reference[i].schemas_pruned);
+    EXPECT_EQ(results[i].evidence->schemas.size(), reference[i].evidence->schemas.size());
+    replayed += results[i].schemas_resumed;
+  }
+  EXPECT_GT(replayed, 0);
+  const AuditReport report =
+      audit_certificate(parse_certificate(to_json_text(bv_certificate(properties, results))));
+  EXPECT_TRUE(report.ok) << report.to_string();
+}
+
+TEST(CertResumeTest, RecordsWithoutTheirProofAreReSolved) {
+  // A plain run journals no proofs: a certifying resume replays only its
+  // pruned records, which the auditor re-derives from the cone, and solves
+  // every unsat schema again.
+  const ta::ThresholdAutomaton bv = models::bv_broadcast();
+  const std::vector<spec::Property> properties = models::bundled_properties(bv);
+  checker::CheckOptions plain;
+  plain.journal_path = fresh_temp("cert_resume_plain.jsonl");
+  const std::vector<checker::PropertyResult> reference =
+      checker::check_properties(bv, properties, plain);
+
+  checker::CheckOptions resumed;
+  resumed.certify = true;
+  resumed.resume_path = plain.journal_path;
+  const std::vector<checker::PropertyResult> results =
+      checker::check_properties(bv, properties, resumed);
+  std::int64_t pruned = 0;
+  std::int64_t replayed = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].verdict, reference[i].verdict) << results[i].property;
+    EXPECT_EQ(results[i].schemas_checked, reference[i].schemas_checked) << results[i].property;
+    pruned += reference[i].schemas_pruned;
+    replayed += results[i].schemas_resumed;
+  }
+  EXPECT_GT(pruned, 0);
+  EXPECT_EQ(replayed, pruned);
+  const AuditReport report =
+      audit_certificate(parse_certificate(to_json_text(bv_certificate(properties, results))));
+  EXPECT_TRUE(report.ok) << report.to_string();
 }
 
 }  // namespace

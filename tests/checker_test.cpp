@@ -1047,17 +1047,6 @@ TEST(RobustnessTest, ResumeRefusesWrongAutomaton) {
   EXPECT_THROW(check_property(ta, property, options), Error);
 }
 
-TEST(RobustnessTest, CertifyRefusesResume) {
-  const std::string path = ::testing::TempDir() + "certify_resume.jsonl";
-  const auto& ta = echo().body();
-  const spec::Property property =
-      spec::compile(ta, "no_announce_no_d", "[](locB == 0) -> [](locD == 0)");
-  CheckOptions options;
-  options.certify = true;
-  options.resume_path = path;
-  EXPECT_THROW(check_property(ta, property, options), InvalidArgument);
-}
-
 // --- the lease book ---------------------------------------------------------
 //
 // run.h: one grant, budget and merge path for in-process threads and the

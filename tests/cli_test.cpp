@@ -9,9 +9,9 @@
 #include <sstream>
 #include <string>
 
-#include "hv/cert/json.h"
 #include "hv/models/simplified_consensus.h"
 #include "hv/ta/parser.h"
+#include "hv/util/json.h"
 
 namespace hv::tools {
 namespace {
@@ -227,8 +227,8 @@ TEST_F(CliTest, JsonOutputEscapesControlCharacters) {
   const int code = run({"check", model_path_, "--prop", "[](locB == 0) -> [](locD == 0)",
                         "--name", name, "--json"});
   EXPECT_EQ(code, 0);
-  cert::Json parsed;
-  ASSERT_NO_THROW(parsed = cert::Json::parse(out_.str())) << out_.str();
+  Json parsed;
+  ASSERT_NO_THROW(parsed = Json::parse(out_.str())) << out_.str();
   EXPECT_EQ(parsed.at("property").as_string(), name);
 }
 

@@ -191,7 +191,7 @@ TEST(DistProtocol, RecvTimeoutKeepsAPartialFrame) {
   Conn writer(fds[0]);
   Conn reader(fds[1]);
   const std::string payload =
-      cert::Json(cert::Json::Object{{"type", "record"}, {"note", std::string(4000, 'n')}})
+      Json(Json::Object{{"type", "record"}, {"note", std::string(4000, 'n')}})
           .to_string();
   const auto size = static_cast<std::uint32_t>(payload.size());
   std::string frame(kFrameMagic, 4);
@@ -200,7 +200,7 @@ TEST(DistProtocol, RecvTimeoutKeepsAPartialFrame) {
   const std::size_t cut = 8 + payload.size() / 2;  // header plus half the payload
   ASSERT_EQ(::write(fds[0], frame.data(), cut), static_cast<ssize_t>(cut));
 
-  cert::Json message;
+  Json message;
   EXPECT_EQ(reader.recv(&message, 50), FrameStatus::kTimeout);
   EXPECT_TRUE(reader.readable());  // the partial frame is still in flight
   ASSERT_EQ(::write(fds[0], frame.data() + cut, frame.size() - cut),
@@ -209,7 +209,7 @@ TEST(DistProtocol, RecvTimeoutKeepsAPartialFrame) {
   EXPECT_EQ(message.to_string(), payload);
 
   // The stream stays aligned for the frame after it.
-  ASSERT_TRUE(writer.send(cert::Json::Object{{"type", "heartbeat"}}));
+  ASSERT_TRUE(writer.send(Json::Object{{"type", "heartbeat"}}));
   ASSERT_EQ(reader.recv(&message, 1000), FrameStatus::kOk);
   EXPECT_EQ(message.at("type").as_string(), "heartbeat");
   EXPECT_FALSE(reader.readable());
@@ -278,7 +278,15 @@ TEST(DistProtocol, CounterexamplesSurviveTheWire) {
   cex.steps.push_back({1, 3});
   cex.steps.push_back({0, 1});
 
-  const checker::Counterexample back = counterexample_from_json(counterexample_to_json(cex));
+  checker::SchemaRecord sat;
+  sat.cursor = "q0||";
+  sat.verdict = "sat";
+  checker::UnitOutcome witness;
+  witness.counterexample = cex;
+  checker::UnitOutcome decoded;
+  checker::record_from_json(record_frame(sat, witness, 0, 0), &decoded);
+  ASSERT_TRUE(decoded.counterexample.has_value());
+  const checker::Counterexample& back = *decoded.counterexample;
   EXPECT_EQ(back.property, cex.property);
   EXPECT_EQ(back.query_description, cex.query_description);
   EXPECT_EQ(back.params, cex.params);
@@ -289,6 +297,54 @@ TEST(DistProtocol, CounterexamplesSurviveTheWire) {
   EXPECT_EQ(back.steps[0].factor, 3);
   EXPECT_EQ(back.steps[1].rule, 0u);
   EXPECT_EQ(back.steps[1].factor, 1);
+}
+
+TEST(DistProtocol, RecordFrameBytesArePinned) {
+  // A worker's record frames, byte for byte: the settled-schema codec the
+  // journal shares must not add, drop or reorder a field on the wire.
+  const checker::UnitOutcome none;
+  checker::SchemaRecord unsat;
+  unsat.cursor = "q0|2,0,1|1";
+  unsat.verdict = "unsat";
+  unsat.length = 7;
+  unsat.pivots = 23;
+  unsat.fast = 1200;
+  unsat.big = 3;
+  unsat.retries = 1;
+  unsat.cut = 2;
+  EXPECT_EQ(record_frame(unsat, none, 4, 1).to_string(),
+            R"({"type":"record","lease":4,"property":1,"cursor":"q0|2,0,1|1","verdict":"unsat",)"
+            R"("length":7,"pivots":23,"fast":1200,"big":3,"retries":1,"note":"","cut":2})");
+
+  checker::SchemaRecord pruned;
+  pruned.cursor = "q1|0|0";
+  pruned.verdict = "pruned";
+  EXPECT_EQ(record_frame(pruned, none, 5, 0).to_string(),
+            R"({"type":"record","lease":5,"property":0,"cursor":"q1|0|0","verdict":"pruned",)"
+            R"("length":0,"pivots":0,"retries":0,"note":""})");
+
+  checker::SchemaRecord sat;
+  sat.cursor = "q0|1|1";
+  sat.verdict = "sat";
+  sat.length = 3;
+  sat.pivots = 11;
+  sat.fast = 400;
+  checker::UnitOutcome witness;
+  checker::Counterexample cex;
+  cex.property = "safe";
+  cex.query_description = "reach locD";
+  cex.params[0] = 4;
+  cex.params[2] = 1;
+  cex.initial.counters = {3, 0, 1};
+  cex.initial.shared = {0, 2};
+  cex.steps.push_back({1, 3});
+  cex.steps.push_back({0, 1});
+  witness.counterexample = cex;
+  EXPECT_EQ(record_frame(sat, witness, 6, 2).to_string(),
+            R"({"type":"sat","lease":6,"property":2,"cursor":"q0|1|1","length":3,"pivots":11,)"
+            R"("fast":400,"big":0,"retries":0,"validation_error":"","counterexample":)"
+            R"({"property":"safe","query_description":"reach locD","params":[[0,4],[2,1]],)"
+            R"("counters":[3,0,1],"shared":[0,2],"steps":[[1,3],[0,1]]}})");
 }
 
 TEST(DistProtocol, PropertySpecsSurviveTheWire) {
@@ -364,11 +420,11 @@ int connect_with_retry(const std::string& address) {
 }
 
 void hello_and_welcome(Conn& conn, const std::string& label, bool learn = false) {
-  cert::Json hello = cert::Json::Object{
+  Json hello = Json::Object{
       {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", label}};
-  if (learn) hello.set("features", cert::Json::Array{"learn"});
+  if (learn) hello.set("features", Json::Array{"learn"});
   ASSERT_TRUE(conn.send(hello));
-  cert::Json welcome;
+  Json welcome;
   ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
   ASSERT_EQ(welcome.at("type").as_string(), "welcome");
 }
@@ -377,13 +433,13 @@ void hello_and_welcome(Conn& conn, const std::string& label, bool learn = false)
 /// coordinator to drop us (a timeout still exercises the survival property
 /// the caller asserts afterwards).
 void send_hostile_frame(const std::string& address, const std::string& label,
-                        const cert::Json& frame) {
+                        const Json& frame) {
   const int fd = connect_with_retry(address);
   ASSERT_GE(fd, 0);
   Conn conn(fd);
   ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, label));
   ASSERT_TRUE(conn.send(frame));
-  cert::Json reply;
+  Json reply;
   conn.recv(&reply, 2'000);
   conn.close();
 }
@@ -398,10 +454,10 @@ struct LeaseGrant {
 
 /// Asks for leases until one is granted; `*frame` (optional) receives the
 /// grant as sent.
-bool acquire_lease(Conn& conn, LeaseGrant* grant, cert::Json* frame = nullptr) {
+bool acquire_lease(Conn& conn, LeaseGrant* grant, Json* frame = nullptr) {
   for (int spin = 0; spin < 100; ++spin) {
-    if (!conn.send(cert::Json::Object{{"type", "next"}})) return false;
-    cert::Json reply;
+    if (!conn.send(Json::Object{{"type", "next"}})) return false;
+    Json reply;
     if (conn.recv(&reply, 5'000) != FrameStatus::kOk) return false;
     const std::string& type = reply.at("type").as_string();
     if (type == "wait") {
@@ -413,7 +469,7 @@ bool acquire_lease(Conn& conn, LeaseGrant* grant, cert::Json* frame = nullptr) {
     grant->property = reply.at("property").as_int();
     grant->query = reply.at("query").as_int();
     grant->prefix.clear();
-    for (const cert::Json& g : reply.at("prefix").as_array()) {
+    for (const Json& g : reply.at("prefix").as_array()) {
       grant->prefix.push_back(g.as_int());
     }
     grant->extensions = reply.at("extensions").as_bool();
@@ -433,13 +489,13 @@ std::string chain_cursor(std::int64_t query, const std::vector<std::int64_t>& un
   return cursor;
 }
 
-cert::Json record_frame(std::int64_t lease, std::int64_t property, const std::string& cursor,
-                        const char* verdict) {
-  return cert::Json::Object{{"type", "record"},      {"lease", lease},
-                            {"property", property},  {"cursor", cursor},
-                            {"verdict", verdict},    {"length", std::int64_t{1}},
-                            {"pivots", std::int64_t{0}}, {"retries", std::int64_t{0}},
-                            {"note", ""}};
+Json bare_record_frame(std::int64_t lease, std::int64_t property, const std::string& cursor,
+                       const char* verdict) {
+  return Json::Object{{"type", "record"},          {"lease", lease},
+                      {"property", property},      {"cursor", cursor},
+                      {"verdict", verdict},        {"length", std::int64_t{1}},
+                      {"pivots", std::int64_t{0}}, {"retries", std::int64_t{0}},
+                      {"note", ""}};
 }
 
 TEST(DistEndToEnd, HoldsVerdictMatchesInProcess) {
@@ -545,10 +601,10 @@ TEST(DistEndToEnd, MalformedMessagesCostTheConnectionNotTheRun) {
     Conn conn(fd);
     // Distinct labels: a repeat offender under one label would trip the
     // health quarantine (its own test below) and be refused the welcome.
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "hello"},
-                                             {"protocol", kDistProtocolVersion},
-                                             {"label", "hostile-" + std::to_string(i)}}));
-    cert::Json welcome;
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "hello"},
+                                       {"protocol", kDistProtocolVersion},
+                                       {"label", "hostile-" + std::to_string(i)}}));
+    Json welcome;
     ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
     ASSERT_EQ(welcome.at("type").as_string(), "welcome");
     ASSERT_TRUE(write_frame(fd, payload));
@@ -592,25 +648,25 @@ TEST(DistEndToEnd, LegacyPeerWithoutFeaturesDegrades) {
   ASSERT_GE(fd, 0);
   {
     Conn conn(fd);
-    ASSERT_TRUE(conn.send(cert::Json::Object{
+    ASSERT_TRUE(conn.send(Json::Object{
         {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", "legacy"}}));
-    cert::Json welcome;
+    Json welcome;
     ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
     ASSERT_EQ(welcome.at("type").as_string(), "welcome");
     // The coordinator advertises its own features regardless; an old peer
     // simply ignores the unknown field.
-    const cert::Json* features = welcome.find("features");
+    const Json* features = welcome.find("features");
     ASSERT_NE(features, nullptr);
     bool advertises_learn = false;
-    for (const cert::Json& feature : features->as_array()) {
+    for (const Json& feature : features->as_array()) {
       advertises_learn = advertises_learn || feature.as_string() == "learn";
     }
     EXPECT_TRUE(advertises_learn);
 
     // The legacy peer is granted a lease like anyone else, but the grant
     // must not carry fields it cannot parse.
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "next"}}));
-    cert::Json reply;
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "next"}}));
+    Json reply;
     ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
     ASSERT_EQ(reply.at("type").as_string(), "lease");
     EXPECT_EQ(reply.find("cuts"), nullptr);
@@ -799,9 +855,9 @@ TEST(DistEndToEnd, WorkerReportsAMalformedWelcome) {
     const int cfd = ::accept(listen_fd, nullptr, nullptr);
     ASSERT_GE(cfd, 0);
     Conn conn(cfd);
-    cert::Json hello;
+    Json hello;
     EXPECT_EQ(conn.recv(&hello, 5'000), FrameStatus::kOk);
-    conn.send(cert::Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}});
+    conn.send(Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}});
     conn.close();
   });
   WorkerOptions options;
@@ -830,21 +886,21 @@ TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
     const int cfd = ::accept(listen_fd, nullptr, nullptr);
     ASSERT_GE(cfd, 0);
     Conn conn(cfd);
-    cert::Json msg;
+    Json msg;
     ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // hello
     const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
-    ASSERT_TRUE(conn.send(cert::Json::Object{
+    ASSERT_TRUE(conn.send(Json::Object{
         {"type", "welcome"},
         {"protocol", kDistProtocolVersion},
         {"model_hash", checker::model_content_hash(ta)},
         {"model_text", kEchoModel},
         {"properties", specs_to_json({{"safe", kHoldsFormula, false}})},
         {"options", options_to_json(checker::CheckOptions{})},
-        {"features", cert::Json::Array{"learn"}}}));
+        {"features", Json::Array{"learn"}}}));
     ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // next
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "wait"}, {"ms", std::int64_t{300}}}));
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "learn"}, {"p", std::int64_t{0}}}));
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "shutdown"}, {"reason", "run over"}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "wait"}, {"ms", std::int64_t{300}}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "learn"}, {"p", std::int64_t{0}}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "shutdown"}, {"reason", "run over"}}));
     conn.close();
   });
   WorkerOptions options;
@@ -908,9 +964,9 @@ TEST(DistReconnect, SemanticStopsNeverRetry) {
     const int cfd = ::accept(listen_fd, nullptr, nullptr);
     ASSERT_GE(cfd, 0);
     Conn conn(cfd);
-    cert::Json hello;
+    Json hello;
     EXPECT_EQ(conn.recv(&hello, 5'000), FrameStatus::kOk);
-    conn.send(cert::Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}});
+    conn.send(Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}});
     conn.close();
   });
   WorkerOptions options;
@@ -1062,13 +1118,13 @@ TEST(DistByzantine, FramesCitingNeverGrantedLeasesAreHostile) {
   // Each costs exactly its connection; the forged witness must not flip the
   // headline verdict of a property that holds.
   ASSERT_NO_FATAL_FAILURE(send_hostile_frame(
-      address, "forger-record", record_frame(0, 0, "q0||", "unsat")));
+      address, "forger-record", bare_record_frame(0, 0, "q0||", "unsat")));
   ASSERT_NO_FATAL_FAILURE(send_hostile_frame(
       address, "forger-sat",
-      cert::Json::Object{{"type", "sat"},
-                         {"lease", std::int64_t{-1}},
-                         {"property", std::int64_t{0}},
-                         {"cursor", "q0||"}}));
+      Json::Object{{"type", "sat"},
+                   {"lease", std::int64_t{-1}},
+                   {"property", std::int64_t{0}},
+                   {"cursor", "q0||"}}));
 
   const WorkerReport survivor = run_one_worker(address, "honest");
   run.join();
@@ -1102,9 +1158,9 @@ TEST(DistByzantine, ConflictingDuplicateVerdictsAreHostile) {
     // First record lands (in-lease, covered); the second reports a
     // conflicting definitive verdict for the very same cursor — someone is
     // lying, and it costs the connection.
-    ASSERT_TRUE(conn.send(record_frame(grant.id, grant.property, cursor, "unsat")));
-    ASSERT_TRUE(conn.send(record_frame(grant.id, grant.property, cursor, "pruned")));
-    cert::Json reply;
+    ASSERT_TRUE(conn.send(bare_record_frame(grant.id, grant.property, cursor, "unsat")));
+    ASSERT_TRUE(conn.send(bare_record_frame(grant.id, grant.property, cursor, "pruned")));
+    Json reply;
     conn.recv(&reply, 2'000);
     conn.close();
   }
@@ -1145,8 +1201,8 @@ TEST(DistByzantine, CursorOutsideTheGrantedSubtreeIsHostile) {
       GTEST_SKIP() << "single all-covering lease; no stray cursor exists";
     }
     const std::string cursor = chain_cursor(grant.query, stray);
-    ASSERT_TRUE(conn.send(record_frame(grant.id, grant.property, cursor, "unsat")));
-    cert::Json reply;
+    ASSERT_TRUE(conn.send(bare_record_frame(grant.id, grant.property, cursor, "unsat")));
+    Json reply;
     conn.recv(&reply, 2'000);
     conn.close();
   }
@@ -1181,22 +1237,22 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
   ASSERT_GE(fd, 0);
   {
     Conn conn(fd);
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "hello"},
-                                             {"protocol", kDistProtocolVersion},
-                                             {"label", "forger"},
-                                             {"features", cert::Json::Array{"learn"}}}));
-    cert::Json welcome;
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "hello"},
+                                       {"protocol", kDistProtocolVersion},
+                                       {"label", "forger"},
+                                       {"features", Json::Array{"learn"}}}));
+    Json welcome;
     ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
     ASSERT_EQ(welcome.at("type").as_string(), "welcome");
-    ASSERT_TRUE(conn.send(cert::Json::Object{
+    ASSERT_TRUE(conn.send(Json::Object{
         {"type", "learn"},
         {"p", 0},
         {"cuts",
-         cert::Json::Array{cert::Json::Object{{"q", 0}, {"prefix", cert::Json::Array{}}}}}}));
+         Json::Array{Json::Object{{"q", 0}, {"prefix", Json::Array{}}}}}}));
     // Frames are handled in order: once `next` is answered, the learn frame
     // has been processed.
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "next"}}));
-    cert::Json reply;
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "next"}}));
+    Json reply;
     ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
     conn.close();
   }
@@ -1279,21 +1335,21 @@ void grant_and_cut(Conn& conn, LeaseGrant* cut_lease) {
   for (;;) {
     ASSERT_TRUE(acquire_lease(conn, cut_lease));
     if (!cut_lease->prefix.empty()) break;
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
   }
-  cert::Json record = record_frame(cut_lease->id, cut_lease->property,
+  Json record = bare_record_frame(cut_lease->id, cut_lease->property,
                                    chain_cursor(cut_lease->query, cut_lease->prefix), "unsat");
   record.set("cut", static_cast<std::int64_t>(cut_lease->prefix.size()));
   ASSERT_TRUE(conn.send(record));
-  ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
+  ASSERT_TRUE(conn.send(Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
 }
 
-cert::Json lemma_frame(std::vector<std::string> premises) {
-  cert::Json::Array entry_premises(premises.begin(), premises.end());
-  return cert::Json::Object{
+Json lemma_frame(std::vector<std::string> premises) {
+  Json::Array entry_premises(premises.begin(), premises.end());
+  return Json::Object{
       {"type", "learn"},
       {"p", 0},
-      {"lemmas", cert::Json::Array{cert::Json::Object{
+      {"lemmas", Json::Array{Json::Object{
                      {"q", 0}, {"premises", std::move(entry_premises)}}}}};
 }
 
@@ -1316,18 +1372,18 @@ TEST(DistLearning, GrantCarriesTheCutsAndLemmasOfEarlierFrames) {
     // The next grant lies outside the refuted subtree and carries both
     // facts, the lemma as the book's pool stores it (premises sorted).
     LeaseGrant next;
-    cert::Json grant;
+    Json grant;
     ASSERT_TRUE(acquire_lease(conn, &next, &grant));
     EXPECT_FALSE(extends(next.prefix, cut_lease.prefix));
     ASSERT_NE(grant.find("cuts"), nullptr) << grant.to_string();
     ASSERT_NE(grant.find("lemmas"), nullptr) << grant.to_string();
-    const cert::Json expected_cut = cert::Json::Object{
-        {"q", 0}, {"prefix", cert::Json::Array(cut_lease.prefix.begin(), cut_lease.prefix.end())}};
+    const Json expected_cut = Json::Object{
+        {"q", 0}, {"prefix", Json::Array(cut_lease.prefix.begin(), cut_lease.prefix.end())}};
     EXPECT_EQ(grant.at("cuts").to_string(),
-              cert::Json(cert::Json::Array{expected_cut}).to_string());
+              Json(Json::Array{expected_cut}).to_string());
     EXPECT_EQ(grant.at("lemmas").to_string(),
-              cert::Json(cert::Json::Array{cert::Json::Object{
-                             {"q", 0}, {"premises", cert::Json::Array{"x>=1", "y<=0"}}}})
+              Json(Json::Array{Json::Object{
+                             {"q", 0}, {"premises", Json::Array{"x>=1", "y<=0"}}}})
                   .to_string());
     conn.close();
   }
@@ -1359,8 +1415,8 @@ TEST(DistLearning, CutSettlesCoveredPendingLeasesWithoutAGrant) {
     // Drain the rest of the run: no lease inside the refuted subtree is
     // ever granted.
     for (;;) {
-      ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "next"}}));
-      cert::Json reply;
+      ASSERT_TRUE(conn.send(Json::Object{{"type", "next"}}));
+      Json reply;
       ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
       const std::string& type = reply.at("type").as_string();
       if (type == "shutdown") break;
@@ -1368,10 +1424,10 @@ TEST(DistLearning, CutSettlesCoveredPendingLeasesWithoutAGrant) {
       ASSERT_EQ(type, "lease");
       ++granted;
       std::vector<std::int64_t> prefix;
-      for (const cert::Json& g : reply.at("prefix").as_array()) prefix.push_back(g.as_int());
+      for (const Json& g : reply.at("prefix").as_array()) prefix.push_back(g.as_int());
       EXPECT_FALSE(extends(prefix, cut_lease.prefix)) << reply.to_string();
       ASSERT_TRUE(
-          conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", reply.at("lease")}}));
+          conn.send(Json::Object{{"type", "lease_done"}, {"lease", reply.at("lease")}}));
     }
     conn.close();
   }
@@ -1414,14 +1470,14 @@ TEST(DistLearning, PermutedLemmaIsNotRebroadcast) {
 
   ASSERT_TRUE(sender.send(lemma_frame({"a<=0", "b>=1"})));
   ASSERT_TRUE(sync());
-  cert::Json broadcast;
+  Json broadcast;
   ASSERT_EQ(listener.recv(&broadcast, 5'000), FrameStatus::kOk);
   EXPECT_EQ(broadcast.at("type").as_string(), "learn");
   ASSERT_EQ(broadcast.at("lemmas").as_array().size(), 1u);
 
   ASSERT_TRUE(sender.send(lemma_frame({"b>=1", "a<=0"})));
   ASSERT_TRUE(sync());
-  cert::Json echo;
+  Json echo;
   EXPECT_EQ(listener.recv(&echo, 300), FrameStatus::kTimeout) << echo.to_string();
   sender.close();
   listener.close();
@@ -1444,16 +1500,16 @@ TEST(DistByzantine, RepeatOffendersAreQuarantinedOnRejoin) {
   // One hostile frame pushes the label's health score to the quarantine
   // threshold...
   ASSERT_NO_FATAL_FAILURE(send_hostile_frame(
-      address, "repeat", record_frame(0, 0, "q0||", "unsat")));
+      address, "repeat", bare_record_frame(0, 0, "q0||", "unsat")));
 
   // ...so the rejoin under the same label is refused before any lease.
   const int fd = connect_with_retry(address);
   ASSERT_GE(fd, 0);
   {
     Conn conn(fd);
-    ASSERT_TRUE(conn.send(cert::Json::Object{
+    ASSERT_TRUE(conn.send(Json::Object{
         {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", "repeat"}}));
-    cert::Json reply;
+    Json reply;
     ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
     EXPECT_EQ(reply.at("type").as_string(), "shutdown");
     EXPECT_NE(reply.at("reason").as_string().find("quarantined"), std::string::npos)
@@ -1566,9 +1622,9 @@ TEST(DistByzantine, NegativeLeaseDoneCountersAreHostile) {
     ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "negative"));
     LeaseGrant grant;
     ASSERT_TRUE(acquire_lease(conn, &grant));
-    ASSERT_TRUE(conn.send(cert::Json::Object{
+    ASSERT_TRUE(conn.send(Json::Object{
         {"type", "lease_done"}, {"lease", grant.id}, {"cut", std::int64_t{-1000}}}));
-    cert::Json reply;
+    Json reply;
     EXPECT_NE(conn.recv(&reply, 5'000), FrameStatus::kOk) << reply.to_string();
     conn.close();
   }
@@ -1580,6 +1636,45 @@ TEST(DistByzantine, NegativeLeaseDoneCountersAreHostile) {
   ASSERT_EQ(run.results.size(), 1u);
   EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
   EXPECT_GE(run.results[0].schemas_cut, 0);
+  const auto reference = reference_check("safe", kHoldsFormula, options.check);
+  EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
+  EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
+}
+
+TEST(DistByzantine, NegativeRecordCountersAreHostile) {
+  // A record frame's counters add to the tally; a negative one would drive
+  // the run's totals below zero. The shared record decoder refuses it, so
+  // the frame is hostile: the connection drops and the lease re-pends.
+  const std::string address = "unix:" + temp_path("dist_negative_record.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 30.0;
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+  const int fd = connect_with_retry(address);
+  ASSERT_GE(fd, 0);
+  {
+    Conn conn(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "negative"));
+    LeaseGrant grant;
+    ASSERT_TRUE(acquire_lease(conn, &grant));
+    const std::string cursor = chain_cursor(grant.query, grant.prefix);
+    Json::Object frame = bare_record_frame(grant.id, grant.property, cursor, "unsat").as_object();
+    for (auto& [key, value] : frame) {
+      if (key == "pivots") value = std::int64_t{-1000};
+    }
+    ASSERT_TRUE(conn.send(Json(std::move(frame))));
+    Json reply;
+    EXPECT_NE(conn.recv(&reply, 5'000), FrameStatus::kOk) << reply.to_string();
+    conn.close();
+  }
+  const WorkerReport survivor = run_one_worker(address, "honest");
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(survivor.completed) << survivor.note;
+  EXPECT_GE(run.stats.hostile_frames, 1);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
+  EXPECT_GE(run.results[0].simplex_pivots, 0);
   const auto reference = reference_check("safe", kHoldsFormula, options.check);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);
@@ -1615,7 +1710,7 @@ smt::proof::Node* first_farkas(smt::proof::Node& node) {
 /// false when the step is no target for it. The forged frame lands in
 /// `*frame`.
 bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::SchemaStep step,
-                  std::int64_t lease, cert::Json* frame) {
+                  std::int64_t lease, Json* frame) {
   const std::string& verdict = step.record.verdict;
   checker::UnitOutcome& outcome = step.outcome;
   switch (forgery) {
@@ -1656,7 +1751,7 @@ bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::Sc
     case Forgery::kUnsettledLeaseDone:
       return false;
   }
-  *frame = record_to_json(step.record, outcome, lease, /*property=*/0);
+  *frame = record_frame(step.record, outcome, lease, /*property=*/0);
   return true;
 }
 
@@ -1696,20 +1791,20 @@ void run_forger(const std::string& address, const std::string& formula,
             forged = true;  // this schema never settles: the lease_done below is forged
             return true;
           }
-          cert::Json frame;
+          Json frame;
           const bool forged_here =
               !lease_forgery && forge_record(forgery, ta, step, grant.id, &frame);
-          if (!forged_here) frame = record_to_json(step.record, step.outcome, grant.id, 0);
+          if (!forged_here) frame = record_frame(step.record, step.outcome, grant.id, 0);
           EXPECT_TRUE(conn.send(frame));
           forged = forged || forged_here;
           return !forged_here && !sat;
         });
     if (forged && !lease_forgery) break;
     ASSERT_FALSE(sat) << "the run settled before the forgery";
-    ASSERT_TRUE(conn.send(cert::Json::Object{{"type", "lease_done"}, {"lease", grant.id}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "lease_done"}, {"lease", grant.id}}));
   }
   // Dropped on the forged frame: nothing but (at most) an abandon before EOF.
-  cert::Json reply;
+  Json reply;
   FrameStatus status = FrameStatus::kOk;
   while ((status = conn.recv(&reply, 5'000)) == FrameStatus::kOk) {
     EXPECT_EQ(reply.at("type").as_string(), "abandon") << reply.to_string();

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "hv/cert/certificate.h"
 #include "hv/cert/emit.h"
 #include "hv/checker/explicit_checker.h"
+#include "hv/checker/journal.h"
 #include "hv/checker/parameterized.h"
 #include "hv/spec/compile.h"
 #include "hv/spec/ltl.h"
@@ -248,6 +252,160 @@ TEST_P(DifferentialFuzz, LearningOnAndOffAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range<std::uint64_t>(1, 26));
+
+// --- mutational fuzzing of the journal reader ---------------------------------
+//
+// A journal is untrusted input: a resume must survive whatever a crash, a
+// disk or a careless edit leaves in it. Seeded mutations of a real
+// certifying journal (byte flips, truncation, dropped, duplicated and
+// spliced lines) must load or be refused with hv::Error, and a certifying
+// resume from a loadable mutant must not crash; its certificate must audit
+// whenever every record that loaded is the original's record for its key.
+
+std::string record_text(const JournalRecord& record) {
+  return record_to_json(record, record.solve, {{"property", record.property}}).to_string();
+}
+
+bool same_records(const ResumeState& mutant, const ResumeState& original) {
+  if (mutant.automaton != original.automaton || mutant.model_hash != original.model_hash ||
+      mutant.hvc_version != original.hvc_version || mutant.node != original.node) {
+    return false;
+  }
+  for (const auto& [key, record] : mutant.settled) {
+    const auto it = original.settled.find(key);
+    if (it == original.settled.end() || record_text(record) != record_text(it->second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string mutate(std::vector<std::string> lines, std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  bool truncate = false;
+  const int rounds = 1 + static_cast<int>(rng() % 3);
+  for (int round = 0; round < rounds && !lines.empty(); ++round) {
+    std::string& line = lines[pick(lines.size())];
+    switch (rng() % 5) {
+      case 0:  // byte flip
+        if (!line.empty()) {
+          static constexpr char kBytes[] = "0123456789-\"{}[],:.aqz|";
+          char& byte = line[pick(line.size())];
+          byte = rng() % 2 == 0 ? static_cast<char>(byte ^ (1 << pick(7)))
+                                : kBytes[pick(sizeof kBytes - 1)];
+        }
+        break;
+      case 1:
+        truncate = true;
+        break;
+      case 2:  // dropped line
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(pick(lines.size())));
+        break;
+      case 3: {  // duplicated line
+        const std::string copy = line;
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(pick(lines.size() + 1)), copy);
+        break;
+      }
+      default: {  // spliced: one line's head onto another's tail
+        const std::string& other = lines[pick(lines.size())];
+        line = line.substr(0, pick(line.size() + 1)) + other.substr(pick(other.size() + 1));
+        break;
+      }
+    }
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  if (truncate && !text.empty()) text.resize(pick(text.size()));
+  return text;
+}
+
+constexpr const char* kEchoModel = R"(
+ta Echo {
+  parameters n, t, f;
+  shared x;
+  resilience n > 3*t;
+  resilience t >= f;
+  resilience f >= 0;
+  processes n - f;
+  initial A;
+  locations B, W, D;
+  rule announce: A -> B do x += 1;
+  rule wait: A -> W;
+  rule proceed: W -> D when x >= t + 1 - f;
+  selfloop B;
+  selfloop D;
+}
+)";
+
+TEST(JournalFuzz, MutantsLoadOrAreRefusedAndCertifiedResumesAudit) {
+  // The journal of a small certifying run: unsat records with their
+  // proofs, and a sat record with its model and counterexample.
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
+  const std::vector<spec::Property> properties = {
+      spec::compile(ta, "safe", "[](locB == 0) -> [](locD == 0)"),
+      spec::compile(ta, "d", "locA != 0 -> [](locD == 0)")};
+  CheckOptions options;
+  options.certify = true;
+  options.property_directed_pruning = false;
+  const std::string original_path = ::testing::TempDir() + "fuzz_journal.jsonl";
+  std::remove(original_path.c_str());
+  CheckOptions journaled = options;
+  journaled.journal_path = original_path;
+  const std::vector<PropertyResult> reference = check_properties(ta, properties, journaled);
+  const ResumeState original = load_journal(original_path);
+  ASSERT_EQ(original.settled.size(), 4u);
+  std::vector<std::string> lines;
+  {
+    std::ifstream file(original_path, std::ios::binary);
+    for (std::string line; std::getline(file, line);) lines.push_back(line);
+  }
+
+  const std::string mutant_path = ::testing::TempDir() + "fuzz_journal_mutant.jsonl";
+  std::mt19937_64 rng(20261019);
+  int loadable = 0;
+  int resumed = 0;
+  int faithful = 0;
+  for (int i = 0; i < 1000; ++i) {
+    {
+      std::ofstream file(mutant_path, std::ios::binary | std::ios::trunc);
+      file << mutate(lines, rng);
+    }
+    ResumeState state;
+    try {
+      state = load_journal(mutant_path);
+    } catch (const Error&) {
+      continue;  // refused: no header, mixed identities, another version
+    }
+    ++loadable;
+    // Every mutant whose records changed, and a sample of the rest.
+    const bool same = same_records(state, original);
+    if (same && faithful >= 50) continue;
+    CheckOptions resume = options;
+    resume.resume_path = mutant_path;
+    std::vector<PropertyResult> results;
+    try {
+      results = check_properties(ta, properties, resume);
+    } catch (const Error&) {
+      continue;  // refused: a header naming another model or version
+    }
+    ++resumed;
+    cert::Certificate certificate;
+    certificate.components.push_back(cert::make_component_cert(
+        cert::text_model_source(kEchoModel), properties, results, "ltl"));
+    const cert::AuditReport report =
+        cert::audit_certificate(cert::parse_certificate(cert::to_json_text(certificate)));
+    if (!same) continue;
+    ++faithful;
+    for (std::size_t p = 0; p < results.size(); ++p) {
+      EXPECT_EQ(results[p].verdict, reference[p].verdict) << "mutant " << i;
+    }
+    EXPECT_TRUE(report.ok) << "mutant " << i << "\n" << report.to_string();
+  }
+  EXPECT_GE(loadable, 50);
+  EXPECT_GE(resumed, 50);
+  EXPECT_GT(faithful, 0);
+  std::remove(mutant_path.c_str());
+}
 
 }  // namespace
 }  // namespace hv::checker

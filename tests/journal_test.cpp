@@ -6,8 +6,12 @@
 #include <fstream>
 
 #include "hv/checker/parameterized.h"
+#include "hv/models/bv_broadcast.h"
 #include "hv/models/registry.h"
 #include "hv/models/simplified_consensus.h"
+#include "hv/smt/proof_json.h"
+#include "hv/spec/compile.h"
+#include "hv/ta/parser.h"
 #include "hv/util/error.h"
 #include "hv/util/version.h"
 
@@ -31,6 +35,14 @@ JournalRecord record(const char* property, const char* cursor, const char* verdi
   r.pivots = pivots;
   r.note = note;
   return r;
+}
+
+/// A hand-written unsat record line of property "safe" whose length field
+/// is the raw token `length`.
+std::string record_line(const char* cursor, const char* length) {
+  return std::string(R"({"type":"record","property":"safe","cursor":")") + cursor +
+         R"(","verdict":"unsat","length":)" + length +
+         R"(,"pivots":0,"retries":0,"note":""})" + "\n";
 }
 
 TEST(JournalTest, SchemaCursorIsStableAndContentBased) {
@@ -88,34 +100,6 @@ TEST(JournalTest, LaterRecordsWin) {
   EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, "unsat");
 }
 
-TEST(JournalTest, RevokedRecordsEraseEarlierVerdictsOnLoad) {
-  // Older distributed coordinators journaled a compensating "revoked"
-  // record when they caught a lying worker after its records had merged;
-  // such journals still resume. Loading must forget the revoked cursor (so
-  // --resume re-solves it) while unrelated records — and a later honest
-  // re-solve of the same cursor — survive.
-  const std::string path = temp_path("journal_revoked.jsonl");
-  {
-    ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
-    journal.append(record("safe", "q0|0|2", "unsat", 3, 5));
-    journal.append(record("safe", "q0|0|1", "revoked"));
-  }
-  const ResumeState revoked = load_journal(path);
-  EXPECT_EQ(revoked.find("safe", "q0|0|1"), nullptr);
-  ASSERT_NE(revoked.find("safe", "q0|0|2"), nullptr);
-  EXPECT_EQ(revoked.find("safe", "q0|0|2")->verdict, "unsat");
-
-  // Later-wins still applies past the revocation: the honest re-solve lands.
-  {
-    ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "pruned"));
-  }
-  const ResumeState resolved = load_journal(path);
-  ASSERT_NE(resolved.find("safe", "q0|0|1"), nullptr);
-  EXPECT_EQ(resolved.find("safe", "q0|0|1")->verdict, "pruned");
-}
-
 TEST(JournalTest, ToleratesTornTrailingLine) {
   // The only corruption an append-only journal can suffer from kill -9 is a
   // torn last line; loading must skip it and keep every complete record.
@@ -126,18 +110,22 @@ TEST(JournalTest, ToleratesTornTrailingLine) {
   }
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
-    // Corrupt numbers are malformed lines too: a bare sign, and a digit run
-    // beyond int64.
-    file << "{\"p\":\"safe\",\"c\":\"q0|0|3\",\"v\":\"unsat\",\"len\":-}\n";
-    file << "{\"p\":\"safe\",\"c\":\"q0|0|4\",\"v\":\"unsat\",\"len\":99999999999999999999}\n";
-    file << "{\"p\":\"safe\",\"c\":\"q0|0|2\",\"v\":\"uns";  // torn mid-record
+    // Corrupt numbers are malformed lines too: a bare sign, a digit run
+    // beyond int64, and a negative counter, which would drive the resumed
+    // run's totals below zero. The same line with a positive length loads.
+    file << record_line("q0|0|3", "-") << record_line("q0|0|4", "99999999999999999999")
+         << record_line("q0|0|5", "-3") << record_line("q0|0|6", "3");
+    file << R"({"type":"record","property":"safe","cursor":"q0|0|2","verdict":"uns)";  // torn
   }
   const ResumeState state = load_journal(path);
-  EXPECT_EQ(state.skipped_lines, 3);
+  EXPECT_EQ(state.skipped_lines, 4);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|2"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|3"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|4"), nullptr);
+  EXPECT_EQ(state.find("safe", "q0|0|5"), nullptr);
+  ASSERT_NE(state.find("safe", "q0|0|6"), nullptr);
+  EXPECT_EQ(state.find("safe", "q0|0|6")->length, 3);
 }
 
 TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
@@ -150,7 +138,8 @@ TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
   }
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
-    file << "{\"p\":\"safe\",\"c\":\"q0|0|2\",\"v\"\n";  // torn, but newline-terminated
+    file << R"({"type":"record","property":"safe","cursor":"q0|0|2","verdict")"
+         << "\n";  // torn, but newline-terminated
   }
   {
     ProgressJournal journal(path, "Echo");
@@ -167,7 +156,7 @@ TEST(JournalTest, RejectsMissingHeaderAndMixedAutomatons) {
   const std::string missing = temp_path("journal_no_header.jsonl");
   {
     std::ofstream file(missing, std::ios::binary);
-    file << "{\"p\":\"safe\",\"c\":\"q0|0|1\",\"v\":\"unsat\"}\n";
+    file << record_line("q0|0|1", "1");
   }
   EXPECT_THROW(load_journal(missing), Error);
 
@@ -331,7 +320,7 @@ TEST(JournalTest, HeaderRecordsModelHashAndVersion) {
   // A journal claiming a different hash in a later header is contradictory.
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
-    file << "{\"hv_journal\":2,\"automaton\":\"Echo\",\"model_hash\":\"deadbeefdeadbeef\"}\n";
+    file << R"({"hv_journal":3,"automaton":"Echo","model_hash":"deadbeefdeadbeef"})" << "\n";
   }
   EXPECT_THROW(load_journal(path), Error);
 }
@@ -429,6 +418,130 @@ TEST(JournalTest, RepeatedIdenticalHeadersAreFine) {
   EXPECT_EQ(state.skipped_lines, 0);
   EXPECT_NE(state.find("safe", "q0|0|1"), nullptr);
   EXPECT_NE(state.find("live", "q0|0|1"), nullptr);
+}
+
+TEST(JournalTest, RefusesAVersionTwoJournal) {
+  // Version 2 wrote its own flat record lines without counters or proofs;
+  // reading one half-way would resume with silently missing evidence.
+  const std::string path = temp_path("journal_v2.jsonl");
+  {
+    std::ofstream file(path, std::ios::binary);
+    file << R"({"hv_journal":2,"automaton":"Echo","model_hash":"cafebabecafebabe"})" << "\n";
+    file << R"({"p":"safe","c":"q0|0|1","v":"unsat","len":4,"piv":9})" << "\n";
+  }
+  try {
+    load_journal(path);
+    FAIL() << "expected hv::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("version-2 journal"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("start a fresh journal"), std::string::npos)
+        << error.what();
+  }
+}
+
+constexpr const char* kEchoModel = R"(
+ta Echo {
+  parameters n, t, f;
+  shared x;
+  resilience n > 3*t;
+  resilience t >= f;
+  resilience f >= 0;
+  processes n - f;
+  initial A;
+  locations B, W, D;
+  rule announce: A -> B do x += 1;
+  rule wait: A -> W;
+  rule proceed: W -> D when x >= t + 1 - f;
+  selfloop B;
+  selfloop D;
+}
+)";
+
+std::string proof_text(const smt::proof::Node& node) {
+  return smt::proof::to_json(node).to_string();
+}
+
+TEST(JournalTest, CertifyingRecordsRoundTripTheirEvidenceAndCounters) {
+  // A certifying journal line carries what the certificate needs: an unsat
+  // schema's proof, a sat schema's model, and its counterexample.
+  const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
+  const spec::Property property = spec::compile(ta, "d", "locA != 0 -> [](locD == 0)");
+  CheckOptions options;
+  options.certify = true;
+  options.property_directed_pruning = false;
+  options.journal_path = temp_path("journal_certify_roundtrip.jsonl");
+  const PropertyResult result = check_property(ta, property, options);
+  ASSERT_EQ(result.verdict, Verdict::kViolated);
+  ASSERT_NE(result.evidence, nullptr);
+
+  const ResumeState state = load_journal(options.journal_path);
+  EXPECT_EQ(state.skipped_lines, 0);
+  bool saw_unsat = false;
+  bool saw_sat = false;
+  std::int64_t pivots = 0;
+  std::int64_t fast = 0;
+  std::int64_t big = 0;
+  for (const SchemaEvidence& evidence : result.evidence->schemas) {
+    const JournalRecord* record =
+        state.find("d", schema_cursor(evidence.query_index, evidence.schema));
+    ASSERT_NE(record, nullptr);
+    pivots += record->pivots;
+    fast += record->fast;
+    big += record->big;
+    if (evidence.sat) {
+      saw_sat = true;
+      EXPECT_EQ(record->verdict, "sat");
+      ASSERT_NE(record->solve.model, nullptr);
+      EXPECT_EQ(*record->solve.model, *evidence.model);
+      ASSERT_TRUE(record->solve.counterexample.has_value());
+      ASSERT_TRUE(result.counterexample.has_value());
+      EXPECT_EQ(record->solve.counterexample->steps.size(), result.counterexample->steps.size());
+      EXPECT_EQ(record->solve.counterexample->params, result.counterexample->params);
+    } else {
+      saw_unsat = true;
+      EXPECT_EQ(record->verdict, "unsat");
+      ASSERT_NE(record->solve.proof, nullptr);
+      EXPECT_EQ(proof_text(*record->solve.proof), proof_text(*evidence.proof));
+    }
+  }
+  EXPECT_TRUE(saw_unsat);
+  EXPECT_TRUE(saw_sat);
+  EXPECT_EQ(pivots, result.simplex_pivots);
+  EXPECT_EQ(fast, result.rational_fast_ops);
+  EXPECT_EQ(big, result.rational_big_ops);
+  EXPECT_GT(fast, 0);
+}
+
+TEST(JournalTest, ResumeFromACompleteJournalKeepsEveryCounter) {
+  // Every record carries its counters, so a run resumed from a complete
+  // journal reports the journaling run's arithmetic, not zeros.
+  const ta::ThresholdAutomaton ta = hv::models::bv_broadcast();
+  const std::vector<spec::Property> properties = hv::models::bundled_properties(ta);
+  CheckOptions options;
+  options.property_directed_pruning = false;
+  options.journal_path = temp_path("journal_counters.jsonl");
+  const std::vector<PropertyResult> reference = check_properties(ta, properties, options);
+
+  CheckOptions resumed = options;
+  resumed.journal_path.clear();
+  resumed.resume_path = options.journal_path;
+  const std::vector<PropertyResult> again = check_properties(ta, properties, resumed);
+  ASSERT_EQ(again.size(), reference.size());
+  std::int64_t fast = 0;
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    SCOPED_TRACE(reference[i].property);
+    EXPECT_EQ(again[i].verdict, reference[i].verdict);
+    EXPECT_EQ(again[i].schemas_checked, reference[i].schemas_checked);
+    EXPECT_EQ(again[i].schemas_resumed, reference[i].schemas_checked + reference[i].schemas_pruned);
+    EXPECT_EQ(again[i].simplex_pivots, reference[i].simplex_pivots);
+    EXPECT_EQ(again[i].rational_fast_ops, reference[i].rational_fast_ops);
+    EXPECT_EQ(again[i].rational_big_ops, reference[i].rational_big_ops);
+    EXPECT_EQ(again[i].retries, reference[i].retries);
+    EXPECT_EQ(again[i].avg_schema_length, reference[i].avg_schema_length);
+    fast += again[i].rational_fast_ops;
+  }
+  EXPECT_GT(fast, 0);
 }
 
 }  // namespace

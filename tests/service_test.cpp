@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "hv/cert/json.h"
 #include "hv/checker/journal.h"
 #include "hv/checker/parameterized.h"
 #include "hv/dist/protocol.h"
@@ -25,6 +24,7 @@
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/json.h"
 #include "hv/util/rational.h"
 #include "hv/util/version.h"
 
@@ -362,10 +362,10 @@ TEST(EventLogTest, RoundTripsEventsAndSkipsHeader) {
   const std::string path = temp_path("service_events.jsonl");
   {
     EventLog log(path);
-    log.append(cert::Json::Object{{"event", "submit"}, {"job", 1}});
-    log.append(cert::Json::Object{{"event", "done"}, {"job", 1}, {"code", 0}});
+    log.append(Json::Object{{"event", "submit"}, {"job", 1}});
+    log.append(Json::Object{{"event", "done"}, {"job", 1}, {"code", 0}});
   }
-  const std::vector<cert::Json> events = EventLog::load(path);
+  const std::vector<Json> events = EventLog::load(path);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].at("event").as_string(), "submit");
   EXPECT_EQ(events[1].at("event").as_string(), "done");
@@ -373,7 +373,7 @@ TEST(EventLogTest, RoundTripsEventsAndSkipsHeader) {
   // Re-opening appends instead of rewriting the header.
   {
     EventLog log(path);
-    log.append(cert::Json::Object{{"event", "cancelled"}, {"job", 1}});
+    log.append(Json::Object{{"event", "cancelled"}, {"job", 1}});
   }
   EXPECT_EQ(EventLog::load(path).size(), 3u);
 }
@@ -382,13 +382,13 @@ TEST(EventLogTest, TornTailIsSkippedNotFatal) {
   const std::string path = temp_path("service_torn.jsonl");
   {
     EventLog log(path);
-    log.append(cert::Json::Object{{"event", "submit"}, {"job", 1}});
+    log.append(Json::Object{{"event", "submit"}, {"job", 1}});
   }
   {
     std::ofstream file(path, std::ios::binary | std::ios::app);
     file << "{\"event\": \"done\", \"job\"";  // killed mid-write
   }
-  const std::vector<cert::Json> events = EventLog::load(path);
+  const std::vector<Json> events = EventLog::load(path);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].at("event").as_string(), "submit");
 }
@@ -464,14 +464,14 @@ TEST(ServiceEndToEnd, SubmitMatchesInProcessAndResubmitIsACacheHit) {
   daemon.start(temp_path("svc_e2e.sock"), temp_state("svc_e2e_state"));
 
   Client client(daemon.address);
-  const cert::Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
+  const Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
   EXPECT_EQ(submitted.at("type").as_string(), "submitted");
   EXPECT_FALSE(submitted.at("cached").as_bool());
   const std::int64_t job = submitted.at("job").as_int();
 
   int progress_frames = 0;
-  const cert::Json result =
-      client.result(job, /*wait=*/true, [&](const cert::Json&) { ++progress_frames; });
+  const Json result =
+      client.result(job, /*wait=*/true, [&](const Json&) { ++progress_frames; });
   ASSERT_EQ(result.at("type").as_string(), "result");
   EXPECT_EQ(result.at("state").as_string(), "done");
   EXPECT_EQ(result.at("code").as_int(), 0);
@@ -482,27 +482,27 @@ TEST(ServiceEndToEnd, SubmitMatchesInProcessAndResubmitIsACacheHit) {
 
   // Identical submission from another tenant: instant, cached, and the
   // response bytes are verbatim the original run's.
-  const cert::Json resubmitted = client.submit(echo_request("bob", "safe", kHoldsFormula));
+  const Json resubmitted = client.submit(echo_request("bob", "safe", kHoldsFormula));
   EXPECT_TRUE(resubmitted.at("cached").as_bool());
   EXPECT_EQ(resubmitted.at("state").as_string(), "done");
   const std::int64_t hit_job = resubmitted.at("job").as_int();
-  const cert::Json hit = client.result(hit_job, /*wait=*/true);
+  const Json hit = client.result(hit_job, /*wait=*/true);
   EXPECT_TRUE(hit.at("cached").as_bool());
   EXPECT_EQ(hit.at("response").as_string(), response);
 
   // Zero schemas were solved for the cache hit: its counters never moved.
-  const cert::Json status = client.status(hit_job);
+  const Json status = client.status(hit_job);
   ASSERT_EQ(status.at("type").as_string(), "status");
-  const cert::Json::Array& rows = status.at("jobs").as_array();
+  const Json::Array& rows = status.at("jobs").as_array();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].at("solved").as_int(), 0);
   EXPECT_EQ(rows[0].at("enumerated").as_int(), 0);
   EXPECT_TRUE(rows[0].at("cached").as_bool());
 
   // A different property is a different key: miss, fresh run, exit 1.
-  const cert::Json other = client.submit(echo_request("alice", "live", kViolatedFormula));
+  const Json other = client.submit(echo_request("alice", "live", kViolatedFormula));
   EXPECT_FALSE(other.at("cached").as_bool());
-  const cert::Json other_result = client.result(other.at("job").as_int(), /*wait=*/true);
+  const Json other_result = client.result(other.at("job").as_int(), /*wait=*/true);
   EXPECT_EQ(other_result.at("code").as_int(), 1);
 
   daemon.shutdown();
@@ -520,7 +520,7 @@ TEST(ServiceEndToEnd, RestartReservesFinishedJobsFromTheEventLog) {
     DaemonRun daemon;
     daemon.start(sock, state);
     Client client(daemon.address);
-    const cert::Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
+    const Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
     job = submitted.at("job").as_int();
     response = client.result(job, /*wait=*/true).at("response").as_string();
     daemon.shutdown();
@@ -530,12 +530,12 @@ TEST(ServiceEndToEnd, RestartReservesFinishedJobsFromTheEventLog) {
     daemon.start(sock, state);
     Client client(daemon.address);
     // The finished job survives the restart byte-for-byte...
-    const cert::Json replayed = client.result(job, /*wait=*/false);
+    const Json replayed = client.result(job, /*wait=*/false);
     ASSERT_EQ(replayed.at("type").as_string(), "result");
     EXPECT_EQ(replayed.at("state").as_string(), "done");
     EXPECT_EQ(replayed.at("response").as_string(), response);
     // ...and re-seeded the cache: an identical submission is a hit.
-    const cert::Json resubmitted = client.submit(echo_request("carol", "safe", kHoldsFormula));
+    const Json resubmitted = client.submit(echo_request("carol", "safe", kHoldsFormula));
     EXPECT_TRUE(resubmitted.at("cached").as_bool());
     daemon.shutdown();
     EXPECT_EQ(daemon.stats.cache_hits, 1);
@@ -565,21 +565,21 @@ TEST(ServiceEndToEnd, CancelQueuedJobAndUnknownJobErrors) {
   daemon.options.limits.max_running = 0;  // nothing ever dispatches: jobs stay queued
   daemon.start(temp_path("svc_cancel.sock"), temp_state("svc_cancel_state"));
   Client client(daemon.address);
-  const cert::Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
+  const Json submitted = client.submit(echo_request("alice", "safe", kHoldsFormula));
   const std::int64_t job = submitted.at("job").as_int();
   EXPECT_EQ(submitted.at("state").as_string(), "queued");
 
-  const cert::Json cancelled = client.cancel(job);
+  const Json cancelled = client.cancel(job);
   EXPECT_EQ(cancelled.at("type").as_string(), "ok");
   EXPECT_EQ(cancelled.at("state").as_string(), "cancelled");
   // Idempotent.
   EXPECT_EQ(client.cancel(job).at("type").as_string(), "ok");
 
-  const cert::Json result = client.result(job, /*wait=*/true);
+  const Json result = client.result(job, /*wait=*/true);
   ASSERT_EQ(result.at("type").as_string(), "result");
   EXPECT_EQ(result.at("state").as_string(), "cancelled");
 
-  const cert::Json unknown = client.result(999, /*wait=*/false);
+  const Json unknown = client.result(999, /*wait=*/false);
   EXPECT_EQ(unknown.at("type").as_string(), "error");
   daemon.shutdown();
   EXPECT_EQ(daemon.stats.jobs_cancelled, 1);
@@ -597,7 +597,7 @@ TEST(ServiceEndToEnd, BadSubmissionsAndProtocolMismatchAreErrorFrames) {
   {
     // A client from the future: wrong service protocol number.
     Client client(daemon.address);
-    const cert::Json reply = client.request(cert::Json::Object{
+    const Json reply = client.request(Json::Object{
         {"type", "submit"}, {"protocol", kServiceProtocolVersion + 1}, {"tenant", "x"}});
     ASSERT_EQ(reply.at("type").as_string(), "error");
     EXPECT_NE(reply.at("message").as_string().find("protocol"), std::string::npos);
@@ -623,9 +623,9 @@ TEST(ServiceEndToEnd, ConcurrentTenantsAllCompleteUnderQuotas) {
   for (int i = 0; i < 4; ++i) {
     clients.emplace_back([&, i] {
       Client client(daemon.address);
-      const cert::Json submitted =
+      const Json submitted =
           client.submit(echo_request(tenants[i], names[i], formulas[i]));
-      const cert::Json result = client.result(submitted.at("job").as_int(), /*wait=*/true);
+      const Json result = client.result(submitted.at("job").as_int(), /*wait=*/true);
       codes[static_cast<std::size_t>(i)] = static_cast<int>(result.at("code").as_int());
     });
   }
