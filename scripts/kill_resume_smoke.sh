@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test for the crash-safe progress journal:
 #   1. reference run with a journal, uninterrupted;
-#   2. the same run SIGKILLed mid-flight (the journal keeps every batch of
-#      settled schema verdicts that reached fdatasync);
+#   2. the same run SIGKILLed mid-flight, once its journal holds 20 records
+#      (the journal keeps every batch of settled schema verdicts that
+#      reached fdatasync); a run that finishes before the kill fails;
 #   3. a --resume run from the killed journal;
 #   4. the resumed run's verdict and schema accounting must match the
 #      reference run's exactly;
@@ -30,6 +31,32 @@ normalize() {
   sed -E 's/"(seconds|pivots|resumed|retries|segments_[a-z]+|prefix_reuse_ratio|rational_[a-z_]+)": [0-9.]+(, )?//g' "$1"
 }
 
+# Runs "$@" in the background and SIGKILLs it once the journal "$1" holds
+# at least 20 records (its header line aside), or after a 60 s fallback.
+# A run that exits on its own fails the script: what is drilled is a kill
+# mid-run, not a resume from a complete journal.
+kill_mid_run() {
+  local journal="$1"
+  shift
+  "$@" > /dev/null &
+  local pid=$! deadline=$((SECONDS + 60)) lines=0 code=0
+  while kill -0 "$pid" 2> /dev/null; do
+    lines=0
+    [ -f "$journal" ] && lines=$(wc -l < "$journal")
+    if [ "$lines" -gt 20 ] || [ "$SECONDS" -ge "$deadline" ]; then
+      kill -KILL "$pid" 2> /dev/null || true
+      break
+    fi
+    sleep 0.01
+  done
+  wait "$pid" 2> /dev/null || code=$?
+  if [ "$code" -ne 137 ]; then
+    echo "FAIL: run finished before the kill (exit $code)" >&2
+    exit 1
+  fi
+  echo "   killed as planned; journal kept $(wc -l < "$journal") lines"
+}
+
 # The strict accounting-parity sections run with cross-schema learning off:
 # a resumed run replays journaled verdicts instead of re-solving, so it
 # learns different lemmas than the uninterrupted reference and cuts a
@@ -41,21 +68,14 @@ echo "== reference run (uninterrupted)"
 "$hvc" check "$model" --prop "$prop" --json --journal "$work/ref.jsonl" \
   > "$work/ref.json"
 
-echo "== interrupted run (SIGKILL after 1.5s)"
-code=0
-timeout -s KILL 1.5 \
-  "$hvc" check "$model" --prop "$prop" --json --journal "$work/killed.jsonl" \
-  > "$work/killed.json" || code=$?
-if [ "$code" -eq 137 ]; then
-  echo "   killed as planned; journal kept $(wc -l < "$work/killed.jsonl") lines"
-else
-  echo "   run finished before the kill (exit $code); resume is still exercised"
-fi
+echo "== interrupted run (SIGKILL at 20 journal records)"
+kill_mid_run "$work/killed.jsonl" \
+  "$hvc" check "$model" --prop "$prop" --json --journal "$work/killed.jsonl"
 
 echo "== resumed run"
 "$hvc" check "$model" --prop "$prop" --json --resume "$work/killed.jsonl" \
   > "$work/resumed.json"
-if [ "$code" -eq 137 ] && ! grep -q '"resumed": [1-9]' "$work/resumed.json"; then
+if ! grep -q '"resumed": [1-9]' "$work/resumed.json"; then
   echo "FAIL: resumed run replayed nothing from the killed journal" >&2
   exit 1
 fi
@@ -69,18 +89,12 @@ fi
 echo "OK: resumed run matches the uninterrupted run"
 
 echo "== certifying run SIGKILLed mid-flight, resumed with --certify --resume"
-code=0
-timeout -s KILL 0.7 \
+kill_mid_run "$work/certify.jsonl" \
   "$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/unused.cert.json" \
-  --journal "$work/certify.jsonl" > /dev/null || code=$?
-if [ "$code" -eq 137 ]; then
-  echo "   killed as planned; journal kept $(wc -l < "$work/certify.jsonl") lines"
-else
-  echo "   run finished before the kill (exit $code); resume is still exercised"
-fi
+  --journal "$work/certify.jsonl"
 "$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/resumed.cert.json" \
   --resume "$work/certify.jsonl" > "$work/certify_resumed.json"
-if [ "$code" -eq 137 ] && ! grep -q '"resumed": [1-9]' "$work/certify_resumed.json"; then
+if ! grep -q '"resumed": [1-9]' "$work/certify_resumed.json"; then
   echo "FAIL: certifying resume replayed nothing from the killed journal" >&2
   exit 1
 fi
@@ -98,15 +112,8 @@ echo "OK: resumed certifying run matches, and its certificate audits PASS"
 
 echo "== kill and resume with cross-schema learning on"
 unset HV_NO_LEMMAS
-code=0
-timeout -s KILL 0.3 \
-  "$hvc" check "$model" --prop "$prop" --json --journal "$work/learn.jsonl" \
-  > /dev/null || code=$?
-if [ "$code" -eq 137 ]; then
-  echo "   killed as planned; journal kept $(wc -l < "$work/learn.jsonl") lines"
-else
-  echo "   run finished before the kill (exit $code); resume is still exercised"
-fi
+kill_mid_run "$work/learn.jsonl" \
+  "$hvc" check "$model" --prop "$prop" --json --journal "$work/learn.jsonl"
 "$hvc" check "$model" --prop "$prop" --json --resume "$work/learn.jsonl" \
   > "$work/learn_resumed.json"
 

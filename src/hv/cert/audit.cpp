@@ -10,14 +10,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "hv/cert/trace.h"
 #include "hv/checker/cone.h"
 #include "hv/checker/encoder.h"
 #include "hv/checker/guard_analysis.h"
-#include "hv/checker/journal.h"
 #include "hv/checker/schema.h"
 #include "hv/models/registry.h"
 #include "hv/pipeline/dag/scheduler.h"
-#include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -26,16 +25,13 @@ namespace hv::cert {
 
 namespace {
 
-using checker::EncoderMode;
 using checker::GuardAnalysis;
-using checker::IncrementalSchemaEncoder;
 using checker::QueryCone;
 using checker::Schema;
 using checker::schema_cursor;
 using smt::LinearConstraint;
 using smt::Literal;
 using smt::Relation;
-using smt::TraceView;
 using smt::proof::name_set_filter;
 using smt::proof::NamedTerms;
 using smt::proof::Node;
@@ -166,7 +162,7 @@ Normalized normalize(const TracedConstraint& raw, bool positive) {
 /// cites is rendered into name space and normalized.
 class SchemaAuditor {
  public:
-  SchemaAuditor(const TraceView& trace, AuditReport& report, std::string context)
+  SchemaAuditor(const Trace& trace, AuditReport& report, std::string context)
       : trace_(trace),
         report_(report),
         context_(std::move(context)),
@@ -487,7 +483,7 @@ class SchemaAuditor {
     return fail("invalid proof node kind");
   }
 
-  const TraceView& trace_;
+  const Trace& trace_;
   AuditReport& report_;
   std::string context_;
   std::unordered_map<std::uint32_t, Normalized> constraint_cache_;
@@ -500,7 +496,7 @@ class SchemaAuditor {
 // ---------------------------------------------------------------------------
 // Certificate-level driver: model/property reconstruction, re-encoding,
 // coverage, verdict composition. Split into phases that the audit schedules
-// as DAG nodes — a shard boundary is just a fresh trace encoder, which the
+// as DAG nodes — a shard boundary is just a fresh trace, which the
 // error-recovery path below always allowed mid-list anyway.
 // ---------------------------------------------------------------------------
 
@@ -604,7 +600,7 @@ struct PropertyAuditState {
   std::map<std::string, Entry> covered;
   std::map<std::string, bool> pruned;  // key -> seen in enumeration
   /// Covered schemas grouped per query, sorted so consecutive entries share
-  /// chain prefixes (the trace encoder reuses them exactly like the
+  /// chain prefixes (the schema walk reuses them exactly like the
   /// certifying run did). Shards slice these lists contiguously.
   std::vector<std::vector<const SchemaCert*>> by_query;
 };
@@ -893,48 +889,51 @@ void merge_report(AuditReport& report, const AuditReport& part) {
 
 }  // namespace
 
+struct SchemaCheck::Encoding {
+  Encoding(const GuardAnalysis& analysis, const spec::ReachQuery& query, const QueryCone* cone)
+      : walk(analysis, query, cone, trace) {}
+
+  Trace trace;
+  checker::SchemaWalk walk;
+};
+
 SchemaCheck::SchemaCheck(const GuardAnalysis& analysis, const spec::ReachQuery& query,
                          const QueryCone* cone)
     : analysis_(analysis),
       query_(query),
       cone_(cone),
-      encoder_(std::make_unique<IncrementalSchemaEncoder>(analysis, query, /*branch_budget=*/1,
-                                                          cone, EncoderMode::kTrace)) {}
+      encoding_(std::make_unique<Encoding>(analysis, query, cone)) {}
 
 SchemaCheck::~SchemaCheck() = default;
 
 bool SchemaCheck::check(const Schema& schema, bool sat, const smt::proof::Node* proof,
                         const std::vector<std::pair<std::string, BigInt>>* model,
                         AuditReport& report, const std::string& context) {
-  bool green = false;
-  bool encoded = false;
   try {
-    encoder_->trace(schema, [&](const TraceView& trace) {
-      encoded = true;
-      SchemaAuditor auditor(trace, report, context);
-      if (sat) {
-        if (model == nullptr) {
-          add_issue(report, context, "sat evidence without a model");
-        } else {
-          green = auditor.audit_model(*model);
-        }
-        ++report.models_checked;
-      } else {
-        if (proof == nullptr) {
-          add_issue(report, context, "unsat evidence without a proof");
-        } else {
-          green = auditor.audit_proof(*proof);
-        }
-        ++report.schemas_covered;
-      }
-    });
+    encoding_->walk.open(schema);
   } catch (const Error& error) {
-    if (encoded) throw;
     add_issue(report, context, std::string("re-encoding failed: ") + error.what());
-    encoder_ = std::make_unique<IncrementalSchemaEncoder>(analysis_, query_, /*branch_budget=*/1,
-                                                          cone_, EncoderMode::kTrace);
+    encoding_ = std::make_unique<Encoding>(analysis_, query_, cone_);
     return false;
   }
+  bool green = false;
+  SchemaAuditor auditor(encoding_->trace, report, context);
+  if (sat) {
+    if (model == nullptr) {
+      add_issue(report, context, "sat evidence without a model");
+    } else {
+      green = auditor.audit_model(*model);
+    }
+    ++report.models_checked;
+  } else {
+    if (proof == nullptr) {
+      add_issue(report, context, "unsat evidence without a proof");
+    } else {
+      green = auditor.audit_proof(*proof);
+    }
+    ++report.schemas_covered;
+  }
+  encoding_->walk.close();
   return green;
 }
 

@@ -1,18 +1,21 @@
-// The independent auditor: re-validates a certificate without running any
-// solver.
+// The independent auditor: re-validates a certificate without solving any
+// schema.
 //
 // Trust boundary. The audited core is pure bigint/rational arithmetic
 // (hv/util): every Farkas combination is re-derived premise by premise and
 // checked to cancel to a contradictory constant, every case split is
 // checked exhaustive, and every sat model is evaluated against the
-// re-encoded constraints. The auditor does re-run the *deterministic,
-// solver-free* front end to know what the premises are — the .ta parser,
-// the LTL compiler, schema enumeration and the trace-mode encoder (which
-// records assertions but never solves) — plus the guard analysis backing
-// enumeration. Those components are shared with the checker and are trusted
-// analysis; the simplex core, the DPLL search and branch-and-bound — where
-// verification effort is actually spent and where a soundness bug would
-// hide — are entirely out of the audit path.
+// re-encoded constraints. The auditor does re-run the deterministic front
+// end to know what the premises are — the .ta parser, the LTL compiler,
+// schema enumeration and the schema encoder writing into a cert::Trace
+// (trace.h), which records assertions but never solves — plus the guard
+// analysis backing enumeration. Those components are shared with the
+// checker and are trusted analysis. The guard analysis is not solver-free:
+// it decides which guards imply which and which can hold at time zero with
+// smt::Solver::check(), and enumeration's coverage rests on both answers,
+// so the simplex core and the DPLL search stay in the audit path for those
+// small guard-level queries (uncertified). No schema's verdict, and no
+// branch-and-bound over a schema encoding, is taken from a solver.
 //
 // A premise citing an asserted constraint is accepted only when some live
 // constraint of the re-encoding, normalized by the auditor itself, equals
@@ -44,7 +47,6 @@
 
 namespace hv::checker {
 class GuardAnalysis;
-class IncrementalSchemaEncoder;
 class QueryCone;
 }  // namespace hv::checker
 
@@ -72,7 +74,7 @@ struct AuditOptions {
   /// DAG (hv/pipeline/dag): per-component model reconstruction gates
   /// per-property shape validation, which gates `jobs` contiguous shards of
   /// that property's (query-grouped, prefix-sorted) evidence list — each
-  /// shard re-encodes with its own trace encoder — which gate the
+  /// shard re-encodes into its own cert::Trace — which gate the
   /// property's coverage re-enumeration. Shard reports are merged back in
   /// canonical (component, property, shard) order, so the merged report is
   /// byte-identical at every job count: same issues in the same order
@@ -83,7 +85,7 @@ struct AuditOptions {
 };
 
 /// The per-schema check of an audit, for one (property, query): each schema
-/// is re-encoded on a trace-mode encoder (which records assertions but never
+/// is re-encoded into a cert::Trace (which records assertions but never
 /// solves) and its evidence checked against that re-encoding by the
 /// pure-arithmetic core. Consecutive schemas that share a chain prefix reuse
 /// its encoding. `hvc audit` runs one per evidence shard; a certifying fleet
@@ -103,7 +105,7 @@ class SchemaCheck {
   /// when `sat`, a `model` (null: none). Issues land in `report` under
   /// `context`, which also counts the refutation or model checked. Returns
   /// true iff the evidence holds. A schema that fails to re-encode is an
-  /// issue, and the encoder restarts fresh for the next one.
+  /// issue, and the trace restarts fresh for the next one.
   bool check(const checker::Schema& schema, bool sat, const smt::proof::Node* proof,
              const std::vector<std::pair<std::string, BigInt>>* model, AuditReport& report,
              const std::string& context);
@@ -112,7 +114,8 @@ class SchemaCheck {
   const checker::GuardAnalysis& analysis_;
   const spec::ReachQuery& query_;
   const checker::QueryCone* cone_;
-  std::unique_ptr<checker::IncrementalSchemaEncoder> encoder_;
+  struct Encoding;  // a Trace and the schema walk writing into it
+  std::unique_ptr<Encoding> encoding_;
 };
 
 /// Audits a certificate end to end. Never throws on malformed content —

@@ -1,6 +1,6 @@
 // Proof-carrying certificates: the on-disk format of `hvc check --certify`
-// and `hvc redbelly --certify`, consumed by the solver-free auditor
-// (hv/cert/audit.h).
+// and `hvc redbelly --certify`, consumed by the auditor, which solves no
+// schema (hv/cert/audit.h).
 //
 // A certificate is self-contained: it embeds (or names) the model, lists
 // the properties with their verdicts, and for every (query, schema) pair of

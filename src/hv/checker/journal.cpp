@@ -4,14 +4,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "hv/util/error.h"
 #include "hv/util/hash.h"
-#include "hv/util/text.h"
 #include "hv/util/version.h"
 
 namespace hv::checker {
@@ -31,61 +29,6 @@ void sync_to_disk(std::FILE* file) {
 #else
   ::fsync(fileno(file));
 #endif
-}
-
-bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Schema* schema) {
-  if (cursor.size() < 2 || cursor[0] != 'q') return false;
-  const std::size_t first_bar = cursor.find('|');
-  const std::size_t second_bar = first_bar == std::string::npos
-                                     ? std::string::npos
-                                     : cursor.find('|', first_bar + 1);
-  if (second_bar == std::string::npos) return false;
-  const auto parse_int_list = [](std::string_view text, std::vector<int>* out) -> bool {
-    out->clear();
-    if (text.empty()) return true;
-    int value = 0;
-    bool in_number = false;
-    for (const char c : text) {
-      if (c == ',') {
-        if (!in_number) return false;
-        out->push_back(value);
-        value = 0;
-        in_number = false;
-      } else if (c >= '0' && c <= '9') {
-        // Reject rather than overflow: a cursor can come from a journal
-        // file or a remote worker, so a long digit run must not be UB.
-        if (value > (std::numeric_limits<int>::max() - (c - '0')) / 10) return false;
-        value = value * 10 + (c - '0');
-        in_number = true;
-      } else {
-        return false;
-      }
-    }
-    if (!in_number) return false;
-    out->push_back(value);
-    return true;
-  };
-  const std::string_view index_text = std::string_view(cursor).substr(1, first_bar - 1);
-  if (index_text.empty()) return false;
-  std::size_t index = 0;
-  for (const char c : index_text) {
-    if (c < '0' || c > '9') return false;
-    if (index > (std::numeric_limits<std::size_t>::max() - 9) / 10) return false;
-    index = index * 10 + static_cast<std::size_t>(c - '0');
-  }
-  Schema parsed;
-  if (!parse_int_list(
-          std::string_view(cursor).substr(first_bar + 1, second_bar - first_bar - 1),
-          &parsed.unlock_order)) {
-    return false;
-  }
-  if (!parse_int_list(std::string_view(cursor).substr(second_bar + 1),
-                      &parsed.cut_positions)) {
-    return false;
-  }
-  *query_index = index;
-  *schema = std::move(parsed);
-  return true;
 }
 
 std::string model_content_hash(const ta::ThresholdAutomaton& ta) {
@@ -131,20 +74,6 @@ JournalHeader::JournalHeader(std::string automaton_name, std::string hash)
     : automaton(std::move(automaton_name)),
       model_hash(std::move(hash)),
       hvc_version(kHvcVersion) {}
-
-std::string schema_cursor(std::size_t query_index, const Schema& schema) {
-  std::string out = numbered("q", static_cast<std::int64_t>(query_index)) + "|";
-  for (std::size_t i = 0; i < schema.unlock_order.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(schema.unlock_order[i]);
-  }
-  out += '|';
-  for (std::size_t i = 0; i < schema.cut_positions.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(schema.cut_positions[i]);
-  }
-  return out;
-}
 
 ProgressJournal::ProgressJournal(std::string path, const JournalHeader& header,
                                  int flush_batch)

@@ -42,17 +42,6 @@
 
 namespace hv::checker {
 
-/// Stable identity of one (query, schema) work unit within a property run:
-/// the enumeration is deterministic, so the cursor names the same schema in
-/// every run over the same automaton and property.
-std::string schema_cursor(std::size_t query_index, const Schema& schema);
-
-/// Inverse of schema_cursor: parses "q<idx>|a,b,c|d,e" back into the query
-/// index and schema content. Returns false on malformed input. Used by the
-/// distributed coordinator to reconstruct schemas from streamed verdict
-/// records (and by tests).
-bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Schema* schema);
-
 /// Stable content hash of an automaton (locations, variables, rules, guards,
 /// resilience, process count), independent of source formatting. Journals
 /// record it so a resume against a *different* model — whose cursors would

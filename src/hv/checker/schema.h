@@ -52,7 +52,7 @@ struct Schema {
 /// record turns into counters; record.h is its one codec, which the journal
 /// (journal.h) and the worker's record frames (dist/protocol.h) share.
 struct SchemaRecord {
-  /// schema_cursor (journal.h); empty when no journal or resume is open.
+  /// schema_cursor; empty when no journal or resume is open.
   std::string cursor;
   /// "pruned", "unsat", "sat" or "unknown".
   std::string verdict;
@@ -69,6 +69,17 @@ struct SchemaRecord {
   /// so every schema extending that prefix is unsat too (-1: no cut).
   std::int64_t cut = -1;
 };
+
+/// Stable identity of one (query, schema) work unit within a property run:
+/// the enumeration is deterministic, so the cursor names the same schema in
+/// every run over the same automaton and property.
+std::string schema_cursor(std::size_t query_index, const Schema& schema);
+
+/// Inverse of schema_cursor: parses "q<idx>|a,b,c|d,e" back into the query
+/// index and schema content. Returns false on malformed input. Used by the
+/// distributed coordinator to reconstruct schemas from streamed verdict
+/// records (and by tests).
+bool parse_schema_cursor(const std::string& cursor, std::size_t* query_index, Schema* schema);
 
 struct EnumerationOptions {
   bool prune_implications = true;

@@ -459,9 +459,12 @@ bool Session::admit() {
       return false;
     }
   }
-  if (!conn.send(c.welcome)) return false;
   learn = c.learns() && peer_learn;
+  // The welcome is sent under the mutex broadcast_locked sends under, and
+  // the worker joins open_conns in the same critical section: every learn
+  // frame handled after the worker has its welcome reaches it.
   std::lock_guard<std::mutex> lock(c.mutex);
+  if (!conn.send(c.welcome)) return false;
   origin = c.next_origin++;
   ++c.stats.workers_joined;
   c.open_conns.push_back({&conn, learn, origin});

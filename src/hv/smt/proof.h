@@ -1,5 +1,5 @@
 // Proof objects emitted by the certifying solver and consumed by the
-// solver-free auditor (hv/cert).
+// auditor (hv/cert), which solves no schema.
 //
 // Everything here is *name-based*: premises and branch splits are rendered
 // over the solver's variable names (after substituting internal slack

@@ -31,14 +31,14 @@ Solver::Solver() = default;
 
 void Solver::enable_certificates() {
   HV_REQUIRE(names_.empty() && scopes_.empty() && atoms_.empty() && clauses_.empty());
-  HV_REQUIRE(!trace_ && !learn_);
+  HV_REQUIRE(!learn_);
   certify_ = true;
   simplex_.set_conflict_tracking(true);
 }
 
 void Solver::enable_learning(LemmaPool* pool) {
   HV_REQUIRE(names_.empty() && scopes_.empty() && atoms_.empty() && clauses_.empty());
-  HV_REQUIRE(!trace_ && !certify_);
+  HV_REQUIRE(!certify_);
   learn_ = true;
   lemmas_ = pool;
   // Conflict explanations carry the premise tags the depth fold and lemma
@@ -46,18 +46,7 @@ void Solver::enable_learning(LemmaPool* pool) {
   simplex_.set_conflict_tracking(true);
 }
 
-void Solver::enable_trace() {
-  HV_REQUIRE(names_.empty() && scopes_.empty() && atoms_.empty() && clauses_.empty());
-  HV_REQUIRE(!certify_ && !learn_);
-  trace_ = true;
-}
-
 VarId Solver::new_variable(std::string name) {
-  if (trace_) {
-    trace_name_filters_.push_back(proof::name_filter(name));
-    names_.push_back(std::move(name));
-    return static_cast<int>(names_.size()) - 1;
-  }
   const int var = simplex_.add_variable();
   HV_REQUIRE(var == static_cast<int>(names_.size()));
   names_.push_back(std::move(name));
@@ -66,10 +55,6 @@ VarId Solver::new_variable(std::string name) {
 }
 
 void Solver::add_lower_bound(VarId var, const BigInt& bound) {
-  if (trace_) {
-    record_traced(make_ge(LinearExpr::variable(var), LinearExpr(bound)));
-    return;
-  }
   int tag = -1;
   if (certify_ || learn_) {
     tag = record_premise(proof::PremiseOrigin::kConstraint, -1, true, var, Relation::kGe, bound);
@@ -81,10 +66,6 @@ void Solver::add_lower_bound(VarId var, const BigInt& bound) {
 }
 
 void Solver::add_upper_bound(VarId var, const BigInt& bound) {
-  if (trace_) {
-    record_traced(make_le(LinearExpr::variable(var), LinearExpr(bound)));
-    return;
-  }
   int tag = -1;
   if (certify_ || learn_) {
     tag = record_premise(proof::PremiseOrigin::kConstraint, -1, true, var, Relation::kLe, bound);
@@ -132,35 +113,22 @@ int Solver::slack_for(std::vector<std::pair<int, BigInt>>&& terms) {
 
 void Solver::push() {
   Scope scope;
-  scope.atom_count = trace_ ? traced_atoms_.size() : atoms_.size();
+  scope.atom_count = atoms_.size();
   scope.clause_count = clauses_.size();
   scope.name_count = names_.size();
   scope.premise_count = premises_.size();
-  scope.trace_constraint_count = traced_constraints_.size();
   scope.trivially_unsat = trivially_unsat_;
   scope.trivial_depth = trivial_depth_;
   scope.trivial_proof = trivial_proof_;
   scopes_.push_back(std::move(scope));
-  if (!trace_) simplex_.push();
+  simplex_.push();
 }
 
 void Solver::pop() {
   if (scopes_.empty()) throw Error("smt: Solver::pop without matching push");
   const Scope& scope = scopes_.back();
-  if (!trace_) simplex_.pop();  // bounds and variables/rows created in the scope
-  if (trace_) {
-    traced_atoms_.resize(scope.atom_count);
-    trace_name_filters_.resize(scope.name_count);
-    for (std::size_t i = traced_constraints_.size(); i-- > scope.trace_constraint_count;) {
-      const auto it = trace_index_.find(traced_filters_[i]);
-      HV_REQUIRE(it != trace_index_.end() && !it->second.empty() && it->second.back() == i);
-      it->second.pop_back();
-      if (it->second.empty()) trace_index_.erase(it);
-    }
-    traced_filters_.resize(scope.trace_constraint_count);
-  } else {
-    atoms_.resize(scope.atom_count);
-  }
+  simplex_.pop();  // bounds and variables/rows created in the scope
+  atoms_.resize(scope.atom_count);
   clauses_.resize(scope.clause_count);
   clause_depths_.resize(scope.clause_count);
   names_.resize(scope.name_count);
@@ -178,8 +146,7 @@ void Solver::pop() {
     }
   }
   premises_.resize(scope.premise_count);
-  traced_constraints_.resize(scope.trace_constraint_count);
-  if (!trace_) slack_defs_.resize(scope.name_count);
+  slack_defs_.resize(scope.name_count);
   trivially_unsat_ = scope.trivially_unsat;
   trivial_depth_ = scope.trivial_depth;
   trivial_proof_ = scope.trivial_proof;
@@ -267,10 +234,6 @@ Solver::NormalizedAtom Solver::normalize(LinearConstraint&& constraint) {
 }
 
 void Solver::add(LinearConstraint constraint) {
-  if (trace_) {
-    record_traced(std::move(constraint));
-    return;
-  }
   const NormalizedAtom atom = normalize(std::move(constraint));
   if (atom.constant) {
     if (!atom.constant_value) {
@@ -288,23 +251,11 @@ void Solver::add(LinearConstraint constraint) {
 }
 
 int Solver::add_atom(LinearConstraint constraint) {
-  if (trace_) {
-    traced_atoms_.push_back(std::move(constraint));
-    return static_cast<int>(traced_atoms_.size()) - 1;
-  }
   atoms_.push_back(normalize(std::move(constraint)));
   return static_cast<int>(atoms_.size()) - 1;
 }
 
 void Solver::add_clause(std::vector<Literal> literals) {
-  if (trace_) {
-    for (const Literal& literal : literals) {
-      HV_REQUIRE(literal.atom >= 0 && literal.atom < static_cast<int>(traced_atoms_.size()));
-    }
-    clauses_.push_back(std::move(literals));
-    clause_depths_.push_back(static_cast<int>(scopes_.size()));
-    return;
-  }
   for (const Literal& literal : literals) {
     HV_REQUIRE(literal.atom >= 0 && literal.atom < static_cast<int>(atoms_.size()));
     const NormalizedAtom& atom = atoms_[literal.atom];
@@ -503,7 +454,6 @@ bool Solver::assert_atom(const NormalizedAtom& atom, bool positive,
 }
 
 CheckResult Solver::check() {
-  if (trace_) throw InternalError("smt: trace-mode solver cannot check()");
   check_stopwatch_.reset();
   deadline_poll_counter_ = 0;
   // The pivot watchdog is enforced inside the simplex (pivot granularity),
@@ -833,50 +783,6 @@ std::vector<std::pair<std::string, BigInt>> Solver::model_assignment() const {
     HV_REQUIRE(model_[var].is_integer());
     out.emplace_back(names_[var], model_[var].numerator());
   }
-  return out;
-}
-
-void Solver::record_traced(LinearConstraint constraint) {
-  std::uint64_t filter = 0;
-  for (const auto& [var, coeff] : constraint.expr.terms()) filter += trace_name_filters_[var];
-  trace_index_[filter].push_back(static_cast<std::uint32_t>(traced_constraints_.size()));
-  traced_filters_.push_back(filter);
-  traced_constraints_.push_back(std::move(constraint));
-}
-
-TraceView Solver::trace_view() const {
-  HV_REQUIRE(trace_);
-  return TraceView(*this);
-}
-
-const std::vector<LinearConstraint>& TraceView::constraints() const noexcept {
-  return solver_->traced_constraints_;
-}
-
-const std::vector<LinearConstraint>& TraceView::atoms() const noexcept {
-  return solver_->traced_atoms_;
-}
-
-const std::vector<std::vector<Literal>>& TraceView::clauses() const noexcept {
-  return solver_->clauses_;
-}
-
-std::span<const std::uint32_t> TraceView::candidates(std::uint64_t filter) const {
-  const auto it = solver_->trace_index_.find(filter);
-  if (it == solver_->trace_index_.end()) return {};
-  return it->second;
-}
-
-proof::TracedConstraint TraceView::render(const LinearConstraint& constraint) const {
-  proof::TracedConstraint out;
-  out.constant = constraint.expr.constant();
-  out.rel = constraint.relation;
-  out.terms.reserve(constraint.expr.terms().size());
-  for (const auto& [var, coeff] : constraint.expr.terms()) {
-    out.terms.emplace_back(solver_->names_[var], coeff);
-  }
-  std::sort(out.terms.begin(), out.terms.end(),
-            [](const auto& lhs, const auto& rhs) { return lhs.first < rhs.first; });
   return out;
 }
 

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "hv/smt/lemma.h"
 #include "hv/smt/linear.h"
 #include "hv/smt/proof.h"
+#include "hv/smt/sink.h"
 #include "hv/smt/simplex.h"
 #include "hv/util/bigint.h"
 #include "hv/util/stopwatch.h"
@@ -48,67 +48,20 @@ namespace hv::smt {
 
 enum class CheckResult { kSat, kUnsat };
 
-/// A literal in a clause: the atom with the given id, possibly negated.
-struct Literal {
-  int atom = -1;
-  bool positive = true;
-};
-
-class Solver;
-
-/// Read-only view of a trace-mode solver's live assertion stack, in var-id
-/// space with the solver's name table. It reads the solver's own storage,
-/// so it is valid only until the solver's next declaration, assertion,
-/// push or pop.
-class TraceView {
- public:
-  const std::vector<LinearConstraint>& constraints() const noexcept;
-  const std::vector<LinearConstraint>& atoms() const noexcept;
-  const std::vector<std::vector<Literal>>& clauses() const noexcept;
-
-  /// Ascending indices of the live constraints whose term-name set has the
-  /// given proof::name_set_filter value. Only ever a superset of the
-  /// constraints over exactly that name set: a caller must still compare.
-  std::span<const std::uint32_t> candidates(std::uint64_t filter) const;
-
-  /// `constraint` in name space, terms sorted by name.
-  proof::TracedConstraint render(const LinearConstraint& constraint) const;
-
- private:
-  friend class Solver;
-  explicit TraceView(const Solver& solver) noexcept : solver_(&solver) {}
-  const Solver* solver_;
-};
-
-class Solver {
+class Solver final : public ConstraintSink {
  public:
   Solver();
 
-  /// Declares a fresh integer variable.
-  VarId new_variable(std::string name);
+  VarId new_variable(std::string name) override;
+  void add(LinearConstraint constraint) override;
+  void add_lower_bound(VarId var, const BigInt& bound) override;
+  int add_atom(LinearConstraint constraint) override;
+  void add_clause(std::vector<Literal> literals) override;
+  void push() override;
+  void pop() override;
 
-  int variable_count() const noexcept { return static_cast<int>(names_.size()); }
-  const std::string& name(VarId var) const { return names_[var]; }
-
-  /// Permanent conjuncts (asserted before search, never retracted). The
-  /// constraint is taken over: a trace keeps it and a new slack keeps its
-  /// terms, so a temporary reaches the solver without a copy.
-  void add(LinearConstraint constraint);
-  void add_lower_bound(VarId var, const BigInt& bound);
   void add_upper_bound(VarId var, const BigInt& bound);
-
-  /// Registers an atom for use in clauses; returns its id. Equality atoms
-  /// may only appear positively. Takes the constraint over like add().
-  int add_atom(LinearConstraint constraint);
-
-  /// Adds a disjunction of literals (empty clause makes the problem unsat).
-  void add_clause(std::vector<Literal> literals);
-
-  /// Opens a new assertion scope: constraints, atoms, clauses and variables
-  /// created from here on are retracted by the matching pop().
-  void push();
-  /// Closes the innermost scope. Throws hv::Error without a matching push().
-  void pop();
+  int variable_count() const noexcept { return static_cast<int>(names_.size()); }
   int scope_depth() const noexcept { return static_cast<int>(scopes_.size()); }
 
   /// Decides satisfiability; on kSat a model is available. May be called
@@ -160,22 +113,20 @@ class Solver {
   /// leaves a proof tree for take_last_proof(); kSat leaves the named integer
   /// model in model_assignment().
   void enable_certificates();
-  bool certifying() const noexcept { return certify_; }
 
   // --- learning mode ---------------------------------------------------------
 
   /// Turns on cross-check learning against a shared Farkas lemma pool. Must
   /// be called on a pristine solver; mutually exclusive with
-  /// enable_certificates()/enable_trace() (learning elides work, which
-  /// would leave coverage holes in a certificate). The pool must outlive
-  /// the solver; nullptr keeps conflict-depth tracking without a pool.
+  /// enable_certificates() (learning elides work, which would leave
+  /// coverage holes in a certificate). The pool must outlive the solver;
+  /// nullptr keeps conflict-depth tracking without a pool.
   ///
   /// Effects: pure-Farkas conflicts (every cited premise a permanent
   /// constraint) are banked into the pool; check() probes the pool against
   /// the currently asserted constraints and short-circuits to kUnsat on a
   /// hit; every kUnsat check() additionally reports conflict_scope_depth().
   void enable_learning(LemmaPool* pool);
-  bool learning() const noexcept { return learn_; }
 
   /// After check() == kUnsat in learning mode: the smallest scope depth d
   /// such that the refutation only used permanent constraints recorded at
@@ -193,19 +144,6 @@ class Solver {
   /// variables (internal slacks omitted). Valid after check() == kSat in
   /// certificate mode.
   std::vector<std::pair<std::string, BigInt>> model_assignment() const;
-
-  // --- trace-only mode -------------------------------------------------------
-
-  /// Turns the solver into a pure assertion recorder for the auditor: no
-  /// simplex, no normalization, no search — add()/add_atom()/add_clause()
-  /// and push()/pop() merely maintain the assertion stack that trace_view()
-  /// exposes; check() throws. Must be called on a pristine solver; mutually
-  /// exclusive with enable_certificates().
-  void enable_trace();
-  bool tracing() const noexcept { return trace_; }
-
-  /// View of all assertions alive on the stack (trace mode only).
-  TraceView trace_view() const;
 
  private:
   enum class BoundKind { kLe, kGe, kEq };
@@ -301,7 +239,6 @@ class Solver {
     std::size_t clause_count = 0;
     std::size_t name_count = 0;
     std::size_t premise_count = 0;
-    std::size_t trace_constraint_count = 0;
     bool trivially_unsat = false;
     int trivial_depth = 0;
     // The trivial-unsat proof active when the scope opened (shared so the
@@ -318,8 +255,8 @@ class Solver {
   // each of its keys' lists by a pop_back.
   std::unordered_map<std::uint64_t, std::vector<int>> slack_pool_;
   // Per-variable slack definitions (empty for non-slacks); parallel to
-  // names_ in every mode but trace mode. The slack pool confirms its hits
-  // against them; certificates and lemma signatures name slacks by them.
+  // names_. The slack pool confirms its hits against them; certificates
+  // and lemma signatures name slacks by them.
   std::vector<std::vector<std::pair<VarId, BigInt>>> slack_defs_;
   std::vector<Scope> scopes_;
   std::vector<NormalizedAtom> atoms_;
@@ -348,20 +285,6 @@ class Solver {
   std::unordered_map<std::uint64_t, std::vector<int>> asserted_sigs_;
   // write_signature's name-sorted term view, kept to reuse its allocation.
   std::vector<std::pair<const std::string*, const BigInt*>> signature_terms_;
-
-  // Trace mode. Every recorded constraint's term-name-set filter
-  // (proof::name_set_filter) is computed once, from the per-variable
-  // name filters, and indexed; pop() retracts the index entries of the
-  // constraints dying with the scope (each list stays ascending, so that
-  // is a pop_back).
-  friend class TraceView;
-  void record_traced(LinearConstraint constraint);
-  bool trace_ = false;
-  std::vector<LinearConstraint> traced_constraints_;
-  std::vector<LinearConstraint> traced_atoms_;
-  std::vector<std::uint64_t> trace_name_filters_;  // parallel to names_
-  std::vector<std::uint64_t> traced_filters_;      // parallel to traced_constraints_
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> trace_index_;
 
   Stats stats_;
   std::int64_t branch_budget_ = 1'000'000;

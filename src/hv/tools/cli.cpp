@@ -197,8 +197,10 @@ class Args {
 
   bool empty() const noexcept { return position_ >= args_.size(); }
 
+  /// Consumes the next word unless it is a flag: a word starting with
+  /// "--" is never a positional argument.
   std::optional<std::string> next_positional() {
-    if (empty()) return std::nullopt;
+    if (empty() || args_[position_].starts_with("--")) return std::nullopt;
     return args_[position_++];
   }
 
@@ -1058,28 +1060,32 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
   // A leftover flag from an earlier command in the same process (tests) must
   // not cancel this one.
   g_interrupted.store(false);
-  Args cursor(args);
-  const auto command = cursor.next_positional();
-  if (!command || *command == "--help" || *command == "help") {
+  if (args.empty()) {
     out << kUsage;
-    return command ? 0 : 2;
+    return 2;
   }
+  const std::string& command = args[0];
+  if (command == "--help" || command == "help") {
+    out << kUsage;
+    return 0;
+  }
+  Args cursor(std::vector<std::string>(args.begin() + 1, args.end()));
   try {
-    if (*command == "check") return command_check(cursor, out);
-    if (*command == "serve") return command_serve(cursor, out);
-    if (*command == "work") return command_work(cursor, out);
-    if (*command == "daemon") return command_daemon(cursor, out);
-    if (*command == "submit") return command_submit(cursor, out);
-    if (*command == "status") return command_status(cursor, out);
-    if (*command == "result") return command_result(cursor, out);
-    if (*command == "cancel") return command_cancel(cursor, out);
-    if (*command == "audit") return command_audit(cursor, out);
-    if (*command == "explicit") return command_explicit(cursor, out);
-    if (*command == "dot") return command_dot(cursor, out);
-    if (*command == "print") return command_print(cursor, out);
-    if (*command == "redbelly") return command_redbelly(cursor, out, err);
-    if (*command == "simulate") return command_simulate(cursor, out);
-    err << "unknown command '" << *command << "'\n" << kUsage;
+    if (command == "check") return command_check(cursor, out);
+    if (command == "serve") return command_serve(cursor, out);
+    if (command == "work") return command_work(cursor, out);
+    if (command == "daemon") return command_daemon(cursor, out);
+    if (command == "submit") return command_submit(cursor, out);
+    if (command == "status") return command_status(cursor, out);
+    if (command == "result") return command_result(cursor, out);
+    if (command == "cancel") return command_cancel(cursor, out);
+    if (command == "audit") return command_audit(cursor, out);
+    if (command == "explicit") return command_explicit(cursor, out);
+    if (command == "dot") return command_dot(cursor, out);
+    if (command == "print") return command_print(cursor, out);
+    if (command == "redbelly") return command_redbelly(cursor, out, err);
+    if (command == "simulate") return command_simulate(cursor, out);
+    err << "unknown command '" << command << "'\n" << kUsage;
     return 2;
   } catch (const Error& error) {
     err << "error: " << error.what() << "\n";

@@ -17,6 +17,7 @@
 
 #include "hv/cert/certificate.h"
 #include "hv/cert/emit.h"
+#include "hv/cert/trace.h"
 #include "hv/checker/cone.h"
 #include "hv/checker/encoder.h"
 #include "hv/checker/guard_analysis.h"
@@ -24,7 +25,6 @@
 #include "hv/models/bv_broadcast.h"
 #include "hv/models/registry.h"
 #include "hv/smt/proof_json.h"
-#include "hv/smt/solver.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
@@ -436,7 +436,7 @@ struct RenderedTrace {
   std::vector<std::vector<std::pair<int, bool>>> clauses;
 };
 
-RenderedTrace render_trace(const smt::TraceView& view) {
+RenderedTrace render_trace(const Trace& view) {
   RenderedTrace out;
   for (const smt::LinearConstraint& constraint : view.constraints()) {
     out.constraints.push_back(view.render(constraint));
@@ -457,11 +457,11 @@ RenderedTrace render_trace(const smt::TraceView& view) {
 }
 
 TEST(CertTraceViewTest, ReusedEncoderShowsExactlyAFreshEncodingInAuditOrder) {
-  // One trace encoder walks every evidence entry of one query in audit
-  // order, keeping shared prefixes and popping the rest. At every schema
-  // its view must equal a fresh encoder's, and the candidate index must
-  // nominate every live constraint and nothing beyond the live stack: a
-  // constraint of a popped scope can never answer a later lookup.
+  // One schema walk into a trace visits every evidence entry of one query
+  // in audit order, keeping shared prefixes and popping the rest. At every
+  // schema the trace must equal a fresh walk's, and the candidate index
+  // must nominate every live constraint and nothing beyond the live stack:
+  // a constraint of a popped scope can never answer a later lookup.
   const Certificate parsed = parse_certificate(bv_certificate_text());
   const ComponentCert& component = parsed.components[0];
   const ta::ThresholdAutomaton ta = models::builtin_model(component.model.key);
@@ -501,25 +501,23 @@ TEST(CertTraceViewTest, ReusedEncoderShowsExactlyAFreshEncodingInAuditOrder) {
   if (property_cert->property_directed_pruning) cone.emplace(analysis, query);
   const checker::QueryCone* cone_ptr = cone ? &*cone : nullptr;
 
-  checker::IncrementalSchemaEncoder walker(analysis, query, 1, cone_ptr,
-                                           checker::EncoderMode::kTrace);
+  Trace view;
+  checker::SchemaWalk walker(analysis, query, cone_ptr, view);
   for (const SchemaCert* entry : entries) {
-    RenderedTrace seen;
-    walker.trace(entry->schema, [&](const smt::TraceView& view) {
-      seen = render_trace(view);
-      const std::size_t live = view.constraints().size();
-      for (std::size_t i = 0; i < live; ++i) {
-        const auto terms = view.render(view.constraints()[i]).terms;
-        const auto nominated = view.candidates(smt::proof::name_set_filter(terms));
-        EXPECT_EQ(std::count(nominated.begin(), nominated.end(), i), 1);
-        for (const std::uint32_t index : nominated) EXPECT_LT(index, live);
-      }
-    });
-    checker::IncrementalSchemaEncoder fresh(analysis, query, 1, cone_ptr,
-                                            checker::EncoderMode::kTrace);
-    RenderedTrace expected;
-    fresh.trace(entry->schema,
-                [&](const smt::TraceView& view) { expected = render_trace(view); });
+    walker.open(entry->schema);
+    const RenderedTrace seen = render_trace(view);
+    const std::size_t live = view.constraints().size();
+    for (std::size_t i = 0; i < live; ++i) {
+      const auto terms = view.render(view.constraints()[i]).terms;
+      const auto nominated = view.candidates(smt::proof::name_set_filter(terms));
+      EXPECT_EQ(std::count(nominated.begin(), nominated.end(), i), 1);
+      for (const std::uint32_t index : nominated) EXPECT_LT(index, live);
+    }
+    walker.close();
+    Trace fresh_view;
+    checker::SchemaWalk fresh(analysis, query, cone_ptr, fresh_view);
+    fresh.open(entry->schema);
+    const RenderedTrace expected = render_trace(fresh_view);
     EXPECT_EQ(seen.constraints, expected.constraints);
     EXPECT_EQ(seen.atoms, expected.atoms);
     EXPECT_EQ(seen.clauses, expected.clauses);

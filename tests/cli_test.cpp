@@ -98,6 +98,17 @@ TEST_F(CliTest, CheckFlagValidation) {
   EXPECT_EQ(run({"check", "/nonexistent.ta", "--prop", "x >= 1"}), 2);
 }
 
+TEST_F(CliTest, FlagBeforeTheFileIsNotTakenForIt) {
+  // The file comes first; a leading flag leaves it missing, and the flag's
+  // value is not reported as a stray argument.
+  EXPECT_EQ(run({"check", "--threads", "4", model_path_}), 2);
+  EXPECT_NE(err_.str().find("check: missing model file"), std::string::npos) << err_.str();
+  EXPECT_EQ(err_.str().find("unexpected argument"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"audit", "--jobs", "4", "c.json"}), 2);
+  EXPECT_NE(err_.str().find("audit: missing certificate file"), std::string::npos) << err_.str();
+  EXPECT_EQ(err_.str().find("unexpected argument"), std::string::npos) << err_.str();
+}
+
 TEST_F(CliTest, NonNumericFlagValueIsAUsageError) {
   // A malformed number is a usage error that names its flag, never an
   // uncaught exception that aborts the process.

@@ -58,8 +58,9 @@ ta Echo {
 constexpr const char* kHoldsFormula = "[](locB == 0) -> [](locD == 0)";
 constexpr const char* kViolatedFormula = "<>(locA == 0 && locW == 0)";
 
+// The pid keeps concurrent runs of the same test binary apart.
 std::string temp_path(const char* name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -18,8 +20,9 @@
 namespace hv::checker {
 namespace {
 
+// The pid keeps concurrent runs of the same test binary apart.
 std::string temp_path(const char* name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }

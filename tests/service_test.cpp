@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -52,8 +54,9 @@ ta Echo {
 constexpr const char* kHoldsFormula = "[](locB == 0) -> [](locD == 0)";
 constexpr const char* kViolatedFormula = "<>(locA == 0 && locW == 0)";
 
+// The pid keeps concurrent runs of the same test binary apart.
 std::string temp_path(const char* name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -61,7 +64,7 @@ std::string temp_path(const char* name) {
 /// For daemon state directories: a stale dir from a previous test-binary
 /// run would replay its event log and pre-seed the cache.
 std::string temp_state(const char* name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(path);
   return path;
 }
