@@ -20,6 +20,7 @@ prop='<>(locD0 != 0) -> [](locD1 == 0 && locE1x == 0)'
 work="$(mktemp -d)"
 sock="$work/coord.sock"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
+. scripts/await_records.sh
 
 # Strip run-dependent fields (timing, solver pivot path, resume/retry
 # counters, incremental-solver accounting and the rational fast/big op
@@ -42,22 +43,39 @@ workers() {  # workers <count> <label-prefix> — starts background hvc work job
   done
 }
 
+# kill_coordinator <pid> <journal>: SIGKILLs the coordinator once its journal
+# holds 20 records; a coordinator that finished first fails the script.
+kill_coordinator() {
+  local code=0
+  await_records "$2" 20 "$1"
+  kill -9 "$1" 2> /dev/null || true
+  wait "$1" 2> /dev/null || code=$?
+  if [ "$code" -ne 137 ]; then
+    echo "FAIL: coordinator finished before the kill (exit $code)" >&2
+    exit 1
+  fi
+  echo "   killed coordinator $1 as planned; journal kept $(wc -l < "$2") lines"
+}
+
 echo "== reference run (in-process)"
 "$hvc" check "$model" --prop "$prop" --json > "$work/ref.json"
 
 echo "== distributed run: coordinator + 3 workers, one SIGKILLed mid-run"
+# The coordinator's journal shows its progress: the worker dies once 20
+# schemas have merged, while the coordinator has yet to write its report.
 "$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 \
-  --json > "$work/dist.json" &
+  --journal "$work/dist.jsonl" --json > "$work/dist.json" &
 coord=$!
 "$hvc" work --connect "unix:$sock" --label doomed --retry 10 &
 doomed=$!
 workers 2 survivor
-sleep 1.5
-if kill -9 "$doomed" 2>/dev/null; then
-  echo "   killed worker $doomed as planned"
-else
-  echo "   worker finished before the kill; reassignment is still exercised by dist_test"
+await_records "$work/dist.jsonl" 20 "$coord"
+kill -9 "$doomed" 2> /dev/null || true
+if [ -s "$work/dist.json" ]; then
+  echo "FAIL: the distributed run finished before the worker kill" >&2
+  exit 1
 fi
+echo "   killed worker $doomed as planned; journal held $(wc -l < "$work/dist.jsonl") lines"
 wait "$coord"
 wait || true  # surviving workers exit 0 on the coordinator's shutdown
 
@@ -74,13 +92,7 @@ echo "== coordinator SIGKILLed mid-run, restarted with --resume"
   --journal "$work/run.jsonl" --json > /dev/null &
 coord=$!
 workers 3 first
-sleep 1.5
-if kill -9 "$coord" 2>/dev/null; then
-  echo "   killed coordinator $coord as planned;" \
-       "journal kept $(wc -l < "$work/run.jsonl") lines"
-else
-  echo "   run finished before the kill (resume is still exercised)"
-fi
+kill_coordinator "$coord" "$work/run.jsonl"
 wait || true  # orphaned workers exit nonzero with "connection lost"
 
 "$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 \
@@ -102,13 +114,7 @@ echo "== certifying coordinator SIGKILLed mid-run, restarted with --certify --re
   --cert-out "$work/unused.cert.json" --journal "$work/certify.jsonl" --json > /dev/null &
 coord=$!
 workers 3 certify-first
-sleep 0.8
-if kill -9 "$coord" 2>/dev/null; then
-  echo "   killed coordinator $coord as planned;" \
-       "journal kept $(wc -l < "$work/certify.jsonl") lines"
-else
-  echo "   run finished before the kill (resume is still exercised)"
-fi
+kill_coordinator "$coord" "$work/certify.jsonl"
 wait || true
 
 "$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 --certify \

@@ -9,7 +9,9 @@
 #      reference run's exactly;
 #   5. the same for a --certify run: SIGKILLed with a journal, resumed with
 #      --certify --resume, and the resumed run's certificate must pass
-#      hvc audit (the replayed records carry their proofs).
+#      hvc audit (the replayed records carry their proofs);
+#   6. a --certify run resumed from its own complete journal must write a
+#      certificate byte-identical (cmp) to the uninterrupted run's.
 # Usage: scripts/kill_resume_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +33,8 @@ normalize() {
   sed -E 's/"(seconds|pivots|resumed|retries|segments_[a-z]+|prefix_reuse_ratio|rational_[a-z_]+)": [0-9.]+(, )?//g' "$1"
 }
 
+. scripts/await_records.sh
+
 # Runs "$@" in the background and SIGKILLs it once the journal "$1" holds
 # at least 20 records (its header line aside), or after a 60 s fallback.
 # A run that exits on its own fails the script: what is drilled is a kill
@@ -39,16 +43,9 @@ kill_mid_run() {
   local journal="$1"
   shift
   "$@" > /dev/null &
-  local pid=$! deadline=$((SECONDS + 60)) lines=0 code=0
-  while kill -0 "$pid" 2> /dev/null; do
-    lines=0
-    [ -f "$journal" ] && lines=$(wc -l < "$journal")
-    if [ "$lines" -gt 20 ] || [ "$SECONDS" -ge "$deadline" ]; then
-      kill -KILL "$pid" 2> /dev/null || true
-      break
-    fi
-    sleep 0.01
-  done
+  local pid=$! code=0
+  await_records "$journal" 20 "$pid"
+  kill -KILL "$pid" 2> /dev/null || true
   wait "$pid" 2> /dev/null || code=$?
   if [ "$code" -ne 137 ]; then
     echo "FAIL: run finished before the kill (exit $code)" >&2
@@ -109,6 +106,20 @@ fi
   exit 1
 }
 echo "OK: resumed certifying run matches, and its certificate audits PASS"
+
+echo "== certifying run resumed from its own complete journal"
+# The resume replays records in journal order, so the evidence, and with it
+# every certificate byte, comes out as in the uninterrupted run.
+"$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/whole.cert.json" \
+  --journal "$work/whole.jsonl" > /dev/null
+"$hvc" check "$model" --prop "$prop" --json --certify --cert-out "$work/whole_resumed.cert.json" \
+  --resume "$work/whole.jsonl" > /dev/null
+if ! cmp "$work/whole.cert.json" "$work/whole_resumed.cert.json"; then
+  echo "FAIL: the certificate resumed from a complete journal differs from the uninterrupted one" >&2
+  exit 1
+fi
+echo "OK: certificate resumed from the complete journal is byte-identical" \
+     "($(wc -c < "$work/whole.cert.json") B)"
 
 echo "== kill and resume with cross-schema learning on"
 unset HV_NO_LEMMAS

@@ -30,6 +30,7 @@ work="$(mktemp -d)"
 sock="$work/daemon.sock"
 state="$work/state"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
+. scripts/await_records.sh
 
 # The only run-dependent field of a *fresh* in-process response is its
 # wall-clock; schema accounting is deterministic with learning off. A
@@ -108,10 +109,19 @@ slow_job="$("$hvc" submit "$slow_model" --connect "unix:$sock" --tenant alice \
 certify_job="$("$hvc" submit "$slow_model" --connect "unix:$sock" --tenant bob \
   --prop "$slow_prop" --certify | awk '$1 == "job" { print $2 }')"
 echo "   slow job id $slow_job running, certifying job id $certify_job submitted"
-sleep 1.5
+# The daemon dies once the slow job's journal holds 20 records. It deletes
+# a job's journal when the job finishes, so a journal missing after the kill
+# means the job was not interrupted.
+slow_journal="$state/job-$slow_job.jsonl"
+await_records "$slow_journal" 20 "$daemon"
 kill -9 "$daemon"
 wait "$daemon" 2>/dev/null || true
-echo "   killed daemon $daemon; event log kept $(wc -l < "$state/queue.jsonl") lines"
+if [ ! -f "$slow_journal" ]; then
+  echo "FAIL: the slow job finished before the daemon kill" >&2
+  exit 1
+fi
+echo "   killed daemon $daemon; event log kept $(wc -l < "$state/queue.jsonl") lines," \
+     "slow job journal $(wc -l < "$slow_journal")"
 
 "$hvc" daemon --listen "unix:$sock" --state "$state" > "$work/daemon2.log" 2>&1 &
 daemon=$!
@@ -129,13 +139,12 @@ if ! diff -u "$work/slow_ref.norm" "$work/slow.norm"; then
   echo "FAIL: resumed job differs from the in-process reference" >&2
   exit 1
 fi
-if grep -q '"resumed": [1-9]' "$work/slow.json"; then
-  echo "   job resumed $(grep -o '"resumed": [0-9]*' "$work/slow.json")" \
-       "schema verdicts from its journal"
-else
-  echo "   (job re-ran from scratch — the kill landed before the first journal"
-  echo "    flush; resume-from-journal is exercised deterministically by tests)"
+if ! grep -q '"resumed": [1-9]' "$work/slow.json"; then
+  echo "FAIL: the interrupted slow job replayed nothing from its journal" >&2
+  exit 1
 fi
+echo "   job resumed $(grep -o '"resumed": [0-9]*' "$work/slow.json")" \
+     "schema verdicts from its journal"
 code_certify=0
 "$hvc" result "$certify_job" --connect "unix:$sock" --wait > "$work/certify.json" \
   || code_certify=$?

@@ -194,7 +194,10 @@ ResumeState load_journal(const std::string& path) {
       ++state.skipped_lines;
       continue;
     }
-    state.settled[ResumeState::key(record.property, record.cursor)] = std::move(record);
+    std::string key = ResumeState::key(record.property, record.cursor);
+    const auto [slot, first] = state.settled.try_emplace(key);
+    slot->second = std::move(record);
+    if (first) state.order.push_back(std::move(key));
   }
   if (!header_seen) throw Error("journal: " + path + " has no valid header line");
   return state;

@@ -35,6 +35,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "hv/checker/record.h"
 #include "hv/checker/schema.h"
@@ -133,6 +134,11 @@ struct ResumeState {
   std::string hvc_version;
   std::string node;
   std::unordered_map<std::string, JournalRecord> settled;
+  /// The keys of `settled` in the order they first appear in the journal
+  /// (a resume replays them so, and a certifying run then writes its
+  /// evidence in the uninterrupted run's order). May name keys no longer
+  /// in `settled`.
+  std::vector<std::string> order;
   /// Torn or malformed lines skipped during load (a torn tail is the
   /// expected signature of a kill between write and fsync).
   std::int64_t skipped_lines = 0;

@@ -1,35 +1,57 @@
 #include "hv/checker/learning.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace hv::checker {
 
-bool CutIndex::is_prefix(const std::vector<int>& prefix, const std::vector<int>& chain) {
-  return prefix.size() <= chain.size() &&
-         std::equal(prefix.begin(), prefix.end(), chain.begin());
+int CutIndex::child(int node, int element) const {
+  for (int next = nodes_[node].first_child; next >= 0; next = nodes_[next].next_sibling) {
+    if (nodes_[next].element == element) return next;
+  }
+  return -1;
+}
+
+std::size_t CutIndex::count_cuts(int node) const {
+  std::size_t count = nodes_[node].order >= 0 ? 1 : 0;
+  for (int next = nodes_[node].first_child; next >= 0; next = nodes_[next].next_sibling) {
+    count += count_cuts(next);
+  }
+  return count;
 }
 
 bool CutIndex::add(const std::vector<int>& prefix) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::vector<int>& cut : cuts_) {
-    if (is_prefix(cut, prefix)) return false;  // already covered
+  int node = 0;
+  for (const int element : prefix) {
+    if (nodes_[node].order >= 0) return false;  // covered by a shorter cut
+    int next = child(node, element);
+    if (next < 0) {
+      next = static_cast<int>(nodes_.size());
+      nodes_.push_back({element, -1, nodes_[node].first_child, -1});
+      nodes_[node].first_child = next;
+    }
+    node = next;
   }
-  // Drop strictly longer prefixes the new cut subsumes.
-  cuts_.erase(std::remove_if(cuts_.begin(), cuts_.end(),
-                             [&](const std::vector<int>& cut) {
-                               return is_prefix(prefix, cut);
-                             }),
-              cuts_.end());
-  cuts_.push_back(prefix);
+  if (nodes_[node].order >= 0) return false;  // already recorded
+  // Drop the strictly longer cuts the new one subsumes.
+  size_ -= count_cuts(node);
+  nodes_[node].first_child = -1;
+  nodes_[node].order = next_order_++;
+  ++size_;
   return true;
 }
 
 bool CutIndex::covers(const std::vector<int>& chain) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::vector<int>& cut : cuts_) {
-    if (is_prefix(cut, chain)) return true;
+  int node = 0;
+  for (const int element : chain) {
+    if (nodes_[node].order >= 0) return true;
+    node = child(node, element);
+    if (node < 0) return false;
   }
-  return false;
+  return nodes_[node].order >= 0;
 }
 
 std::optional<std::vector<int>> cut_prefix(const std::vector<int>& unlock_order,
@@ -40,12 +62,27 @@ std::optional<std::vector<int>> cut_prefix(const std::vector<int>& unlock_order,
 
 std::vector<std::vector<int>> CutIndex::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return cuts_;
+  std::vector<std::pair<std::int64_t, std::vector<int>>> cuts;
+  std::vector<int> path;
+  const std::function<void(int)> walk = [&](int node) {
+    if (nodes_[node].order >= 0) cuts.emplace_back(nodes_[node].order, path);
+    for (int next = nodes_[node].first_child; next >= 0; next = nodes_[next].next_sibling) {
+      path.push_back(nodes_[next].element);
+      walk(next);
+      path.pop_back();
+    }
+  };
+  walk(0);
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<std::vector<int>> out;
+  out.reserve(cuts.size());
+  for (auto& entry : cuts) out.push_back(std::move(entry.second));
+  return out;
 }
 
 std::size_t CutIndex::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return cuts_.size();
+  return size_;
 }
 
 }  // namespace hv::checker

@@ -5,15 +5,18 @@
 //   * Subtree cuts — EncodeResult::cut_prefix says the refutation only
 //     referenced the first d chain elements; every schema of the same query
 //     whose unlock order starts with that prefix is unsat (for any cut
-//     placement). The CutIndex records such prefixes and the enumeration
-//     loops skip covered schemas without solving, counting them as
-//     PropertyResult::schemas_cut. Cuts ride on the unsat journal record
-//     (JournalRecord::cut) so a resumed run rebuilds the index instead of
-//     re-deriving it, and travel over the distributed wire so other workers
-//     abandon doomed subtrees.
+//     placement). The CutIndex records such prefixes in a prefix trie, so
+//     the per-schema covers() lookup walks one chain instead of scanning
+//     every cut, and the enumeration loops skip covered schemas without
+//     solving, counting them as PropertyResult::schemas_cut. Cuts ride on
+//     the unsat journal record (JournalRecord::cut) so a resumed run
+//     rebuilds the index instead of re-deriving it, and travel over the
+//     distributed wire so other workers abandon doomed subtrees.
 //
 //   * Farkas lemmas — pure-constraint refutations banked in the per-query
-//     smt::LemmaPool, replayed by the solver before searching.
+//     smt::LemmaPool, replayed by the solver before searching. The pool
+//     matches 64-bit premise keys first and full inequality strings last
+//     (hv/smt/lemma.h).
 //
 // Both are per-query: a cut prefix or lemma derived against one reach query
 // says nothing about another query's constraint system.
@@ -48,7 +51,12 @@
 
 namespace hv::checker {
 
-/// Thread-safe set of unsat chain prefixes for one query.
+/// Thread-safe set of unsat chain prefixes for one query, kept as a prefix
+/// trie: add and covers walk one path, so they cost O(chain length) however
+/// many cuts are recorded. The set stays prefix-free (add drops the cuts a
+/// new one subsumes), so a cut ends only at a leaf. The nodes live in one
+/// vector; a subsumed cut's nodes stay there unreachable, which costs at
+/// most the total length of the prefixes ever added.
 class CutIndex {
  public:
   /// Records a prefix; returns true iff it is new and not already covered
@@ -59,14 +67,28 @@ class CutIndex {
   /// True iff some recorded cut prefix is a prefix of `chain`.
   bool covers(const std::vector<int>& chain) const;
 
+  /// The recorded cuts in insertion order (cut frames and journals list
+  /// them so).
   std::vector<std::vector<int>> snapshot() const;
   std::size_t size() const;
 
  private:
-  static bool is_prefix(const std::vector<int>& prefix, const std::vector<int>& chain);
+  // A trie node, named by its index in nodes_ (the root is 0); a node's
+  // children form a sibling list.
+  struct Node {
+    int element = 0;          // the chain element leading here
+    int first_child = -1;
+    int next_sibling = -1;
+    std::int64_t order = -1;  // insertion number of the cut ending here, or -1
+  };
+
+  int child(int node, int element) const;
+  std::size_t count_cuts(int node) const;
 
   mutable std::mutex mutex_;
-  std::vector<std::vector<int>> cuts_;
+  std::vector<Node> nodes_{Node{}};
+  std::size_t size_ = 0;
+  std::int64_t next_order_ = 0;
 };
 
 /// The chain prefix an unsat refutation of depth `cut` proves infeasible:

@@ -52,10 +52,10 @@ PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd e
   result.rational_big_ops = tally.rational_big_ops;
   if (options.incremental) result.incremental = tally.incremental;
 
-  // Every kUnknown note carries the actual elapsed time and how far the run
-  // got, so a stalled campaign is diagnosable from the Table-2 row alone.
-  const std::string progress = " after " + format_seconds(seconds) + "s; solved " +
-                               std::to_string(tally.checked) + "/" +
+  // Every kUnknown note says how far the run got, so a stalled campaign is
+  // diagnosable from the Table-2 row alone. The elapsed time is `seconds`;
+  // left out of the note, it keeps two runs' reports comparable.
+  const std::string progress = "; solved " + std::to_string(tally.checked) + "/" +
                                std::to_string(tally.enumerated) + " enumerated schemas, " +
                                std::to_string(tally.pruned) + " pruned";
   result.verdict = Verdict::kUnknown;
@@ -147,7 +147,10 @@ LeaseBook::~LeaseBook() = default;
 void LeaseBook::replay_resume() {
   if (!resume_) return;
   std::lock_guard<std::mutex> lock(mutex);
-  for (const auto& [key, record] : resume_->settled) {
+  for (const std::string& key : resume_->order) {
+    const auto it = resume_->settled.find(key);
+    if (it == resume_->settled.end()) continue;  // dropped: re-solved instead
+    const JournalRecord& record = it->second;
     const auto named =
         std::find_if(properties_.begin(), properties_.end(),
                      [&](const spec::Property& p) { return p.name == record.property; });

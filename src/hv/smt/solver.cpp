@@ -51,6 +51,7 @@ VarId Solver::new_variable(std::string name) {
   HV_REQUIRE(var == static_cast<int>(names_.size()));
   names_.push_back(std::move(name));
   slack_defs_.emplace_back();
+  if (learn_) term_keys_.push_back(name_key(names_.back()));
   return var;
 }
 
@@ -90,12 +91,14 @@ void Solver::mark_trivially_unsat(std::unique_ptr<proof::Node> proof, int depth)
 int Solver::slack_for(std::vector<std::pair<int, BigInt>>&& terms) {
   // Every normalized multi-term constraint looks its terms up here, so the
   // key mixes machine words; only a coefficient that exceeds int64 (rare)
-  // hashes its digits.
+  // hashes its digits. Learning mode folds the slack's term key alongside.
   std::uint64_t key = kFnvOffsetBasis;
+  std::uint64_t term_key = 0;
   for (const auto& [var, coeff] : terms) {
+    const std::uint64_t word = integer_key(coeff);
     key = splitmix64_mix(key ^ static_cast<std::uint64_t>(var));
-    key = splitmix64_mix(key ^ (coeff.fits_int64() ? static_cast<std::uint64_t>(coeff.to_int64())
-                                                   : fnv1a(coeff.to_string())));
+    key = splitmix64_mix(key ^ word);
+    if (learn_) term_key += word * term_keys_[var];
   }
   std::vector<int>& slacks = slack_pool_[key];
   for (const int slack : slacks) {
@@ -104,6 +107,7 @@ int Solver::slack_for(std::vector<std::pair<int, BigInt>>&& terms) {
   const int slack = simplex_.add_row(terms);
   names_.push_back("slack#" + std::to_string(slack));
   slack_defs_.push_back(std::move(terms));
+  if (learn_) term_keys_.push_back(term_key);
   slacks.push_back(slack);
   // The slack's row dies with the current scope; the pool entry must die
   // with it, or a later scope would alias a recycled variable index.
@@ -144,6 +148,7 @@ void Solver::pop() {
       it->second.pop_back();
       if (it->second.empty()) asserted_sigs_.erase(it);
     }
+    term_keys_.resize(scope.name_count);
   }
   premises_.resize(scope.premise_count);
   slack_defs_.resize(scope.name_count);
@@ -274,7 +279,8 @@ int Solver::record_premise(proof::PremiseOrigin origin, int atom, bool positive,
                        static_cast<int>(scopes_.size()), 0});
   if (learn_ && origin == proof::PremiseOrigin::kConstraint) {
     PremiseRec& rec = premises_.back();
-    rec.key = premise_key(rec);
+    rec.key = premise_key(term_keys_[rec.var], rec.rel, integer_key(rec.bound)) &
+              premise_key_mask_;
     asserted_sigs_[rec.key].push_back(index);
   }
   return index;
@@ -294,7 +300,7 @@ proof::NamedTerms Solver::named_terms_for(int var) const {
 }
 
 template <typename Sink>
-void Solver::write_signature(const PremiseRec& rec, Sink&& sink) {
+void Solver::write_signature(const PremiseRec& rec, Sink&& sink) const {
   // The terms named_terms_for(rec.var) lists, viewed in place.
   static const BigInt kOne(1);
   signature_terms_.clear();
@@ -327,16 +333,47 @@ void Solver::write_signature(const PremiseRec& rec, Sink&& sink) {
   write_integer(rec.bound, sink);
 }
 
-std::string Solver::premise_signature(const PremiseRec& rec) {
+std::string Solver::premise_signature(const PremiseRec& rec) const {
   std::string sig;
   write_signature(rec, [&](std::string_view piece) { sig += piece; });
   return sig;
 }
 
-std::uint64_t Solver::premise_key(const PremiseRec& rec) {
-  std::uint64_t key = kFnvOffsetBasis;
-  write_signature(rec, [&](std::string_view piece) { key = fnv1a(piece, key); });
-  return key;
+bool Solver::signature_equals(const PremiseRec& rec, std::string_view sig) const {
+  bool equal = true;
+  write_signature(rec, [&](std::string_view piece) {
+    equal = equal && sig.starts_with(piece);
+    if (equal) sig.remove_prefix(piece.size());
+  });
+  return equal && sig.empty();
+}
+
+class Solver::AssertedPremises final : public PremiseIndex {
+ public:
+  explicit AssertedPremises(const Solver& solver) : solver_(solver) {}
+
+  bool nominates(std::uint64_t key) const override {
+    return solver_.asserted_sigs_.contains(key & solver_.premise_key_mask_);
+  }
+
+  // The indices ascend with depth, so the first confirmed one is shallowest.
+  int depth_of(std::uint64_t key, std::string_view premise) const override {
+    const auto it = solver_.asserted_sigs_.find(key & solver_.premise_key_mask_);
+    if (it == solver_.asserted_sigs_.end()) return -1;
+    for (const int index : it->second) {
+      const PremiseRec& rec = solver_.premises_[index];
+      if (solver_.signature_equals(rec, premise)) return rec.depth;
+    }
+    return -1;
+  }
+
+ private:
+  const Solver& solver_;
+};
+
+void Solver::mask_premise_keys_for_testing(std::uint64_t mask) {
+  HV_REQUIRE(names_.empty() && scopes_.empty() && premises_.empty());
+  premise_key_mask_ = mask;
 }
 
 int Solver::note_simplex_conflict() {
@@ -476,18 +513,9 @@ CheckResult Solver::check() {
     // context without touching the simplex. The depth it reports is the
     // deepest scope any matched premise needs, so the subtree-cut contract
     // of conflict_scope_depth() carries over.
-    // A key hit only nominates a premise; its rendered string decides. The
-    // indices ascend with depth, so the first confirmed one is shallowest.
+    // A key hit only nominates a premise; its rendered string decides.
     int depth = -1;
-    const auto min_depth = [&](const std::string& sig) -> int {
-      const auto it = asserted_sigs_.find(fnv1a(sig));
-      if (it == asserted_sigs_.end()) return -1;
-      for (const int index : it->second) {
-        if (premise_signature(premises_[index]) == sig) return premises_[index].depth;
-      }
-      return -1;
-    };
-    if (lemmas_->probe(min_depth, &depth)) {
+    if (lemmas_->probe(AssertedPremises(*this), &depth)) {
       ++stats_.lemma_hits;
       conflict_scope_depth_ = depth;
       return CheckResult::kUnsat;

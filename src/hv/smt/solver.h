@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -136,6 +137,11 @@ class Solver final : public ConstraintSink {
   /// scope — is therefore already unsatisfiable.
   int conflict_scope_depth() const noexcept { return conflict_scope_depth_; }
 
+  /// Test hook: masks every premise key with `mask` (0 makes all of them
+  /// collide), so a test can check that only full strings decide a lemma
+  /// hit. Must be called on a pristine solver.
+  void mask_premise_keys_for_testing(std::uint64_t mask);
+
   /// Transfers ownership of the proof for the most recent check() == kUnsat
   /// to the caller (null after kSat or when certificates are disabled).
   std::unique_ptr<proof::Node> take_last_proof() noexcept { return std::move(last_proof_); }
@@ -171,8 +177,9 @@ class Solver final : public ConstraintSink {
     Relation rel = Relation::kLe;
     BigInt bound;
     // Learning mode: scope depth the premise was asserted at, and (for
-    // kConstraint premises) the FNV-1a key of its canonical name-space
-    // inequality string, the lemma-pool signature (premise_signature).
+    // kConstraint premises) the premise key (hv/smt/lemma.h) of its
+    // canonical name-space inequality, the lemma-pool signature
+    // (premise_signature).
     int depth = 0;
     std::uint64_t key = 0;
   };
@@ -192,13 +199,13 @@ class Solver final : public ConstraintSink {
   // The (slack-substituted) named terms the simplex variable stands for.
   proof::NamedTerms named_terms_for(int var) const;
   // Canonical name-space rendering of "terms(var) rel bound" (lemma-pool
-  // signature; learning mode only), and its FNV-1a key, streamed from the
-  // same bytes without building the string.
-  std::string premise_signature(const PremiseRec& rec);
-  std::uint64_t premise_key(const PremiseRec& rec);
+  // signature; learning mode only), and whether it equals `sig`, streamed
+  // without building the string.
+  std::string premise_signature(const PremiseRec& rec) const;
+  bool signature_equals(const PremiseRec& rec, std::string_view sig) const;
   // Feeds the signature to `sink` piece by piece.
   template <typename Sink>
-  void write_signature(const PremiseRec& rec, Sink&& sink);
+  void write_signature(const PremiseRec& rec, Sink&& sink) const;
   // Learning mode, called at every simplex conflict: folds the depth of the
   // cited permanent constraints into conflict_scope_depth_, banks the
   // conflict as a lemma when it is a pure Farkas combination of permanent
@@ -278,13 +285,23 @@ class Solver final : public ConstraintSink {
   bool learn_ = false;
   LemmaPool* lemmas_ = nullptr;
   int conflict_scope_depth_ = 0;
-  // Signature key -> ascending indices of the live kConstraint premises
+  // Per-variable term keys, parallel to names_: name_key(name) for a named
+  // variable, the integer_key(coeff)-weighted sum of its definition's term
+  // keys for a slack. A kConstraint premise keys as
+  // premise_key(term_keys_[var], rel, integer_key(bound)).
+  std::vector<std::uint64_t> term_keys_;
+  // Premise key -> ascending indices of the live kConstraint premises
   // with that key (premises are recorded/retracted stack-wise, so each
   // vector stays sorted and pop() trims a suffix). A key only nominates:
   // a lemma-probe hit is confirmed by comparing full strings.
   std::unordered_map<std::uint64_t, std::vector<int>> asserted_sigs_;
+  // Test hook: every premise key is masked with it before indexing or
+  // lookup, so a mask of 0 makes every key collide.
+  std::uint64_t premise_key_mask_ = ~std::uint64_t{0};
   // write_signature's name-sorted term view, kept to reuse its allocation.
-  std::vector<std::pair<const std::string*, const BigInt*>> signature_terms_;
+  mutable std::vector<std::pair<const std::string*, const BigInt*>> signature_terms_;
+  // The asserted kConstraint premises as the lemma pool probes them.
+  class AssertedPremises;
 
   Stats stats_;
   std::int64_t branch_budget_ = 1'000'000;

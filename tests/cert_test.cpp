@@ -753,6 +753,31 @@ TEST(CertResumeTest, InterruptedCertifyingRunResumesToAnAuditedCertificate) {
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
+TEST(CertResumeTest, ResumeFromACompleteJournalWritesTheSameBytes) {
+  // The resume replays records in journal order, so a certifying run
+  // resumed from its own complete journal lists its evidence as the
+  // uninterrupted run did, and its certificate is byte-identical.
+  const ta::ThresholdAutomaton bv = models::bv_broadcast();
+  const std::vector<spec::Property> properties = models::bundled_properties(bv);
+  checker::CheckOptions options;
+  options.certify = true;
+  options.property_directed_pruning = false;  // so most records carry proofs
+  options.journal_path = fresh_temp("cert_resume_complete.jsonl");
+  const std::vector<checker::PropertyResult> reference =
+      checker::check_properties(bv, properties, options);
+
+  checker::CheckOptions resumed = options;
+  resumed.journal_path.clear();
+  resumed.resume_path = options.journal_path;
+  const std::vector<checker::PropertyResult> results =
+      checker::check_properties(bv, properties, resumed);
+  std::int64_t replayed = 0;
+  for (const checker::PropertyResult& result : results) replayed += result.schemas_resumed;
+  EXPECT_GT(replayed, 0);
+  EXPECT_EQ(to_json_text(bv_certificate(properties, results)),
+            to_json_text(bv_certificate(properties, reference)));
+}
+
 TEST(CertResumeTest, RecordsWithoutTheirProofAreReSolved) {
   // A plain run journals no proofs: a certifying resume replays only its
   // pruned records, which the auditor re-derives from the cone, and solves

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hv/util/error.h"
@@ -31,7 +37,7 @@ TEST(LinearExprTest, Evaluate) {
 
 TEST(LinearExprTest, ToString) {
   const LinearExpr e = LinearExpr::term(0, 1) - LinearExpr::term(1, 2) + LinearExpr(-3);
-  const auto name = [](VarId v) { return "x" + std::to_string(v); };
+  const auto name = [](VarId v) { return numbered("x", v); };
   EXPECT_EQ(e.to_string(name), "x0 - 2*x1 - 3");
   EXPECT_EQ(LinearExpr(0).to_string(name), "0");
 }
@@ -574,17 +580,105 @@ TEST(LemmaPoolTest, DedupCapacityAndFreshness) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].premises, (std::vector<std::string>{"a<=0", "b>=1"}));
   EXPECT_EQ(all[1].premises, (std::vector<std::string>{"c<=0"}));
+}
+
+// A PremiseIndex over explicit (canonical string, depth) pairs, keyed as the
+// pool keys strings. `collide` makes every key nominate every premise.
+class ListedPremises final : public PremiseIndex {
+ public:
+  explicit ListedPremises(std::vector<std::pair<std::string, int>> asserted, bool collide = false)
+      : asserted_(std::move(asserted)), collide_(collide) {}
+
+  bool nominates(std::uint64_t key) const override {
+    return std::any_of(asserted_.begin(), asserted_.end(),
+                       [&](const auto& entry) { return keyed(entry.first, key); });
+  }
+  int depth_of(std::uint64_t key, std::string_view premise) const override {
+    int depth = -1;
+    for (const auto& [sig, d] : asserted_) {
+      if (keyed(sig, key) && sig == premise && (depth < 0 || d < depth)) depth = d;
+    }
+    return depth;
+  }
+
+ private:
+  bool keyed(const std::string& sig, std::uint64_t key) const {
+    return collide_ || premise_key(sig) == key;
+  }
+
+  std::vector<std::pair<std::string, int>> asserted_;
+  bool collide_;
+};
+
+// An index that nominates every key and confirms every string at depth 0.
+class LyingPremises final : public PremiseIndex {
+ public:
+  bool nominates(std::uint64_t) const override { return true; }
+  int depth_of(std::uint64_t, std::string_view) const override { return 0; }
+};
+
+TEST(LemmaPoolTest, ProbeReportsTheShallowestMatchingLemma) {
+  LemmaPool pool;
+  ASSERT_TRUE(pool.insert(Lemma{{"1*b+>=1", "1*a+<=0"}}));
+  ASSERT_TRUE(pool.insert(Lemma{{"1*c+<=0", "1*a+<=0"}}));
   // A probe hits iff every premise of some lemma is asserted; the reported
-  // depth is that lemma's deepest premise.
+  // depth is that lemma's deepest premise, minimized over matching lemmas,
+  // and a premise asserted twice counts at its shallowest depth.
   int depth = -1;
-  const auto depths = [](const std::string& sig) {
-    if (sig == "a<=0") return 1;
-    if (sig == "b>=1") return 3;
-    return -1;  // "c<=0" not asserted
-  };
-  EXPECT_TRUE(pool.probe(depths, &depth));
+  EXPECT_TRUE(pool.probe(ListedPremises({{"1*a+<=0", 1}, {"1*b+>=1", 3}}), &depth));
   EXPECT_EQ(depth, 3);
-  EXPECT_FALSE(pool.probe([](const std::string&) { return -1; }, &depth));
+  EXPECT_TRUE(pool.probe(
+      ListedPremises({{"1*a+<=0", 1}, {"1*b+>=1", 3}, {"1*c+<=0", 4}, {"1*c+<=0", 2}}), &depth));
+  EXPECT_EQ(depth, 2);
+  EXPECT_FALSE(pool.probe(ListedPremises({{"1*a+<=0", 1}, {"1*b+>=2", 3}}), &depth));
+  EXPECT_FALSE(pool.probe(ListedPremises({}), &depth));
+}
+
+TEST(LemmaPoolTest, ForcedKeyCollisionHitsOnlyOnEqualStrings) {
+  LemmaPool pool;
+  ASSERT_TRUE(pool.insert(Lemma{{"1*x+<=0", "1*x+>=1"}}));
+  int depth = -1;
+  // Every key nominates every asserted premise: only equal strings match.
+  EXPECT_FALSE(pool.probe(ListedPremises({{"1*y+<=0", 0}, {"1*y+>=1", 0}}, true), &depth));
+  EXPECT_FALSE(pool.probe(ListedPremises({{"1*x+<=0", 0}, {"1*y+>=1", 0}}, true), &depth));
+  EXPECT_TRUE(pool.probe(ListedPremises({{"1*y+<=0", 0}, {"1*x+>=1", 2}, {"1*x+<=0", 1}}, true),
+                         &depth));
+  EXPECT_EQ(depth, 2);
+}
+
+TEST(LemmaPoolTest, UnparseablePremiseNeverMatches) {
+  for (const char* garbage : {"x<=0", "1*x<=0", "1*x+", "1*x+<0", "a*x+<=0", "1*x+<=", "",
+                              "1*x+<=0 ", "1*x+<=5x"}) {
+    EXPECT_EQ(premise_key(garbage), kNoPremise) << garbage;
+    LemmaPool pool;
+    ASSERT_TRUE(pool.insert(Lemma{{garbage, "1*y+>=1"}}));
+    // Not even an index that confirms every string makes it match.
+    EXPECT_FALSE(pool.probe(LyingPremises(), nullptr)) << garbage;
+  }
+  LemmaPool pool;
+  ASSERT_TRUE(pool.insert(Lemma{{"1*x+<=0", "1*y+>=1"}}));
+  EXPECT_TRUE(pool.probe(LyingPremises(), nullptr));
+}
+
+TEST(LemmaPoolTest, StringKeysAgreeWithPartKeys) {
+  // A string's key is its parts' key: terms weighted by integer_key and
+  // summed, so their order does not matter; big integers key by digits.
+  const std::uint64_t x = name_key("x");
+  const std::uint64_t y = name_key("y");
+  const BigInt big = BigInt::from_string("123456789012345678901234567890");
+  EXPECT_EQ(premise_key("2*x+-1*y+<=5"),
+            premise_key(2 * x + static_cast<std::uint64_t>(-1) * y, Relation::kLe, 5));
+  EXPECT_EQ(premise_key("-1*y+2*x+<=5"), premise_key("2*x+-1*y+<=5"));
+  EXPECT_NE(premise_key("2*x+-1*y+>=5"), premise_key("2*x+-1*y+<=5"));
+  EXPECT_NE(premise_key("2*x+-1*y+<=6"), premise_key("2*x+-1*y+<=5"));
+  std::string equal = "1*x+==";
+  equal += big.to_string();
+  std::string negative = (-big).to_string();
+  negative += "*x+>=-9223372036854775808";
+  EXPECT_EQ(premise_key(equal), premise_key(x, Relation::kEq, integer_key(big)));
+  EXPECT_EQ(premise_key(negative),
+            premise_key(integer_key(-big) * x, Relation::kGe,
+                        integer_key(BigInt(std::numeric_limits<std::int64_t>::min()))));
 }
 
 TEST(SolverTest, LearningFoldsConflictScopeDepth) {
@@ -647,6 +741,35 @@ TEST(SolverTest, LemmaPoolShortCircuitsContentEqualConflicts) {
   // applies and the context is satisfiable again.
   second.pop();
   EXPECT_EQ(second.check(), CheckResult::kSat);
+}
+
+TEST(SolverTest, ForcedKeyCollisionsLeaveLemmaHitsToStrings) {
+  // Every premise key masked to 0: each lookup nominates every asserted
+  // constraint, so only the string comparison decides. The pool refutes the
+  // content-equal context, at its real depth, and nothing else.
+  LemmaPool pool;
+  ASSERT_TRUE(pool.insert(Lemma{{"1*x+1*y+<=2", "1*x+>=2", "1*y+>=1"}}));
+  const auto solve = [&](int y_bound, std::int64_t* hits) {
+    Solver solver;
+    solver.mask_premise_keys_for_testing(0);
+    solver.enable_learning(&pool);
+    const VarId x = solver.new_variable("x");
+    const VarId y = solver.new_variable("y");
+    solver.add(make_le(var(x) + var(y), LinearExpr(2)));
+    solver.push();
+    solver.add(make_ge(var(y), LinearExpr(y_bound)));
+    solver.push();
+    solver.add(make_ge(var(x), LinearExpr(2)));
+    const CheckResult result = solver.check();
+    *hits = solver.stats().lemma_hits;
+    return std::pair(result, solver.conflict_scope_depth());
+  };
+  std::int64_t hits = 0;
+  EXPECT_EQ(solve(1, &hits), std::pair(CheckResult::kUnsat, 2));
+  EXPECT_EQ(hits, 1);
+  // y >= 0 collides with y >= 1 on the key but not on the string.
+  EXPECT_EQ(solve(0, &hits).first, CheckResult::kSat);
+  EXPECT_EQ(hits, 0);
 }
 
 }  // namespace
