@@ -18,6 +18,21 @@ build="${1:-build}"
 hvc="$build/hvc"
 work="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
+. scripts/await_records.sh
+
+# kill_mid_run <pid> <journal> <what>: SIGKILLs the run once the journal
+# holds 20 records; a run that finished first fails the script.
+kill_mid_run() {
+  local code=0
+  await_records "$2" 20 "$1"
+  kill -9 "$1" 2> /dev/null || true
+  wait "$1" 2> /dev/null || code=$?
+  if [ "$code" -ne 137 ]; then
+    echo "FAIL: $3 finished before the kill (exit $code)" >&2
+    exit 1
+  fi
+  echo "   killed $3 $1 mid-run; $(basename "$2") kept $(wc -l < "$2") lines"
+}
 
 # Strip what legitimately differs between schedules: per-property solve
 # times, the total-time line and the DAG accounting line. Verdicts, schema
@@ -63,16 +78,9 @@ normalize_report "$work/nolemmas_ref.txt" > "$work/nolemmas_ref.norm"
 
 "$hvc" redbelly --dag-workers 2 --journal "$work/dagrun" > /dev/null 2>&1 &
 victim=$!
-sleep 1.5
-if kill -9 "$victim" 2>/dev/null; then
-  settled=$(cat "$work/dagrun".*.jsonl 2>/dev/null | wc -l)
-  echo "   killed DAG run $victim as planned;" \
-       "$(ls "$work/dagrun".*.jsonl 2>/dev/null | wc -l) node journals," \
-       "$settled journal lines survive"
-else
-  echo "   run finished before the kill (resume is still exercised)"
-fi
-wait "$victim" 2>/dev/null || true
+kill_mid_run "$victim" "$work/dagrun.consensus.Inv1_0.jsonl" "DAG run"
+echo "   $(ls "$work/dagrun".*.jsonl | wc -l) node journals," \
+     "$(cat "$work/dagrun".*.jsonl | wc -l) journal lines survive"
 
 "$hvc" redbelly --dag-workers 2 --journal "$work/dagrun" --resume \
   > "$work/resumed.txt" 2> /dev/null
@@ -108,13 +116,7 @@ workers() {
   --json > /dev/null &
 coord=$!
 workers 2 first
-sleep 1.5
-if kill -9 "$coord" 2>/dev/null; then
-  echo "   killed coordinator $coord as planned;" \
-       "journal kept $(wc -l < "$work/serve.jsonl") lines"
-else
-  echo "   run finished before the kill (resume is still exercised)"
-fi
+kill_mid_run "$coord" "$work/serve.jsonl" coordinator
 wait || true  # orphaned workers exit nonzero with "connection lost"
 
 "$hvc" serve "$model" --prop "$prop1" --name P1 --prop "$prop2" --name P2 \

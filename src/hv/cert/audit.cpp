@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,10 +17,10 @@
 #include "hv/checker/guard_analysis.h"
 #include "hv/checker/schema.h"
 #include "hv/models/registry.h"
-#include "hv/pipeline/dag/scheduler.h"
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/lanes.h"
 
 namespace hv::cert {
 
@@ -495,8 +496,8 @@ class SchemaAuditor {
 
 // ---------------------------------------------------------------------------
 // Certificate-level driver: model/property reconstruction, re-encoding,
-// coverage, verdict composition. Split into phases that the audit schedules
-// as DAG nodes — a shard boundary is just a fresh trace, which the
+// coverage, verdict composition. Split into phases that the audit runs on
+// its lanes — a shard boundary is just a fresh trace, which the
 // error-recovery path below always allowed mid-list anyway.
 // ---------------------------------------------------------------------------
 
@@ -734,6 +735,24 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
   }
 }
 
+/// Shard k of `shards`: audits the k-th contiguous slice of the property's
+/// concatenated (query-grouped, prefix-sorted) evidence list.
+void audit_shard(const GuardAnalysis& analysis, PropertyAuditState& state, std::size_t k,
+                 std::size_t shards, AuditReport& sink) {
+  std::size_t total = 0;
+  for (const auto& entries : state.by_query) total += entries.size();
+  const std::size_t lo = total * k / shards;
+  const std::size_t hi = total * (k + 1) / shards;
+  std::size_t base = 0;
+  for (std::size_t q = 0; q < state.by_query.size(); ++q) {
+    const std::size_t n = state.by_query[q].size();
+    const std::size_t a = std::max(lo, base);
+    const std::size_t b = std::min(hi, base + n);
+    if (a < b) audit_entry_range(analysis, state, q, a - base, b - base, sink);
+    base += n;
+  }
+}
+
 /// Phase 3: coverage. A holds verdict claims the audited refutations
 /// exhaust the schema space; re-enumerate and match every schema against
 /// the covered set or a reproduced cone decision. A violated verdict needs
@@ -937,126 +956,121 @@ bool SchemaCheck::check(const Schema& schema, bool sat, const smt::proof::Node* 
   return green;
 }
 
-/// The audit's phases, scheduled as a DAG and merged back in canonical
+/// The audit's four phases, each run on the lanes, merged back in canonical
 /// (component, property, shard) order.
 AuditReport audit_certificate(const Certificate& certificate, const AuditOptions& options) {
-  namespace dag = hv::pipeline::dag;
   // Zero shards would leave every evidence list unaudited.
   const int jobs = std::max(1, options.jobs);
+  const std::size_t shard_count = static_cast<std::size_t>(jobs);
 
-  struct PropTask {
+  /// A component or property as the phases see it: whether the next phase
+  /// may run on it, and what its phases threw.
+  struct PhaseOwner {
+    bool ready = false;
+    std::vector<std::string> threw;  // "audit phase <key> threw: ..."
+  };
+  struct CompTask : PhaseOwner {
+    ComponentState state;
+    AuditReport sink;
+  };
+  struct PropTask : PhaseOwner {
+    CompTask* comp = nullptr;
+    std::string id;  // "<component>.<property>"
     PropertyAuditState state;
     AuditReport prep;
     std::vector<AuditReport> shards;
     AuditReport coverage;
-    std::vector<dag::NodeId> nodes;  // prepare, shards, coverage
-  };
-  struct CompTask {
-    ComponentState state;
-    AuditReport sink;
-    dag::NodeId node = 0;
-    std::deque<PropTask> props;  // deque: PropTask is move-only, never relocated
   };
 
-  // deque: node lambdas hold references into the tasks, which must stay
-  // stable while later tasks are appended.
-  std::deque<CompTask> comps;
-  dag::Graph graph;
-  for (std::size_t ci = 0; ci < certificate.components.size(); ++ci) {
+  std::deque<CompTask> comps(certificate.components.size());
+  std::deque<PropTask> props;  // every property, in canonical order
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
     const ComponentCert& component = certificate.components[ci];
-    comps.emplace_back();
-    CompTask& comp = comps.back();
+    CompTask& comp = comps[ci];
     comp.state.cert = &component;
     comp.state.context = describe_component(component, ci);
-    for (std::size_t pi = 0; pi < component.properties.size(); ++pi) comp.props.emplace_back();
-    comp.node = graph.add("component#" + std::to_string(ci),
-                          [&comp] { return reconstruct_component(comp.state, comp.sink); });
     for (std::size_t pi = 0; pi < component.properties.size(); ++pi) {
-      const PropertyCert& property_cert = component.properties[pi];
-      PropTask& prop = comp.props[pi];
-      prop.state.cert = &property_cert;
-      prop.state.context = comp.state.context + ", property '" + property_cert.name + "'";
-      prop.shards.resize(static_cast<std::size_t>(jobs));
-      const std::string id = std::to_string(ci) + "." + std::to_string(pi);
-      const dag::NodeId prep_node = graph.add(
-          "prepare#" + id,
-          [&comp, &prop] {
-            return prepare_property(*comp.state.analysis, *comp.state.ta, prop.state,
-                                    prop.prep);
-          },
-          {comp.node});
-      std::vector<dag::NodeId> shard_nodes;
-      for (int k = 0; k < jobs; ++k) {
-        shard_nodes.push_back(graph.add(
-            "shard#" + id + "." + std::to_string(k),
-            [&comp, &prop, k, jobs] {
-              // Shard k audits the k-th contiguous slice of the
-              // concatenated (query-grouped, prefix-sorted) evidence list.
-              std::size_t total = 0;
-              for (const auto& entries : prop.state.by_query) total += entries.size();
-              const std::size_t lo =
-                  total * static_cast<std::size_t>(k) / static_cast<std::size_t>(jobs);
-              const std::size_t hi =
-                  total * static_cast<std::size_t>(k + 1) / static_cast<std::size_t>(jobs);
-              std::size_t base = 0;
-              for (std::size_t q = 0; q < prop.state.by_query.size(); ++q) {
-                const std::size_t n = prop.state.by_query[q].size();
-                const std::size_t a = std::max(lo, base);
-                const std::size_t b = std::min(hi, base + n);
-                if (a < b) {
-                  audit_entry_range(*comp.state.analysis, prop.state, q, a - base, b - base,
-                                    prop.shards[static_cast<std::size_t>(k)]);
-                }
-                base += n;
-              }
-              return true;
-            },
-            {prep_node}));
-      }
-      prop.nodes.push_back(prep_node);
-      prop.nodes.insert(prop.nodes.end(), shard_nodes.begin(), shard_nodes.end());
-      prop.nodes.push_back(graph.add(
-          "coverage#" + id,
-          [&comp, &prop] {
-            audit_coverage(*comp.state.analysis, prop.state, prop.coverage);
-            return true;
-          },
-          shard_nodes));
+      PropTask& prop = props.emplace_back();
+      prop.comp = &comp;
+      prop.id = std::to_string(ci) + "." + std::to_string(pi);
+      prop.state.cert = &component.properties[pi];
+      prop.state.context = comp.state.context + ", property '" + prop.state.cert->name + "'";
+      prop.shards.resize(shard_count);
     }
   }
 
-  dag::RunOptions run_options;
-  run_options.lanes = jobs;
-  dag::run(graph, run_options);
-
-  AuditReport report;
-  // Fail closed: a phase that threw (std::bad_alloc on a large certificate,
-  // say) never leaves its property green.
-  const auto merge_node_error = [&](dag::NodeId id, const std::string& context) {
-    const dag::Node& node = graph.node(id);
-    if (!node.error.empty()) {
-      add_issue(report, context, "audit phase " + node.key + " threw: " + node.error);
-    }
+  // Fail closed: a unit that threw (std::bad_alloc on a large certificate,
+  // say) becomes an issue of its owner, and the phases after it skip the
+  // owner.
+  struct Unit {
+    PhaseOwner* owner;
+    std::string key;
+    std::function<void()> run;
   };
-  std::vector<ComponentOutcome> outcomes;
+  std::vector<Unit> units;
+  const auto run_phase = [&units, jobs] {
+    const std::vector<std::string> errors =
+        run_lanes(units.size(), jobs, [&units](std::size_t i) { units[i].run(); });
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      if (errors[i].empty()) continue;
+      units[i].owner->ready = false;
+      units[i].owner->threw.push_back("audit phase " + units[i].key + " threw: " + errors[i]);
+    }
+    units.clear();
+  };
+
   for (std::size_t ci = 0; ci < comps.size(); ++ci) {
     CompTask& comp = comps[ci];
-    outcomes.emplace_back();
-    ComponentOutcome& outcome = outcomes.back();
+    units.push_back({&comp, "component#" + std::to_string(ci),
+                     [&comp] { comp.ready = reconstruct_component(comp.state, comp.sink); }});
+  }
+  run_phase();
+  for (PropTask& prop : props) {
+    if (!prop.comp->ready) continue;
+    units.push_back({&prop, "prepare#" + prop.id, [&prop] {
+                       prop.ready = prepare_property(*prop.comp->state.analysis,
+                                                     *prop.comp->state.ta, prop.state, prop.prep);
+                     }});
+  }
+  run_phase();
+  for (PropTask& prop : props) {
+    if (!prop.ready) continue;
+    for (std::size_t k = 0; k < shard_count; ++k) {
+      units.push_back({&prop, "shard#" + prop.id + "." + std::to_string(k),
+                       [&prop, k, shard_count] {
+                         audit_shard(*prop.comp->state.analysis, prop.state, k, shard_count,
+                                     prop.shards[k]);
+                       }});
+    }
+  }
+  run_phase();
+  for (PropTask& prop : props) {
+    if (!prop.ready) continue;
+    units.push_back({&prop, "coverage#" + prop.id, [&prop] {
+                       audit_coverage(*prop.comp->state.analysis, prop.state, prop.coverage);
+                     }});
+  }
+  run_phase();
+
+  AuditReport report;
+  std::vector<ComponentOutcome> outcomes;
+  auto prop = props.begin();
+  for (CompTask& comp : comps) {
+    ComponentOutcome& outcome = outcomes.emplace_back();
     for (const PropertyCert& property : comp.state.cert->properties) {
       outcome.verdicts[property.name] = "failed";
     }
     if (comp.state.ta) outcome.automaton_name = comp.state.ta->name();
     merge_report(report, comp.sink);
-    merge_node_error(comp.node, comp.state.context);
-    for (PropTask& prop : comp.props) {
+    for (const std::string& issue : comp.threw) add_issue(report, comp.state.context, issue);
+    for (; prop != props.end() && prop->comp == &comp; ++prop) {
       const std::size_t issues_before = report.issues.size();
-      merge_report(report, prop.prep);
-      for (const AuditReport& shard : prop.shards) merge_report(report, shard);
-      merge_report(report, prop.coverage);
-      for (const dag::NodeId id : prop.nodes) merge_node_error(id, prop.state.context);
+      merge_report(report, prop->prep);
+      for (const AuditReport& shard : prop->shards) merge_report(report, shard);
+      merge_report(report, prop->coverage);
+      for (const std::string& issue : prop->threw) add_issue(report, prop->state.context, issue);
       const bool green = report.issues.size() == issues_before;
-      outcome.verdicts[prop.state.cert->name] = audited_verdict(prop.state, green);
+      outcome.verdicts[prop->state.cert->name] = audited_verdict(prop->state, green);
     }
   }
 

@@ -70,17 +70,18 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  /// Concurrent audit lanes, clamped to >= 1. The audit always runs as a
-  /// DAG (hv/pipeline/dag): per-component model reconstruction gates
-  /// per-property shape validation, which gates `jobs` contiguous shards of
-  /// that property's (query-grouped, prefix-sorted) evidence list — each
-  /// shard re-encodes into its own cert::Trace — which gate the
-  /// property's coverage re-enumeration. Shard reports are merged back in
-  /// canonical (component, property, shard) order, so the merged report is
+  /// Concurrent audit lanes, clamped to >= 1. The audit runs four phases,
+  /// each on `jobs` lanes (hv/util/lanes.h): per-component model
+  /// reconstruction, per-property shape validation, `jobs` contiguous shards
+  /// of each property's (query-grouped, prefix-sorted) evidence list — each
+  /// shard re-encodes into its own cert::Trace — and each property's
+  /// coverage re-enumeration. A phase is skipped for whatever an earlier
+  /// phase failed or threw on. Reports are merged back in canonical
+  /// (component, property, shard) order, so the merged report is
   /// byte-identical at every job count: same issues in the same order
   /// (including the suppression cap), same warnings, same counters, same
   /// ok. The trust boundary does not depend on the schedule — every leaf is
-  /// checked by the same pure-arithmetic core.
+  /// checked by the same pure-arithmetic core. One job spawns no thread.
   int jobs = 1;
 };
 

@@ -58,7 +58,7 @@ struct JournalHeader {
   std::string automaton;
   std::string model_hash;   // empty: not recorded
   std::string hvc_version;  // defaults to the running version
-  /// DAG node identity ("<stage>.<property>#<options-fingerprint-hash>")
+  /// Pipeline node identity ("<stage>.<property>#<options-fingerprint-hash>")
   /// when the journal belongs to one pipeline node; empty for whole-run
   /// journals. Resume refuses to feed one node's journal to another —
   /// two nodes of the same automaton share cursors, so the mixup would be
@@ -127,7 +127,7 @@ void sync_to_disk(std::FILE* file);
 /// attempt supersedes the earlier record).
 struct ResumeState {
   std::string automaton;
-  /// Model content hash / hvc version / DAG node identity from the header;
+  /// Model content hash / hvc version / pipeline node identity from the header;
   /// empty when the header did not record them (for `node`: when it was
   /// not a per-node journal).
   std::string model_hash;
@@ -160,7 +160,7 @@ ResumeState load_journal(const std::string& path);
 /// model content hash (when the journal recorded one) and hvc version (when
 /// recorded) must all agree, each with a precise diagnostic — a journal from
 /// a different model would silently fail to line up cursors otherwise.
-/// When both the run and the journal carry a DAG node identity, those must
+/// When both the run and the journal carry a pipeline node identity, those must
 /// agree too (two nodes over the same automaton share cursor space, so the
 /// name/hash checks alone cannot catch the mixup). Throws
 /// hv::InvalidArgument on any mismatch.

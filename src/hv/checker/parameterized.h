@@ -61,7 +61,7 @@ struct CheckOptions {
   /// that carry their evidence (an unsat with its proof, a pruned schema)
   /// are replayed, and their proofs go into the certificate.
   std::string resume_path;
-  /// Pipeline-DAG node identity stamped into the journal header (empty for
+  /// Pipeline node identity stamped into the journal header (empty for
   /// whole-run journals). Resume cross-checks it: per-node journals of the
   /// same automaton share cursor space, so feeding one node's file to
   /// another would replay wrong verdicts silently. Pure plumbing — never

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -11,8 +13,9 @@
 #include "hv/models/naive_consensus.h"
 #include "hv/models/registry.h"
 #include "hv/models/simplified_consensus.h"
-#include "hv/pipeline/dag/scheduler.h"
+#include "hv/util/error.h"
 #include "hv/util/hash.h"
+#include "hv/util/lanes.h"
 #include "hv/util/stopwatch.h"
 
 namespace hv::pipeline {
@@ -45,7 +48,7 @@ const PropertyResult* find(const std::vector<PropertyResult>& results, const std
 // already owns. Instead it *tightens* the shared CheckOptions deadline:
 // the tightened timeout flows through check_property's single
 // deadline/cancellation path (per-schema remaining-time clamps, watchdog
-// degradation, the cancel flag), so an outer --timeout, DAG cancellation
+// degradation, the cancel flag), so an outer --timeout, pipeline cancellation
 // and this budget compose through one mechanism.
 void apply_naive_budget(checker::CheckOptions& check, double budget_seconds) {
   if (budget_seconds <= 0.0) return;
@@ -81,8 +84,8 @@ std::string node_key(const char* stage, const std::string& property,
 
 /// Per-node checker options: one journal per node, bound to the node
 /// identity so --resume cannot feed one node's cursors to another.
-checker::CheckOptions dag_node_options(const HolisticOptions& options, const char* stage,
-                                       const std::string& property) {
+checker::CheckOptions node_options(const HolisticOptions& options, const char* stage,
+                                   const std::string& property) {
   checker::CheckOptions check = options.check;
   check.journal_node = node_key(stage, property, check);
   if (!options.journal_prefix.empty()) {
@@ -94,11 +97,100 @@ checker::CheckOptions dag_node_options(const HolisticOptions& options, const cha
   return check;
 }
 
-std::string format_eta(const dag::Progress& progress) {
-  if (progress.eta_seconds < 0.0) return "";
-  std::ostringstream os;
-  os << ", eta " << progress.eta_seconds << "s";
-  return os.str();
+/// The "[dag k/n] <key>: <event>" progress stream and the cancelled-node
+/// count: k counts the settled nodes, and the ETA scales the elapsed time
+/// by the unsettled share. Called from any lane; the lock orders the lines.
+class NodeLog {
+ public:
+  NodeLog(int total, const std::function<void(const std::string&)>& sink)
+      : total_(total), sink_(sink) {}
+
+  void start(const std::string& key) { emit(key, "start", -1.0); }
+  void settle(const std::string& key, bool ok, double seconds) {
+    emit(key, ok ? "done" : "failed", seconds);
+  }
+  /// A cancelled node never ran, so it prints no time.
+  void cancel(const std::string& key) { emit(key, "cancelled", -1.0); }
+  /// Read once every lane has finished.
+  int cancelled() const { return cancelled_; }
+
+ private:
+  /// Every event but "start" settles its node.
+  void emit(const std::string& key, const std::string& event, double seconds) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (event != "start") ++settled_;
+    if (event == "cancelled") ++cancelled_;
+    if (!sink_) return;
+    std::ostringstream os;
+    os << "[dag " << settled_ << "/" << total_ << "] " << key << ": " << event;
+    if (seconds >= 0.0) os << " (" << seconds << "s)";
+    if (settled_ == total_) {
+      os << ", eta 0s";
+    } else if (settled_ > 0) {
+      os << ", eta " << stopwatch_.seconds() / settled_ * (total_ - settled_) << "s";
+    }
+    sink_(os.str());
+  }
+
+  std::mutex mutex_;
+  const Stopwatch stopwatch_;
+  const int total_;
+  int settled_ = 0;
+  int cancelled_ = 0;
+  const std::function<void(const std::string&)>& sink_;
+};
+
+/// One property-query of the pipeline and how it settled.
+struct PropertyNode {
+  const ta::ThresholdAutomaton* automaton = nullptr;
+  const spec::Property* property = nullptr;
+  checker::CheckOptions check;  // check.journal_node is the node key
+  /// A bv or consensus node succeeds only when its property holds; a naive
+  /// one whenever it was not interrupted.
+  bool ok_needs_holds = true;
+  std::optional<PropertyResult> result;
+  bool ok = false;
+};
+
+bool cancel_requested(const checker::CheckOptions& check) {
+  return check.cancel != nullptr && check.cancel->load(std::memory_order_relaxed);
+}
+
+void run_node(PropertyNode& node, NodeLog& log) {
+  const std::string& key = node.check.journal_node;
+  if (cancel_requested(node.check)) {
+    log.cancel(key);
+    return;
+  }
+  log.start(key);
+  const Stopwatch watch;
+  const std::string error = run_catching([&node] {
+    PropertyResult result = checker::check_property(*node.automaton, *node.property, node.check);
+    node.ok = !result.interrupted &&
+              (!node.ok_needs_holds || result.verdict == Verdict::kHolds);
+    node.result = std::move(result);
+  });
+  const double seconds = watch.seconds();
+  if (!error.empty()) {
+    // A node that threw (a journal resumed into the wrong node, an
+    // allocation failure) reports as unknown with the message as its note
+    // instead of vanishing from the report.
+    node.result.emplace();
+    node.result->property = node.property->name;
+    node.result->note = error;
+    node.result->seconds = seconds;
+  }
+  log.settle(key, node.ok, seconds);
+}
+
+/// The results of nodes [from, to) that ran, in property order.
+std::vector<PropertyResult> collect(std::vector<PropertyNode>& nodes, std::size_t from,
+                                    std::size_t to) {
+  std::vector<PropertyResult> results;
+  for (std::size_t i = from; i < to; ++i) {
+    if (nodes[i].result) results.push_back(std::move(*nodes[i].result));
+  }
+  return results;
 }
 
 }  // namespace
@@ -119,131 +211,78 @@ HolisticReport verify_red_belly_consensus(const HolisticOptions& options) {
     naive_props = models::naive_table2_properties(*naive);
   }
 
-  // Results land in pre-allocated slots indexed like the property lists, so
-  // the report (and any certificate emitted from it) is ordered like the
+  // One node per property in stage order (naive, bv, consensus). Each node
+  // keeps its result in its own slot, so the report is ordered like the
   // property lists at any lane count, whatever the completion order was.
-  // Unfilled slots (cancelled nodes never started) are compacted away.
-  std::vector<std::optional<PropertyResult>> naive_slots(naive_props.size());
-  std::vector<std::optional<PropertyResult>> bv_slots(bv_props.size());
-  std::vector<std::optional<PropertyResult>> consensus_slots(consensus_props.size());
-
-  struct PropertyNode {
-    dag::NodeId id;
-    const spec::Property* property;
-    std::optional<PropertyResult>* slot;
+  std::vector<PropertyNode> nodes;
+  const auto add_nodes = [&](const char* stage, const ta::ThresholdAutomaton& automaton,
+                             const std::vector<spec::Property>& properties) {
+    for (const spec::Property& property : properties) {
+      PropertyNode& node = nodes.emplace_back();
+      node.automaton = &automaton;
+      node.property = &property;
+      node.check = node_options(options, stage, property.name);
+    }
   };
-  dag::Graph graph;
-  std::vector<PropertyNode> property_nodes;
-  const auto property_node = [&](const ta::ThresholdAutomaton& automaton,
-                                 const spec::Property& property,
-                                 std::optional<PropertyResult>& slot,
-                                 checker::CheckOptions check, std::vector<dag::NodeId> deps,
-                                 bool ok_needs_holds) {
-    const dag::NodeId id = graph.add(
-        check.journal_node,
-        [&automaton, &property, &slot, check, ok_needs_holds] {
-          PropertyResult result = checker::check_property(automaton, property, check);
-          const bool ok =
-              !result.interrupted && (!ok_needs_holds || result.verdict == Verdict::kHolds);
-          slot = std::move(result);
-          return ok;
-        },
-        std::move(deps));
-    property_nodes.push_back({id, &property, &slot});
-    return id;
-  };
-
-  // The naive attempt is free-floating: nothing depends on it (the paper
-  // uses it only as the negative result motivating the decomposition).
-  for (std::size_t i = 0; i < naive_props.size(); ++i) {
-    checker::CheckOptions check = dag_node_options(options, "naive", naive_props[i].name);
-    apply_naive_budget(check, options.naive_timeout_seconds);
+  if (naive) add_nodes("naive", *naive, naive_props);
+  for (PropertyNode& node : nodes) {  // the naive nodes, the only ones so far
+    node.ok_needs_holds = false;
+    apply_naive_budget(node.check, options.naive_timeout_seconds);
     // Re-stamp the identity: the budget tightened the timeout, and the node
     // key must fingerprint the options the node actually runs under.
-    check.journal_node = node_key("naive", naive_props[i].name, check);
-    property_node(*naive, naive_props[i], naive_slots[i], std::move(check), {},
-                  /*ok_needs_holds=*/false);
+    node.check.journal_node = node_key("naive", node.property->name, node.check);
   }
+  const std::size_t bv_begin = nodes.size();
+  add_nodes("bv", bv, bv_props);
+  const std::size_t consensus_begin = nodes.size();
+  add_nodes("consensus", consensus, consensus_props);
 
-  // The eight bv-broadcast nodes gate the gadget justification: every
-  // consensus node depends on all of them, so one refuted bv property
-  // cancels the entire consensus stage before it starts.
-  std::vector<dag::NodeId> gadget;
-  for (std::size_t i = 0; i < bv_props.size(); ++i) {
-    gadget.push_back(property_node(bv, bv_props[i], bv_slots[i],
-                                   dag_node_options(options, "bv", bv_props[i].name), {},
-                                   /*ok_needs_holds=*/true));
-  }
-  for (std::size_t i = 0; i < consensus_props.size(); ++i) {
-    property_node(consensus, consensus_props[i], consensus_slots[i],
-                  dag_node_options(options, "consensus", consensus_props[i].name), gadget,
-                  /*ok_needs_holds=*/true);
-  }
-
-  const auto compact = [](std::vector<std::optional<PropertyResult>>& slots) {
-    std::vector<PropertyResult> results;
-    results.reserve(slots.size());
-    for (std::optional<PropertyResult>& slot : slots) {
-      if (slot) results.push_back(std::move(*slot));
+  NodeLog log(static_cast<int>(nodes.size()) + 1, options.on_progress);  // + the composition
+  const auto run_stage = [&](std::size_t from, std::size_t to) {
+    const std::vector<std::string> errors = run_lanes(
+        to - from, report.dag_lanes, [&](std::size_t i) { run_node(nodes[from + i], log); });
+    // run_node turns a throwing property into its result, so what reaches
+    // the pool came from the progress log; it is the caller's to handle.
+    for (const std::string& error : errors) {
+      if (!error.empty()) throw InternalError("pipeline progress log threw: " + error);
     }
-    return results;
   };
-  bool composed = false;
-  const auto finalize = [&] {
-    // A node that threw (a journal resumed into the wrong node, an
-    // allocation failure) left no result; it reports as unknown with the
-    // message as its note instead of vanishing from the report.
-    for (const PropertyNode& node : property_nodes) {
-      const dag::Node& settled = graph.node(node.id);
-      if (*node.slot || settled.error.empty()) continue;
-      PropertyResult thrown;
-      thrown.property = node.property->name;
-      thrown.note = settled.error;
-      thrown.seconds = settled.seconds;
-      *node.slot = std::move(thrown);
+
+  // Stage 1: the naive attempt (only the negative result motivating the
+  // decomposition, so nothing waits on its verdicts) and the seven
+  // bv-broadcast properties, which gate the gadget justification.
+  run_stage(0, consensus_begin);
+
+  // Stage 2: the consensus properties rest on the gadget, so a bv property
+  // that did not hold cancels them all before any starts.
+  const bool gadget = std::all_of(nodes.begin() + static_cast<std::ptrdiff_t>(bv_begin),
+                                  nodes.begin() + static_cast<std::ptrdiff_t>(consensus_begin),
+                                  [](const PropertyNode& node) { return node.ok; });
+  if (gadget && !cancel_requested(options.check)) {
+    run_stage(consensus_begin, nodes.size());
+  } else {
+    for (std::size_t i = consensus_begin; i < nodes.size(); ++i) {
+      log.cancel(nodes[i].check.journal_node);
     }
-    report.naive_results = compact(naive_slots);
-    report.bv_results = compact(bv_slots);
-    report.consensus_results = compact(consensus_slots);
-    compose_verdicts(report);
-    composed = true;
-  };
-  // Theorem-6 recomposition is ordering-only: it waits for every node but
-  // runs whatever the outcomes were — a partially failed pipeline still
-  // reports its composed (unknown) verdicts.
-  std::vector<dag::NodeId> all_nodes;
-  for (const PropertyNode& node : property_nodes) all_nodes.push_back(node.id);
-  graph.add(node_key("compose", "theorem6", options.check),
-            [&finalize] {
-              finalize();
-              return true;
-            },
-            all_nodes, /*gated=*/false);
-
-  dag::RunOptions run_options;
-  run_options.lanes = report.dag_lanes;
-  run_options.cancel = options.check.cancel;
-  if (options.on_progress) {
-    run_options.observer = [&options](dag::Event event, const dag::Node& node,
-                                      const dag::Progress& progress) {
-      std::ostringstream os;
-      os << "[dag " << progress.settled << "/" << progress.total << "] " << node.key;
-      if (event == dag::Event::kStart) {
-        os << ": start";
-      } else {
-        os << ": " << dag::to_string(node.status);
-        if (node.status != dag::NodeStatus::kCancelled) os << " (" << node.seconds << "s)";
-      }
-      os << format_eta(progress);
-      options.on_progress(os.str());
-    };
   }
-  const dag::RunStats stats = dag::run(graph, run_options);
-  // An interrupted run cancels the compose node with everything else; the
-  // report still owes whatever verdicts settled before the interrupt.
-  if (!composed) finalize();
 
-  report.nodes_cancelled = stats.nodes_cancelled;
+  // Stage 3: Theorem-6 recomposition reports whatever verdicts settled,
+  // unknown included; an interrupted run only cancels its progress node.
+  const std::string compose_key = node_key("compose", "theorem6", options.check);
+  const bool interrupted = cancel_requested(options.check);
+  if (!interrupted) log.start(compose_key);
+  const Stopwatch compose_watch;
+  report.naive_results = collect(nodes, 0, bv_begin);
+  report.bv_results = collect(nodes, bv_begin, consensus_begin);
+  report.consensus_results = collect(nodes, consensus_begin, nodes.size());
+  compose_verdicts(report);
+  if (interrupted) {
+    log.cancel(compose_key);
+  } else {
+    log.settle(compose_key, true, compose_watch.seconds());
+  }
+
+  report.nodes_cancelled = log.cancelled();
   report.total_seconds = stopwatch.seconds();
   report.cpu_seconds = sum_seconds(report);
   return report;

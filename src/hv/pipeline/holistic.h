@@ -16,13 +16,13 @@
 // Theorem 6 — and is itself unit-tested.
 //
 // The property-queries inside each stage are logically independent, and the
-// stages relate only through the gating edges above — so the pipeline is
-// really a DAG, not a sequence, and it always runs as one (hv/pipeline/dag):
-// every property becomes its own node with its own journal, ready nodes run
-// concurrently on dag_workers lanes (one lane by default, which visits the
-// nodes in stage order), a refuted bv property cancels the whole consensus
-// stage without starting it, and the composition step is an ordering-only
-// node that reports whatever verdicts survived.
+// stages relate only through the gate above, so the pipeline runs in three
+// fixed stages on a small lane pool (hv/util/lanes.h): (1) the naive attempt
+// when asked for, which gates nothing, and the bv-broadcast properties; (2)
+// the consensus properties, only if every bv property holds; (3) the
+// composition, which reports whatever verdicts survived. Every property is a
+// node with its own key and journal; each stage runs its nodes on
+// dag_workers lanes (one lane by default, which visits them in stage order).
 #ifndef HV_PIPELINE_HOLISTIC_H
 #define HV_PIPELINE_HOLISTIC_H
 
@@ -41,22 +41,23 @@ struct HolisticOptions {
   /// result); bounded by naive_timeout_seconds. The budget *tightens* the
   /// shared CheckOptions deadline (it never loosens an outer --timeout), so
   /// it flows through the schema solver's own watchdog/retry path and
-  /// composes with DAG cancellation instead of stacking a second watchdog.
+  /// composes with pipeline cancellation instead of stacking a second
+  /// watchdog.
   bool include_naive_attempt = false;
   double naive_timeout_seconds = 60.0;
-  /// Crash-safe progress journaling (empty disables): one file per DAG
-  /// node, "<prefix>.<stage>.<property>.jsonl", each header stamped with
+  /// Crash-safe progress journaling (empty disables): one file per
+  /// property node, "<prefix>.<stage>.<property>.jsonl", each header stamped with
   /// the node identity so a journal resumed into another node is refused.
   std::string journal_prefix;
   /// Resume from whatever the node journals already settled (requires
   /// journal_prefix; files that do not exist yet start fresh).
   bool resume = false;
-  /// Concurrent DAG lanes, clamped to >= 1. One lane runs the nodes one at
-  /// a time in stage order (naive, bv, consensus, compose).
+  /// Concurrent lanes per stage, clamped to >= 1. One lane runs the nodes
+  /// one at a time in stage order (naive, bv, consensus, compose).
   int dag_workers = 1;
-  /// DAG progress sink: one line per node start/settle, with aggregate
-  /// counts and a whole-DAG ETA. May be called from any scheduler lane
-  /// (serialized by the scheduler lock); null disables.
+  /// Progress sink: one "[dag k/n] <key>: ..." line per node start/settle,
+  /// with the settled count and an ETA for the whole run. Called from any
+  /// lane, one line at a time; null disables.
   std::function<void(const std::string& line)> on_progress;
 };
 
@@ -76,10 +77,10 @@ struct HolisticReport {
   /// one lane; a concurrent run's wall-clock under-reports the work
   /// actually spent, so both are reported.
   double cpu_seconds = 0.0;
-  /// Lanes the DAG was scheduled on; 0 for a report assembled by hand.
+  /// Lanes the stages ran on; 0 for a report assembled by hand.
   int dag_lanes = 0;
-  /// DAG nodes cancelled before running (an upstream property failed, or
-  /// the run was interrupted).
+  /// Nodes (properties and the composition) cancelled before running: a bv
+  /// property did not hold, or the run was interrupted.
   int nodes_cancelled = 0;
 
   /// True iff every checked property of both automata holds and Agreement,

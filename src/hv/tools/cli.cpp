@@ -130,23 +130,25 @@ constexpr const char* kUsage = R"(usage:
        (cancels a queued or running job; idempotent)
   hvc audit <cert.json> [--json] [--jobs N]
        (re-validates a certificate with exact arithmetic only; exit 0 iff
-        every verdict is substantiated. The audit runs on the pipeline DAG
-        scheduler; --jobs N (alias --workers, default 1) shards the
-        evidence lists across N concurrent lanes, and the merged report is
-        byte-identical at every N.)
+        every verdict is substantiated. --jobs N (alias --workers, default
+        1) runs the audit's phases on N concurrent lanes and shards each
+        evidence list N ways; the merged report is byte-identical at
+        every N.)
   hvc explicit <model.ta> --prop "<ltl>" --params n=4,t=1,f=1 [--max-states K]
                        [--json]
   hvc dot <model.ta>
   hvc print <model.ta>
   hvc redbelly [--naive] [--certify] [--cert-out cert.json]
                [--journal prefix] [--resume] [--dag-workers N]
-       (runs the pipeline as a property DAG: a refuted bv property cancels
-        the consensus stage before it starts. --journal writes one
-        crash-safe journal per node, <prefix>.<stage>.<property>.jsonl;
-        --resume continues from whatever those files already settled.
-        --dag-workers N (default 1) runs ready nodes on N concurrent lanes
-        and streams node progress and a whole-DAG ETA to stderr.
-        Verdicts, accounting and certificates are identical at every N.)
+       (runs the pipeline in stages: the bv-broadcast properties, then the
+        consensus properties, which a bv property that does not hold
+        cancels before they start, then Theorem 6. --journal writes one
+        crash-safe journal per property node,
+        <prefix>.<stage>.<property>.jsonl; --resume continues from whatever
+        those files already settled. --dag-workers N (default 1) runs each
+        stage's properties on N concurrent lanes and streams node progress
+        and an ETA to stderr. Verdicts, accounting and certificates are
+        identical at every N.)
   hvc simulate [--n N] [--t T] [--inputs 0,1,1,0] [--byzantine 3]
                [--scheduler fair|random|fifo] [--seed S] [--max-steps K]
   hvc simulate --lemma7 [--rounds R]
@@ -177,10 +179,14 @@ T parse_number(const std::string& what, const std::string& text) {
   return value;
 }
 
-/// One extra human-output line for the Byzantine-defense counters; printed
-/// only when something actually happened, so trusted-fleet runs keep their
-/// exact pre-existing output.
-void print_byzantine_stats(const dist::DistStats& stats, std::ostream& out) {
+/// The fleet summary of `check --workers` and `serve`: the "distributed:"
+/// line, then one line of Byzantine-defense counters, printed only when
+/// something actually happened, so trusted-fleet runs keep their exact
+/// pre-existing output.
+void print_distributed_stats(const dist::DistStats& stats, std::ostream& out) {
+  out << "distributed: " << stats.workers_joined << " workers joined, " << stats.workers_lost
+      << " lost, " << stats.leases_granted << " leases granted, " << stats.leases_reassigned
+      << " reassigned\n";
   if (stats.hostile_frames == 0 && stats.lease_timeouts == 0 && stats.workers_quarantined == 0 &&
       stats.workers_banned == 0 && stats.leases_self_solved == 0) {
     return;
@@ -320,6 +326,21 @@ std::vector<dist::PropertySpec> bundled_specs(const std::vector<spec::Property>&
   return specs;
 }
 
+/// Writes the one-component certificate of a `check` or `serve --certify`
+/// run to --cert-out (default: next to the model) and returns its path.
+/// `ltl`: the properties came from --prop rather than the bundled set.
+std::string write_certificate(const std::string& model_path, const std::string& model_text,
+                              const std::vector<spec::Property>& properties,
+                              const std::vector<checker::PropertyResult>& results, bool ltl,
+                              const std::optional<std::string>& cert_out) {
+  cert::Certificate certificate;
+  certificate.components.push_back(cert::make_component_cert(
+      cert::text_model_source(model_text), properties, results, ltl ? "ltl" : "bundled"));
+  const std::string path = cert_out.value_or(model_path + ".cert.json");
+  write_file(path, cert::to_json_text(certificate));
+  return path;
+}
+
 void print_result_text(const ta::ThresholdAutomaton& ta, const checker::PropertyResult& result,
                        std::ostream& out) {
   out << result.property << ": " << checker::to_string(result.verdict) << " ("
@@ -447,26 +468,16 @@ int command_check(Args& args, std::ostream& out) {
     results = checker::check_properties(ta, properties, options);
   }
 
-  std::string cert_path;
-  if (options.certify) {
-    cert::Certificate certificate;
-    certificate.components.push_back(
-        cert::make_component_cert(cert::text_model_source(model_text), properties, results,
-                                  props.empty() ? "bundled" : "ltl"));
-    cert_path = cert_out.value_or(*model_path + ".cert.json");
-    write_file(cert_path, cert::to_json_text(certificate));
-  }
+  const std::string cert_path =
+      options.certify ? write_certificate(*model_path, model_text, properties, results,
+                                          !props.empty(), cert_out)
+                      : "";
 
   if (json) {
     out << service::render_results_json(ta, results);
   } else {
     for (const checker::PropertyResult& result : results) print_result_text(ta, result, out);
-    if (fork_workers >= 2) {
-      out << "distributed: " << dist_stats.workers_joined << " workers joined, "
-          << dist_stats.workers_lost << " lost, " << dist_stats.leases_granted
-          << " leases granted, " << dist_stats.leases_reassigned << " reassigned\n";
-      print_byzantine_stats(dist_stats, out);
-    }
+    if (fork_workers >= 2) print_distributed_stats(dist_stats, out);
     if (options.certify) out << "certificate: " << cert_path << "\n";
   }
   return service::exit_code(results);
@@ -520,25 +531,17 @@ int command_serve(Args& args, std::ostream& out) {
   const std::vector<checker::PropertyResult> results =
       dist::serve(model_text, specs, listen, dist_options, &stats);
 
-  std::string cert_path;
-  if (options.certify) {
-    const std::vector<spec::Property> properties = dist::resolve_properties(ta, specs);
-    cert::Certificate certificate;
-    certificate.components.push_back(
-        cert::make_component_cert(cert::text_model_source(model_text), properties, results,
-                                  props.empty() ? "bundled" : "ltl"));
-    cert_path = cert_out.value_or(*model_path + ".cert.json");
-    write_file(cert_path, cert::to_json_text(certificate));
-  }
+  const std::string cert_path =
+      options.certify ? write_certificate(*model_path, model_text,
+                                          dist::resolve_properties(ta, specs), results,
+                                          !props.empty(), cert_out)
+                      : "";
 
   if (json) {
     out << service::render_results_json(ta, results);
   } else {
     for (const checker::PropertyResult& result : results) print_result_text(ta, result, out);
-    out << "distributed: " << stats.workers_joined << " workers joined, "
-        << stats.workers_lost << " lost, " << stats.leases_granted << " leases granted, "
-        << stats.leases_reassigned << " reassigned\n";
-    print_byzantine_stats(stats, out);
+    print_distributed_stats(stats, out);
     if (options.certify) out << "certificate: " << cert_path << "\n";
   }
   return service::exit_code(results);
