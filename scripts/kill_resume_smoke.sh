@@ -11,7 +11,12 @@
 #      --certify --resume, and the resumed run's certificate must pass
 #      hvc audit (the replayed records carry their proofs);
 #   6. a --certify run resumed from its own complete journal must write a
-#      certificate byte-identical (cmp) to the uninterrupted run's.
+#      certificate byte-identical (cmp) to the uninterrupted run's;
+#   7. with cross-schema learning on, a killed run resumes to the
+#      reference verdict, and a plain run resumed from its own complete
+#      journal prints the journaling run's --json report: every counter
+#      rides on the journal records, so only timing, the resume counter
+#      and the resumed run's own encoder counters may differ.
 # Usage: scripts/kill_resume_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -136,3 +141,18 @@ fi
 echo "OK: learning-on resumed run agrees on the verdict" \
      "($(grep -o '"cut": [0-9]*, "lemma_hits": [0-9]*, "lemmas_learned": [0-9]*' \
          "$work/learn_resumed.json" | head -1))"
+
+echo "== plain run resumed from its own complete journal"
+"$hvc" check "$model" --prop "$prop" --json --journal "$work/complete.jsonl" \
+  > "$work/complete.json"
+"$hvc" check "$model" --prop "$prop" --json --resume "$work/complete.jsonl" \
+  > "$work/complete_resumed.json"
+own_counters() {
+  sed -E 's/"(seconds|resumed|segments_[a-z]+|prefix_reuse_ratio)": [0-9.e+-]+(, )?//g' "$1"
+}
+if ! diff -u <(own_counters "$work/complete.json") <(own_counters "$work/complete_resumed.json"); then
+  echo "FAIL: the run resumed from a complete journal reports other counters" >&2
+  exit 1
+fi
+echo "OK: resumed from the complete journal, the --json report matches" \
+     "($(grep -o '"lemmas_learned": [0-9]*' "$work/complete.json" | head -1))"

@@ -666,14 +666,14 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
   state.by_query.resize(state.query_count);
   for (const SchemaCert& entry : cert.schemas) {
     std::string why;
-    if (entry.query_index >= static_cast<std::int64_t>(state.query_count)) {
+    if (entry.query_index >= state.query_count) {
       add_issue(sink, context, "schema evidence cites query #" +
                                    std::to_string(entry.query_index) + " of " +
                                    std::to_string(state.query_count));
       state.shapes_ok = false;
       continue;
     }
-    const std::size_t q = static_cast<std::size_t>(entry.query_index);
+    const std::size_t q = entry.query_index;
     if (!schema_shape_ok(entry.schema, analysis.guard_count(), property.queries[q].cuts.size(),
                          why)) {
       add_issue(sink, context, "malformed schema: " + why);
@@ -690,16 +690,14 @@ bool prepare_property(const GuardAnalysis& analysis, const ta::ThresholdAutomato
   }
   for (const PrunedCert& entry : cert.pruned) {
     std::string why;
-    if (entry.query_index >= static_cast<std::int64_t>(state.query_count) ||
+    if (entry.query_index >= state.query_count ||
         !schema_shape_ok(entry.schema, analysis.guard_count(),
-                         property.queries[static_cast<std::size_t>(entry.query_index)].cuts.size(),
-                         why)) {
+                         property.queries[entry.query_index].cuts.size(), why)) {
       add_issue(sink, context, "malformed pruned-schema entry");
       state.shapes_ok = false;
       continue;
     }
-    const std::string key =
-        schema_cursor(static_cast<std::size_t>(entry.query_index), entry.schema);
+    const std::string key = schema_cursor(entry.query_index, entry.schema);
     if (!state.pruned.emplace(key, false).second) {
       add_issue(sink, context, "duplicate pruned-schema entry");
       state.shapes_ok = false;
@@ -731,7 +729,7 @@ void audit_entry_range(const GuardAnalysis& analysis, PropertyAuditState& state,
     const SchemaCert* entry = state.by_query[q][i];
     const std::string key = schema_cursor(q, entry->schema);
     state.covered[key].green = check.check(entry->schema, entry->sat, entry->proof.get(),
-                                           &entry->model, sink, state.context + ", " + key);
+                                           entry->model.get(), sink, state.context + ", " + key);
   }
 }
 

@@ -7,9 +7,9 @@ namespace hv::cert {
 
 namespace {
 
-Json schema_to_json(std::int64_t query_index, const checker::Schema& schema) {
+Json schema_to_json(std::size_t query_index, const checker::Schema& schema) {
   Json out = Json(Json::Object{});
-  out.set("query", query_index);
+  out.set("query", static_cast<std::int64_t>(query_index));
   Json::Array chain;
   chain.reserve(schema.unlock_order.size());
   for (const int guard : schema.unlock_order) chain.push_back(Json(static_cast<std::int64_t>(guard)));
@@ -21,9 +21,10 @@ Json schema_to_json(std::int64_t query_index, const checker::Schema& schema) {
   return out;
 }
 
-void schema_from_json(const Json& json, std::int64_t& query_index, checker::Schema& schema) {
-  query_index = json.at("query").as_int();
-  if (query_index < 0) throw InvalidArgument("certificate: negative query index");
+void schema_from_json(const Json& json, std::size_t& query_index, checker::Schema& schema) {
+  const std::int64_t query = json.at("query").as_int();
+  if (query < 0) throw InvalidArgument("certificate: negative query index");
+  query_index = static_cast<std::size_t>(query);
   for (const Json& guard : json.at("chain").as_array()) {
     schema.unlock_order.push_back(static_cast<int>(guard.as_int()));
   }
@@ -55,8 +56,11 @@ Json property_to_json(const PropertyCert& property) {
     Json item = schema_to_json(entry.query_index, entry.schema);
     item.set("sat", entry.sat);
     if (entry.sat) {
+      if (entry.model == nullptr) {
+        throw InvalidArgument("certificate: sat schema evidence without a model");
+      }
       Json model = Json(Json::Object{});
-      for (const auto& [name, value] : entry.model) model.set(name, value.to_string());
+      for (const auto& [name, value] : *entry.model) model.set(name, value.to_string());
       item.set("model", std::move(model));
     } else {
       if (entry.proof == nullptr) {
@@ -100,9 +104,12 @@ PropertyCert property_from_json(const Json& json) {
     schema_from_json(item, entry.query_index, entry.schema);
     entry.sat = item.at("sat").as_bool();
     if (entry.sat) {
+      std::vector<std::pair<std::string, BigInt>> model;
       for (const auto& [name, value] : item.at("model").as_object()) {
-        entry.model.emplace_back(name, BigInt::from_string(value.as_string()));
+        model.emplace_back(name, BigInt::from_string(value.as_string()));
       }
+      entry.model = std::make_shared<const std::vector<std::pair<std::string, BigInt>>>(
+          std::move(model));
     } else {
       entry.proof = smt::proof::node_from_json(item.at("proof"), pool);
     }

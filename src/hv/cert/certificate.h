@@ -14,16 +14,12 @@
 #ifndef HV_CERT_CERTIFICATE_H
 #define HV_CERT_CERTIFICATE_H
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "hv/checker/result.h"
-#include "hv/checker/schema.h"
-#include "hv/smt/proof.h"
 #include "hv/spec/query.h"
 #include "hv/ta/automaton.h"
 #include "hv/util/json.h"
@@ -50,33 +46,23 @@ struct PropertySource {
   std::string formula;  // informational for "bundled"
 };
 
-/// Evidence for one (query, schema) SMT verdict.
-struct SchemaCert {
-  std::int64_t query_index = 0;
-  checker::Schema schema;
-  bool sat = false;
-  std::shared_ptr<const smt::proof::Node> proof;             // iff !sat
-  std::vector<std::pair<std::string, BigInt>> model;         // iff sat
-};
+/// Evidence for one (query, schema) SMT verdict: the checker's own entry,
+/// so a certificate shares the run's proof trees and models instead of
+/// copying them.
+using SchemaCert = checker::SchemaEvidence;
 
 /// A schema the certifying run discarded via the (deterministic) query cone
 /// without an SMT call; the auditor reproduces the decision.
-struct PrunedCert {
-  std::int64_t query_index = 0;
-  checker::Schema schema;
-};
+using PrunedCert = checker::PrunedSchema;
 
-struct PropertyCert {
+/// One property's section: the run's evidence (schemas, pruned, the
+/// enumeration manifest and the completeness claim) plus what names and
+/// judges it.
+struct PropertyCert : checker::PropertyEvidence {
   std::string name;
   PropertySource source;
   std::string verdict;  // "holds" | "violated" | "unknown"
   std::string note;
-  checker::EnumerationOptions enumeration;
-  bool property_directed_pruning = true;
-  /// Claimed exhaustive coverage of the schema space (holds verdicts only).
-  bool complete = false;
-  std::vector<SchemaCert> schemas;
-  std::vector<PrunedCert> pruned;
 };
 
 /// One automaton with its certified properties.

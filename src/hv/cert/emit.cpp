@@ -30,38 +30,21 @@ PropertyCert make_property_cert(const spec::Property& property,
     throw InvalidArgument("certificate: result for '" + property.name +
                           "' carries no evidence (run with CheckOptions::certify)");
   }
+  for (const checker::SchemaEvidence& evidence : result.evidence->schemas) {
+    if (evidence.sat && evidence.model == nullptr) {
+      throw InvalidArgument("certificate: sat evidence without a model");
+    }
+    if (!evidence.sat && evidence.proof == nullptr) {
+      throw InvalidArgument("certificate: unsat evidence without a proof");
+    }
+  }
   PropertyCert cert;
+  static_cast<checker::PropertyEvidence&>(cert) = *result.evidence;
   cert.name = property.name;
   cert.source = std::move(source);
   if (cert.source.kind == "ltl") cert.source.formula = property.formula_text;
   cert.verdict = checker::to_string(result.verdict);
   cert.note = result.note;
-  cert.enumeration = result.evidence->enumeration;
-  cert.property_directed_pruning = result.evidence->property_directed_pruning;
-  cert.complete = result.evidence->complete;
-  cert.schemas.reserve(result.evidence->schemas.size());
-  for (const checker::SchemaEvidence& evidence : result.evidence->schemas) {
-    SchemaCert entry;
-    entry.query_index = static_cast<std::int64_t>(evidence.query_index);
-    entry.schema = evidence.schema;
-    entry.sat = evidence.sat;
-    if (evidence.sat) {
-      if (evidence.model == nullptr) {
-        throw InvalidArgument("certificate: sat evidence without a model");
-      }
-      entry.model = *evidence.model;
-    } else {
-      if (evidence.proof == nullptr) {
-        throw InvalidArgument("certificate: unsat evidence without a proof");
-      }
-      entry.proof = evidence.proof;
-    }
-    cert.schemas.push_back(std::move(entry));
-  }
-  cert.pruned.reserve(result.evidence->pruned.size());
-  for (const checker::PrunedSchema& pruned : result.evidence->pruned) {
-    cert.pruned.push_back({static_cast<std::int64_t>(pruned.query_index), pruned.schema});
-  }
   return cert;
 }
 

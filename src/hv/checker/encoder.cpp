@@ -309,7 +309,7 @@ void IncrementalSchemaEncoder::set_cancel_flag(const std::atomic<bool>* cancel) 
   solver_->set_cancel_flag(cancel);
 }
 
-EncodeResult IncrementalSchemaEncoder::check(const Schema& schema) {
+UnitOutcome IncrementalSchemaEncoder::check(const Schema& schema) {
   smt::Solver& solver = *solver_;
   const std::int64_t pivots_before = solver.pivots();
   const std::int64_t fast_before = solver.rational_fast_ops();
@@ -318,16 +318,17 @@ EncodeResult IncrementalSchemaEncoder::check(const Schema& schema) {
   const std::int64_t learned_before = solver.stats().lemmas_learned;
   walk_.open(schema);
 
-  EncodeResult result;
+  UnitOutcome result;
   result.length = walk_.length();
   if (solver.check() == smt::CheckResult::kSat) {
-    result.sat = true;
+    result.kind = UnitOutcome::Kind::kSat;
     result.counterexample = walk_.counterexample(solver);
     if (certify_) {
-      result.model_values = std::make_shared<std::vector<std::pair<std::string, BigInt>>>(
+      result.model = std::make_shared<std::vector<std::pair<std::string, BigInt>>>(
           solver.model_assignment());
     }
   } else {
+    result.kind = UnitOutcome::Kind::kUnsat;
     if (certify_) {
       result.proof = std::shared_ptr<const smt::proof::Node>(solver.take_last_proof());
     }
@@ -356,11 +357,11 @@ const IncrementalStats& IncrementalSchemaEncoder::stats() const noexcept {
   return walk_.stats();
 }
 
-EncodeResult solve_schema(const GuardAnalysis& analysis, const Schema& schema,
-                          const spec::ReachQuery& query, std::int64_t branch_budget,
-                          const QueryCone* cone, double time_budget_seconds,
-                          EncoderMode mode, std::int64_t pivot_budget,
-                          const std::atomic<bool>* cancel) {
+UnitOutcome solve_schema(const GuardAnalysis& analysis, const Schema& schema,
+                         const spec::ReachQuery& query, std::int64_t branch_budget,
+                         const QueryCone* cone, double time_budget_seconds,
+                         EncoderMode mode, std::int64_t pivot_budget,
+                         const std::atomic<bool>* cancel) {
   // The one-shot path: a fresh encoder whose level stack is empty, so the
   // whole schema lands in a single transient scope on a cold solver —
   // exactly the historical non-incremental encoding.

@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -40,33 +39,6 @@ class Solver;
 }  // namespace hv::smt
 
 namespace hv::checker {
-
-struct EncodeResult {
-  bool sat = false;
-  /// Number of rule applications in the encoded schema (the paper's
-  /// "schema length").
-  std::int64_t length = 0;
-  /// Simplex pivots spent on this schema (for fresh-vs-incremental
-  /// accounting; cumulative counters are differenced per call).
-  std::int64_t pivots = 0;
-  /// Rational arithmetic spent on this schema, split by representation
-  /// (machine-word fast path vs BigInt fallback), differenced like pivots.
-  std::int64_t rational_fast_ops = 0;
-  std::int64_t rational_big_ops = 0;
-  std::optional<Counterexample> counterexample;  // present iff sat
-  /// Learning mode only, on unsat: the refutation referenced nothing beyond
-  /// the first `cut_prefix` chain elements, so every schema of this query
-  /// whose unlock order starts with that prefix is unsat too (-1: no cut —
-  /// the refutation needed schema-specific constraints).
-  int cut_prefix = -1;
-  /// Lemma-pool activity on this schema (learning mode; differenced like
-  /// pivots).
-  std::int64_t lemma_hits = 0;
-  std::int64_t lemmas_learned = 0;
-  /// Certificate payloads, filled in EncoderMode::kCertify only.
-  std::shared_ptr<const smt::proof::Node> proof;  // iff !sat
-  std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model_values;  // iff sat
-};
 
 enum class EncoderMode {
   kSolve,    // plain solving, no certificate overhead
@@ -144,18 +116,20 @@ class SchemaWalk {
   IncrementalStats stats_;
 };
 
-/// Encodes and solves one schema against one query. `branch_budget` bounds
+/// Encodes and solves one schema against one query, returning a kSat or
+/// kUnsat UnitOutcome (result.h) with this schema's counters, its raw
+/// counterexample and, in certify mode, its model or proof. `branch_budget` bounds
 /// the SMT branch-and-bound effort (hv::Error escapes on exhaustion). When a
 /// QueryCone is supplied, rules whose source cannot be populated under the
 /// segment context are omitted from the encoding (sound: such rules can
 /// never fire there). `pivot_budget` (0 disables) and `cancel` mirror the
 /// incremental encoder's per-schema watchdogs.
-EncodeResult solve_schema(const GuardAnalysis& analysis, const Schema& schema,
-                          const spec::ReachQuery& query, std::int64_t branch_budget,
-                          const QueryCone* cone = nullptr, double time_budget_seconds = 0.0,
-                          EncoderMode mode = EncoderMode::kSolve,
-                          std::int64_t pivot_budget = 0,
-                          const std::atomic<bool>* cancel = nullptr);
+UnitOutcome solve_schema(const GuardAnalysis& analysis, const Schema& schema,
+                         const spec::ReachQuery& query, std::int64_t branch_budget,
+                         const QueryCone* cone = nullptr, double time_budget_seconds = 0.0,
+                         EncoderMode mode = EncoderMode::kSolve,
+                         std::int64_t pivot_budget = 0,
+                         const std::atomic<bool>* cancel = nullptr);
 
 /// Stateful encoder for one query, exploiting prefix sharing between the
 /// schemas the enumerator emits in DFS order. Not thread-safe: each worker
@@ -166,7 +140,7 @@ EncodeResult solve_schema(const GuardAnalysis& analysis, const Schema& schema,
 /// certificate would have to cover), the underlying solver runs in learning
 /// mode against that shared pool: pooled Farkas refutations short-circuit
 /// checks, new pure-constraint refutations are banked, and unsat results
-/// report EncodeResult::cut_prefix.
+/// report UnitOutcome::cut_prefix.
 class IncrementalSchemaEncoder {
  public:
   IncrementalSchemaEncoder(const GuardAnalysis& analysis, const spec::ReachQuery& query,
@@ -188,8 +162,9 @@ class IncrementalSchemaEncoder {
   void set_cancel_flag(const std::atomic<bool>* cancel) noexcept;
 
   /// Encodes and solves one schema, reusing whatever prefix of chain-element
-  /// scopes is still valid from the previous call.
-  EncodeResult check(const Schema& schema);
+  /// scopes is still valid from the previous call. As solve_schema, with
+  /// the counters differenced over this call.
+  UnitOutcome check(const Schema& schema);
 
   const IncrementalStats& stats() const noexcept;
 

@@ -17,9 +17,16 @@ namespace hv::checker {
 namespace {
 
 // The header's format version. Version 3 made each record line the
-// settled-schema object of record.h; older journals are refused, not
-// half-read.
-constexpr std::int64_t kJournalVersion = 3;
+// settled-schema object of record.h; version 4 records the schema space in
+// the header. Older journals are refused, not half-read.
+constexpr std::int64_t kJournalVersion = 4;
+
+// The schema-space options, in header and diagnostic order.
+constexpr std::pair<const char*, bool SchemaSpace::*> kSpaceOptions[] = {
+    {"prune_implications", &SchemaSpace::prune_implications},
+    {"prune_dead_unlocks", &SchemaSpace::prune_dead_unlocks},
+    {"property_directed_pruning", &SchemaSpace::property_directed_pruning},
+};
 
 }  // namespace
 
@@ -84,6 +91,7 @@ ProgressJournal::ProgressJournal(std::string path, const JournalHeader& header,
   if (!header.model_hash.empty()) line.set("model_hash", header.model_hash);
   if (!header.hvc_version.empty()) line.set("hvc_version", header.hvc_version);
   if (!header.node.empty()) line.set("node", header.node);
+  for (const auto& [key, option] : kSpaceOptions) line.set(key, header.space.*option);
   std::fputs((line.to_string() + "\n").c_str(), file_);
   flush();
 }
@@ -145,20 +153,27 @@ ResumeState load_journal(const std::string& path) {
       continue;
     }
     if (const Json* version = json.find("hv_journal")) {
+      if (version->kind() == Json::Kind::kInt && version->as_int() != kJournalVersion) {
+        throw Error("journal: " + path + " is a version-" + std::to_string(version->as_int()) +
+                    " journal, and this hvc reads only version " +
+                    std::to_string(kJournalVersion) + "; start a fresh journal");
+      }
       const Json* automaton = json.find("automaton");
       const auto text = [&](const char* key) {
         const Json* field = json.find(key);
         return field == nullptr || field->kind() == Json::Kind::kString;
       };
-      if (version->kind() != Json::Kind::kInt || automaton == nullptr ||
+      SchemaSpace space;
+      bool flags = true;
+      for (const auto& [key, option] : kSpaceOptions) {
+        const Json* field = json.find(key);
+        flags = flags && field != nullptr && field->kind() == Json::Kind::kBool;
+        if (flags) space.*option = field->as_bool();
+      }
+      if (version->kind() != Json::Kind::kInt || automaton == nullptr || !flags ||
           !text("automaton") || !text("model_hash") || !text("hvc_version") || !text("node")) {
         ++state.skipped_lines;
         continue;
-      }
-      if (version->as_int() != kJournalVersion) {
-        throw Error("journal: " + path + " is a version-" + std::to_string(version->as_int()) +
-                    " journal, and this hvc reads only version " +
-                    std::to_string(kJournalVersion) + "; start a fresh journal");
       }
       if (header_seen && state.automaton != automaton->as_string()) {
         throw Error("journal: " + path + " mixes automatons '" + state.automaton + "' and '" +
@@ -179,6 +194,10 @@ ResumeState load_journal(const std::string& path) {
       adopt("model_hash", &state.model_hash);
       adopt("hvc_version", &state.hvc_version);
       adopt("node", &state.node);
+      if (header_seen && state.space != space) {
+        throw Error("journal: " + path + " mixes headers of different pruning options");
+      }
+      state.space = space;
       header_seen = true;
       continue;
     }
@@ -204,7 +223,8 @@ ResumeState load_journal(const std::string& path) {
 }
 
 void require_resume_compatible(const ResumeState& resume, const std::string& automaton,
-                               const std::string& model_hash, const std::string& node) {
+                               const std::string& model_hash, const std::string& node,
+                               const SchemaSpace& space) {
   if (resume.automaton != automaton) {
     throw InvalidArgument("checker: resume journal was recorded for automaton '" +
                           resume.automaton + "', not '" + automaton + "'");
@@ -227,6 +247,14 @@ void require_resume_compatible(const ResumeState& resume, const std::string& aut
                           "', not '" + node +
                           "' — per-node journals are not interchangeable even within one "
                           "automaton; point --resume at this node's own journal");
+  }
+  for (const auto& [key, option] : kSpaceOptions) {
+    if (resume.space.*option == space.*option) continue;
+    throw InvalidArgument("checker: resume journal was written with " + std::string(key) +
+                          (resume.space.*option ? " on" : " off") + ", but this run has it " +
+                          (space.*option ? "on" : "off") +
+                          " — its records settle another schema space; resume with the "
+                          "journal's pruning options or start a fresh journal");
   }
 }
 

@@ -3,16 +3,18 @@
 // The paper's hardest workloads (the naive multi-round DBFT automaton of
 // Table 2) run for days before timing out; a process kill must not destroy
 // the accumulated schema verdicts. The journal is an append-only JSONL file
-// (format version 3): a header line {"hv_journal":3, automaton, model_hash,
-// hvc_version, node?}, then one line per settled schema, keyed by a
+// (format version 4): a header line {"hv_journal":4, automaton, model_hash,
+// hvc_version, node?, prune_implications, prune_dead_unlocks,
+// property_directed_pruning}, then one line per settled schema, keyed by a
 // *stable cursor* derived from the schema content (unlock order + cut
 // positions), which the deterministic enumeration order reproduces run
 // after run. Each record line is the settled-schema object of record.h,
 // with the property's name as its head field: the very object a fleet
-// worker sends in a record frame. It carries the verdict, the counters
-// (length, pivots, rational fast/big ops, retries), the note, the subtree
-// cut, and the evidence when there is some: an unsat schema's proof and a
-// sat schema's model in certify mode, a sat schema's counterexample always.
+// worker sends in a record frame. It carries the verdict, the solve's
+// counters (length, pivots, rational fast/big ops, retries, lemma hits and
+// lemmas learned), the note, the subtree cut, and the evidence when there is
+// some: an unsat schema's proof and a sat schema's model in certify mode, a
+// sat schema's counterexample always.
 // Records are buffered and fsync'd in batches, so a kill -9 at any point
 // loses at most one batch; a torn trailing line (the only possible
 // corruption of an append-only file) is skipped on load, as is any line
@@ -22,7 +24,10 @@
 // checker skips every already-settled schema, replaying its recorded
 // verdict and counters into the run statistics: an interrupted run
 // continued this way reports the same verdicts and schema totals as an
-// uninterrupted one. A certifying resume replays only the records that
+// uninterrupted one. The header's pruning options decide which schemas
+// exist and which the cone prunes, so a resume under other values is
+// refused; certify, lemmas, budgets and thread counts may change. A
+// certifying resume replays only the records that
 // carry their evidence (an unsat with its proof, or a pruned schema, which
 // the auditor re-derives from the cone) and re-solves the rest, so the
 // resumed proofs land in the certificate and `hvc audit` checks them like
@@ -38,8 +43,8 @@
 #include <vector>
 
 #include "hv/checker/record.h"
+#include "hv/checker/result.h"
 #include "hv/checker/schema.h"
-#include "hv/checker/schema_solver.h"
 
 namespace hv::checker {
 
@@ -50,6 +55,18 @@ namespace hv::checker {
 /// handshake uses it to verify the worker reconstructed the coordinator's
 /// automaton. 16 lowercase hex digits (FNV-1a 64).
 std::string model_content_hash(const ta::ThresholdAutomaton& ta);
+
+/// The options that decide a property's schema space and the cone's
+/// pruning decisions. A journal's records hold for the values it was
+/// written under and no others: a pruned record is no claim at all without
+/// the cone, and the enumeration prunings decide which cursors exist.
+struct SchemaSpace {
+  bool prune_implications = true;
+  bool prune_dead_unlocks = true;
+  bool property_directed_pruning = true;
+
+  bool operator==(const SchemaSpace&) const = default;
+};
 
 /// Identity block written into a journal's header line. Implicitly
 /// constructible from an automaton name alone (tests); the checker fills all
@@ -64,6 +81,7 @@ struct JournalHeader {
   /// two nodes of the same automaton share cursors, so the mixup would be
   /// silent otherwise.
   std::string node;
+  SchemaSpace space;
 
   JournalHeader(std::string automaton_name);  // NOLINT(google-explicit-constructor)
   JournalHeader(const char* automaton_name);  // NOLINT(google-explicit-constructor)
@@ -71,8 +89,8 @@ struct JournalHeader {
 };
 
 /// One journal line: a SchemaRecord (schema.h) of `property`, with the
-/// evidence the line carried in `solve` (proof, model, counterexample and
-/// validation error; the other fields stay default). `verdict` is one of
+/// solve's counters, note and evidence the line carried in `solve` (its
+/// kind and cut_prefix stay default). `verdict` is one of
 /// "unsat", "sat", "pruned" or "unknown". An unsat record whose refutation
 /// only referenced the first `cut` elements of the schema's unlock chain
 /// carries `cut >= 0`: the whole subtree below that prefix is infeasible,
@@ -133,6 +151,7 @@ struct ResumeState {
   std::string model_hash;
   std::string hvc_version;
   std::string node;
+  SchemaSpace space;
   std::unordered_map<std::string, JournalRecord> settled;
   /// The keys of `settled` in the order they first appear in the journal
   /// (a resume replays them so, and a certifying run then writes its
@@ -151,9 +170,10 @@ struct ResumeState {
 
 /// Loads a journal; tolerant of a torn trailing line and of any other line
 /// that does not decode (counted in skipped_lines). Throws hv::Error if the
-/// file cannot be read, contains no valid header, mixes identities, or has a
-/// header of another format version (a version-2 journal is refused with a
-/// "start a fresh journal" diagnostic, never half-read).
+/// file cannot be read, contains no valid header, mixes identities or
+/// schema spaces, or has a header of another format version (an older
+/// journal is refused with a "start a fresh journal" diagnostic, never
+/// half-read).
 ResumeState load_journal(const std::string& path);
 
 /// Refuses a resume whose journal does not match the run: automaton name,
@@ -162,10 +182,12 @@ ResumeState load_journal(const std::string& path);
 /// a different model would silently fail to line up cursors otherwise.
 /// When both the run and the journal carry a pipeline node identity, those must
 /// agree too (two nodes over the same automaton share cursor space, so the
-/// name/hash checks alone cannot catch the mixup). Throws
-/// hv::InvalidArgument on any mismatch.
+/// name/hash checks alone cannot catch the mixup). The schema space must
+/// agree option by option, and the diagnostic names the first that does
+/// not. Throws hv::InvalidArgument on any mismatch.
 void require_resume_compatible(const ResumeState& resume, const std::string& automaton,
-                               const std::string& model_hash, const std::string& node = {});
+                               const std::string& model_hash, const std::string& node = {},
+                               const SchemaSpace& space = {});
 
 }  // namespace hv::checker
 

@@ -2,7 +2,7 @@
 //
 // Two kinds of facts flow out of an unsat schema in learning mode:
 //
-//   * Subtree cuts — EncodeResult::cut_prefix says the refutation only
+//   * Subtree cuts — UnitOutcome::cut_prefix says the refutation only
 //     referenced the first d chain elements; every schema of the same query
 //     whose unlock order starts with that prefix is unsat (for any cut
 //     placement). The CutIndex records such prefixes in a prefix trie, so

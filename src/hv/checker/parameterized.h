@@ -59,7 +59,8 @@ struct CheckOptions {
   /// the recorded verdicts and counters into the statistics (empty
   /// disables). Sat records are re-solved. In certify mode only records
   /// that carry their evidence (an unsat with its proof, a pruned schema)
-  /// are replayed, and their proofs go into the certificate.
+  /// are replayed, and their proofs go into the certificate. A journal
+  /// written under other pruning options is refused (journal.h).
   std::string resume_path;
   /// Pipeline node identity stamped into the journal header (empty for
   /// whole-run journals). Resume cross-checks it: per-node journals of the

@@ -81,19 +81,23 @@ std::vector<std::pair<std::string, BigInt>> model_values_from_json(const Json& j
 Json record_to_json(const SchemaRecord& record, const UnitOutcome& solve, Json::Object head) {
   const bool sat = record.verdict == "sat";
   Json::Object out;
-  out.reserve(11 + head.size());
+  out.reserve(13 + head.size());
   const auto field = [&](const char* key, Json value) { out.emplace_back(key, std::move(value)); };
   field("type", sat ? "sat" : "record");
   for (auto& entry : head) out.push_back(std::move(entry));
   field("cursor", record.cursor);
   if (!sat) field("verdict", record.verdict);
-  field("length", record.length);
-  field("pivots", record.pivots);
+  field("length", solve.length);
+  field("pivots", solve.pivots);
   if (sat || record.verdict == "unsat") {
-    field("fast", record.fast);
-    field("big", record.big);
+    field("fast", solve.rational_fast_ops);
+    field("big", solve.rational_big_ops);
   }
-  field("retries", record.retries);
+  field("retries", solve.retries);
+  // Lemma-pool activity only when there was some, so a run that learns
+  // nothing writes the same bytes as one that cannot.
+  if (solve.lemma_hits != 0) field("hits", solve.lemma_hits);
+  if (solve.lemmas_learned != 0) field("learned", solve.lemmas_learned);
   if (sat) {
     field("validation_error", solve.validation_error);
     if (solve.counterexample) {
@@ -101,7 +105,7 @@ Json record_to_json(const SchemaRecord& record, const UnitOutcome& solve, Json::
     }
     if (solve.model) field("model", model_values_to_json(*solve.model));
   } else {
-    field("note", record.note);
+    field("note", solve.note);
     if (record.cut >= 0) field("cut", record.cut);
     if (solve.proof) field("proof", smt::proof::to_json(*solve.proof));
   }
@@ -111,19 +115,24 @@ Json record_to_json(const SchemaRecord& record, const UnitOutcome& solve, Json::
 SchemaRecord record_from_json(const Json& object, UnitOutcome* solve) {
   SchemaRecord record;
   const bool sat = object.at("type").as_string() == "sat";
-  const auto count = [&](const char* key) {
-    const std::int64_t value = object.at(key).as_int();
+  // A record always carries length, pivots and retries; pruned and unknown
+  // records omit fast/big, and every record omits hits/learned when zero.
+  const auto count = [&](const char* key, bool required) -> std::int64_t {
+    const Json* field = required ? &object.at(key) : object.find(key);
+    if (field == nullptr) return 0;
+    const std::int64_t value = field->as_int();
     if (value < 0) throw InvalidArgument(std::string("record: negative ") + key);
     return value;
   };
   record.cursor = object.at("cursor").as_string();
   record.verdict = sat ? "sat" : object.at("verdict").as_string();
-  record.length = count("length");
-  record.pivots = count("pivots");
-  record.retries = count("retries");
-  // Pruned and unknown records omit fast/big.
-  if (object.find("fast") != nullptr) record.fast = count("fast");
-  if (object.find("big") != nullptr) record.big = count("big");
+  solve->length = count("length", true);
+  solve->pivots = count("pivots", true);
+  solve->retries = count("retries", true);
+  solve->rational_fast_ops = count("fast", false);
+  solve->rational_big_ops = count("big", false);
+  solve->lemma_hits = count("hits", false);
+  solve->lemmas_learned = count("learned", false);
   if (sat) {
     solve->validation_error = object.at("validation_error").as_string();
     if (const Json* cex = object.find("counterexample")) {
@@ -134,7 +143,7 @@ SchemaRecord record_from_json(const Json& object, UnitOutcome* solve) {
           model_values_from_json(*model));
     }
   } else {
-    record.note = object.at("note").as_string();
+    solve->note = object.at("note").as_string();
     if (const Json* cut = object.find("cut")) record.cut = cut->as_int();
     if (const Json* proof = object.find("proof")) {
       solve->proof = std::shared_ptr<const smt::proof::Node>(smt::proof::from_json(*proof));

@@ -136,28 +136,31 @@ IncrementalStats& IncrementalStats::operator-=(const IncrementalStats& other) no
   return *this;
 }
 
-void PropertyTally::count(const SchemaRecord& record, ProgressCounters* progress, bool resumed) {
+void PropertyTally::count(const SchemaRecord& record, const UnitOutcome& solve,
+                          ProgressCounters* progress, bool resumed) {
   const auto add = [&](std::int64_t& field, std::atomic<std::int64_t> ProgressCounters::* live) {
     ++field;
     if (progress != nullptr) (progress->*live).fetch_add(1, std::memory_order_relaxed);
   };
   add(enumerated, &ProgressCounters::enumerated);
-  retries += record.retries;
+  retries += solve.retries;
+  lemma_hits += solve.lemma_hits;
+  lemmas_learned += solve.lemmas_learned;
   if (resumed) add(this->resumed, &ProgressCounters::resumed);
   if (record.verdict == "pruned") {
     add(pruned, &ProgressCounters::pruned);
   } else if (record.verdict == "unsat" || record.verdict == "sat") {
     add(checked, &ProgressCounters::solved);
-    total_length += record.length;
-    pivots += record.pivots;
-    rational_fast_ops += record.fast;
-    rational_big_ops += record.big;
+    total_length += solve.length;
+    pivots += solve.pivots;
+    rational_fast_ops += solve.rational_fast_ops;
+    rational_big_ops += solve.rational_big_ops;
   } else {
     add(unknown, &ProgressCounters::unknown);
     if (degrade_note.empty()) {
       degrade_note = (resumed ? "schema degraded to unknown (resumed): "
                               : "schema degraded to unknown: ") +
-                     record.note;
+                     solve.note;
     }
   }
 }

@@ -87,6 +87,49 @@ struct IncrementalStats {
   IncrementalStats& operator-=(const IncrementalStats& other) noexcept;
 };
 
+/// One (query, schema) solve, from the encoder that answers it through the
+/// retry ladder (schema_solver.h) to PropertyTally::count: a settled
+/// schema's counters and evidence live here alone, beside its SchemaRecord
+/// in a journal line or a worker frame (record.h).
+struct UnitOutcome {
+  enum class Kind {
+    kUnsat,        // schema infeasible: the verdict the property wants
+    kSat,          // counterexample found (validated, minimized)
+    kUnknown,      // retry ladder exhausted; `note` says why
+    kInterrupted,  // run-level cancel or global timeout; nothing recorded
+    kAborted,      // WorkerAbortFault: the executing worker must die
+  };
+  Kind kind = Kind::kUnknown;
+  /// Rule applications in the encoded schema (the paper's "schema length").
+  std::int64_t length = 0;
+  /// Simplex pivots spent on this schema, and its rational arithmetic split
+  /// by representation (machine-word fast path vs BigInt fallback): the
+  /// solver's cumulative counters, differenced per check.
+  std::int64_t pivots = 0;
+  std::int64_t rational_fast_ops = 0;
+  std::int64_t rational_big_ops = 0;
+  /// Fresh-solver retries taken while settling this unit (0 or 1).
+  std::int64_t retries = 0;
+  /// kUnknown: the failure that exhausted the ladder. kInterrupted: "cancelled"
+  /// or "timeout".
+  std::string note;
+  std::optional<Counterexample> counterexample;  // kSat
+  /// kSat only: non-empty iff the counterexample failed replay validation —
+  /// an internal encoder bug the run must surface instead of the verdict.
+  std::string validation_error;
+  /// kUnsat in learning mode: the refutation used only the first
+  /// `cut_prefix` chain elements, so every schema of this query extending
+  /// that prefix is unsat too (-1: no subtree cut).
+  int cut_prefix = -1;
+  /// Lemma-pool activity while settling this unit (learning mode;
+  /// differenced like pivots).
+  std::int64_t lemma_hits = 0;
+  std::int64_t lemmas_learned = 0;
+  /// Certify mode: proof tree (kUnsat) / named integer model (kSat).
+  std::shared_ptr<const smt::proof::Node> proof;
+  std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model;
+};
+
 /// Certificate raw material for one (query, schema) SMT verdict, collected
 /// when CheckOptions::certify is set. UNSAT verdicts carry the solver's
 /// proof tree; SAT verdicts the full named integer model (unlike
@@ -161,14 +204,14 @@ struct PropertyTally {
   /// Diagnostic of the first schema degraded to unknown.
   std::string degrade_note;
   /// Certify mode: per-schema evidence and cone-pruned schemas.
-  std::vector<SchemaEvidence> evidence;
-  std::vector<PrunedSchema> pruned_schemas;
+  PropertyEvidence evidence;
 
-  /// Counts one settled schema: enumerated, retries, resumed and the
-  /// counter its verdict lands in, mirrored into the live `progress`
-  /// counters (null: nobody watching). The first unknown schema sets the
-  /// degrade note.
-  void count(const SchemaRecord& record, ProgressCounters* progress, bool resumed);
+  /// Counts one settled schema: enumerated, resumed, the counter its
+  /// verdict lands in (mirrored into the live `progress` counters; null:
+  /// nobody watching) and the solve's own counters. The first unknown
+  /// schema sets the degrade note.
+  void count(const SchemaRecord& record, const UnitOutcome& solve, ProgressCounters* progress,
+             bool resumed);
 };
 
 /// Why a property run stopped: the inputs of the verdict precedence ladder

@@ -22,6 +22,11 @@ CheckOptions normalized(const CheckOptions& options) {
   return out;
 }
 
+SchemaSpace schema_space(const CheckOptions& options) {
+  return {options.enumeration.prune_implications, options.enumeration.prune_dead_unlocks,
+          options.property_directed_pruning};
+}
+
 void bump(ProgressCounters* progress, std::atomic<std::int64_t> ProgressCounters::* counter,
           std::int64_t n = 1) {
   if (progress != nullptr) (progress->*counter).fetch_add(n, std::memory_order_relaxed);
@@ -82,9 +87,7 @@ PropertyResult settle_result(std::string property, PropertyTally tally, RunEnd e
     result.verdict = Verdict::kHolds;
   }
   if (options.certify) {
-    auto evidence = std::make_shared<PropertyEvidence>();
-    evidence->schemas = std::move(tally.evidence);
-    evidence->pruned = std::move(tally.pruned_schemas);
+    auto evidence = std::make_shared<PropertyEvidence>(std::move(tally.evidence));
     evidence->enumeration = options.enumeration;
     evidence->property_directed_pruning = options.property_directed_pruning;
     // Only a holds verdict claims exhaustive coverage; violated stops at the
@@ -102,7 +105,8 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
   const std::string model_hash = need_identity ? model_content_hash(ta) : std::string();
   if (!options_.resume_path.empty()) {
     resume_ = load_journal(options_.resume_path);
-    require_resume_compatible(*resume_, ta.name(), model_hash, options_.journal_node);
+    require_resume_compatible(*resume_, ta.name(), model_hash, options_.journal_node,
+                              schema_space(options_));
     // What stays is replayed; the rest is re-solved: sat records always,
     // and in a certifying run every record that lacks its evidence (an
     // unsat without its proof, an unknown).
@@ -116,6 +120,7 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
   if (!options_.journal_path.empty()) {
     JournalHeader header(ta.name(), model_hash);
     header.node = options_.journal_node;
+    header.space = schema_space(options_);
     journal_ = std::make_unique<ProgressJournal>(options_.journal_path, header,
                                                  options_.journal_flush_batch);
   }
@@ -285,16 +290,16 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
     if (!charge_locked(p)) return false;
     --prop.in_flight;  // counted right below
   }
-  prop.tally.count(record, options_.progress, resumed);
+  prop.tally.count(record, outcome, options_.progress, resumed);
   if (journal_ && (!resumed || copy_resumed_)) {
     journal_->append(properties_[p].name, record, outcome);
   }
   const bool sat = record.verdict == "sat";
   if (options_.certify && record.verdict == "pruned") {
-    prop.tally.pruned_schemas.push_back({q, schema});
+    prop.tally.evidence.pruned.push_back({q, schema});
   }
   if (options_.certify && (sat || record.verdict == "unsat")) {
-    prop.tally.evidence.push_back({q, schema, sat, outcome.proof, outcome.model});
+    prop.tally.evidence.schemas.push_back({q, schema, sat, outcome.proof, outcome.model});
   }
   if (sat) {
     // The first witness wins and settles the property.
@@ -436,8 +441,6 @@ bool LeaseConsumer::settle_one_lease() {
     SchemaStep step = step_schema(solver, cone, q, schema, book.remaining_seconds());
     std::lock_guard<std::mutex> lock(book.mutex);
     PropertyRun& prop = book.props[p];
-    prop.tally.lemma_hits += step.outcome.lemma_hits;
-    prop.tally.lemmas_learned += step.outcome.lemmas_learned;
     switch (step.kind) {
       case SchemaStep::Kind::kCut:
         book.cut_locked(p, 1);

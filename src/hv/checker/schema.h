@@ -48,23 +48,17 @@ struct Schema {
 
 /// One settled (query, schema) unit, whichever executor settled it: a
 /// lease consumer (an in-process thread or the coordinator's own solver), a
-/// fleet worker, or a journal replay. PropertyTally::count (result.h) is the only place a
-/// record turns into counters; record.h is its one codec, which the journal
-/// (journal.h) and the worker's record frames (dist/protocol.h) share.
+/// fleet worker, or a journal replay. It holds only what the solve does not
+/// know; the solve's counters and evidence travel beside it in its
+/// UnitOutcome (result.h). PropertyTally::count (result.h) is the only
+/// place the pair turns into counters; record.h is its one codec, which the
+/// journal (journal.h) and the worker's record frames (dist/protocol.h)
+/// share.
 struct SchemaRecord {
   /// schema_cursor; empty when no journal or resume is open.
   std::string cursor;
   /// "pruned", "unsat", "sat" or "unknown".
   std::string verdict;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  /// Rational fast-path / BigInt op split.
-  std::int64_t fast = 0;
-  std::int64_t big = 0;
-  /// Fresh-solver retries taken.
-  std::int64_t retries = 0;
-  /// Why an unknown schema degraded.
-  std::string note;
   /// Unsat only: the refutation used just the first `cut` chain elements,
   /// so every schema extending that prefix is unsat too (-1: no cut).
   std::int64_t cut = -1;

@@ -25,9 +25,9 @@ SchemaSolver::SchemaSolver(const GuardAnalysis& analysis, const spec::Property& 
 
 SchemaSolver::~SchemaSolver() = default;
 
-EncodeResult SchemaSolver::attempt(std::size_t query_index, const Schema& schema,
-                                   const QueryCone* cone, double remaining_seconds,
-                                   bool incremental) {
+UnitOutcome SchemaSolver::attempt(std::size_t query_index, const Schema& schema,
+                                  const QueryCone* cone, double remaining_seconds,
+                                  bool incremental) {
   const spec::ReachQuery& query = property_.queries[query_index];
   const Stopwatch schema_watch;
   if (hooks_.injector != nullptr) hooks_.injector->before_solve();
@@ -106,45 +106,42 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
     return false;
   };
 
-  EncodeResult result;
-  bool solved = false;
   std::string failure;
-  try {
-    result = attempt(query_index, schema, cone, remaining_seconds, options_.incremental);
-    solved = true;
-  } catch (const WorkerAbortFault&) {
-    retire(query_index);
-    outcome.kind = UnitOutcome::Kind::kAborted;
-    outcome.note = "worker aborted mid-schema";
-    return outcome;
-  } catch (const Error& error) {
-    failure = error.what();
-  } catch (const std::bad_alloc&) {
-    failure = "allocation failure (std::bad_alloc)";
-  }
-
-  if (!solved) {
+  bool aborted = false;
+  // One rung of the ladder: true iff it solved, into `outcome` (keeping the
+  // retries taken so far).
+  const auto rung = [&](bool incremental) {
+    try {
+      UnitOutcome solved = attempt(query_index, schema, cone, remaining_seconds, incremental);
+      solved.retries = outcome.retries;
+      outcome = std::move(solved);
+      return true;
+    } catch (const WorkerAbortFault&) {
+      aborted = true;
+    } catch (const Error& error) {
+      failure = error.what();
+    } catch (const std::bad_alloc&) {
+      failure = "allocation failure (std::bad_alloc)";
+    }
     // The throw poisoned any incremental encoder; fold its stats and drop it
     // (also the release valve of the memory budget).
     retire(query_index);
+    return false;
+  };
+
+  bool solved = rung(options_.incremental);
+  if (!solved && !aborted) {
     if (fatal_interrupt()) return outcome;
     if (options_.retry_fresh) {
       outcome.retries = 1;
-      try {
-        result = attempt(query_index, schema, cone, remaining_seconds, false);
-        solved = true;
-        failure.clear();
-      } catch (const WorkerAbortFault&) {
-        outcome.kind = UnitOutcome::Kind::kAborted;
-        outcome.note = "worker aborted mid-schema";
-        return outcome;
-      } catch (const Error& error) {
-        failure = error.what();
-      } catch (const std::bad_alloc&) {
-        failure = "allocation failure (std::bad_alloc)";
-      }
-      if (!solved && fatal_interrupt()) return outcome;
+      solved = rung(false);
+      if (!solved && !aborted && fatal_interrupt()) return outcome;
     }
+  }
+  if (aborted) {
+    outcome.kind = UnitOutcome::Kind::kAborted;
+    outcome.note = "worker aborted mid-schema";
+    return outcome;
   }
   if (!solved) {
     // Retry ladder exhausted: the unit degrades to a recorded unknown.
@@ -152,34 +149,17 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
     outcome.note = failure;
     return outcome;
   }
+  if (outcome.kind == UnitOutcome::Kind::kUnsat) return outcome;
 
-  outcome.length = result.length;
-  outcome.pivots = result.pivots;
-  outcome.rational_fast_ops = result.rational_fast_ops;
-  outcome.rational_big_ops = result.rational_big_ops;
-  outcome.lemma_hits = result.lemma_hits;
-  outcome.lemmas_learned = result.lemmas_learned;
-  outcome.proof = result.proof;
-  outcome.model = result.model_values;
-  if (!result.sat) {
-    outcome.kind = UnitOutcome::Kind::kUnsat;
-    outcome.cut_prefix = result.cut_prefix;
-    return outcome;
-  }
-  outcome.kind = UnitOutcome::Kind::kSat;
   const spec::ReachQuery& query = property_.queries[query_index];
-  result.counterexample->property = property_.name;
+  Counterexample& cex = *outcome.counterexample;
+  cex.property = property_.name;
   // Every counterexample is replayed against concrete semantics (a guard
   // against encoder bugs), then shrunk while it still replays.
-  outcome.validation_error =
-      validate_counterexample(analysis_.automaton(), *result.counterexample, query);
-  if (!outcome.validation_error.empty()) {
-    outcome.counterexample = std::move(*result.counterexample);
-    return outcome;
+  outcome.validation_error = validate_counterexample(analysis_.automaton(), cex, query);
+  if (outcome.validation_error.empty()) {
+    cex = minimize_counterexample(analysis_.automaton(), cex, query);
   }
-  *result.counterexample =
-      minimize_counterexample(analysis_.automaton(), *result.counterexample, query);
-  outcome.counterexample = std::move(*result.counterexample);
   return outcome;
 }
 
@@ -198,7 +178,6 @@ SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t 
   }
   UnitOutcome& outcome = step.outcome;
   outcome = solver.solve(q, schema, cone, remaining_seconds);
-  record.retries = outcome.retries;
   switch (outcome.kind) {
     case UnitOutcome::Kind::kInterrupted:
       step.kind = SchemaStep::Kind::kInterrupted;
@@ -208,7 +187,6 @@ SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t 
       [[fallthrough]];
     case UnitOutcome::Kind::kUnknown:
       record.verdict = "unknown";
-      record.note = std::move(outcome.note);
       return step;
     case UnitOutcome::Kind::kUnsat:
     case UnitOutcome::Kind::kSat:
@@ -216,10 +194,6 @@ SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t 
   }
   const bool sat = outcome.kind == UnitOutcome::Kind::kSat;
   record.verdict = sat ? "sat" : "unsat";
-  record.length = outcome.length;
-  record.pivots = outcome.pivots;
-  record.fast = outcome.rational_fast_ops;
-  record.big = outcome.rational_big_ops;
   // Core-based subtree cut: every schema whose unlock order extends the
   // refuted prefix (any cut placement) is unsat too. It rides on the unsat
   // record so a journal or a frame never carries the verdict without it.

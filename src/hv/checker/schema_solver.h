@@ -13,7 +13,9 @@
 // step_schema wraps the ladder in the full per-schema path every executor
 // shares — cut cover, cone, solve, cut derivation, all against the learning
 // state the solver carries (SolveHooks::learning) — and reports a
-// SchemaRecord (schema.h). Executors differ only in where the record goes,
+// SchemaRecord (schema.h) beside the solve's UnitOutcome (result.h), which
+// the encoder filled and which carries the schema's counters from there to
+// the tally. Executors differ only in where the pair goes,
 // which their lease book decides: a thread's book merges it, and a fleet
 // worker's book ships it as a frame the coordinator merges into the run's
 // book. Run-level interrupts (external cancellation, global timeout) are
@@ -25,9 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "hv/checker/encoder.h"
@@ -40,41 +39,6 @@
 #include "hv/util/stopwatch.h"
 
 namespace hv::checker {
-
-/// Outcome of settling one (query, schema) unit through the retry ladder.
-struct UnitOutcome {
-  enum class Kind {
-    kUnsat,        // schema infeasible: the verdict the property wants
-    kSat,          // counterexample found (validated, minimized)
-    kUnknown,      // retry ladder exhausted; `note` says why
-    kInterrupted,  // run-level cancel or global timeout; nothing recorded
-    kAborted,      // WorkerAbortFault: the executing worker must die
-  };
-  Kind kind = Kind::kUnknown;
-  std::int64_t length = 0;
-  std::int64_t pivots = 0;
-  /// Rational fast-path/BigInt op split for this unit (see EncodeResult).
-  std::int64_t rational_fast_ops = 0;
-  std::int64_t rational_big_ops = 0;
-  /// Fresh-solver retries taken while settling this unit (0 or 1).
-  std::int64_t retries = 0;
-  /// kUnknown: the failure that exhausted the ladder. kInterrupted: "cancelled"
-  /// or "timeout".
-  std::string note;
-  std::optional<Counterexample> counterexample;  // kSat
-  /// kSat only: non-empty iff the counterexample failed replay validation —
-  /// an internal encoder bug the run must surface instead of the verdict.
-  std::string validation_error;
-  /// kUnsat in learning mode: EncodeResult::cut_prefix — the refutation only
-  /// used the first `cut_prefix` chain elements (-1: no subtree cut).
-  int cut_prefix = -1;
-  /// Lemma-pool activity while settling this unit (learning mode).
-  std::int64_t lemma_hits = 0;
-  std::int64_t lemmas_learned = 0;
-  /// Certify mode: proof tree (kUnsat) / named integer model (kSat).
-  std::shared_ptr<const smt::proof::Node> proof;
-  std::shared_ptr<const std::vector<std::pair<std::string, BigInt>>> model;
-};
 
 /// Run-level services shared by all SchemaSolvers of one run. All pointees
 /// must outlive the solver; null members disable the corresponding feature.
@@ -105,7 +69,9 @@ class SchemaSolver {
   SchemaSolver(const SchemaSolver&) = delete;
   SchemaSolver& operator=(const SchemaSolver&) = delete;
 
-  /// Settles one unit. `cone` may be null (pruning disabled);
+  /// Settles one unit through the retry ladder: the encoder's UnitOutcome
+  /// (result.h) with the retries taken and, for kSat, the counterexample
+  /// validated and minimized. `cone` may be null (pruning disabled);
   /// `remaining_seconds` is the run's remaining global budget (<= 0 with an
   /// armed timeout means "already at the deadline"). On Kind::kAborted the
   /// failing encoder's stats are already folded; the caller decides whether
@@ -121,8 +87,8 @@ class SchemaSolver {
   PropertyLearning* learning() const { return hooks_.learning; }
 
  private:
-  EncodeResult attempt(std::size_t query_index, const Schema& schema, const QueryCone* cone,
-                       double remaining_seconds, bool incremental);
+  UnitOutcome attempt(std::size_t query_index, const Schema& schema, const QueryCone* cone,
+                      double remaining_seconds, bool incremental);
   void retire(std::size_t query_index);
 
   const GuardAnalysis& analysis_;
@@ -143,9 +109,10 @@ struct SchemaStep {
     kAborted,      // WorkerAbortFault; `record` is the unknown the worker leaves
   };
   Kind kind = Kind::kSettled;
-  /// Everything but the cursor, which the caller fills in when it needs one.
+  /// The verdict and the cut; the caller fills in the cursor when it needs
+  /// one.
   SchemaRecord record;
-  /// The solve, when one ran: witness, proof, model and lemma activity.
+  /// The solve, when one ran: its counters, note, witness, proof and model.
   UnitOutcome outcome;
 };
 

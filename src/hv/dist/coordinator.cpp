@@ -698,16 +698,11 @@ bool Session::on_lease_done(const Json& msg) {
     delta.segments_reused = stats->at("segments_reused").as_int();
     delta.schemas_encoded = stats->at("schemas_encoded").as_int();
   }
-  // Learning counters, read tolerantly (pre-upgrade workers omit them).
-  const auto counter = [&](const char* key) -> std::int64_t {
-    const Json* field = msg.find(key);
-    return field == nullptr ? 0 : field->as_int();
-  };
-  const std::int64_t cut = counter("cut");
-  const std::int64_t hits = counter("hits");
-  const std::int64_t learned = counter("learned");
-  if (std::min({cut, hits, learned, delta.segments_pushed, delta.segments_popped,
-                delta.segments_reused, delta.schemas_encoded}) < 0) {
+  // Schemas the worker's cuts skipped; a worker that does not learn omits it.
+  const Json* cut_field = msg.find("cut");
+  const std::int64_t cut = cut_field == nullptr ? 0 : cut_field->as_int();
+  if (std::min({cut, delta.segments_pushed, delta.segments_popped, delta.segments_reused,
+                delta.schemas_encoded}) < 0) {
     punish_violation();
     return false;
   }
@@ -725,10 +720,7 @@ bool Session::on_lease_done(const Json& msg) {
   // Cuts count only from peers that negotiated learning.
   if (learn) c.cut_locked(p, c.charge_locked(p, cut));
   if (c.leases[index].state == LeaseState::kActive) c.set_state_locked(index, LeaseState::kDone);
-  checker::PropertyRun& prop = c.props[p];
-  prop.tally.incremental += delta;
-  prop.tally.lemma_hits += hits;
-  prop.tally.lemmas_learned += learned;
+  c.props[p].tally.incremental += delta;
   current = -1;
   return true;
 }

@@ -12,15 +12,20 @@
 //                                      coordinator may hold the reply until
 //                                      a lease frees up (long poll)
 //     record     {lease, property, cursor, verdict, length, pivots, fast?,
-//                 big?, retries, note, cut?, proof?} one settled schema;
-//                 cut = subtree-cut prefix length of an unsat refutation
+//                 big?, retries, hits?, learned?, note, cut?, proof?} one
+//                 settled schema; cut = subtree-cut prefix length of an
+//                 unsat refutation, hits/learned = its lemma-pool activity
+//                 (omitted when zero)
 //     sat        {lease, property, cursor, length, pivots, fast, big,
-//                 retries, validation_error, counterexample?, model?}
-//                (both checker/record.h's object, as a journal line is)
+//                 retries, hits?, learned?, validation_error,
+//                 counterexample?, model?}
+//                (both checker/record.h's object, as a journal line is; its
+//                counters are the solve's UnitOutcome, which the
+//                coordinator's tally counts as it merges the record)
 //     learn      {p, lemmas[]?}           freshly pooled Farkas lemmas
 //                                         (cuts ride on record frames; the
 //                                         coordinator ignores cuts[] here)
-//     lease_done {lease, stats{...}, cut?, hits?, learned?}
+//     lease_done {lease, stats{...}, cut?}
 //     heartbeat  {}                     liveness only; renews the deadline
 //
 //   coordinator -> worker
@@ -68,8 +73,8 @@
 //   learn lemmas entries: {q, premises[]}     — a pooled Farkas refutation,
 //                                               keyed by constraint content
 //   (both sides write and read them through LearnPayload and fold_learn)
-//   lease_done cut/hits/learned: schemas skipped by cuts, lemma-pool hits,
-//                                and lemmas learned while holding the lease
+//   lease_done cut: schemas skipped by cuts while holding the lease (sent
+//                   only by a learning worker)
 #ifndef HV_DIST_PROTOCOL_H
 #define HV_DIST_PROTOCOL_H
 

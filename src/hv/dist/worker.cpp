@@ -85,13 +85,8 @@ class WorkerBook : public checker::LeaseBook {
     if (outcome.kind == checker::UnitOutcome::Kind::kAborted) return false;
     // Byzantine test hook: forge a counterexample-free "sat" for a schema
     // the solver just refuted. The coordinator's merge check must catch it.
-    const bool lie = options_.lie_about_verdicts && record.verdict == "unsat";
-    checker::SchemaRecord forged;
-    if (lie) {
-      forged = record;
-      forged.verdict = "sat";
-    }
-    const checker::SchemaRecord& shipped = lie ? forged : record;
+    checker::SchemaRecord shipped = record;
+    if (options_.lie_about_verdicts && record.verdict == "unsat") shipped.verdict = "sat";
     if (!conn_.send(record_frame(shipped, outcome, lease_id_, p))) {
       report_.note = "connection lost";
     } else if (++report_.records == options_.drop_after_records) {
@@ -383,8 +378,9 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       }
       if (!fresh.lemmas.empty()) lemmas = learn_frame(p, std::move(fresh));
     }
-    // The grant started the property's tally afresh: it now counts this
-    // lease alone.
+    // The grant started the property's tally afresh: its cut and encoder
+    // counters now count this lease alone. (Every other counter rode on the
+    // lease's record frames.)
     const checker::PropertyTally& tally = book.props[p].tally;
     Json done = Json::Object{
         {"type", "lease_done"},
@@ -395,11 +391,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
                       {"segments_reused", tally.incremental.segments_reused},
                       {"schemas_encoded", tally.incremental.schemas_encoded},
                   }}};
-    if (learning != nullptr) {
-      done.set("cut", tally.cut);
-      done.set("hits", tally.lemma_hits);
-      done.set("learned", tally.lemmas_learned);
-    }
+    if (learning != nullptr) done.set("cut", tally.cut);
     if ((!lemmas.is_null() && !conn.send(lemmas)) || !conn.send(done)) {
       report.note = "connection lost";
       break;

@@ -57,8 +57,9 @@ constexpr const char* kUsage = R"(usage:
         --journal appends settled schema verdicts (with their counters,
         and their proofs under --certify) to a crash-safe JSONL file;
         --resume skips the schemas an earlier journal settled and keeps
-        appending to it. --certify --resume replays only the schemas whose
-        proof was journaled, and the certificate carries those proofs.
+        appending to it; it refuses a journal written under another
+        --no-pruning setting. --certify --resume replays only the schemas
+        whose proof was journaled, and the certificate carries those proofs.
         --schema-timeout/--pivot-budget are per-schema watchdogs and
         --memory-budget a soft RSS cap: a schema that trips one is retried
         on a fresh solver, then recorded as unknown — the run continues.

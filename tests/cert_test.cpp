@@ -369,8 +369,11 @@ TEST(CertTamperTest, EditedModelValueRejected) {
   bool edited = false;
   for (SchemaCert& schema : certificate.components[0].properties[0].schemas) {
     if (schema.sat) {
-      ASSERT_FALSE(schema.model.empty());
-      schema.model[0].second = schema.model[0].second + BigInt(17);
+      ASSERT_NE(schema.model, nullptr);
+      ASSERT_FALSE(schema.model->empty());
+      auto model = *schema.model;
+      model[0].second = model[0].second + BigInt(17);
+      schema.model = std::make_shared<const decltype(model)>(std::move(model));
       edited = true;
       break;
     }

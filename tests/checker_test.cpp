@@ -1049,6 +1049,90 @@ TEST(RobustnessTest, ResumeRefusesWrongAutomaton) {
   EXPECT_THROW(check_property(ta, property, options), Error);
 }
 
+TEST(RobustnessTest, ResumeFromACompleteJournalKeepsEveryCounter) {
+  // Every counter of a settled schema rides on its journal record, so a
+  // run resumed from its own complete journal reports the journaling run's
+  // totals, the lemma-pool activity included; only the encoder counters
+  // (segments_*) are the resumed run's own.
+  const ta::ThresholdAutomaton bv = hv::models::bv_broadcast();
+  const std::vector<spec::Property> properties = hv::models::bv_properties(bv);
+  CheckOptions options;
+  options.journal_path = ::testing::TempDir() + "resume_every_counter.jsonl";
+  std::remove(options.journal_path.c_str());
+  const std::vector<PropertyResult> journaled = check_properties(bv, properties, options);
+
+  CheckOptions resumed = options;
+  resumed.journal_path.clear();
+  resumed.resume_path = options.journal_path;
+  const std::vector<PropertyResult> results = check_properties(bv, properties, resumed);
+  ASSERT_EQ(results.size(), journaled.size());
+  std::int64_t learned = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const PropertyResult& got = results[i];
+    const PropertyResult& want = journaled[i];
+    SCOPED_TRACE(want.property);
+    EXPECT_EQ(got.verdict, want.verdict);
+    EXPECT_EQ(got.schemas_checked, want.schemas_checked);
+    EXPECT_EQ(got.schemas_pruned, want.schemas_pruned);
+    EXPECT_EQ(got.schemas_cut, want.schemas_cut);
+    EXPECT_EQ(got.schemas_resumed, want.schemas_checked + want.schemas_pruned);
+    EXPECT_EQ(got.simplex_pivots, want.simplex_pivots);
+    EXPECT_EQ(got.rational_fast_ops, want.rational_fast_ops);
+    EXPECT_EQ(got.rational_big_ops, want.rational_big_ops);
+    EXPECT_EQ(got.lemma_hits, want.lemma_hits);
+    EXPECT_EQ(got.lemmas_learned, want.lemmas_learned);
+    EXPECT_EQ(got.retries, want.retries);
+    learned += want.lemmas_learned;
+  }
+  if (lemmas_enabled(options)) {
+    EXPECT_GT(learned, 0);
+  }
+  std::remove(options.journal_path.c_str());
+}
+
+TEST(RobustnessTest, ResumeRefusesAnotherSchemaSpace) {
+  // A journal's pruned records and cursors hold only under the pruning
+  // options it was written with: a resume under others is refused, naming
+  // the option, whether or not it certifies. Certification, learning,
+  // budgets and thread counts may change across a resume.
+  const auto& ta = echo().body();
+  const spec::Property property = spec::compile(ta, "p", "[](locB == 0) -> [](locD == 0)");
+  CheckOptions options;
+  options.journal_path = ::testing::TempDir() + "resume_schema_space.jsonl";
+  std::remove(options.journal_path.c_str());
+  ASSERT_EQ(check_property(ta, property, options).verdict, Verdict::kHolds);
+
+  CheckOptions resumed;
+  resumed.resume_path = options.journal_path;
+  const auto refused = [&](const CheckOptions& run, const char* option) {
+    try {
+      check_property(ta, property, run);
+      ADD_FAILURE() << "resume accepted despite " << option;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(option), std::string::npos) << error.what();
+    }
+  };
+  CheckOptions no_cone = resumed;
+  no_cone.property_directed_pruning = false;
+  refused(no_cone, "property_directed_pruning");
+  no_cone.certify = true;
+  refused(no_cone, "property_directed_pruning");
+  CheckOptions no_implications = resumed;
+  no_implications.enumeration.prune_implications = false;
+  refused(no_implications, "prune_implications");
+  CheckOptions no_dead = resumed;
+  no_dead.enumeration.prune_dead_unlocks = false;
+  refused(no_dead, "prune_dead_unlocks");
+
+  CheckOptions other = resumed;
+  other.certify = true;
+  other.lemmas = false;
+  other.workers = 2;
+  other.enumeration.max_schemas = 1'000;
+  EXPECT_EQ(check_property(ta, property, other).verdict, Verdict::kHolds);
+  std::remove(options.journal_path.c_str());
+}
+
 // --- the lease book ---------------------------------------------------------
 //
 // run.h: one grant, budget and merge path for in-process threads and the

@@ -278,6 +278,31 @@ TEST_F(CliTest, JournalAndResumeRoundTrip) {
   std::remove(journal.c_str());
 }
 
+TEST_F(CliTest, ResumeUnderOtherPruningIsRefused) {
+  // A journal written with the cone on holds pruned records a --no-pruning
+  // run cannot make: resuming from it is refused, plain and certifying
+  // alike, before anything is solved or written.
+  const std::string journal = ::testing::TempDir() + "cli_pruning_journal.jsonl";
+  const std::string cert = ::testing::TempDir() + "cli_pruning.cert.json";
+  std::remove(journal.c_str());
+  std::remove(cert.c_str());
+  const std::string prop = "[](locB == 0) -> [](locD == 0)";
+  ASSERT_EQ(run({"check", model_path_, "--prop", prop, "--journal", journal}), 0);
+
+  EXPECT_EQ(run({"check", model_path_, "--prop", prop, "--no-pruning", "--resume", journal,
+                 "--json"}),
+            2);
+  EXPECT_NE(err_.str().find("property_directed_pruning"), std::string::npos) << err_.str();
+  EXPECT_EQ(out_.str().find("\"pruned\""), std::string::npos) << out_.str();
+
+  EXPECT_EQ(run({"check", model_path_, "--prop", prop, "--no-pruning", "--certify",
+                 "--cert-out", cert, "--resume", journal}),
+            2);
+  EXPECT_NE(err_.str().find("property_directed_pruning"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::ifstream(cert).good());
+  std::remove(journal.c_str());
+}
+
 TEST_F(CliTest, SimulateValidatesByzantineIds) {
   // Ids outside [0, n) used to index out of bounds deep inside the runner.
   EXPECT_EQ(run({"simulate", "--byzantine", "9"}), 2);

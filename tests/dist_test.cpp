@@ -307,13 +307,14 @@ TEST(DistProtocol, RecordFrameBytesArePinned) {
   checker::SchemaRecord unsat;
   unsat.cursor = "q0|2,0,1|1";
   unsat.verdict = "unsat";
-  unsat.length = 7;
-  unsat.pivots = 23;
-  unsat.fast = 1200;
-  unsat.big = 3;
-  unsat.retries = 1;
   unsat.cut = 2;
-  EXPECT_EQ(record_frame(unsat, none, 4, 1).to_string(),
+  checker::UnitOutcome refuted;
+  refuted.length = 7;
+  refuted.pivots = 23;
+  refuted.rational_fast_ops = 1200;
+  refuted.rational_big_ops = 3;
+  refuted.retries = 1;
+  EXPECT_EQ(record_frame(unsat, refuted, 4, 1).to_string(),
             R"({"type":"record","lease":4,"property":1,"cursor":"q0|2,0,1|1","verdict":"unsat",)"
             R"("length":7,"pivots":23,"fast":1200,"big":3,"retries":1,"note":"","cut":2})");
 
@@ -327,10 +328,10 @@ TEST(DistProtocol, RecordFrameBytesArePinned) {
   checker::SchemaRecord sat;
   sat.cursor = "q0|1|1";
   sat.verdict = "sat";
-  sat.length = 3;
-  sat.pivots = 11;
-  sat.fast = 400;
   checker::UnitOutcome witness;
+  witness.length = 3;
+  witness.pivots = 11;
+  witness.rational_fast_ops = 400;
   checker::Counterexample cex;
   cex.property = "safe";
   cex.query_description = "reach locD";
@@ -346,6 +347,28 @@ TEST(DistProtocol, RecordFrameBytesArePinned) {
             R"("fast":400,"big":0,"retries":0,"validation_error":"","counterexample":)"
             R"({"property":"safe","query_description":"reach locD","params":[[0,4],[2,1]],)"
             R"("counters":[3,0,1],"shared":[0,2],"steps":[[1,3],[0,1]]}})");
+}
+
+TEST(DistProtocol, LemmaCountersRideOnTheRecordWhenNonzero) {
+  // A learning solve's lemma-pool activity travels on its record, after
+  // the retries, and decodes back into the outcome the tally counts.
+  checker::SchemaRecord unsat;
+  unsat.cursor = "q0|1|0";
+  unsat.verdict = "unsat";
+  checker::UnitOutcome learned;
+  learned.pivots = 5;
+  learned.lemma_hits = 2;
+  learned.lemmas_learned = 1;
+  const Json frame = record_frame(unsat, learned, 3, 0);
+  EXPECT_EQ(frame.to_string(),
+            R"({"type":"record","lease":3,"property":0,"cursor":"q0|1|0","verdict":"unsat",)"
+            R"("length":0,"pivots":5,"fast":0,"big":0,"retries":0,"hits":2,"learned":1,)"
+            R"("note":""})");
+  checker::UnitOutcome decoded;
+  checker::record_from_json(frame, &decoded);
+  EXPECT_EQ(decoded.pivots, 5);
+  EXPECT_EQ(decoded.lemma_hits, 2);
+  EXPECT_EQ(decoded.lemmas_learned, 1);
 }
 
 TEST(DistProtocol, PropertySpecsSurviveTheWire) {
@@ -1068,6 +1091,38 @@ TEST(DistEndToEnd, ForkLocalFleetChargesEveryCutSchema) {
   }
 }
 
+TEST(DistEndToEnd, ForkLocalFleetCountsLemmasFromItsMergedRecords) {
+  // A worker's lemma-pool counters ride on its record frames and count as
+  // the coordinator merges them, like every other counter of a settled
+  // schema: the fleet's totals are the sums over the records its journal
+  // holds, one per merged schema (a duplicate dropped by dedup counts
+  // nothing).
+  DistOptions options;
+  if (!checker::lemmas_enabled(options.check)) {
+    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
+  }
+  options.check.property_directed_pruning = false;
+  options.check.journal_path = temp_path("dist_lemma_sums.jsonl");
+  const std::vector<checker::PropertyResult> results = check_distributed_local(
+      kThreeGuardModel, {{"safe", "[](locB == 0) -> [](locD == 0)", false}}, 2, options);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].verdict, checker::Verdict::kHolds) << results[0].note;
+  const checker::ResumeState journal = checker::load_journal(options.check.journal_path);
+  std::int64_t hits = 0;
+  std::int64_t learned = 0;
+  std::int64_t pivots = 0;
+  for (const auto& [key, record] : journal.settled) {
+    hits += record.solve.lemma_hits;
+    learned += record.solve.lemmas_learned;
+    pivots += record.solve.pivots;
+  }
+  EXPECT_GT(learned, 0);
+  EXPECT_EQ(results[0].lemma_hits, hits);
+  EXPECT_EQ(results[0].lemmas_learned, learned);
+  EXPECT_EQ(results[0].simplex_pivots, pivots);
+  std::remove(options.check.journal_path.c_str());
+}
+
 TEST(DistEndToEnd, AbortedWorkerLeavesItsLeaseToAnHonestOne) {
   // An injected abort kills the first worker at its second solve attempt:
   // it reports the abort and ships neither the schema nor a lease_done, so
@@ -1643,26 +1698,27 @@ TEST(DistByzantine, NegativeLeaseDoneCountersAreHostile) {
 }
 
 TEST(DistByzantine, NegativeRecordCountersAreHostile) {
-  // A record frame's counters add to the tally; a negative one would drive
-  // the run's totals below zero. The shared record decoder refuses it, so
-  // the frame is hostile: the connection drops and the lease re-pends.
+  // A record frame's counters add to the tally, the lemma-pool ones
+  // included; a negative one would drive the run's totals below zero. The
+  // shared record decoder refuses it, so the frame is hostile: the
+  // connection drops and the lease re-pends.
   const std::string address = "unix:" + temp_path("dist_negative_record.sock");
   ServeRun run;
   DistOptions options;
   options.lease_timeout_seconds = 30.0;
   run.start(address, {{"safe", kHoldsFormula, false}}, options);
-  const int fd = connect_with_retry(address);
-  ASSERT_GE(fd, 0);
-  {
+  for (const char* counter : {"pivots", "hits", "learned"}) {
+    SCOPED_TRACE(counter);
+    const int fd = connect_with_retry(address);
+    ASSERT_GE(fd, 0);
     Conn conn(fd);
-    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "negative"));
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, std::string("negative-") + counter));
     LeaseGrant grant;
     ASSERT_TRUE(acquire_lease(conn, &grant));
     const std::string cursor = chain_cursor(grant.query, grant.prefix);
     Json::Object frame = bare_record_frame(grant.id, grant.property, cursor, "unsat").as_object();
-    for (auto& [key, value] : frame) {
-      if (key == "pivots") value = std::int64_t{-1000};
-    }
+    std::erase_if(frame, [&](const auto& field) { return field.first == counter; });
+    frame.emplace_back(counter, std::int64_t{-1000});
     ASSERT_TRUE(conn.send(Json(std::move(frame))));
     Json reply;
     EXPECT_NE(conn.recv(&reply, 5'000), FrameStatus::kOk) << reply.to_string();
@@ -1672,10 +1728,12 @@ TEST(DistByzantine, NegativeRecordCountersAreHostile) {
   run.join();
   ASSERT_TRUE(run.error.empty()) << run.error;
   EXPECT_TRUE(survivor.completed) << survivor.note;
-  EXPECT_GE(run.stats.hostile_frames, 1);
+  EXPECT_GE(run.stats.hostile_frames, 3);
   ASSERT_EQ(run.results.size(), 1u);
   EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
   EXPECT_GE(run.results[0].simplex_pivots, 0);
+  EXPECT_GE(run.results[0].lemma_hits, 0);
+  EXPECT_GE(run.results[0].lemmas_learned, 0);
   const auto reference = reference_check("safe", kHoldsFormula, options.check);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
   EXPECT_EQ(run.results[0].schemas_pruned, reference[0].schemas_pruned);

@@ -34,9 +34,9 @@ JournalRecord record(const char* property, const char* cursor, const char* verdi
   r.property = property;
   r.cursor = cursor;
   r.verdict = verdict;
-  r.length = length;
-  r.pivots = pivots;
-  r.note = note;
+  r.solve.length = length;
+  r.solve.pivots = pivots;
+  r.solve.note = note;
   return r;
 }
 
@@ -76,16 +76,16 @@ TEST(JournalTest, RoundTripsRecords) {
   EXPECT_EQ(state.skipped_lines, 0);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, "unsat");
-  EXPECT_EQ(state.find("safe", "q0|0|1")->length, 4);
-  EXPECT_EQ(state.find("safe", "q0|0|1")->pivots, 17);
+  EXPECT_EQ(state.find("safe", "q0|0|1")->solve.length, 4);
+  EXPECT_EQ(state.find("safe", "q0|0|1")->solve.pivots, 17);
   ASSERT_NE(state.find("safe", "q0|0|2"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|2")->verdict, "pruned");
   // Notes survive escaping (quotes, newline).
   ASSERT_NE(state.find("live", "q1||0"), nullptr);
-  EXPECT_EQ(state.find("live", "q1||0")->note, "injected \"fault\"\n");
+  EXPECT_EQ(state.find("live", "q1||0")->solve.note, "injected \"fault\"\n");
   // Every escape the writer emits decodes back.
   ASSERT_NE(state.find("live", "q1||1"), nullptr);
-  EXPECT_EQ(state.find("live", "q1||1")->note, "cr\r tab\t ctl\x01 bs\\");
+  EXPECT_EQ(state.find("live", "q1||1")->solve.note, "cr\r tab\t ctl\x01 bs\\");
   // (property, cursor) is the key: same cursor under another property is
   // distinct.
   EXPECT_EQ(state.find("live", "q0|0|1"), nullptr);
@@ -128,7 +128,7 @@ TEST(JournalTest, ToleratesTornTrailingLine) {
   EXPECT_EQ(state.find("safe", "q0|0|4"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|5"), nullptr);
   ASSERT_NE(state.find("safe", "q0|0|6"), nullptr);
-  EXPECT_EQ(state.find("safe", "q0|0|6")->length, 3);
+  EXPECT_EQ(state.find("safe", "q0|0|6")->solve.length, 3);
 }
 
 TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
@@ -323,7 +323,9 @@ TEST(JournalTest, HeaderRecordsModelHashAndVersion) {
   // A journal claiming a different hash in a later header is contradictory.
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
-    file << R"({"hv_journal":3,"automaton":"Echo","model_hash":"deadbeefdeadbeef"})" << "\n";
+    file << R"({"hv_journal":4,"automaton":"Echo","model_hash":"deadbeefdeadbeef",)"
+         << R"("prune_implications":true,"prune_dead_unlocks":true,)"
+         << R"("property_directed_pruning":true})" << "\n";
   }
   EXPECT_THROW(load_journal(path), Error);
 }
@@ -443,6 +445,46 @@ TEST(JournalTest, RefusesAVersionTwoJournal) {
   }
 }
 
+TEST(JournalTest, RefusesAVersionThreeJournal) {
+  // Version 3 headers did not record the pruning options, so a resume could
+  // not tell whether its pruned records hold for the run.
+  const std::string path = temp_path("journal_v3.jsonl");
+  {
+    std::ofstream file(path, std::ios::binary);
+    file << R"({"hv_journal":3,"automaton":"Echo","model_hash":"cafebabecafebabe"})" << "\n";
+  }
+  try {
+    load_journal(path);
+    FAIL() << "expected hv::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("version-3 journal"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(JournalTest, HeaderRecordsTheSchemaSpace) {
+  const std::string path = temp_path("journal_space.jsonl");
+  JournalHeader header("Echo", "cafebabecafebabe");
+  header.space.property_directed_pruning = false;
+  { ProgressJournal journal(path, header); }
+  const ResumeState state = load_journal(path);
+  EXPECT_TRUE(state.space.prune_implications);
+  EXPECT_TRUE(state.space.prune_dead_unlocks);
+  EXPECT_FALSE(state.space.property_directed_pruning);
+  EXPECT_NO_THROW(require_resume_compatible(state, "Echo", "cafebabecafebabe", {}, header.space));
+  try {
+    require_resume_compatible(state, "Echo", "cafebabecafebabe");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("property_directed_pruning off"), std::string::npos)
+        << error.what();
+  }
+  // A later header under other pruning options contradicts the first.
+  header.space.property_directed_pruning = true;
+  { ProgressJournal journal(path, header); }
+  EXPECT_THROW(load_journal(path), Error);
+}
+
 constexpr const char* kEchoModel = R"(
 ta Echo {
   parameters n, t, f;
@@ -489,9 +531,9 @@ TEST(JournalTest, CertifyingRecordsRoundTripTheirEvidenceAndCounters) {
     const JournalRecord* record =
         state.find("d", schema_cursor(evidence.query_index, evidence.schema));
     ASSERT_NE(record, nullptr);
-    pivots += record->pivots;
-    fast += record->fast;
-    big += record->big;
+    pivots += record->solve.pivots;
+    fast += record->solve.rational_fast_ops;
+    big += record->solve.rational_big_ops;
     if (evidence.sat) {
       saw_sat = true;
       EXPECT_EQ(record->verdict, "sat");
