@@ -7,7 +7,11 @@
 #   3. the coordinator itself SIGKILLed mid-run, then restarted with
 #      --resume from its journal; the resumed run must match too;
 #   4. the same with a certifying coordinator (hvc serve --certify), whose
-#      resumed run's certificate must also pass hvc audit.
+#      resumed run's certificate must also pass hvc audit;
+#   5. a learning coordinator with 3 learning workers (the verdict must
+#      match), and a mixed-learning fleet: a learning coordinator, one worker
+#      under HV_NO_LEMMAS=1 and one learning worker, whose verdict and schema
+#      total must match an in-process run with learning on.
 # Usage: scripts/dist_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,6 +25,7 @@ work="$(mktemp -d)"
 sock="$work/coord.sock"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 . scripts/await_records.sh
+. scripts/report_summary.sh
 
 # Strip run-dependent fields (timing, solver pivot path, resume/retry
 # counters, incremental-solver accounting and the rational fast/big op
@@ -155,3 +160,39 @@ fi
 echo "OK: learning-on distributed run agrees on the verdict" \
      "($(grep -o '"cut": [0-9]*, "lemma_hits": [0-9]*, "lemmas_learned": [0-9]*' \
          "$work/learn.json" | head -1))"
+
+echo "== mixed-learning fleet: a learning coordinator, one worker under HV_NO_LEMMAS=1"
+# The run learns; the plain worker's book does not, so it solves every schema
+# of its leases and reports no cut count, while the learning worker's cuts
+# settle leases ungranted. Both must add up to the in-process schema total.
+"$hvc" check "$model" --prop "$prop" --json > "$work/ref_learn.json"
+"$hvc" serve "$model" --prop "$prop" --listen "unix:$sock" --lease-timeout 2 \
+  --json > "$work/mixed.json" &
+coord=$!
+# The plain worker starts first, so it holds a lease before the learner
+# can drain the run.
+HV_NO_LEMMAS=1 "$hvc" work --connect "unix:$sock" --label mixed-plain --retry 10 \
+  > "$work/mixed_plain.txt" &
+plain=$!
+sleep 0.5
+"$hvc" work --connect "unix:$sock" --label mixed-learner --retry 10 > /dev/null &
+wait "$coord"
+wait "$plain" || {
+  cat "$work/mixed_plain.txt" >&2
+  echo "FAIL: the HV_NO_LEMMAS worker did not finish cleanly" >&2
+  exit 1
+}
+wait || true
+if ! grep -q ' [1-9][0-9]* records' "$work/mixed_plain.txt"; then
+  cat "$work/mixed_plain.txt" >&2
+  echo "FAIL: the HV_NO_LEMMAS worker settled no schema; the leg tested nothing" >&2
+  exit 1
+fi
+summary "$work/ref_learn.json" > "$work/ref_learn.summary"
+summary "$work/mixed.json" > "$work/mixed.summary"
+if ! diff -u "$work/ref_learn.summary" "$work/mixed.summary"; then
+  echo "FAIL: the mixed-learning fleet's verdict or schema total differs from in-process" >&2
+  exit 1
+fi
+echo "OK: mixed-learning fleet matches the in-process run ($(cat "$work/mixed.summary");" \
+     "$(cat "$work/mixed_plain.txt"))"

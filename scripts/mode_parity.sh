@@ -26,25 +26,7 @@ hvc="$build/hvc"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# One "property verdict total" line per property of a --json report. The
-# total is schemas + pruned + cut + unknown_schemas for a property that
-# holds, and "-" for any other verdict.
-summary() {
-  awk '
-    function field(name,   m) {
-      if (!match($0, "\"" name "\": \"?[^\",]*")) return ""
-      m = substr($0, RSTART, RLENGTH)
-      sub(/^"[^"]*": "?/, "", m)
-      return m
-    }
-    /"property": / {
-      total = "-"
-      if (field("verdict") == "holds") {
-        total = field("schemas") + field("pruned") + field("cut") + field("unknown_schemas")
-      }
-      print field("property"), field("verdict"), total
-    }' "$1"
-}
+. scripts/report_summary.sh
 
 for model in models/*.ta; do
   name="$(basename "$model" .ta)"

@@ -209,7 +209,7 @@ ResumeState load_journal(const std::string& path) {
       ++state.skipped_lines;
       continue;
     }
-    if (record.property.empty() || record.cursor.empty() || record.verdict.empty()) {
+    if (record.property.empty() || record.cursor.empty()) {
       ++state.skipped_lines;
       continue;
     }

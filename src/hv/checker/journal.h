@@ -90,12 +90,12 @@ struct JournalHeader {
 
 /// One journal line: a SchemaRecord (schema.h) of `property`, with the
 /// solve's counters, note and evidence the line carried in `solve` (its
-/// kind and cut_prefix stay default). `verdict` is one of
-/// "unsat", "sat", "pruned" or "unknown". An unsat record whose refutation
-/// only referenced the first `cut` elements of the schema's unlock chain
-/// carries `cut >= 0`: the whole subtree below that prefix is infeasible,
-/// and resume rebuilds the subtree-cut index from the field instead of
-/// re-deriving it. Riding on the unsat record (rather than a separate line)
+/// kind and cut_prefix stay default). A line whose verdict record.h does
+/// not decode is skipped on load like any other malformed line. An unsat
+/// record whose refutation only referenced the first `cut` elements of the
+/// schema's unlock chain carries `cut >= 0`: the whole subtree below that
+/// prefix is infeasible, and resume rebuilds the subtree-cut index from the
+/// field instead of re-deriving it. Riding on the unsat record (rather than a separate line)
 /// keeps the verdict and the cut atomic — a kill can lose both, never one
 /// without the other.
 struct JournalRecord : SchemaRecord {
@@ -155,8 +155,7 @@ struct ResumeState {
   std::unordered_map<std::string, JournalRecord> settled;
   /// The keys of `settled` in the order they first appear in the journal
   /// (a resume replays them so, and a certifying run then writes its
-  /// evidence in the uninterrupted run's order). May name keys no longer
-  /// in `settled`.
+  /// evidence in the uninterrupted run's order).
   std::vector<std::string> order;
   /// Torn or malformed lines skipped during load (a torn tail is the
   /// expected signature of a kill between write and fsync).

@@ -72,7 +72,6 @@ std::string options_fingerprint(const CheckOptions& options) {
   field("schema_timeout", std::to_string(options.schema_timeout_seconds));
   num("pivot_budget", options.pivot_budget);
   num("memory_budget_mb", options.memory_budget_mb);
-  flag("retry_fresh", options.retry_fresh);
   flag("fast_rational", Rational::fast_path_enabled());
   if (options.fault.armed()) {
     num("fault_kind", static_cast<std::int64_t>(options.fault.kind));

@@ -79,10 +79,6 @@ struct CheckOptions {
   /// fresh solving, which frees their assertion stacks). std::bad_alloc is
   /// contained per schema regardless of this setting.
   std::int64_t memory_budget_mb = 0;
-  /// Retry ladder: a failed or cancelled incremental solve is retried once
-  /// on a fresh non-incremental solver before the schema is recorded as
-  /// unknown.
-  bool retry_fresh = true;
   /// External cancellation (SIGINT/SIGTERM in hvc): when the flag turns
   /// true the run stops at the next cancellation point, flushes the journal
   /// and reports partial progress. The pointee must outlive the call.

@@ -76,20 +76,32 @@ std::vector<std::pair<std::string, BigInt>> model_values_from_json(const Json& j
   return values;
 }
 
+// The spelling of each SchemaVerdict, in enum order. A sat record is a
+// `sat`-type object and spells no verdict.
+constexpr const char* kVerdictText[] = {"pruned", "unsat", "sat", "unknown"};
+
+SchemaVerdict record_verdict(const std::string& text) {
+  for (std::size_t v = 0; v < std::size(kVerdictText); ++v) {
+    const auto verdict = static_cast<SchemaVerdict>(v);
+    if (text == kVerdictText[v] && verdict != SchemaVerdict::kSat) return verdict;
+  }
+  throw InvalidArgument("record: a record-type object cannot carry verdict '" + text + "'");
+}
+
 }  // namespace
 
 Json record_to_json(const SchemaRecord& record, const UnitOutcome& solve, Json::Object head) {
-  const bool sat = record.verdict == "sat";
+  const bool sat = record.verdict == SchemaVerdict::kSat;
   Json::Object out;
   out.reserve(13 + head.size());
   const auto field = [&](const char* key, Json value) { out.emplace_back(key, std::move(value)); };
   field("type", sat ? "sat" : "record");
   for (auto& entry : head) out.push_back(std::move(entry));
   field("cursor", record.cursor);
-  if (!sat) field("verdict", record.verdict);
+  if (!sat) field("verdict", kVerdictText[static_cast<std::size_t>(record.verdict)]);
   field("length", solve.length);
   field("pivots", solve.pivots);
-  if (sat || record.verdict == "unsat") {
+  if (sat || record.verdict == SchemaVerdict::kUnsat) {
     field("fast", solve.rational_fast_ops);
     field("big", solve.rational_big_ops);
   }
@@ -125,7 +137,7 @@ SchemaRecord record_from_json(const Json& object, UnitOutcome* solve) {
     return value;
   };
   record.cursor = object.at("cursor").as_string();
-  record.verdict = sat ? "sat" : object.at("verdict").as_string();
+  record.verdict = sat ? SchemaVerdict::kSat : record_verdict(object.at("verdict").as_string());
   solve->length = count("length", true);
   solve->pivots = count("pivots", true);
   solve->retries = count("retries", true);

@@ -23,9 +23,10 @@ Json record_to_json(const SchemaRecord& record, const UnitOutcome& solve, Json::
 
 /// Inverse of record_to_json, ignoring the head fields; the counters, note,
 /// witness, model and proof land in `*solve`. Throws hv::InvalidArgument on
-/// a missing or mistyped field and on a negative length, pivots, fast, big,
-/// retries, hits or learned count: such a record is malformed, never
-/// counted.
+/// a missing or mistyped field, on a negative length, pivots, fast, big,
+/// retries, hits or learned count, and on a verdict outside the pruned,
+/// unsat and unknown spellings of record.cpp (only a `sat`-type object
+/// claims sat): such a record is malformed, never counted.
 SchemaRecord record_from_json(const Json& object, UnitOutcome* solve);
 
 }  // namespace hv::checker

@@ -147,9 +147,9 @@ void PropertyTally::count(const SchemaRecord& record, const UnitOutcome& solve,
   lemma_hits += solve.lemma_hits;
   lemmas_learned += solve.lemmas_learned;
   if (resumed) add(this->resumed, &ProgressCounters::resumed);
-  if (record.verdict == "pruned") {
+  if (record.verdict == SchemaVerdict::kPruned) {
     add(pruned, &ProgressCounters::pruned);
-  } else if (record.verdict == "unsat" || record.verdict == "sat") {
+  } else if (record.verdict == SchemaVerdict::kUnsat || record.verdict == SchemaVerdict::kSat) {
     add(checked, &ProgressCounters::solved);
     total_length += solve.length;
     pivots += solve.pivots;

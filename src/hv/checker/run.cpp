@@ -107,15 +107,6 @@ LeaseBook::LeaseBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Pro
     resume_ = load_journal(options_.resume_path);
     require_resume_compatible(*resume_, ta.name(), model_hash, options_.journal_node,
                               schema_space(options_));
-    // What stays is replayed; the rest is re-solved: sat records always,
-    // and in a certifying run every record that lacks its evidence (an
-    // unsat without its proof, an unknown).
-    const auto replayed = [&](const JournalRecord& record) {
-      if (record.verdict == "pruned") return true;
-      if (record.verdict == "unsat") return !options_.certify || record.solve.proof != nullptr;
-      return record.verdict == "unknown" && !options_.certify;
-    };
-    std::erase_if(resume_->settled, [&](const auto& entry) { return !replayed(entry.second); });
   }
   if (!options_.journal_path.empty()) {
     JournalHeader header(ta.name(), model_hash);
@@ -151,11 +142,26 @@ LeaseBook::~LeaseBook() = default;
 
 void LeaseBook::replay_resume() {
   if (!resume_) return;
+  // The records replayed; the rest are re-solved: sat records always, and
+  // in a certifying run every record that lacks its evidence (an unsat
+  // without its proof, an unknown).
+  const auto replayed = [&](const JournalRecord& record) {
+    switch (record.verdict) {
+      case SchemaVerdict::kPruned:
+        return true;
+      case SchemaVerdict::kUnsat:
+        return !options_.certify || record.solve.proof != nullptr;
+      case SchemaVerdict::kUnknown:
+        return !options_.certify;
+      case SchemaVerdict::kSat:
+        break;
+    }
+    return false;
+  };
   std::lock_guard<std::mutex> lock(mutex);
   for (const std::string& key : resume_->order) {
-    const auto it = resume_->settled.find(key);
-    if (it == resume_->settled.end()) continue;  // dropped: re-solved instead
-    const JournalRecord& record = it->second;
+    const JournalRecord& record = resume_->settled.at(key);
+    if (!replayed(record)) continue;
     const auto named =
         std::find_if(properties_.begin(), properties_.end(),
                      [&](const spec::Property& p) { return p.name == record.property; });
@@ -166,6 +172,7 @@ void LeaseBook::replay_resume() {
     if (!parse_schema_cursor(record.cursor, &q, &schema) || q >= named->queries.size()) continue;
     merge_locked(p, q, schema, record, record.solve, /*charged=*/false, /*resumed=*/true);
   }
+  resume_.reset();
 }
 
 void LeaseBook::consume(int threads, FaultInjector* injector) {
@@ -285,20 +292,22 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
   // from a worker that has not yet seen its abandon frame must be, keeping
   // the counters identical to a single consumer that stopped there.
   if (charged) --prop.in_flight;
-  if (!resumed && known_locked(p, record.cursor)) return false;
+  if (known_locked(p, record.cursor)) return false;
   if (!charged) {
     if (!charge_locked(p)) return false;
     --prop.in_flight;  // counted right below
   }
+  if (keep_cursors) prop.settled.emplace(record.cursor, record.verdict);
   prop.tally.count(record, outcome, options_.progress, resumed);
   if (journal_ && (!resumed || copy_resumed_)) {
     journal_->append(properties_[p].name, record, outcome);
   }
-  const bool sat = record.verdict == "sat";
-  if (options_.certify && record.verdict == "pruned") {
+  const bool sat = record.verdict == SchemaVerdict::kSat;
+  const bool unsat = record.verdict == SchemaVerdict::kUnsat;
+  if (options_.certify && record.verdict == SchemaVerdict::kPruned) {
     prop.tally.evidence.pruned.push_back({q, schema});
   }
-  if (options_.certify && (sat || record.verdict == "unsat")) {
+  if (options_.certify && (sat || unsat)) {
     prop.tally.evidence.schemas.push_back({q, schema, sat, outcome.proof, outcome.model});
   }
   if (sat) {
@@ -312,7 +321,7 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
   // in the index: step_schema put it there and set record.cut only because
   // it was new there, so a charged record's cut is new.
   std::optional<std::vector<int>> cut;
-  if (learning_[p] && record.verdict == "unsat") {
+  if (learning_[p] && unsat) {
     cut = cut_prefix(schema.unlock_order, record.cut);
     if (cut && !charged && !learning_[p]->queries[q].cuts.add(*cut)) cut.reset();
   }
@@ -361,11 +370,6 @@ std::vector<PropertyResult> LeaseBook::results() {
                                 prop.finished ? prop.seconds : watch_.seconds(), options_));
   }
   return out;
-}
-
-bool LeaseBook::known_locked(std::size_t p, const std::string& cursor) const {
-  if (!resume_) return false;
-  return resume_->find(properties_[p].name, cursor) != nullptr;
 }
 
 void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,

@@ -10,7 +10,8 @@
 //     of the records a resume replays (journal.h);
 //   * the leases and their states, granted first-fit (fair-shared across
 //     properties, see pick_locked);
-//   * per property: the tally, the RunEnd, the finish stamp and, iff
+//   * per property: the tally, the RunEnd, the finish stamp, the ledger of
+//     settled cursors and, iff
 //     lemmas_enabled holds for the normalized options, the learning state
 //     (learning.h: one cut index and lemma pool per query). Every consumer's
 //     solver of a property shares it, and every merged unsat record's cut
@@ -25,12 +26,15 @@
 // Every executor that solves a schema is a LeaseConsumer of a book: an
 // in-process thread (one consumer per thread), the distributed coordinator's
 // self-solve, and a fleet worker process, which keeps a book of its own over
-// the leases it is granted. The coordinator (hv/dist) derives from the book
-// and adds only what needs a wire or distrust, through the protected hooks:
-// cursor dedup, skip lists and shipping the book's learning to workers. A
-// fleet worker's book uses the same hooks the other way round: the grant's
-// skip list is its known_locked, and its merge_locked ships the settled
-// schema to the coordinator instead of merging it.
+// the leases it is granted. The ledger (PropertyRun::settled) is the run's
+// one answer to "is this schema already settled?": the merge fills it, the
+// resume replay through the merge, and a fleet worker's grant seeds it with
+// its skip list. The coordinator (hv/dist) derives from the book and adds
+// only what needs a wire or distrust, through four virtual hooks
+// (merge_locked, merged_locked, changed_locked, settle_moot_locked): skip
+// lists, the trust gate, settling and shipping the book's learning to
+// workers. A fleet worker's book overrides merge_locked the other way round:
+// it ships the settled schema to the coordinator instead of merging it.
 #ifndef HV_CHECKER_RUN_H
 #define HV_CHECKER_RUN_H
 
@@ -42,6 +46,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hv/checker/cone.h"
@@ -75,6 +80,12 @@ struct PropertyRun {
   double seconds = 0.0;
   /// Schemas charged to the budget whose outcome has not been counted yet.
   std::int64_t in_flight = 0;
+  /// The ledger: every settled schema's verdict by cursor, whoever settled
+  /// it (a consumer, a fleet record or the resume replay, all through
+  /// merge_locked). A fleet worker's grant seeds it with the skip list,
+  /// whose verdicts the worker is not told (kUnknown). Empty unless the
+  /// book keeps cursors.
+  std::unordered_map<std::string, SchemaVerdict> settled;
 
   /// Still taking verdicts: no witness and budget left.
   bool live() const { return !stopped && !end.budget_exhausted; }
@@ -95,7 +106,8 @@ class LeaseBook {
   /// Merges every replayed resume record up front, with its counters and
   /// its proof, so the subtree cuts the records carry are skipped instead of
   /// re-derived. Sat records are re-solved, and so is a record a certifying
-  /// run cannot replay for lack of evidence (journal.h). Call once, before
+  /// run cannot replay for lack of evidence (journal.h). Then drops the
+  /// loaded journal: the ledger holds what it settled. Call once, before
   /// any consumer.
   void replay_resume();
 
@@ -146,8 +158,8 @@ class LeaseBook {
   /// enumerated and cut, in the tally and the live counters.
   void cut_locked(std::size_t p, std::int64_t n);
   /// Merges one settled schema of `p`: dedup (known_locked), the budget
-  /// charge unless `charged` already took it, tally, journal, certificate
-  /// evidence, an unsat record's cut and the sat witness, then
+  /// charge unless `charged` already took it, the ledger, tally, journal,
+  /// certificate evidence, an unsat record's cut and the sat witness, then
   /// merged_locked. `origin` names the
   /// settling fleet connection (-1: in-process or resume). Returns false
   /// iff the schema was dropped: a duplicate, over budget, or an uncharged
@@ -157,6 +169,11 @@ class LeaseBook {
   virtual bool merge_locked(std::size_t p, std::size_t q, const Schema& schema,
                             const SchemaRecord& record, UnitOutcome outcome, bool charged,
                             bool resumed = false, int origin = -1);
+  /// True iff the schema at `cursor` is in `p`'s ledger: settled already,
+  /// it must be neither visited nor counted again.
+  bool known_locked(std::size_t p, const std::string& cursor) const {
+    return props[p].settled.contains(cursor);
+  }
   /// No lease left pending or active.
   bool complete_locked() const;
   bool halted_locked() const { return closing || interrupted || timed_out; }
@@ -171,9 +188,6 @@ class LeaseBook {
   bool timed_out = false;
 
  protected:
-  /// True iff the schema at `cursor` is already settled and must be
-  /// neither visited nor counted again. Default: a replayed resume record.
-  virtual bool known_locked(std::size_t p, const std::string& cursor) const;
   /// After a schema merged. `new_cut` is the chain prefix its record's cut
   /// added to the cut index (for a charged record: the cut step_schema
   /// added), or null when it added none.
@@ -186,7 +200,8 @@ class LeaseBook {
   /// its schemas; true iff it did.
   virtual bool settle_moot_locked(std::size_t lease);
 
-  /// Consumers build schema cursors (dedup, journal or resume need them).
+  /// Consumers build schema cursors and the merge fills the ledger (dedup,
+  /// journal or resume need them).
   bool keep_cursors = false;
 
  private:

@@ -46,6 +46,11 @@ struct Schema {
   int segment_count() const noexcept { return static_cast<int>(unlock_order.size()) + 1; }
 };
 
+/// How one schema settled: the cone pruned it, the solver refuted it
+/// (unsat) or found a witness (sat), or it degraded to unknown. record.h
+/// alone spells it in text.
+enum class SchemaVerdict { kPruned, kUnsat, kSat, kUnknown };
+
 /// One settled (query, schema) unit, whichever executor settled it: a
 /// lease consumer (an in-process thread or the coordinator's own solver), a
 /// fleet worker, or a journal replay. It holds only what the solve does not
@@ -55,10 +60,9 @@ struct Schema {
 /// journal (journal.h) and the worker's record frames (dist/protocol.h)
 /// share.
 struct SchemaRecord {
-  /// schema_cursor; empty when no journal or resume is open.
+  /// schema_cursor; empty when the book keeps no cursors (run.h).
   std::string cursor;
-  /// "pruned", "unsat", "sat" or "unknown".
-  std::string verdict;
+  SchemaVerdict verdict = SchemaVerdict::kUnknown;
   /// Unsat only: the refutation used just the first `cut` chain elements,
   /// so every schema extending that prefix is unsat too (-1: no cut).
   std::int64_t cut = -1;

@@ -132,11 +132,9 @@ UnitOutcome SchemaSolver::solve(std::size_t query_index, const Schema& schema,
   bool solved = rung(options_.incremental);
   if (!solved && !aborted) {
     if (fatal_interrupt()) return outcome;
-    if (options_.retry_fresh) {
-      outcome.retries = 1;
-      solved = rung(false);
-      if (!solved && !aborted && fatal_interrupt()) return outcome;
-    }
+    outcome.retries = 1;
+    solved = rung(false);
+    if (!solved && !aborted && fatal_interrupt()) return outcome;
   }
   if (aborted) {
     outcome.kind = UnitOutcome::Kind::kAborted;
@@ -173,7 +171,7 @@ SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t 
     return step;
   }
   if (cone != nullptr && !cone->schema_feasible(schema)) {
-    record.verdict = "pruned";
+    record.verdict = SchemaVerdict::kPruned;
     return step;
   }
   UnitOutcome& outcome = step.outcome;
@@ -186,14 +184,14 @@ SchemaStep step_schema(SchemaSolver& solver, const QueryCone* cone, std::size_t 
       step.kind = SchemaStep::Kind::kAborted;
       [[fallthrough]];
     case UnitOutcome::Kind::kUnknown:
-      record.verdict = "unknown";
+      record.verdict = SchemaVerdict::kUnknown;
       return step;
     case UnitOutcome::Kind::kUnsat:
     case UnitOutcome::Kind::kSat:
       break;
   }
   const bool sat = outcome.kind == UnitOutcome::Kind::kSat;
-  record.verdict = sat ? "sat" : "unsat";
+  record.verdict = sat ? SchemaVerdict::kSat : SchemaVerdict::kUnsat;
   // Core-based subtree cut: every schema whose unlock order extends the
   // refuted prefix (any cut placement) is unsat too. It rides on the unsat
   // record so a journal or a frame never carries the verdict without it.

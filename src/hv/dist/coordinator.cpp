@@ -42,6 +42,7 @@ constexpr std::chrono::milliseconds kFleetFormationBound{1000};
 
 using checker::Lease;
 using checker::LeaseState;
+using checker::SchemaVerdict;
 
 // --- worker health ----------------------------------------------------------
 //
@@ -69,13 +70,6 @@ struct WorkerHealth {
   bool banned = false;
 };
 
-// A settled verdict in one byte: 'p'runed, 'u'nsat, 's'at, or '?' for
-// anything inconclusive.
-char verdict_code(const std::string& verdict) {
-  if (verdict == "pruned" || verdict == "unsat" || verdict == "sat") return verdict[0];
-  return '?';
-}
-
 // Wakes a poll(2) loop from another thread: an eventfd counter, read and
 // written without blocking. If eventfd(2) fails the fd stays -1, which poll
 // ignores, and the loop falls back to its timeout step.
@@ -102,11 +96,9 @@ class WakeFd {
   int fd_;
 };
 
-// A connection the coordinator can push frames to; `learn` records whether
-// both sides advertised the "learn" feature, `origin` is its serial.
+// A connection the coordinator can push frames to; `origin` is its serial.
 struct ConnInfo {
   Conn* conn = nullptr;
-  bool learn = false;
   int origin = -1;
 };
 
@@ -118,35 +110,28 @@ bool task_covers(const checker::SubtreeTask& task, const std::vector<int>& unloc
   return unlock_order == task.prefix;
 }
 
-// The run's lease book plus what only a fleet needs: sessions, cursor
-// dedup and skip lists, shipping the book's learning and health. The
-// book's mutex guards all of it.
+// The run's lease book plus what only a fleet needs: sessions, skip lists,
+// shipping the book's learning and health. The book's ledger dedups the
+// records. The book's mutex guards all of it.
 struct Coord : checker::LeaseBook {
   Coord(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
         const DistOptions& dist_options)
       : LeaseBook(ta, properties, dist_options.check, dist_options.expected_workers),
         dist(dist_options),
-        settled(properties.size()),
         skip(leases.size()) {
-    keep_cursors = true;  // the dedup is keyed by cursor
+    keep_cursors = true;  // the ledger dedups records by cursor
     if (dist.self_hosted_fleet) fleet_formed_by = Clock::now() + kFleetFormationBound;
   }
 
   /// True iff the run learns: the book then holds every property's cut
   /// index and lemma pool, ships them inside lease grants and broadcasts
-  /// new facts as learn frames to the learn-capable workers.
+  /// new facts as learn frames to the fleet.
   bool learns() const { return checker::lemmas_enabled(options()); }
-  /// Sends `frame` to every learn-capable connection but `origin`.
+  /// Sends `frame` to every connection but `origin`.
   void broadcast_locked(const Json& frame, int origin) const;
 
   const DistOptions& dist;
   Json welcome;
-  /// Verdict dedup and conflict detection, per property: cursor ->
-  /// verdict_code of everything settled (by resume replay, a worker record
-  /// or an in-process solve). Makes reassignment replays idempotent and lets
-  /// the handlers reject a definitive verdict that contradicts an
-  /// already-settled one.
-  std::vector<std::unordered_map<std::string, char>> settled;
   /// Per lease: cursors settled inside its subtree (resume replay, partial
   /// work of a previous holder), shipped as the skip list of the next
   /// grant. Emptied when the lease completes, so the coordinator holds
@@ -174,9 +159,6 @@ struct Coord : checker::LeaseBook {
   checker::LeaseConsumer inline_consumer{*this, /*injector=*/nullptr};
 
  protected:
-  bool known_locked(std::size_t p, const std::string& cursor) const override {
-    return settled[p].count(cursor) > 0;
-  }
   void merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
                      const checker::SchemaRecord& record, int origin,
                      const std::vector<int>* new_cut) override;
@@ -236,16 +218,15 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
 
 void Coord::broadcast_locked(const Json& frame, int origin) const {
   for (const ConnInfo& info : open_conns) {
-    if (info.learn && info.origin != origin) info.conn->send(frame);
+    if (info.origin != origin) info.conn->send(frame);
   }
 }
 
-// The fleet's share of a merge: dedup, the covering lease's skip list and a
-// new subtree cut.
+// The fleet's share of a merge: the covering lease's skip list and a new
+// subtree cut.
 void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
                           const checker::SchemaRecord& record, int origin,
                           const std::vector<int>* new_cut) {
-  settled[p].emplace(record.cursor, verdict_code(record.verdict));
   for (std::size_t i = 0; i < leases.size(); ++i) {
     const Lease& lease = leases[i];
     if (lease.property == p && lease.query == q && task_covers(lease.task, schema.unlock_order)) {
@@ -256,8 +237,7 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
   // A new cut proves every schema extending its chain prefix unsat. The cut
   // itself is not journaled here (it rides on the record), but every
   // still-pending lease it covers settles without ever being granted, and
-  // the other learn-capable workers hear of it so they skip the doomed
-  // subtrees too.
+  // the other workers hear of it so they skip the doomed subtrees too.
   if (new_cut != nullptr) {
     for (std::size_t i = 0; i < leases.size(); ++i) {
       const Lease& lease = leases[i];
@@ -303,8 +283,7 @@ struct Session {
   Coord& c;
   Conn conn;
   std::string label = "worker";
-  bool learn = false;  // both sides advertised "learn"
-  int origin = -1;     // connection serial: learn broadcasts skip their origin
+  int origin = -1;  // connection serial: learn broadcasts skip their origin
   /// Lease index held by this worker. Only this session's thread writes it
   /// (under the mutex), so the thread reads it without one.
   std::int64_t current = -1;
@@ -389,21 +368,21 @@ void Session::serve() {
   conn.close();
 }
 
-// The hello frame: protocol check, feature negotiation and the health gate.
-// On success sends the welcome and joins the fleet; false means not a
-// worker, or refused.
+// The hello frame: the protocol revision and the health gate. On success
+// sends the welcome and joins the fleet; false means not a worker, or
+// refused.
 bool Session::admit() {
   Json hello;
   if (conn.recv(&hello, 10'000) != FrameStatus::kOk) return false;
-  bool peer_learn = false;
   try {
     if (hello.at("type").as_string() != "hello") return false;
     const Json* protocol = hello.find("protocol");
-    if (protocol == nullptr || protocol->as_int() != kDistProtocolVersion) {
-      conn.send(Json::Object{
-          {"type", "shutdown"},
-          {"reason", "protocol mismatch (coordinator speaks " +
-                         std::to_string(kDistProtocolVersion) + ")"}});
+    const std::int64_t revision = protocol == nullptr ? 0 : protocol->as_int();
+    if (revision != kDistProtocolVersion) {
+      conn.send(Json::Object{{"type", "shutdown"},
+                             {"reason", "protocol mismatch (worker speaks " +
+                                            std::to_string(revision) + ", coordinator speaks " +
+                                            std::to_string(kDistProtocolVersion) + ")"}});
       return false;
     }
     if (const Json* label_field = hello.find("label")) {
@@ -412,9 +391,6 @@ bool Session::admit() {
         label = label_field->as_string();
       }
     }
-    // Feature negotiation: absent/empty means a pre-upgrade worker, which
-    // simply never sees a learn frame (it still solves, without lemmas).
-    peer_learn = has_feature(hello, "learn");
   } catch (const std::exception&) {
     return false;  // mistyped hello fields: not a worker
   }
@@ -459,7 +435,6 @@ bool Session::admit() {
       return false;
     }
   }
-  learn = c.learns() && peer_learn;
   // The welcome is sent under the mutex broadcast_locked sends under, and
   // the worker joins open_conns in the same critical section: every learn
   // frame handled after the worker has its welcome reaches it.
@@ -467,7 +442,7 @@ bool Session::admit() {
   if (!conn.send(c.welcome)) return false;
   origin = c.next_origin++;
   ++c.stats.workers_joined;
-  c.open_conns.push_back({&conn, learn, origin});
+  c.open_conns.push_back({&conn, origin});
   bump(c, &checker::ProgressCounters::workers);
   c.changed_locked(-1);  // a parked sibling may be waiting for the fleet
   return true;
@@ -545,7 +520,7 @@ bool Session::on_next() {
       // Learning payload: everything the book knows about this (property,
       // query) rides along so a late-joining worker starts with the fleet's
       // accumulated cuts and lemmas.
-      if (learn) {
+      if (c.learns()) {
         const std::size_t q = lease.query;
         const checker::QueryLearning& known = c.learning(lease.property)->queries[q];
         LearnPayload payload;
@@ -567,9 +542,9 @@ bool Session::on_next() {
 // merge check and the trust gate, then merges like any other settled
 // schema.
 bool Session::on_verdict(const Json& msg) {
-  const bool sat = msg.at("type").as_string() == "sat";
   checker::UnitOutcome solve;
-  checker::SchemaRecord record = checker::record_from_json(msg, &solve);
+  const checker::SchemaRecord record = checker::record_from_json(msg, &solve);
+  const bool sat = record.verdict == SchemaVerdict::kSat;
   std::size_t q = 0;
   checker::Schema schema;
   const auto p = static_cast<std::size_t>(msg.at("property").as_int());
@@ -587,31 +562,26 @@ bool Session::on_verdict(const Json& msg) {
     return false;
   }
   const std::int64_t cited = msg.at("lease").as_int();
-  // Cuts count only from peers that negotiated learning.
-  if (!learn) record.cut = -1;
   bool abandon = false;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    // Trust gate: the frame must carry a known verdict, cite a lease granted
-    // on THIS connection whose (property, query) match and whose subtree
-    // covers the cursor, and must not contradict an already-settled
-    // definitive verdict. (A late record for our own expropriated lease is
-    // honest — dedup absorbs it.) A forged sat for a never-granted or
-    // foreign lease thus costs the connection instead of the verdict.
+    // Trust gate: the frame must cite a lease granted on THIS connection
+    // whose (property, query) match and whose subtree covers the cursor,
+    // and must not contradict a definitive verdict in the ledger. (A late
+    // record for our own expropriated lease is honest — dedup absorbs it.)
+    // A forged sat for a never-granted or foreign lease thus costs the
+    // connection instead of the verdict.
     const Lease* cited_lease = cited >= 0 && cited < static_cast<std::int64_t>(c.leases.size()) &&
                                        lease_history.count(cited) > 0
                                    ? &c.leases[static_cast<std::size_t>(cited)]
                                    : nullptr;
-    const char code = verdict_code(record.verdict);
-    const auto settled_it = c.settled[p].find(record.cursor);
+    const auto known = c.props[p].settled.find(record.cursor);
     const bool hostile =
-        (!sat && record.verdict != "pruned" && record.verdict != "unsat" &&
-         record.verdict != "unknown") ||
         cited_lease == nullptr || cited_lease->property != p || cited_lease->query != q ||
         !task_covers(cited_lease->task, schema.unlock_order) ||
         // conflicting duplicate: someone is lying
-        (settled_it != c.settled[p].end() && code != '?' && settled_it->second != '?' &&
-         settled_it->second != code);
+        (known != c.props[p].settled.end() && record.verdict != SchemaVerdict::kUnknown &&
+         known->second != SchemaVerdict::kUnknown && known->second != record.verdict);
     if (hostile) {
       mark_hostile_locked();
       return false;
@@ -639,7 +609,7 @@ bool Session::on_verdict(const Json& msg) {
 // the record is forged.
 bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema,
                      const checker::SchemaRecord& record, const checker::UnitOutcome& solve) {
-  const bool sat = record.verdict == "sat";
+  const bool sat = record.verdict == SchemaVerdict::kSat;
   if (sat && solve.validation_error.empty()) {
     if (!solve.counterexample) return true;
     try {
@@ -653,11 +623,11 @@ bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema
     }
   }
   if (!c.options().certify) return false;
-  if (record.verdict == "pruned") {
+  if (record.verdict == SchemaVerdict::kPruned) {
     const checker::QueryCone* cone = c.cone(p, q);
     return cone == nullptr || cone->schema_feasible(schema);
   }
-  if (!sat && record.verdict != "unsat") return false;  // unknown claims nothing
+  if (record.verdict == SchemaVerdict::kUnknown) return false;  // claims nothing
   std::unique_ptr<cert::SchemaCheck>& check = checks[{p, q}];
   if (!check) {
     check = std::make_unique<cert::SchemaCheck>(c.analysis(), c.properties()[p].queries[q],
@@ -669,11 +639,11 @@ bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema
 
 // A `learn` frame: freshly pooled Farkas lemmas from this worker. Folds them
 // into the book's lemma pools, which grants ship, and broadcasts the ones
-// the book had not seen to every other learn-capable worker. Cuts are taken
-// only from unsat records, which cite a granted lease; a cuts[] field here
-// is ignored. Silently ignored when this run does not learn.
+// the book had not seen to every other worker. Cuts are taken only from
+// unsat records, which cite a granted lease; a cuts[] field here is
+// ignored. Silently ignored when this run does not learn.
 bool Session::on_learn(const Json& msg) {
-  if (!learn) return true;
+  if (!c.learns()) return true;
   const auto p = static_cast<std::size_t>(msg.at("p").as_int());
   if (p >= c.props.size()) {
     punish_violation();
@@ -717,8 +687,8 @@ bool Session::on_lease_done(const Json& msg) {
   const std::size_t p = c.leases[index].property;
   // The schemas the worker's cuts skipped are charged like a thread's: each
   // counts as enumerated and cut, and one beyond the budget exhausts it.
-  // Cuts count only from peers that negotiated learning.
-  if (learn) c.cut_locked(p, c.charge_locked(p, cut));
+  // Cuts count only when the run learns.
+  if (c.learns()) c.cut_locked(p, c.charge_locked(p, cut));
   if (c.leases[index].state == LeaseState::kActive) c.set_state_locked(index, LeaseState::kDone);
   c.props[p].tally.incremental += delta;
   current = -1;
@@ -736,10 +706,10 @@ bool Session::settles_subtree(const Lease& lease) {
     return true;
   });
   std::lock_guard<std::mutex> lock(c.mutex);
-  const std::unordered_map<std::string, char>& settled = c.settled[lease.property];
   return !c.props[lease.property].live() ||
-         std::all_of(cursors.begin(), cursors.end(),
-                     [&](const std::string& cursor) { return settled.count(cursor) > 0; });
+         std::all_of(cursors.begin(), cursors.end(), [&](const std::string& cursor) {
+           return c.known_locked(lease.property, cursor);
+         });
 }
 
 // Caller holds the mutex.
@@ -783,9 +753,11 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
   c.replay_resume();
 
   // Workers enumerate their subtrees without a schema cap: the budget is
-  // charged here as records merge.
+  // charged here as records merge. They learn iff this run does; each
+  // worker's book still folds in its own HV_NO_LEMMAS.
   checker::CheckOptions wire = c.options();
   wire.enumeration.max_schemas = std::numeric_limits<std::int64_t>::max();
+  wire.lemmas = c.learns();
   c.welcome = Json::Object{{"type", "welcome"},
                            {"protocol", kDistProtocolVersion},
                            {"model_hash", checker::model_content_hash(ta)},
@@ -793,7 +765,6 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
                            {"properties", specs_to_json(specs)},
                            {"options", options_to_json(wire)},
                            {"lease_timeout", options.lease_timeout_seconds}};
-  if (c.learns()) c.welcome.set("features", Json::Array{"learn"});
 
   // Accept loop: hand every connection to its own handler thread; watch for
   // completion, cancellation and the global timeout.

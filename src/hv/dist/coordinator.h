@@ -2,9 +2,10 @@
 // consumers are remote. The book shards the schema space of every property
 // into chain-subtree leases, exactly as for in-process threads, and owns the
 // budget, the journal and the merge into PropertyResult / certificate
-// evidence; the coordinator hands its leases to workers over the frame
-// protocol and adds what needs a wire or distrust: sessions, cursor dedup,
-// skip lists, fleet learning, health and the merge check. Each worker
+// evidence, and its ledger of settled cursors dedups every record; the
+// coordinator hands its leases to workers over the frame protocol and adds
+// what needs a wire or distrust: sessions, skip lists, fleet learning,
+// health, the trust gate and the merge check. Each worker
 // settles its grants as a LeaseConsumer of a worker-side book (worker.h),
 // so a fleet visits and counts schemas as in-process threads do: the
 // schemas a worker's cuts skipped arrive as lease_done's `cut` count, and a
@@ -21,7 +22,7 @@
 //     timeout: its active lease returns to the pending pool and is granted
 //     to the next worker that asks;
 //   * duplicated work after a reassignment (the dead worker had already
-//     streamed part of the subtree): records are deduplicated by
+//     streamed part of the subtree): the book's ledger holds every settled
 //     (property, cursor), so replays are idempotent — and the reassigned
 //     lease ships the already-settled cursors as a skip list, so the new
 //     worker does not even re-solve them;
@@ -30,11 +31,17 @@
 //     the remainder (sat records are re-solved, as in-process resume does);
 //   * a worker that lies about the model is impossible by construction: the
 //     welcome handshake compares model content hashes before any lease;
+//   * a peer of another protocol revision never pairs: the hello is
+//     answered with a shutdown naming both revisions, and a worker stops on
+//     a welcome of another revision. There is no feature negotiation; a
+//     fleet whose workers differ in HV_NO_LEMMAS still agrees, since a
+//     worker that does not learn just solves every schema it is granted;
 //   * a worker that lies about *verdicts* (or speaks garbage) is a
-//     Byzantine peer. Every record/sat frame must cite a lease granted on
-//     its own connection whose subtree covers the reported cursor, and a
-//     definitive verdict conflicting with an already-settled one is
-//     rejected. Violations cost the connection and feed a per-label health
+//     Byzantine peer. The record codec refuses any verdict outside
+//     pruned/unsat/unknown on a record frame (only a sat frame claims sat);
+//     every record/sat frame must cite a lease granted on its own
+//     connection whose subtree covers the reported cursor, and a definitive
+//     verdict conflicting with one in the ledger is rejected. Violations cost the connection and feed a per-label health
 //     score (forged frames, other hostile frames, chronic lease timeouts,
 //     reconnect churn) that escalates from cool-down quarantine to a
 //     permanent ban for the run. Before any record merges, the merge check

@@ -6,7 +6,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <utility>
@@ -265,7 +264,6 @@ Json options_to_json(const checker::CheckOptions& options) {
       {"schema_timeout_seconds", options.schema_timeout_seconds},
       {"pivot_budget", options.pivot_budget},
       {"memory_budget_mb", options.memory_budget_mb},
-      {"retry_fresh", options.retry_fresh},
       {"lemmas", options.lemmas},
   };
 }
@@ -282,12 +280,7 @@ checker::CheckOptions options_from_json(const Json& json) {
   options.schema_timeout_seconds = json.at("schema_timeout_seconds").as_double();
   options.pivot_budget = json.at("pivot_budget").as_int();
   options.memory_budget_mb = json.at("memory_budget_mb").as_int();
-  options.retry_fresh = json.at("retry_fresh").as_bool();
-  // Tolerant read: a pre-upgrade coordinator omits the field; learning is
-  // additionally gated by the hello/welcome feature negotiation, so the
-  // default here only matters to non-dist callers of this converter.
-  const Json* lemmas = json.find("lemmas");
-  options.lemmas = lemmas == nullptr || lemmas->as_bool();
+  options.lemmas = json.at("lemmas").as_bool();
   return options;
 }
 
@@ -295,16 +288,6 @@ Json record_frame(const checker::SchemaRecord& record, const checker::UnitOutcom
                   std::int64_t lease, std::size_t property) {
   return checker::record_to_json(
       record, solve, {{"lease", lease}, {"property", static_cast<std::int64_t>(property)}});
-}
-
-bool has_feature(const Json& frame, std::string_view feature) {
-  const Json* features = frame.find("features");
-  if (features == nullptr) return false;
-  return std::any_of(features->as_array().begin(), features->as_array().end(),
-                     [&](const Json& entry) {
-                       return entry.kind() == Json::Kind::kString &&
-                              entry.as_string() == feature;
-                     });
 }
 
 void LearnPayload::add_cut(std::size_t q, const std::vector<int>& prefix) {

@@ -7,7 +7,7 @@
 // frame (frame.h) with a "type" field:
 //
 //   worker -> coordinator
-//     hello      {protocol, label, features[]?}
+//     hello      {protocol, label}
 //     next       {}                     request a lease (pull model); the
 //                                      coordinator may hold the reply until
 //                                      a lease frees up (long poll)
@@ -30,7 +30,7 @@
 //
 //   coordinator -> worker
 //     welcome    {protocol, model_hash, model_text, properties[], options{},
-//                 lease_timeout?, features[]?}
+//                 lease_timeout?}       options.lemmas: the run learns
 //     lease      {lease, property, query, prefix[], extensions, skip[],
 //                 cuts[]?, lemmas[]?}
 //     wait       {ms}                   nothing grantable right now; sleep
@@ -59,14 +59,16 @@
 // read tolerantly) lets the worker refuse heartbeat periods that the
 // coordinator would mistake for death.
 //
-// Feature negotiation: the protocol version stays fixed; optional frame
-// kinds are gated by "features" arrays in hello/welcome instead. Both sides
-// read the field tolerantly (absent = no optional features), and a side only
-// *sends* an optional frame kind ("learn", plus the learn-bearing fields of
-// lease and lease_done) when both peers advertised it. A pre-upgrade worker
-// therefore degrades to no-lemma solving instead of being dropped for an
-// unknown frame type; a pre-upgrade coordinator never sees a learn frame
-// or a record "cut" field (records are read field-tolerantly).
+// Compatibility: the protocol revision (util/version.h) is the only
+// mechanism. It is bumped on any frame or message change, and a
+// coordinator and a worker of different revisions never pair: the
+// coordinator answers such a hello with a shutdown naming both revisions,
+// and a worker stops on such a welcome without reconnecting. Learning is
+// the run's, not the peer's: the welcome's options carry the coordinator's
+// effective lemmas_enabled, a worker's book folds in its own HV_NO_LEMMAS,
+// and a worker that does not learn ignores the cuts[] and lemmas[] it is
+// sent and omits lease_done's cut. The coordinator takes a record's cut and
+// lease_done's cut only when the run learns.
 //
 //   learn cuts entries:   {q, prefix[]}       — the chain prefix is unsat,
 //                                               every schema extending it too
@@ -82,7 +84,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hv/checker/parameterized.h"
@@ -196,10 +197,6 @@ checker::CheckOptions options_from_json(const Json& json);
 /// the property's index as its head fields.
 Json record_frame(const checker::SchemaRecord& record, const checker::UnitOutcome& solve,
                   std::int64_t lease, std::size_t property);
-
-/// True iff a hello or welcome frame lists `feature` in its features[]
-/// (absent: none). Throws when features is not an array.
-bool has_feature(const Json& frame, std::string_view feature);
 
 /// The learned facts of one property on the wire: the cuts[] ({q, prefix[]})
 /// and lemmas[] ({q, premises[]}) entries of a learn frame or a lease grant.

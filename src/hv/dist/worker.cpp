@@ -7,7 +7,6 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,11 +25,11 @@ namespace {
 
 // The worker's lease book over the welcome's automaton, properties and
 // options, holding the one lease granted last. A LeaseConsumer settles it
-// exactly like an in-process thread; only the wire lives here, in the
-// book's hooks: the grant's skip list is known_locked, and where a thread
-// merges a settled schema, merge_locked ships it to the coordinator, runs
-// the test hooks and polls for an abandon. It keeps no record, witness or
-// evidence: those live in the coordinator's book.
+// exactly like an in-process thread; only the wire lives here: the grant's
+// skip list seeds the property's ledger, and where a thread merges a
+// settled schema, merge_locked ships it to the coordinator, runs the test
+// hooks and polls for an abandon. It keeps no record, witness or evidence:
+// those live in the coordinator's book.
 class WorkerBook : public checker::LeaseBook {
  public:
   WorkerBook(const ta::ThresholdAutomaton& ta, std::span<const spec::Property> properties,
@@ -45,11 +44,16 @@ class WorkerBook : public checker::LeaseBook {
 
   // Makes a grant the book's one pending lease, with a fresh tally for its
   // property: after the settle, that tally holds the lease's own counters.
-  void grant(std::int64_t id, checker::Lease lease, std::unordered_set<std::string> skip) {
+  // Its ledger is the skip list: the schemas settled before this grant.
+  void grant(std::int64_t id, checker::Lease lease, const Json::Array& skip) {
     std::lock_guard<std::mutex> lock(mutex);
     lease_id_ = id;
-    skip_ = std::move(skip);
-    props[lease.property].tally = {};
+    checker::PropertyRun& prop = props[lease.property];
+    prop.tally = {};
+    prop.settled.clear();
+    for (const Json& cursor : skip) {
+      prop.settled.emplace(cursor.as_string(), checker::SchemaVerdict::kUnknown);
+    }
     leases.assign(1, std::move(lease));
   }
 
@@ -68,10 +72,6 @@ class WorkerBook : public checker::LeaseBook {
   }
 
  protected:
-  bool known_locked(std::size_t, const std::string& cursor) const override {
-    return skip_.count(cursor) > 0;  // settled before this grant
-  }
-
   // Ships the schema instead of merging it. The lease ends on a lost
   // connection, on the drop test hook (dying mid-lease like a SIGKILL'd
   // process: no lease_done, no goodbye), on a witness, which settles the
@@ -86,12 +86,14 @@ class WorkerBook : public checker::LeaseBook {
     // Byzantine test hook: forge a counterexample-free "sat" for a schema
     // the solver just refuted. The coordinator's merge check must catch it.
     checker::SchemaRecord shipped = record;
-    if (options_.lie_about_verdicts && record.verdict == "unsat") shipped.verdict = "sat";
+    if (options_.lie_about_verdicts && record.verdict == checker::SchemaVerdict::kUnsat) {
+      shipped.verdict = checker::SchemaVerdict::kSat;
+    }
     if (!conn_.send(record_frame(shipped, outcome, lease_id_, p))) {
       report_.note = "connection lost";
     } else if (++report_.records == options_.drop_after_records) {
       report_.note = "dropped connection (test hook)";
-    } else if (shipped.verdict != "sat" && !abandoned()) {
+    } else if (shipped.verdict != checker::SchemaVerdict::kSat && !abandoned()) {
       return true;
     }
     set_state_locked(0, checker::LeaseState::kDone);
@@ -124,7 +126,6 @@ class WorkerBook : public checker::LeaseBook {
   const WorkerOptions& options_;
   WorkerReport& report_;
   std::int64_t lease_id_ = -1;
-  std::unordered_set<std::string> skip_;
 };
 
 // One full worker lifecycle: connect, handshake, lease loop. run_worker
@@ -148,14 +149,9 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   }
   Conn conn(fd, /*subject_to_chaos=*/true);
 
-  Json hello = Json::Object{{"type", "hello"},
-                                        {"protocol", kDistProtocolVersion},
-                                        {"label", options.label}};
-  // Advertise cross-schema learning unless disabled locally (HV_NO_LEMMAS):
-  // a coordinator that does not learn simply never echoes the feature, and
-  // this worker degrades to plain no-lemma solving.
-  if (checker::lemmas_enabled({})) hello.set("features", Json::Array{"learn"});
-  if (!conn.send(hello)) {
+  if (!conn.send(Json::Object{{"type", "hello"},
+                              {"protocol", kDistProtocolVersion},
+                              {"label", options.label}})) {
     report.note = "handshake send failed";
     return report;
   }
@@ -174,7 +170,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   checker::CheckOptions check;
   std::optional<ta::ThresholdAutomaton> parsed;
   std::vector<spec::Property> properties;
-  bool peer_learn = false;
   try {
     if (welcome.at("type").as_string() == "shutdown") {
       // The coordinator refused this label before granting anything
@@ -206,9 +201,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       return report;
     }
     properties = resolve_properties(*parsed, specs_from_json(welcome.at("properties")));
-    // Tolerant feature read: a pre-upgrade coordinator omits the array and
-    // this worker solves without lemmas instead of dropping the connection.
-    peer_learn = has_feature(welcome, "learn");
     // Tolerant lease-timeout read: refuse a heartbeat period the
     // coordinator would mistake for death. A period above half the lease
     // timeout leaves no slack for a slow schema between beats; the stop is
@@ -232,11 +224,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     return report;
   }
   check.cancel = options.cancel;
-  // Cross-schema learning only when both sides negotiated "learn" (and the
-  // shipped options allow it): the book then keeps one cut index and lemma
-  // pool per property, fed by local refutations and by the coordinator's
-  // learn frames and grant payloads.
-  check.lemmas = check.lemmas && peer_learn;
+  // The welcome's options say whether the run learns; the book folds in
+  // this process's HV_NO_LEMMAS. A learning book keeps one cut index and
+  // lemma pool per property, fed by local refutations and by the
+  // coordinator's learn frames and grant payloads.
   WorkerBook book(*parsed, properties, check, conn, options, report);
   checker::FaultInjector injector(options.fault);
   checker::LeaseConsumer consumer(book, &injector);
@@ -340,11 +331,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         lease.task.prefix.push_back(static_cast<int>(g.as_int()));
       }
       lease.task.include_extensions = reply.at("extensions").as_bool();
-      std::unordered_set<std::string> skip;
-      for (const Json& cursor : reply.at("skip").as_array()) {
-        skip.insert(cursor.as_string());
-      }
-      book.grant(lease_id, std::move(lease), std::move(skip));
+      book.grant(lease_id, std::move(lease), reply.at("skip").as_array());
       // Learning payload of the grant: the fleet's accumulated cuts and
       // lemmas for this (property, query).
       book.learn(reply, static_cast<std::int64_t>(p));

@@ -45,7 +45,7 @@ constexpr const char* kUsage = R"(usage:
                        [--json] [--certify] [--cert-out cert.json]
                        [--journal run.jsonl] [--resume run.jsonl]
                        [--schema-timeout S] [--pivot-budget K]
-                       [--memory-budget MB] [--no-retry]
+                       [--memory-budget MB]
        (without --prop it checks the model's bundled default properties,
         e.g. the five Table-2 properties of the simplified consensus
         automaton; --certify emits a proof-carrying certificate.
@@ -390,8 +390,6 @@ bool check_option(Args& args, checker::CheckOptions& options) {
     options.pivot_budget = *value;
   } else if (const auto value = args.number<std::int64_t>("--memory-budget")) {
     options.memory_budget_mb = *value;
-  } else if (args.boolean("--no-retry")) {
-    options.retry_fresh = false;
   } else if (args.boolean("--certify")) {
     options.certify = true;
   } else {

@@ -11,14 +11,15 @@ inline constexpr const char* kHvcVersion = "1.0.0";
 
 /// Wire-protocol revision of the distributed checking service (hv/dist).
 /// Bumped on any frame- or message-format change; coordinator and worker
-/// refuse to pair across revisions.
-inline constexpr int kDistProtocolVersion = 1;
+/// refuse to pair across revisions, and it is the fleet's only
+/// compatibility mechanism (dist/protocol.h).
+inline constexpr int kDistProtocolVersion = 2;
 
 /// Wire-protocol revision of the multi-tenant verification service
 /// (hv/service): the client frames of hvc submit/status/result/cancel.
 /// Bumped on any message-format change; the daemon rejects mismatched
 /// clients with a precise error frame instead of undefined behavior.
-inline constexpr int kServiceProtocolVersion = 1;
+inline constexpr int kServiceProtocolVersion = 2;
 
 }  // namespace hv
 

@@ -938,21 +938,6 @@ TEST(RobustnessTest, SingleFaultIsAbsorbedByTheRetryLadder) {
   EXPECT_EQ(result.schemas_checked, baseline.schemas_checked);
 }
 
-TEST(RobustnessTest, RetryLadderCanBeDisabled) {
-  const auto& ta = echo().body();
-  const spec::Property property =
-      spec::compile(ta, "no_announce_no_d", "[](locB == 0) -> [](locD == 0)");
-  CheckOptions options;
-  options.property_directed_pruning = false;
-  options.retry_fresh = false;
-  options.fault.kind = FaultKind::kSolverThrow;
-  options.fault.at = 0;
-  const PropertyResult result = check_property(ta, property, options);
-  EXPECT_EQ(result.verdict, Verdict::kUnknown);
-  EXPECT_EQ(result.retries, 0);
-  EXPECT_GT(result.schemas_unknown, 0);
-}
-
 TEST(RobustnessTest, MemoryBudgetFallsBackToFreshSolving) {
   // Any running process exceeds 1 MB of RSS, so the budget trips on every
   // polled incremental attempt (the poll stride includes the very first);
@@ -1188,7 +1173,7 @@ TEST(LeaseBookTest, UnchargedRecordsAreChargedAsTheyMerge) {
   LeaseBook book(ta, std::span(&property, 1), options, 1);
   std::lock_guard<std::mutex> lock(book.mutex);
   SchemaRecord record;
-  record.verdict = "unsat";
+  record.verdict = SchemaVerdict::kUnsat;
   EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, record, {}, /*charged=*/false));
   EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, record, {}, /*charged=*/false));
   EXPECT_FALSE(book.props[0].end.budget_exhausted);
@@ -1209,11 +1194,11 @@ TEST(LeaseBookTest, ChargedRecordsCountAfterTheWitness) {
   ASSERT_TRUE(book.charge_locked(0));
   ASSERT_TRUE(book.charge_locked(0));
   SchemaRecord sat;
-  sat.verdict = "sat";
+  sat.verdict = SchemaVerdict::kSat;
   EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, sat, {}, /*charged=*/true));
   EXPECT_FALSE(book.props[0].live());
   SchemaRecord unsat;
-  unsat.verdict = "unsat";
+  unsat.verdict = SchemaVerdict::kUnsat;
   EXPECT_TRUE(book.merge_locked(0, 0, Schema{}, unsat, {}, /*charged=*/true));
   EXPECT_FALSE(book.merge_locked(0, 0, Schema{}, unsat, {}, /*charged=*/false));
   EXPECT_EQ(book.props[0].tally.enumerated, 2);
@@ -1243,7 +1228,7 @@ TEST(LeaseBookTest, ResumedCutLandsInItsOwnPropertysIndex) {
     JournalRecord record;
     record.property = "b";
     record.cursor = schema_cursor(0, schema);
-    record.verdict = "unsat";
+    record.verdict = SchemaVerdict::kUnsat;
     record.cut = 1;
     journal.append(record);
   }

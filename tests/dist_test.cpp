@@ -32,6 +32,7 @@
 #include "hv/spec/compile.h"
 #include "hv/ta/parser.h"
 #include "hv/util/error.h"
+#include "hv/util/text.h"
 #include "hv/util/version.h"
 
 namespace hv::dist {
@@ -252,7 +253,7 @@ TEST(DistProtocol, OptionsSurviveTheWire) {
   options.schema_timeout_seconds = 3.25;
   options.pivot_budget = 777;
   options.memory_budget_mb = 42;
-  options.retry_fresh = false;
+  options.lemmas = false;
 
   const checker::CheckOptions back = options_from_json(options_to_json(options));
   EXPECT_EQ(back.enumeration.max_schemas, 1234);
@@ -265,7 +266,7 @@ TEST(DistProtocol, OptionsSurviveTheWire) {
   EXPECT_DOUBLE_EQ(back.schema_timeout_seconds, 3.25);
   EXPECT_EQ(back.pivot_budget, 777);
   EXPECT_EQ(back.memory_budget_mb, 42);
-  EXPECT_FALSE(back.retry_fresh);
+  EXPECT_FALSE(back.lemmas);
 }
 
 TEST(DistProtocol, CounterexamplesSurviveTheWire) {
@@ -281,7 +282,7 @@ TEST(DistProtocol, CounterexamplesSurviveTheWire) {
 
   checker::SchemaRecord sat;
   sat.cursor = "q0||";
-  sat.verdict = "sat";
+  sat.verdict = checker::SchemaVerdict::kSat;
   checker::UnitOutcome witness;
   witness.counterexample = cex;
   checker::UnitOutcome decoded;
@@ -306,7 +307,7 @@ TEST(DistProtocol, RecordFrameBytesArePinned) {
   const checker::UnitOutcome none;
   checker::SchemaRecord unsat;
   unsat.cursor = "q0|2,0,1|1";
-  unsat.verdict = "unsat";
+  unsat.verdict = checker::SchemaVerdict::kUnsat;
   unsat.cut = 2;
   checker::UnitOutcome refuted;
   refuted.length = 7;
@@ -320,14 +321,14 @@ TEST(DistProtocol, RecordFrameBytesArePinned) {
 
   checker::SchemaRecord pruned;
   pruned.cursor = "q1|0|0";
-  pruned.verdict = "pruned";
+  pruned.verdict = checker::SchemaVerdict::kPruned;
   EXPECT_EQ(record_frame(pruned, none, 5, 0).to_string(),
             R"({"type":"record","lease":5,"property":0,"cursor":"q1|0|0","verdict":"pruned",)"
             R"("length":0,"pivots":0,"retries":0,"note":""})");
 
   checker::SchemaRecord sat;
   sat.cursor = "q0|1|1";
-  sat.verdict = "sat";
+  sat.verdict = checker::SchemaVerdict::kSat;
   checker::UnitOutcome witness;
   witness.length = 3;
   witness.pivots = 11;
@@ -354,7 +355,7 @@ TEST(DistProtocol, LemmaCountersRideOnTheRecordWhenNonzero) {
   // the retries, and decodes back into the outcome the tally counts.
   checker::SchemaRecord unsat;
   unsat.cursor = "q0|1|0";
-  unsat.verdict = "unsat";
+  unsat.verdict = checker::SchemaVerdict::kUnsat;
   checker::UnitOutcome learned;
   learned.pivots = 5;
   learned.lemma_hits = 2;
@@ -443,11 +444,9 @@ int connect_with_retry(const std::string& address) {
   return fd;
 }
 
-void hello_and_welcome(Conn& conn, const std::string& label, bool learn = false) {
-  Json hello = Json::Object{
-      {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", label}};
-  if (learn) hello.set("features", Json::Array{"learn"});
-  ASSERT_TRUE(conn.send(hello));
+void hello_and_welcome(Conn& conn, const std::string& label) {
+  ASSERT_TRUE(conn.send(Json::Object{
+      {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", label}}));
   Json welcome;
   ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
   ASSERT_EQ(welcome.at("type").as_string(), "welcome");
@@ -648,66 +647,6 @@ TEST(DistEndToEnd, MalformedMessagesCostTheConnectionNotTheRun) {
   EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
   const auto reference = reference_check("safe", kHoldsFormula, options.check);
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
-}
-
-TEST(DistEndToEnd, LegacyPeerWithoutFeaturesDegrades) {
-  // Feature negotiation: a pre-learning peer sends a hello with no
-  // "features" array. The coordinator must serve it anyway — grant leases
-  // without learning payloads and never push learn frames at it — while
-  // modern workers on the same run still finish with the right verdict.
-  const std::string address = "unix:" + temp_path("dist_legacy.sock");
-  ServeRun run;
-  DistOptions options;
-  options.lease_timeout_seconds = 30.0;  // reassignment must come from the EOF
-  if (!checker::lemmas_enabled(options.check)) {
-    GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
-  }
-  run.start(address, {{"safe", kHoldsFormula, false}}, options);
-
-  int fd = -1;
-  for (int spin = 0; spin < 500 && fd < 0; ++spin) {
-    fd = connect_to(parse_address(address));
-    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GE(fd, 0);
-  {
-    Conn conn(fd);
-    ASSERT_TRUE(conn.send(Json::Object{
-        {"type", "hello"}, {"protocol", kDistProtocolVersion}, {"label", "legacy"}}));
-    Json welcome;
-    ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
-    ASSERT_EQ(welcome.at("type").as_string(), "welcome");
-    // The coordinator advertises its own features regardless; an old peer
-    // simply ignores the unknown field.
-    const Json* features = welcome.find("features");
-    ASSERT_NE(features, nullptr);
-    bool advertises_learn = false;
-    for (const Json& feature : features->as_array()) {
-      advertises_learn = advertises_learn || feature.as_string() == "learn";
-    }
-    EXPECT_TRUE(advertises_learn);
-
-    // The legacy peer is granted a lease like anyone else, but the grant
-    // must not carry fields it cannot parse.
-    ASSERT_TRUE(conn.send(Json::Object{{"type", "next"}}));
-    Json reply;
-    ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
-    ASSERT_EQ(reply.at("type").as_string(), "lease");
-    EXPECT_EQ(reply.find("cuts"), nullptr);
-    EXPECT_EQ(reply.find("lemmas"), nullptr);
-    conn.close();  // dies holding the lease; the EOF returns it to the pool
-  }
-
-  const WorkerReport survivor = run_one_worker(address, "modern");
-  run.join();
-  ASSERT_TRUE(run.error.empty()) << run.error;
-  EXPECT_TRUE(survivor.completed) << survivor.note;
-  ASSERT_EQ(run.results.size(), 1u);
-  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
-  const auto reference = reference_check("safe", kHoldsFormula, options.check);
-  EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
-  EXPECT_EQ(run.stats.workers_joined, 2);
-  EXPECT_EQ(run.stats.workers_lost, 1);
 }
 
 TEST(DistEndToEnd, SelfSolveMatchesInProcess) {
@@ -919,8 +858,7 @@ TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
         {"model_hash", checker::model_content_hash(ta)},
         {"model_text", kEchoModel},
         {"properties", specs_to_json({{"safe", kHoldsFormula, false}})},
-        {"options", options_to_json(checker::CheckOptions{})},
-        {"features", Json::Array{"learn"}}}));
+        {"options", options_to_json(checker::CheckOptions{})}}));
     ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // next
     ASSERT_TRUE(conn.send(Json::Object{{"type", "wait"}, {"ms", std::int64_t{300}}}));
     ASSERT_TRUE(conn.send(Json::Object{{"type", "learn"}, {"p", std::int64_t{0}}}));
@@ -974,34 +912,80 @@ TEST(DistReconnect, BudgetExpiryReportsTheConnectFailure) {
 }
 
 TEST(DistReconnect, SemanticStopsNeverRetry) {
-  // A malformed welcome is a protocol-level (semantic) stop: retrying would
-  // hammer a coordinator that will never speak our dialect. With a generous
-  // reconnect budget the worker must still stop after ONE attempt — the
-  // fake below accepts exactly once, so a retry would stall until the 30s
-  // budget drained; returning promptly with the same note proves it didn't.
-  const std::string path = temp_path("dist_reconn_bad.sock");
-  Address addr;
-  addr.unix_domain = true;
-  addr.path = path;
-  const int listen_fd = listen_on(addr);
-  std::thread fake([&] {
-    const int cfd = ::accept(listen_fd, nullptr, nullptr);
-    ASSERT_GE(cfd, 0);
-    Conn conn(cfd);
-    Json hello;
-    EXPECT_EQ(conn.recv(&hello, 5'000), FrameStatus::kOk);
-    conn.send(Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}});
+  // A malformed welcome, or one of another protocol revision, is a semantic
+  // stop: retrying would hammer a coordinator that will never speak our
+  // dialect. With a generous reconnect budget the worker must still stop
+  // after ONE attempt — the fake below accepts exactly once, so a retry
+  // would stall until the 30s budget drained; returning promptly with the
+  // welcome's own note proves it didn't.
+  const std::pair<Json, const char*> welcomes[] = {
+      {Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion}},
+       "malformed welcome"},
+      {Json::Object{{"type", "welcome"}, {"protocol", kDistProtocolVersion + 1}},
+       "speaks protocol"},
+  };
+  for (const auto& [welcome, note] : welcomes) {
+    SCOPED_TRACE(note);
+    const std::string path = temp_path("dist_reconn_bad.sock");
+    Address addr;
+    addr.unix_domain = true;
+    addr.path = path;
+    const int listen_fd = listen_on(addr);
+    std::thread fake([&] {
+      const int cfd = ::accept(listen_fd, nullptr, nullptr);
+      ASSERT_GE(cfd, 0);
+      Conn conn(cfd);
+      Json hello;
+      EXPECT_EQ(conn.recv(&hello, 5'000), FrameStatus::kOk);
+      conn.send(welcome);
+      conn.close();
+    });
+    WorkerOptions options;
+    options.connect = "unix:" + path;
+    options.reconnect_seconds = 30.0;
+    const WorkerReport report = run_worker(options);
+    fake.join();
+    ::close(listen_fd);
+    std::remove(path.c_str());
+    EXPECT_FALSE(report.completed);
+    EXPECT_NE(report.note.find(note), std::string::npos) << report.note;
+  }
+}
+
+TEST(DistEndToEnd, HelloOfAnotherRevisionIsRefusedNamingBoth) {
+  // The protocol revision is the fleet's only compatibility mechanism: a
+  // peer of another revision is answered with a shutdown that names both
+  // revisions, never a welcome, and the run goes on without it.
+  const std::string address = "unix:" + temp_path("dist_revision.sock");
+  ServeRun run;
+  DistOptions options;
+  options.lease_timeout_seconds = 30.0;
+  run.start(address, {{"safe", kHoldsFormula, false}}, options);
+  const int other = kDistProtocolVersion + 1;
+  {
+    const int fd = connect_with_retry(address);
+    ASSERT_GE(fd, 0);
+    Conn conn(fd);
+    ASSERT_TRUE(conn.send(
+        Json::Object{{"type", "hello"}, {"protocol", other}, {"label", "other-revision"}}));
+    Json reply;
+    ASSERT_EQ(conn.recv(&reply, 5'000), FrameStatus::kOk);
+    EXPECT_EQ(reply.at("type").as_string(), "shutdown");
+    const std::string& reason = reply.at("reason").as_string();
+    EXPECT_NE(reason.find("worker speaks " + std::to_string(other)), std::string::npos)
+        << reason;
+    EXPECT_NE(reason.find("coordinator speaks " + std::to_string(kDistProtocolVersion)),
+              std::string::npos)
+        << reason;
     conn.close();
-  });
-  WorkerOptions options;
-  options.connect = "unix:" + path;
-  options.reconnect_seconds = 30.0;
-  const WorkerReport report = run_worker(options);
-  fake.join();
-  ::close(listen_fd);
-  std::remove(path.c_str());
-  EXPECT_FALSE(report.completed);
-  EXPECT_NE(report.note.find("malformed welcome"), std::string::npos) << report.note;
+  }
+  const WorkerReport report = run_one_worker(address, "current");
+  run.join();
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_TRUE(report.completed) << report.note;
+  EXPECT_EQ(run.stats.workers_joined, 1);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
 }
 
 TEST(DistEndToEnd, ForkLocalModeMatchesInProcess) {
@@ -1277,7 +1261,7 @@ TEST(DistByzantine, CursorOutsideTheGrantedSubtreeIsHostile) {
 TEST(DistByzantine, LearnFrameCutsAreIgnored) {
   // Subtree cuts enter the coordinator only on unsat record frames, which
   // cite a granted lease. A learn frame cites nothing: folding its cuts[]
-  // would let any learn-capable peer settle a whole property (an empty
+  // would let any peer settle a whole property (an empty
   // prefix covers every schema of the query) without one schema solved.
   const std::string address = "unix:" + temp_path("dist_learn_cuts.sock");
   ServeRun run;
@@ -1293,13 +1277,7 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
   ASSERT_GE(fd, 0);
   {
     Conn conn(fd);
-    ASSERT_TRUE(conn.send(Json::Object{{"type", "hello"},
-                                       {"protocol", kDistProtocolVersion},
-                                       {"label", "forger"},
-                                       {"features", Json::Array{"learn"}}}));
-    Json welcome;
-    ASSERT_EQ(conn.recv(&welcome, 5'000), FrameStatus::kOk);
-    ASSERT_EQ(welcome.at("type").as_string(), "welcome");
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "forger"));
     ASSERT_TRUE(conn.send(Json::Object{
         {"type", "learn"},
         {"p", 0},
@@ -1333,7 +1311,7 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
 
 // --- fleet learning -----------------------------------------------------------
 //
-// Scripted learn-capable peers against the coordinator's share of the lease
+// Scripted peers against the coordinator's share of the lease
 // book's learning: cuts arrive on unsat records, lemmas on learn frames, and
 // both ride on later grants.
 
@@ -1421,7 +1399,7 @@ TEST(DistLearning, GrantCarriesTheCutsAndLemmasOfEarlierFrames) {
   ASSERT_GE(fd, 0);
   {
     Conn conn(fd);
-    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted", /*learn=*/true));
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted"));
     LeaseGrant cut_lease;
     ASSERT_NO_FATAL_FAILURE(grant_and_cut(conn, &cut_lease));
     ASSERT_TRUE(conn.send(lemma_frame({"y<=0", "x>=1"})));
@@ -1465,7 +1443,7 @@ TEST(DistLearning, CutSettlesCoveredPendingLeasesWithoutAGrant) {
   std::int64_t granted = 0;
   {
     Conn conn(fd);
-    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted", /*learn=*/true));
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted"));
     ASSERT_NO_FATAL_FAILURE(grant_and_cut(conn, &cut_lease));
     granted = cut_lease.id + 1;  // leases are granted first-fit, in plan order
     // Drain the rest of the run: no lease inside the refuted subtree is
@@ -1512,11 +1490,11 @@ TEST(DistLearning, PermutedLemmaIsNotRebroadcast) {
   const int sender_fd = connect_with_retry(address);
   ASSERT_GE(sender_fd, 0);
   Conn sender(sender_fd);
-  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(sender, "sender", /*learn=*/true));
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(sender, "sender"));
   const int listener_fd = connect_with_retry(address);
   ASSERT_GE(listener_fd, 0);
   Conn listener(listener_fd);
-  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(listener, "listener", /*learn=*/true));
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(listener, "listener"));
   // A `next` answered means every frame the sender sent before it was
   // handled, broadcasts included.
   const auto sync = [&] {
@@ -1699,26 +1677,36 @@ TEST(DistByzantine, NegativeLeaseDoneCountersAreHostile) {
 
 TEST(DistByzantine, NegativeRecordCountersAreHostile) {
   // A record frame's counters add to the tally, the lemma-pool ones
-  // included; a negative one would drive the run's totals below zero. The
-  // shared record decoder refuses it, so the frame is hostile: the
-  // connection drops and the lease re-pends.
+  // included; a negative one would drive the run's totals below zero. Its
+  // verdict is pruned, unsat or unknown: a sat claim must come as a sat
+  // frame, whose counterexample the merge check replays. The shared record
+  // decoder refuses every frame below, each citing a lease granted on its
+  // own connection, so each is hostile: the connection drops and the lease
+  // re-pends.
   const std::string address = "unix:" + temp_path("dist_negative_record.sock");
   ServeRun run;
   DistOptions options;
   options.lease_timeout_seconds = 30.0;
   run.start(address, {{"safe", kHoldsFormula, false}}, options);
-  for (const char* counter : {"pivots", "hits", "learned"}) {
-    SCOPED_TRACE(counter);
+  const std::pair<const char*, Json> mutations[] = {{"pivots", std::int64_t{-1000}},
+                                                    {"hits", std::int64_t{-1000}},
+                                                    {"learned", std::int64_t{-1000}},
+                                                    {"verdict", "maybe"},
+                                                    {"verdict", "sat"}};
+  for (std::size_t i = 0; i < std::size(mutations); ++i) {
+    const auto& [field, value] = mutations[i];
+    SCOPED_TRACE(value.to_string());
     const int fd = connect_with_retry(address);
     ASSERT_GE(fd, 0);
     Conn conn(fd);
-    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, std::string("negative-") + counter));
+    ASSERT_NO_FATAL_FAILURE(
+        hello_and_welcome(conn, numbered("refused-", static_cast<std::int64_t>(i))));
     LeaseGrant grant;
     ASSERT_TRUE(acquire_lease(conn, &grant));
     const std::string cursor = chain_cursor(grant.query, grant.prefix);
     Json::Object frame = bare_record_frame(grant.id, grant.property, cursor, "unsat").as_object();
-    std::erase_if(frame, [&](const auto& field) { return field.first == counter; });
-    frame.emplace_back(counter, std::int64_t{-1000});
+    std::erase_if(frame, [&](const auto& entry) { return entry.first == field; });
+    frame.emplace_back(field, value);
     ASSERT_TRUE(conn.send(Json(std::move(frame))));
     Json reply;
     EXPECT_NE(conn.recv(&reply, 5'000), FrameStatus::kOk) << reply.to_string();
@@ -1728,7 +1716,7 @@ TEST(DistByzantine, NegativeRecordCountersAreHostile) {
   run.join();
   ASSERT_TRUE(run.error.empty()) << run.error;
   EXPECT_TRUE(survivor.completed) << survivor.note;
-  EXPECT_GE(run.stats.hostile_frames, 3);
+  EXPECT_EQ(run.stats.hostile_frames, static_cast<std::int64_t>(std::size(mutations)));
   ASSERT_EQ(run.results.size(), 1u);
   EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
   EXPECT_GE(run.results[0].simplex_pivots, 0);
@@ -1770,11 +1758,12 @@ smt::proof::Node* first_farkas(smt::proof::Node& node) {
 /// `*frame`.
 bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::SchemaStep step,
                   std::int64_t lease, Json* frame) {
-  const std::string& verdict = step.record.verdict;
+  using checker::SchemaVerdict;
+  const SchemaVerdict verdict = step.record.verdict;
   checker::UnitOutcome& outcome = step.outcome;
   switch (forgery) {
     case Forgery::kAlteredMultiplier: {
-      if (verdict != "unsat" || outcome.proof == nullptr) return false;
+      if (verdict != SchemaVerdict::kUnsat || outcome.proof == nullptr) return false;
       std::unique_ptr<smt::proof::Node> proof = smt::proof::clone(*outcome.proof);
       smt::proof::Node* farkas = first_farkas(*proof);
       if (farkas == nullptr || farkas->farkas.empty()) return false;
@@ -1783,16 +1772,16 @@ bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::Sc
       break;
     }
     case Forgery::kMissingProof:
-      if (verdict != "unsat") return false;
+      if (verdict != SchemaVerdict::kUnsat) return false;
       outcome.proof = nullptr;
       break;
     case Forgery::kPrunedKept:
-      if (verdict != "unsat" && verdict != "sat") return false;
-      step.record.verdict = "pruned";
+      if (verdict != SchemaVerdict::kUnsat && verdict != SchemaVerdict::kSat) return false;
+      step.record.verdict = SchemaVerdict::kPruned;
       outcome = checker::UnitOutcome{};
       break;
     case Forgery::kViolatingModel: {
-      if (verdict != "sat" || outcome.model == nullptr) return false;
+      if (verdict != SchemaVerdict::kSat || outcome.model == nullptr) return false;
       auto model = *outcome.model;
       for (auto& entry : model) entry.second = entry.second + BigInt(7);
       outcome.model =
@@ -1800,7 +1789,7 @@ bool forge_record(Forgery forgery, const ta::ThresholdAutomaton& ta, checker::Sc
       break;
     }
     case Forgery::kFailingReplay: {
-      if (verdict != "sat" || !outcome.counterexample) return false;
+      if (verdict != SchemaVerdict::kSat || !outcome.counterexample) return false;
       // Fire a rule more often than there are processes to move.
       ta::RuleId rule = 0;
       while (ta.rule(rule).is_self_loop()) ++rule;
@@ -1845,7 +1834,7 @@ void run_forger(const std::string& address, const std::string& formula,
               checker::step_schema(solver, cone ? &*cone : nullptr, q, schema, 0.0);
           EXPECT_EQ(step.kind, checker::SchemaStep::Kind::kSettled);
           step.record.cursor = checker::schema_cursor(q, schema);
-          sat = step.record.verdict == "sat";
+          sat = step.record.verdict == checker::SchemaVerdict::kSat;
           if (lease_forgery && !forged) {
             forged = true;  // this schema never settles: the lease_done below is forged
             return true;

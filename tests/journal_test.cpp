@@ -27,7 +27,7 @@ std::string temp_path(const char* name) {
   return path;
 }
 
-JournalRecord record(const char* property, const char* cursor, const char* verdict,
+JournalRecord record(const char* property, const char* cursor, SchemaVerdict verdict,
                      std::int64_t length = 0, std::int64_t pivots = 0,
                      const char* note = "") {
   JournalRecord r;
@@ -40,11 +40,12 @@ JournalRecord record(const char* property, const char* cursor, const char* verdi
   return r;
 }
 
-/// A hand-written unsat record line of property "safe" whose length field
-/// is the raw token `length`.
-std::string record_line(const char* cursor, const char* length) {
+/// A hand-written record line of property "safe" whose length field is the
+/// raw token `length`.
+std::string record_line(const char* cursor, const char* length,
+                        const char* verdict = "unsat") {
   return std::string(R"({"type":"record","property":"safe","cursor":")") + cursor +
-         R"(","verdict":"unsat","length":)" + length +
+         R"(","verdict":")" + verdict + R"(","length":)" + length +
          R"(,"pivots":0,"retries":0,"note":""})" + "\n";
 }
 
@@ -65,21 +66,21 @@ TEST(JournalTest, RoundTripsRecords) {
   const std::string path = temp_path("journal_roundtrip.jsonl");
   {
     ProgressJournal journal(path, "Echo", /*flush_batch=*/2);
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 17));
-    journal.append(record("safe", "q0|0|2", "pruned"));
-    journal.append(record("live", "q1||0", "unknown", 0, 0, "injected \"fault\"\n"));
-    journal.append(record("live", "q1||1", "unknown", 0, 0, "cr\r tab\t ctl\x01 bs\\"));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 17));
+    journal.append(record("safe", "q0|0|2", SchemaVerdict::kPruned));
+    journal.append(record("live", "q1||0", SchemaVerdict::kUnknown, 0, 0, "injected \"fault\"\n"));
+    journal.append(record("live", "q1||1", SchemaVerdict::kUnknown, 0, 0, "cr\r tab\t ctl\x01 bs\\"));
     EXPECT_EQ(journal.records_written(), 4);
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.automaton, "Echo");
   EXPECT_EQ(state.skipped_lines, 0);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
-  EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, "unsat");
+  EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, SchemaVerdict::kUnsat);
   EXPECT_EQ(state.find("safe", "q0|0|1")->solve.length, 4);
   EXPECT_EQ(state.find("safe", "q0|0|1")->solve.pivots, 17);
   ASSERT_NE(state.find("safe", "q0|0|2"), nullptr);
-  EXPECT_EQ(state.find("safe", "q0|0|2")->verdict, "pruned");
+  EXPECT_EQ(state.find("safe", "q0|0|2")->verdict, SchemaVerdict::kPruned);
   // Notes survive escaping (quotes, newline).
   ASSERT_NE(state.find("live", "q1||0"), nullptr);
   EXPECT_EQ(state.find("live", "q1||0")->solve.note, "injected \"fault\"\n");
@@ -95,12 +96,12 @@ TEST(JournalTest, LaterRecordsWin) {
   const std::string path = temp_path("journal_laterwins.jsonl");
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "unknown", 0, 0, "first attempt failed"));
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnknown, 0, 0, "first attempt failed"));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 9));
   }
   const ResumeState state = load_journal(path);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
-  EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, "unsat");
+  EXPECT_EQ(state.find("safe", "q0|0|1")->verdict, SchemaVerdict::kUnsat);
 }
 
 TEST(JournalTest, ToleratesTornTrailingLine) {
@@ -109,19 +110,22 @@ TEST(JournalTest, ToleratesTornTrailingLine) {
   const std::string path = temp_path("journal_torn.jsonl");
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 9));
   }
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
     // Corrupt numbers are malformed lines too: a bare sign, a digit run
     // beyond int64, and a negative counter, which would drive the resumed
     // run's totals below zero. The same line with a positive length loads.
+    // So are verdicts outside the codec's vocabulary, a record-type line
+    // claiming sat included (only a sat-type line may).
     file << record_line("q0|0|3", "-") << record_line("q0|0|4", "99999999999999999999")
-         << record_line("q0|0|5", "-3") << record_line("q0|0|6", "3");
+         << record_line("q0|0|5", "-3") << record_line("q0|0|6", "3")
+         << record_line("q0|0|7", "3", "maybe") << record_line("q0|0|8", "3", "sat");
     file << R"({"type":"record","property":"safe","cursor":"q0|0|2","verdict":"uns)";  // torn
   }
   const ResumeState state = load_journal(path);
-  EXPECT_EQ(state.skipped_lines, 4);
+  EXPECT_EQ(state.skipped_lines, 6);
   ASSERT_NE(state.find("safe", "q0|0|1"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|2"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|3"), nullptr);
@@ -129,6 +133,14 @@ TEST(JournalTest, ToleratesTornTrailingLine) {
   EXPECT_EQ(state.find("safe", "q0|0|5"), nullptr);
   ASSERT_NE(state.find("safe", "q0|0|6"), nullptr);
   EXPECT_EQ(state.find("safe", "q0|0|6")->solve.length, 3);
+  EXPECT_EQ(state.find("safe", "q0|0|7"), nullptr);
+  EXPECT_EQ(state.find("safe", "q0|0|8"), nullptr);
+  // Both fail in the codec a fleet's record frames share.
+  UnitOutcome solve;
+  EXPECT_THROW(record_from_json(Json::parse(record_line("q0|0|7", "3", "maybe")), &solve),
+               InvalidArgument);
+  EXPECT_THROW(record_from_json(Json::parse(record_line("q0|0|8", "3", "sat")), &solve),
+               InvalidArgument);
 }
 
 TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
@@ -137,7 +149,7 @@ TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
   const std::string path = temp_path("journal_torn_append.jsonl");
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 9));
   }
   {
     std::ofstream file(path, std::ios::app | std::ios::binary);
@@ -146,7 +158,7 @@ TEST(JournalTest, AppendAfterTornTailKeepsBothSides) {
   }
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|3", "pruned"));
+    journal.append(record("safe", "q0|0|3", SchemaVerdict::kPruned));
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.skipped_lines, 1);
@@ -257,7 +269,7 @@ TEST(JournalTest, NodeIdentityRoundTripsThroughHeader) {
     JournalHeader header("SimplifiedConsensus", "cafebabecafebabe");
     header.node = "consensus.Inv1_0#0123456789abcdef";
     ProgressJournal journal(path, header);
-    journal.append(record("Inv1_0", "q0|0|1", "unsat", 3, 5));
+    journal.append(record("Inv1_0", "q0|0|1", SchemaVerdict::kUnsat, 3, 5));
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.automaton, "SimplifiedConsensus");
@@ -313,7 +325,7 @@ TEST(JournalTest, HeaderRecordsModelHashAndVersion) {
   const std::string path = temp_path("journal_identity.jsonl");
   {
     ProgressJournal journal(path, JournalHeader("Echo", "cafebabecafebabe"));
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 9));
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.automaton, "Echo");
@@ -347,10 +359,10 @@ TEST(JournalTest, CutFieldRoundTrips) {
   const std::string path = temp_path("journal_cut.jsonl");
   {
     ProgressJournal journal(path, "Echo");
-    JournalRecord with_cut = record("safe", "q0|2,0,1|", "unsat", 4, 17);
+    JournalRecord with_cut = record("safe", "q0|2,0,1|", SchemaVerdict::kUnsat, 4, 17);
     with_cut.cut = 2;
     journal.append(with_cut);
-    journal.append(record("safe", "q0|0|2", "unsat", 3, 5));
+    journal.append(record("safe", "q0|0|2", SchemaVerdict::kUnsat, 3, 5));
   }
   const ResumeState state = load_journal(path);
   ASSERT_NE(state.find("safe", "q0|2,0,1|"), nullptr);
@@ -392,7 +404,7 @@ TEST(JournalTest, ResumeReplaysRecordedSubtreeCuts) {
   EXPECT_EQ(first_half.verdict, Verdict::kUnknown);
   bool journaled_cut = false;
   for (const auto& [key, settled] : load_journal(partial.journal_path).settled) {
-    journaled_cut = journaled_cut || (settled.verdict == "unsat" && settled.cut >= 0);
+    journaled_cut = journaled_cut || (settled.verdict == SchemaVerdict::kUnsat && settled.cut >= 0);
   }
   ASSERT_TRUE(journaled_cut) << "interrupted run recorded no subtree cut";
 
@@ -412,11 +424,11 @@ TEST(JournalTest, RepeatedIdenticalHeadersAreFine) {
   const std::string path = temp_path("journal_repeat_header.jsonl");
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("safe", "q0|0|1", "unsat", 4, 9));
+    journal.append(record("safe", "q0|0|1", SchemaVerdict::kUnsat, 4, 9));
   }
   {
     ProgressJournal journal(path, "Echo");
-    journal.append(record("live", "q0|0|1", "pruned"));
+    journal.append(record("live", "q0|0|1", SchemaVerdict::kPruned));
   }
   const ResumeState state = load_journal(path);
   EXPECT_EQ(state.automaton, "Echo");
@@ -536,7 +548,7 @@ TEST(JournalTest, CertifyingRecordsRoundTripTheirEvidenceAndCounters) {
     big += record->solve.rational_big_ops;
     if (evidence.sat) {
       saw_sat = true;
-      EXPECT_EQ(record->verdict, "sat");
+      EXPECT_EQ(record->verdict, SchemaVerdict::kSat);
       ASSERT_NE(record->solve.model, nullptr);
       EXPECT_EQ(*record->solve.model, *evidence.model);
       ASSERT_TRUE(record->solve.counterexample.has_value());
@@ -545,7 +557,7 @@ TEST(JournalTest, CertifyingRecordsRoundTripTheirEvidenceAndCounters) {
       EXPECT_EQ(record->solve.counterexample->params, result.counterexample->params);
     } else {
       saw_unsat = true;
-      EXPECT_EQ(record->verdict, "unsat");
+      EXPECT_EQ(record->verdict, SchemaVerdict::kUnsat);
       ASSERT_NE(record->solve.proof, nullptr);
       EXPECT_EQ(proof_text(*record->solve.proof), proof_text(*evidence.proof));
     }
