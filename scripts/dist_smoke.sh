@@ -11,7 +11,11 @@
 #   5. a learning coordinator with 3 learning workers (the verdict must
 #      match), and a mixed-learning fleet: a learning coordinator, one worker
 #      under HV_NO_LEMMAS=1 and one learning worker, whose verdict and schema
-#      total must match an in-process run with learning on.
+#      total must match an in-process run with learning on;
+#   6. a learning fork-local fleet (`hvc check --workers 2`) on naive
+#      Inv1_0, five times: each run must finish within 60 s and hold. Live
+#      fact broadcasts once let one unread worker socket deadlock such a
+#      fleet in a few runs out of ten.
 # Usage: scripts/dist_smoke.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -196,3 +200,20 @@ if ! diff -u "$work/ref_learn.summary" "$work/mixed.summary"; then
 fi
 echo "OK: mixed-learning fleet matches the in-process run ($(cat "$work/mixed.summary");" \
      "$(cat "$work/mixed_plain.txt"))"
+
+echo "== learning fork-local fleet on naive Inv1_0, five runs under a 60-s bound"
+for run in 1 2 3 4 5; do
+  code=0
+  timeout -k 5 60 "$hvc" check models/naive_consensus.ta --prop "$prop" --name Inv1_0 \
+    --workers 2 --json > "$work/naive_$run.json" || code=$?
+  if [ "$code" -eq 124 ] || [ "$code" -eq 137 ]; then
+    echo "FAIL: learning fleet run $run did not finish within 60 s" >&2
+    exit 1
+  fi
+  if [ "$(verdict_of "$work/naive_$run.json")" != '"verdict": "holds"' ]; then
+    cat "$work/naive_$run.json" >&2
+    echo "FAIL: learning fleet run $run ended with exit $code, not holds" >&2
+    exit 1
+  fi
+done
+echo "OK: five learning fleet runs on naive Inv1_0 held within 60 s each"

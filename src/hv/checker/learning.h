@@ -10,8 +10,8 @@
 //     every cut, and the enumeration loops skip covered schemas without
 //     solving, counting them as PropertyResult::schemas_cut. Cuts ride on
 //     the unsat journal record (JournalRecord::cut) so a resumed run
-//     rebuilds the index instead of re-deriving it, and travel over the
-//     distributed wire so other workers abandon doomed subtrees.
+//     rebuilds the index instead of re-deriving it, and reach fleet workers
+//     with their next lease grant, so later leases skip doomed subtrees.
 //
 //   * Farkas lemmas — pure-constraint refutations banked in the per-query
 //     smt::LemmaPool, replayed by the solver before searching. The pool

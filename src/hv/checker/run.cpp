@@ -284,7 +284,7 @@ void LeaseBook::cut_locked(std::size_t p, std::int64_t n) {
 
 bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
                              const SchemaRecord& record, UnitOutcome outcome, bool charged,
-                             bool resumed, int origin) {
+                             bool resumed) {
   PropertyRun& prop = props[p];
   // A charged schema was visited within the budget and is counted whatever
   // happened since. An uncharged record (fleet, resume) is charged as it
@@ -325,7 +325,7 @@ bool LeaseBook::merge_locked(std::size_t p, std::size_t q, const Schema& schema,
     cut = cut_prefix(schema.unlock_order, record.cut);
     if (cut && !charged && !learning_[p]->queries[q].cuts.add(*cut)) cut.reset();
   }
-  merged_locked(p, q, schema, record, origin, cut ? &*cut : nullptr);
+  merged_locked(p, q, schema, record, cut ? &*cut : nullptr);
   return true;
 }
 
@@ -372,7 +372,7 @@ std::vector<PropertyResult> LeaseBook::results() {
   return out;
 }
 
-void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,
+void LeaseBook::merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&,
                               const std::vector<int>*) {}
 
 void LeaseBook::changed_locked(std::int64_t) {}

@@ -30,11 +30,13 @@
 // one answer to "is this schema already settled?": the merge fills it, the
 // resume replay through the merge, and a fleet worker's grant seeds it with
 // its skip list. The coordinator (hv/dist) derives from the book and adds
-// only what needs a wire or distrust, through four virtual hooks
-// (merge_locked, merged_locked, changed_locked, settle_moot_locked): skip
-// lists, the trust gate, settling and shipping the book's learning to
-// workers. A fleet worker's book overrides merge_locked the other way round:
-// it ships the settled schema to the coordinator instead of merging it.
+// only what needs a wire or distrust through three virtual hooks
+// (merged_locked, changed_locked, settle_moot_locked): skip lists, settling
+// the pending leases a new cut covers, and waking parked grants. It ships
+// the book's learning to workers only inside their grants. A fleet
+// worker's book overrides the fourth hook, merge_locked, the other way
+// round: it ships the settled schema to the coordinator instead of merging
+// it.
 #ifndef HV_CHECKER_RUN_H
 #define HV_CHECKER_RUN_H
 
@@ -160,15 +162,14 @@ class LeaseBook {
   /// Merges one settled schema of `p`: dedup (known_locked), the budget
   /// charge unless `charged` already took it, the ledger, tally, journal,
   /// certificate evidence, an unsat record's cut and the sat witness, then
-  /// merged_locked. `origin` names the
-  /// settling fleet connection (-1: in-process or resume). Returns false
-  /// iff the schema was dropped: a duplicate, over budget, or an uncharged
-  /// record for a property that takes no more verdicts. A fleet worker's
+  /// merged_locked. Returns false iff the schema was dropped: a duplicate,
+  /// over budget, or an uncharged record for a property that takes no more
+  /// verdicts. A fleet worker's
   /// book overrides it to ship the record instead; it may end the lease
   /// (the consumer then stops settling it).
   virtual bool merge_locked(std::size_t p, std::size_t q, const Schema& schema,
                             const SchemaRecord& record, UnitOutcome outcome, bool charged,
-                            bool resumed = false, int origin = -1);
+                            bool resumed = false);
   /// True iff the schema at `cursor` is in `p`'s ledger: settled already,
   /// it must be neither visited nor counted again.
   bool known_locked(std::size_t p, const std::string& cursor) const {
@@ -192,8 +193,7 @@ class LeaseBook {
   /// added to the cut index (for a charged record: the cut step_schema
   /// added), or null when it added none.
   virtual void merged_locked(std::size_t p, std::size_t q, const Schema& schema,
-                             const SchemaRecord& record, int origin,
-                             const std::vector<int>* new_cut);
+                             const SchemaRecord& record, const std::vector<int>* new_cut);
   /// After a lease changed state (`lease` >= 0) or a property settled (-1).
   virtual void changed_locked(std::int64_t lease);
   /// Settles pending lease `lease` without a grant iff it is moot, counting

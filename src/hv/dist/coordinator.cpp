@@ -33,7 +33,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Longest a `next` parks in the long poll before answering "wait 0"; well
+// Longest a `next` parks in the long poll before answering "wait"; well
 // under any peer's recv timeout.
 constexpr std::chrono::milliseconds kParkBound{1000};
 // Longest a self-hosted fleet waits for all its forked workers to join
@@ -96,12 +96,6 @@ class WakeFd {
   int fd_;
 };
 
-// A connection the coordinator can push frames to; `origin` is its serial.
-struct ConnInfo {
-  Conn* conn = nullptr;
-  int origin = -1;
-};
-
 bool task_covers(const checker::SubtreeTask& task, const std::vector<int>& unlock_order) {
   if (task.include_extensions) {
     return unlock_order.size() >= task.prefix.size() &&
@@ -124,11 +118,8 @@ struct Coord : checker::LeaseBook {
   }
 
   /// True iff the run learns: the book then holds every property's cut
-  /// index and lemma pool, ships them inside lease grants and broadcasts
-  /// new facts as learn frames to the fleet.
+  /// index and lemma pool and ships them inside lease grants.
   bool learns() const { return checker::lemmas_enabled(options()); }
-  /// Sends `frame` to every connection but `origin`.
-  void broadcast_locked(const Json& frame, int origin) const;
 
   const DistOptions& dist;
   Json welcome;
@@ -147,11 +138,12 @@ struct Coord : checker::LeaseBook {
   /// or this time passes. Left at the epoch otherwise.
   Clock::time_point fleet_formed_by{};
   DistStats stats;
-  std::vector<ConnInfo> open_conns;
+  /// The connections that passed the handshake, shut down on a forced
+  /// close.
+  std::vector<Conn*> open_conns;
 
-  /// Byzantine defense: per-label health and the next connection serial.
+  /// Byzantine defense: per-label health.
   std::unordered_map<std::string, WorkerHealth> health;
-  int next_origin = 0;
 
   /// In-process solving once the fleet is exhausted (graceful degradation)
   /// on one lease consumer, which learns like every other consumer of the
@@ -160,7 +152,7 @@ struct Coord : checker::LeaseBook {
 
  protected:
   void merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
-                     const checker::SchemaRecord& record, int origin,
+                     const checker::SchemaRecord& record,
                      const std::vector<int>* new_cut) override;
   // A pending lease a recorded subtree cut covers settles instead of being
   // granted (it may have returned to pending before the cut arrived). Every
@@ -216,16 +208,10 @@ void bump(Coord& c, std::atomic<std::int64_t> checker::ProgressCounters::* count
   }
 }
 
-void Coord::broadcast_locked(const Json& frame, int origin) const {
-  for (const ConnInfo& info : open_conns) {
-    if (info.origin != origin) info.conn->send(frame);
-  }
-}
-
 // The fleet's share of a merge: the covering lease's skip list and a new
 // subtree cut.
 void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& schema,
-                          const checker::SchemaRecord& record, int origin,
+                          const checker::SchemaRecord& record,
                           const std::vector<int>* new_cut) {
   for (std::size_t i = 0; i < leases.size(); ++i) {
     const Lease& lease = leases[i];
@@ -236,8 +222,8 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
   }
   // A new cut proves every schema extending its chain prefix unsat. The cut
   // itself is not journaled here (it rides on the record), but every
-  // still-pending lease it covers settles without ever being granted, and
-  // the other workers hear of it so they skip the doomed subtrees too.
+  // still-pending lease it covers settles without ever being granted; the
+  // other workers receive it with their next grant.
   if (new_cut != nullptr) {
     for (std::size_t i = 0; i < leases.size(); ++i) {
       const Lease& lease = leases[i];
@@ -245,9 +231,6 @@ void Coord::merged_locked(std::size_t p, std::size_t q, const checker::Schema& s
         settle_moot_locked(i);
       }
     }
-    LearnPayload payload;
-    payload.add_cut(q, *new_cut);
-    broadcast_locked(learn_frame(p, std::move(payload)), origin);
   }
 }
 
@@ -271,7 +254,6 @@ struct Session {
   bool on_silence();
   bool on_next();
   bool on_verdict(const Json& msg);
-  bool on_learn(const Json& msg);
   bool on_lease_done(const Json& msg);
   bool forged(std::size_t p, std::size_t q, const checker::Schema& schema,
               const checker::SchemaRecord& record, const checker::UnitOutcome& solve);
@@ -283,7 +265,6 @@ struct Session {
   Coord& c;
   Conn conn;
   std::string label = "worker";
-  int origin = -1;  // connection serial: learn broadcasts skip their origin
   /// Lease index held by this worker. Only this session's thread writes it
   /// (under the mutex), so the thread reads it without one.
   std::int64_t current = -1;
@@ -337,8 +318,6 @@ void Session::serve() {
         keep = on_next();
       } else if (type == "record" || type == "sat") {
         keep = on_verdict(msg);
-      } else if (type == "learn") {
-        keep = on_learn(msg);
       } else if (type == "lease_done") {
         keep = on_lease_done(msg);
       } else if (type != "heartbeat") {
@@ -358,8 +337,7 @@ void Session::serve() {
     std::lock_guard<std::mutex> lock(c.mutex);
     release_current();
     if (!clean) ++c.stats.workers_lost;
-    const auto it = std::find_if(c.open_conns.begin(), c.open_conns.end(),
-                                 [&](const ConnInfo& info) { return info.conn == &conn; });
+    const auto it = std::find(c.open_conns.begin(), c.open_conns.end(), &conn);
     if (it != c.open_conns.end()) {
       c.open_conns.erase(it);
       bump(c, &checker::ProgressCounters::workers, -1);
@@ -394,6 +372,7 @@ bool Session::admit() {
   } catch (const std::exception&) {
     return false;  // mistyped hello fields: not a worker
   }
+  std::string reason;
   {
     // Health gate: a banned or cooling-down label is refused before any
     // lease; a label whose score crossed the quarantine threshold starts
@@ -403,7 +382,6 @@ bool Session::admit() {
     WorkerHealth& health = c.health[label];
     ++health.joins;
     if (health.joins > kFreeRejoins) penalize(c, label, kChurnPenalty);
-    std::string reason;
     if (health.banned) {
       reason = "worker '" + label + "' is banned for this run (health score " +
                format_seconds(health.score) + ")";
@@ -430,19 +408,15 @@ bool Session::admit() {
                  "s (health score crossed " + format_seconds(kQuarantineScore) + ")";
       }
     }
-    if (!reason.empty()) {
-      conn.send(Json::Object{{"type", "shutdown"}, {"reason", reason}});
-      return false;
-    }
   }
-  // The welcome is sent under the mutex broadcast_locked sends under, and
-  // the worker joins open_conns in the same critical section: every learn
-  // frame handled after the worker has its welcome reaches it.
-  std::lock_guard<std::mutex> lock(c.mutex);
+  if (!reason.empty()) {
+    conn.send(Json::Object{{"type", "shutdown"}, {"reason", reason}});
+    return false;
+  }
   if (!conn.send(c.welcome)) return false;
-  origin = c.next_origin++;
+  std::lock_guard<std::mutex> lock(c.mutex);
   ++c.stats.workers_joined;
-  c.open_conns.push_back({&conn, origin});
+  c.open_conns.push_back(&conn);
   bump(c, &checker::ProgressCounters::workers);
   c.changed_locked(-1);  // a parked sibling may be waiting for the fleet
   return true;
@@ -452,22 +426,22 @@ bool Session::admit() {
 // run is over and it holds no lease.
 bool Session::on_silence() {
   const double silent = std::chrono::duration<double>(Clock::now() - last_activity).count();
-  std::lock_guard<std::mutex> lock(c.mutex);
-  if (silent > c.dist.lease_timeout_seconds) {
-    // Expropriating a lease feeds the label's health: a chronically
-    // timing-out worker ends up quarantined.
-    if (current >= 0) {
-      ++c.stats.lease_timeouts;
-      penalize(c, label, kTimeoutPenalty);
+  {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    if (silent > c.dist.lease_timeout_seconds) {
+      // Expropriating a lease feeds the label's health: a chronically
+      // timing-out worker ends up quarantined.
+      if (current >= 0) {
+        ++c.stats.lease_timeouts;
+        penalize(c, label, kTimeoutPenalty);
+      }
+      return false;
     }
-    return false;
+    if (!c.closing || current >= 0) return true;
   }
-  if (c.closing && current < 0) {
-    conn.send(Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
-    clean = true;
-    return false;
-  }
-  return true;
+  conn.send(Json::Object{{"type", "shutdown"}, {"reason", "run over"}});
+  clean = true;
+  return false;
 }
 
 // The `next` frame: grant a lease, or answer wait / shutdown.
@@ -477,7 +451,7 @@ bool Session::on_next() {
     std::unique_lock<std::mutex> lock(c.mutex);
     release_current();  // a worker asking again abandoned any holdover
     // Long poll: with work left but nothing grantable, park until a
-    // lease-state event or the bound, then answer "wait 0" so the worker
+    // lease-state event or the bound, then answer "wait" so the worker
     // re-asks at once. The bound stays well under every peer's recv
     // timeout.
     const auto park_until = Clock::now() + kParkBound;
@@ -529,7 +503,7 @@ bool Session::on_next() {
         payload.put(reply);
       }
     } else if (work_left) {
-      reply = Json::Object{{"type", "wait"}, {"ms", 0}};
+      reply = Json::Object{{"type", "wait"}};
     } else {
       reply = Json::Object{{"type", "shutdown"}, {"reason", "run over"}};
       clean = true;
@@ -586,8 +560,7 @@ bool Session::on_verdict(const Json& msg) {
       mark_hostile_locked();
       return false;
     }
-    c.merge_locked(p, q, schema, record, std::move(solve), /*charged=*/false,
-                   /*resumed=*/false, origin);
+    c.merge_locked(p, q, schema, record, std::move(solve), /*charged=*/false);
     // Tell the worker to stop solving a subtree nobody wants: its lease was
     // expropriated, or the property is already settled (first witness,
     // exhausted budget). A worker stops a lease on its own after a sat.
@@ -637,28 +610,13 @@ bool Session::forged(std::size_t p, std::size_t q, const checker::Schema& schema
   return !check->check(schema, sat, solve.proof.get(), solve.model.get(), report, record.cursor);
 }
 
-// A `learn` frame: freshly pooled Farkas lemmas from this worker. Folds them
-// into the book's lemma pools, which grants ship, and broadcasts the ones
-// the book had not seen to every other worker. Cuts are taken only from
-// unsat records, which cite a granted lease; a cuts[] field here is
-// ignored. Silently ignored when this run does not learn.
-bool Session::on_learn(const Json& msg) {
-  if (!c.learns()) return true;
-  const auto p = static_cast<std::size_t>(msg.at("p").as_int());
-  if (p >= c.props.size()) {
-    punish_violation();
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(c.mutex);
-  LearnPayload fresh;
-  fresh.lemmas = fold_learn(msg, *c.learning(p), /*with_cuts=*/false);
-  if (!fresh.lemmas.empty()) c.broadcast_locked(learn_frame(p, std::move(fresh)), origin);
-  return true;
-}
-
 // A `lease_done` frame: the worker finished (or abandoned) its lease. A
 // negative counter is hostile; a certifying run also requires the lease's
-// whole subtree to be settled while its property is still live.
+// whole subtree to be settled while its property is still live. When the
+// run learns, the frame's lemmas[] join the book's pools for the named
+// lease's property, whoever holds that lease now, and later grants ship
+// them. Cuts are taken only from unsat records, which cite a granted lease;
+// a cuts[] field here is ignored.
 bool Session::on_lease_done(const Json& msg) {
   const std::int64_t id = msg.at("lease").as_int();
   checker::IncrementalStats delta;
@@ -675,6 +633,11 @@ bool Session::on_lease_done(const Json& msg) {
                 delta.schemas_encoded}) < 0) {
     punish_violation();
     return false;
+  }
+  if (c.learns() && id >= 0 && id < static_cast<std::int64_t>(c.leases.size())) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    fold_learn(msg, *c.learning(c.leases[static_cast<std::size_t>(id)].property),
+               /*with_cuts=*/false);
   }
   if (id != current || id < 0) return true;
   const auto index = static_cast<std::size_t>(id);
@@ -838,7 +801,7 @@ std::vector<checker::PropertyResult> serve_fd(int listen_fd, const std::string& 
     // Cancellation/timeout: cut every worker loose; their reads fail, the
     // handlers release the leases and exit.
     std::lock_guard<std::mutex> lock(c.mutex);
-    for (const ConnInfo& info : c.open_conns) info.conn->shutdown();
+    for (Conn* conn : c.open_conns) conn->shutdown();
   }
   for (std::thread& handler : handlers) handler.join();
 

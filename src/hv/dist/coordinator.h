@@ -4,9 +4,12 @@
 // budget, the journal and the merge into PropertyResult / certificate
 // evidence, and its ledger of settled cursors dedups every record; the
 // coordinator hands its leases to workers over the frame protocol and adds
-// what needs a wire or distrust: sessions, skip lists, fleet learning,
-// health, the trust gate and the merge check. Each worker
-// settles its grants as a LeaseConsumer of a worker-side book (worker.h),
+// what needs a wire or distrust: sessions, skip lists, health, the trust
+// gate and the merge check. Learned facts travel with the work: a worker's
+// lease_done carries the lemmas it banked, its unsat records carry their
+// cuts, the book folds both, and every grant carries the book's facts for
+// its (property, query). Each worker settles its grants as a
+// LeaseConsumer of a worker-side book (worker.h),
 // so a fleet visits and counts schemas as in-process threads do: the
 // schemas a worker's cuts skipped arrive as lease_done's `cut` count, and a
 // pending lease a cut covers settles ungranted; both are charged to the
@@ -18,6 +21,12 @@
 // draining them one at a time.
 //
 // Fault model, in one place:
+//   * a peer that stops reading: the coordinator sends a peer only replies
+//     to that peer's own frames, and never while holding the book's mutex,
+//     so such a peer blocks at most its own session's handler thread; no
+//     other session and no lock waits on it. Sends have no deadline, so a
+//     grant blocked that way keeps its lease active until the run's
+//     timeout;
 //   * worker death (EOF, torn frame, SIGKILL) or silence beyond the lease
 //     timeout: its active lease returns to the pending pool and is granted
 //     to the next worker that asks;

@@ -306,14 +306,7 @@ void LearnPayload::put(Json& frame) {
   if (!lemmas.empty()) frame.set("lemmas", std::move(lemmas));
 }
 
-Json learn_frame(std::size_t p, LearnPayload payload) {
-  Json frame = Json::Object{{"type", "learn"}, {"p", static_cast<std::int64_t>(p)}};
-  payload.put(frame);
-  return frame;
-}
-
-Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
-                       bool with_cuts) {
+void fold_learn(const Json& frame, checker::PropertyLearning& learning, bool with_cuts) {
   const auto query = [&](const Json& entry) -> checker::QueryLearning* {
     const std::int64_t q = entry.at("q").as_int();
     if (q < 0 || q >= static_cast<std::int64_t>(learning.queries.size())) return nullptr;
@@ -330,7 +323,6 @@ Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
       target->cuts.add(prefix);
     }
   }
-  Json::Array fresh;
   if (const Json* lemmas = frame.find("lemmas")) {
     for (const Json& entry : lemmas->as_array()) {
       checker::QueryLearning* target = query(entry);
@@ -339,10 +331,9 @@ Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
       for (const Json& premise : entry.at("premises").as_array()) {
         lemma.premises.push_back(premise.as_string());
       }
-      if (target->lemmas.insert(std::move(lemma), /*fresh=*/false)) fresh.push_back(entry);
+      target->lemmas.insert(std::move(lemma), /*fresh=*/false);
     }
   }
-  return fresh;
 }
 
 }  // namespace hv::dist

@@ -22,24 +22,24 @@
 //                (both checker/record.h's object, as a journal line is; its
 //                counters are the solve's UnitOutcome, which the
 //                coordinator's tally counts as it merges the record)
-//     learn      {p, lemmas[]?}           freshly pooled Farkas lemmas
-//                                         (cuts ride on record frames; the
-//                                         coordinator ignores cuts[] here)
-//     lease_done {lease, stats{...}, cut?}
+//     lease_done {lease, stats{...}, cut?, lemmas[]?}  lemmas = the Farkas
+//                                      lemmas the worker banked since its
+//                                      last lease_done (cuts ride on record
+//                                      frames; the coordinator ignores a
+//                                      cuts[] here)
 //     heartbeat  {}                     liveness only; renews the deadline
 //
 //   coordinator -> worker
 //     welcome    {protocol, model_hash, model_text, properties[], options{},
-//                 lease_timeout?}       options.lemmas: the run learns
+//                 lease_timeout}        options.lemmas: the run learns
 //     lease      {lease, property, query, prefix[], extensions, skip[],
-//                 cuts[]?, lemmas[]?}
-//     wait       {ms}                   nothing grantable right now; sleep
-//                                      ms, or ask again at once on ms 0 (a
-//                                      long poll that ran out its bound)
+//                 cuts[]?, lemmas[]?}   cuts/lemmas: every fact the book
+//                                      holds for that (property, query)
+//     wait       {}                     a long poll ran out its bound with
+//                                      nothing grantable; ask again at once
 //     abandon    {lease}               stop that lease: the property is
 //                                      settled or the lease reassigned; the
 //                                      worker closes it with lease_done
-//     learn      {p, cuts[]?, lemmas[]?}  facts folded from other workers
 //     shutdown   {reason}               run over; worker disconnects. Also
 //                                      sent *instead of* welcome when the
 //                                      worker's label is quarantined or
@@ -48,16 +48,18 @@
 // The pull model keeps the coordinator passive between frames: a worker
 // that dies simply stops asking, and *any* frame (heartbeats included)
 // renews its lease deadline, so only a genuinely dead or wedged worker is
-// expropriated.
+// expropriated. The coordinator sends a worker nothing but replies to that
+// worker's own frames (welcome, lease/wait/shutdown, abandon), so a peer
+// that stops reading can stall only its own session.
 //
 // The coordinator does not trust worker frames. A record or sat frame must
 // cite a lease that was actually granted on its own connection, whose
 // (property, query) matches and whose subtree covers the reported cursor;
 // a definitive verdict that conflicts with an already-settled one is
 // equally hostile. Any violation costs the connection (never the run) and
-// feeds the sender's health score. The welcome's `lease_timeout` (seconds,
-// read tolerantly) lets the worker refuse heartbeat periods that the
-// coordinator would mistake for death.
+// feeds the sender's health score. The welcome's `lease_timeout` (seconds)
+// lets the worker refuse heartbeat periods that the coordinator would
+// mistake for death.
 //
 // Compatibility: the protocol revision (util/version.h) is the only
 // mechanism. It is bumped on any frame or message change, and a
@@ -67,13 +69,15 @@
 // the run's, not the peer's: the welcome's options carry the coordinator's
 // effective lemmas_enabled, a worker's book folds in its own HV_NO_LEMMAS,
 // and a worker that does not learn ignores the cuts[] and lemmas[] it is
-// sent and omits lease_done's cut. The coordinator takes a record's cut and
-// lease_done's cut only when the run learns.
+// sent and omits lease_done's cut and lemmas[]. The coordinator takes a
+// record's cut and lease_done's cut and lemmas[] only when the run learns.
+// A fact reaches a worker only in a grant: one learned during a lease is
+// seen by the grants after it.
 //
-//   learn cuts entries:   {q, prefix[]}       — the chain prefix is unsat,
-//                                               every schema extending it too
-//   learn lemmas entries: {q, premises[]}     — a pooled Farkas refutation,
-//                                               keyed by constraint content
+//   cuts entries:   {q, prefix[]}       — the chain prefix is unsat, every
+//                                         schema extending it too
+//   lemmas entries: {q, premises[]}     — a pooled Farkas refutation, keyed
+//                                         by constraint content
 //   (both sides write and read them through LearnPayload and fold_learn)
 //   lease_done cut: schemas skipped by cuts while holding the lease (sent
 //                   only by a learning worker)
@@ -199,7 +203,8 @@ Json record_frame(const checker::SchemaRecord& record, const checker::UnitOutcom
                   std::int64_t lease, std::size_t property);
 
 /// The learned facts of one property on the wire: the cuts[] ({q, prefix[]})
-/// and lemmas[] ({q, premises[]}) entries of a learn frame or a lease grant.
+/// and lemmas[] ({q, premises[]}) entries of a lease grant, and the lemmas[]
+/// of a lease_done.
 struct LearnPayload {
   Json::Array cuts;
   Json::Array lemmas;
@@ -210,17 +215,13 @@ struct LearnPayload {
   void put(Json& frame);
 };
 
-/// A learn frame {p, cuts[]?, lemmas[]?}.
-Json learn_frame(std::size_t p, LearnPayload payload);
-
-/// Folds the lemmas[] entries of a learn frame or lease grant into
+/// Folds the lemmas[] entries of a lease grant or lease_done into
 /// `learning`, and its cuts[] entries too when `with_cuts`. Lemmas go in as
 /// remote facts (LemmaPool::insert with fresh=false), so take_fresh never
 /// echoes them back. Entries naming a query `learning` lacks, and lemmas
-/// without premises, are skipped. Returns the lemma entries that were new.
-/// Throws on a mistyped entry, keeping the entries folded before it.
-Json::Array fold_learn(const Json& frame, checker::PropertyLearning& learning,
-                       bool with_cuts);
+/// without premises, are skipped. Throws on a mistyped entry, keeping the
+/// entries folded before it.
+void fold_learn(const Json& frame, checker::PropertyLearning& learning, bool with_cuts);
 
 }  // namespace hv::dist
 

@@ -57,16 +57,15 @@ class WorkerBook : public checker::LeaseBook {
     leases.assign(1, std::move(lease));
   }
 
-  // Folds the cuts and lemmas of a lease grant for property `p`, or of a
-  // learn frame, which names its property in "p". Tolerant of malformed
-  // entries: learning facts are advisory, a bad one is dropped rather than
-  // dropping the coordinator, and the entries before it stand on their own.
-  void learn(const Json& msg, std::int64_t p = -1) {
+  // Folds the cuts and lemmas of a lease grant for property `p`. Tolerant of
+  // malformed entries: learning facts are advisory, a bad one is dropped
+  // rather than dropping the coordinator, and the entries before it stand
+  // on their own.
+  void learn(const Json& grant, std::size_t p) {
     try {
-      if (p < 0) p = msg.at("p").as_int();
-      if (p < 0 || p >= static_cast<std::int64_t>(props.size())) return;
-      checker::PropertyLearning* learning = this->learning(static_cast<std::size_t>(p));
-      if (learning != nullptr) fold_learn(msg, *learning, /*with_cuts=*/true);
+      if (checker::PropertyLearning* learning = this->learning(p)) {
+        fold_learn(grant, *learning, /*with_cuts=*/true);
+      }
     } catch (const std::exception&) {
     }
   }
@@ -78,7 +77,7 @@ class WorkerBook : public checker::LeaseBook {
   // property, and on an abandon; report_.note says which ends the worker.
   bool merge_locked(std::size_t p, std::size_t, const checker::Schema&,
                     const checker::SchemaRecord& record, checker::UnitOutcome outcome,
-                    bool charged, bool, int) override {
+                    bool charged, bool) override {
     if (charged) --props[p].in_flight;
     // An injected abort dies without a word: the coordinator re-pends the
     // lease when the connection goes.
@@ -104,9 +103,7 @@ class WorkerBook : public checker::LeaseBook {
   // The coordinator cuts a lease short mid-stream with an "abandon" frame:
   // the property settled under another worker (first witness, exhausted
   // budget) or this lease was reassigned. Polled after every record so the
-  // worker never keeps solving a subtree nobody wants. Broadcast learning
-  // facts from other workers arrive here too and take effect on the very
-  // next schema of the lease.
+  // worker never keeps solving a subtree nobody wants.
   bool abandoned() {
     while (conn_.readable()) {
       Json note;
@@ -115,9 +112,10 @@ class WorkerBook : public checker::LeaseBook {
         return true;
       }
       const Json* type = note.find("type");
-      if (type == nullptr || type->kind() != Json::Kind::kString) continue;
-      if (type->as_string() == "abandon") return true;
-      if (type->as_string() == "learn") learn(note);
+      if (type != nullptr && type->kind() == Json::Kind::kString &&
+          type->as_string() == "abandon") {
+        return true;
+      }
     }
     return false;
   }
@@ -201,23 +199,18 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       return report;
     }
     properties = resolve_properties(*parsed, specs_from_json(welcome.at("properties")));
-    // Tolerant lease-timeout read: refuse a heartbeat period the
-    // coordinator would mistake for death. A period above half the lease
-    // timeout leaves no slack for a slow schema between beats; the stop is
-    // semantic (reconnecting cannot fix a misconfiguration).
-    if (const Json* lease_timeout = welcome.find("lease_timeout")) {
-      if (lease_timeout->kind() == Json::Kind::kDouble ||
-          lease_timeout->kind() == Json::Kind::kInt) {
-        const double lease_ms = lease_timeout->as_double() * 1000.0;
-        if (lease_ms > 0.0 && static_cast<double>(options.heartbeat_ms) > lease_ms / 2.0) {
-          report.note = "heartbeat period " + std::to_string(options.heartbeat_ms) +
-                        "ms exceeds half the coordinator's lease timeout (" +
-                        std::to_string(static_cast<std::int64_t>(lease_ms)) +
-                        "ms): the coordinator would expropriate this worker's leases "
-                        "mid-solve; lower --heartbeat-ms or raise --lease-timeout";
-          return report;
-        }
-      }
+    // Refuse a heartbeat period the coordinator would mistake for death. A
+    // period above half the lease timeout leaves no slack for a slow schema
+    // between beats; the stop is semantic (reconnecting cannot fix a
+    // misconfiguration).
+    const double lease_ms = welcome.at("lease_timeout").as_double() * 1000.0;
+    if (static_cast<double>(options.heartbeat_ms) > lease_ms / 2.0) {
+      report.note = "heartbeat period " + std::to_string(options.heartbeat_ms) +
+                    "ms exceeds half the coordinator's lease timeout (" +
+                    std::to_string(static_cast<std::int64_t>(lease_ms)) +
+                    "ms): the coordinator would expropriate this worker's leases "
+                    "mid-solve; lower --heartbeat-ms or raise --lease-timeout";
+      return report;
     }
   } catch (const std::exception& e) {
     report.note = std::string("malformed welcome from coordinator: ") + e.what();
@@ -226,8 +219,8 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
   check.cancel = options.cancel;
   // The welcome's options say whether the run learns; the book folds in
   // this process's HV_NO_LEMMAS. A learning book keeps one cut index and
-  // lemma pool per property, fed by local refutations and by the
-  // coordinator's learn frames and grant payloads.
+  // lemma pool per property, fed by local refutations and by the facts each
+  // grant carries.
   WorkerBook book(*parsed, properties, check, conn, options, report);
   checker::FaultInjector injector(options.fault);
   checker::LeaseConsumer consumer(book, &injector);
@@ -264,10 +257,10 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       break;
     }
     if (!conn.send(Json::Object{{"type", "next"}})) {
-      // The coordinator may have sent shutdown and closed its end while we
-      // slept in a wait backoff; the frame is still in our receive buffer,
-      // possibly behind learn or abandon frames. Missing it would turn a
-      // clean end into a reconnect loop.
+      // The coordinator may have sent shutdown and closed its end after the
+      // last reply; the frame is still in our receive buffer, possibly
+      // behind a late abandon. Missing it would turn a clean end into a
+      // reconnect loop.
       Json last;
       while (!report.completed && conn.recv(&last, 100) == FrameStatus::kOk) {
         const Json* last_type = last.find("type");
@@ -286,16 +279,13 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     try {
       Json reply;
       FrameStatus status = conn.recv(&reply, options.recv_timeout_ms);
-      // A late "abandon" for a lease that already closed — or a broadcast
-      // "learn" frame — can sit ahead of the real reply in the byte stream;
-      // fold learn frames and skip past both. A duplicated "welcome" (the
-      // chaos layer can double any frame) is equally benign: the handshake
-      // already ran, skip the echo.
+      // A late "abandon" for a lease that already closed can sit ahead of
+      // the real reply in the byte stream; skip past it. A duplicated
+      // "welcome" (the chaos layer can double any frame) is equally benign:
+      // the handshake already ran, skip the echo.
       while (status == FrameStatus::kOk && reply.find("type") != nullptr &&
              (reply.at("type").as_string() == "abandon" ||
-              reply.at("type").as_string() == "learn" ||
               reply.at("type").as_string() == "welcome")) {
-        if (reply.at("type").as_string() == "learn") book.learn(reply);
         status = conn.recv(&reply, options.recv_timeout_ms);
       }
       if (status != FrameStatus::kOk) {
@@ -307,13 +297,8 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
         report.completed = true;
         break;
       }
-      if (type == "wait") {
-        // A long-polling coordinator answers "wait 0" when its park bound
-        // runs out: ask again at once. Any other wait is slept off.
-        const auto ms = std::min<std::int64_t>(reply.at("ms").as_int(), 2000);
-        if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        continue;
-      }
+      // The coordinator's long poll ran out its bound: ask again at once.
+      if (type == "wait") continue;
       if (type != "lease") {
         report.note = "unexpected message '" + type + "'";
         break;
@@ -334,7 +319,7 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
       book.grant(lease_id, std::move(lease), reply.at("skip").as_array());
       // Learning payload of the grant: the fleet's accumulated cuts and
       // lemmas for this (property, query).
-      book.learn(reply, static_cast<std::int64_t>(p));
+      book.learn(reply, p);
     } catch (const std::exception& e) {
       report.note = std::string("malformed coordinator message: ") + e.what();
       break;
@@ -349,22 +334,6 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
     }
     if (book.interrupted || book.timed_out) report.note = book.interrupted ? "cancelled" : "timeout";
     if (!report.note.empty()) break;  // the lease ended the worker
-    // Ship freshly learned lemmas before closing the lease, so the
-    // coordinator can fold them into future grants and broadcast them to
-    // the rest of the fleet. take_fresh() only returns locally learned
-    // lemmas — remote ones were inserted fresh=false and are not echoed.
-    // (Cuts already travelled on their unsat record frames.)
-    checker::PropertyLearning* learning = book.learning(p);
-    Json lemmas;
-    if (learning != nullptr) {
-      LearnPayload fresh;
-      for (std::size_t lq = 0; lq < learning->queries.size(); ++lq) {
-        for (const smt::Lemma& lemma : learning->queries[lq].lemmas.take_fresh()) {
-          fresh.add_lemma(lq, lemma);
-        }
-      }
-      if (!fresh.lemmas.empty()) lemmas = learn_frame(p, std::move(fresh));
-    }
     // The grant started the property's tally afresh: its cut and encoder
     // counters now count this lease alone. (Every other counter rode on the
     // lease's record frames.)
@@ -378,8 +347,21 @@ WorkerReport run_worker_attempt(const WorkerOptions& options) {
                       {"segments_reused", tally.incremental.segments_reused},
                       {"schemas_encoded", tally.incremental.schemas_encoded},
                   }}};
-    if (learning != nullptr) done.set("cut", tally.cut);
-    if ((!lemmas.is_null() && !conn.send(lemmas)) || !conn.send(done)) {
+    // A learning worker also ships the lemmas it banked, so the coordinator
+    // folds them into later grants. take_fresh() returns only locally
+    // learned lemmas: the grants' were inserted fresh=false and are not
+    // echoed. (Cuts already travelled on their unsat record frames.)
+    if (checker::PropertyLearning* learning = book.learning(p)) {
+      done.set("cut", tally.cut);
+      LearnPayload fresh;
+      for (std::size_t lq = 0; lq < learning->queries.size(); ++lq) {
+        for (const smt::Lemma& lemma : learning->queries[lq].lemmas.take_fresh()) {
+          fresh.add_lemma(lq, lemma);
+        }
+      }
+      fresh.put(done);
+    }
+    if (!conn.send(done)) {
       report.note = "connection lost";
       break;
     }

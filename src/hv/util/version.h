@@ -13,7 +13,7 @@ inline constexpr const char* kHvcVersion = "1.0.0";
 /// Bumped on any frame- or message-format change; coordinator and worker
 /// refuse to pair across revisions, and it is the fleet's only
 /// compatibility mechanism (dist/protocol.h).
-inline constexpr int kDistProtocolVersion = 2;
+inline constexpr int kDistProtocolVersion = 3;
 
 /// Wire-protocol revision of the multi-tenant verification service
 /// (hv/service): the client frames of hvc submit/status/result/cancel.

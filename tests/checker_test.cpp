@@ -1248,11 +1248,11 @@ TEST(LeaseBookTest, EveryCutAConsumerFindsReachesTheMergeHook) {
   // step_schema adds a consumer's fresh cut to the book's index before the
   // merge, so the merge cannot tell from the index that the cut is new; the
   // charged record's cut says so. merged_locked must hear of every cut the
-  // run finds: the coordinator broadcasts each and settles the pending
-  // leases it covers, self-solved ones included.
+  // run finds: the coordinator settles the pending leases each covers,
+  // self-solved ones included.
   struct CountingBook : LeaseBook {
     using LeaseBook::LeaseBook;
-    void merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&, int,
+    void merged_locked(std::size_t, std::size_t, const Schema&, const SchemaRecord&,
                        const std::vector<int>* new_cut) override {
       if (new_cut != nullptr) ++new_cuts;
     }

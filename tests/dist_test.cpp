@@ -834,12 +834,12 @@ TEST(DistEndToEnd, WorkerReportsAMalformedWelcome) {
 }
 
 TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
-  // A coordinator that closes while the worker sleeps off a "wait" leaves
-  // the shutdown in the worker's receive buffer, here behind a learn
-  // broadcast. The worker's next `next` fails to send; it must read past
-  // the learn frame to the shutdown and end cleanly, not take the closed
-  // connection for a lost one (which, with a reconnect budget, spins until
-  // the budget runs out).
+  // A coordinator that sends its shutdown and stops reading before the
+  // worker asks leaves the shutdown in the worker's receive buffer, here
+  // behind the welcome and a late abandon. The worker's first `next` fails
+  // to send; it must read past the abandon to the shutdown and end cleanly,
+  // not take the closed connection for a lost one (which, with a reconnect
+  // budget, spins until the budget runs out).
   const std::string path = temp_path("dist_queued_shutdown.sock");
   Address addr;
   addr.unix_domain = true;
@@ -851,6 +851,9 @@ TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
     Conn conn(cfd);
     Json msg;
     ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // hello
+    // From here on every frame the worker sends fails, the first `next`
+    // included, however early it comes.
+    ASSERT_EQ(::shutdown(conn.fd(), SHUT_RD), 0);
     const ta::ThresholdAutomaton ta = ta::parse_ta(kEchoModel).one_round_reduction();
     ASSERT_TRUE(conn.send(Json::Object{
         {"type", "welcome"},
@@ -858,10 +861,9 @@ TEST(DistEndToEnd, WorkerFindsTheShutdownBehindQueuedFrames) {
         {"model_hash", checker::model_content_hash(ta)},
         {"model_text", kEchoModel},
         {"properties", specs_to_json({{"safe", kHoldsFormula, false}})},
-        {"options", options_to_json(checker::CheckOptions{})}}));
-    ASSERT_EQ(conn.recv(&msg, 5'000), FrameStatus::kOk);  // next
-    ASSERT_TRUE(conn.send(Json::Object{{"type", "wait"}, {"ms", std::int64_t{300}}}));
-    ASSERT_TRUE(conn.send(Json::Object{{"type", "learn"}, {"p", std::int64_t{0}}}));
+        {"options", options_to_json(checker::CheckOptions{})},
+        {"lease_timeout", 30.0}}));
+    ASSERT_TRUE(conn.send(Json::Object{{"type", "abandon"}, {"lease", std::int64_t{0}}}));
     ASSERT_TRUE(conn.send(Json::Object{{"type", "shutdown"}, {"reason", "run over"}}));
     conn.close();
   });
@@ -1258,11 +1260,13 @@ TEST(DistByzantine, CursorOutsideTheGrantedSubtreeIsHostile) {
   EXPECT_EQ(run.results[0].schemas_checked, reference[0].schemas_checked);
 }
 
-TEST(DistByzantine, LearnFrameCutsAreIgnored) {
+TEST(DistByzantine, LeaseDoneCutsAreIgnored) {
   // Subtree cuts enter the coordinator only on unsat record frames, which
-  // cite a granted lease. A learn frame cites nothing: folding its cuts[]
-  // would let any peer settle a whole property (an empty
-  // prefix covers every schema of the query) without one schema solved.
+  // cite a granted lease and a schema of its subtree. A lease_done carries
+  // lemmas, not cuts: folding its cuts[] would let any peer settle a whole
+  // property (an empty prefix covers every schema of the query) without one
+  // schema solved. Here the frame names a lease the peer was never granted,
+  // so it closes nothing either.
   const std::string address = "unix:" + temp_path("dist_learn_cuts.sock");
   ServeRun run;
   DistOptions options;
@@ -1279,11 +1283,11 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
     Conn conn(fd);
     ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "forger"));
     ASSERT_TRUE(conn.send(Json::Object{
-        {"type", "learn"},
-        {"p", 0},
+        {"type", "lease_done"},
+        {"lease", 0},
         {"cuts",
          Json::Array{Json::Object{{"q", 0}, {"prefix", Json::Array{}}}}}}));
-    // Frames are handled in order: once `next` is answered, the learn frame
+    // Frames are handled in order: once `next` is answered, the lease_done
     // has been processed.
     ASSERT_TRUE(conn.send(Json::Object{{"type", "next"}}));
     Json reply;
@@ -1312,7 +1316,7 @@ TEST(DistByzantine, LearnFrameCutsAreIgnored) {
 // --- fleet learning -----------------------------------------------------------
 //
 // Scripted peers against the coordinator's share of the lease
-// book's learning: cuts arrive on unsat records, lemmas on learn frames, and
+// book's learning: cuts arrive on unsat records, lemmas on lease_done, and
 // both ride on later grants.
 
 // Two independent guards (x and y), so the chain tree has subtrees a cut
@@ -1364,8 +1368,9 @@ bool extends(const std::vector<std::int64_t>& chain, const std::vector<std::int6
 
 // Completes leases without records until one with a non-empty chain prefix
 // is granted, then refutes that prefix with a cut-bearing unsat record
-// (the cut spans the whole prefix) and completes it too.
-void grant_and_cut(Conn& conn, LeaseGrant* cut_lease) {
+// (the cut spans the whole prefix) and completes it too, shipping
+// `lemmas` on that lease_done.
+void grant_and_cut(Conn& conn, LeaseGrant* cut_lease, Json::Array lemmas = {}) {
   for (;;) {
     ASSERT_TRUE(acquire_lease(conn, cut_lease));
     if (!cut_lease->prefix.empty()) break;
@@ -1375,16 +1380,14 @@ void grant_and_cut(Conn& conn, LeaseGrant* cut_lease) {
                                    chain_cursor(cut_lease->query, cut_lease->prefix), "unsat");
   record.set("cut", static_cast<std::int64_t>(cut_lease->prefix.size()));
   ASSERT_TRUE(conn.send(record));
-  ASSERT_TRUE(conn.send(Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}}));
+  Json done = Json::Object{{"type", "lease_done"}, {"lease", cut_lease->id}};
+  if (!lemmas.empty()) done.set("lemmas", std::move(lemmas));
+  ASSERT_TRUE(conn.send(done));
 }
 
-Json lemma_frame(std::vector<std::string> premises) {
-  Json::Array entry_premises(premises.begin(), premises.end());
-  return Json::Object{
-      {"type", "learn"},
-      {"p", 0},
-      {"lemmas", Json::Array{Json::Object{
-                     {"q", 0}, {"premises", std::move(entry_premises)}}}}};
+// One lemmas[] entry of query 0.
+Json lemma_entry(std::vector<std::string> premises) {
+  return Json::Object{{"q", 0}, {"premises", Json::Array(premises.begin(), premises.end())}};
 }
 
 TEST(DistLearning, GrantCarriesTheCutsAndLemmasOfEarlierFrames) {
@@ -1401,8 +1404,8 @@ TEST(DistLearning, GrantCarriesTheCutsAndLemmasOfEarlierFrames) {
     Conn conn(fd);
     ASSERT_NO_FATAL_FAILURE(hello_and_welcome(conn, "scripted"));
     LeaseGrant cut_lease;
-    ASSERT_NO_FATAL_FAILURE(grant_and_cut(conn, &cut_lease));
-    ASSERT_TRUE(conn.send(lemma_frame({"y<=0", "x>=1"})));
+    ASSERT_NO_FATAL_FAILURE(
+        grant_and_cut(conn, &cut_lease, Json::Array{lemma_entry({"y<=0", "x>=1"})}));
     // The next grant lies outside the refuted subtree and carries both
     // facts, the lemma as the book's pool stores it (premises sorted).
     LeaseGrant next;
@@ -1478,50 +1481,72 @@ TEST(DistLearning, CutSettlesCoveredPendingLeasesWithoutAGrant) {
   EXPECT_EQ(granted, static_cast<std::int64_t>(fleet.tasks.size()) - covered);
 }
 
-TEST(DistLearning, PermutedLemmaIsNotRebroadcast) {
-  const std::string address = "unix:" + temp_path("dist_learn_dedup.sock");
-  ServeRun run;
-  DistOptions options;
-  options.lease_timeout_seconds = 30.0;
-  if (!checker::lemmas_enabled(options.check)) {
+TEST(DistLearning, LemmasOnLeaseDoneReachTheNextGrantPastAPeerThatNeverReads) {
+  // One peer completes its handshake and then never reads; another ships
+  // more than a megabyte of lemmas on its lease_done, far more than a socket
+  // buffer holds. The coordinator pushes nothing to a peer that did not ask,
+  // so the silent peer stalls nobody: the lemmas reach the next grant and
+  // the run completes.
+  const std::string address = "unix:" + temp_path("dist_learn_silent_peer.sock");
+  LearningRun fleet;
+  if (!checker::lemmas_enabled(fleet.options.check)) {
     GTEST_SKIP() << "learning disabled (HV_NO_LEMMAS)";
   }
-  run.start(address, {{"safe", kHoldsFormula, false}}, options);
-  const int sender_fd = connect_with_retry(address);
-  ASSERT_GE(sender_fd, 0);
-  Conn sender(sender_fd);
-  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(sender, "sender"));
-  const int listener_fd = connect_with_retry(address);
-  ASSERT_GE(listener_fd, 0);
-  Conn listener(listener_fd);
-  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(listener, "listener"));
-  // A `next` answered means every frame the sender sent before it was
-  // handled, broadcasts included.
-  const auto sync = [&] {
+  fleet.start(address);
+  const int silent_fd = connect_with_retry(address);
+  ASSERT_GE(silent_fd, 0);
+  Conn silent(silent_fd);
+  ASSERT_NO_FATAL_FAILURE(hello_and_welcome(silent, "silent"));
+
+  // 200 lemmas of 64 premises each, listed in the order the pool sorts
+  // them into: about 1.3 MB on the wire.
+  Json::Array lemmas;
+  std::size_t bytes = 0;
+  for (int l = 0; l < 200; ++l) {
+    std::vector<std::string> premises;
+    for (int k = 0; k < 64; ++k) {
+      char name[32];
+      std::snprintf(name, sizeof name, "l%03d_p%02d_", l, k);
+      premises.push_back(name + std::string(90, 'x'));
+      bytes += premises.back().size();
+    }
+    lemmas.push_back(lemma_entry(std::move(premises)));
+  }
+  ASSERT_GE(bytes, std::size_t{1} << 20);
+  const Json expected = Json(lemmas);
+  {
+    const int fd = connect_with_retry(address);
+    ASSERT_GE(fd, 0);
+    Conn sender(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(sender, "sender"));
     LeaseGrant grant;
-    return acquire_lease(sender, &grant);
-  };
-
-  ASSERT_TRUE(sender.send(lemma_frame({"a<=0", "b>=1"})));
-  ASSERT_TRUE(sync());
-  Json broadcast;
-  ASSERT_EQ(listener.recv(&broadcast, 5'000), FrameStatus::kOk);
-  EXPECT_EQ(broadcast.at("type").as_string(), "learn");
-  ASSERT_EQ(broadcast.at("lemmas").as_array().size(), 1u);
-
-  ASSERT_TRUE(sender.send(lemma_frame({"b>=1", "a<=0"})));
-  ASSERT_TRUE(sync());
-  Json echo;
-  EXPECT_EQ(listener.recv(&echo, 300), FrameStatus::kTimeout) << echo.to_string();
-  sender.close();
-  listener.close();
-
+    ASSERT_TRUE(acquire_lease(sender, &grant));
+    ASSERT_TRUE(sender.send(Json::Object{
+        {"type", "lease_done"}, {"lease", grant.id}, {"lemmas", std::move(lemmas)}}));
+    // Frames are handled in order: once `next` is answered, the lease_done
+    // has been folded. The lease this grants re-pends when the sender goes.
+    ASSERT_TRUE(acquire_lease(sender, &grant));
+    sender.close();
+  }
+  {
+    const int fd = connect_with_retry(address);
+    ASSERT_GE(fd, 0);
+    Conn receiver(fd);
+    ASSERT_NO_FATAL_FAILURE(hello_and_welcome(receiver, "receiver"));
+    LeaseGrant grant;
+    Json frame;
+    ASSERT_TRUE(acquire_lease(receiver, &grant, &frame));
+    ASSERT_NE(frame.find("lemmas"), nullptr);
+    EXPECT_EQ(frame.at("lemmas").to_string(), expected.to_string());
+    receiver.close();
+  }
   const WorkerReport survivor = run_one_worker(address, "honest");
-  run.join();
-  ASSERT_TRUE(run.error.empty()) << run.error;
+  fleet.run.join();
+  silent.close();
+  ASSERT_TRUE(fleet.run.error.empty()) << fleet.run.error;
   EXPECT_TRUE(survivor.completed) << survivor.note;
-  ASSERT_EQ(run.results.size(), 1u);
-  EXPECT_EQ(run.results[0].verdict, checker::Verdict::kHolds);
+  ASSERT_EQ(fleet.run.results.size(), 1u);
+  EXPECT_EQ(fleet.run.results[0].verdict, checker::Verdict::kHolds);
 }
 
 TEST(DistByzantine, RepeatOffendersAreQuarantinedOnRejoin) {
